@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactlin import (
     Matrix, Subspace, Vector, kernel_basis, solve, unit_vec, vec_add,
@@ -92,12 +92,10 @@ def _combo_index(combo: tuple, n: int, degree: int) -> int:
     # lexicographic position among combinations(range(n), degree)
     idx = 0
     prev = -1
-    remaining = degree
     for pos, c in enumerate(combo):
         for skipped in range(prev + 1, c):
             idx += _n_choose_k(n - skipped - 1, degree - pos - 1)
         prev = c
-        remaining -= 1
     return idx
 
 def _n_choose_k(n: int, k: int) -> int:

@@ -82,10 +82,13 @@ class StandardImbedding:
     inder: InnerDerivations
 
 
-def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
+def standard_imbedding(T: LieTripleSystem,
+                       der: Optional[DerivationAlgebra] = None) -> StandardImbedding:
+    """``der``, when given, must be ``derivation_algebra(T)``; it saves
+    recomputing it for the ideal-closure certificate."""
     F = T.field
     n = T.dim
-    inder = inner_derivation_algebra(T)
+    inder = inner_derivation_algebra(T, der)
     r = inder.dim
     xs = inder.basis_matrices()
     total = r + n
@@ -254,7 +257,6 @@ class UniversalImbedding:
     algebra: GradedLieAlgebra
     iota: Matrix               # dim x dim(T), inclusion onto the odd part
     upsilon: GradedHom         # onto the standard imbedding
-    angle_basis: Matrix        # coset representatives of <T,T> inside the wedge
     angle_projection: Matrix   # wedge -> <T,T>
     pair: PairAlgebra
     ste: StandardImbedding
@@ -292,7 +294,7 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
     algebra = GradedLieAlgebra(F, q, n,
                                tuple(tuple(tuple(v) for v in row) for row in tensor))
 
-    ste = standard_imbedding(T)
+    ste = standard_imbedding(T, pa.wedge.der)
     r = ste.inder.dim
     ucols = []
     for s in range(q):
@@ -304,8 +306,7 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
         ucols.append(unit_vec(F, r + n, r + a))
     upsilon = GradedHom(algebra, ste.algebra, Matrix.from_cols(F, ucols, rows=r + n))
     iota = Matrix.from_cols(F, [unit_vec(F, total, q + a) for a in range(n)], rows=total)
-    return UniversalImbedding(T, algebra, iota, upsilon,
-                              pa.section.transpose(), pa.projection, pa, ste)
+    return UniversalImbedding(T, algebra, iota, upsilon, pa.projection, pa, ste)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,33 @@ Scalar = Union[Fraction, int]
 Vector = tuple
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below
+# 318665857834031151167461 (Sorenson & Webster 2015); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 318665857834031151167460
+
+
 def _is_prime(n: int) -> bool:
+    if n > MAX_MODULUS:
+        raise ValueError(f"modulus {n} exceeds the supported ceiling {MAX_MODULUS}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -421,10 +440,6 @@ def kernel_basis(m: Matrix) -> Subspace:
             v[p] = F.neg(red.entries[r][f])
         vecs.append(tuple(v))
     return Subspace.span(F, m.cols, vecs)
-
-
-def column_space(m: Matrix) -> Subspace:
-    return Subspace.span(m.field, m.rows, [m.col(j) for j in range(m.cols)])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ a grading; there is no super sign rule.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactlin import (
     Field, Matrix, Subspace, Vector, kernel_basis, quotient, rank, solve,
@@ -321,17 +321,6 @@ def direct_sum(K: GradedLieAlgebra, U: GradedLieAlgebra) -> GradedLieAlgebra:
     return GradedLieAlgebra(F, dim0, dim1,
                             tuple(tuple(tuple(v) for v in row) for row in tensor),
                             unchecked=True)
-
-
-def sum_embeddings(K: GradedLieAlgebra, U: GradedLieAlgebra) -> tuple[Matrix, Matrix]:
-    """Inclusion matrices of K and U into direct_sum(K, U)."""
-    F = K.field
-    dim0 = K.dim0 + U.dim0
-    n = dim0 + K.dim1 + U.dim1
-    k_cols = [unit_vec(F, n, i if i < K.dim0 else dim0 + (i - K.dim0)) for i in range(K.dim)]
-    u_cols = [unit_vec(F, n, K.dim0 + j if j < U.dim0 else dim0 + K.dim1 + (j - U.dim0))
-              for j in range(U.dim)]
-    return Matrix.from_cols(F, k_cols, rows=n), Matrix.from_cols(F, u_cols, rows=n)
 
 
 def _coords_in_rows(field: Field, basis_rows: Sequence[Vector], v: Vector) -> Vector:

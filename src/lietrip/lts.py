@@ -17,11 +17,13 @@ broken systems for negative tests).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, Subspace, Vector, kernel_basis, mat_from_flat, unit_vec,
-    vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec,
+    vec_add, vec_is_zero, vec_scale, zero_vec,
 )
 
 
@@ -99,14 +101,23 @@ def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vecto
     return out
 
 
-def _bracket_with(T: LieTripleSystem, i: int, j: int, w: Vector) -> Vector:
-    """[e_i, e_j, w] for a coordinate vector w."""
-    F = T.field
-    out = zero_vec(F, T.dim)
-    for u, wu in enumerate(w):
-        if not F.is_zero(wu):
-            out = vec_add(F, out, vec_scale(F, wu, T.triple[i][j][u]))
-    return out
+def _nonzero_view(T: LieTripleSystem) -> tuple[list, int]:
+    """nz[a][b][c] lists the (u, x) with x = den * t[a][b][c][u] != 0.
+
+    Over F_p den is 1 and x the residue; over Q den is the common
+    denominator of all entries, so x is a plain int either way.
+    """
+    den = 1
+    if T.field.is_rational:
+        for ti in T.triple:
+            for tij in ti:
+                for v in tij:
+                    for x in v:
+                        d = x.denominator
+                        if den % d:
+                            den = den * d // gcd(den, d)
+    return [[[[(u, x.numerator * (den // x.denominator)) for u, x in enumerate(v) if x]
+              for v in tij] for tij in ti] for ti in T.triple], den
 
 
 def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
@@ -133,17 +144,44 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
                 d = vec_add(F, vec_add(F, t[i][j][k], t[j][k][i]), t[k][i][j])
                 if not vec_is_zero(F, d):
                     bad.append(AxiomViolation("cyclic", (i, j, k), d))
+
+    # [e_i,e_j,[e_k,e_l,e_m]] = [[e_i,e_j,e_k],e_l,e_m] + [e_k,[e_i,e_j,e_l],e_m]
+    #                           + [e_k,e_l,[e_i,e_j,e_m]],
+    # each term a sum of products of two structure constants, taken over
+    # nonzeros only; the defect is an integer multiple of 1/den^2.
+    nz, den = _nonzero_view(T)
+    den2 = den * den
+    p = F.p
     for i in range(n):
+        ti = nz[i]
         for j in range(n):
+            tij = ti[j]
+            if not any(tij):
+                continue  # every term carries a factor t[i][j][.]
             for k in range(n):
+                tijk = tij[k]
+                tk = nz[k]
                 for l in range(n):
+                    tijl = tij[l]
+                    tkl = tk[l]
                     for m in range(n):
-                        lhs = _bracket_with(T, i, j, t[k][l][m])
-                        r1 = triple_bracket(T, t[i][j][k], unit_vec(F, n, l), unit_vec(F, n, m))
-                        r2 = triple_bracket(T, unit_vec(F, n, k), t[i][j][l], unit_vec(F, n, m))
-                        r3 = _bracket_with(T, k, l, t[i][j][m])
-                        d = vec_sub(F, lhs, vec_add(F, vec_add(F, r1, r2), r3))
-                        if not vec_is_zero(F, d):
+                        acc = {}
+                        for u, x in tkl[m]:
+                            for v, y in tij[u]:
+                                acc[v] = acc.get(v, 0) + x * y
+                        for u, x in tijk:
+                            for v, y in nz[u][l][m]:
+                                acc[v] = acc.get(v, 0) - x * y
+                        for u, x in tijl:
+                            for v, y in tk[u][m]:
+                                acc[v] = acc.get(v, 0) - x * y
+                        for u, x in tij[m]:
+                            for v, y in tkl[u]:
+                                acc[v] = acc.get(v, 0) - x * y
+                        if p is not None:
+                            acc = {v: c % p for v, c in acc.items()}
+                        if any(acc.values()):
+                            d = tuple(F.of(Fraction(acc.get(v, 0), den2)) for v in range(n))
                             bad.append(AxiomViolation("derivation", (i, j, k, l, m), d))
     return LtsAxiomReport(not bad, tuple(bad))
 

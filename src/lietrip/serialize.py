@@ -154,4 +154,6 @@ def load(payload: dict, *, unchecked: bool = False):
         raise
     except (KeyError, TypeError, IndexError) as exc:
         raise PayloadError(f"malformed {kind} payload: {exc}") from None
+    except ZeroDivisionError as exc:
+        raise PayloadError(f"bad scalar in {kind} payload: {exc}") from None
     raise PayloadError(f"unknown kind {kind!r}")

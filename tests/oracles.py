@@ -6,7 +6,7 @@ from a second route sharing no code with the library.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 # raw integer bracket tensors, global basis even-first
 AB2_RAW = (0, 2, {})
@@ -104,3 +104,117 @@ def h2_graded_dim(raw):
     z2 = len(pairs) - frac_rank(d2)
     b2 = frac_rank(delta1_matrix(raw))
     return z2 - b2
+
+
+# ---------------------------------------------------------------------------
+# triple systems: raw integer tensors t[i][j][k][l] and a direct axiom check
+
+def lts_of_bracket(c):
+    """t[i][j][k] = [[e_i, e_j], e_k] for a raw bracket c[i][j][l]."""
+    n = len(c)
+    return [[[[sum(c[i][j][m] * c[m][k][l] for m in range(n)) for l in range(n)]
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def gl_bracket(n):
+    """gl(n) on E_ab (index a*n + b): [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    dim = n * n
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for x in range(dim):
+        a, b = divmod(x, n)
+        for y in range(dim):
+            cc, d = divmod(y, n)
+            if b == cc:
+                c[x][y][a * n + d] += 1
+            if d == a:
+                c[x][y][cc * n + b] -= 1
+    return c
+
+
+SL2_BRACKET = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
+               [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
+               [[0, 0, 2], [-1, 0, 0], [0, 0, 0]]]
+
+ODD2_TRIPLE = [[[[0, 0], [0, 0]], [[2, 0], [0, -2]]],
+               [[[-2, 0], [0, 2]], [[0, 0], [0, 0]]]]
+
+
+def grass_triple(p, q):
+    """Odd part of so(p+q) under the block grading: X_ij = E_{i,p+j} - E_{p+j,i}
+    (index i*q + j) with [X, Y, Z] = [[X, Y], Z] as matrices."""
+    m = p + q
+    basis = []
+    for i in range(p):
+        for j in range(q):
+            x = [[0] * m for _ in range(m)]
+            x[i][p + j], x[p + j][i] = 1, -1
+            basis.append(x)
+
+    def comm(a, b):
+        return [[sum(a[r][k] * b[k][s] - b[r][k] * a[k][s] for k in range(m))
+                 for s in range(m)] for r in range(m)]
+
+    n = len(basis)
+    return [[[[comm(comm(basis[a], basis[b]), basis[c])[i][p + j]
+               for i in range(p) for j in range(q)]
+              for c in range(n)] for b in range(n)] for a in range(n)]
+
+
+def lts_violations(t, p=None):
+    """Every failed axiom instance of the raw tensor t, as (identity, indices,
+    defect), in the library's reporting order.  Scalars are Fractions (p is
+    None) or residues mod p; each identity is evaluated from its definition
+    on basis vectors."""
+    n = len(t)
+
+    def norm(x):
+        x = Fraction(x)
+        if p is None:
+            return x
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    def bracket(a, b, c):
+        # [a, b, c] for coordinate vectors a, b, c
+        out = [Fraction(0)] * n
+        for i, j, k in product(*([r for r in range(n) if v[r]] for v in (a, b, c))):
+            coeff = a[i] * b[j] * c[k]
+            for l, x in enumerate(t[i][j][k]):
+                if x:
+                    out[l] += coeff * x
+        return out
+
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    tv = [[[[Fraction(x) for x in v] for v in tij] for tij in ti] for ti in t]
+    found = []
+
+    def report(identity, indices, vec):
+        if any(vec):
+            defect = tuple(norm(x) for x in vec)
+            if any(defect):
+                found.append((identity, indices, defect))
+
+    for i in range(n):
+        for k in range(n):
+            report("alternating", (i, i, k), tv[i][i][k])
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                report("polarized-alternating", (i, j, k),
+                       [x + y for x, y in zip(tv[i][j][k], tv[j][i][k])])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                report("cyclic", (i, j, k),
+                       [x + y + z for x, y, z in zip(tv[i][j][k], tv[j][k][i], tv[k][i][j])])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    for m in range(n):
+                        lhs = bracket(e[i], e[j], tv[k][l][m])
+                        r1 = bracket(tv[i][j][k], e[l], e[m])
+                        r2 = bracket(e[k], tv[i][j][l], e[m])
+                        r3 = bracket(e[k], e[l], tv[i][j][m])
+                        report("derivation", (i, j, k, l, m),
+                               [a - b - c - d for a, b, c, d in zip(lhs, r1, r2, r3)])
+    return found

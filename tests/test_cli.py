@@ -221,6 +221,31 @@ def test_cli_malformed_file(capsys, tmp_path):
     assert code == 2 and "expected" in err
 
 
+@pytest.mark.parametrize("field, scalar", [("Q", "1/0"), ("Fp:5", "1/5")])
+def test_cli_zero_denominator_is_invalid_input(capsys, tmp_path, field, scalar):
+    payload = save(heis())
+    payload["field"] = field
+    payload["entries"][1][2][0] = scalar
+    with pytest.raises(PayloadError):
+        load(payload)
+    path = tmp_path / "zeroden.json"
+    path.write_text(json.dumps(payload))
+    code = main(["thm-a", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    lines = out.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_large_prime_field(capsys):
+    code, report, _ = run_cli(capsys, "univ", "odd2", "--field", "Fp:1000000000000000003")
+    assert code == 0 and report["field"] == "Fp:1000000000000000003"
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "heis", "--field", f"Fp:{10 ** 24 + 7}"])
+    assert exc.value.code == 2
+
+
 def test_cli_unchecked_flag(capsys, tmp_path):
     broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True)
     path = tmp_path / "broken.json"

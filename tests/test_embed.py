@@ -226,6 +226,25 @@ def test_universal_sl2lts():
     assert env.upsilon.is_bijective()
 
 
+def test_universal_computes_derivations_once(monkeypatch):
+    import lietrip.embed
+    import lietrip.lts
+    calls = []
+    original = lietrip.lts.derivation_algebra
+
+    def counting(T):
+        calls.append(T)
+        return original(T)
+
+    monkeypatch.setattr(lietrip.lts, "derivation_algebra", counting)
+    monkeypatch.setattr(lietrip.embed, "derivation_algebra", counting)
+    for T in (abl(3), odd2(), sl2lts(Field(5))):
+        calls.clear()
+        env = universal_imbedding(T)
+        assert len(calls) == 1
+        assert env.ste == standard_imbedding(T)
+
+
 @pytest.mark.parametrize("T", CORPUS_LTS() + [lts_direct_sum(sl2lts(), abl(1))])
 def test_universal_invariants(T):
     env = universal_imbedding(T)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietrip.exactlin import (
-    Field, Matrix, QQ, Subspace, kernel_basis, quotient, rank, rref, solve,
-    solve_with_certificate, unit_vec, vec_is_zero, vec_sub,
+    MAX_MODULUS, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis, quotient,
+    rank, rref, solve, solve_with_certificate, unit_vec, vec_is_zero, vec_sub,
 )
 
 F2 = Field(2)
@@ -20,6 +20,23 @@ def test_field_rejects_non_prime():
         Field(6)
     with pytest.raises(ValueError):
         Field(1)
+
+
+def test_field_primality_is_deterministic_and_fast():
+    import time
+    trial = lambda n: n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(_is_prime(n) == trial(n) for n in range(3000))
+    # a Carmichael number, 101 * 9901 * 999999000001, and a strong
+    # pseudoprime to every prime base up to 23
+    for composite in (561, 10 ** 18 + 1, 3825123056546413051):
+        with pytest.raises(ValueError):
+            Field(composite)
+    start = time.perf_counter()
+    assert Field(10 ** 18 + 3).p == 10 ** 18 + 3
+    assert Field(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="ceiling"):
+        Field(MAX_MODULUS + 2)
 
 
 def test_field_of_and_fmt():

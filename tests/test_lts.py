@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from lietrip.corpus import abl, heis, odd2, sl2graded, sl2lts
 from lietrip.exactlin import Field, Matrix, QQ, unit_vec
 from lietrip.lts import (
@@ -238,3 +240,49 @@ def test_validated_construction_policy():
         lie_triple_system(QQ, bad)
     T = lie_triple_system(QQ, bad, unchecked=True)
     assert not check_lts_axioms(T).ok
+
+
+# ---------------------------------------------------------------------------
+# the axiom check against the independent five-index oracle
+
+ORACLE_SYSTEMS = {
+    "gl(2)": oracles.lts_of_bracket(oracles.gl_bracket(2)),
+    "sl2lts": oracles.lts_of_bracket(oracles.SL2_BRACKET),
+    "odd2": oracles.ODD2_TRIPLE,
+    "abl(3)": [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)],
+    "grass(2,2)": oracles.grass_triple(2, 2),
+}
+ORACLE_CASES = [(name, field) for name in ORACLE_SYSTEMS for field in (QQ, Field(5), Field(2))
+                if not (name.startswith("grass") and field.p == 2)]
+
+
+def _violations(field, raw):
+    report = check_lts_axioms(lie_triple_system(field, raw, unchecked=True))
+    assert report.ok == (not report.violations)
+    return [(v.identity, v.indices, v.defect) for v in report.violations]
+
+
+LADDER = [(name, ORACLE_SYSTEMS[name], field) for name, field in ORACLE_CASES] + [
+    ("grass(2,3)", oracles.grass_triple(2, 3), QQ),
+    ("grass(2,3)", oracles.grass_triple(2, 3), Field(5)),
+    ("gl(3)", oracles.lts_of_bracket(oracles.gl_bracket(3)), Field(5)),
+]
+
+
+@pytest.mark.parametrize("name, raw, field", LADDER,
+                         ids=[f"{name}-{field}" for name, _, field in LADDER])
+def test_axiom_check_matches_oracle_on_ladder(name, raw, field):
+    assert _violations(field, raw) == oracles.lts_violations(raw, field.p) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_CASES), st.data())
+def test_axiom_check_matches_oracle_under_mutation(case, data):
+    name, field = case
+    raw = ORACLE_SYSTEMS[name]
+    n = len(raw)
+    i, j, k, l = (data.draw(st.integers(0, n - 1)) for _ in range(4))
+    delta = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-2, 3)]))
+    t = [[[list(v) for v in tij] for tij in ti] for ti in raw]
+    t[i][j][k][l] += delta
+    assert _violations(field, t) == oracles.lts_violations(t, field.p)

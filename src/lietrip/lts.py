@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
@@ -109,13 +109,7 @@ def _nonzero_view(T: LieTripleSystem) -> tuple[list, int]:
     """
     den = 1
     if T.field.is_rational:
-        for ti in T.triple:
-            for tij in ti:
-                for v in tij:
-                    for x in v:
-                        d = x.denominator
-                        if den % d:
-                            den = den * d // gcd(den, d)
+        den = lcm(*(x.denominator for ti in T.triple for tij in ti for v in tij for x in v))
     return [[[[(u, x.numerator * (den // x.denominator)) for u, x in enumerate(v) if x]
               for v in tij] for tij in ti] for ti in T.triple], den
 

@@ -20,23 +20,19 @@ from .cohom import (
     split_central_0_extension,
 )
 from .embed import standard_imbedding, universal_central_0_extension, universal_imbedding, extend_hom
-from .exactlin import Field, Matrix, inverse
+from .exactlin import Field, inverse
 from .grlie import GradedHom, GradedLieAlgebra, GradedModule, check_graded_lie, trivial_module
 from .lts import (
     LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra,
     inner_derivation_algebra, odd_part_lts,
 )
-from .serialize import PayloadError, load, save
+from .serialize import PayloadError, fmt_matrix, load, save
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID = 0, 1, 2
 
 
 class InputError(Exception):
     pass
-
-
-def _fmt_matrix(m: Matrix) -> list:
-    return [[m.field.fmt(x) for x in row] for row in m.entries]
 
 
 def _load_input(arg: str, field: Field, unchecked: bool):
@@ -128,7 +124,7 @@ def _run_derive(args) -> tuple[dict, int]:
     report = _report("derive", [args.input], T.field, "pass",
                      {"dim": der.dim},
                      {},
-                     {"basis": [_fmt_matrix(m) for m in der.basis],
+                     {"basis": [fmt_matrix(m) for m in der.basis],
                       "bracket_table": [[[T.field.fmt(x) for x in v] for v in row]
                                         for row in der.bracket]})
     return report, EXIT_PASS
@@ -142,7 +138,7 @@ def _run_inder(args) -> tuple[dict, int]:
                      {"dim": ind.dim},
                      {"ideal_closure": ind.certificate.ok,
                       "checked_pairs": ind.certificate.checked_pairs},
-                     {"basis": [_fmt_matrix(m) for m in ind.basis_matrices()]})
+                     {"basis": [fmt_matrix(m) for m in ind.basis_matrices()]})
     return report, EXIT_PASS
 
 
@@ -154,7 +150,7 @@ def _run_ste(args) -> tuple[dict, int]:
                      {"dim0": ste.algebra.dim0, "dim1": ste.algebra.dim1},
                      {},
                      {"algebra": save(ste.algebra, name=f"ste({args.input})"),
-                      "inclusion": _fmt_matrix(ste.inclusion)})
+                      "inclusion": fmt_matrix(ste.inclusion)})
     return report, EXIT_PASS
 
 
@@ -167,9 +163,9 @@ def _run_univ(args) -> tuple[dict, int]:
                       "kernel_dim": env.upsilon.kernel().dim},
                      {},
                      {"algebra": save(env.algebra, name=f"a_of({args.input})"),
-                      "iota": _fmt_matrix(env.iota),
+                      "iota": fmt_matrix(env.iota),
                       "upsilon": save(env.upsilon),
-                      "kernel_basis": _fmt_matrix(env.upsilon.kernel().basis)})
+                      "kernel_basis": fmt_matrix(env.upsilon.kernel().basis)})
     return report, EXIT_PASS
 
 
@@ -255,8 +251,8 @@ def _run_thm_a(args) -> tuple[dict, int]:
     if result.verdict:
         hom = result.witness
         inv = inverse(hom.matrix)
-        witnesses["isomorphism"] = _fmt_matrix(hom.matrix)
-        witnesses["isomorphism_inverse"] = _fmt_matrix(inv)
+        witnesses["isomorphism"] = fmt_matrix(hom.matrix)
+        witnesses["isomorphism_inverse"] = fmt_matrix(inv)
         derived["envelope_of_odd_part"] = save(hom.source, name="a_of(odd part)")
     else:
         witnesses["obstruction"] = result.obstruction
@@ -281,7 +277,7 @@ def _run_u0ext(args) -> tuple[dict, int]:
                      {},
                      {"total": save(ext.envelope.algebra),
                       "upsilon_hat": save(ext.hom),
-                      "kernel_basis": _fmt_matrix(ext.kernel.basis)})
+                      "kernel_basis": fmt_matrix(ext.kernel.basis)})
     return report, EXIT_PASS
 
 

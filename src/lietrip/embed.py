@@ -21,8 +21,8 @@ from typing import Optional
 
 from .exactlin import (
     Field, Matrix, QuotientSpace, Subspace, Vector, kernel_basis,
-    mat_from_flat, quotient, rank, unit_vec, vec_add, vec_is_zero, vec_scale,
-    zero_vec,
+    mat_from_flat, nonzeros, quotient, rank, unit_vec, vec_add, vec_from_sums,
+    vec_is_zero, vec_scale, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, center, is_generated_by_odd,
@@ -52,10 +52,15 @@ def wedge_index(i: int, j: int, n: int) -> int:
 def wedge_of(field: Field, a: Vector, b: Vector) -> Vector:
     """Coordinates of a^b on the basis {e_i^e_j : i < j}."""
     n = len(a)
-    out = []
-    for i, j in wedge_pairs(n):
-        out.append(field.sub(field.mul(a[i], b[j]), field.mul(a[j], b[i])))
-    return tuple(out)
+    nb = nonzeros(b)
+    acc = [0] * wedge_dim(n)
+    for i, x in nonzeros(a):
+        for j, y in nb:
+            if i < j:
+                acc[wedge_index(i, j, n)] += x * y
+            elif j < i:
+                acc[wedge_index(j, i, n)] -= x * y
+    return vec_from_sums(field, acc)
 
 
 def wedge_action(endo: Matrix) -> Matrix:

@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Scalars are ``fractions.Fraction`` over Q and plain ``int`` residues in
-``range(p)`` over F_p; there is no floating point anywhere.  Matrices and
+``range(p)`` over F_p; there is no floating point anywhere.  The kernels
+below read ``field.p`` once and then use plain operators, skipping zero
+operands and, over F_p, reducing once per output entry.  Matrices and
 subspaces are immutable, every operation is a pure function, and row
 reduction always selects the leftmost pivot, so every derived basis
 (kernels, sums, intersections, quotient sections) is canonical and
@@ -10,6 +12,7 @@ reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -22,6 +25,9 @@ Vector = tuple
 # 318665857834031151167461 (Sorenson & Webster 2015); larger moduli are refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_MODULUS = 318665857834031151167460
+
+# the scalar strings Field.fmt writes, and the only ones Field.of reads
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -63,11 +69,22 @@ class Field:
         return self.p is None
 
     def of(self, x) -> Scalar:
-        """Coerce an int, Fraction or decimal-free string into the field."""
+        """Coerce an int, a Fraction or a string "n" or "n/d" into the field.
+
+        A string must be what :meth:`fmt` writes: an optional minus sign,
+        ASCII digits and at most one "/" before more digits.  ``bool`` is
+        refused, although Python counts it as an int.
+        """
+        if isinstance(x, bool):
+            raise TypeError(f"cannot coerce the boolean {x!r} into {self}")
+        if isinstance(x, str):
+            if not _SCALAR.fullmatch(x):
+                raise ValueError(f"malformed scalar {x!r} (expected n or n/d)")
+            x = Fraction(x)
         if self.p is None:
             if isinstance(x, Fraction):
                 return x
-            if isinstance(x, (int, str)):
+            if isinstance(x, int):
                 return Fraction(x)
             raise TypeError(f"cannot coerce {x!r} into Q")
         if isinstance(x, Fraction):
@@ -76,11 +93,6 @@ class Field:
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         if isinstance(x, int):
             return x % self.p
-        if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/")
-                return self.of(Fraction(int(num), int(den)))
-            return int(x) % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
     def zero(self) -> Scalar:
@@ -132,6 +144,7 @@ class Field:
 
 
 QQ = Field()
+_ZERO = Fraction(0)
 
 
 def vec(field: Field, xs: Iterable) -> Vector:
@@ -144,22 +157,53 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one() if j == i else field.zero() for j in range(n))
 
 def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v, strict=True))
+    p = field.p
+    if p is None:
+        return tuple(a + b if b else a for a, b in zip(u, v, strict=True))
+    return tuple((a + b) % p if b else a for a, b in zip(u, v, strict=True))
 
 def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(u, v, strict=True))
+    p = field.p
+    if p is None:
+        return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
+    return tuple((a - b) % p if b else a for a, b in zip(u, v, strict=True))
 
 def vec_scale(field: Field, c: Scalar, v: Vector) -> Vector:
-    return tuple(field.mul(c, a) for a in v)
+    p = field.p
+    if p is None:
+        if not c:
+            return (_ZERO,) * len(v)
+        return tuple(c * a if a else _ZERO for a in v)
+    return tuple(c * a % p for a in v)
 
 def vec_is_zero(field: Field, v: Vector) -> bool:
-    return all(field.is_zero(a) for a in v)
+    return not any(v)
 
-def dot(field: Field, u: Vector, v: Vector) -> Scalar:
-    acc = field.zero()
-    for a, b in zip(u, v, strict=True):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
+def vec_from_sums(field: Field, sums: Sequence) -> Vector:
+    """Field entries from plain sums of products of field elements: each is
+    reduced mod p once, and over Q an entry no product reached becomes
+    Fraction(0)."""
+    p = field.p
+    if p is None:
+        return tuple(x if x else _ZERO for x in sums)
+    return tuple(x % p for x in sums)
+
+def linear_combination(field: Field, n: int, terms: Iterable) -> Vector:
+    """The sum of c * v over the (c, v) pairs in terms, v of length n.
+
+    Zero entries of each v are skipped, and a coefficient may be an
+    unreduced product over F_p: every entry is normalised once, at the end.
+    """
+    acc = [0] * n
+    for c, v in terms:
+        for j, x in enumerate(v):
+            if x:
+                acc[j] += c * x
+    return vec_from_sums(field, acc)
+
+def nonzeros(v: Vector) -> list:
+    """The (index, entry) pairs of v's nonzero entries."""
+    return [(j, x) for j, x in enumerate(v) if x]
 
 
 @dataclass(frozen=True)
@@ -217,16 +261,30 @@ class Matrix:
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"matvec: {self.cols} columns vs vector of length {len(v)}")
-        return tuple(dot(self.field, r, v) for r in self.entries)
+        nz = nonzeros(v)
+        p = self.field.p
+        if p is None:
+            return tuple(sum((r[k] * x for k, x in nz if r[k]), _ZERO) for r in self.entries)
+        return tuple(sum(r[k] * x for k, x in nz) % p for r in self.entries)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """Each row of the product is the combination of other's rows that
+        the row's nonzeros select, over other's precomputed nonzeros."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"matmul: {self.cols} vs {other.rows}")
-        ocols = [other.col(j) for j in range(other.cols)]
-        return Matrix(self.field, self.rows, other.cols,
-                      tuple(tuple(dot(self.field, r, c) for c in ocols) for r in self.entries))
+        F = self.field
+        onz = [nonzeros(r) for r in other.entries]
+        out = []
+        for r in self.entries:
+            acc = [0] * other.cols
+            for a, nz in zip(r, onz):
+                if a:
+                    for j, x in nz:
+                        acc[j] += a * x
+            out.append(vec_from_sums(F, acc))
+        return Matrix(F, self.rows, other.cols, tuple(out))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -278,22 +336,39 @@ def mat_from_flat(field: Field, flat: Vector, rows: int, cols: int) -> Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple]:
-    """Reduced row echelon form and its (strictly increasing) pivot columns."""
+    """Reduced row echelon form and its (strictly increasing) pivot columns.
+
+    Each elimination step touches only the nonzero columns of the pivot row.
+    """
     F = m.field
+    p = F.p
     a = [list(r) for r in m.entries]
     pivots = []
     r = 0
     for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if not F.is_zero(a[i][c])), None)
+        pr = next((i for i in range(r, m.rows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = F.inv(a[r][c])
-        a[r] = [F.mul(inv, x) for x in a[r]]
+        row = a[r]
+        # entries left of c are zero: earlier pivots cleared them
+        if p is None:
+            inv = 1 / row[c]
+            row[c:] = [x * inv if x else _ZERO for x in row[c:]]
+        else:
+            inv = pow(row[c], p - 2, p)
+            row[c:] = [x * inv % p for x in row[c:]]
+        nz = [(j, row[j]) for j in range(c, m.cols) if row[j]]
         for i in range(m.rows):
-            if i != r and not F.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[r])]
+            ri = a[i]
+            f = ri[c]
+            if f and i != r:
+                if p is None:
+                    for j, y in nz:
+                        ri[j] -= f * y
+                else:
+                    for j, y in nz:
+                        ri[j] = (ri[j] - f * y) % p
         pivots.append(c)
         r += 1
         if r == m.rows:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .exactlin import (
     Field, Matrix, Subspace, Vector, kernel_basis, quotient, rank, solve,
-    unit_vec, vec_add, vec_is_zero, vec_scale, zero_vec,
+    linear_combination, nonzeros, unit_vec, vec_add, vec_is_zero, zero_vec,
 )
 from .lts import LtsHom, odd_part_lts
 
@@ -59,16 +59,9 @@ class GradedLieAlgebra:
         return 0 if i < self.dim0 else 1
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        F = self.field
-        out = zero_vec(F, self.dim)
-        for i, xi in enumerate(x):
-            if F.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                c = F.mul(xi, yj)
-                if not F.is_zero(c):
-                    out = vec_add(F, out, vec_scale(F, c, self.bracket[i][j]))
-        return out
+        ny = nonzeros(y)
+        return linear_combination(self.field, self.dim, (
+            (xi * yj, self.bracket[i][j]) for i, xi in nonzeros(x) for j, yj in ny))
 
     def ad(self, i: int) -> Matrix:
         """Matrix of x -> [e_i, x]."""
@@ -121,12 +114,9 @@ def check_graded_lie(L: GradedLieAlgebra) -> GradedCheckReport:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = zero_vec(F, n)
-                for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
-                    w = c[a][b]
-                    for m, wm in enumerate(w):
-                        if not F.is_zero(wm):
-                            acc = vec_add(F, acc, vec_scale(F, wm, c[m][e]))
+                acc = linear_combination(F, n, (
+                    (wm, c[m][e]) for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j))
+                    for m, wm in enumerate(c[a][b]) if wm))
                 if not vec_is_zero(F, acc):
                     bad.append(("jacobi", (i, j, k), acc))
     return GradedCheckReport(not bad, tuple(bad))

@@ -22,8 +22,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Subspace, Vector, kernel_basis, mat_from_flat, unit_vec,
-    vec_add, vec_is_zero, vec_scale, zero_vec,
+    Field, Matrix, Subspace, Vector, kernel_basis, linear_combination,
+    mat_from_flat, nonzeros, unit_vec, vec_add, vec_from_sums, vec_is_zero,
 )
 
 
@@ -82,23 +82,13 @@ def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = Fals
 
 def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vector:
     """Trilinear extension of the structure tensor to arbitrary vectors."""
-    F = T.field
     n = T.dim
     if len(a) != n or len(b) != n or len(c) != n:
         raise ValueError("vector dimension mismatch")
-    out = zero_vec(F, n)
-    for i, ai in enumerate(a):
-        if F.is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            cij = F.mul(ai, bj)
-            if F.is_zero(cij):
-                continue
-            for k, ck in enumerate(c):
-                coeff = F.mul(cij, ck)
-                if not F.is_zero(coeff):
-                    out = vec_add(F, out, vec_scale(F, coeff, T.triple[i][j][k]))
-    return out
+    t = T.triple
+    nb, nc = nonzeros(b), nonzeros(c)
+    return linear_combination(T.field, n, (
+        (x * y * z, t[i][j][k]) for i, x in nonzeros(a) for j, y in nb for k, z in nc))
 
 
 def _nonzero_view(T: LieTripleSystem) -> tuple[list, int]:
@@ -263,16 +253,22 @@ def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
             for k in range(n):
                 for l in range(n):
                     # coefficient of D[u][v] in component l of the defect
-                    row = [F.zero()] * (n * n)
-                    for m in range(n):
-                        row[l * n + m] = F.add(row[l * n + m], t[i][j][k][m])
+                    row = [0] * (n * n)
+                    for m, x in enumerate(t[i][j][k]):
+                        if x:
+                            row[l * n + m] += x
                     for u in range(n):
-                        row[u * n + i] = F.sub(row[u * n + i], t[u][j][k][l])
-                        row[u * n + j] = F.sub(row[u * n + j], t[i][u][k][l])
-                        row[u * n + k] = F.sub(row[u * n + k], t[i][j][u][l])
-                    if any(not F.is_zero(x) for x in row):
-                        rows.append(tuple(row))
-    span = kernel_basis(Matrix.make(F, rows, cols=n * n))
+                        x, y, z = t[u][j][k][l], t[i][u][k][l], t[i][j][u][l]
+                        if x:
+                            row[u * n + i] -= x
+                        if y:
+                            row[u * n + j] -= y
+                        if z:
+                            row[u * n + k] -= z
+                    row = vec_from_sums(F, row)
+                    if any(row):
+                        rows.append(row)
+    span = kernel_basis(Matrix(F, len(rows), n * n, tuple(rows)))
     basis = tuple(mat_from_flat(F, v, n, n) for v in span.basis.entries)
     table = []
     for da in basis:
@@ -315,23 +311,21 @@ class InnerDerivations:
 def inner_derivation_algebra(T: LieTripleSystem, der: Optional[DerivationAlgebra] = None) -> InnerDerivations:
     F = T.field
     n = T.dim
-    gens = [inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).flatten()
-            for i in range(n) for j in range(i + 1, n)]
-    span = Subspace.span(F, n * n, gens)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    inner = [inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)) for i, j in pairs]
+    span = Subspace.span(F, n * n, [dij.flatten() for dij in inner])
     if der is None:
         der = derivation_algebra(T)
     failures = []
     checked = 0
     for d in der.basis:
-        for i in range(n):
-            for j in range(i + 1, n):
-                checked += 1
-                dij = inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j))
-                comm = d.matmul(dij).sub(dij.matmul(d))
-                expect = inner_derivation(T, d.col(i), unit_vec(F, n, j)).add(
-                    inner_derivation(T, unit_vec(F, n, i), d.col(j)))
-                if comm != expect or not span.contains(comm.flatten()):
-                    failures.append((i, j))
+        for (i, j), dij in zip(pairs, inner):
+            checked += 1
+            comm = d.matmul(dij).sub(dij.matmul(d))
+            expect = inner_derivation(T, d.col(i), unit_vec(F, n, j)).add(
+                inner_derivation(T, unit_vec(F, n, i), d.col(j)))
+            if comm != expect or not span.contains(comm.flatten()):
+                failures.append((i, j))
     return InnerDerivations(T, span, IdealClosureCertificate(not failures, checked, tuple(failures)))
 
 
@@ -348,12 +342,9 @@ def _check_lie_tensor(field: Field, bracket: tuple) -> None:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                acc = zero_vec(F, n)
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    w = bracket[a][b]
-                    for m, wm in enumerate(w):
-                        if not F.is_zero(wm):
-                            acc = vec_add(F, acc, vec_scale(F, wm, bracket[m][c]))
+                acc = linear_combination(F, n, (
+                    (wm, bracket[m][c]) for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
+                    for m, wm in enumerate(bracket[a][b]) if wm))
                 if not vec_is_zero(F, acc):
                     raise ValueError(f"not a Lie algebra: Jacobi fails at ({i}, {j}, {k})")
 
@@ -372,20 +363,10 @@ def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     _check_lie_tensor(field, bracket)
     F = field
     n = len(bracket)
-    tensor = []
-    for i in range(n):
-        ti = []
-        for j in range(n):
-            tij = []
-            for k in range(n):
-                acc = zero_vec(F, n)
-                for m, cm in enumerate(bracket[i][j]):
-                    if not F.is_zero(cm):
-                        acc = vec_add(F, acc, vec_scale(F, cm, bracket[m][k]))
-                tij.append(acc)
-            ti.append(tuple(tij))
-        tensor.append(tuple(ti))
-    return LieTripleSystem(F, n, tuple(tensor))
+    tensor = tuple(tuple(tuple(
+        linear_combination(F, n, ((cm, bracket[m][k]) for m, cm in enumerate(bracket[i][j]) if cm))
+        for k in range(n)) for j in range(n)) for i in range(n))
+    return LieTripleSystem(F, n, tensor)
 
 
 def odd_part_lts(L) -> LieTripleSystem:
@@ -400,12 +381,10 @@ def odd_part_lts(L) -> LieTripleSystem:
         for b in range(n1):
             tab = []
             for c in range(n1):
-                acc = zero_vec(F, n)
-                w = L.bracket[n0 + a][n0 + b]
-                for m, wm in enumerate(w):
-                    if not F.is_zero(wm):
-                        acc = vec_add(F, acc, vec_scale(F, wm, L.bracket[m][n0 + c]))
-                if any(not F.is_zero(acc[i]) for i in range(n0)):
+                acc = linear_combination(F, n, (
+                    (wm, L.bracket[m][n0 + c])
+                    for m, wm in enumerate(L.bracket[n0 + a][n0 + b]) if wm))
+                if any(acc[:n0]):
                     raise ValueError("grading violated: [[odd,odd],odd] left the odd part")
                 tab.append(acc[n0:])
             ta.append(tuple(tab))

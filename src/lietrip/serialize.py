@@ -23,12 +23,20 @@ class PayloadError(ValueError):
     pass
 
 
-def _fmt_matrix(m: Matrix) -> list:
+def fmt_matrix(m: Matrix) -> list:
+    """The entries as nested lists of exact scalar strings."""
     return [[m.field.fmt(x) for x in row] for row in m.entries]
 
 
+def _scalar(field: Field, x):
+    try:
+        return field.of(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PayloadError(f"bad scalar {x!r}: {exc}") from None
+
+
 def _parse_matrix(field: Field, entries, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
-    m = Matrix.make(field, [[field.of(x) for x in row] for row in entries], cols=cols)
+    m = Matrix.make(field, [[_scalar(field, x) for x in row] for row in entries], cols=cols)
     if rows is not None and m.rows != rows:
         raise PayloadError(f"expected {rows} rows, found {m.rows}")
     if cols is not None and m.cols != cols:
@@ -56,7 +64,7 @@ def save(obj, name: Optional[str] = None) -> dict:
     elif isinstance(obj, LtsHom):
         body = {
             "dims": {"source_dim": obj.source.dim, "target_dim": obj.target.dim},
-            "entries": _fmt_matrix(obj.matrix),
+            "entries": fmt_matrix(obj.matrix),
             "source": save(obj.source),
             "target": save(obj.target),
         }
@@ -66,7 +74,7 @@ def save(obj, name: Optional[str] = None) -> dict:
         body = {
             "dims": {"source_dim0": obj.source.dim0, "source_dim1": obj.source.dim1,
                      "target_dim0": obj.target.dim0, "target_dim1": obj.target.dim1},
-            "entries": _fmt_matrix(obj.matrix),
+            "entries": fmt_matrix(obj.matrix),
             "source": save(obj.source),
             "target": save(obj.target),
         }
@@ -75,7 +83,7 @@ def save(obj, name: Optional[str] = None) -> dict:
     elif isinstance(obj, GradedModule):
         body = {
             "dims": {"dim0": obj.dim0, "dim1": obj.dim1},
-            "entries": [_fmt_matrix(a) for a in obj.action],
+            "entries": [fmt_matrix(a) for a in obj.action],
             "algebra": save(obj.algebra),
         }
         kind = "module"
@@ -117,13 +125,13 @@ def load(payload: dict, *, unchecked: bool = False):
         if kind == "lts":
             n = dims["dim"]
             tensor = tuple(
-                tuple(tuple(tuple(field.of(x) for x in v) for v in tij) for tij in ti)
+                tuple(tuple(tuple(_scalar(field, x) for x in v) for v in tij) for tij in ti)
                 for ti in entries)
             if len(tensor) != n:
                 raise PayloadError("tensor size disagrees with dim")
             return LieTripleSystem(field, n, tensor, unchecked=unchecked)
         if kind == "graded_lie":
-            tensor = tuple(tuple(tuple(field.of(x) for x in v) for v in row) for row in entries)
+            tensor = tuple(tuple(tuple(_scalar(field, x) for x in v) for v in row) for row in entries)
             return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
         if kind == "lts_hom":
             source = load(payload["source"], unchecked=unchecked)
@@ -145,7 +153,7 @@ def load(payload: dict, *, unchecked: bool = False):
         if kind == "cochain":
             algebra = load(payload["algebra"], unchecked=unchecked)
             module = load(payload["module"], unchecked=unchecked)
-            values = tuple(tuple(field.of(x) for x in v) for v in entries)
+            values = tuple(tuple(_scalar(field, x) for x in v) for v in entries)
             f = Cochain(algebra, module, dims["degree"], values)
             if not unchecked and not f.is_graded():
                 raise PayloadError("cochain is not graded")
@@ -154,6 +162,4 @@ def load(payload: dict, *, unchecked: bool = False):
         raise
     except (KeyError, TypeError, IndexError) as exc:
         raise PayloadError(f"malformed {kind} payload: {exc}") from None
-    except ZeroDivisionError as exc:
-        raise PayloadError(f"bad scalar in {kind} payload: {exc}") from None
     raise PayloadError(f"unknown kind {kind!r}")

@@ -16,28 +16,65 @@ SL2_GRADED_RAW = (1, 2, {(0, 1, 1): 2, (1, 0, 1): -2,
                          (1, 2, 0): 1, (2, 1, 0): -1})
 
 
-def frac_rank(rows):
-    """Rank by plain fraction-valued Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+def scalar(x, p=None):
+    """x as a Fraction, or as its residue in range(p)."""
+    x = Fraction(x)
+    if p is None:
+        return x
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def naive_matmul(a, b, ncols, p=None):
+    """a times b for raw nested lists, b with ncols columns: every entry is
+    the full sum over the inner index, zeros included."""
+    return [[scalar(sum((Fraction(row[k]) * Fraction(b[k][j]) for k in range(len(b))),
+                        Fraction(0)), p)
+             for j in range(ncols)] for row in a]
+
+
+def naive_rref(rows, ncols, p=None):
+    """(reduced rows, pivot columns) by textbook Gauss-Jordan elimination,
+    leftmost pivot first, on Fractions or on residues mod p."""
+    m = [[scalar(x, p) for x in row] for row in rows]
+    pivots = []
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        inv = Fraction(1) / m[r][c] if p is None else pow(m[r][c], -1, p)
+        m[r] = [scalar(x * inv, p) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [scalar(x - f * y, p) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return r
+    return m, tuple(pivots)
+
+
+def naive_kernel(rows, ncols, p=None):
+    """The reduced basis of the null space: one vector per free column,
+    set to 1 there, then row reduced."""
+    red, pivots = naive_rref(rows, ncols, p)
+    vecs = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [scalar(int(j == f), p) for j in range(ncols)]
+        for r, c in enumerate(pivots):
+            v[c] = scalar(-red[r][f], p)
+        vecs.append(v)
+    red, pivots = naive_rref(vecs, ncols, p)
+    return red[:len(pivots)]
+
+
+def frac_rank(rows):
+    """Rank by plain fraction-valued Gaussian elimination."""
+    return len(naive_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def _bracket(raw, i, j, l):
@@ -167,12 +204,6 @@ def lts_violations(t, p=None):
     on basis vectors."""
     n = len(t)
 
-    def norm(x):
-        x = Fraction(x)
-        if p is None:
-            return x
-        return x.numerator * pow(x.denominator, -1, p) % p
-
     def bracket(a, b, c):
         # [a, b, c] for coordinate vectors a, b, c
         out = [Fraction(0)] * n
@@ -189,7 +220,7 @@ def lts_violations(t, p=None):
 
     def report(identity, indices, vec):
         if any(vec):
-            defect = tuple(norm(x) for x in vec)
+            defect = tuple(scalar(x, p) for x in vec)
             if any(defect):
                 found.append((identity, indices, defect))
 

@@ -4,11 +4,14 @@ import pytest
 
 from lietrip.cli import main
 from lietrip.cohom import h2_graded
-from lietrip.corpus import ab2, abl, by_name, even_line, heis, odd2, sl2graded, sl2lts
+import oracles
+from lietrip.corpus import (
+    ab2, abl, by_name, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
+)
 from lietrip.embed import universal_imbedding
-from lietrip.exactlin import Matrix, QQ
+from lietrip.exactlin import Field, Matrix, QQ
 from lietrip.grlie import GradedHom, adjoint_module, direct_sum, trivial_module
-from lietrip.lts import LieTripleSystem, LtsHom
+from lietrip.lts import LieTripleSystem, LtsHom, lie_triple_system
 from lietrip.serialize import PayloadError, load, save
 
 
@@ -236,6 +239,47 @@ def test_cli_zero_denominator_is_invalid_input(capsys, tmp_path, field, scalar):
     assert out.out == ""
     lines = out.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("scalar", [True, False, "0.5e0", " 3 ", "1_0", "+1", 1.0])
+def test_cli_malformed_scalar_is_invalid_input(capsys, tmp_path, scalar):
+    # [e_0, e_0] = 0 in heis: a nonzero reading there would fail the check
+    payload = save(heis())
+    payload["entries"][0][0][0] = scalar
+    with pytest.raises(PayloadError):
+        load(payload, unchecked=True)
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(payload))
+    code = main(["check-graded", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    lines = out.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _ladder_payloads(field):
+    """Every kind of payload save writes, for the ladder's objects."""
+    systems = [abl(3, field), odd2(field), sl2lts(field),
+               lie_triple_system(field, oracles.lts_of_bracket(oracles.gl_bracket(2)))]
+    if field.p != 2:
+        systems.append(lie_triple_system(field, oracles.grass_triple(2, 2)))
+    algebras = [heis(field), ab2(field), sl2graded(field), sl2_double_swap(field)]
+    out = systems + algebras
+    for T in systems[:3]:
+        env = universal_imbedding(T)
+        out += [env.algebra, env.upsilon, adjoint_module(env.algebra)]
+    out.append(LtsHom(abl(2, field), abl(2, field),
+                      Matrix.make(field, [["-2/3", "1/7"], [0, "5"]])))
+    out += list(h2_graded(ab2(field), trivial_module(ab2(field))).representatives)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
+def test_every_saved_payload_loads(field):
+    for obj in _ladder_payloads(field):
+        payload = json.loads(json.dumps(save(obj)))
+        assert load(payload) == obj
 
 
 def test_cli_large_prime_field(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from lietrip.exactlin import (
     MAX_MODULUS, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis, quotient,
     rank, rref, solve, solve_with_certificate, unit_vec, vec_is_zero, vec_sub,
@@ -49,6 +50,16 @@ def test_field_of_and_fmt():
     assert Field.from_tag("Q") == QQ
     with pytest.raises(ValueError):
         Field.from_tag("R")
+    for field in (QQ, F5):
+        for x in (True, False):
+            with pytest.raises(TypeError):
+                field.of(x)
+        for s in ("0.5e0", " 3 ", "1_0", "+1", "1/-2", "3\n", "", "\u0663"):
+            with pytest.raises(ValueError):
+                field.of(s)
+        for x in (Fraction(-3, 7), Fraction(0), Fraction(12), 9):
+            y = field.of(x)
+            assert field.of(field.fmt(y)) == y
 
 
 def test_rref_identity():
@@ -228,3 +239,54 @@ def test_solve_or_certificate(data):
         for c, b in zip(cert, rhs):
             prod = F.add(prod, F.mul(c, b))
         assert prod == F.one()
+
+
+# ---------------------------------------------------------------------------
+# the field-specialised kernels against the naive oracle in tests/oracles.py
+
+KERNEL_FIELDS = [QQ, F2, F5, Field(2 ** 61 - 1)]
+
+
+def _entries(field, rows, cols, zero_heavy):
+    """Raw entries: mostly zeros or dense; small rationals over Q and any
+    residue over F_p."""
+    nonzero = (st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)])
+               if field.p is None else st.integers(1, field.p - 1))
+    entry = (st.one_of(st.just(0), st.just(0), st.just(0), nonzero) if zero_heavy
+             else st.one_of(st.just(0), nonzero, nonzero, nonzero))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _assert_field_entries(field, rows):
+    for row in rows:
+        for x in row:
+            if field.p is None:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < field.p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.booleans(), st.data())
+def test_kernels_match_naive_oracle(field, zero_heavy, data):
+    p = field.p
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a_raw = data.draw(_entries(field, r, k, zero_heavy))
+    b_raw = data.draw(_entries(field, k, c, zero_heavy))
+    v_raw = data.draw(_entries(field, 1, k, zero_heavy))[0]
+    a, b = Matrix.make(field, a_raw, cols=k), Matrix.make(field, b_raw, cols=c)
+    v = tuple(field.of(x) for x in v_raw)
+
+    prod = a.matmul(b)
+    assert prod.to_lists() == oracles.naive_matmul(a_raw, b_raw, c, p)
+    assert (prod.rows, prod.cols) == (r, c)
+    image = a.matvec(v)
+    assert [[x] for x in image] == oracles.naive_matmul(a_raw, [[x] for x in v_raw], 1, p)
+
+    red, pivots = rref(a)
+    want_red, want_pivots = oracles.naive_rref(a_raw, k, p)
+    assert red.to_lists() == want_red and pivots == want_pivots
+    ker = kernel_basis(a)
+    assert ker.basis.to_lists() == oracles.naive_kernel(a_raw, k, p)
+
+    _assert_field_entries(field, prod.entries + red.entries + ker.basis.entries + (image,))

@@ -188,6 +188,9 @@ def test_inder_algebra_examples():
     for v in ad_flat:
         assert ind_s.span.contains(v)
     assert ind_s.certificate.ok
+    # one check per (derivation basis element, pair i < j)
+    assert ind_s.certificate.checked_pairs == derivation_algebra(sl2lts()).dim * 3
+    assert ind_s.certificate.failures == ()
 
 
 def test_inder_inside_der():

@@ -3,7 +3,7 @@
 Inputs are JSON files or corpus names (e.g. ``heis``, ``abl(3)``,
 ``a_of(odd2)``).  Every command prints a single JSON report to stdout and
 human-readable diagnostics to stderr.  Exit codes: 0 pass/true, 1
-fail/false, 2 invalid input.
+fail/false, 2 invalid input, 3 internal error (a library self-check failed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .lts import (
 )
 from .serialize import PayloadError, fmt_matrix, load, save
 
-EXIT_PASS, EXIT_FAIL, EXIT_INVALID = 0, 1, 2
+EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 class InputError(Exception):
@@ -357,6 +357,9 @@ def main(argv: Optional[list] = None) -> int:
     except (PayloadError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        print(f"internal error: {args.command}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Subspace, Vector, kernel_basis, solve, unit_vec, vec_add,
-    vec_is_zero, vec_scale, zero_vec,
+    Matrix, Subspace, Vector, kernel_basis, nonzeros, solve, unit_vec,
+    vec_add, vec_from_sums, vec_is_zero, vec_scale, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, center, is_generated_by_odd,
@@ -57,15 +58,6 @@ class Cochain:
         v = self.value(order)
         return v if sign == 1 else vec_scale(F, F.neg(F.one()), v)
 
-    def eval_mixed(self, x: Vector, rest: tuple) -> Vector:
-        """Value on (x, e_rest...) for an arbitrary first argument x."""
-        F = self.algebra.field
-        out = zero_vec(F, self.module.dim)
-        for k, xk in enumerate(x):
-            if not F.is_zero(xk):
-                out = vec_add(F, out, vec_scale(F, xk, self.eval_indices((k,) + rest)))
-        return out
-
     def is_graded(self) -> bool:
         for combo, v in zip(self.combos(), self.values):
             g = sum(self.algebra.degree(i) for i in combo) % 2
@@ -77,16 +69,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return all(vec_is_zero(self.algebra.field, v) for v in self.values)
 
-    def add(self, other: "Cochain") -> "Cochain":
-        F = self.algebra.field
-        return Cochain(self.algebra, self.module, self.degree,
-                       tuple(vec_add(F, a, b) for a, b in zip(self.values, other.values)))
-
-    def scale(self, c) -> "Cochain":
-        F = self.algebra.field
-        return Cochain(self.algebra, self.module, self.degree,
-                       tuple(vec_scale(F, F.of(c), v) for v in self.values))
-
 
 def _combo_index(combo: tuple, n: int, degree: int) -> int:
     # lexicographic position among combinations(range(n), degree)
@@ -94,17 +76,9 @@ def _combo_index(combo: tuple, n: int, degree: int) -> int:
     prev = -1
     for pos, c in enumerate(combo):
         for skipped in range(prev + 1, c):
-            idx += _n_choose_k(n - skipped - 1, degree - pos - 1)
+            idx += comb(n - skipped - 1, degree - pos - 1)
         prev = c
     return idx
-
-def _n_choose_k(n: int, k: int) -> int:
-    if k < 0 or n < k:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 def _permutation_sign(indices: tuple) -> int:
     sign = 1
@@ -127,36 +101,64 @@ def graded_cochain_basis(L: GradedLieAlgebra, M: GradedModule, degree: int) -> l
     deterministic order (combination, module coordinate)."""
     if degree not in (1, 2, 3):
         raise ValueError("supported cochain degrees are 1, 2, 3")
-    combos = list(combinations(range(L.dim), degree))
-    out = []
-    F = L.field
-    for ci, combo in enumerate(combos):
-        g = sum(L.degree(i) for i in combo) % 2
-        for r in range(M.dim):
-            if M.degree(r) != g:
-                continue
-            values = [zero_vec(F, M.dim) for _ in combos]
-            values[ci] = unit_vec(F, M.dim, r)
-            out.append(Cochain(L, M, degree, tuple(values)))
-    return out
+    one = L.field.one()
+    return [_cochain_at(L, M, degree, {slot: one}) for slot in _graded_slots(L, M, degree)]
 
 
 def _graded_slots(L: GradedLieAlgebra, M: GradedModule, degree: int) -> list:
-    combos = list(combinations(range(L.dim), degree))
-    slots = []
-    for ci, combo in enumerate(combos):
-        g = sum(L.degree(i) for i in combo) % 2
-        for r in range(M.dim):
-            if M.degree(r) == g:
-                slots.append((ci, r))
-    return slots
+    """The slots (combo, r) where a graded cochain of this degree may be nonzero:
+    module coordinate r has the parity of the combination."""
+    return [(combo, r) for combo in combinations(range(L.dim), degree)
+            for r in range(M.dim) if M.degree(r) == sum(L.degree(i) for i in combo) % 2]
 
 
-def _graded_coordinates(f: Cochain, slots: list) -> Vector:
-    F = f.algebra.field
-    if not f.is_graded():
-        raise ValueError("cochain is not graded")
-    return tuple(f.values[ci][r] for ci, r in slots)
+def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict) -> Cochain:
+    """The cochain with the given {(combo, r): value} entries, zero elsewhere."""
+    values = [list(zero_vec(L.field, M.dim)) for _ in combinations(range(L.dim), degree)]
+    for (combo, r), x in entries.items():
+        values[_combo_index(combo, L.dim, degree)][r] = x
+    return Cochain(L, M, degree, tuple(tuple(v) for v in values))
+
+
+def _differential(L: GradedLieAlgebra, M: GradedModule, n: int) -> dict:
+    """The differential from degree-n to degree-(n+1) cochains as sparse rows.
+
+    Row (combo, s), in the order (combination, module coordinate), maps each
+    input slot (combo', r) to its nonzero coefficient in (df)(combo)_s:
+    the action term of position i contributes (-1)^i M.action[combo_i][s][r]
+    at combo' = the rest, and the bracket term of positions i < j contributes
+    (-1)^(i+j) [e_combo_i, e_combo_j]_k times the sign of sorting (k, rest...)
+    at combo' = the sorted combination, for each k not already in the rest.
+    """
+    p = L.field.p
+    actions = [[(s, r, x) for s, row in enumerate(a.entries) for r, x in nonzeros(row)]
+               for a in M.action]
+    brackets = [[nonzeros(v) for v in row] for row in L.bracket]
+    rows = {}
+    for combo in combinations(range(L.dim), n + 1):
+        acc = [{} for _ in range(M.dim)]
+        for i, c in enumerate(combo):
+            rest = combo[:i] + combo[i + 1:]
+            for s, r, x in actions[c]:
+                key = (rest, r)
+                acc[s][key] = acc[s].get(key, 0) + (-x if i % 2 else x)
+        moved = {}
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                rest = combo[:i] + combo[i + 1:j] + combo[j + 1:]
+                for k, x in brackets[combo[i]][combo[j]]:
+                    if k in rest:
+                        continue
+                    pos = sum(1 for t in rest if t < k)
+                    target = rest[:pos] + (k,) + rest[pos:]
+                    moved[target] = moved.get(target, 0) + (-x if (i + j + pos) % 2 else x)
+        for s, row in enumerate(acc):
+            for target, x in moved.items():
+                row[(target, s)] = row.get((target, s), 0) + x
+            if p is not None:
+                row = {key: x % p for key, x in row.items()}
+            rows[(combo, s)] = {key: x for key, x in row.items() if x}
+    return rows
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -168,28 +170,28 @@ def coboundary(f: Cochain) -> Cochain:
     evaluated on sorted basis combinations.  Grading is preserved.
     """
     L, M = f.algebra, f.module
-    F = L.field
     n = f.degree
     if n >= 3:
         raise ValueError("coboundary is only taken up to degree-3 output")
-    out_values = []
-    for combo in combinations(range(L.dim), n + 1):
-        acc = zero_vec(F, M.dim)
-        for i in range(n + 1):
-            rest = combo[:i] + combo[i + 1:]
-            term = M.action[combo[i]].matvec(f.eval_indices(rest))
-            if i % 2 == 1:
-                term = vec_scale(F, F.neg(F.one()), term)
-            acc = vec_add(F, acc, term)
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                rest = tuple(combo[k] for k in range(n + 1) if k != i and k != j)
-                term = f.eval_mixed(L.bracket[combo[i]][combo[j]], rest)
-                if (i + j) % 2 == 1:  # sign (-1)^{(i+1)+(j+1)} at 1-based positions
-                    term = vec_scale(F, F.neg(F.one()), term)
-                acc = vec_add(F, acc, term)
-        out_values.append(acc)
-    return Cochain(L, M, n + 1, tuple(out_values))
+    values = {(combo, r): x for combo, v in zip(f.combos(), f.values) for r, x in nonzeros(v)}
+    rows = _differential(L, M, n)
+    out = tuple(
+        vec_from_sums(L.field, [sum(c * values[slot] for slot, c in rows[(combo, s)].items()
+                                    if slot in values) for s in range(M.dim)])
+        for combo in combinations(range(L.dim), n + 1))
+    return Cochain(L, M, n + 1, out)
+
+
+def _graded_block(rows: dict, out_slots: list, in_slots: list, field) -> Matrix:
+    """The matrix of a differential from the graded in_slots to the graded
+    out_slots; raises when a graded cochain reaches any other output slot."""
+    graded_in, graded_out = set(in_slots), set(out_slots)
+    for slot, row in rows.items():
+        if slot not in graded_out and not graded_in.isdisjoint(row):
+            raise ValueError("cochain is not graded")
+    z = field.zero()
+    return Matrix(field, len(out_slots), len(in_slots),
+                  tuple(tuple(rows[s].get(c, z) for c in in_slots) for s in out_slots))
 
 
 @dataclass(frozen=True)
@@ -203,15 +205,11 @@ class H2Result:
 def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     """dim ker(d_2) - dim im(d_1) on the graded subcomplex, with a
     deterministic RREF-complement of representatives."""
-    basis2 = graded_cochain_basis(L, M, 2)
-    slots2 = _graded_slots(L, M, 2)
-    slots3 = _graded_slots(L, M, 3)
-    d2 = Matrix.from_cols(L.field, [_graded_coordinates(coboundary(b), slots3) for b in basis2],
-                          rows=len(slots3))
-    z2 = kernel_basis(d2)
-    basis1 = graded_cochain_basis(L, M, 1)
-    d1_cols = [_graded_coordinates(coboundary(b), slots2) for b in basis1]
-    b2 = Subspace.span(L.field, len(slots2), d1_cols)
+    F = L.field
+    slots1, slots2, slots3 = (_graded_slots(L, M, n) for n in (1, 2, 3))
+    z2 = kernel_basis(_graded_block(_differential(L, M, 2), slots3, slots2, F))
+    d1 = _graded_block(_differential(L, M, 1), slots2, slots1, F)
+    b2 = Subspace.span(F, len(slots2), d1.transpose().entries)
     if not z2.contains_subspace(b2):
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
     reps = []
@@ -219,15 +217,10 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     for v in z2.basis.entries:
         if not current.contains(v):
             reps.append(v)
-            current = current.sum(Subspace.span(L.field, len(slots2), [v]))
-    rep_cochains = []
-    for coords in reps:
-        f = zero_cochain(L, M, 2)
-        for c, b in zip(coords, basis2):
-            if not L.field.is_zero(c):
-                f = f.add(b.scale(c))
-        rep_cochains.append(f)
-    return H2Result(z2.dim - b2.dim, z2.dim, b2.dim, tuple(rep_cochains))
+            current = current.sum(Subspace.span(F, len(slots2), [v]))
+    rep_cochains = tuple(_cochain_at(L, M, 2, {slot: c for slot, c in zip(slots2, coords) if c})
+                         for coords in reps)
+    return H2Result(z2.dim - b2.dim, z2.dim, b2.dim, rep_cochains)
 
 
 class NotCentral0Extension(ValueError):

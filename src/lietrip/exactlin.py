@@ -147,9 +147,6 @@ QQ = Field()
 _ZERO = Fraction(0)
 
 
-def vec(field: Field, xs: Iterable) -> Vector:
-    return tuple(field.of(x) for x in xs)
-
 def zero_vec(field: Field, n: int) -> Vector:
     return (field.zero(),) * n
 

@@ -120,6 +120,12 @@ def load(payload: dict, *, unchecked: bool = False):
         entries = payload["entries"]
     except KeyError as exc:
         raise PayloadError(f"missing key {exc.args[0]!r}") from None
+    # shape is checked even when unchecked: no constructor may see a bad size
+    if not isinstance(dims, dict):
+        raise PayloadError("dims must be a JSON object")
+    for key, value in dims.items():
+        if type(value) is not int or value < 0:
+            raise PayloadError(f"dims {key!r} must be a non-negative integer, found {value!r}")
 
     try:
         if kind == "lts":

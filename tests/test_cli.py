@@ -10,7 +10,7 @@ from lietrip.corpus import (
 )
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ
-from lietrip.grlie import GradedHom, adjoint_module, direct_sum, trivial_module
+from lietrip.grlie import GradedHom, adjoint_module, direct_sum, graded_lie, trivial_module
 from lietrip.lts import LieTripleSystem, LtsHom, lie_triple_system
 from lietrip.serialize import PayloadError, load, save
 
@@ -224,6 +224,16 @@ def test_cli_malformed_file(capsys, tmp_path):
     assert code == 2 and "expected" in err
 
 
+def _one_error_line(capsys, argv, code, prefix):
+    """Run argv; it must exit with code and print exactly one stderr line."""
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), out.err
+    return lines[0]
+
+
 @pytest.mark.parametrize("field, scalar", [("Q", "1/0"), ("Fp:5", "1/5")])
 def test_cli_zero_denominator_is_invalid_input(capsys, tmp_path, field, scalar):
     payload = save(heis())
@@ -233,12 +243,7 @@ def test_cli_zero_denominator_is_invalid_input(capsys, tmp_path, field, scalar):
         load(payload)
     path = tmp_path / "zeroden.json"
     path.write_text(json.dumps(payload))
-    code = main(["thm-a", str(path)])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.out == ""
-    lines = out.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    _one_error_line(capsys, ["thm-a", str(path)], 2, "error: ")
 
 
 @pytest.mark.parametrize("scalar", [True, False, "0.5e0", " 3 ", "1_0", "+1", 1.0])
@@ -250,12 +255,47 @@ def test_cli_malformed_scalar_is_invalid_input(capsys, tmp_path, scalar):
         load(payload, unchecked=True)
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(payload))
-    code = main(["check-graded", str(path)])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.out == ""
-    lines = out.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    _one_error_line(capsys, ["check-graded", str(path)], 2, "error: ")
+
+
+def _bracket_payload(tmp_path, dim0, dim1, brackets):
+    """A graded_lie file with the given [e_i, e_j] = e_k (and [e_j, e_i] = -e_k),
+    saved without any check."""
+    n = dim0 + dim1
+    entries = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in brackets:
+        entries[i][j][k], entries[j][i][k] = 1, -1
+    path = tmp_path / "bracket.json"
+    path.write_text(json.dumps(save(graded_lie(QQ, dim0, dim1, entries, unchecked=True))))
+    return path
+
+
+@pytest.mark.parametrize("dims", [{"dim0": -1, "dim1": 4}, {"dim0": True, "dim1": 2},
+                                  {"dim0": "1", "dim1": 2}, {"dim0": 1.0, "dim1": 2},
+                                  [1, 2]], ids=str)
+def test_bad_dims_are_invalid_input_even_unchecked(capsys, tmp_path, dims):
+    payload = save(heis())
+    payload["dims"] = dims
+    with pytest.raises(PayloadError):
+        load(payload, unchecked=True)
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(payload))
+    for command in ("h2", "thm-a"):
+        _one_error_line(capsys, [command, str(path), "--unchecked"], 2, "error: ")
+
+
+def test_cli_internal_error_exit_code(capsys, tmp_path):
+    # [e1, e2] = e1 puts an odd vector in [L1, L1]: not graded, caught only
+    # by the consistency check inside is_generated_by_odd
+    path = _bracket_payload(tmp_path, 1, 2, [(0, 1, 1), (1, 2, 1)])
+    _one_error_line(capsys, ["thm-a", str(path), "--unchecked"], 3, "internal error: thm-a: ")
+
+
+def test_cli_h2_unchecked_stray_bracket(capsys, tmp_path):
+    # [e0, e2] = e0 sends even x odd to even, so d2 leaves the graded slots
+    path = _bracket_payload(tmp_path, 2, 1, [(0, 2, 0)])
+    line = _one_error_line(capsys, ["h2", str(path), "--unchecked"], 2, "error: ")
+    assert line == "error: cochain is not graded"
 
 
 def _ladder_payloads(field):

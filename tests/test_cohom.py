@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -6,16 +7,21 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles
 
-from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2graded, sl2lts
+from lietrip.corpus import (
+    ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
+)
 from lietrip.cohom import (
     CentralExtensionProblem, Cochain, NotCentral0Extension, coboundary,
     cocycle_extension, envelope_criterion, graded_cochain_basis, h2_graded,
     is_0_centrally_closed, split_central_0_extension, zero_cochain,
 )
 from lietrip.embed import universal_central_0_extension, universal_imbedding
-from lietrip.exactlin import Field, Matrix, QQ
-from lietrip.grlie import GradedHom, direct_sum, identity_hom, trivial_module
-from lietrip.lts import odd_part_lts
+from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
+from lietrip.grlie import (
+    GradedHom, adjoint_module, central_quotient, direct_sum, identity_hom,
+    trivial_module,
+)
+from lietrip.lts import lie_triple_system, odd_part_lts
 
 GRADED_CORPUS = lambda field=QQ: [heis(field), ab2(field), sl2graded(field)]
 
@@ -92,6 +98,57 @@ def test_h2_values_against_oracle():
         got = h2_graded(L, trivial_module(L)).dimension
         assert got == frozen, name
         assert oracles.h2_graded_dim(raw) == frozen, name
+
+
+def _raw(L):
+    """The bracket of L in the oracle's (dim0, dim1, {(i, j, l): c}) form."""
+    return (L.dim0, L.dim1, {(i, j, l): x for i, row in enumerate(L.bracket)
+                             for j, v in enumerate(row) for l, x in enumerate(v) if x})
+
+
+def _h2_ladder():
+    """Graded algebras of the ladder over Q with their H^2 dimension."""
+    a_abl3 = universal_imbedding(abl(3)).algebra
+    line, plane = ([unit_vec(QQ, a_abl3.dim, i) for i in range(k)] for k in (1, 2))
+    return [
+        ("A(sl2lts)", universal_imbedding(sl2lts()).algebra, 0),
+        ("A(gl2)", universal_imbedding(lie_triple_system(
+            QQ, oracles.lts_of_bracket(oracles.gl_bracket(2)))).algebra, 0),
+        ("A(grass(2,2))", universal_imbedding(lie_triple_system(
+            QQ, oracles.grass_triple(2, 2))).algebra, 0),
+        ("sl2_double_swap", sl2_double_swap(), 0),
+        ("A(abl(3))", a_abl3, 0),
+        ("A(abl(3))/line", central_quotient(a_abl3, Subspace.span(QQ, a_abl3.dim, line))[0], 1),
+        ("A(abl(3))/plane", central_quotient(a_abl3, Subspace.span(QQ, a_abl3.dim, plane))[0], 2),
+    ]
+
+
+def test_h2_ladder_against_oracle():
+    # the oracle assembles delta1 and delta2 from the raw brackets on its own
+    for name, L, frozen in _h2_ladder():
+        raw = _raw(L)
+        cocycles = len(oracles.graded_pairs(raw)) - oracles.frac_rank(oracles.delta2_matrix(raw))
+        coboundaries = oracles.frac_rank(oracles.delta1_matrix(raw))
+        got = h2_graded(L, trivial_module(L))
+        assert (got.dimension, got.cocycle_dim, got.coboundary_dim) == (
+            cocycles - coboundaries, cocycles, coboundaries), name
+        assert got.dimension == frozen, name
+
+
+@pytest.mark.parametrize("p", [None, 2, 5])
+def test_delta_squared_zero_on_random_cochains(p):
+    # the adjoint module reaches the action terms, which trivial modules skip
+    field = Field(p)
+    rng = random.Random(2024)
+    algebras = [heis(field), sl2graded(field), sl2_double_swap(field),
+                universal_imbedding(odd2(field)).algebra]
+    for L in algebras:
+        for M in (adjoint_module(L), trivial_module(L, 2)):
+            for _ in range(3):
+                values = tuple(tuple(field.of(rng.randint(-3, 3)) for _ in range(M.dim))
+                               for _ in range(L.dim))
+                g = Cochain(L, M, 1, values)
+                assert coboundary(coboundary(g)).is_zero()
 
 
 def test_h2_representatives_are_cocycles_not_coboundaries():

@@ -11,13 +11,12 @@ the degree-g block of the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Subspace, Vector, kernel_basis, nonzeros, solve, unit_vec,
+    Matrix, Record, Subspace, Vector, kernel_basis, nonzeros, solve, unit_vec,
     vec_add, vec_from_sums, vec_is_zero, vec_scale, zero_vec,
 )
 from .grlie import (
@@ -27,14 +26,18 @@ from .grlie import (
 from .embed import UniversalCentral0Extension, universal_central_0_extension
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     algebra: GradedLieAlgebra
     module: GradedModule
     degree: int
     values: tuple  # one module-coordinate vector per sorted index combination
 
-    def __post_init__(self):
+    def __init__(self, algebra: GradedLieAlgebra, module: GradedModule, degree: int,
+                 values: tuple):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "values", values)
         if self.degree not in (1, 2, 3):
             raise ValueError("supported cochain degrees are 1, 2, 3")
         if len(self.values) != len(self.combos()):
@@ -194,8 +197,7 @@ def _graded_block(rows: dict, out_slots: list, in_slots: list, field) -> Matrix:
                   tuple(tuple(rows[s].get(c, z) for c in in_slots) for s in out_slots))
 
 
-@dataclass(frozen=True)
-class H2Result:
+class H2Result(Record):
     dimension: int
     cocycle_dim: int
     coboundary_dim: int
@@ -227,8 +229,7 @@ class NotCentral0Extension(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CentralExtensionProblem:
+class CentralExtensionProblem(Record):
     """A surjective graded hom whose kernel is even and central."""
 
     total: GradedLieAlgebra
@@ -345,8 +346,7 @@ def is_0_centrally_closed(L: GradedLieAlgebra) -> bool:
     return h2_graded(L, trivial_module(L)).dimension == 0
 
 
-@dataclass(frozen=True)
-class EnvelopeCriterionReport:
+class EnvelopeCriterionReport(Record):
     """Outcome of the two-condition test for being (isomorphic to) the
     universal imbedding of a triple system: the odd part must generate and
     trivial-coefficient graded H^2 must vanish."""

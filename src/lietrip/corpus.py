@@ -2,7 +2,7 @@
 
 Names accepted by :func:`by_name` (and the CLI):
 
-* ``abl(n)``     n-dimensional abelian triple system
+* ``abl(n)``     n-dimensional abelian triple system, 0 <= n <= MAX_ABL_DIM
 * ``odd2``       the odd part of sl2 under its usual grading (basis e, f)
 * ``sl2lts``     sl2 as a triple system via [a,b,c] = [[a,b],c] (basis h, e, f)
 * ``heis``       graded Heisenberg algebra: L0 = span z, L1 = span{x, y}, [x,y] = z
@@ -88,11 +88,17 @@ def sl2_double_swap(field: Field = QQ) -> GradedLieAlgebra:
 _LTS_NAMES = ("abl", "odd2", "sl2lts")
 _NAME_RE = re.compile(r"^(abl|a_of)\((.+)\)$")
 
+# abl(n) is a tensor of n^4 scalars: 331,776 at the ceiling
+MAX_ABL_DIM = 24
+
 
 def lts_by_name(name: str, field: Field = QQ) -> LieTripleSystem:
     m = _NAME_RE.match(name)
     if m and m.group(1) == "abl":
-        return abl(int(m.group(2)), field)
+        n = int(m.group(2))
+        if not 0 <= n <= MAX_ABL_DIM:
+            raise ValueError(f"abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {n}")
+        return abl(n, field)
     if name == "odd2":
         return odd2(field)
     if name == "sl2lts":

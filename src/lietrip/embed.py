@@ -16,11 +16,10 @@ reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .exactlin import (
-    Field, Matrix, QuotientSpace, Subspace, Vector, kernel_basis,
+    Field, Matrix, QuotientSpace, Record, Subspace, Vector, kernel_basis,
     mat_from_flat, nonzeros, quotient, rank, unit_vec, vec_add, vec_from_sums,
     vec_is_zero, vec_scale, zero_vec,
 )
@@ -79,8 +78,7 @@ def wedge_action(endo: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # standard imbedding
 
-@dataclass(frozen=True)
-class StandardImbedding:
+class StandardImbedding(Record):
     lts: LieTripleSystem
     algebra: GradedLieAlgebra
     inclusion: Matrix  # (dim0+dim1) x dim(T), onto the odd part
@@ -130,8 +128,7 @@ def standard_imbedding(T: LieTripleSystem,
 # ---------------------------------------------------------------------------
 # the exterior square as a module over the derivation algebra
 
-@dataclass(frozen=True)
-class WedgeModule:
+class WedgeModule(Record):
     lts: LieTripleSystem
     der: DerivationAlgebra
     der_algebra: GradedLieAlgebra   # the derivations as an abstract (all-even) algebra
@@ -160,8 +157,7 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
 # ---------------------------------------------------------------------------
 # the generic module-quotient algebra
 
-@dataclass(frozen=True)
-class ModuleQuotient:
+class ModuleQuotient(Record):
     """Quotient Q = M/A(M) of a module by its radical A(M) = span{lam(m).m},
     carrying the Lie bracket [p,q] = mu(p).q and the induced map mu."""
 
@@ -186,21 +182,19 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
             if lhs != rhs:
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
-    def act_of(x: Vector) -> Matrix:
-        return module.act(x)
-
+    acts = [module.act(lam.col(u)) for u in range(mdim)]  # acts[u] = lam(e_u) acting on M
     gens = []
     for u in range(mdim):
-        gens.append(act_of(lam.col(u)).col(u))
+        gens.append(acts[u].col(u))
     for u in range(mdim):
         for v in range(u + 1, mdim):
-            gens.append(vec_add(F, act_of(lam.col(u)).col(v), act_of(lam.col(v)).col(u)))
+            gens.append(vec_add(F, acts[u].col(v), acts[v].col(u)))
     a_sub = Subspace.span(F, mdim, gens)
 
     ker = kernel_basis(lam)
     if not ker.contains_subspace(a_sub):
         raise RuntimeError("A(M) escaped the kernel of lam")
-    imker = [act_of(lam.col(u)).matvec(k) for u in range(mdim) for k in ker.basis.entries]
+    imker = [acts[u].matvec(k) for u in range(mdim) for k in ker.basis.entries]
     if not a_sub.contains_subspace(Subspace.span(F, mdim, imker)):
         raise RuntimeError("Im(lam).Ker(lam) escaped A(M)")
 
@@ -209,7 +203,7 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     qdim = q.dim
     tensor = []
     for s in range(qdim):
-        acting = act_of(mu.col(s))
+        acting = module.act(mu.col(s))
         row = []
         for t in range(qdim):
             row.append(q.projection.matvec(acting.matvec(q.section.col(t))))
@@ -223,8 +217,7 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
 # ---------------------------------------------------------------------------
 # the pair algebra <T,T>
 
-@dataclass(frozen=True)
-class PairAlgebra:
+class PairAlgebra(Record):
     lts: LieTripleSystem
     algebra: GradedLieAlgebra  # all-even
     mu: Matrix                 # der.dim x dim<T,T>, valued in derivation coordinates
@@ -256,8 +249,7 @@ def pair_algebra(T: LieTripleSystem) -> PairAlgebra:
 # ---------------------------------------------------------------------------
 # the universal imbedding
 
-@dataclass(frozen=True)
-class UniversalImbedding:
+class UniversalImbedding(Record):
     lts: LieTripleSystem
     algebra: GradedLieAlgebra
     iota: Matrix               # dim x dim(T), inclusion onto the odd part
@@ -422,8 +414,7 @@ def imbedding_functor_hom(alpha: LtsHom,
 # ---------------------------------------------------------------------------
 # universal central 0-extensions
 
-@dataclass(frozen=True)
-class UniversalCentral0Extension:
+class UniversalCentral0Extension(Record):
     envelope: UniversalImbedding  # of the odd part of L
     hom: GradedHom                # envelope.algebra -> L, the identity on odd parts
     kernel: Subspace

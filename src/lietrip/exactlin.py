@@ -13,12 +13,57 @@ reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
 Vector = tuple
+
+
+class Record:
+    """Base of every immutable value type in the library.
+
+    A subclass declares its fields as class annotations; ``_fields`` is
+    their tuple, in order.  An instance compares equal only to an instance
+    of the same class with equal fields, hashes the tuple of its fields,
+    refuses assignment, and reprs as ``Name(field=value, ...)``.  The
+    inherited ``__init__`` takes the fields positionally.  A class with a
+    default or a validation, and ``Matrix``, which every matrix operation
+    builds, write their own and set each field with ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args):
+        fields = self._fields
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"positional arguments but {len(args)} were given")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        # the fields compared in C; on CPython 3.11 reading __dict__ builds
+        # it and slows later attribute reads, so identical objects skip it
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below
@@ -54,15 +99,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """The rationals (``p is None``) or the prime field F_p."""
 
-    p: Optional[int] = None
+    p: Optional[int]
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __init__(self, p: Optional[int] = None):
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        # every matrix operation compares fields: read p, build no __dict__
+        if type(other) is not Field:
+            return NotImplemented
+        return self.p == other.p
+
+    __hash__ = Record.__hash__
 
     @property
     def is_rational(self) -> bool:
@@ -203,14 +256,19 @@ def nonzeros(v: Vector) -> list:
     return [(j, x) for j, x in enumerate(v) if x]
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Dense matrix with exact entries, all in one field."""
 
     field: Field
     rows: int
     cols: int
     entries: tuple
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def make(cls, field: Field, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
@@ -420,8 +478,7 @@ def inverse(m: Matrix) -> Optional[Matrix]:
                   tuple(r[m.rows:] for r in red.entries[: m.rows]))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of F^n held as its unique RREF basis (rows)."""
 
     field: Field
@@ -514,8 +571,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     return Subspace.span(F, m.cols, vecs)
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Record):
     """F^n / A with an explicit linear section.
 
     ``projection`` (q x n) annihilates exactly A; ``section`` (n x q) picks

@@ -8,11 +8,10 @@ a grading; there is no super sign rule.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 from .exactlin import (
-    Field, Matrix, Subspace, Vector, kernel_basis, quotient, rank, solve,
+    Field, Matrix, Record, Subspace, Vector, kernel_basis, quotient, rank, solve,
     linear_combination, nonzeros, unit_vec, vec_add, vec_is_zero, zero_vec,
 )
 from .lts import LtsHom, odd_part_lts
@@ -27,21 +26,23 @@ class GradedLieError(ValueError):
             f"first is {first[0]} at {first[1]}")
 
 
-@dataclass(frozen=True)
-class GradedCheckReport:
+class GradedCheckReport(Record):
     ok: bool
     violations: tuple  # (family, indices, defect) triples
 
 
-@dataclass(frozen=True)
-class GradedLieAlgebra:
+class GradedLieAlgebra(Record):
     field: Field
     dim0: int
     dim1: int
     bracket: tuple  # bracket[i][j] = coordinates of [e_i, e_j]
-    unchecked: InitVar[bool] = False
 
-    def __post_init__(self, unchecked: bool):
+    def __init__(self, field: Field, dim0: int, dim1: int, bracket: tuple,
+                 unchecked: bool = False):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim0", dim0)
+        object.__setattr__(self, "dim1", dim1)
+        object.__setattr__(self, "bracket", bracket)
         n = self.dim
         if len(self.bracket) != n or any(
                 len(bi) != n or any(len(v) != n for v in bi) for bi in self.bracket):
@@ -139,14 +140,16 @@ def is_graded_hom(matrix: Matrix, source: GradedLieAlgebra, target: GradedLieAlg
     return True
 
 
-@dataclass(frozen=True)
-class GradedHom:
+class GradedHom(Record):
     source: GradedLieAlgebra
     target: GradedLieAlgebra
     matrix: Matrix  # target.dim x source.dim, block structure w.r.t. gradings
-    unchecked: InitVar[bool] = False
 
-    def __post_init__(self, unchecked: bool):
+    def __init__(self, source: GradedLieAlgebra, target: GradedLieAlgebra, matrix: Matrix,
+                 unchecked: bool = False):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
         if self.matrix.field != self.source.field or self.source.field != self.target.field:
             raise ValueError("hom field mismatch")
         if not unchecked and not is_graded_hom(self.matrix, self.source, self.target):
@@ -175,17 +178,20 @@ def identity_hom(L: GradedLieAlgebra) -> GradedHom:
     return GradedHom(L, L, Matrix.identity(L.field, L.dim), unchecked=True)
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(Record):
     """A graded module, given by one action matrix per algebra basis vector."""
 
     algebra: GradedLieAlgebra
     dim0: int
     dim1: int
     action: tuple  # action[i] is a (dim0+dim1) x (dim0+dim1) Matrix
-    unchecked: InitVar[bool] = False
 
-    def __post_init__(self, unchecked: bool):
+    def __init__(self, algebra: GradedLieAlgebra, dim0: int, dim1: int, action: tuple,
+                 unchecked: bool = False):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "dim0", dim0)
+        object.__setattr__(self, "dim1", dim1)
+        object.__setattr__(self, "action", action)
         m = self.dim
         if len(self.action) != self.algebra.dim or any(
                 a.rows != m or a.cols != m for a in self.action):

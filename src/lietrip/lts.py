@@ -16,13 +16,12 @@ broken systems for negative tests).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Subspace, Vector, kernel_basis, linear_combination,
+    Field, Matrix, Record, Subspace, Vector, kernel_basis, linear_combination,
     mat_from_flat, nonzeros, unit_vec, vec_add, vec_from_sums, vec_is_zero,
 )
 
@@ -36,27 +35,26 @@ class LtsAxiomError(ValueError):
             f"first is {first.identity} at basis tuple {first.indices}")
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     identity: str
     indices: tuple
     defect: Vector
 
 
-@dataclass(frozen=True)
-class LtsAxiomReport:
+class LtsAxiomReport(Record):
     ok: bool
     violations: tuple
 
 
-@dataclass(frozen=True)
-class LieTripleSystem:
+class LieTripleSystem(Record):
     field: Field
     dim: int
     triple: tuple  # triple[i][j][k] = coordinates of [e_i, e_j, e_k]
-    unchecked: InitVar[bool] = False
 
-    def __post_init__(self, unchecked: bool):
+    def __init__(self, field: Field, dim: int, triple: tuple, unchecked: bool = False):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "triple", triple)
         n = self.dim
         if len(self.triple) != n or any(
                 len(ti) != n or any(len(tij) != n or any(len(v) != n for v in tij) for tij in ti)
@@ -170,14 +168,16 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
     return LtsAxiomReport(not bad, tuple(bad))
 
 
-@dataclass(frozen=True)
-class LtsHom:
+class LtsHom(Record):
     source: LieTripleSystem
     target: LieTripleSystem
     matrix: Matrix  # target.dim x source.dim
-    unchecked: InitVar[bool] = False
 
-    def __post_init__(self, unchecked: bool):
+    def __init__(self, source: LieTripleSystem, target: LieTripleSystem, matrix: Matrix,
+                 unchecked: bool = False):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
             raise ValueError("hom matrix shape mismatch")
         if self.matrix.field != self.source.field or self.source.field != self.target.field:
@@ -219,8 +219,7 @@ def inner_derivation(T: LieTripleSystem, a: Vector, b: Vector) -> Matrix:
     return Matrix.from_cols(F, cols, rows=n)
 
 
-@dataclass(frozen=True)
-class DerivationAlgebra:
+class DerivationAlgebra(Record):
     """Basis of all derivations of T, closed under commutator.
 
     ``basis`` is the deterministic RREF kernel basis of the constraint
@@ -283,8 +282,7 @@ def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     return DerivationAlgebra(T, basis, span, tuple(table))
 
 
-@dataclass(frozen=True)
-class IdealClosureCertificate:
+class IdealClosureCertificate(Record):
     """Record that the inner derivations form an ideal of the derivation
     algebra: [D, D_{a,b}] = D_{Da,b} + D_{a,Db} holds and stays in the span."""
 
@@ -293,8 +291,7 @@ class IdealClosureCertificate:
     failures: tuple
 
 
-@dataclass(frozen=True)
-class InnerDerivations:
+class InnerDerivations(Record):
     lts: LieTripleSystem
     span: Subspace  # in F^(n^2)
     certificate: IdealClosureCertificate
@@ -330,18 +327,24 @@ def inner_derivation_algebra(T: LieTripleSystem, der: Optional[DerivationAlgebra
 
 
 def _check_lie_tensor(field: Field, bracket: tuple) -> None:
-    """Raise unless the n x n x n tensor defines a Lie algebra."""
+    """Raise unless the n x n x n tensor defines a Lie algebra.
+
+    Pairs and triples are scanned in lexicographic order, but only the
+    sorted ones: the pair (i, j) is the same test as (j, i), and once the
+    bracket is alternating on the basis the Jacobiator is alternating in
+    any characteristic, so the first failing triple is a sorted one.
+    """
     F = field
     n = len(bracket)
     for i in range(n):
         if not vec_is_zero(F, bracket[i][i]):
             raise ValueError(f"not a Lie algebra: [e_{i}, e_{i}] != 0")
-        for j in range(n):
+        for j in range(i + 1, n):
             if not vec_is_zero(F, vec_add(F, bracket[i][j], bracket[j][i])):
                 raise ValueError(f"not a Lie algebra: antisymmetry fails at ({i}, {j})")
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
                 acc = linear_combination(F, n, (
                     (wm, bracket[m][c]) for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
                     for m, wm in enumerate(bracket[a][b]) if wm))

@@ -249,3 +249,28 @@ def lts_violations(t, p=None):
                         report("derivation", (i, j, k, l, m),
                                [a - b - c - d for a, b, c, d in zip(lhs, r1, r2, r3)])
     return found
+
+
+def lie_bracket_error(c, p=None):
+    """The message of the first failed Lie algebra axiom of the raw bracket
+    c[i][j][l], or None, scanning every ordered index tuple: for each i,
+    [e_i, e_i] = 0 and then antisymmetry at (i, j) for every j; then the
+    Jacobi identity at every ordered triple (i, j, k)."""
+    n = len(c)
+    v = [[[scalar(x, p) for x in vec] for vec in row] for row in c]
+    for i in range(n):
+        if any(v[i][i]):
+            return f"not a Lie algebra: [e_{i}, e_{i}] != 0"
+        for j in range(n):
+            if any(scalar(x + y, p) for x, y in zip(v[i][j], v[j][i])):
+                return f"not a Lie algebra: antisymmetry fails at ({i}, {j})"
+    for i, j, k in product(range(n), repeat=3):
+        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        jacobiator = [Fraction(0)] * n
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m in range(n):
+                for l in range(n):
+                    jacobiator[l] += v[a][b][m] * v[m][d][l]
+        if any(scalar(x, p) for x in jacobiator):
+            return f"not a Lie algebra: Jacobi fails at ({i}, {j}, {k})"
+    return None

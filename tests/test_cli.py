@@ -6,7 +6,8 @@ from lietrip.cli import main
 from lietrip.cohom import h2_graded
 import oracles
 from lietrip.corpus import (
-    ab2, abl, by_name, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
+    MAX_ABL_DIM, ab2, abl, by_name, even_line, heis, lts_by_name, odd2,
+    sl2_double_swap, sl2graded, sl2lts,
 )
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ
@@ -256,6 +257,21 @@ def test_cli_malformed_scalar_is_invalid_input(capsys, tmp_path, scalar):
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(payload))
     _one_error_line(capsys, ["check-graded", str(path)], 2, "error: ")
+
+
+@pytest.mark.parametrize("command, name, n", [
+    ("corpus", "abl(-1)", -1), ("univ", "abl(-1)", -1),
+    ("univ", f"abl({MAX_ABL_DIM + 1})", MAX_ABL_DIM + 1),
+    ("thm-a", f"a_of(abl({MAX_ABL_DIM + 1}))", MAX_ABL_DIM + 1)])
+def test_abl_dimension_out_of_range_is_invalid_input(capsys, command, name, n):
+    # refused from the name alone, before any tensor is built
+    line = _one_error_line(capsys, [command, name], 2, "error: ")
+    assert line.endswith(f"abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {n}")
+
+
+def test_abl_dimension_ceiling_is_loadable():
+    assert lts_by_name(f"abl({MAX_ABL_DIM})").dim == MAX_ABL_DIM
+    assert lts_by_name("abl(0)").dim == 0
 
 
 def _bracket_payload(tmp_path, dim0, dim1, brackets):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,3 +290,49 @@ def test_axiom_check_matches_oracle_under_mutation(case, data):
     t = [[[list(v) for v in tij] for tij in ti] for ti in raw]
     t[i][j][k][l] += delta
     assert _violations(field, t) == oracles.lts_violations(t, field.p)
+
+
+# ---------------------------------------------------------------------------
+# the Lie algebra check of lts_of_lie against an ordered scan
+
+LIE_BRACKETS = {"gl(2)": oracles.gl_bracket(2), "sl2": oracles.SL2_BRACKET}
+LIE_FIELDS = [QQ, Field(5), Field(2)]
+
+
+def _lie_error(field, c):
+    """The message lts_of_lie raises for the raw bracket c, or None."""
+    try:
+        lts_of_lie(c, field)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("field", LIE_FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(LIE_BRACKETS))
+def test_lie_check_matches_ordered_scan_on_antisymmetric_mutations(name, field):
+    raw = LIE_BRACKETS[name]
+    n = len(raw)
+    messages = []
+    for i, j in combinations(range(n), 2):
+        for l in range(n):
+            c = [[list(v) for v in row] for row in raw]
+            c[i][j][l] += 1
+            c[j][i][l] -= 1
+            messages.append(oracles.lie_bracket_error(c, field.p))
+            assert _lie_error(field, c) == messages[-1]
+    assert any(m and "Jacobi" in m for m in messages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LIE_BRACKETS)), st.sampled_from(LIE_FIELDS), st.data())
+def test_lie_check_matches_ordered_scan_under_mutation(name, field, data):
+    raw = LIE_BRACKETS[name]
+    n = len(raw)
+    i, j, l = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-2, 3)]))
+    c = [[list(v) for v in row] for row in raw]
+    c[i][j][l] += delta
+    if data.draw(st.booleans()) and i != j:
+        c[j][i][l] -= delta  # keeps the bracket alternating, so Jacobi decides
+    assert _lie_error(field, c) == oracles.lie_bracket_error(c, field.p)

@@ -8,9 +8,7 @@ import sys
 import pytest
 
 import lietrip
-from lietrip.cohom import (
-    CentralExtensionProblem, cocycle_extension, envelope_criterion, h2_graded,
-)
+from lietrip.cohom import H2Result, cocycle_extension, envelope_criterion, h2_graded
 from lietrip.corpus import ab2, heis, odd2
 from lietrip.embed import module_quotient_algebra, universal_imbedding
 from lietrip.exactlin import Field, Record
@@ -77,10 +75,11 @@ def test_record_value_semantics(cls, ladder_records):
 
 
 def test_record_init_checks_the_argument_count():
+    assert H2Result(0, 0, 0, ()) == H2Result(0, 0, 0, ())
     with pytest.raises(TypeError):
-        lietrip.Matrix(lietrip.QQ, 0, 0)
+        H2Result(0, 0, 0)
     with pytest.raises(TypeError):
-        lietrip.Matrix(lietrip.QQ, 0, 0, (), ())
+        H2Result(0, 0, 0, (), ())
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -85,19 +85,22 @@ def sl2_double_swap(field: Field = QQ) -> GradedLieAlgebra:
                             tuple(tuple(tuple(v) for v in row) for row in tensor))
 
 
-_LTS_NAMES = ("abl", "odd2", "sl2lts")
-_NAME_RE = re.compile(r"^(abl|a_of)\((.+)\)$")
+_LTS_NAMES = ("odd2", "sl2lts")
+# n in abl(n) is ASCII digits; a minus sign is read only to be refused by range
+_ABL_RE = re.compile(r"abl\((-?[0-9]+)\)")
+_A_OF_RE = re.compile(r"a_of\((.+)\)")
 
 # abl(n) is a tensor of n^4 scalars: 331,776 at the ceiling
 MAX_ABL_DIM = 24
 
 
 def lts_by_name(name: str, field: Field = QQ) -> LieTripleSystem:
-    m = _NAME_RE.match(name)
-    if m and m.group(1) == "abl":
-        n = int(m.group(2))
-        if not 0 <= n <= MAX_ABL_DIM:
-            raise ValueError(f"abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {n}")
+    m = _ABL_RE.fullmatch(name)
+    if m:
+        text = m.group(1)
+        n = int(text)
+        if text.startswith("-") or n > MAX_ABL_DIM:
+            raise ValueError(f"abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {text}")
         return abl(n, field)
     if name == "odd2":
         return odd2(field)
@@ -109,11 +112,11 @@ def lts_by_name(name: str, field: Field = QQ) -> LieTripleSystem:
 def by_name(name: str, field: Field = QQ):
     """Resolve a corpus name to a system or algebra."""
     name = name.strip()
-    m = _NAME_RE.match(name)
-    if m and m.group(1) == "a_of":
+    m = _A_OF_RE.fullmatch(name)
+    if m:
         from .embed import universal_imbedding
-        return universal_imbedding(lts_by_name(m.group(2), field)).algebra
-    if m or name in _LTS_NAMES:
+        return universal_imbedding(lts_by_name(m.group(1), field)).algebra
+    if _ABL_RE.fullmatch(name) or name in _LTS_NAMES:
         return lts_by_name(name, field)
     if name == "heis":
         return heis(field)

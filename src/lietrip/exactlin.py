@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -73,6 +74,7 @@ MAX_MODULUS = 318665857834031151167460
 
 # the scalar strings Field.fmt writes, and the only ones Field.of reads
 _SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_FIELD_TAG = re.compile(r"Fp:([0-9]+)")
 
 
 def _is_prime(n: int) -> bool:
@@ -186,11 +188,13 @@ class Field(Record):
 
     @classmethod
     def from_tag(cls, tag: str) -> "Field":
+        """The field of a tag :attr:`tag` writes: "Q", or "Fp:" and ASCII digits."""
         if tag == "Q":
             return cls()
-        if tag.startswith("Fp:"):
-            return cls(int(tag[3:]))
-        raise ValueError(f"unknown field tag {tag!r} (expected 'Q' or 'Fp:<p>')")
+        m = _FIELD_TAG.fullmatch(tag) if isinstance(tag, str) else None
+        if m is None:
+            raise ValueError(f"unknown field tag {tag!r} (expected 'Q' or 'Fp:<p>')")
+        return cls(int(m.group(1)))
 
     def __str__(self) -> str:
         return self.tag
@@ -555,20 +559,141 @@ class Subspace(Record):
             raise ValueError("subspace field/ambient mismatch")
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """The solution space of m*x = 0, dim = cols - rank."""
+def _null_vectors(m: Matrix) -> list:
+    """One solution of m*x = 0 per free column of rref(m): 1 there, and
+    minus that column of the reduced rows at the pivots."""
     F = m.field
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     vecs = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
         v = [F.zero()] * m.cols
         v[f] = F.one()
         for r, p in enumerate(pivots):
             v[p] = F.neg(red.entries[r][f])
         vecs.append(tuple(v))
-    return Subspace.span(F, m.cols, vecs)
+    return vecs
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """The solution space of m*x = 0, dim = cols - rank."""
+    return Subspace.span(m.field, m.cols, _null_vectors(m))
+
+
+# Over Q, kernel_of_rows picks its rows by their rank profile modulo this
+# prime, then certifies the pick exactly.
+SELECT_PRIME = 2 ** 61 - 1
+
+
+def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
+    """The common kernel of sparse rows, each a dict {column: scalar}: the
+    same subspace, with the same RREF basis, as :func:`kernel_basis` of the
+    matrix the rows form.
+
+    Each row is scaled to a canonical multiple (over Q a primitive integer
+    row with a positive leading entry, over F_p leading entry 1), and equal
+    rows are kept once.  The distinct rows are reduced one at a time against
+    a growing echelon basis, and only those that enlarge it are eliminated
+    exactly.  Over F_p that basis is exact.  Over Q the reduction runs modulo
+    SELECT_PRIME; rows independent there are independent over Q, but the
+    rank may drop, and then the kernel of the picked rows is too large.  So
+    every vector of that kernel is checked in integers against every
+    distinct row, and if one check fails all distinct rows are eliminated.
+    """
+    p = field.p
+    distinct = _distinct_rows(p, rows)
+    picked = _independent_rows(distinct, p or SELECT_PRIME, ncols)
+    vecs = _null_vectors(_sparse_matrix(field, ncols, [distinct[i] for i in picked]))
+    if p is None and not _annihilates(distinct, vecs):
+        vecs = _null_vectors(_sparse_matrix(field, ncols, distinct))
+    return Subspace.span(field, ncols, vecs)
+
+
+def _distinct_rows(p: Optional[int], rows: Iterable) -> list:
+    """The nonzero rows as (column, entry) tuples sorted by column, each
+    scaled to its canonical multiple, every row once, in first-seen order."""
+    seen = {}
+    for row in rows:
+        if p is None:
+            items = sorted((c, x) for c, x in row.items() if x)
+            if not items:
+                continue
+            den = lcm(*(x.denominator for _, x in items))
+            xs = [x.numerator * (den // x.denominator) for _, x in items]
+            g = gcd(*xs) if xs[0] > 0 else -gcd(*xs)
+            seen[tuple((c, x // g) for (c, _), x in zip(items, xs))] = None
+        else:
+            items = sorted((c, x % p) for c, x in row.items() if x % p)
+            if not items:
+                continue
+            inv = pow(items[0][1], -1, p)
+            seen[tuple((c, x * inv % p) for c, x in items)] = None
+    return list(seen)
+
+
+def _independent_rows(rows: list, p: int, ncols: int) -> list:
+    """Indices of the rows independent mod p of the rows before them.
+
+    The basis maps each pivot column to a row {column: residue} with 1 there
+    and 0 at every other pivot, so one pass over the pivots a new row meets
+    reduces it; a row left nonzero joins at its leftmost column, which is
+    cleared from the rows already there.
+    """
+    basis = {}
+    picked = []
+    for i, row in enumerate(rows):
+        r = {c: x % p for c, x in row if x % p}
+        for c in [c for c in r if c in basis]:
+            _sub_multiple(r, r[c], basis[c], p)
+        if not r:
+            continue
+        c = min(r)
+        inv = pow(r[c], -1, p)
+        r = {j: x * inv % p for j, x in r.items()}
+        for b in basis.values():
+            if c in b:
+                _sub_multiple(b, b[c], r, p)
+        basis[c] = r
+        picked.append(i)
+        if len(basis) == ncols:
+            break
+    return picked
+
+
+def _sub_multiple(r: dict, f: int, b: dict, p: int) -> None:
+    """r -= f * b mod p in place, dropping the entries that vanish."""
+    for j, y in b.items():
+        x = (r.get(j, 0) - f * y) % p
+        if x:
+            r[j] = x
+        else:
+            del r[j]  # f * y is nonzero, so x vanishes only where r had an entry
+
+
+def _sparse_matrix(field: Field, ncols: int, rows: list) -> Matrix:
+    """The matrix whose rows are the given (column, entry) tuples."""
+    zero = field.zero()
+    out = []
+    for row in rows:
+        v = [zero] * ncols
+        for c, x in row:
+            v[c] = field.of(x)
+        out.append(tuple(v))
+    return Matrix(field, len(rows), ncols, tuple(out))
+
+
+def _annihilates(rows: list, vecs: list) -> bool:
+    """Whether every integer row is orthogonal to every rational vector,
+    checked on integer multiples of the vectors."""
+    for v in vecs:
+        den = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (den // x.denominator) for x in v]
+        for row in rows:
+            if sum(x * w[c] for c, x in row):
+                return False
+    return True
 
 
 class QuotientSpace(Record):

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Record, Subspace, Vector, kernel_basis, linear_combination,
+    Field, Matrix, Record, Subspace, Vector, kernel_of_rows, linear_combination,
     mat_from_flat, nonzeros, unit_vec, vec_add, vec_from_sums, vec_is_zero,
 )
 
@@ -240,46 +240,72 @@ class DerivationAlgebra(Record):
         return self.span.coordinates(endo.flatten())
 
 
+def _derivation_rows(T: LieTripleSystem):
+    """The rows of D[a,b,c] = [Da,b,c] + [a,Db,c] + [a,b,Dc] on all basis
+    triples, as sparse integer rows {u*n + v: coefficient of D[u][v]}.
+
+    They are read from the nonzero view, so over Q each row is den times
+    the true one, which has the same kernel.
+    """
+    n = T.dim
+    nz, _ = _nonzero_view(T)
+    for i in range(n):
+        nzi = nz[i]
+        for j in range(n):
+            nzij = nzi[j]
+            for k in range(n):
+                rows = [{} for _ in range(n)]  # rows[l]: component l of the defect
+                for m, x in nzij[k]:
+                    for l in range(n):
+                        rows[l][l * n + m] = x
+                for u in range(n):
+                    for cols, col in ((nz[u][j][k], u * n + i), (nzi[u][k], u * n + j),
+                                      (nzij[u], u * n + k)):
+                        for l, x in cols:
+                            row = rows[l]
+                            row[col] = row.get(col, 0) - x
+                yield from (row for row in rows if row)
+
+
 def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     """Solve the linear system D[a,b,c] = [Da,b,c] + [a,Db,c] + [a,b,Dc]
     over the n^2 unknown entries of D, on all basis triples."""
     F = T.field
     n = T.dim
-    t = T.triple
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    # coefficient of D[u][v] in component l of the defect
-                    row = [0] * (n * n)
-                    for m, x in enumerate(t[i][j][k]):
-                        if x:
-                            row[l * n + m] += x
-                    for u in range(n):
-                        x, y, z = t[u][j][k][l], t[i][u][k][l], t[i][j][u][l]
-                        if x:
-                            row[u * n + i] -= x
-                        if y:
-                            row[u * n + j] -= y
-                        if z:
-                            row[u * n + k] -= z
-                    row = vec_from_sums(F, row)
-                    if any(row):
-                        rows.append(row)
-    span = kernel_basis(Matrix(F, len(rows), n * n, tuple(rows)))
-    basis = tuple(mat_from_flat(F, v, n, n) for v in span.basis.entries)
-    table = []
-    for da in basis:
-        row = []
-        for db in basis:
-            comm = da.matmul(db).sub(db.matmul(da))
-            coords = span.coordinates(comm.flatten())
+    span = kernel_of_rows(F, n * n, _derivation_rows(T))
+    flats = span.basis.entries
+    rows = [_sparse_rows(v, n) for v in flats]
+    # [D_b, D_a] = -[D_a, D_b]: each unordered pair is computed once
+    zero = (F.zero(),) * len(flats)
+    table = [[zero] * len(flats) for _ in flats]
+    for a in range(len(flats)):
+        for b in range(a + 1, len(flats)):
+            coords = span.coordinates(_commutator(F, n, rows[a], rows[b]))
             if coords is None:
                 raise RuntimeError("derivation algebra not closed under commutator")
-            row.append(coords)
-        table.append(tuple(row))
-    return DerivationAlgebra(T, basis, span, tuple(table))
+            table[a][b] = coords
+            table[b][a] = tuple(F.neg(x) for x in coords)
+    basis = tuple(mat_from_flat(F, v, n, n) for v in flats)
+    return DerivationAlgebra(T, basis, span, tuple(tuple(row) for row in table))
+
+
+def _sparse_rows(flat: Vector, n: int) -> list:
+    """The (column, entry) nonzeros of each row of a row-major flat n x n matrix."""
+    return [nonzeros(flat[r * n:(r + 1) * n]) for r in range(n)]
+
+
+def _commutator(F: Field, n: int, x: list, y: list) -> Vector:
+    """XY - YX, flattened row-major, for X and Y given by their sparse rows."""
+    acc = [0] * (n * n)
+    for r in range(n):
+        base = r * n
+        for k, a in x[r]:
+            for s, b in y[k]:
+                acc[base + s] += a * b
+        for k, a in y[r]:
+            for s, b in x[k]:
+                acc[base + s] -= a * b
+    return vec_from_sums(F, acc)
 
 
 class IdealClosureCertificate(Record):
@@ -308,20 +334,31 @@ class InnerDerivations(Record):
 def inner_derivation_algebra(T: LieTripleSystem, der: Optional[DerivationAlgebra] = None) -> InnerDerivations:
     F = T.field
     n = T.dim
+    # flat[u][v]: D_{u,v} = [e_u, e_v, -] flattened row-major; its column m is t[u][v][m]
+    flat = [[tuple(tuv[m][r] for r in range(n) for m in range(n)) for tuv in tu]
+            for tu in T.triple]
+    flat_nz = [[nonzeros(f) for f in fu] for fu in flat]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    inner = [inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)) for i, j in pairs]
-    span = Subspace.span(F, n * n, [dij.flatten() for dij in inner])
+    span = Subspace.span(F, n * n, [flat[i][j] for i, j in pairs])
     if der is None:
         der = derivation_algebra(T)
+    pair_rows = [_sparse_rows(flat[i][j], n) for i, j in pairs]
     failures = []
     checked = 0
     for d in der.basis:
-        for (i, j), dij in zip(pairs, inner):
+        e = d.entries
+        d_rows = [nonzeros(r) for r in e]
+        for (i, j), dij in zip(pairs, pair_rows):
             checked += 1
-            comm = d.matmul(dij).sub(dij.matmul(d))
-            expect = inner_derivation(T, d.col(i), unit_vec(F, n, j)).add(
-                inner_derivation(T, unit_vec(F, n, i), d.col(j)))
-            if comm != expect or not span.contains(comm.flatten()):
+            comm = _commutator(F, n, d_rows, dij)
+            # [D, D_{i,j}] = D_{De_i, e_j} + D_{e_i, De_j}, expanded bilinearly
+            acc = [0] * (n * n)
+            for u in range(n):
+                for c, terms in ((e[u][i], flat_nz[u][j]), (e[u][j], flat_nz[i][u])):
+                    if c:
+                        for k, x in terms:
+                            acc[k] += c * x
+            if comm != vec_from_sums(F, acc) or not span.contains(comm):
                 failures.append((i, j))
     return InnerDerivations(T, span, IdealClosureCertificate(not failures, checked, tuple(failures)))
 

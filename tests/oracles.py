@@ -274,3 +274,96 @@ def lie_bracket_error(c, p=None):
         if any(scalar(x, p) for x in jacobiator):
             return f"not a Lie algebra: Jacobi fails at ({i}, {j}, {k})"
     return None
+
+
+# ---------------------------------------------------------------------------
+# derivations and inner derivations of a raw triple tensor t[i][j][k][l]
+
+def _triple(t, a, b, c):
+    """[a, b, c] for coordinate vectors a, b, c, from the raw tensor."""
+    n = len(t)
+    out = [Fraction(0)] * n
+    for i, j, k in product(*([r for r in range(n) if v[r]] for v in (a, b, c))):
+        coeff = Fraction(a[i]) * b[j] * c[k]
+        for l in range(n):
+            out[l] += coeff * t[i][j][k][l]
+    return out
+
+
+def _apply(d, v):
+    """The matrix d times the vector v."""
+    return [sum((Fraction(x) * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in d]
+
+
+def derivation_basis(t, p=None):
+    """The reduced basis of the derivations of t, flattened row-major.
+
+    Each column of the system is the defect D[e_i, e_j, e_k] - [De_i, e_j, e_k]
+    - [e_i, De_j, e_k] - [e_i, e_j, De_k] over all (i, j, k) of one matrix
+    unit D = E_uv, since the defect is linear in D."""
+    n = len(t)
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = []
+    for u, v in product(range(n), repeat=2):
+        d = [[int((r, c) == (u, v)) for c in range(n)] for r in range(n)]
+        col = []
+        for i, j, k in product(range(n), repeat=3):
+            lhs = _apply(d, t[i][j][k])
+            terms = (_triple(t, _apply(d, e[i]), e[j], e[k]),
+                     _triple(t, e[i], _apply(d, e[j]), e[k]),
+                     _triple(t, e[i], e[j], _apply(d, e[k])))
+            col += [x - sum(term[l] for term in terms) for l, x in enumerate(lhs)]
+        cols.append(col)
+    rows = [list(r) for r in zip(*cols) if any(r)]
+    return naive_kernel(rows, n * n, p)
+
+
+def coordinates(basis, v, p=None):
+    """Coefficients of v in a reduced basis (its entries at the pivots),
+    after checking that they reproduce v."""
+    pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
+    coords = [v[c] for c in pivots]
+    back = [scalar(sum((x * b[c] for x, b in zip(coords, basis)), Fraction(0)), p)
+            for c in range(len(v))]
+    assert back == [scalar(x, p) for x in v]
+    return coords
+
+
+def derivation_bracket(basis, n, p=None):
+    """The commutator table of the flattened derivations in basis."""
+    mats = [[b[r * n:(r + 1) * n] for r in range(n)] for b in basis]
+    table = []
+    for x in mats:
+        row = []
+        for y in mats:
+            xy, yx = naive_matmul(x, y, n, p), naive_matmul(y, x, n, p)
+            comm = [scalar(a - b, p) for ra, rb in zip(xy, yx) for a, b in zip(ra, rb)]
+            row.append(coordinates(basis, comm, p))
+        table.append(row)
+    return table
+
+
+def inner_derivation_basis(t, p=None):
+    """The reduced basis of span{[e_i, e_j, -] : i < j}, flattened row-major."""
+    n = len(t)
+    flats = [[t[i][j][m][r] for r in range(n) for m in range(n)]
+             for i in range(n) for j in range(i + 1, n)]
+    red, pivots = naive_rref(flats, n * n, p)
+    return red[:len(pivots)]
+
+
+def change_basis(t, seed):
+    """The raw tensor t in the basis f_a = sum_i P[i][a] e_i, for a seeded
+    unimodular integer P = LU (unit triangular L and U, off-diagonal
+    entries in -1..1), so the new constants are integers and mostly nonzero."""
+    import random
+    n = len(t)
+    rng = random.Random(seed)
+    lo = [[int(i == j) if i <= j else rng.choice((-1, 0, 1)) for j in range(n)] for i in range(n)]
+    up = [[int(i == j) if i >= j else rng.choice((-1, 0, 1)) for j in range(n)] for i in range(n)]
+    pm = naive_matmul(lo, up, n)
+    red, _ = naive_rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(pm)], 2 * n)
+    pinv = [row[n:] for row in red]
+    f = [[pm[i][a] for i in range(n)] for a in range(n)]
+    return [[[_apply(pinv, _triple(t, f[a], f[b], f[c])) for c in range(n)]
+             for b in range(n)] for a in range(n)]

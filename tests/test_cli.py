@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -363,6 +364,93 @@ def test_cli_byte_stability(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# SHA-256 of stdout and the exit code, fixed before the derivation system
+# was reworked: the reports must stay byte for byte what they were
+GOLDEN_REPORTS = {
+    ('derive', 'abl(3)', 'Q'): (0, '9d4785188a5ff102c56e8fa346f20de62d983f696a0a004f64373fcc59ca04ab'),
+    ('derive', 'odd2', 'Q'): (0, '6627572203d3c4bf22abb696827b55707ba24e7ad0a260ab570e2d4c17f0820c'),
+    ('derive', 'sl2lts', 'Q'): (0, '2e3667186f6df4300f3cd5ce421d8426f27a62a9cacca22028037938a32aa9f7'),
+    ('inder', 'abl(3)', 'Q'): (0, '7265932ea760564c7e626cc1dc320aa761aa7dad7a3c4e5372c02d7917627305'),
+    ('inder', 'odd2', 'Q'): (0, 'd44d0403223b204dec3969b7ba708ea2830368a01705c81bca4294638cbe7a6c'),
+    ('inder', 'sl2lts', 'Q'): (0, 'abfade8978386d9121917e7ed9f018744f76adf525371edd08a27c87dd421231'),
+    ('univ', 'abl(3)', 'Q'): (0, '2d0342cc2251d37b5b581387ec4b0fe5ac256456b354bdea62929a584770358e'),
+    ('univ', 'odd2', 'Q'): (0, 'c2f12822adeeb40ad1ba6a3b68ef5dc679f02c4101887ed59e7e43df635adbde'),
+    ('univ', 'sl2lts', 'Q'): (0, '560f99bcebdb8e5cfc942f344d34a2dafcc2c4377d9906e8a926f75138556f3a'),
+    ('thm-a', 'heis', 'Q'): (0, 'b1392316a9f00079d019b85074ee176159d48ce111fef396bab6b6320c42bd01'),
+    ('thm-a', 'ab2', 'Q'): (1, '5ff2e5df5f34794bce93938aae48432b8e1b828ec8429b3c57a8383f93cc25c6'),
+    ('thm-a', 'sl2graded', 'Q'): (0, '5a118be0f49d3274a1a9e54c64e06f9e8ef9cdd05212f351311099d4f53c595f'),
+    ('thm-a', 'a_of(sl2lts)', 'Q'): (0, 'f567f7e91407456e6d860e6fc41f555b7e5a9af48b88d2b5b3b8974e5f612ebf'),
+    ('thm-a', 'a_of(abl(2))', 'Q'): (0, 'f1ec7b887bf9607fdb8aa30046b312ec40b4e7ad88bac61126996ee7e5babfa7'),
+    ('derive', 'abl(3)', 'Fp:5'): (0, '743af464be298991bf2ee0a92e1ce50ec9248d9baac8347a46ce2cbab2995e5a'),
+    ('derive', 'odd2', 'Fp:5'): (0, '18eb6899d4b468916e663b0cd0203525b3192d7fef173f9a8fd772fcb54d29f8'),
+    ('derive', 'sl2lts', 'Fp:5'): (0, '9b731152b5ef02d97932a7fabecff1a7aac8c0783df2e29b3dad22bbc3f50fcd'),
+    ('inder', 'abl(3)', 'Fp:5'): (0, 'fdd20c5c040490ebd0c2ee12bb956ffcaf0b4ac5c7df161d18e37cb3700c71b2'),
+    ('inder', 'odd2', 'Fp:5'): (0, '0e68dbda73f1d3b6f8f39a78682eda16d90139262d2d1a49032290e9ee7dca9b'),
+    ('inder', 'sl2lts', 'Fp:5'): (0, 'da2dde82afb2715161e5b244c85e82c294e87c4226192d634a4b3c487010a217'),
+    ('univ', 'abl(3)', 'Fp:5'): (0, '8081d4fc07e0772972b0bfa7a1fa3a2c31bd929124fa17a999f2e8522732858d'),
+    ('univ', 'odd2', 'Fp:5'): (0, 'dac8d499f9b5424565561078f44ff62d594f71626d99fcf7bdea0c94307dabeb'),
+    ('univ', 'sl2lts', 'Fp:5'): (0, '742dc043e44048984526e62cdd818e2e92b3925c8017f1a62ad03f062fbcf60a'),
+    ('thm-a', 'heis', 'Fp:5'): (0, '4203efb43f87f4331397f381747f2bce96743f3c62c3ac97f527143ecce3bc43'),
+    ('thm-a', 'ab2', 'Fp:5'): (1, '109bde0b61d93ea01fe5847495d9122849a0b1e9ffda22b26c41d58c07f9cce4'),
+    ('thm-a', 'sl2graded', 'Fp:5'): (0, '574e0181e0a067542c5d7f8db28a7a92ac70803f61b6808058248722569b749b'),
+    ('thm-a', 'a_of(sl2lts)', 'Fp:5'): (0, 'ad0e3889d38c2fcefe8e7cbfe6c9cae3371fa7bda9be0143010bbe0a620ece55'),
+    ('thm-a', 'a_of(abl(2))', 'Fp:5'): (0, 'a69a28e8fcacb9221509fbe8a64a4c84d7e46ecaf87d9d92f7973078189b3263'),
+    ('derive', 'abl(3)', 'Fp:2'): (0, 'd685a50c6f4eeb50a91bca4a7c238753196d599ba31701276f21bc401ef99113'),
+    ('derive', 'odd2', 'Fp:2'): (0, '6fa5c910ed7ad92798ee2d3f8a80313e64f75410c96fbc2b4a9305fd10911a2b'),
+    ('derive', 'sl2lts', 'Fp:2'): (0, '447a553837d9d1b85754d7a4aefdff65ffec31902d8260e87e93f11f3ae87ae4'),
+    ('inder', 'abl(3)', 'Fp:2'): (0, 'f7b1d5929a7b36265da9b3fb49c42d71f7c691c7a8383802e751659c20d06a4f'),
+    ('inder', 'odd2', 'Fp:2'): (0, 'dbdb1771d0804018e61aabc275e0c5d007036a1c22dbf747e68650c3320f6b68'),
+    ('inder', 'sl2lts', 'Fp:2'): (0, '34e2ba3b3de6257e328b93a1e5b36276e34db56f195f9e937d1d43aa39e599f6'),
+    ('univ', 'abl(3)', 'Fp:2'): (0, 'd79908a211c43204298f4a753125af7761202f920cc786f3e46e63aec35b7da6'),
+    ('univ', 'odd2', 'Fp:2'): (0, '54e51b966ed42eaf34762b6679b68a1d99dc755cd02b9a4626cf50922a54798f'),
+    ('univ', 'sl2lts', 'Fp:2'): (0, '25982f1627e4ebdd6dc65f69115a43b05c8bc724d8e43092dd3bde6b4fedc2b8'),
+    ('thm-a', 'heis', 'Fp:2'): (0, '83f6e0085ea7dc1d1d47e281f6bc8fe3ddc644efcddde4e6d26eabe9437a1f8c'),
+    ('thm-a', 'ab2', 'Fp:2'): (1, '3a35ee0e31e4f8edd1c0b17403c05858a0b3a0e153b9c22fe766d8a1d6ef0e78'),
+    ('thm-a', 'sl2graded', 'Fp:2'): (0, '367834cb7780d9d6eed3116265673e6d923a0996a95e652bbe70c48403887b72'),
+    ('thm-a', 'a_of(sl2lts)', 'Fp:2'): (0, '2b2d9b8fb67f7c47ff8e621d7f67f466048a7353a931cda1f744f8cde63ee7cd'),
+    ('thm-a', 'a_of(abl(2))', 'Fp:2'): (0, '26192872155f81aef680b7ea968b48a1fd03ca8c3dbd242e64b6439289719c2f'),
+}
+
+
+@pytest.mark.parametrize("command, name, field", sorted(GOLDEN_REPORTS), ids=str)
+def test_cli_reports_match_golden_digests(capsys, command, name, field):
+    code = main([command, name, "--field", field])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN_REPORTS[command, name, field]
+
+
+@pytest.mark.parametrize("tag", ["Fp:1_3", "Fp: 5", "Fp:+5", "Fp:\u0665", "Fp:5 ", "fp:5", "Q ", ""])
+def test_field_tag_is_q_or_ascii_digits(capsys, tmp_path, tag):
+    with pytest.raises(ValueError):
+        Field.from_tag(tag)
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "heis", "--field", tag])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    payload = save(heis())
+    payload["field"] = tag
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(payload))
+    _one_error_line(capsys, ["thm-a", str(path)], 2, "error: ")
+
+
+@pytest.mark.parametrize("tag", [5, None, ["Q"]], ids=str)
+def test_non_string_field_tag_is_invalid_input(capsys, tmp_path, tag):
+    payload = save(heis())
+    payload["field"] = tag
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(payload))
+    _one_error_line(capsys, ["thm-a", str(path)], 2, "error: ")
+
+
+@pytest.mark.parametrize("name", ["abl(\u0663)", "abl(+3)", "abl( 3)", "abl(3 )", "abl(3.0)",
+                                  "abl()", "abl", "a_of(abl(+2))", "a_of(abl( 2))"])
+def test_abl_takes_ascii_digits_only(capsys, name):
+    with pytest.raises(KeyError):
+        by_name(name)
+    _one_error_line(capsys, ["univ" if name.startswith("abl") else "thm-a", name], 2, "error: ")
 
 
 def test_cli_out_flag(capsys, tmp_path):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from lietrip import exactlin
 from lietrip.exactlin import (
-    MAX_MODULUS, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis, quotient,
-    rank, rref, solve, solve_with_certificate, unit_vec, vec_is_zero, vec_sub,
+    MAX_MODULUS, SELECT_PRIME, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis,
+    kernel_of_rows, quotient, rank, rref, solve, solve_with_certificate, unit_vec,
+    vec_is_zero, vec_sub,
 )
 
 F2 = Field(2)
@@ -290,3 +292,60 @@ def test_kernels_match_naive_oracle(field, zero_heavy, data):
     assert ker.basis.to_lists() == oracles.naive_kernel(a_raw, k, p)
 
     _assert_field_entries(field, prod.entries + red.entries + ker.basis.entries + (image,))
+
+
+# ---------------------------------------------------------------------------
+# the kernel of sparse rows: deduplication, the mod-p pick and its fallback
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, QQ, F5, F2]), st.booleans(), st.data())
+def test_kernel_of_rows_matches_naive_oracle(field, zero_heavy, data):
+    """Tall, rank-deficient row sets: every row is a combination of a few
+    generators, and some rows reappear scaled, negated or unchanged."""
+    cols = data.draw(st.integers(1, 6))
+    gens = data.draw(_entries(field, data.draw(st.integers(0, cols)), cols, zero_heavy))
+    coeff = st.sampled_from([0, 1, -1, 2, Fraction(1, 3)] if field.p is None else [0, 1, 2, 3])
+    rows = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        c = data.draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+        rows.append([sum((a * g[j] for a, g in zip(c, gens)), 0) for j in range(cols)])
+    for row in list(rows):
+        if data.draw(st.booleans()):
+            scale = data.draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)] if field.p is None
+                                              else [1, 2, 4]))
+            rows.insert(data.draw(st.integers(0, len(rows))), [scale * x for x in row])
+    ker = kernel_of_rows(field, cols, [{c: field.of(x) for c, x in enumerate(row)}
+                                       for row in rows])
+    assert ker.basis.to_lists() == oracles.naive_kernel(rows, cols, field.p)
+    assert ker == kernel_basis(Matrix.make(field, rows, cols=cols))
+
+
+def test_kernel_of_rows_falls_back_when_the_prime_drops_the_rank(monkeypatch):
+    # the rows agree mod SELECT_PRIME, so the pick keeps one of them and
+    # finds the line x + y = 0; the integer check against the second row
+    # fails, and all rows are eliminated exactly
+    calls = []
+
+    def spy(m):
+        calls.append((m.rows, m.cols))
+        return rref(m)
+
+    monkeypatch.setattr(exactlin, "rref", spy)
+    # the copies up to sign and scale are kept once, so two rows are eliminated
+    rows = [[1, 1], [-1, -1], [Fraction(2, 3), Fraction(2, 3)], [1, 1 + SELECT_PRIME]]
+    ker = kernel_of_rows(QQ, 2, [{0: x, 1: y} for x, y in rows])
+    assert ker.basis.to_lists() == oracles.naive_kernel(rows, 2) == []
+    assert calls[:2] == [(1, 2), (2, 2)]
+
+    calls.clear()
+    ker = kernel_of_rows(QQ, 2, [{0: 1, 1: 1}, {0: -2, 1: -2}])
+    assert ker.basis.to_lists() == oracles.naive_kernel([[1, 1], [-2, -2]], 2)
+    assert (2, 2) not in calls
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F2], ids=str)
+def test_kernel_of_rows_stops_at_full_rank(field):
+    rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]]
+    for k in (2, 3, 4, 5):
+        ker = kernel_of_rows(field, 3, [{c: field.of(x) for c, x in enumerate(r)} for r in rows[:k]])
+        assert ker.basis.to_lists() == oracles.naive_kernel(rows[:k], 3, field.p)

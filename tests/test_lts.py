@@ -9,7 +9,7 @@ import oracles
 from lietrip.corpus import abl, heis, odd2, sl2graded, sl2lts
 from lietrip.exactlin import Field, Matrix, QQ, unit_vec
 from lietrip.lts import (
-    LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
+    IdealClosureCertificate, LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
     derivation_algebra, inner_derivation, inner_derivation_algebra,
     is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts, triple_bracket,
 )
@@ -336,3 +336,33 @@ def test_lie_check_matches_ordered_scan_under_mutation(name, field, data):
     if data.draw(st.booleans()) and i != j:
         c[j][i][l] -= delta  # keeps the bracket alternating, so Jacobi decides
     assert _lie_error(field, c) == oracles.lie_bracket_error(c, field.p)
+
+
+# ---------------------------------------------------------------------------
+# derivations and inner derivations against the dense-system oracle
+
+DER_SYSTEMS = {
+    "abl(3)": ORACLE_SYSTEMS["abl(3)"],
+    "odd2": oracles.ODD2_TRIPLE,
+    "sl2lts": oracles.lts_of_bracket(oracles.SL2_BRACKET),
+    "gl(2)": oracles.lts_of_bracket(oracles.gl_bracket(2)),
+    "grass(2,2)": oracles.grass_triple(2, 2),
+}
+for _seed, _name in enumerate(("sl2lts", "gl(2)", "grass(2,2)"), 1):
+    DER_SYSTEMS[f"{_name}@{_seed}"] = oracles.change_basis(DER_SYSTEMS[_name], _seed)
+DER_CASES = [(name, field) for name in DER_SYSTEMS for field in (QQ, Field(5), Field(2))]
+
+
+@pytest.mark.parametrize("name, field", DER_CASES, ids=[f"{n}-{f}" for n, f in DER_CASES])
+def test_derivations_match_dense_oracle(name, field):
+    raw = DER_SYSTEMS[name]
+    n, p = len(raw), field.p
+    T = lie_triple_system(field, raw)
+    der = derivation_algebra(T)
+    want = oracles.derivation_basis(raw, p)
+    assert der.span.basis.to_lists() == want
+    assert [list(m.flatten()) for m in der.basis] == want
+    assert [[list(c) for c in row] for row in der.bracket] == oracles.derivation_bracket(want, n, p)
+    ind = inner_derivation_algebra(T, der)
+    assert ind.span.basis.to_lists() == oracles.inner_derivation_basis(raw, p)
+    assert ind.certificate == IdealClosureCertificate(True, der.dim * n * (n - 1) // 2, ())

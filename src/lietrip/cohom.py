@@ -16,11 +16,11 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Record, Subspace, Vector, kernel_basis, nonzeros, solve, unit_vec,
+    Matrix, Record, Subspace, Vector, kernel_basis, nonzeros, solve, span_of, unit_vec,
     vec_add, vec_from_sums, vec_is_zero, vec_scale, zero_vec,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, center, is_generated_by_odd,
+    GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
     trivial_module,
 )
 from .embed import UniversalCentral0Extension, universal_central_0_extension
@@ -211,7 +211,7 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     slots1, slots2, slots3 = (_graded_slots(L, M, n) for n in (1, 2, 3))
     z2 = kernel_basis(_graded_block(_differential(L, M, 2), slots3, slots2, F))
     d1 = _graded_block(_differential(L, M, 1), slots2, slots1, F)
-    b2 = Subspace.span(F, len(slots2), d1.transpose().entries)
+    b2 = span_of(F, len(slots2), d1.transpose().entries)
     if not z2.contains_subspace(b2):
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
     reps = []
@@ -219,7 +219,7 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     for v in z2.basis.entries:
         if not current.contains(v):
             reps.append(v)
-            current = current.sum(Subspace.span(F, len(slots2), [v]))
+            current = current.sum(span_of(F, len(slots2), [v]))
     rep_cochains = tuple(_cochain_at(L, M, 2, {slot: c for slot, c in zip(slots2, coords) if c})
                          for coords in reps)
     return H2Result(z2.dim - b2.dim, z2.dim, b2.dim, rep_cochains)
@@ -262,26 +262,15 @@ def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> C
     if not coboundary(sigma).is_zero():
         raise ValueError("sigma is not a cocycle")
     m = M.dim
-    dim0 = L.dim0 + m
     total_dim = L.dim + m
-
-    def lift(i: int) -> int:
-        return i if i < L.dim0 else i + m
-
-    tensor = [[list(zero_vec(F, total_dim)) for _ in range(total_dim)] for _ in range(total_dim)]
-    for i in range(L.dim):
-        for j in range(L.dim):
-            target = tensor[lift(i)][lift(j)]
-            for l, x in enumerate(L.bracket[i][j]):
-                target[lift(l)] = x
-            if i != j:
-                sig = sigma.eval_indices((i, j))
-                for r, x in enumerate(sig):
-                    target[L.dim0 + r] = F.add(target[L.dim0 + r], x)
-    total = GradedLieAlgebra(F, dim0, L.dim1,
-                             tuple(tuple(tuple(v) for v in row) for row in tensor))
-    proj_rows = [unit_vec(F, total_dim, lift(i)) for i in range(L.dim)]
-    phi = GradedHom(total, L, Matrix(F, L.dim, total_dim, tuple(proj_rows)))
+    # L's basis, even-first, around the new central block at L.dim0 .. L.dim0 + m - 1
+    lift = list(range(L.dim0)) + [i + m for i in range(L.dim0, L.dim)]
+    total = _assemble(F, L.dim0 + m, L.dim1, (
+        (lift[i], lift[j], [(lift[l], x) for l, x in enumerate(L.bracket[i][j])]
+         + list(enumerate(sigma.value((i, j)), L.dim0)))
+        for i in range(L.dim) for j in range(i + 1, L.dim)))
+    proj_rows = [unit_vec(F, total_dim, lift[i]) for i in range(L.dim)]
+    phi = GradedHom(total, L, Matrix(F, L.dim, total_dim, tuple(proj_rows)), unchecked=True)
     return CentralExtensionProblem.from_hom(phi)
 
 
@@ -321,7 +310,7 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
                     row[l * ker.dim + s] = L.bracket[i][j][l]
                 rows.append(tuple(row))
                 rhs.append(sig_coords[s])
-    system = Matrix.make(F, rows, cols=L.dim0 * ker.dim)
+    system = Matrix(F, len(rows), L.dim0 * ker.dim, tuple(rows))
     sol = solve(system, tuple(rhs))
     if sol is None:
         return None
@@ -334,7 +323,7 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
                 tau_l = vec_add(F, tau_l, vec_scale(F, sol[l * ker.dim + s], ker.basis.entries[s]))
             col = vec_add(F, col, tau_l)
         psi_cols.append(col)
-    psi = GradedHom(L, K, Matrix.from_cols(F, psi_cols, rows=K.dim))
+    psi = GradedHom(L, K, Matrix.from_cols(F, psi_cols, rows=K.dim), unchecked=True)
     if phi.compose(psi).matrix != Matrix.identity(F, L.dim):
         raise RuntimeError("splitting failed to section the extension")
     return psi

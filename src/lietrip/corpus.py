@@ -110,8 +110,8 @@ def lts_by_name(name: str, field: Field = QQ) -> LieTripleSystem:
 
 
 def by_name(name: str, field: Field = QQ):
-    """Resolve a corpus name to a system or algebra."""
-    name = name.strip()
+    """Resolve a corpus name, exactly as listed (no surrounding whitespace),
+    to a system or algebra."""
     m = _A_OF_RE.fullmatch(name)
     if m:
         from .embed import universal_imbedding

@@ -20,11 +20,11 @@ from typing import Optional
 
 from .exactlin import (
     Field, Matrix, QuotientSpace, Record, Subspace, Vector, kernel_basis,
-    mat_from_flat, nonzeros, quotient, rank, unit_vec, vec_add, vec_from_sums,
+    mat_from_flat, nonzeros, quotient, rank, span_of, unit_vec, vec_add, vec_from_sums,
     vec_is_zero, vec_scale, zero_vec,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, center, is_generated_by_odd,
+    GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
 )
 from .lts import (
     DerivationAlgebra, InnerDerivations, LieTripleSystem, LtsHom,
@@ -102,25 +102,13 @@ def standard_imbedding(T: LieTripleSystem,
             raise RuntimeError("inner derivations are not closed as expected")
         return coords
 
-    tensor = [[list(zero_vec(F, total)) for _ in range(total)] for _ in range(total)]
-    for a in range(r):
-        for b in range(r):
-            comm = xs[a].matmul(xs[b]).sub(xs[b].matmul(xs[a]))
-            for s, x in enumerate(inder_coords(comm)):
-                tensor[a][b][s] = x
-    for a in range(r):
-        for i in range(n):
-            col = xs[a].col(i)
-            for l, x in enumerate(col):
-                tensor[a][r + i][r + l] = x
-                tensor[r + i][a][r + l] = F.neg(x)
-    for i in range(n):
-        for j in range(n):
-            d = inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j))
-            for s, x in enumerate(inder_coords(d)):
-                tensor[r + i][r + j][s] = x
-    algebra = GradedLieAlgebra(F, r, n,
-                               tuple(tuple(tuple(v) for v in row) for row in tensor))
+    pairs = [(a, b, enumerate(inder_coords(xs[a].matmul(xs[b]).sub(xs[b].matmul(xs[a])))))
+             for a in range(r) for b in range(a + 1, r)]
+    pairs += [(a, r + i, enumerate(xs[a].col(i), r)) for a in range(r) for i in range(n)]
+    pairs += [(r + i, r + j, enumerate(inder_coords(
+                  inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)))))
+              for i in range(n) for j in range(i + 1, n)]
+    algebra = _assemble(F, r, n, pairs)
     inclusion = Matrix.from_cols(F, [unit_vec(F, total, r + i) for i in range(n)], rows=total)
     return StandardImbedding(T, algebra, inclusion, inder)
 
@@ -140,7 +128,8 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
     F = T.field
     n = T.dim
     der = derivation_algebra(T)
-    der_algebra = GradedLieAlgebra(F, der.dim, 0, der.bracket)
+    der_algebra = _assemble(F, der.dim, 0, (
+        (a, b, enumerate(der.bracket[a][b])) for a in range(der.dim) for b in range(a + 1, der.dim)))
     actions = tuple(wedge_action(x) for x in der.basis)
     module = GradedModule(der_algebra, wedge_dim(n), 0, actions, unchecked=True)
     lam_cols = []
@@ -189,26 +178,25 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     for u in range(mdim):
         for v in range(u + 1, mdim):
             gens.append(vec_add(F, acts[u].col(v), acts[v].col(u)))
-    a_sub = Subspace.span(F, mdim, gens)
+    a_sub = span_of(F, mdim, gens)
 
     ker = kernel_basis(lam)
     if not ker.contains_subspace(a_sub):
         raise RuntimeError("A(M) escaped the kernel of lam")
     imker = [acts[u].matvec(k) for u in range(mdim) for k in ker.basis.entries]
-    if not a_sub.contains_subspace(Subspace.span(F, mdim, imker)):
+    if not a_sub.contains_subspace(span_of(F, mdim, imker)):
         raise RuntimeError("Im(lam).Ker(lam) escaped A(M)")
 
     q = quotient(mdim, a_sub)
     mu = lam.matmul(q.section)
     qdim = q.dim
-    tensor = []
+    sec_cols = [q.section.col(t) for t in range(qdim)]
+    pairs = []
     for s in range(qdim):
         acting = module.act(mu.col(s))
-        row = []
-        for t in range(qdim):
-            row.append(q.projection.matvec(acting.matvec(q.section.col(t))))
-        tensor.append(tuple(row))
-    algebra = GradedLieAlgebra(F, qdim, 0, tuple(tensor))
+        pairs += [(s, t, enumerate(q.projection.matvec(acting.matvec(sec_cols[t]))))
+                  for t in range(s + 1, qdim)]
+    algebra = _assemble(F, qdim, 0, pairs)
     if not center(algebra).contains_subspace(kernel_basis(mu)):
         raise RuntimeError("kernel of mu is not central in the quotient")
     return ModuleQuotient(a_sub, q, algebra, mu)
@@ -267,29 +255,11 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
     total = q + n
     mats = [mat_from_flat(F, pa.mu_end.col(s), n, n) for s in range(q)]
 
-    tensor = [[list(zero_vec(F, total)) for _ in range(total)] for _ in range(total)]
-    for s in range(q):
-        for t in range(q):
-            for l, x in enumerate(pa.algebra.bracket[s][t]):
-                tensor[s][t][l] = x
-    for s in range(q):
-        for a in range(n):
-            col = mats[s].col(a)
-            for l, x in enumerate(col):
-                tensor[s][q + a][q + l] = x
-                tensor[q + a][s][q + l] = F.neg(x)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if a < b:
-                col = pa.projection.col(wedge_index(a, b, n))
-            else:
-                col = vec_scale(F, F.neg(F.one()), pa.projection.col(wedge_index(b, a, n)))
-            for s, x in enumerate(col):
-                tensor[q + a][q + b][s] = x
-    algebra = GradedLieAlgebra(F, q, n,
-                               tuple(tuple(tuple(v) for v in row) for row in tensor))
+    pairs = [(s, t, enumerate(pa.algebra.bracket[s][t])) for s in range(q) for t in range(s + 1, q)]
+    pairs += [(s, q + a, enumerate(mats[s].col(a), q)) for s in range(q) for a in range(n)]
+    pairs += [(q + a, q + b, enumerate(pa.projection.col(wedge_index(a, b, n))))
+              for a, b in wedge_pairs(n)]
+    algebra = _assemble(F, q, n, pairs)
 
     ste = standard_imbedding(T, pa.wedge.der)
     r = ste.inder.dim
@@ -301,7 +271,7 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
         ucols.append(coords + zero_vec(F, n))
     for a in range(n):
         ucols.append(unit_vec(F, r + n, r + a))
-    upsilon = GradedHom(algebra, ste.algebra, Matrix.from_cols(F, ucols, rows=r + n))
+    upsilon = GradedHom(algebra, ste.algebra, Matrix.from_cols(F, ucols, rows=r + n), unchecked=True)
     iota = Matrix.from_cols(F, [unit_vec(F, total, q + a) for a in range(n)], rows=total)
     return UniversalImbedding(T, algebra, iota, upsilon, pa.projection, pa, ste)
 
@@ -350,26 +320,13 @@ def graded_algebra_from_pairing(L: GradedLieAlgebra, module: GradedModule,
                 if not vec_is_zero(F, acc):
                     raise ValueError(f"pairing violates the cyclic relation at ({u}, {v}, {k})")
 
-    total = L.dim + mdim
-    tensor = [[list(zero_vec(F, total)) for _ in range(total)] for _ in range(total)]
-    for i in range(L.dim):
-        for j in range(L.dim):
-            for l, x in enumerate(L.bracket[i][j]):
-                tensor[i][j][l] = x
-        act = module.action[i]
-        for u in range(mdim):
-            for l, x in enumerate(act.col(u)):
-                tensor[i][L.dim + u][L.dim + l] = x
-                tensor[L.dim + u][i][L.dim + l] = F.neg(x)
-    for u in range(mdim):
-        eu = unit_vec(F, mdim, u)
-        for v in range(mdim):
-            if u == v:
-                continue
-            for l, x in enumerate(pair_of(eu, unit_vec(F, mdim, v))):
-                tensor[L.dim + u][L.dim + v][l] = x
-    return GradedLieAlgebra(F, L.dim, mdim,
-                            tuple(tuple(tuple(v) for v in row) for row in tensor))
+    d = L.dim
+    pairs = [(i, j, enumerate(L.bracket[i][j])) for i in range(d) for j in range(i + 1, d)]
+    pairs += [(i, d + u, enumerate(module.action[i].col(u), d))
+              for i in range(d) for u in range(mdim)]
+    pairs += [(d + u, d + v, enumerate(pairing.col(wedge_index(u, v, mdim))))
+              for u, v in wedge_pairs(mdim)]
+    return _assemble(F, d, mdim, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +342,18 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     each pair-algebra basis vector; well-definedness (the radical A(T^T)
     must map to zero) is re-verified at runtime.
     """
-    F = L.field
-    n = T.dim
-    if alpha.rows != L.dim1 or alpha.cols != n:
+    if alpha.rows != L.dim1 or alpha.cols != T.dim:
         raise ValueError("alpha must be an L.dim1 x dim(T) matrix")
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
         raise ValueError("alpha is not a homomorphism into the odd part of L")
-    env = envelope if envelope is not None else universal_imbedding(T)
+    return _extension(T, L, alpha, envelope if envelope is not None else universal_imbedding(T))
+
+
+def _extension(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
+               env: UniversalImbedding) -> GradedHom:
+    """extend_hom once alpha is known to be a hom T -> L_1."""
+    F = L.field
+    n = T.dim
     alpha_cols = [zero_vec(F, L.dim0) + alpha.col(j) for j in range(n)]
     zeta_cols = [L.bracket_vec(alpha_cols[i], alpha_cols[j]) for i, j in wedge_pairs(n)]
     zeta = Matrix.from_cols(F, zeta_cols, rows=L.dim)
@@ -400,7 +362,7 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
             raise RuntimeError("extension ill-defined: the radical does not map to zero")
     cols = [zeta.matvec(env.pair.section.col(s)) for s in range(env.algebra.dim0)]
     cols += alpha_cols
-    return GradedHom(env.algebra, L, Matrix.from_cols(F, cols, rows=L.dim))
+    return GradedHom(env.algebra, L, Matrix.from_cols(F, cols, rows=L.dim), unchecked=True)
 
 
 def imbedding_functor_hom(alpha: LtsHom,
@@ -429,7 +391,7 @@ def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exten
     F = L.field
     T = odd_part_lts(L)
     env = universal_imbedding(T)
-    hom = extend_hom(T, L, Matrix.identity(F, L.dim1), envelope=env)
+    hom = _extension(T, L, Matrix.identity(F, L.dim1), env)
     if rank(hom.matrix) != L.dim:
         raise RuntimeError("extension of the identity failed to be surjective")
     ker = kernel_basis(hom.matrix)

@@ -492,18 +492,16 @@ class Subspace(Record):
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        m = Matrix.make(field, list(vectors), cols=ambient_dim)
-        red, pivots = rref(m)
-        rows = red.entries[: len(pivots)]
-        return cls(field, ambient_dim, Matrix(field, len(rows), ambient_dim, rows), pivots)
+        """The span of vectors given as ints, Fractions or strings."""
+        return span_of(field, ambient_dim, Matrix.make(field, list(vectors), cols=ambient_dim).entries)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls.span(field, ambient_dim, [])
+        return span_of(field, ambient_dim, ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls.span(field, ambient_dim, [unit_vec(field, ambient_dim, i) for i in range(ambient_dim)])
+        return span_of(field, ambient_dim, [unit_vec(field, ambient_dim, i) for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -536,8 +534,7 @@ class Subspace(Record):
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._compatible(other)
-        return Subspace.span(self.field, self.ambient_dim,
-                             list(self.basis.entries) + list(other.basis.entries))
+        return span_of(self.field, self.ambient_dim, self.basis.entries + other.basis.entries)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel method: x = u*A = w*B forces (u, w) into a kernel."""
@@ -552,11 +549,21 @@ class Subspace(Record):
             for c, row in zip(coeffs[: self.dim], self.basis.entries):
                 x = vec_add(self.field, x, vec_scale(self.field, c, row))
             vecs.append(x)
-        return Subspace.span(self.field, self.ambient_dim, vecs)
+        return span_of(self.field, self.ambient_dim, vecs)
 
     def _compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspace field/ambient mismatch")
+
+
+def span_of(field: Field, ambient_dim: int, vectors: Sequence[Vector]) -> Subspace:
+    """The span of vectors whose entries are already the field's scalars,
+    each of length ambient_dim: :meth:`Subspace.span` without coercing
+    every entry, for the vectors the library computes itself."""
+    rows = tuple(vectors)
+    red, pivots = rref(Matrix(field, len(rows), ambient_dim, rows))
+    basis = red.entries[: len(pivots)]
+    return Subspace(field, ambient_dim, Matrix(field, len(basis), ambient_dim, basis), pivots)
 
 
 def _null_vectors(m: Matrix) -> list:
@@ -579,7 +586,7 @@ def _null_vectors(m: Matrix) -> list:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """The solution space of m*x = 0, dim = cols - rank."""
-    return Subspace.span(m.field, m.cols, _null_vectors(m))
+    return span_of(m.field, m.cols, _null_vectors(m))
 
 
 # Over Q, kernel_of_rows picks its rows by their rank profile modulo this
@@ -608,7 +615,7 @@ def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
     vecs = _null_vectors(_sparse_matrix(field, ncols, [distinct[i] for i in picked]))
     if p is None and not _annihilates(distinct, vecs):
         vecs = _null_vectors(_sparse_matrix(field, ncols, distinct))
-    return Subspace.span(field, ncols, vecs)
+    return span_of(field, ncols, vecs)
 
 
 def _distinct_rows(p: Optional[int], rows: Iterable) -> list:

@@ -12,7 +12,8 @@ from typing import Sequence
 
 from .exactlin import (
     Field, Matrix, Record, Subspace, Vector, kernel_basis, quotient, rank, solve,
-    linear_combination, nonzeros, unit_vec, vec_add, vec_is_zero, zero_vec,
+    linear_combination, nonzeros, span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero,
+    vec_scale, zero_vec,
 )
 from .lts import LtsHom, odd_part_lts
 
@@ -70,12 +71,12 @@ class GradedLieAlgebra(Record):
                                 rows=self.dim)
 
     def even_subspace(self) -> Subspace:
-        return Subspace.span(self.field, self.dim,
-                             [unit_vec(self.field, self.dim, i) for i in range(self.dim0)])
+        return span_of(self.field, self.dim,
+                       [unit_vec(self.field, self.dim, i) for i in range(self.dim0)])
 
     def odd_subspace(self) -> Subspace:
-        return Subspace.span(self.field, self.dim,
-                             [unit_vec(self.field, self.dim, self.dim0 + a) for a in range(self.dim1)])
+        return span_of(self.field, self.dim,
+                       [unit_vec(self.field, self.dim, self.dim0 + a) for a in range(self.dim1)])
 
 
 def graded_lie(field: Field, dim0: int, dim1: int, entries: Sequence, *,
@@ -89,6 +90,32 @@ def abelian_algebra(field: Field, dim0: int, dim1: int) -> GradedLieAlgebra:
     n = dim0 + dim1
     z = zero_vec(field, n)
     return GradedLieAlgebra(field, dim0, dim1, tuple(tuple(z for _ in range(n)) for _ in range(n)),
+                            unchecked=True)
+
+
+def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
+    """The trusted constructor of every algebra the library derives from
+    validated input; it checks nothing.
+
+    ``pairs`` yields (i, j, terms), each unordered pair {i, j} at most once
+    and never i = j, where terms are the (l, x) with [e_i, e_j] = sum x e_l,
+    x already a scalar of the field (zeros may be left out).  [e_j, e_i] is
+    filled in as the negative, and every other bracket is zero.  Each caller's
+    construction is a graded Lie algebra by theorem when its inputs are
+    valid; tests/test_trusted.py asserts that with check_graded_lie.
+    """
+    n = dim0 + dim1
+    z = zero_vec(field, n)
+    minus_one = field.neg(field.one())
+    bracket = [[z] * n for _ in range(n)]
+    for i, j, terms in pairs:
+        v = list(z)
+        for l, x in terms:
+            if x:
+                v[l] = x
+        bracket[i][j] = tuple(v)
+        bracket[j][i] = vec_scale(field, minus_one, v)
+    return GradedLieAlgebra(field, dim0, dim1, tuple(tuple(row) for row in bracket),
                             unchecked=True)
 
 
@@ -112,12 +139,16 @@ def check_graded_lie(L: GradedLieAlgebra) -> GradedCheckReport:
             for k in range(n):
                 if L.degree(k) != g and not F.is_zero(c[i][j][k]):
                     bad.append(("grading", (i, j, k), (c[i][j][k],)))
+    nz = [[nonzeros(v) for v in row] for row in c]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = linear_combination(F, n, (
-                    (wm, c[m][e]) for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j))
-                    for m, wm in enumerate(c[a][b]) if wm))
+                acc = [0] * n
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, wm in nz[a][b]:
+                        for l, x in nz[m][e]:
+                            acc[l] += wm * x
+                acc = vec_from_sums(F, acc)
                 if not vec_is_zero(F, acc):
                     bad.append(("jacobi", (i, j, k), acc))
     return GradedCheckReport(not bad, tuple(bad))
@@ -257,7 +288,7 @@ def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
         for i in range(len(base)):
             for j in range(i + 1, len(base)):
                 vecs.append(L.bracket_vec(base[i], base[j]))
-        grown = Subspace.span(L.field, L.dim, vecs)
+        grown = span_of(L.field, L.dim, vecs)
         if grown.dim == current.dim:
             return grown
         current = grown
@@ -267,7 +298,7 @@ def odd_bracket_span(L: GradedLieAlgebra) -> Subspace:
     """[L_1, L_1] as a subspace of the ambient space."""
     vecs = [L.bracket[i][j]
             for i in range(L.dim0, L.dim) for j in range(i + 1, L.dim)]
-    return Subspace.span(L.field, L.dim, vecs)
+    return span_of(L.field, L.dim, vecs)
 
 
 def is_generated_by_odd(L: GradedLieAlgebra) -> bool:
@@ -284,39 +315,22 @@ def center(L: GradedLieAlgebra) -> Subspace:
     """{z : [z, e_j] = 0 for all j}, the kernel of the stacked ad matrices."""
     F = L.field
     n = L.dim
-    rows = []
-    for j in range(n):
-        for l in range(n):
-            rows.append(tuple(L.bracket[i][j][l] for i in range(n)))
-    return kernel_basis(Matrix.make(F, rows, cols=n))
+    rows = tuple(tuple(L.bracket[i][j][l] for i in range(n)) for j in range(n) for l in range(n))
+    return kernel_basis(Matrix(F, n * n, n, rows))
 
 
 def direct_sum(K: GradedLieAlgebra, U: GradedLieAlgebra) -> GradedLieAlgebra:
     """Componentwise bracket; (K + U)_i = K_i + U_i with even-first reindexing."""
     if K.field != U.field:
         raise ValueError("field mismatch")
-    F = K.field
     dim0, dim1 = K.dim0 + U.dim0, K.dim1 + U.dim1
-    n = dim0 + dim1
-
-    def k_index(i: int) -> int:
-        return i if i < K.dim0 else dim0 + (i - K.dim0)
-
-    def u_index(j: int) -> int:
-        return K.dim0 + j if j < U.dim0 else dim0 + K.dim1 + (j - U.dim0)
-
-    tensor = [[list(zero_vec(F, n)) for _ in range(n)] for _ in range(n)]
-    for i in range(K.dim):
-        for j in range(K.dim):
-            for l, x in enumerate(K.bracket[i][j]):
-                tensor[k_index(i)][k_index(j)][k_index(l)] = x
-    for i in range(U.dim):
-        for j in range(U.dim):
-            for l, x in enumerate(U.bracket[i][j]):
-                tensor[u_index(i)][u_index(j)][u_index(l)] = x
-    return GradedLieAlgebra(F, dim0, dim1,
-                            tuple(tuple(tuple(v) for v in row) for row in tensor),
-                            unchecked=True)
+    # each summand's basis, even-first, at its place in the even-first sum
+    k_index = list(range(K.dim0)) + [dim0 + a for a in range(K.dim1)]
+    u_index = [K.dim0 + j for j in range(U.dim0)] + [dim0 + K.dim1 + b for b in range(U.dim1)]
+    return _assemble(K.field, dim0, dim1, (
+        (index[i], index[j], ((index[l], x) for l, x in enumerate(A.bracket[i][j])))
+        for A, index in ((K, k_index), (U, u_index))
+        for i in range(A.dim) for j in range(i + 1, A.dim)))
 
 
 def _coords_in_rows(field: Field, basis_rows: Sequence[Vector], v: Vector) -> Vector:
@@ -341,8 +355,8 @@ def graded_pullback(phi: GradedHom, ups: GradedHom):
     ndim = K.dim + U.dim
     even_idx = list(range(K.dim0)) + [K.dim + j for j in range(U.dim0)]
     odd_idx = [K.dim0 + a for a in range(K.dim1)] + [K.dim + U.dim0 + b for b in range(U.dim1)]
-    even_amb = Subspace.span(F, ndim, [unit_vec(F, ndim, i) for i in even_idx])
-    odd_amb = Subspace.span(F, ndim, [unit_vec(F, ndim, i) for i in odd_idx])
+    even_amb = span_of(F, ndim, [unit_vec(F, ndim, i) for i in even_idx])
+    odd_amb = span_of(F, ndim, [unit_vec(F, ndim, i) for i in odd_idx])
     even_part = sols.intersect(even_amb)
     odd_part = sols.intersect(odd_amb)
     if even_part.dim + odd_part.dim != sols.dim:
@@ -355,15 +369,13 @@ def graded_pullback(phi: GradedHom, ups: GradedHom):
         return K.bracket_vec(kv, kw) + U.bracket_vec(uv, uw)
 
     dim_a = len(basis)
-    tensor = []
-    for s in range(dim_a):
-        row = []
-        for t in range(dim_a):
-            row.append(_coords_in_rows(F, basis, bracket_pair(basis[s], basis[t])))
-        tensor.append(tuple(row))
-    A = GradedLieAlgebra(F, even_part.dim, odd_part.dim, tuple(tensor))
-    pk = GradedHom(A, K, Matrix.from_cols(F, [v[:K.dim] for v in basis], rows=K.dim))
-    pu = GradedHom(A, U, Matrix.from_cols(F, [v[K.dim:] for v in basis], rows=U.dim))
+    A = _assemble(F, even_part.dim, odd_part.dim, (
+        (s, t, enumerate(_coords_in_rows(F, basis, bracket_pair(basis[s], basis[t]))))
+        for s in range(dim_a) for t in range(s + 1, dim_a)))
+    pk = GradedHom(A, K, Matrix.from_cols(F, [v[:K.dim] for v in basis], rows=K.dim),
+                   unchecked=True)
+    pu = GradedHom(A, U, Matrix.from_cols(F, [v[K.dim:] for v in basis], rows=U.dim),
+                   unchecked=True)
     return A, pk, pu
 
 
@@ -382,15 +394,10 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
     # pivots of the ideal sit in even columns, so the free columns stay ordered
     # even-then-odd and the quotient inherits dims (dim0 - dim I, dim1).
     sec_cols = [q.section.col(j) for j in range(q.dim)]
-    tensor = []
-    for s in range(q.dim):
-        row = []
-        for t in range(q.dim):
-            row.append(q.projection.matvec(L.bracket_vec(sec_cols[s], sec_cols[t])))
-        tensor.append(tuple(row))
-    Q = GradedLieAlgebra(F, new_dim0, L.dim1, tuple(tensor))
-    proj = GradedHom(L, Q, q.projection)
-    return Q, proj
+    Q = _assemble(F, new_dim0, L.dim1, (
+        (s, t, enumerate(q.projection.matvec(L.bracket_vec(sec_cols[s], sec_cols[t]))))
+        for s in range(q.dim) for t in range(s + 1, q.dim)))
+    return Q, GradedHom(L, Q, q.projection, unchecked=True)
 
 
 def restrict_hom_to_odd(phi: GradedHom) -> LtsHom:
@@ -399,5 +406,5 @@ def restrict_hom_to_odd(phi: GradedHom) -> LtsHom:
     src, tgt = phi.source, phi.target
     block = tuple(tuple(phi.matrix.entries[tgt.dim0 + r][src.dim0 + c] for c in range(src.dim1))
                   for r in range(tgt.dim1))
-    return LtsHom(odd_part_lts(src), odd_part_lts(tgt),
-                  Matrix(F, tgt.dim1, src.dim1, block))
+    return LtsHom(odd_part_lts(src), odd_part_lts(tgt), Matrix(F, tgt.dim1, src.dim1, block),
+                  unchecked=True)

@@ -11,7 +11,9 @@ which suffices by multilinearity:
 
 Constructors run the checker and refuse invalid tensors unless an
 explicit ``unchecked`` flag is passed (needed to store intentionally
-broken systems for negative tests).
+broken systems for negative tests).  Systems derived from validated input
+(``lts_of_lie``, ``odd_part_lts``) are built by ``_assemble_lts``, which
+checks nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, Record, Subspace, Vector, kernel_of_rows, linear_combination,
-    mat_from_flat, nonzeros, unit_vec, vec_add, vec_from_sums, vec_is_zero,
+    mat_from_flat, nonzeros, span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero,
+    vec_scale, zero_vec,
 )
 
 
@@ -339,7 +342,7 @@ def inner_derivation_algebra(T: LieTripleSystem, der: Optional[DerivationAlgebra
             for tu in T.triple]
     flat_nz = [[nonzeros(f) for f in fu] for fu in flat]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    span = Subspace.span(F, n * n, [flat[i][j] for i, j in pairs])
+    span = span_of(F, n * n, [flat[i][j] for i, j in pairs])
     if der is None:
         der = derivation_algebra(T)
     pair_rows = [_sparse_rows(flat[i][j], n) for i, j in pairs]
@@ -363,50 +366,55 @@ def inner_derivation_algebra(T: LieTripleSystem, der: Optional[DerivationAlgebra
     return InnerDerivations(T, span, IdealClosureCertificate(not failures, checked, tuple(failures)))
 
 
-def _check_lie_tensor(field: Field, bracket: tuple) -> None:
-    """Raise unless the n x n x n tensor defines a Lie algebra.
+def _assemble_lts(field: Field, n: int, rows) -> LieTripleSystem:
+    """The trusted constructor of the systems derived from validated input;
+    it checks nothing.
 
-    Pairs and triples are scanned in lexicographic order, but only the
-    sorted ones: the pair (i, j) is the same test as (j, i), and once the
-    bracket is alternating on the basis the Jacobiator is alternating in
-    any characteristic, so the first failing triple is a sorted one.
+    ``rows`` yields (i, j, row) for each i < j, row[k] the coordinates of
+    [e_i, e_j, e_k]; [e_j, e_i, -] is filled in as the negative and
+    [e_i, e_i, -] as zero.  The callers' constructions are triple systems by
+    theorem; tests/test_trusted.py asserts that with check_lts_axioms.
     """
-    F = field
-    n = len(bracket)
-    for i in range(n):
-        if not vec_is_zero(F, bracket[i][i]):
-            raise ValueError(f"not a Lie algebra: [e_{i}, e_{i}] != 0")
-        for j in range(i + 1, n):
-            if not vec_is_zero(F, vec_add(F, bracket[i][j], bracket[j][i])):
-                raise ValueError(f"not a Lie algebra: antisymmetry fails at ({i}, {j})")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = linear_combination(F, n, (
-                    (wm, bracket[m][c]) for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j))
-                    for m, wm in enumerate(bracket[a][b]) if wm))
-                if not vec_is_zero(F, acc):
-                    raise ValueError(f"not a Lie algebra: Jacobi fails at ({i}, {j}, {k})")
+    z = zero_vec(field, n)
+    zero_row = (z,) * n
+    minus_one = field.neg(field.one())
+    t = [[zero_row] * n for _ in range(n)]
+    for i, j, row in rows:
+        t[i][j] = tuple(row)
+        t[j][i] = tuple(vec_scale(field, minus_one, v) for v in row)
+    return LieTripleSystem(field, n, tuple(tuple(ti) for ti in t), unchecked=True)
+
+
+_LIE_FAILURES = {"alternating": "[e_{0}, e_{0}] != 0",
+                 "antisymmetry": "antisymmetry fails at ({0}, {1})",
+                 "jacobi": "Jacobi fails at ({0}, {1}, {2})"}
 
 
 def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     """The full algebra as a triple system under [a,b,c] = [[a,b],c].
 
     Accepts a graded Lie algebra (grading ignored) or a raw n x n x n
-    bracket tensor together with its field.
+    bracket tensor together with its field.  Either is checked as a purely
+    even algebra, and the first failure is the error's message.
     """
+    from .grlie import GradedLieAlgebra, GradedLieError
     if field is None:
         field = algebra.field
         bracket = algebra.bracket
     else:
         bracket = tuple(tuple(tuple(field.of(x) for x in v) for v in row) for row in algebra)
-    _check_lie_tensor(field, bracket)
     F = field
     n = len(bracket)
-    tensor = tuple(tuple(tuple(
-        linear_combination(F, n, ((cm, bracket[m][k]) for m, cm in enumerate(bracket[i][j]) if cm))
-        for k in range(n)) for j in range(n)) for i in range(n))
-    return LieTripleSystem(F, n, tensor)
+    try:
+        GradedLieAlgebra(F, n, 0, bracket)
+    except GradedLieError as exc:
+        family, indices, _ = exc.report.violations[0]
+        raise ValueError("not a Lie algebra: " + _LIE_FAILURES[family].format(*indices)) from None
+    return _assemble_lts(F, n, (
+        (i, j, tuple(
+            linear_combination(F, n, ((cm, bracket[m][k]) for m, cm in enumerate(bracket[i][j]) if cm))
+            for k in range(n)))
+        for i in range(n) for j in range(i + 1, n)))
 
 
 def odd_part_lts(L) -> LieTripleSystem:
@@ -415,18 +423,16 @@ def odd_part_lts(L) -> LieTripleSystem:
     F = L.field
     n0, n1 = L.dim0, L.dim1
     n = n0 + n1
-    tensor = []
-    for a in range(n1):
-        ta = []
-        for b in range(n1):
-            tab = []
-            for c in range(n1):
-                acc = linear_combination(F, n, (
-                    (wm, L.bracket[m][n0 + c])
-                    for m, wm in enumerate(L.bracket[n0 + a][n0 + b]) if wm))
-                if any(acc[:n0]):
-                    raise ValueError("grading violated: [[odd,odd],odd] left the odd part")
-                tab.append(acc[n0:])
-            ta.append(tuple(tab))
-        tensor.append(tuple(ta))
-    return LieTripleSystem(F, n1, tuple(tensor))
+
+    def row(a: int, b: int) -> tuple:
+        out = []
+        for c in range(n1):
+            acc = linear_combination(F, n, (
+                (wm, L.bracket[m][n0 + c])
+                for m, wm in enumerate(L.bracket[n0 + a][n0 + b]) if wm))
+            if any(acc[:n0]):
+                raise ValueError("grading violated: [[odd,odd],odd] left the odd part")
+            out.append(acc[n0:])
+        return tuple(out)
+
+    return _assemble_lts(F, n1, ((a, b, row(a, b)) for a in range(n1) for b in range(a + 1, n1)))

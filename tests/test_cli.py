@@ -315,6 +315,33 @@ def test_cli_h2_unchecked_stray_bracket(capsys, tmp_path):
     assert line == "error: cochain is not graded"
 
 
+# Objects derived from a file are built without re-checking them, so an
+# --unchecked input that breaks an axiom can now reach an answer (exit 0) or
+# a library self-check (exit 3) where the re-check used to refuse it (exit 2,
+# or exit 3 for ste and univ); the exit-code contract holds either way.
+@pytest.mark.parametrize("command, name, where, value, code", [
+    ("ste", "odd2", [0, 0, 1, 0], "-1", 0),         # was exit 3
+    ("univ", "odd2", [0, 0, 1, 0], "-1", 0),        # was exit 3
+    ("thm-a", "heis", [2, 0, 0], "2", 0),           # was exit 2
+    ("u0ext", "heis", [2, 0, 0], "2", 0),           # was exit 2
+    ("u0ext", "sl2graded", [0, 1, 1], "1", 3),      # was exit 2
+])
+def test_unchecked_outcomes_keep_the_exit_contract(capsys, tmp_path, command, name, where,
+                                                   value, code):
+    payload = save(by_name(name))
+    node = payload["entries"]
+    for i in where[:-1]:
+        node = node[i]
+    node[where[-1]] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(payload))
+    _one_error_line(capsys, [command, str(path)], 2, "error: ")
+    if code == 0:
+        assert run_cli(capsys, command, str(path), "--unchecked")[::2] == (0, "")
+    else:
+        _one_error_line(capsys, [command, str(path), "--unchecked"], 3, f"internal error: {command}: ")
+
+
 def _ladder_payloads(field):
     """Every kind of payload save writes, for the ladder's objects."""
     systems = [abl(3, field), odd2(field), sl2lts(field),
@@ -451,6 +478,15 @@ def test_abl_takes_ascii_digits_only(capsys, name):
     with pytest.raises(KeyError):
         by_name(name)
     _one_error_line(capsys, ["univ" if name.startswith("abl") else "thm-a", name], 2, "error: ")
+
+
+@pytest.mark.parametrize("command, name", [("derive", " abl(2) "), ("thm-a", "heis "),
+                                           ("thm-a", "\tab2"), ("thm-a", "a_of( odd2)")])
+def test_corpus_name_with_whitespace_is_invalid_input(capsys, command, name):
+    with pytest.raises(KeyError):
+        by_name(name)
+    line = _one_error_line(capsys, [command, name], 2, "error: ")
+    assert line == f"error: {name}: not a readable file and not a corpus name"
 
 
 def test_cli_out_flag(capsys, tmp_path):

@@ -1,0 +1,291 @@
+"""The invariants of everything the library builds itself, and where it
+may skip validation.
+
+Objects derived from validated input go through the trusted assemblers
+(``grlie._assemble``, ``lts._assemble_lts``) and a few constructors called
+with ``unchecked=True``; none of them re-runs an axiom, Jacobi or hom-law
+scan.  Each construction is valid by theorem, and this module asserts it
+with the library's own checkers on the ladder plus gl(3), grass(2,3) and
+abl(5), over Q, F_5 and F_2.  The last test pins every call site of those
+trusted paths, and of the validating constructors, in ``src/lietrip``.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import oracles
+from lietrip.cohom import (
+    cocycle_extension, coboundary, envelope_criterion, graded_cochain_basis, h2_graded,
+    split_central_0_extension, zero_cochain,
+)
+from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
+from lietrip.embed import universal_imbedding
+from lietrip.exactlin import Field, Matrix, QQ, Subspace
+from lietrip.grlie import (
+    GradedHom, GradedLieAlgebra, GradedLieError, GradedModule, adjoint_module, center,
+    central_quotient, check_graded_lie, direct_sum, graded_lie, graded_pullback,
+    identity_hom, is_graded_hom, restrict_hom_to_odd, trivial_module,
+)
+from lietrip.lts import (
+    LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms, identity_lts_hom, is_lts_hom,
+    lie_triple_system, lts_of_lie, odd_part_lts,
+)
+from lietrip.serialize import PayloadError, load, save
+
+SYSTEMS = {
+    "abl(4)": lambda F: abl(4, F),
+    "abl(5)": lambda F: abl(5, F),
+    "odd2": odd2,
+    "sl2lts": sl2lts,
+    "gl(2)": lambda F: lts_of_lie(oracles.gl_bracket(2), F),
+    "gl(3)": lambda F: lts_of_lie(oracles.gl_bracket(3), F),
+    "grass(2,2)": lambda F: lie_triple_system(F, oracles.grass_triple(2, 2)),
+    "grass(2,3)": lambda F: lie_triple_system(F, oracles.grass_triple(2, 3)),
+}
+FIELDS = [QQ, Field(5), Field(2)]
+CASES = [(name, F) for name in SYSTEMS for F in FIELDS]
+
+
+def _graded_ok(L, what):
+    report = check_graded_lie(L)
+    assert report.ok, f"{what}: {report.violations[:1]}"
+
+
+def _hom_ok(phi, what):
+    assert is_graded_hom(phi.matrix, phi.source, phi.target), what
+
+
+def _quotient_and_extensions(A, what):
+    """A central quotient of A, and the central extensions built from its
+    graded H^2 with trivial coefficients; their projections are homs."""
+    line = center(A).intersect(A.even_subspace())
+    if not line.dim:
+        return
+    Q, proj = central_quotient(A, Subspace.span(A.field, A.dim, [line.basis.entries[0]]))
+    _graded_ok(Q, f"{what}/line")
+    _hom_ok(proj, f"projection onto {what}/line")
+    assert check_lts_axioms(odd_part_lts(Q)).ok, f"odd part of {what}/line"
+    P, pk, pu = graded_pullback(proj, proj)
+    _graded_ok(P, f"pullback over {what}/line")
+    _hom_ok(pk, "pullback projection")
+    _hom_ok(pu, "pullback projection")
+    M = trivial_module(Q)
+    for k, sigma in enumerate(h2_graded(Q, M).representatives):
+        prob = cocycle_extension(Q, M, sigma)
+        _graded_ok(prob.total, f"extension {k} of {what}/line")
+        _hom_ok(prob.phi, f"projection of extension {k} of {what}/line")
+
+
+@pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
+def test_derived_objects_pass_the_full_checks(name, field):
+    T = SYSTEMS[name](field)
+    assert check_lts_axioms(T).ok, name  # lts_of_lie builds gl(n) unchecked
+    env = universal_imbedding(T)
+    A = env.algebra
+    for what, L in (("Der", env.pair.wedge.der_algebra), ("<T,T>", env.pair.algebra),
+                    ("Ste", env.ste.algebra), ("A", A)):
+        _graded_ok(L, f"{what}({name})")
+    _hom_ok(env.upsilon, f"upsilon of {name}")
+    odd = restrict_hom_to_odd(env.upsilon)
+    assert check_lts_axioms(odd.source).ok and check_lts_axioms(odd.target).ok, name
+    assert is_lts_hom(odd.matrix, odd.source, odd.target), name
+    report = envelope_criterion(A)
+    assert report.verdict, name
+    _hom_ok(report.witness, f"envelope_criterion witness of A({name})")
+    _quotient_and_extensions(A, f"A({name})")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_graded_corpus_extensions_pass_the_full_checks(field):
+    for L in (heis(field), sl2_double_swap(field), universal_imbedding(abl(2, field)).algebra):
+        assert check_lts_axioms(odd_part_lts(L)).ok
+        _graded_ok(direct_sum(L, heis(field)), "direct sum")
+        M = trivial_module(L)
+        for sigma in h2_graded(L, M).representatives:
+            prob = cocycle_extension(L, M, sigma)
+            _graded_ok(prob.total, "cocycle extension")
+            _hom_ok(prob.phi, "cocycle extension projection")
+        for g in graded_cochain_basis(L, M, 1):
+            prob = cocycle_extension(L, M, coboundary(g))
+            _graded_ok(prob.total, "coboundary extension")
+            _hom_ok(split_central_0_extension(prob), "splitting of a coboundary extension")
+        _quotient_and_extensions(L, "corpus algebra")
+
+
+# ---------------------------------------------------------------------------
+# the one validation policy, as call sites
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lietrip"
+ASSEMBLERS = ("_assemble", "_assemble_lts")
+CONSTRUCTORS = ("GradedLieAlgebra", "LieTripleSystem", "GradedHom", "LtsHom", "GradedModule")
+
+# (module.function, call) for every call that builds without a check
+TRUSTED_SITES = {
+    # the assemblers themselves, and their callers
+    ("grlie._assemble", "GradedLieAlgebra(unchecked=True)"),
+    ("lts._assemble_lts", "LieTripleSystem(unchecked=True)"),
+    ("lts.lts_of_lie", "_assemble_lts"),
+    ("lts.odd_part_lts", "_assemble_lts"),
+    ("grlie.direct_sum", "_assemble"),
+    ("grlie.graded_pullback", "_assemble"),
+    ("grlie.graded_pullback", "GradedHom(unchecked=True)"),
+    ("grlie.central_quotient", "_assemble"),
+    ("grlie.central_quotient", "GradedHom(unchecked=True)"),
+    ("grlie.restrict_hom_to_odd", "LtsHom(unchecked=True)"),
+    ("embed.standard_imbedding", "_assemble"),
+    ("embed.wedge_module", "_assemble"),
+    ("embed.wedge_module", "GradedModule(unchecked=True)"),
+    ("embed.module_quotient_algebra", "_assemble"),
+    ("embed.universal_imbedding", "_assemble"),
+    ("embed.universal_imbedding", "GradedHom(unchecked=True)"),
+    ("embed.graded_algebra_from_pairing", "_assemble"),
+    ("embed._extension", "GradedHom(unchecked=True)"),
+    ("cohom.cocycle_extension", "_assemble"),
+    ("cohom.cocycle_extension", "GradedHom(unchecked=True)"),
+    ("cohom.split_central_0_extension", "GradedHom(unchecked=True)"),
+    # objects valid by their shape alone
+    ("corpus.abl", "LieTripleSystem(unchecked=True)"),
+    ("grlie.abelian_algebra", "GradedLieAlgebra(unchecked=True)"),
+    ("grlie.identity_hom", "GradedHom(unchecked=True)"),
+    ("lts.identity_lts_hom", "LtsHom(unchecked=True)"),
+    ("grlie.GradedHom.compose", "GradedHom(unchecked=True)"),
+    ("lts.LtsHom.compose", "LtsHom(unchecked=True)"),
+    ("grlie.trivial_module", "GradedModule(unchecked=True)"),
+    # the user's own flag, passed through
+    ("lts.lie_triple_system", "LieTripleSystem(unchecked=unchecked)"),
+    ("grlie.graded_lie", "GradedLieAlgebra(unchecked=unchecked)"),
+    ("serialize.load", "load(unchecked=unchecked)"),
+    ("serialize.load", "LieTripleSystem(unchecked=unchecked)"),
+    ("serialize.load", "GradedLieAlgebra(unchecked=unchecked)"),
+    ("serialize.load", "LtsHom(unchecked=unchecked)"),
+    ("serialize.load", "GradedHom(unchecked=unchecked)"),
+    ("serialize.load", "GradedModule(unchecked=unchecked)"),
+    ("cli._load_input", "load(unchecked=unchecked)"),
+    # check-lts and check-graded load unchecked to report the violations
+    ("cli._run_check_lts", "_load_input(unchecked=True)"),
+    ("cli._run_check_graded", "_load_input(unchecked=True)"),
+}
+
+# (module.function, constructor) for every internal call that validates
+VALIDATING_SITES = {
+    ("lts.lts_of_lie", "GradedLieAlgebra"),  # the Lie check of its input
+    ("grlie.adjoint_module", "GradedModule"),
+    ("corpus.sl2graded", "GradedLieAlgebra"),
+    ("corpus.sl2_double_swap", "GradedLieAlgebra"),
+}
+
+
+def _call_sites():
+    trusted, validating = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    walk(child, scope + (child.name,))
+                    continue
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    name = getattr(f, "id", None) or getattr(f, "attr", None)
+                    where = ".".join((path.stem,) + scope)
+                    flags = [k.value for k in child.keywords if k.arg == "unchecked"]
+                    if name in ASSEMBLERS:
+                        trusted.add((where, name))
+                    for value in flags:
+                        trusted.add((where, f"{name}(unchecked={ast.unparse(value)})"))
+                    if name in CONSTRUCTORS and not flags:
+                        validating.add((where, name))
+                walk(child, scope)
+        walk(ast.parse(path.read_text(encoding="utf-8")), ())
+    return trusted, validating
+
+
+def test_validation_is_skipped_and_kept_only_at_the_listed_sites():
+    trusted, validating = _call_sites()
+    assert trusted == TRUSTED_SITES
+    assert validating == VALIDATING_SITES
+
+
+# ---------------------------------------------------------------------------
+# the boundary still validates: one invalid input per public constructor
+
+def _broken_lts():
+    # [e_0, e_0, e_0] = e_0 breaks alternation
+    return LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True)
+
+
+def _broken_lie():
+    # all even, [e_0, e_1] = e_2 and [e_1, e_2] = e_1: the Jacobiator at
+    # (0, 1, 2) is -e_2
+    entries = [[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+               [[0, 0, -1], [0, 0, 0], [0, 1, 0]],
+               [[0, 0, 0], [0, -1, 0], [0, 0, 0]]]
+    return graded_lie(QQ, 3, 0, entries, unchecked=True)
+
+
+def _doubled(M):
+    return M.scale(M.field.of(2))
+
+
+def _edited(obj, path, value):
+    """The payload of obj with the entry at path replaced by value."""
+    payload = json.loads(json.dumps(save(obj)))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+BOUNDARY_CASES = {
+    "LieTripleSystem": (lambda: LieTripleSystem(QQ, 1, _broken_lts().triple), LtsAxiomError,
+                        "not a Lie triple system: 3 violation(s), first is alternating "
+                        "at basis tuple (0, 0, 0)"),
+    # odd2 with [e_1, e_1, e_0] = e_0
+    "lie_triple_system": (lambda: lie_triple_system(QQ, oracles.ODD2_TRIPLE[:1] + [
+                              [[[-2, 0], [0, 2]], [[1, 0], [0, 0]]]]), LtsAxiomError,
+                          "not a Lie triple system: 10 violation(s), first is alternating "
+                          "at basis tuple (1, 1, 0)"),
+    "GradedLieAlgebra": (lambda: GradedLieAlgebra(QQ, 3, 0, _broken_lie().bracket), GradedLieError,
+                         "not a graded Lie algebra: 1 violation(s), first is jacobi at (0, 1, 2)"),
+    "graded_lie": (lambda: graded_lie(QQ, 2, 1, oracles.SL2_BRACKET), GradedLieError,
+                   "not a graded Lie algebra: 2 violation(s), first is grading at (1, 2, 0)"),
+    "lts_of_lie(tensor)": (lambda: lts_of_lie([[[0, 0], [1, 0]], [[0, 0], [0, 0]]], QQ), ValueError,
+                           "not a Lie algebra: antisymmetry fails at (0, 1)"),
+    "lts_of_lie(algebra)": (lambda: lts_of_lie(_broken_lie()), ValueError,
+                            "not a Lie algebra: Jacobi fails at (0, 1, 2)"),
+    "LtsHom": (lambda: LtsHom(odd2(), odd2(), _doubled(Matrix.identity(QQ, 2))), ValueError,
+               "matrix is not a homomorphism of Lie triple systems"),
+    "GradedHom": (lambda: GradedHom(heis(), heis(), _doubled(Matrix.identity(QQ, 3))), ValueError,
+                  "matrix is not a graded Lie algebra homomorphism"),
+    "GradedModule": (lambda: GradedModule(sl2graded(), 3, 0, tuple(
+                         _doubled(a) for a in adjoint_module(sl2graded()).action)), ValueError,
+                     "module grading violated at action[1][0][2]"),
+    "adjoint_module": (lambda: adjoint_module(_broken_lie()), ValueError,
+                       "not a representation: fails at basis pair (0, 1)"),
+    "load(lts)": (lambda: load(save(_broken_lts())), LtsAxiomError,
+                  "not a Lie triple system: 3 violation(s), first is alternating "
+                  "at basis tuple (0, 0, 0)"),
+    "load(graded_lie)": (lambda: load(save(_broken_lie())), GradedLieError,
+                         "not a graded Lie algebra: 1 violation(s), first is jacobi at (0, 1, 2)"),
+    "load(lts_hom)": (lambda: load(_edited(identity_lts_hom(odd2()), ["entries", 0, 0], "2")),
+                      ValueError, "matrix is not a homomorphism of Lie triple systems"),
+    "load(graded_hom)": (lambda: load(_edited(identity_hom(heis()), ["entries", 0, 0], "2")),
+                         ValueError, "matrix is not a graded Lie algebra homomorphism"),
+    "load(module)": (lambda: load(_edited(adjoint_module(sl2graded()), ["entries", 1, 1, 1], "1")),
+                     ValueError, "module grading violated at action[1][1][1]"),
+    # the value on (e_0, e_1), of degree 1, in a module with no odd part
+    "load(cochain)": (lambda: load(_edited(zero_cochain(heis(), trivial_module(heis()), 2),
+                                           ["entries", 0], ["1"])),
+                      PayloadError, "cochain is not graded"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+def test_public_constructors_refuse_invalid_input(name):
+    build, exc_type, message = BOUNDARY_CASES[name]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is exc_type and str(info.value) == message

@@ -3,9 +3,7 @@ H^2 of the graded subcomplex, cocycle-built central extensions, and the
 constructive splitting of central 0-extensions.
 
 A degree-n cochain stores one module-coordinate vector per sorted basis
-combination i_1 < ... < i_n; evaluation on arbitrary tuples inserts the
-sign of the sorting permutation and kills repeats, so alternation is
-structural.  A cochain is graded when arguments of total degree g land in
+combination i_1 < ... < i_n, so alternation is structural.  A cochain is graded when arguments of total degree g land in
 the degree-g block of the module.
 """
 
@@ -16,8 +14,8 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Record, Subspace, Vector, kernel_basis, nonzeros, solve, span_of, unit_vec,
-    vec_add, vec_from_sums, vec_is_zero, vec_scale, zero_vec,
+    Matrix, Record, Subspace, Vector, kernel_basis, linear_combination, nonzeros, solve,
+    span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
@@ -34,10 +32,7 @@ class Cochain(Record):
 
     def __init__(self, algebra: GradedLieAlgebra, module: GradedModule, degree: int,
                  values: tuple):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", values)
+        Record.__init__(self, algebra, module, degree, values)
         if self.degree not in (1, 2, 3):
             raise ValueError("supported cochain degrees are 1, 2, 3")
         if len(self.values) != len(self.combos()):
@@ -50,16 +45,6 @@ class Cochain(Record):
 
     def value(self, combo: tuple) -> Vector:
         return self.values[_combo_index(combo, self.algebra.dim, self.degree)]
-
-    def eval_indices(self, indices: tuple) -> Vector:
-        """Value on possibly unsorted basis indices, with alternating sign."""
-        F = self.algebra.field
-        if len(set(indices)) != len(indices):
-            return zero_vec(F, self.module.dim)
-        order = tuple(sorted(indices))
-        sign = _permutation_sign(indices)
-        v = self.value(order)
-        return v if sign == 1 else vec_scale(F, F.neg(F.one()), v)
 
     def is_graded(self) -> bool:
         for combo, v in zip(self.combos(), self.values):
@@ -82,15 +67,6 @@ def _combo_index(combo: tuple, n: int, degree: int) -> int:
             idx += comb(n - skipped - 1, degree - pos - 1)
         prev = c
     return idx
-
-def _permutation_sign(indices: tuple) -> int:
-    sign = 1
-    idx = list(indices)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return sign
 
 
 def zero_cochain(L: GradedLieAlgebra, M: GradedModule, degree: int) -> Cochain:
@@ -318,9 +294,8 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     for l in range(L.dim):
         col = eta_cols[l]
         if l < L.dim0:
-            tau_l = zero_vec(F, K.dim)
-            for s in range(ker.dim):
-                tau_l = vec_add(F, tau_l, vec_scale(F, sol[l * ker.dim + s], ker.basis.entries[s]))
+            tau_l = linear_combination(F, K.dim, zip(sol[l * ker.dim:(l + 1) * ker.dim],
+                                                     ker.basis.entries))
             col = vec_add(F, col, tau_l)
         psi_cols.append(col)
     psi = GradedHom(L, K, Matrix.from_cols(F, psi_cols, rows=K.dim), unchecked=True)

@@ -1,34 +1,37 @@
-"""Imbeddings of Lie triple systems into Z2-graded Lie algebras.
+"""Imbeddings of Lie triple systems into Z2-graded Lie algebras, built for
+a system T in one chain T -> Ste(T) -> <T,T> -> A(T):
 
-Two constructions are built here for a system T:
+* the standard imbedding Ste(T), inner derivations plus T itself, with
+  bracket [X+a, Y+b] = ([X,Y] + D_{a,b}) + (Xb - Ya);
+* the pair algebra <T,T> = (T^T)/A(T^T): T^T as a module over Inder(T),
+  the even part of Ste(T), divided by the radical of lam: a^b -> D_{a,b},
+  Ste's odd-odd bracket.  It is a central extension of Inder(T);
+* the universal imbedding A(T), with even part <T,T> and odd part T.  The
+  inclusion of T into it is initial among all imbeddings of T into Lie
+  algebras, which makes T -> A(T) a functor and every hom out of it
+  determined by its odd restriction.
 
-* the standard imbedding, inner derivations plus T itself, with bracket
-  [X+a, Y+b] = ([X,Y] + D_{a,b}) + (Xb - Ya);
-* the universal imbedding, whose even part is the pair algebra <T,T> =
-  (T^T)/A(T^T), a central extension of the inner derivations, and whose
-  odd part is T.  The inclusion of T into it is initial among all
-  imbeddings of T into Lie algebras, which makes T -> A(T) a functor and
-  every hom out of it determined by its odd restriction.
-
-Both are produced with deterministic RREF bases so structure constants are
-reproducible across runs.
+Ste(T), A(T) and graded_algebra_from_pairing glue an even algebra to a
+module through an alternating pairing with ``_glue``.  The derivation
+algebra is computed once per imbedding, only for the ideal-closure
+certificate.  Bases are deterministic RREF bases, so structure constants
+are reproducible across runs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, QuotientSpace, Record, Subspace, Vector, kernel_basis,
     mat_from_flat, nonzeros, quotient, rank, span_of, unit_vec, vec_add, vec_from_sums,
-    vec_is_zero, vec_scale, zero_vec,
+    vec_is_zero, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
 )
 from .lts import (
-    DerivationAlgebra, InnerDerivations, LieTripleSystem, LtsHom,
-    derivation_algebra, inner_derivation, inner_derivation_algebra,
+    InnerDerivations, LieTripleSystem, LtsHom, inner_derivation, inner_derivation_algebra,
     is_lts_hom, odd_part_lts,
 )
 
@@ -85,13 +88,10 @@ class StandardImbedding(Record):
     inder: InnerDerivations
 
 
-def standard_imbedding(T: LieTripleSystem,
-                       der: Optional[DerivationAlgebra] = None) -> StandardImbedding:
-    """``der``, when given, must be ``derivation_algebra(T)``; it saves
-    recomputing it for the ideal-closure certificate."""
+def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
     F = T.field
     n = T.dim
-    inder = inner_derivation_algebra(T, der)
+    inder = inner_derivation_algebra(T)
     r = inder.dim
     xs = inder.basis_matrices()
     total = r + n
@@ -102,45 +102,42 @@ def standard_imbedding(T: LieTripleSystem,
             raise RuntimeError("inner derivations are not closed as expected")
         return coords
 
-    pairs = [(a, b, enumerate(inder_coords(xs[a].matmul(xs[b]).sub(xs[b].matmul(xs[a])))))
-             for a in range(r) for b in range(a + 1, r)]
-    pairs += [(a, r + i, enumerate(xs[a].col(i), r)) for a in range(r) for i in range(n)]
-    pairs += [(r + i, r + j, enumerate(inder_coords(
-                  inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)))))
-              for i in range(n) for j in range(i + 1, n)]
-    algebra = _assemble(F, r, n, pairs)
+    even = _assemble(F, r, 0, (
+        (a, b, enumerate(inder_coords(xs[a].matmul(xs[b]).sub(xs[b].matmul(xs[a])))))
+        for a in range(r) for b in range(a + 1, r)))
+    pairing = Matrix.from_cols(F, [
+        inder_coords(inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)))
+        for i, j in wedge_pairs(n)], rows=r)
+    algebra = _glue(even, n, xs, pairing)
     inclusion = Matrix.from_cols(F, [unit_vec(F, total, r + i) for i in range(n)], rows=total)
     return StandardImbedding(T, algebra, inclusion, inder)
 
 
 # ---------------------------------------------------------------------------
-# the exterior square as a module over the derivation algebra
+# the exterior square as a module over the inner derivations
 
 class WedgeModule(Record):
     lts: LieTripleSystem
-    der: DerivationAlgebra
-    der_algebra: GradedLieAlgebra   # the derivations as an abstract (all-even) algebra
-    module: GradedModule            # T^T with the induced action
-    lam: Matrix                     # der.dim x wedge_dim, e_i^e_j -> D_{e_i,e_j}
+    ste: StandardImbedding
+    inder_algebra: GradedLieAlgebra  # the even part of Ste(T)
+    module: GradedModule             # T^T with the induced action
+    lam: Matrix                      # inder.dim x wedge_dim, e_i^e_j -> D_{e_i,e_j}
 
 
 def wedge_module(T: LieTripleSystem) -> WedgeModule:
+    """T^T as a module over Inder(T), with lam read off Ste(T)'s odd-odd
+    bracket block."""
     F = T.field
     n = T.dim
-    der = derivation_algebra(T)
-    der_algebra = _assemble(F, der.dim, 0, (
-        (a, b, enumerate(der.bracket[a][b])) for a in range(der.dim) for b in range(a + 1, der.dim)))
-    actions = tuple(wedge_action(x) for x in der.basis)
-    module = GradedModule(der_algebra, wedge_dim(n), 0, actions, unchecked=True)
-    lam_cols = []
-    for i, j in wedge_pairs(n):
-        d = inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j))
-        coords = der.coordinates(d)
-        if coords is None:
-            raise RuntimeError("inner derivation outside the derivation algebra")
-        lam_cols.append(coords)
-    lam = Matrix.from_cols(F, lam_cols, rows=der.dim)
-    return WedgeModule(T, der, der_algebra, module, lam)
+    ste = standard_imbedding(T)
+    r = ste.inder.dim
+    br = ste.algebra.bracket
+    inder_algebra = _assemble(F, r, 0, (
+        (a, b, enumerate(br[a][b][:r])) for a in range(r) for b in range(a + 1, r)))
+    actions = tuple(wedge_action(x) for x in ste.inder.basis_matrices())
+    module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, unchecked=True)
+    lam = Matrix.from_cols(F, [br[r + i][r + j][:r] for i, j in wedge_pairs(n)], rows=r)
+    return WedgeModule(T, ste, inder_algebra, module, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +205,7 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
 class PairAlgebra(Record):
     lts: LieTripleSystem
     algebra: GradedLieAlgebra  # all-even
-    mu: Matrix                 # der.dim x dim<T,T>, valued in derivation coordinates
+    mu: Matrix                 # inder.dim x dim<T,T>, valued in inner-derivation coordinates
     mu_end: Matrix             # n^2 x dim<T,T>, same map flattened into End(T)
     projection: Matrix         # wedge -> <T,T>
     section: Matrix            # <T,T> -> wedge (RREF coset representatives)
@@ -217,19 +214,9 @@ class PairAlgebra(Record):
 
 
 def pair_algebra(T: LieTripleSystem) -> PairAlgebra:
-    F = T.field
-    n = T.dim
     w = wedge_module(T)
-    mq = module_quotient_algebra(w.der_algebra, w.module, w.lam)
-    qdim = mq.algebra.dim0
-    end_cols = []
-    for s in range(qdim):
-        acc = zero_vec(F, n * n)
-        for a, coeff in enumerate(mq.mu.col(s)):
-            if not F.is_zero(coeff):
-                acc = vec_add(F, acc, vec_scale(F, coeff, w.der.basis[a].flatten()))
-        end_cols.append(acc)
-    mu_end = Matrix.from_cols(F, end_cols, rows=n * n)
+    mq = module_quotient_algebra(w.inder_algebra, w.module, w.lam)
+    mu_end = w.ste.inder.span.basis.transpose().matmul(mq.mu)
     return PairAlgebra(T, mq.algebra, mq.mu, mu_end,
                        mq.quotient.projection, mq.quotient.section, w, mq.a_subspace)
 
@@ -254,23 +241,13 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
     q = pa.algebra.dim0
     total = q + n
     mats = [mat_from_flat(F, pa.mu_end.col(s), n, n) for s in range(q)]
+    algebra = _glue(pa.algebra, n, mats, pa.projection)
 
-    pairs = [(s, t, enumerate(pa.algebra.bracket[s][t])) for s in range(q) for t in range(s + 1, q)]
-    pairs += [(s, q + a, enumerate(mats[s].col(a), q)) for s in range(q) for a in range(n)]
-    pairs += [(q + a, q + b, enumerate(pa.projection.col(wedge_index(a, b, n))))
-              for a, b in wedge_pairs(n)]
-    algebra = _assemble(F, q, n, pairs)
-
-    ste = standard_imbedding(T, pa.wedge.der)
+    ste = pa.wedge.ste
     r = ste.inder.dim
-    ucols = []
-    for s in range(q):
-        coords = ste.inder.span.coordinates(pa.mu_end.col(s))
-        if coords is None:
-            raise RuntimeError("mu does not land in the inner derivations")
-        ucols.append(coords + zero_vec(F, n))
-    for a in range(n):
-        ucols.append(unit_vec(F, r + n, r + a))
+    # the even block of upsilon is mu itself, valued in Ste's even basis
+    ucols = [pa.mu.col(s) + zero_vec(F, n) for s in range(q)]
+    ucols += [unit_vec(F, r + n, r + a) for a in range(n)]
     upsilon = GradedHom(algebra, ste.algebra, Matrix.from_cols(F, ucols, rows=r + n), unchecked=True)
     iota = Matrix.from_cols(F, [unit_vec(F, total, q + a) for a in range(n)], rows=total)
     return UniversalImbedding(T, algebra, iota, upsilon, pa.projection, pa, ste)
@@ -319,14 +296,21 @@ def graded_algebra_from_pairing(L: GradedLieAlgebra, module: GradedModule,
                 acc = vec_add(F, acc, module.act(pair_of(ek, eu)).matvec(ev))
                 if not vec_is_zero(F, acc):
                     raise ValueError(f"pairing violates the cyclic relation at ({u}, {v}, {k})")
+    return _glue(L, mdim, module.action, pairing)
 
+
+def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence[Matrix],
+          pairing: Matrix) -> GradedLieAlgebra:
+    """The algebra of :func:`graded_algebra_from_pairing`, with actions[i]
+    the matrix of e_i on M, built by the trusted assembler; it checks
+    nothing.  Ste(T) and A(T) satisfy the hypotheses by theorem, and
+    tests/test_trusted.py asserts that with check_graded_lie."""
     d = L.dim
     pairs = [(i, j, enumerate(L.bracket[i][j])) for i in range(d) for j in range(i + 1, d)]
-    pairs += [(i, d + u, enumerate(module.action[i].col(u), d))
-              for i in range(d) for u in range(mdim)]
-    pairs += [(d + u, d + v, enumerate(pairing.col(wedge_index(u, v, mdim))))
-              for u, v in wedge_pairs(mdim)]
-    return _assemble(F, d, mdim, pairs)
+    pairs += [(i, d + u, enumerate(actions[i].col(u), d)) for i in range(d) for u in range(mdim)]
+    pairs += [(d + u, d + v, enumerate(pairing.col(k)))
+              for k, (u, v) in enumerate(wedge_pairs(mdim))]
+    return _assemble(L.field, d, mdim, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ class Record:
     their tuple, in order.  An instance compares equal only to an instance
     of the same class with equal fields, hashes the tuple of its fields,
     refuses assignment, and reprs as ``Name(field=value, ...)``.  The
-    inherited ``__init__`` takes the fields positionally.  A class with a
-    default or a validation, and ``Matrix``, which every matrix operation
-    builds, write their own and set each field with ``object.__setattr__``.
+    inherited ``__init__`` takes the fields positionally; a class with a
+    validation calls it and then checks.  ``Field``, for its default, and
+    ``Matrix``, which every matrix operation builds, set each field with
+    ``object.__setattr__``.
     """
 
     def __init_subclass__(cls):
@@ -172,9 +173,6 @@ class Field(Record):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
@@ -362,11 +360,6 @@ class Matrix(Record):
     def neg(self) -> "Matrix":
         return self.scale(self.field.neg(self.field.one()))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols or self.field != other.field:
-            raise ValueError("vstack shape/field mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack shape/field mismatch")
@@ -542,13 +535,9 @@ class Subspace(Record):
         cols = [r for r in self.basis.entries] + [vec_scale(self.field, self.field.neg(self.field.one()), r)
                                                   for r in other.basis.entries]
         m = Matrix.from_cols(self.field, cols, rows=self.ambient_dim)
-        ker = kernel_basis(m)
-        vecs = []
-        for coeffs in ker.basis.entries:
-            x = zero_vec(self.field, self.ambient_dim)
-            for c, row in zip(coeffs[: self.dim], self.basis.entries):
-                x = vec_add(self.field, x, vec_scale(self.field, c, row))
-            vecs.append(x)
+        vecs = [linear_combination(self.field, self.ambient_dim,
+                                   zip(coeffs[: self.dim], self.basis.entries))
+                for coeffs in kernel_basis(m).basis.entries]
         return span_of(self.field, self.ambient_dim, vecs)
 
     def _compatible(self, other: "Subspace") -> None:

@@ -40,10 +40,7 @@ class GradedLieAlgebra(Record):
 
     def __init__(self, field: Field, dim0: int, dim1: int, bracket: tuple,
                  unchecked: bool = False):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim0", dim0)
-        object.__setattr__(self, "dim1", dim1)
-        object.__setattr__(self, "bracket", bracket)
+        Record.__init__(self, field, dim0, dim1, bracket)
         n = self.dim
         if len(self.bracket) != n or any(
                 len(bi) != n or any(len(v) != n for v in bi) for bi in self.bracket):
@@ -178,9 +175,7 @@ class GradedHom(Record):
 
     def __init__(self, source: GradedLieAlgebra, target: GradedLieAlgebra, matrix: Matrix,
                  unchecked: bool = False):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        Record.__init__(self, source, target, matrix)
         if self.matrix.field != self.source.field or self.source.field != self.target.field:
             raise ValueError("hom field mismatch")
         if not unchecked and not is_graded_hom(self.matrix, self.source, self.target):
@@ -219,10 +214,7 @@ class GradedModule(Record):
 
     def __init__(self, algebra: GradedLieAlgebra, dim0: int, dim1: int, action: tuple,
                  unchecked: bool = False):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dim0", dim0)
-        object.__setattr__(self, "dim1", dim1)
-        object.__setattr__(self, "action", action)
+        Record.__init__(self, algebra, dim0, dim1, action)
         m = self.dim
         if len(self.action) != self.algebra.dim or any(
                 a.rows != m or a.cols != m for a in self.action):
@@ -256,11 +248,10 @@ class GradedModule(Record):
     def act(self, x: Vector) -> Matrix:
         """Action matrix of an algebra element given in coordinates."""
         F = self.algebra.field
-        out = Matrix.zeros(F, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if not F.is_zero(xi):
-                out = out.add(self.action[i].scale(xi))
-        return out
+        m = self.dim
+        terms = [(xi, self.action[i].entries) for i, xi in nonzeros(x)]
+        return Matrix(F, m, m, tuple(linear_combination(F, m, ((xi, a[r]) for xi, a in terms))
+                                     for r in range(m)))
 
     def is_trivial(self) -> bool:
         return all(a.is_zero() for a in self.action)

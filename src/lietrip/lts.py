@@ -55,9 +55,7 @@ class LieTripleSystem(Record):
     triple: tuple  # triple[i][j][k] = coordinates of [e_i, e_j, e_k]
 
     def __init__(self, field: Field, dim: int, triple: tuple, unchecked: bool = False):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "triple", triple)
+        Record.__init__(self, field, dim, triple)
         n = self.dim
         if len(self.triple) != n or any(
                 len(ti) != n or any(len(tij) != n or any(len(v) != n for v in tij) for tij in ti)
@@ -67,9 +65,6 @@ class LieTripleSystem(Record):
             report = check_lts_axioms(self)
             if not report.ok:
                 raise LtsAxiomError(report)
-
-    def basis_bracket(self, i: int, j: int, k: int) -> Vector:
-        return self.triple[i][j][k]
 
 
 def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = False) -> LieTripleSystem:
@@ -178,9 +173,7 @@ class LtsHom(Record):
 
     def __init__(self, source: LieTripleSystem, target: LieTripleSystem, matrix: Matrix,
                  unchecked: bool = False):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        Record.__init__(self, source, target, matrix)
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
             raise ValueError("hom matrix shape mismatch")
         if self.matrix.field != self.source.field or self.source.field != self.target.field:

@@ -316,15 +316,17 @@ def test_cli_h2_unchecked_stray_bracket(capsys, tmp_path):
 
 
 # Objects derived from a file are built without re-checking them, so an
-# --unchecked input that breaks an axiom can now reach an answer (exit 0) or
-# a library self-check (exit 3) where the re-check used to refuse it (exit 2,
-# or exit 3 for ste and univ); the exit-code contract holds either way.
+# --unchecked input that breaks an axiom can reach an answer (exit 0) or a
+# hypothesis check of a public function (exit 2) where the re-check used to
+# refuse it (exit 2, or exit 3 for ste and univ); the exit-code contract
+# holds either way.
 @pytest.mark.parametrize("command, name, where, value, code", [
     ("ste", "odd2", [0, 0, 1, 0], "-1", 0),         # was exit 3
     ("univ", "odd2", [0, 0, 1, 0], "-1", 0),        # was exit 3
     ("thm-a", "heis", [2, 0, 0], "2", 0),           # was exit 2
     ("u0ext", "heis", [2, 0, 0], "2", 0),           # was exit 2
-    ("u0ext", "sl2graded", [0, 1, 1], "1", 3),      # was exit 2
+    # exit 3 while lam was taken in Der(T) coordinates
+    ("u0ext", "sl2graded", [0, 1, 1], "1", 2),
 ])
 def test_unchecked_outcomes_keep_the_exit_contract(capsys, tmp_path, command, name, where,
                                                    value, code):
@@ -339,7 +341,8 @@ def test_unchecked_outcomes_keep_the_exit_contract(capsys, tmp_path, command, na
     if code == 0:
         assert run_cli(capsys, command, str(path), "--unchecked")[::2] == (0, "")
     else:
-        _one_error_line(capsys, [command, str(path), "--unchecked"], 3, f"internal error: {command}: ")
+        line = _one_error_line(capsys, [command, str(path), "--unchecked"], 2, "error: ")
+        assert line == "error: lam is not a module homomorphism: fails at basis pair (0, 0)"
 
 
 def _ladder_payloads(field):

@@ -13,7 +13,7 @@ from lietrip.corpus import ab2, heis, odd2
 from lietrip.embed import module_quotient_algebra, universal_imbedding
 from lietrip.exactlin import Field, Record
 from lietrip.grlie import adjoint_module, check_graded_lie, trivial_module
-from lietrip.lts import check_lts_axioms, identity_lts_hom, lie_triple_system
+from lietrip.lts import check_lts_axioms, derivation_algebra, identity_lts_hom, lie_triple_system
 
 RECORD_CLASSES = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
 
@@ -23,7 +23,7 @@ def ladder_records():
     """One instance of each record class, built from the ladder's objects."""
     env = universal_imbedding(odd2())
     wedge = env.pair.wedge
-    mq = module_quotient_algebra(wedge.der_algebra, wedge.module, wedge.lam)
+    mq = module_quotient_algebra(wedge.inder_algebra, wedge.module, wedge.lam)
     criterion = envelope_criterion(env.algebra)
     M = trivial_module(ab2())
     h2 = h2_graded(ab2(), M)
@@ -34,7 +34,7 @@ def ladder_records():
     instances = [
         Field(5), env.iota, env.pair.a_subspace, mq.quotient,
         axioms.violations[0], axioms, odd2(), identity_lts_hom(odd2()),
-        wedge.der, env.ste.inder.certificate, env.ste.inder,
+        derivation_algebra(odd2()), env.ste.inder.certificate, env.ste.inder,
         check_graded_lie(heis()), heis(), env.upsilon, adjoint_module(heis()),
         env.ste, wedge, mq, env.pair, env, criterion.extension,
         h2.representatives[0], h2, cocycle_extension(ab2(), M, h2.representatives[0]),

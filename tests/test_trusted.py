@@ -2,11 +2,13 @@
 may skip validation.
 
 Objects derived from validated input go through the trusted assemblers
-(``grlie._assemble``, ``lts._assemble_lts``) and a few constructors called
-with ``unchecked=True``; none of them re-runs an axiom, Jacobi or hom-law
-scan.  Each construction is valid by theorem, and this module asserts it
-with the library's own checkers on the ladder plus gl(3), grass(2,3) and
-abl(5), over Q, F_5 and F_2.  The last test pins every call site of those
+(``grlie._assemble``, ``lts._assemble_lts``, ``embed._glue``) and a few
+constructors called with ``unchecked=True``; none of them re-runs an axiom,
+Jacobi or hom-law scan.  Each construction is valid by theorem, and this
+module asserts it with the library's own checkers on the ladder plus gl(3),
+grass(2,3) and abl(5), over Q, F_5 and F_2.  The pair algebra, built over
+the inner derivations, is also compared with a second route over the whole
+derivation algebra.  The call-site test pins every call site of those
 trusted paths, and of the validating constructors, in ``src/lietrip``.
 """
 
@@ -22,16 +24,19 @@ from lietrip.cohom import (
     split_central_0_extension, zero_cochain,
 )
 from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
-from lietrip.embed import universal_imbedding
-from lietrip.exactlin import Field, Matrix, QQ, Subspace
+from lietrip.embed import (
+    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_action, wedge_dim,
+    wedge_pairs,
+)
+from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedLieError, GradedModule, adjoint_module, center,
     central_quotient, check_graded_lie, direct_sum, graded_lie, graded_pullback,
     identity_hom, is_graded_hom, restrict_hom_to_odd, trivial_module,
 )
 from lietrip.lts import (
-    LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms, identity_lts_hom, is_lts_hom,
-    lie_triple_system, lts_of_lie, odd_part_lts,
+    LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms, derivation_algebra,
+    identity_lts_hom, inner_derivation, is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts,
 )
 from lietrip.serialize import PayloadError, load, save
 
@@ -85,7 +90,7 @@ def test_derived_objects_pass_the_full_checks(name, field):
     assert check_lts_axioms(T).ok, name  # lts_of_lie builds gl(n) unchecked
     env = universal_imbedding(T)
     A = env.algebra
-    for what, L in (("Der", env.pair.wedge.der_algebra), ("<T,T>", env.pair.algebra),
+    for what, L in (("Inder", env.pair.wedge.inder_algebra), ("<T,T>", env.pair.algebra),
                     ("Ste", env.ste.algebra), ("A", A)):
         _graded_ok(L, f"{what}({name})")
     _hom_ok(env.upsilon, f"upsilon of {name}")
@@ -96,6 +101,38 @@ def test_derived_objects_pass_the_full_checks(name, field):
     assert report.verdict, name
     _hom_ok(report.witness, f"envelope_criterion witness of A({name})")
     _quotient_and_extensions(A, f"A({name})")
+
+
+def _pair_algebra_over_der(T):
+    """The module quotient of T^T over the whole derivation algebra, and mu
+    flattened into End(T), built from the public API: a second route to the
+    pair algebra, which the library builds over the inner derivations."""
+    F, n = T.field, T.dim
+    der = derivation_algebra(T)
+    L = GradedLieAlgebra(F, der.dim, 0, der.bracket)  # validated: Jacobi of Der(T)
+    module = GradedModule(L, wedge_dim(n), 0, tuple(wedge_action(x) for x in der.basis),
+                          unchecked=True)
+    lam = Matrix.from_cols(F, [
+        der.coordinates(inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)))
+        for i, j in wedge_pairs(n)], rows=der.dim)
+    mq = module_quotient_algebra(L, module, lam)
+    basis = Matrix.from_cols(F, [x.flatten() for x in der.basis], rows=n * n)
+    return mq, basis.matmul(mq.mu)
+
+
+@pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
+def test_pair_algebra_matches_the_derivation_route(name, field):
+    T = SYSTEMS[name](field)
+    mq, mu_end = _pair_algebra_over_der(T)
+    pa = pair_algebra(T)
+    assert pa.algebra == mq.algebra
+    assert pa.a_subspace == mq.a_subspace
+    assert pa.projection == mq.quotient.projection
+    assert pa.section == mq.quotient.section
+    assert pa.mu_end == mu_end
+    env = universal_imbedding(T)
+    r, q = env.ste.inder.dim, pa.algebra.dim
+    assert tuple(row[:q] for row in env.upsilon.matrix.entries[:r]) == pa.mu.entries
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -119,7 +156,7 @@ def test_graded_corpus_extensions_pass_the_full_checks(field):
 # the one validation policy, as call sites
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lietrip"
-ASSEMBLERS = ("_assemble", "_assemble_lts")
+ASSEMBLERS = ("_assemble", "_assemble_lts", "_glue")
 CONSTRUCTORS = ("GradedLieAlgebra", "LieTripleSystem", "GradedHom", "LtsHom", "GradedModule")
 
 # (module.function, call) for every call that builds without a check
@@ -136,12 +173,14 @@ TRUSTED_SITES = {
     ("grlie.central_quotient", "GradedHom(unchecked=True)"),
     ("grlie.restrict_hom_to_odd", "LtsHom(unchecked=True)"),
     ("embed.standard_imbedding", "_assemble"),
+    ("embed.standard_imbedding", "_glue"),
     ("embed.wedge_module", "_assemble"),
     ("embed.wedge_module", "GradedModule(unchecked=True)"),
     ("embed.module_quotient_algebra", "_assemble"),
-    ("embed.universal_imbedding", "_assemble"),
+    ("embed.universal_imbedding", "_glue"),
     ("embed.universal_imbedding", "GradedHom(unchecked=True)"),
-    ("embed.graded_algebra_from_pairing", "_assemble"),
+    ("embed.graded_algebra_from_pairing", "_glue"),
+    ("embed._glue", "_assemble"),
     ("embed._extension", "GradedHom(unchecked=True)"),
     ("cohom.cocycle_extension", "_assemble"),
     ("cohom.cocycle_extension", "GradedHom(unchecked=True)"),

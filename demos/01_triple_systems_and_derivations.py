@@ -8,8 +8,8 @@ rational arithmetic; axiom checks run over all basis tuples.
 """
 
 from lietrip import (
-    QQ, check_lts_axioms, derivation_algebra, inner_derivation,
-    inner_derivation_algebra, triple_bracket,
+    QQ, check_lts_axioms, derivation_algebra, ideal_closure_certificate,
+    inner_derivation, inner_derivation_algebra, triple_bracket,
 )
 from lietrip.corpus import abl, odd2, sl2lts
 from lietrip.exactlin import unit_vec
@@ -40,9 +40,9 @@ print()
 print("== derivations: the kernel of one big linear system ==")
 for name, S in [("abl(3)", abl(3)), ("odd2", odd2()), ("sl2lts", sl2lts())]:
     der = derivation_algebra(S)
-    ind = inner_derivation_algebra(S, der)
+    ind = inner_derivation_algebra(S)
     print(f"{name:8s} dim Der = {der.dim:2d}   dim Inder = {ind.dim}"
-          f"   ideal certificate: {ind.certificate.ok}")
+          f"   ideal certificate: {ideal_closure_certificate(S).ok}")
 
 print()
 print("== the inner derivation D_(e,f) of odd2 is diag(2, -2) ==")

@@ -4,8 +4,8 @@ Lie algebras, and graded Chevalley-Eilenberg cohomology."""
 from .exactlin import Field, Matrix, QQ, Subspace, kernel_basis, quotient, rank, rref, solve
 from .lts import (
     LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra,
-    inner_derivation, inner_derivation_algebra, is_lts_hom, lie_triple_system,
-    lts_of_lie, odd_part_lts, triple_bracket,
+    ideal_closure_certificate, inner_derivation, inner_derivation_algebra,
+    is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts, triple_bracket,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center,

@@ -23,7 +23,7 @@ from .embed import standard_imbedding, universal_central_0_extension, universal_
 from .exactlin import Field, inverse
 from .grlie import GradedHom, GradedLieAlgebra, GradedModule, check_graded_lie, trivial_module
 from .lts import (
-    LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra,
+    LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra, ideal_closure_certificate,
     inner_derivation_algebra, odd_part_lts,
 )
 from .serialize import PayloadError, fmt_matrix, load, save
@@ -40,11 +40,9 @@ def _load_input(arg: str, field: Field, unchecked: bool):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"{arg}: {exc}") from None
-        try:
             return load(payload, unchecked=unchecked)
-        except ValueError as exc:
+        # ValueError covers bad JSON and payloads, RecursionError too deep a nesting
+        except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"{arg}: {exc}") from None
     try:
         return corpus.by_name(arg, field)
@@ -134,11 +132,11 @@ def _run_inder(args) -> tuple[dict, int]:
     T = _expect(_load_input(args.input, args.field, args.unchecked),
                 LieTripleSystem, "a Lie triple system")
     ind = inner_derivation_algebra(T)
+    cert = ideal_closure_certificate(T)
     report = _report("inder", [args.input], T.field, "pass",
                      {"dim": ind.dim},
-                     {"ideal_closure": ind.certificate.ok,
-                      "checked_pairs": ind.certificate.checked_pairs},
-                     {"basis": [fmt_matrix(m) for m in ind.basis_matrices()]})
+                     {"ideal_closure": cert.ok, "checked_pairs": cert.checked_pairs},
+                     {"basis": [fmt_matrix(m) for m in ind.basis]})
     return report, EXIT_PASS
 
 

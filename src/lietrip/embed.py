@@ -12,10 +12,10 @@ a system T in one chain T -> Ste(T) -> <T,T> -> A(T):
   determined by its odd restriction.
 
 Ste(T), A(T) and graded_algebra_from_pairing glue an even algebra to a
-module through an alternating pairing with ``_glue``.  The derivation
-algebra is computed once per imbedding, only for the ideal-closure
-certificate.  Bases are deterministic RREF bases, so structure constants
-are reproducible across runs.
+module through an alternating pairing with ``_glue``.  The chain reads
+only the structure tensor: Ste(T) is Inder(T) paired by the D_{e_i,e_j},
+and no step computes Der(T).  Bases are deterministic RREF bases, so
+structure constants are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
 )
 from .lts import (
-    InnerDerivations, LieTripleSystem, LtsHom, inner_derivation, inner_derivation_algebra,
+    DerivationAlgebra, LieTripleSystem, LtsHom, _inner_flats, inner_derivation_algebra,
     is_lts_hom, odd_part_lts,
 )
 
@@ -85,7 +85,7 @@ class StandardImbedding(Record):
     lts: LieTripleSystem
     algebra: GradedLieAlgebra
     inclusion: Matrix  # (dim0+dim1) x dim(T), onto the odd part
-    inder: InnerDerivations
+    inder: DerivationAlgebra  # Inder(T), the even part
 
 
 def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
@@ -93,22 +93,13 @@ def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
     n = T.dim
     inder = inner_derivation_algebra(T)
     r = inder.dim
-    xs = inder.basis_matrices()
     total = r + n
-
-    def inder_coords(m: Matrix) -> Vector:
-        coords = inder.span.coordinates(m.flatten())
-        if coords is None:
-            raise RuntimeError("inner derivations are not closed as expected")
-        return coords
-
     even = _assemble(F, r, 0, (
-        (a, b, enumerate(inder_coords(xs[a].matmul(xs[b]).sub(xs[b].matmul(xs[a])))))
-        for a in range(r) for b in range(a + 1, r)))
-    pairing = Matrix.from_cols(F, [
-        inder_coords(inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)))
-        for i, j in wedge_pairs(n)], rows=r)
-    algebra = _glue(even, n, xs, pairing)
+        (a, b, enumerate(inder.bracket[a][b])) for a in range(r) for b in range(a + 1, r)))
+    flat = _inner_flats(T)
+    pairing = Matrix.from_cols(F, [inder.span.coordinates(flat[i][j]) for i, j in wedge_pairs(n)],
+                               rows=r)
+    algebra = _glue(even, n, inder.basis, pairing)
     inclusion = Matrix.from_cols(F, [unit_vec(F, total, r + i) for i in range(n)], rows=total)
     return StandardImbedding(T, algebra, inclusion, inder)
 
@@ -134,7 +125,7 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
     br = ste.algebra.bracket
     inder_algebra = _assemble(F, r, 0, (
         (a, b, enumerate(br[a][b][:r])) for a in range(r) for b in range(a + 1, r)))
-    actions = tuple(wedge_action(x) for x in ste.inder.basis_matrices())
+    actions = tuple(wedge_action(x) for x in ste.inder.basis)
     module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, unchecked=True)
     lam = Matrix.from_cols(F, [br[r + i][r + j][:r] for i, j in wedge_pairs(n)], rows=r)
     return WedgeModule(T, ste, inder_algebra, module, lam)
@@ -169,18 +160,15 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
     acts = [module.act(lam.col(u)) for u in range(mdim)]  # acts[u] = lam(e_u) acting on M
-    gens = []
-    for u in range(mdim):
-        gens.append(acts[u].col(u))
-    for u in range(mdim):
-        for v in range(u + 1, mdim):
-            gens.append(vec_add(F, acts[u].col(v), acts[v].col(u)))
+    gens = [acts[u].col(u) for u in range(mdim)]
+    gens += [vec_add(F, acts[u].col(v), acts[v].col(u)) for u in range(mdim) for v in range(u + 1, mdim)]
     a_sub = span_of(F, mdim, gens)
 
     ker = kernel_basis(lam)
     if not ker.contains_subspace(a_sub):
         raise RuntimeError("A(M) escaped the kernel of lam")
-    imker = [acts[u].matvec(k) for u in range(mdim) for k in ker.basis.entries]
+    K = ker.basis.transpose()  # the kernel basis as columns
+    imker = [v for u in range(mdim) for v in acts[u].matmul(K).transpose().entries]
     if not a_sub.contains_subspace(span_of(F, mdim, imker)):
         raise RuntimeError("Im(lam).Ker(lam) escaped A(M)")
 

@@ -703,7 +703,6 @@ class QuotientSpace(Record):
     field: Field
     ambient_dim: int
     kernel: Subspace
-    coset_reps: Matrix
     projection: Matrix
     section: Matrix
 
@@ -727,6 +726,5 @@ def quotient(ambient_dim: int, sub: Subspace) -> QuotientSpace:
             row[p] = F.sub(row[p], sub.basis.entries[r][f])
         proj_rows.append(tuple(row))
     projection = Matrix(F, q, ambient_dim, tuple(proj_rows))
-    reps = Matrix(F, q, ambient_dim, tuple(unit_vec(F, ambient_dim, f) for f in free))
-    section = reps.transpose()
-    return QuotientSpace(F, ambient_dim, sub, reps, projection, section)
+    section = Matrix.from_cols(F, [unit_vec(F, ambient_dim, f) for f in free], rows=ambient_dim)
+    return QuotientSpace(F, ambient_dim, sub, projection, section)

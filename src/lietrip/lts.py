@@ -14,6 +14,10 @@ explicit ``unchecked`` flag is passed (needed to store intentionally
 broken systems for negative tests).  Systems derived from validated input
 (``lts_of_lie``, ``odd_part_lts``) are built by ``_assemble_lts``, which
 checks nothing.
+
+Der(T) and Inder(T) are both ``DerivationAlgebra`` records built by one
+routine; Inder(T) is read from the tensor alone, and that it is an ideal
+of Der(T) is checked apart, by ``ideal_closure_certificate``.
 """
 
 from __future__ import annotations
@@ -216,11 +220,11 @@ def inner_derivation(T: LieTripleSystem, a: Vector, b: Vector) -> Matrix:
 
 
 class DerivationAlgebra(Record):
-    """Basis of all derivations of T, closed under commutator.
+    """A bracket-closed space of derivations of T: Der(T) or Inder(T).
 
-    ``basis`` is the deterministic RREF kernel basis of the constraint
-    system; ``bracket`` is the commutator table in that basis; ``span`` is
-    the same space inside End(T) flattened to F^(n^2).
+    ``span`` is the space inside End(T) flattened row-major to F^(n^2),
+    with its deterministic RREF basis; ``basis`` is that basis as n x n
+    matrices and ``bracket`` the commutator table in it.
     """
 
     lts: LieTripleSystem
@@ -263,12 +267,10 @@ def _derivation_rows(T: LieTripleSystem):
                 yield from (row for row in rows if row)
 
 
-def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
-    """Solve the linear system D[a,b,c] = [Da,b,c] + [a,Db,c] + [a,b,Dc]
-    over the n^2 unknown entries of D, on all basis triples."""
+def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
+    """The algebra on a bracket-closed span of endomorphisms of T."""
     F = T.field
     n = T.dim
-    span = kernel_of_rows(F, n * n, _derivation_rows(T))
     flats = span.basis.entries
     rows = [_sparse_rows(v, n) for v in flats]
     # [D_b, D_a] = -[D_a, D_b]: each unordered pair is computed once
@@ -278,11 +280,17 @@ def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
         for b in range(a + 1, len(flats)):
             coords = span.coordinates(_commutator(F, n, rows[a], rows[b]))
             if coords is None:
-                raise RuntimeError("derivation algebra not closed under commutator")
+                raise RuntimeError("derivations not closed under commutator")
             table[a][b] = coords
             table[b][a] = tuple(F.neg(x) for x in coords)
     basis = tuple(mat_from_flat(F, v, n, n) for v in flats)
     return DerivationAlgebra(T, basis, span, tuple(tuple(row) for row in table))
+
+
+def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
+    """Der(T): solve the linear system D[a,b,c] = [Da,b,c] + [a,Db,c] +
+    [a,b,Dc] over the n^2 unknown entries of D, on all basis triples."""
+    return _derivations(T, kernel_of_rows(T.field, T.dim ** 2, _derivation_rows(T)))
 
 
 def _sparse_rows(flat: Vector, n: int) -> list:
@@ -304,6 +312,22 @@ def _commutator(F: Field, n: int, x: list, y: list) -> Vector:
     return vec_from_sums(F, acc)
 
 
+def _inner_flats(T: LieTripleSystem) -> list:
+    """flat[u][v] = D_{e_u,e_v} = [e_u, e_v, -] flattened row-major, read
+    from the tensor: its column m is t[u][v][m]."""
+    n = T.dim
+    return [[tuple(tuv[m][r] for r in range(n) for m in range(n)) for tuv in tu]
+            for tu in T.triple]
+
+
+def inner_derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
+    """Inder(T), spanned by the D_{e_i,e_j} with i < j."""
+    n = T.dim
+    flat = _inner_flats(T)
+    return _derivations(T, span_of(T.field, n * n, [flat[i][j] for i in range(n)
+                                                    for j in range(i + 1, n)]))
+
+
 class IdealClosureCertificate(Record):
     """Record that the inner derivations form an ideal of the derivation
     algebra: [D, D_{a,b}] = D_{Da,b} + D_{a,Db} holds and stays in the span."""
@@ -313,35 +337,18 @@ class IdealClosureCertificate(Record):
     failures: tuple
 
 
-class InnerDerivations(Record):
-    lts: LieTripleSystem
-    span: Subspace  # in F^(n^2)
-    certificate: IdealClosureCertificate
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-    def basis_matrices(self) -> tuple:
-        n = self.lts.dim
-        return tuple(mat_from_flat(self.lts.field, v, n, n) for v in self.span.basis.entries)
-
-
-def inner_derivation_algebra(T: LieTripleSystem, der: Optional[DerivationAlgebra] = None) -> InnerDerivations:
+def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
+    """Check [D, D_{e_i,e_j}] for every basis derivation D and pair i < j."""
     F = T.field
     n = T.dim
-    # flat[u][v]: D_{u,v} = [e_u, e_v, -] flattened row-major; its column m is t[u][v][m]
-    flat = [[tuple(tuv[m][r] for r in range(n) for m in range(n)) for tuv in tu]
-            for tu in T.triple]
+    flat = _inner_flats(T)
     flat_nz = [[nonzeros(f) for f in fu] for fu in flat]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     span = span_of(F, n * n, [flat[i][j] for i, j in pairs])
-    if der is None:
-        der = derivation_algebra(T)
     pair_rows = [_sparse_rows(flat[i][j], n) for i, j in pairs]
     failures = []
     checked = 0
-    for d in der.basis:
+    for d in derivation_algebra(T).basis:
         e = d.entries
         d_rows = [nonzeros(r) for r in e]
         for (i, j), dij in zip(pairs, pair_rows):
@@ -356,7 +363,7 @@ def inner_derivation_algebra(T: LieTripleSystem, der: Optional[DerivationAlgebra
                             acc[k] += c * x
             if comm != vec_from_sums(F, acc) or not span.contains(comm):
                 failures.append((i, j))
-    return InnerDerivations(T, span, IdealClosureCertificate(not failures, checked, tuple(failures)))
+    return IdealClosureCertificate(not failures, checked, tuple(failures))
 
 
 def _assemble_lts(field: Field, n: int, rows) -> LieTripleSystem:

@@ -44,6 +44,14 @@ def _parse_matrix(field: Field, entries, rows: Optional[int] = None, cols: Optio
     return m
 
 
+def _load_nested(payload: dict, key: str, cls: type, unchecked: bool):
+    """The object embedded under key, which must load as a cls."""
+    obj = load(payload[key], unchecked=unchecked)
+    if not isinstance(obj, cls):
+        raise PayloadError(f"{key} must be a {cls.__name__}, found {type(obj).__name__}")
+    return obj
+
+
 def save(obj, name: Optional[str] = None) -> dict:
     """Serialize a supported value to a JSON-ready dict."""
     if isinstance(obj, LieTripleSystem):
@@ -140,25 +148,25 @@ def load(payload: dict, *, unchecked: bool = False):
             tensor = tuple(tuple(tuple(_scalar(field, x) for x in v) for v in row) for row in entries)
             return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
         if kind == "lts_hom":
-            source = load(payload["source"], unchecked=unchecked)
-            target = load(payload["target"], unchecked=unchecked)
+            source = _load_nested(payload, "source", LieTripleSystem, unchecked)
+            target = _load_nested(payload, "target", LieTripleSystem, unchecked)
             matrix = _parse_matrix(field, entries, rows=dims["target_dim"], cols=dims["source_dim"])
             return LtsHom(source, target, matrix, unchecked=unchecked)
         if kind == "graded_hom":
-            source = load(payload["source"], unchecked=unchecked)
-            target = load(payload["target"], unchecked=unchecked)
+            source = _load_nested(payload, "source", GradedLieAlgebra, unchecked)
+            target = _load_nested(payload, "target", GradedLieAlgebra, unchecked)
             matrix = _parse_matrix(field, entries,
                                    rows=dims["target_dim0"] + dims["target_dim1"],
                                    cols=dims["source_dim0"] + dims["source_dim1"])
             return GradedHom(source, target, matrix, unchecked=unchecked)
         if kind == "module":
-            algebra = load(payload["algebra"], unchecked=unchecked)
+            algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)
             m = dims["dim0"] + dims["dim1"]
             action = tuple(_parse_matrix(field, a, rows=m, cols=m) for a in entries)
             return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
         if kind == "cochain":
-            algebra = load(payload["algebra"], unchecked=unchecked)
-            module = load(payload["module"], unchecked=unchecked)
+            algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)
+            module = _load_nested(payload, "module", GradedModule, unchecked)
             values = tuple(tuple(_scalar(field, x) for x in v) for v in entries)
             f = Cochain(algebra, module, dims["degree"], values)
             if not unchecked and not f.is_graded():

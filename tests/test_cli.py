@@ -12,8 +12,10 @@ from lietrip.corpus import (
 )
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ
-from lietrip.grlie import GradedHom, adjoint_module, direct_sum, graded_lie, trivial_module
-from lietrip.lts import LieTripleSystem, LtsHom, lie_triple_system
+from lietrip.grlie import (
+    GradedHom, adjoint_module, direct_sum, graded_lie, identity_hom, trivial_module,
+)
+from lietrip.lts import LieTripleSystem, LtsHom, identity_lts_hom, lie_triple_system
 from lietrip.serialize import PayloadError, load, save
 
 
@@ -301,6 +303,60 @@ def test_bad_dims_are_invalid_input_even_unchecked(capsys, tmp_path, dims):
         _one_error_line(capsys, [command, str(path), "--unchecked"], 2, "error: ")
 
 
+def _nested_kind_cases():
+    """(name, payload, CLI argv tail or None, message) for payloads whose
+    embedded object has the wrong kind."""
+    hom = save(identity_lts_hom(odd2()))
+    hom["source"] = save(identity_lts_hom(odd2()))
+    ghom = save(identity_hom(heis()))
+    ghom["source"] = save(odd2())
+    module = save(trivial_module(heis()))
+    module["algebra"] = save(odd2())
+    cochain = save(h2_graded(ab2(), trivial_module(ab2())).representatives[0])
+    cochain["module"] = save(ab2())
+    return [
+        ("lts_hom-source", hom, ["extend", "{}", "sl2graded"],
+         "source must be a LieTripleSystem, found LtsHom"),
+        ("graded_hom-source", ghom, ["split", "{}"],
+         "source must be a GradedLieAlgebra, found LieTripleSystem"),
+        ("module-algebra", module, ["h2", "heis", "{}"],
+         "algebra must be a GradedLieAlgebra, found LieTripleSystem"),
+        ("cochain-module", cochain, None, "module must be a GradedModule, found GradedLieAlgebra"),
+    ]
+
+
+@pytest.mark.parametrize("case", _nested_kind_cases(), ids=lambda case: case[0])
+def test_nested_payload_of_the_wrong_kind_is_invalid_input(capsys, tmp_path, case):
+    _, payload, argv, message = case
+    for unchecked in (False, True):
+        with pytest.raises(PayloadError, match=message):
+            load(payload, unchecked=unchecked)
+    if argv is None:
+        return
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(payload))
+    argv = [str(path) if arg == "{}" else arg for arg in argv]
+    for flags in ([], ["--unchecked"]):
+        line = _one_error_line(capsys, argv + flags, 2, "error: ")
+        assert line == f"error: {path}: {message}"
+
+
+def test_deeply_nested_json_is_invalid_input(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    # a chain of lts_hom payloads, each the source of the next: shallow
+    # enough for the JSON decoder, too deep for the recursive loader
+    payload = save(identity_lts_hom(abl(0)))
+    for _ in range(700):
+        payload = dict(payload, source=payload)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(payload))
+    for path in (deep, chain):
+        for command in ("thm-a", "univ"):
+            _one_error_line(capsys, [command, str(path)], 2,
+                            f"error: {path}: maximum recursion depth exceeded")
+
+
 def test_cli_internal_error_exit_code(capsys, tmp_path):
     # [e1, e2] = e1 puts an odd vector in [L1, L1]: not graded, caught only
     # by the consistency check inside is_generated_by_odd
@@ -327,6 +383,10 @@ def test_cli_h2_unchecked_stray_bracket(capsys, tmp_path):
     ("u0ext", "heis", [2, 0, 0], "2", 0),           # was exit 2
     # exit 3 while lam was taken in Der(T) coordinates
     ("u0ext", "sl2graded", [0, 1, 1], "1", 2),
+    # Inder(T) of a non-system need not be closed under commutator; inder
+    # answered (exit 0) while it built no commutator table
+    ("inder", "sl2lts", [0, 1, 0, 0], "3", 3),
+    ("ste", "sl2lts", [0, 1, 0, 0], "3", 3),
 ])
 def test_unchecked_outcomes_keep_the_exit_contract(capsys, tmp_path, command, name, where,
                                                    value, code):
@@ -340,9 +400,12 @@ def test_unchecked_outcomes_keep_the_exit_contract(capsys, tmp_path, command, na
     _one_error_line(capsys, [command, str(path)], 2, "error: ")
     if code == 0:
         assert run_cli(capsys, command, str(path), "--unchecked")[::2] == (0, "")
-    else:
+    elif code == 2:
         line = _one_error_line(capsys, [command, str(path), "--unchecked"], 2, "error: ")
         assert line == "error: lam is not a module homomorphism: fails at basis pair (0, 0)"
+    else:
+        line = _one_error_line(capsys, [command, str(path), "--unchecked"], 3, "internal error: ")
+        assert line == f"internal error: {command}: derivations not closed under commutator"
 
 
 def _ladder_payloads(field):

@@ -1,15 +1,21 @@
 """No dead code in the library: every function, class and method defined in
-``src/lietrip`` is named somewhere outside its own definition.
+``src/lietrip`` is named somewhere outside its own definition, and every
+field of a ``Record`` class is read as an attribute somewhere.
 
 A name counts when it appears as a variable, an attribute, an imported
 name, or a string constant (whole, or as one part of a dotted string such
 as ``"Matrix.matmul"``) in any Python file of ``src``, ``tests``, ``demos``
 or ``perfbench``.  Dunder methods are called by Python itself and are
-exempt.
+exempt.  A field counts only when some file of those directories reads
+``x.field``; the generic ``getattr`` over ``_fields`` in the record tests
+does not count.
 """
 
 import ast
 from pathlib import Path
+
+import lietrip  # noqa: F401  (defines every Record class)
+from lietrip.exactlin import Record
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "demos", "perfbench")
@@ -30,14 +36,19 @@ def _mentions(node):
     return ()
 
 
+def _trees():
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _references():
     """name -> list of (path, line) where it is mentioned."""
     refs = {}
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                for name in _mentions(node):
-                    refs.setdefault(name, []).append((path, node.lineno))
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            for name in _mentions(node):
+                refs.setdefault(name, []).append((path, node.lineno))
     return refs
 
 
@@ -60,3 +71,23 @@ def test_every_library_definition_is_used():
         if not any(where != path or not first <= line <= last
                    for where, line in refs.get(name, ())))
     assert unused == []
+
+
+def _record_fields():
+    """(path, class, field) for every annotated field of a Record class."""
+    for path in sorted((ROOT / "src" / "lietrip").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield path, node.name, item.target.id
+
+
+def test_every_record_field_is_read():
+    read = {node.attr for _, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = list(_record_fields())
+    assert {cls for _, cls, _ in fields} == {cls.__name__ for cls in Record.__subclasses__()}
+    unread = sorted(f"{path.stem}.{cls}.{name}" for path, cls, name in fields if name not in read)
+    assert unread == []

@@ -10,7 +10,7 @@ from lietrip.corpus import abl, heis, odd2, sl2graded, sl2lts
 from lietrip.exactlin import Field, Matrix, QQ, unit_vec
 from lietrip.lts import (
     IdealClosureCertificate, LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
-    derivation_algebra, inner_derivation, inner_derivation_algebra,
+    derivation_algebra, ideal_closure_certificate, inner_derivation, inner_derivation_algebra,
     is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts, triple_bracket,
 )
 
@@ -179,7 +179,7 @@ def test_inder_algebra_examples():
     ind = inner_derivation_algebra(odd2())
     assert ind.dim == 1
     assert ind.span.basis.to_lists() == [[1, 0, 0, -1]]  # diag(1,-1), RREF-scaled
-    assert ind.certificate.ok
+    assert ideal_closure_certificate(odd2()).ok
 
     L = sl2graded()
     ad_flat = [L.ad(i).flatten() for i in range(3)]
@@ -188,16 +188,17 @@ def test_inder_algebra_examples():
     assert ind_s.dim == oracle_rank == 3
     for v in ad_flat:
         assert ind_s.span.contains(v)
-    assert ind_s.certificate.ok
+    cert = ideal_closure_certificate(sl2lts())
+    assert cert.ok
     # one check per (derivation basis element, pair i < j)
-    assert ind_s.certificate.checked_pairs == derivation_algebra(sl2lts()).dim * 3
-    assert ind_s.certificate.failures == ()
+    assert cert.checked_pairs == derivation_algebra(sl2lts()).dim * 3
+    assert cert.failures == ()
 
 
 def test_inder_inside_der():
     for T in (odd2(), sl2lts(), abl(2)):
         der = derivation_algebra(T)
-        ind = inner_derivation_algebra(T, der)
+        ind = inner_derivation_algebra(T)
         assert der.span.contains_subspace(ind.span)
 
 
@@ -363,6 +364,10 @@ def test_derivations_match_dense_oracle(name, field):
     assert der.span.basis.to_lists() == want
     assert [list(m.flatten()) for m in der.basis] == want
     assert [[list(c) for c in row] for row in der.bracket] == oracles.derivation_bracket(want, n, p)
-    ind = inner_derivation_algebra(T, der)
-    assert ind.span.basis.to_lists() == oracles.inner_derivation_basis(raw, p)
-    assert ind.certificate == IdealClosureCertificate(True, der.dim * n * (n - 1) // 2, ())
+    ind = inner_derivation_algebra(T)
+    inner = oracles.inner_derivation_basis(raw, p)
+    assert ind.span.basis.to_lists() == inner
+    assert [list(m.flatten()) for m in ind.basis] == inner
+    assert [[list(c) for c in row] for row in ind.bracket] == oracles.derivation_bracket(inner, n, p)
+    assert ideal_closure_certificate(T) == IdealClosureCertificate(
+        True, der.dim * n * (n - 1) // 2, ())

@@ -35,8 +35,9 @@ from lietrip.grlie import (
     identity_hom, is_graded_hom, restrict_hom_to_odd, trivial_module,
 )
 from lietrip.lts import (
-    LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms, derivation_algebra,
-    identity_lts_hom, inner_derivation, is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts,
+    IdealClosureCertificate, LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
+    derivation_algebra, ideal_closure_certificate, identity_lts_hom, inner_derivation,
+    is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts,
 )
 from lietrip.serialize import PayloadError, load, save
 
@@ -101,6 +102,9 @@ def test_derived_objects_pass_the_full_checks(name, field):
     assert report.verdict, name
     _hom_ok(report.witness, f"envelope_criterion witness of A({name})")
     _quotient_and_extensions(A, f"A({name})")
+    n = T.dim
+    assert ideal_closure_certificate(T) == IdealClosureCertificate(
+        True, derivation_algebra(T).dim * n * (n - 1) // 2, ()), name
 
 
 def _pair_algebra_over_der(T):
@@ -196,7 +200,7 @@ TRUSTED_SITES = {
     # the user's own flag, passed through
     ("lts.lie_triple_system", "LieTripleSystem(unchecked=unchecked)"),
     ("grlie.graded_lie", "GradedLieAlgebra(unchecked=unchecked)"),
-    ("serialize.load", "load(unchecked=unchecked)"),
+    ("serialize._load_nested", "load(unchecked=unchecked)"),
     ("serialize.load", "LieTripleSystem(unchecked=unchecked)"),
     ("serialize.load", "GradedLieAlgebra(unchecked=unchecked)"),
     ("serialize.load", "LtsHom(unchecked=unchecked)"),

@@ -152,23 +152,25 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     mdim = module.dim
     if lam.rows != L.dim or lam.cols != mdim:
         raise ValueError("lam shape mismatch")
+    lam_cols = lam.transpose().entries
     for a in range(L.dim):
+        action_cols = module.action[a].transpose().entries
         for u in range(mdim):
-            lhs = lam.matvec(module.action[a].col(u))
-            rhs = L.bracket_vec(unit_vec(F, L.dim, a), lam.col(u))
+            lhs = lam.matvec(action_cols[u])
+            rhs = L.bracket_vec(unit_vec(F, L.dim, a), lam_cols[u])
             if lhs != rhs:
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
-    acts = [module.act(lam.col(u)) for u in range(mdim)]  # acts[u] = lam(e_u) acting on M
-    gens = [acts[u].col(u) for u in range(mdim)]
-    gens += [vec_add(F, acts[u].col(v), acts[v].col(u)) for u in range(mdim) for v in range(u + 1, mdim)]
+    acts = [module.act(c).transpose().entries for c in lam_cols]  # acts[u][v] = lam(e_u).e_v
+    gens = [acts[u][u] for u in range(mdim)]
+    gens += [vec_add(F, acts[u][v], acts[v][u]) for u in range(mdim) for v in range(u + 1, mdim)]
     a_sub = span_of(F, mdim, gens)
 
     ker = kernel_basis(lam)
     if not ker.contains_subspace(a_sub):
         raise RuntimeError("A(M) escaped the kernel of lam")
-    K = ker.basis.transpose()  # the kernel basis as columns
-    imker = [v for u in range(mdim) for v in acts[u].matmul(K).transpose().entries]
+    # the rows of ker.basis x acts[u]^T are lam(e_u) applied to the kernel basis
+    imker = [v for act in acts for v in ker.basis.matmul(Matrix(F, mdim, mdim, act)).entries]
     if not a_sub.contains_subspace(span_of(F, mdim, imker)):
         raise RuntimeError("Im(lam).Ker(lam) escaped A(M)")
 

@@ -312,8 +312,8 @@ class Matrix(Record):
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
+        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix(self.field, self.cols, self.rows, cols)
 
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.cols:

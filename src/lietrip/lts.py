@@ -9,6 +9,11 @@ which suffices by multilinearity:
   (2) the cyclic sum t[i][j][k] + t[j][k][i] + t[k][i][j] = 0;
   (3) the five-variable identity making each [a,b,-] act as a derivation.
 
+When (1) holds, the defect of (2) is alternating in all three indices and
+that of (3) in (i, j) and in (k, l): only the canonical tuples i < j < k,
+resp. i < j and k < l, are computed, every other defect is read off by sign
+(a repeated pair gives zero).  When (1) fails, the loops take every tuple.
+
 Constructors run the checker and refuse invalid tensors unless an
 explicit ``unchecked`` flag is passed (needed to store intentionally
 broken systems for negative tests).  Systems derived from validated input
@@ -104,30 +109,38 @@ def _nonzero_view(T: LieTripleSystem) -> tuple[list, int]:
               for v in tij] for tij in ti] for ti in T.triple], den
 
 
+# The tuples a canonical tuple stands for: index permutations, each with its sign.
+_CYCLIC_ORBIT = (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1))
+_DERIVATION_ORBIT = (((0, 1, 2, 3, 4), 1), ((0, 1, 3, 2, 4), -1), ((1, 0, 2, 3, 4), -1), ((1, 0, 3, 2, 4), 1))
+
+
+def _spread(F: Field, identity: str, found, orbit: tuple) -> list:
+    """The violations of one identity in lexicographic order: for each found
+    (indices, defect) with a nonzero defect, every tuple of its orbit, with
+    the defect times the sign of the permutation."""
+    out = [(tuple(indices[q] for q in perm), d if sign > 0 else tuple(F.neg(x) for x in d))
+           for indices, d in found if not vec_is_zero(F, d) for perm, sign in orbit]
+    return [AxiomViolation(identity, ix, d) for ix, d in sorted(out, key=lambda v: v[0])]
+
+
 def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
     """Verify the three defining identities (plus the polarized form of the
     first) on all basis tuples and report every violation with a witness."""
     F = T.field
     n = T.dim
     t = T.triple
-    bad = []
+    bad = [AxiomViolation("alternating", (i, i, k), t[i][i][k])
+           for i in range(n) for k in range(n) if not vec_is_zero(F, t[i][i][k])]
+    polar = (((i, j, k), vec_add(F, t[i][j][k], t[j][i][k]))
+             for i in range(n) for j in range(i + 1, n) for k in range(n))
+    bad += [AxiomViolation("polarized-alternating", ix, d) for ix, d in polar if not vec_is_zero(F, d)]
 
-    for i in range(n):
-        for k in range(n):
-            if not vec_is_zero(F, t[i][i][k]):
-                bad.append(AxiomViolation("alternating", (i, i, k), t[i][i][k]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                d = vec_add(F, t[i][j][k], t[j][i][k])
-                if not vec_is_zero(F, d):
-                    bad.append(AxiomViolation("polarized-alternating", (i, j, k), d))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d = vec_add(F, vec_add(F, t[i][j][k], t[j][k][i]), t[k][i][j])
-                if not vec_is_zero(F, d):
-                    bad.append(AxiomViolation("cyclic", (i, j, k), d))
+    canonical = not bad  # when t is alternating, canonical tuples suffice (see the module docstring)
+    orbits = slice(None if canonical else 1)  # off the canonical path a tuple is itself only
+    cyclic = (((i, j, k), vec_add(F, vec_add(F, t[i][j][k], t[j][k][i]), t[k][i][j]))
+              for i in range(n) for j in range(i + 1 if canonical else 0, n)
+              for k in range(j + 1 if canonical else 0, n))
+    bad += _spread(F, "cyclic", cyclic, _CYCLIC_ORBIT[orbits])
 
     # [e_i,e_j,[e_k,e_l,e_m]] = [[e_i,e_j,e_k],e_l,e_m] + [e_k,[e_i,e_j,e_l],e_m]
     #                           + [e_k,e_l,[e_i,e_j,e_m]],
@@ -136,16 +149,17 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
     nz, den = _nonzero_view(T)
     den2 = den * den
     p = F.p
+    found = []
     for i in range(n):
         ti = nz[i]
-        for j in range(n):
+        for j in range(i + 1 if canonical else 0, n):
             tij = ti[j]
             if not any(tij):
                 continue  # every term carries a factor t[i][j][.]
             for k in range(n):
                 tijk = tij[k]
                 tk = nz[k]
-                for l in range(n):
+                for l in range(k + 1 if canonical else 0, n):
                     tijl = tij[l]
                     tkl = tk[l]
                     for m in range(n):
@@ -166,7 +180,8 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
                             acc = {v: c % p for v, c in acc.items()}
                         if any(acc.values()):
                             d = tuple(F.of(Fraction(acc.get(v, 0), den2)) for v in range(n))
-                            bad.append(AxiomViolation("derivation", (i, j, k, l, m), d))
+                            found.append(((i, j, k, l, m), d))
+    bad += _spread(F, "derivation", found, _DERIVATION_ORBIT[orbits])
     return LtsAxiomReport(not bad, tuple(bad))
 
 
@@ -241,8 +256,10 @@ class DerivationAlgebra(Record):
 
 
 def _derivation_rows(T: LieTripleSystem):
-    """The rows of D[a,b,c] = [Da,b,c] + [a,Db,c] + [a,b,Dc] on all basis
-    triples, as sparse integer rows {u*n + v: coefficient of D[u][v]}.
+    """The rows of D[a,b,c] = [Da,b,c] + [a,Db,c] + [a,b,Dc] on the basis
+    triples (i, j, k) with i < j, as sparse integer rows {u*n + v: coefficient
+    of D[u][v]}: T is alternating, so (j, i, k) gives the same rows negated
+    and (i, i, k) zero rows.
 
     They are read from the nonzero view, so over Q each row is den times
     the true one, which has the same kernel.
@@ -251,7 +268,7 @@ def _derivation_rows(T: LieTripleSystem):
     nz, _ = _nonzero_view(T)
     for i in range(n):
         nzi = nz[i]
-        for j in range(n):
+        for j in range(i + 1, n):
             nzij = nzi[j]
             for k in range(n):
                 rows = [{} for _ in range(n)]  # rows[l]: component l of the defect
@@ -289,7 +306,7 @@ def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
 
 def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     """Der(T): solve the linear system D[a,b,c] = [Da,b,c] + [a,Db,c] +
-    [a,b,Dc] over the n^2 unknown entries of D, on all basis triples."""
+    [a,b,Dc] over the n^2 unknown entries of D, on the basis triples with a < b."""
     return _derivations(T, kernel_of_rows(T.field, T.dim ** 2, _derivation_rows(T)))
 
 

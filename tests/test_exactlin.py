@@ -243,6 +243,15 @@ def test_solve_or_certificate(data):
         assert prod == F.one()
 
 
+def test_transpose_including_empty_shapes():
+    m = Matrix.make(QQ, [[1, 2, 3], [4, 5, 6]])
+    assert m.transpose() == Matrix.make(QQ, [[1, 4], [2, 5], [3, 6]])
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        z = Matrix.zeros(QQ, rows, cols)
+        assert z.transpose() == Matrix.zeros(QQ, cols, rows)
+        assert z.transpose().transpose() == z
+
+
 # ---------------------------------------------------------------------------
 # the field-specialised kernels against the naive oracle in tests/oracles.py
 

@@ -14,8 +14,9 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Record, Subspace, Vector, kernel_basis, linear_combination, nonzeros, solve,
-    span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero, zero_vec,
+    Matrix, Record, Subspace, Vector, _echelon, _span, _sparse_rows, kernel_of_rows,
+    linear_combination, nonzeros, solve, unit_vec, vec_add, vec_from_sums, vec_is_zero,
+    zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
@@ -161,16 +162,16 @@ def coboundary(f: Cochain) -> Cochain:
     return Cochain(L, M, n + 1, out)
 
 
-def _graded_block(rows: dict, out_slots: list, in_slots: list, field) -> Matrix:
-    """The matrix of a differential from the graded in_slots to the graded
-    out_slots; raises when a graded cochain reaches any other output slot."""
-    graded_in, graded_out = set(in_slots), set(out_slots)
+def _graded_rows(rows: dict, out_slots: list, in_slots: list) -> list:
+    """The sparse rows of a differential from the graded in_slots to the
+    graded out_slots, each {position in in_slots: coefficient}; raises when
+    a graded cochain reaches any other output slot."""
+    position = {slot: k for k, slot in enumerate(in_slots)}
+    graded_out = set(out_slots)
     for slot, row in rows.items():
-        if slot not in graded_out and not graded_in.isdisjoint(row):
+        if slot not in graded_out and not position.keys().isdisjoint(row):
             raise ValueError("cochain is not graded")
-    z = field.zero()
-    return Matrix(field, len(out_slots), len(in_slots),
-                  tuple(tuple(rows[s].get(c, z) for c in in_slots) for s in out_slots))
+    return [{position[c]: x for c, x in rows[s].items() if c in position} for s in out_slots]
 
 
 class H2Result(Record):
@@ -185,17 +186,16 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     deterministic RREF-complement of representatives."""
     F = L.field
     slots1, slots2, slots3 = (_graded_slots(L, M, n) for n in (1, 2, 3))
-    z2 = kernel_basis(_graded_block(_differential(L, M, 2), slots3, slots2, F))
-    d1 = _graded_block(_differential(L, M, 1), slots2, slots1, F)
-    b2 = span_of(F, len(slots2), d1.transpose().entries)
+    z2 = kernel_of_rows(F, len(slots2), _graded_rows(_differential(L, M, 2), slots3, slots2))
+    d1 = _graded_rows(_differential(L, M, 1), slots2, slots1)
+    b2 = _span(F, len(slots2), ({k: row[j] for k, row in enumerate(d1) if j in row}
+                                for j in range(len(slots1))))
     if not z2.contains_subspace(b2):
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
-    reps = []
-    current = b2
-    for v in z2.basis.entries:
-        if not current.contains(v):
-            reps.append(v)
-            current = current.sum(span_of(F, len(slots2), [v]))
+    # the cocycle basis vectors outside the span of the coboundaries and the
+    # cocycles before them
+    _, picked = _echelon(_sparse_rows(b2.vectors() + z2.vectors()), F.p, len(slots2))
+    reps = [z2.vectors()[i - b2.dim] for i in picked[b2.dim:]]
     rep_cochains = tuple(_cochain_at(L, M, 2, {slot: c for slot, c in zip(slots2, coords) if c})
                          for coords in reps)
     return H2Result(z2.dim - b2.dim, z2.dim, b2.dim, rep_cochains)

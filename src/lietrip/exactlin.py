@@ -4,9 +4,14 @@ Scalars are ``fractions.Fraction`` over Q and plain ``int`` residues in
 ``range(p)`` over F_p; there is no floating point anywhere.  The kernels
 below read ``field.p`` once and then use plain operators, skipping zero
 operands and, over F_p, reducing once per output entry.  Matrices and
-subspaces are immutable, every operation is a pure function, and row
-reduction always selects the leftmost pivot, so every derived basis
-(kernels, sums, intersections, quotient sections) is canonical and
+subspaces are immutable, and every operation is a pure function.
+
+Every elimination runs through one sparse echelon engine, ``_echelon``:
+rows are dicts {column: scalar}, and each row joins at its leftmost
+column, which is then cleared from the rows already there.  It runs
+exactly over Q or F_p, or modulo a large prime to pick independent rows.
+Its basis is the unique RREF basis, so every derived basis (RREF, spans,
+kernels, sums, intersections, quotient sections) is canonical and
 reproducible.
 """
 
@@ -200,6 +205,7 @@ class Field(Record):
 
 QQ = Field()
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def zero_vec(field: Field, n: int) -> Vector:
@@ -388,44 +394,12 @@ def mat_from_flat(field: Field, flat: Vector, rows: int, cols: int) -> Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple]:
-    """Reduced row echelon form and its (strictly increasing) pivot columns.
-
-    Each elimination step touches only the nonzero columns of the pivot row.
-    """
-    F = m.field
-    p = F.p
-    a = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        row = a[r]
-        # entries left of c are zero: earlier pivots cleared them
-        if p is None:
-            inv = 1 / row[c]
-            row[c:] = [x * inv if x else _ZERO for x in row[c:]]
-        else:
-            inv = pow(row[c], p - 2, p)
-            row[c:] = [x * inv % p for x in row[c:]]
-        nz = [(j, row[j]) for j in range(c, m.cols) if row[j]]
-        for i in range(m.rows):
-            ri = a[i]
-            f = ri[c]
-            if f and i != r:
-                if p is None:
-                    for j, y in nz:
-                        ri[j] -= f * y
-                else:
-                    for j, y in nz:
-                        ri[j] = (ri[j] - f * y) % p
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix(F, m.rows, m.cols, tuple(tuple(row) for row in a)), tuple(pivots)
+    """Reduced row echelon form and its (strictly increasing) pivot columns:
+    the RREF basis of m's row space, which the echelon engine builds from
+    m's nonzero entries, followed by m.rows - rank zero rows."""
+    span = span_of(m.field, m.cols, m.entries)
+    zeros = (zero_vec(m.field, m.cols),) * (m.rows - span.dim)
+    return Matrix(m.field, m.rows, m.cols, span.basis.entries + zeros), span.pivots
 
 
 def rank(m: Matrix) -> int:
@@ -549,33 +523,16 @@ def span_of(field: Field, ambient_dim: int, vectors: Sequence[Vector]) -> Subspa
     """The span of vectors whose entries are already the field's scalars,
     each of length ambient_dim: :meth:`Subspace.span` without coercing
     every entry, for the vectors the library computes itself."""
-    rows = tuple(vectors)
-    red, pivots = rref(Matrix(field, len(rows), ambient_dim, rows))
-    basis = red.entries[: len(pivots)]
-    return Subspace(field, ambient_dim, Matrix(field, len(basis), ambient_dim, basis), pivots)
-
-
-def _null_vectors(m: Matrix) -> list:
-    """One solution of m*x = 0 per free column of rref(m): 1 there, and
-    minus that column of the reduced rows at the pivots."""
-    F = m.field
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    vecs = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [F.zero()] * m.cols
-        v[f] = F.one()
-        for r, p in enumerate(pivots):
-            v[p] = F.neg(red.entries[r][f])
-        vecs.append(tuple(v))
-    return vecs
+    return _span(field, ambient_dim, _sparse_rows(vectors))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """The solution space of m*x = 0, dim = cols - rank."""
-    return span_of(m.field, m.cols, _null_vectors(m))
+    """The solution space of m*x = 0, dim = cols - rank: m's nonzero rows go
+    into the echelon engine exactly, and the solutions it leaves free are
+    reduced to their RREF basis."""
+    p = m.field.p
+    echelon, _ = _echelon(_sparse_rows(m.entries), p, m.cols)
+    return _span(m.field, m.cols, _null_vectors(p, m.cols, echelon))
 
 
 # Over Q, kernel_of_rows picks its rows by their rank profile modulo this
@@ -590,21 +547,110 @@ def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
 
     Each row is scaled to a canonical multiple (over Q a primitive integer
     row with a positive leading entry, over F_p leading entry 1), and equal
-    rows are kept once.  The distinct rows are reduced one at a time against
-    a growing echelon basis, and only those that enlarge it are eliminated
-    exactly.  Over F_p that basis is exact.  Over Q the reduction runs modulo
-    SELECT_PRIME; rows independent there are independent over Q, but the
-    rank may drop, and then the kernel of the picked rows is too large.  So
-    every vector of that kernel is checked in integers against every
-    distinct row, and if one check fails all distinct rows are eliminated.
+    rows are kept once; over F_p the engine then reduces them exactly.  Over
+    Q it first picks, modulo SELECT_PRIME, the rows that enlarge the
+    echelon, and reduces only those exactly.  The rank may drop modulo the
+    prime, leaving the kernel of the picked rows too large, so each of its
+    vectors is checked in integers against every distinct row; if one check
+    fails, all distinct rows are reduced exactly.
     """
     p = field.p
     distinct = _distinct_rows(p, rows)
-    picked = _independent_rows(distinct, p or SELECT_PRIME, ncols)
-    vecs = _null_vectors(_sparse_matrix(field, ncols, [distinct[i] for i in picked]))
+    chosen = distinct
+    if p is None:
+        q = SELECT_PRIME
+        _, picked = _echelon([{c: x % q for c, x in row if x % q} for row in distinct], q, ncols)
+        chosen = [distinct[i] for i in picked]
+    vecs = _null_vectors(p, ncols, _echelon([dict(row) for row in chosen], p, ncols)[0])
     if p is None and not _annihilates(distinct, vecs):
-        vecs = _null_vectors(_sparse_matrix(field, ncols, distinct))
-    return span_of(field, ncols, vecs)
+        vecs = _null_vectors(p, ncols, _echelon([dict(row) for row in distinct], p, ncols)[0])
+    return _span(field, ncols, vecs)
+
+
+def _sparse_rows(vectors: Iterable) -> Iterable:
+    """Each dense vector as a dict {column: entry} of its nonzero entries."""
+    return ({j: x for j, x in enumerate(v) if x} for v in vectors)
+
+
+def _echelon(rows: Iterable, p: Optional[int], ncols: int) -> tuple[dict, list]:
+    """The echelon engine, exact over Q (p is None) or modulo the prime p:
+    the reduced echelon basis {pivot column: row} of sparse rows, and the
+    indices of the rows that enlarged it.
+
+    Each row is a dict {column: scalar} of nonzero entries (residues mod p),
+    reduced in place against the basis rows at its pivot columns.  A row
+    left nonzero is scaled to 1 at its leftmost column and joins there, and
+    that column is cleared from the rows already in; so every basis row
+    starts at its pivot and is 0 at the others: sorted, the unique RREF.
+    """
+    basis = {}
+    picked = []
+    for i, r in enumerate(rows):
+        for c in [c for c in r if c in basis]:
+            _sub_multiple(r, r[c], basis[c], p)
+        if not r:
+            continue
+        c = min(r)
+        if p is None:
+            inv = _ONE / r[c]
+            r = {j: x * inv for j, x in r.items()}
+        else:
+            inv = pow(r[c], -1, p)
+            r = {j: x * inv % p for j, x in r.items()}
+        for b in basis.values():
+            if c in b:
+                _sub_multiple(b, b[c], r, p)
+        basis[c] = r
+        picked.append(i)
+        if len(basis) == ncols:
+            break
+    return basis, picked
+
+
+def _sub_multiple(r: dict, f: Scalar, b: dict, p: Optional[int]) -> None:
+    """r -= f * b in place, exactly or mod p, dropping the entries that
+    vanish; f * y is nonzero, so x vanishes only where r had an entry."""
+    if p is None:
+        for j, y in b.items():
+            x = r.get(j, 0) - f * y
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+    else:
+        for j, y in b.items():
+            x = (r.get(j, 0) - f * y) % p
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+
+
+def _null_vectors(p: Optional[int], ncols: int, echelon: dict) -> list:
+    """One solution of the echelon's rows per free column f, as a sparse
+    row: 1 at f, and minus each basis row's entry at f at its pivot."""
+    vecs = {f: {f: _ONE if p is None else 1} for f in range(ncols) if f not in echelon}
+    for c, row in echelon.items():
+        for j, x in row.items():
+            if j != c:
+                vecs[j][c] = -x if p is None else -x % p
+    return list(vecs.values())
+
+
+def _span(field: Field, ambient_dim: int, rows: Iterable) -> Subspace:
+    """The span of sparse rows {column: scalar}, which the echelon engine
+    consumes, held as its dense RREF basis."""
+    echelon, _ = _echelon(rows, field.p, ambient_dim)
+    pivots = tuple(sorted(echelon))
+    zero = field.zero()
+    basis = []
+    for c in pivots:
+        v = [zero] * ambient_dim
+        for j, x in echelon[c].items():
+            v[j] = x
+        basis.append(tuple(v))
+    return Subspace(field, ambient_dim, Matrix(field, len(basis), ambient_dim, tuple(basis)),
+                    pivots)
 
 
 def _distinct_rows(p: Optional[int], rows: Iterable) -> list:
@@ -629,65 +675,14 @@ def _distinct_rows(p: Optional[int], rows: Iterable) -> list:
     return list(seen)
 
 
-def _independent_rows(rows: list, p: int, ncols: int) -> list:
-    """Indices of the rows independent mod p of the rows before them.
-
-    The basis maps each pivot column to a row {column: residue} with 1 there
-    and 0 at every other pivot, so one pass over the pivots a new row meets
-    reduces it; a row left nonzero joins at its leftmost column, which is
-    cleared from the rows already there.
-    """
-    basis = {}
-    picked = []
-    for i, row in enumerate(rows):
-        r = {c: x % p for c, x in row if x % p}
-        for c in [c for c in r if c in basis]:
-            _sub_multiple(r, r[c], basis[c], p)
-        if not r:
-            continue
-        c = min(r)
-        inv = pow(r[c], -1, p)
-        r = {j: x * inv % p for j, x in r.items()}
-        for b in basis.values():
-            if c in b:
-                _sub_multiple(b, b[c], r, p)
-        basis[c] = r
-        picked.append(i)
-        if len(basis) == ncols:
-            break
-    return picked
-
-
-def _sub_multiple(r: dict, f: int, b: dict, p: int) -> None:
-    """r -= f * b mod p in place, dropping the entries that vanish."""
-    for j, y in b.items():
-        x = (r.get(j, 0) - f * y) % p
-        if x:
-            r[j] = x
-        else:
-            del r[j]  # f * y is nonzero, so x vanishes only where r had an entry
-
-
-def _sparse_matrix(field: Field, ncols: int, rows: list) -> Matrix:
-    """The matrix whose rows are the given (column, entry) tuples."""
-    zero = field.zero()
-    out = []
-    for row in rows:
-        v = [zero] * ncols
-        for c, x in row:
-            v[c] = field.of(x)
-        out.append(tuple(v))
-    return Matrix(field, len(rows), ncols, tuple(out))
-
-
 def _annihilates(rows: list, vecs: list) -> bool:
-    """Whether every integer row is orthogonal to every rational vector,
-    checked on integer multiples of the vectors."""
+    """Whether every integer row is orthogonal to every rational sparse
+    vector, checked on integer multiples of the vectors."""
     for v in vecs:
-        den = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (den // x.denominator) for x in v]
+        den = lcm(*(x.denominator for x in v.values()))
+        w = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
         for row in rows:
-            if sum(x * w[c] for c, x in row):
+            if sum(x * w[c] for c, x in row if c in w):
                 return False
     return True
 

@@ -72,9 +72,9 @@ def naive_kernel(rows, ncols, p=None):
     return red[:len(pivots)]
 
 
-def frac_rank(rows):
-    """Rank by plain fraction-valued Gaussian elimination."""
-    return len(naive_rref(rows, len(rows[0]) if rows else 0)[1])
+def frac_rank(rows, p=None):
+    """Rank by plain Gaussian elimination on Fractions, or on residues mod p."""
+    return len(naive_rref(rows, len(rows[0]) if rows else 0, p)[1])
 
 
 def _bracket(raw, i, j, l):
@@ -135,11 +135,13 @@ def delta2_matrix(raw):
     return rows
 
 
-def h2_graded_dim(raw):
+def h2_graded_dim(raw, p=None):
+    """dim H^2 with trivial 1-dim coefficients over Q, or over F_p when the
+    raw constants are read mod p."""
     pairs = graded_pairs(raw)
     d2 = delta2_matrix(raw)
-    z2 = len(pairs) - frac_rank(d2)
-    b2 = frac_rank(delta1_matrix(raw))
+    z2 = len(pairs) - frac_rank(d2, p)
+    b2 = frac_rank(delta1_matrix(raw), p)
     return z2 - b2
 
 

@@ -106,20 +106,21 @@ def _raw(L):
                              for j, v in enumerate(row) for l, x in enumerate(v) if x})
 
 
-def _h2_ladder():
-    """Graded algebras of the ladder over Q with their H^2 dimension."""
-    a_abl3 = universal_imbedding(abl(3)).algebra
-    line, plane = ([unit_vec(QQ, a_abl3.dim, i) for i in range(k)] for k in (1, 2))
+def _h2_ladder(field=QQ):
+    """Graded algebras of the ladder with their H^2 dimension over Q."""
+    a_abl3 = universal_imbedding(abl(3, field)).algebra
+    line, plane = ([unit_vec(field, a_abl3.dim, i) for i in range(k)] for k in (1, 2))
     return [
-        ("A(sl2lts)", universal_imbedding(sl2lts()).algebra, 0),
+        ("A(sl2lts)", universal_imbedding(sl2lts(field)).algebra, 0),
         ("A(gl2)", universal_imbedding(lie_triple_system(
-            QQ, oracles.lts_of_bracket(oracles.gl_bracket(2)))).algebra, 0),
+            field, oracles.lts_of_bracket(oracles.gl_bracket(2)))).algebra, 0),
         ("A(grass(2,2))", universal_imbedding(lie_triple_system(
-            QQ, oracles.grass_triple(2, 2))).algebra, 0),
-        ("sl2_double_swap", sl2_double_swap(), 0),
+            field, oracles.grass_triple(2, 2))).algebra, 0),
+        ("sl2_double_swap", sl2_double_swap(field), 0),
         ("A(abl(3))", a_abl3, 0),
-        ("A(abl(3))/line", central_quotient(a_abl3, Subspace.span(QQ, a_abl3.dim, line))[0], 1),
-        ("A(abl(3))/plane", central_quotient(a_abl3, Subspace.span(QQ, a_abl3.dim, plane))[0], 2),
+        ("A(abl(3))/line", central_quotient(a_abl3, Subspace.span(field, a_abl3.dim, line))[0], 1),
+        ("A(abl(3))/plane", central_quotient(a_abl3, Subspace.span(field, a_abl3.dim, plane))[0],
+         2),
     ]
 
 
@@ -133,6 +134,24 @@ def test_h2_ladder_against_oracle():
         assert (got.dimension, got.cocycle_dim, got.coboundary_dim) == (
             cocycles - coboundaries, cocycles, coboundaries), name
         assert got.dimension == frozen, name
+
+
+@pytest.mark.parametrize("p", [5, 3, 2])
+def test_h2_over_fp_against_oracle(p):
+    # no frozen values: the characteristic may raise H^2, and only the
+    # oracle, reading the same constants mod p, decides
+    field = Field(p)
+    ladder = [(name, L) for name, L, _ in _h2_ladder(field)]
+    for name, L in ladder + [("ab2", ab2(field)), ("heis", heis(field))]:
+        raw = _raw(L)
+        cocycles = (len(oracles.graded_pairs(raw))
+                    - oracles.frac_rank(oracles.delta2_matrix(raw), p))
+        coboundaries = oracles.frac_rank(oracles.delta1_matrix(raw), p)
+        got = h2_graded(L, trivial_module(L))
+        assert (got.dimension, got.cocycle_dim, got.coboundary_dim) == (
+            cocycles - coboundaries, cocycles, coboundaries), name
+        assert got.dimension == oracles.h2_graded_dim(raw, p), name
+        assert len(got.representatives) == got.dimension, name
 
 
 @pytest.mark.parametrize("p", [None, 2, 5])

@@ -282,7 +282,17 @@ def _assert_field_entries(field, rows):
 def test_kernels_match_naive_oracle(field, zero_heavy, data):
     p = field.p
     r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
-    a_raw = data.draw(_entries(field, r, k, zero_heavy))
+    if data.draw(st.booleans()):
+        a_raw = data.draw(_entries(field, r, k, zero_heavy))
+    else:
+        # tall and rank-deficient: each row a combination of at most 4 generators
+        gens = data.draw(_entries(field, data.draw(st.integers(0, 4)), k, zero_heavy))
+        coeff = st.sampled_from([0, 1, -1, 2, Fraction(1, 3)] if p is None else [0, 1, 2, 3])
+        a_raw = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            cs = data.draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+            a_raw.append([sum((x * g[j] for x, g in zip(cs, gens)), 0) for j in range(k)])
+        r = len(a_raw)
     b_raw = data.draw(_entries(field, k, c, zero_heavy))
     v_raw = data.draw(_entries(field, 1, k, zero_heavy))[0]
     a, b = Matrix.make(field, a_raw, cols=k), Matrix.make(field, b_raw, cols=c)
@@ -333,23 +343,32 @@ def test_kernel_of_rows_falls_back_when_the_prime_drops_the_rank(monkeypatch):
     # the rows agree mod SELECT_PRIME, so the pick keeps one of them and
     # finds the line x + y = 0; the integer check against the second row
     # fails, and all rows are eliminated exactly
-    calls = []
+    exact = []
+    engine = exactlin._echelon
 
-    def spy(m):
-        calls.append((m.rows, m.cols))
-        return rref(m)
+    def spy(rows, p, ncols):
+        rows = list(rows)
+        if p is None:
+            exact.append([sorted(r.items()) for r in rows])
+        return engine(rows, p, ncols)
 
-    monkeypatch.setattr(exactlin, "rref", spy)
+    monkeypatch.setattr(exactlin, "_echelon", spy)
     # the copies up to sign and scale are kept once, so two rows are eliminated
     rows = [[1, 1], [-1, -1], [Fraction(2, 3), Fraction(2, 3)], [1, 1 + SELECT_PRIME]]
     ker = kernel_of_rows(QQ, 2, [{0: x, 1: y} for x, y in rows])
     assert ker.basis.to_lists() == oracles.naive_kernel(rows, 2) == []
-    assert calls[:2] == [(1, 2), (2, 2)]
+    distinct = [[(0, 1), (1, 1)], [(0, 1), (1, 1 + SELECT_PRIME)]]
+    assert exact[:2] == [distinct[:1], distinct]
 
-    calls.clear()
-    ker = kernel_of_rows(QQ, 2, [{0: 1, 1: 1}, {0: -2, 1: -2}])
-    assert ker.basis.to_lists() == oracles.naive_kernel([[1, 1], [-2, -2]], 2)
-    assert (2, 2) not in calls
+    exact.clear()
+    # the last row is a combination of the distinct rows before it: the pick
+    # drops it, the kernel of the picked rows passes the check, and no
+    # fallback follows
+    rows = [[1, 1, 0], [-2, -2, 0], [0, 0, -2], [1, 1, 1]]
+    ker = kernel_of_rows(QQ, 3, [dict(enumerate(row)) for row in rows])
+    assert ker.basis.to_lists() == oracles.naive_kernel(rows, 3)
+    assert exact[0] == [[(0, 1), (1, 1)], [(2, 1)]]
+    assert [(0, 1), (1, 1), (2, 1)] not in sum(exact, [])
 
 
 @pytest.mark.parametrize("field", [QQ, F5, F2], ids=str)

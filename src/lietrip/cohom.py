@@ -22,7 +22,7 @@ from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
     trivial_module,
 )
-from .embed import UniversalCentral0Extension, universal_central_0_extension
+from .embed import UniversalCentral0Extension, _universal_central_0_extension
 
 
 class Cochain(Record):
@@ -338,7 +338,7 @@ def envelope_criterion(L: GradedLieAlgebra) -> EnvelopeCriterionReport:
     elif not closed:
         obstruction = f"graded H^2 with trivial coefficients has dimension {h2.dimension}"
     else:
-        extension = universal_central_0_extension(L)
+        extension = _universal_central_0_extension(L)
         if extension.kernel.dim != 0:
             raise RuntimeError("criterion held but the canonical extension is not injective")
     return EnvelopeCriterionReport(verdict, generated, h2.dimension, obstruction, extension)

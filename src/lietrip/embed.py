@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, QuotientSpace, Record, Subspace, Vector, kernel_basis,
-    mat_from_flat, nonzeros, quotient, rank, span_of, unit_vec, vec_add, vec_from_sums,
+    Field, Matrix, QuotientSpace, Record, Subspace, Vector, _echelon, _reduce, _subspace,
+    kernel_basis, mat_from_flat, nonzeros, quotient, rank, unit_vec, vec_add, vec_from_sums,
     vec_is_zero, zero_vec,
 )
 from .grlie import (
@@ -53,29 +53,29 @@ def wedge_index(i: int, j: int, n: int) -> int:
 
 def wedge_of(field: Field, a: Vector, b: Vector) -> Vector:
     """Coordinates of a^b on the basis {e_i^e_j : i < j}."""
-    n = len(a)
     nb = nonzeros(b)
-    acc = [0] * wedge_dim(n)
-    for i, x in nonzeros(a):
-        for j, y in nb:
-            if i < j:
-                acc[wedge_index(i, j, n)] += x * y
-            elif j < i:
-                acc[wedge_index(j, i, n)] -= x * y
-    return vec_from_sums(field, acc)
+    return _wedge(field, len(a), [(i, j, x * y) for i, x in nonzeros(a) for j, y in nb])
 
 
 def wedge_action(endo: Matrix) -> Matrix:
-    """The induced action D.(a^b) = Da^b + a^Db on the exterior square."""
-    F = endo.field
+    """The induced action D.(a^b) = Da^b + a^Db on the exterior square,
+    read from the nonzeros of D's columns."""
     n = endo.rows
-    pairs = wedge_pairs(n)
-    cols = []
-    for i, j in pairs:
-        cols.append(vec_add(F,
-                            wedge_of(F, endo.col(i), unit_vec(F, n, j)),
-                            wedge_of(F, unit_vec(F, n, i), endo.col(j))))
-    return Matrix.from_cols(F, cols, rows=len(pairs))
+    cols = [nonzeros(c) for c in endo.transpose().entries]
+    return Matrix.from_cols(endo.field, [
+        _wedge(endo.field, n, [(k, j, x) for k, x in cols[i]] + [(i, k, x) for k, x in cols[j]])
+        for i, j in wedge_pairs(n)], rows=wedge_dim(n))
+
+
+def _wedge(field: Field, n: int, terms: list) -> Vector:
+    """Coordinates of the sum of x e_k^e_l over the (k, l, x) in terms."""
+    acc = [0] * wedge_dim(n)
+    for k, l, x in terms:
+        if k < l:
+            acc[wedge_index(k, l, n)] += x
+        elif l < k:
+            acc[wedge_index(l, k, n)] -= x
+    return vec_from_sums(field, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -147,46 +147,69 @@ class ModuleQuotient(Record):
 def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
                             lam: Matrix) -> ModuleQuotient:
     """Requires lam to be a module homomorphism into the adjoint module,
-    lam(l.m) = [l, lam(m)]; raises with a witness pair otherwise."""
+    lam(l.m) = [l, lam(m)]; raises with a witness pair otherwise.  Every step
+    runs on sparse columns of lam and the actions."""
     F = L.field
+    p = F.p
     mdim = module.dim
     if lam.rows != L.dim or lam.cols != mdim:
         raise ValueError("lam shape mismatch")
-    lam_cols = lam.transpose().entries
+    lam_cols = [dict(nonzeros(c)) for c in lam.transpose().entries]
+    action_cols = [[dict(nonzeros(c)) for c in a.transpose().entries] for a in module.action]
     for a in range(L.dim):
-        action_cols = module.action[a].transpose().entries
+        bracket = [dict(nonzeros(v)) for v in L.bracket[a]]
         for u in range(mdim):
-            lhs = lam.matvec(action_cols[u])
-            rhs = L.bracket_vec(unit_vec(F, L.dim, a), lam_cols[u])
+            lhs = _sparse_sum(p, ((x, lam_cols[w]) for w, x in action_cols[a][u].items()))
+            rhs = _sparse_sum(p, ((x, bracket[b]) for b, x in lam_cols[u].items()))
             if lhs != rhs:
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
-    acts = [module.act(c).transpose().entries for c in lam_cols]  # acts[u][v] = lam(e_u).e_v
-    gens = [acts[u][u] for u in range(mdim)]
-    gens += [vec_add(F, acts[u][v], acts[v][u]) for u in range(mdim) for v in range(u + 1, mdim)]
-    a_sub = span_of(F, mdim, gens)
-
-    ker = kernel_basis(lam)
-    if not ker.contains_subspace(a_sub):
+    # acts[u][v] = lam(e_u).e_v; the generators of A(M) all lie in ker(lam),
+    # so its echelon stops at rank dim ker(lam)
+    acts = [[_sparse_sum(p, ((x, action_cols[a][v]) for a, x in lam_cols[u].items()))
+             for v in range(mdim)] for u in range(mdim)]
+    gens = [dict(acts[u][u]) for u in range(mdim)]  # copies: the echelon reduces rows in place
+    one = F.one()
+    gens += [_sparse_sum(p, ((one, acts[u][v]), (one, acts[v][u])))
+             for u in range(mdim) for v in range(u + 1, mdim)]
+    if any(_sparse_sum(p, ((x, lam_cols[w]) for w, x in g.items())) for g in gens):
         raise RuntimeError("A(M) escaped the kernel of lam")
-    # the rows of ker.basis x acts[u]^T are lam(e_u) applied to the kernel basis
-    imker = [v for act in acts for v in ker.basis.matmul(Matrix(F, mdim, mdim, act)).entries]
-    if not a_sub.contains_subspace(span_of(F, mdim, imker)):
+    ker = [dict(nonzeros(k)) for k in kernel_basis(lam).basis.entries]
+    echelon, _ = _echelon(gens, p, len(ker))
+    if any(_reduce(_sparse_sum(p, ((x, act[w]) for w, x in k.items())), echelon, p)
+           for act in acts for k in ker):
         raise RuntimeError("Im(lam).Ker(lam) escaped A(M)")
 
+    a_sub = _subspace(F, mdim, echelon)
     q = quotient(mdim, a_sub)
     mu = lam.matmul(q.section)
-    qdim = q.dim
-    sec_cols = [q.section.col(t) for t in range(qdim)]
-    pairs = []
-    for s in range(qdim):
-        acting = module.act(mu.col(s))
-        pairs += [(s, t, enumerate(q.projection.matvec(acting.matvec(sec_cols[t]))))
-                  for t in range(s + 1, qdim)]
-    algebra = _assemble(F, qdim, 0, pairs)
-    if not center(algebra).contains_subspace(kernel_basis(mu)):
+    free = [c for c in range(mdim) if c not in echelon]
+    position = {c: s for s, c in enumerate(free)}
+    # [s, t] is the normal form of lam(e_f).e_g, for f, g the free columns s, t
+    pairs = [(s, position[g], [(position[c], x) for c, x in
+                               _reduce(dict(acts[f][g]), echelon, p).items()])
+             for s, f in enumerate(free) for g in free[s + 1:]]
+    algebra = _assemble(F, q.dim, 0, pairs)
+    units = [unit_vec(F, q.dim, j) for j in range(q.dim)]
+    if any(not vec_is_zero(F, algebra.bracket_vec(z, e))
+           for z in kernel_basis(mu).basis.entries for e in units):
         raise RuntimeError("kernel of mu is not central in the quotient")
     return ModuleQuotient(a_sub, q, algebra, mu)
+
+
+def _sparse_sum(p: Optional[int], terms) -> dict:
+    """The sum of c * v over the (c, v) pairs in terms, v a sparse dict,
+    as a sparse dict of its nonzero entries (reduced mod p)."""
+    acc = {}
+    for c, v in terms:
+        for j, x in v.items():
+            if j in acc:
+                acc[j] += c * x
+            else:
+                acc[j] = c * x
+    if p is None:
+        return {j: x for j, x in acc.items() if x}
+    return {j: x % p for j, x in acc.items() if x % p}
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +385,11 @@ def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exten
     and central."""
     if not is_generated_by_odd(L):
         raise ValueError("algebra is not generated by its odd part")
+    return _universal_central_0_extension(L)
+
+
+def _universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
+    """universal_central_0_extension once L is known to be generated by its odd part."""
     F = L.field
     T = odd_part_lts(L)
     env = universal_imbedding(T)

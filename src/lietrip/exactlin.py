@@ -308,8 +308,7 @@ class Matrix(Record):
             rows = len(cols[0])
         elif rows is None:
             raise ValueError("empty column list needs an explicit row count")
-        return cls(field, rows, len(cols),
-                   tuple(tuple(c[i] for c in cols) for i in range(rows)))
+        return cls(field, rows, len(cols), tuple(zip(*cols, strict=True)) if cols else ((),) * rows)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -572,10 +571,11 @@ def _sparse_rows(vectors: Iterable) -> Iterable:
     return ({j: x for j, x in enumerate(v) if x} for v in vectors)
 
 
-def _echelon(rows: Iterable, p: Optional[int], ncols: int) -> tuple[dict, list]:
+def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
     """The echelon engine, exact over Q (p is None) or modulo the prime p:
     the reduced echelon basis {pivot column: row} of sparse rows, and the
-    indices of the rows that enlarged it.
+    indices of the rows that enlarged it.  It reads no row after the rank
+    reaches bound: the number of columns, or a known dimension of the span.
 
     Each row is a dict {column: scalar} of nonzero entries (residues mod p),
     reduced in place against the basis rows at its pivot columns.  A row
@@ -586,8 +586,7 @@ def _echelon(rows: Iterable, p: Optional[int], ncols: int) -> tuple[dict, list]:
     basis = {}
     picked = []
     for i, r in enumerate(rows):
-        for c in [c for c in r if c in basis]:
-            _sub_multiple(r, r[c], basis[c], p)
+        _reduce(r, basis, p)
         if not r:
             continue
         c = min(r)
@@ -602,9 +601,17 @@ def _echelon(rows: Iterable, p: Optional[int], ncols: int) -> tuple[dict, list]:
                 _sub_multiple(b, b[c], r, p)
         basis[c] = r
         picked.append(i)
-        if len(basis) == ncols:
+        if len(basis) == bound:
             break
     return basis, picked
+
+
+def _reduce(r: dict, echelon: dict, p: Optional[int]) -> dict:
+    """r, reduced in place to its normal form modulo a reduced echelon basis:
+    one pass, since each basis row is 0 at the other pivots."""
+    for c in [c for c in r if c in echelon]:
+        _sub_multiple(r, r[c], echelon[c], p)
+    return r
 
 
 def _sub_multiple(r: dict, f: Scalar, b: dict, p: Optional[int]) -> None:
@@ -639,8 +646,12 @@ def _null_vectors(p: Optional[int], ncols: int, echelon: dict) -> list:
 
 def _span(field: Field, ambient_dim: int, rows: Iterable) -> Subspace:
     """The span of sparse rows {column: scalar}, which the echelon engine
-    consumes, held as its dense RREF basis."""
-    echelon, _ = _echelon(rows, field.p, ambient_dim)
+    consumes."""
+    return _subspace(field, ambient_dim, _echelon(rows, field.p, ambient_dim)[0])
+
+
+def _subspace(field: Field, ambient_dim: int, echelon: dict) -> Subspace:
+    """The subspace of a reduced echelon basis, held as its dense RREF basis."""
     pivots = tuple(sorted(echelon))
     zero = field.zero()
     basis = []

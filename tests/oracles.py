@@ -369,3 +369,45 @@ def change_basis(t, seed):
     f = [[pm[i][a] for i in range(n)] for a in range(n)]
     return [[[_apply(pinv, _triple(t, f[a], f[b], f[c])) for c in range(n)]
              for b in range(n)] for a in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the pair algebra <T,T> = (T^T)/A(T^T) of a raw triple tensor t[i][j][k][l]
+
+def pair_algebra(t, p=None):
+    """(reduced basis of A, bracket table) of the pair algebra of t.
+
+    The wedge basis is e_i^e_j for i < j, in lexicographic order, and
+    lam(e_i^e_j) acts as D = [e_i, e_j, -] by D(a^b) = Da^b + a^Db.  A is
+    the reduced span of every lam(e_u).e_u and lam(e_u).e_v + lam(e_v).e_u.
+    The bracket [s, t] is the normal form of lam(e_f).e_g modulo A, read at
+    the free columns of A's reduced basis, f and g the free columns s and t;
+    it is computed for every ordered pair, so antisymmetry is not assumed."""
+    n = len(t)
+    pairs = list(combinations(range(n), 2))
+    m = len(pairs)
+
+    def wedge(a, b):
+        out = [Fraction(0)] * m
+        for w, (x, y) in enumerate(pairs):
+            out[w] = Fraction(a[x]) * b[y] - Fraction(a[y]) * b[x]
+        return out
+
+    e = [[int(r == c) for c in range(n)] for r in range(n)]
+
+    def act(u, v):
+        (i, j), (k, l) = pairs[u], pairs[v]
+        return [x + y for x, y in zip(wedge(t[i][j][k], e[l]), wedge(e[k], t[i][j][l]))]
+
+    gens = [act(u, u) for u in range(m)]
+    gens += [[x + y for x, y in zip(act(u, v), act(v, u))] for u, v in combinations(range(m), 2)]
+    red, pivots = naive_rref(gens, m, p)
+    rows = red[:len(pivots)]
+    free = [c for c in range(m) if c not in pivots]
+
+    def normal_form(v):
+        v = [scalar(x, p) for x in v]
+        return [scalar(v[f] - sum((v[c] * row[f] for c, row in zip(pivots, rows)), Fraction(0)), p)
+                for f in free]
+
+    return rows, [[normal_form(act(f, g)) for g in free] for f in free]

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import lietrip.cohom
+import lietrip.embed
+import oracles
 from lietrip.cohom import envelope_criterion
 from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import (
@@ -12,7 +15,7 @@ from lietrip.embed import (
     wedge_module, wedge_pairs,
 )
 from lietrip.exactlin import (
-    Field, Matrix, QQ, Subspace, kernel_basis, solve, unit_vec, vec_is_zero,
+    Field, Matrix, QQ, Subspace, _echelon, kernel_basis, solve, unit_vec, vec_is_zero,
 )
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center,
@@ -21,8 +24,9 @@ from lietrip.grlie import (
 )
 from lietrip.lts import (
     LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra, identity_lts_hom,
-    inner_derivation_algebra, odd_part_lts, triple_bracket,
+    inner_derivation_algebra, lie_triple_system, odd_part_lts, triple_bracket,
 )
+from test_lts import LADDER
 
 CORPUS_LTS = lambda field=QQ: [abl(1, field), abl(2, field), abl(3, field),
                                abl(4, field), odd2(field), sl2lts(field)]
@@ -162,6 +166,13 @@ def test_module_quotient_rejects_non_hom():
     bad = Matrix.make(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="module homomorphism"):
         module_quotient_algebra(sl2_even, adj, bad)
+    # [e_0, e_0] = e_0 is no Lie bracket, but a line acting on itself by
+    # the identity makes lam = id a module hom, and lam(e_0).e_0 = e_0 is
+    # a generator of A(M) outside ker(lam)
+    line = GradedLieAlgebra(QQ, 1, 0, (((Fraction(1),),),), unchecked=True)
+    module = GradedModule(line, 1, 0, (Matrix.identity(QQ, 1),), unchecked=True)
+    with pytest.raises(RuntimeError, match=r"A\(M\) escaped the kernel of lam"):
+        module_quotient_algebra(line, module, Matrix.identity(QQ, 1))
 
 
 def test_radical_chain_inclusions():
@@ -178,6 +189,35 @@ def test_radical_chain_inclusions():
 
 # ---------------------------------------------------------------------------
 # the pair algebra
+
+def _pair_algebra_lists(pa):
+    return pa.a_subspace.basis.to_lists(), [[list(v) for v in row] for row in pa.algebra.bracket]
+
+
+@pytest.mark.parametrize("name, raw, field", LADDER,
+                         ids=[f"{name}-{field}" for name, _, field in LADDER])
+def test_pair_algebra_matches_oracle(name, raw, field):
+    pa = pair_algebra(lie_triple_system(field, raw))
+    assert _pair_algebra_lists(pa) == oracles.pair_algebra(raw, field.p)
+
+
+@pytest.mark.parametrize("field, a_dim, ker_dim", [(Field(2), 2, 4), (QQ, 3, 3)], ids=str)
+def test_pair_algebra_rank_stop_both_branches(field, a_dim, ker_dim, monkeypatch):
+    """The echelon of A(M) stops at rank dim ker(lam): in gl(2) over Q it
+    gets there before the last generator, over F_2 never."""
+    read = []
+
+    def counting(rows, p, bound):
+        return _echelon((read.append(r) or r for r in rows), p, bound)
+
+    monkeypatch.setattr(lietrip.embed, "_echelon", counting)
+    raw = oracles.lts_of_bracket(oracles.gl_bracket(2))
+    pa = pair_algebra(lie_triple_system(field, raw))
+    assert (pa.a_subspace.dim, kernel_basis(pa.wedge.lam).dim) == (a_dim, ker_dim)
+    m = wedge_dim(4)
+    assert (len(read) < m * (m + 1) // 2) == (a_dim == ker_dim)
+    assert _pair_algebra_lists(pa) == oracles.pair_algebra(raw, field.p)
+
 
 def test_pair_algebra_examples():
     pa = pair_algebra(abl(2))
@@ -491,6 +531,20 @@ def test_universal_central_0_extension_examples():
     from lietrip.corpus import even_line
     with pytest.raises(ValueError, match="generated"):
         universal_central_0_extension(direct_sum(sl2graded(), even_line()))
+
+
+def test_envelope_criterion_checks_generation_once(monkeypatch):
+    calls = []
+
+    def spy(L):
+        calls.append(L)
+        return is_generated_by_odd(L)
+
+    monkeypatch.setattr(lietrip.cohom, "is_generated_by_odd", spy)
+    monkeypatch.setattr(lietrip.embed, "is_generated_by_odd", spy)
+    A = universal_imbedding(sl2lts()).algebra
+    assert envelope_criterion(A).verdict
+    assert calls == [A]
 
 
 def test_decomposition_into_quotient_of_envelope():

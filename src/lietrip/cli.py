@@ -123,7 +123,7 @@ def _run_derive(args) -> tuple[dict, int]:
                      {"dim": der.dim},
                      {},
                      {"basis": [fmt_matrix(m) for m in der.basis],
-                      "bracket_table": [[[T.field.fmt(x) for x in v] for v in row]
+                      "bracket_table": [[list(map(T.field.fmt, v)) for v in row]
                                         for row in der.bracket]})
     return report, EXIT_PASS
 

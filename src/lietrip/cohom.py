@@ -14,15 +14,15 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Record, Subspace, Vector, _echelon, _span, _sparse_rows, kernel_of_rows,
-    linear_combination, nonzeros, solve, unit_vec, vec_add, vec_from_sums, vec_is_zero,
-    zero_vec,
+    SELECT_PRIME, Matrix, Record, Subspace, Vector, _distinct_rows, _echelon, _span,
+    _sparse_rows, kernel_of_rows, linear_combination, nonzeros, solve, unit_vec, vec_add,
+    vec_from_sums, vec_is_zero, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
     trivial_module,
 )
-from .embed import UniversalCentral0Extension, _universal_central_0_extension
+from .embed import UniversalCentral0Extension, _sparse_sum, _universal_central_0_extension
 
 
 class Cochain(Record):
@@ -183,13 +183,35 @@ class H2Result(Record):
 
 def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     """dim ker(d_2) - dim im(d_1) on the graded subcomplex, with a
-    deterministic RREF-complement of representatives."""
+    deterministic RREF-complement of representatives.
+
+    d_2's rows and d_1's columns, scaled as primitive integer rows (over
+    F_p, to leading entry 1), are ranked modulo p over F_p, exactly, and
+    modulo SELECT_PRIME over Q, where a rank can only drop.  Once d_2 d_1 = 0
+    is checked exactly, H^2 <= c_2 - r_2 - r_1 for the c_2 graded 2-slots;
+    when that is 0 so is H^2 and the ranks are exact.  Otherwise Z^2 and B^2
+    are computed exactly."""
     F = L.field
+    p = F.p
     slots1, slots2, slots3 = (_graded_slots(L, M, n) for n in (1, 2, 3))
-    z2 = kernel_of_rows(F, len(slots2), _graded_rows(_differential(L, M, 2), slots3, slots2))
+    c2 = len(slots2)
+    d2 = _graded_rows(_differential(L, M, 2), slots3, slots2)
     d1 = _graded_rows(_differential(L, M, 1), slots2, slots1)
-    b2 = _span(F, len(slots2), ({k: row[j] for k, row in enumerate(d1) if j in row}
-                                for j in range(len(slots1))))
+    d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
+    q = SELECT_PRIME if p is None else p
+    rows2, cols1 = _distinct_rows(p, d2), _distinct_rows(p, d1_cols)
+    r2, r1 = (len(_echelon([{c: x % q for c, x in row if x % q} for row in rows], q, c2)[1])
+              for rows in (rows2, cols1))
+    if c2 - r2 - r1 == 0:
+        d2_cols = {}  # d_2 d_1 = 0 on the scaled rows, through an index of their columns
+        for i, row in enumerate(rows2):
+            for c, x in row:
+                d2_cols.setdefault(c, {})[i] = x
+        if any(_sparse_sum(p, ((y, d2_cols.get(c, {})) for c, y in col)) for col in cols1):
+            raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
+        return H2Result(0, c2 - r2, r1, ())
+    z2 = kernel_of_rows(F, c2, d2)
+    b2 = _span(F, c2, d1_cols)
     if not z2.contains_subspace(b2):
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
     # the cocycle basis vectors outside the span of the coboundaries and the

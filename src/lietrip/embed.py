@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, QuotientSpace, Record, Subspace, Vector, _echelon, _reduce, _subspace,
-    kernel_basis, mat_from_flat, nonzeros, quotient, rank, unit_vec, vec_add, vec_from_sums,
+    kernel_basis, mat_from_flat, nonzeros, quotient, unit_vec, vec_add, vec_from_sums,
     vec_is_zero, zero_vec,
 )
 from .grlie import (
@@ -389,16 +389,18 @@ def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exten
 
 
 def _universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
-    """universal_central_0_extension once L is known to be generated by its odd part."""
+    """universal_central_0_extension once L is known to be generated by its odd part.
+    The hom is eliminated once, and the kernel is checked to be even and
+    central only when it is nonzero."""
     F = L.field
     T = odd_part_lts(L)
     env = universal_imbedding(T)
     hom = _extension(T, L, Matrix.identity(F, L.dim1), env)
-    if rank(hom.matrix) != L.dim:
-        raise RuntimeError("extension of the identity failed to be surjective")
     ker = kernel_basis(hom.matrix)
-    if not env.algebra.even_subspace().contains_subspace(ker):
+    if env.algebra.dim - ker.dim != L.dim:
+        raise RuntimeError("extension of the identity failed to be surjective")
+    if ker.dim and not env.algebra.even_subspace().contains_subspace(ker):
         raise RuntimeError("kernel escaped the even part")
-    if not center(env.algebra).contains_subspace(ker):
+    if ker.dim and not center(env.algebra).contains_subspace(ker):
         raise RuntimeError("kernel escaped the center")
     return UniversalCentral0Extension(env, hom, ker)

@@ -157,10 +157,10 @@ class Field(Record):
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.p is None else (a + b) % self.p
@@ -182,8 +182,8 @@ class Field(Record):
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    def fmt(self, a: Scalar) -> str:
-        return str(a)
+    # a scalar's exact string, "n/d" or "n": the builtin, so a row formats in one C-level map
+    fmt = staticmethod(str)
 
     @property
     def tag(self) -> str:
@@ -212,7 +212,9 @@ def zero_vec(field: Field, n: int) -> Vector:
     return (field.zero(),) * n
 
 def unit_vec(field: Field, n: int, i: int) -> Vector:
-    return tuple(field.one() if j == i else field.zero() for j in range(n))
+    v = [field.zero()] * n
+    v[i] = field.one()
+    return tuple(v)
 
 def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
     p = field.p

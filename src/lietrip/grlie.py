@@ -13,7 +13,7 @@ from typing import Sequence
 from .exactlin import (
     Field, Matrix, Record, Subspace, Vector, kernel_basis, quotient, rank, solve,
     linear_combination, nonzeros, span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero,
-    vec_scale, zero_vec,
+    zero_vec,
 )
 from .lts import LtsHom, odd_part_lts
 
@@ -102,16 +102,17 @@ def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
     valid; tests/test_trusted.py asserts that with check_graded_lie.
     """
     n = dim0 + dim1
+    p = field.p
     z = zero_vec(field, n)
-    minus_one = field.neg(field.one())
     bracket = [[z] * n for _ in range(n)]
     for i, j, terms in pairs:
-        v = list(z)
+        v, w = list(z), list(z)
         for l, x in terms:
             if x:
                 v[l] = x
+                w[l] = -x if p is None else p - x
         bracket[i][j] = tuple(v)
-        bracket[j][i] = vec_scale(field, minus_one, v)
+        bracket[j][i] = tuple(w)
     return GradedLieAlgebra(field, dim0, dim1, tuple(tuple(row) for row in bracket),
                             unchecked=True)
 
@@ -269,7 +270,8 @@ def adjoint_module(L: GradedLieAlgebra) -> GradedModule:
 
 def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
     """Smallest bracket-closed subspace containing the seed, by iterating
-    V <- V + [V, V] until the dimension stabilizes."""
+    V <- V + [V, V] until the dimension stabilizes or reaches dim L: the
+    whole space is closed, so no round confirms it."""
     if seed.ambient_dim != L.dim:
         raise ValueError("seed ambient mismatch")
     current = seed
@@ -280,7 +282,7 @@ def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
             for j in range(i + 1, len(base)):
                 vecs.append(L.bracket_vec(base[i], base[j]))
         grown = span_of(L.field, L.dim, vecs)
-        if grown.dim == current.dim:
+        if grown.dim in (current.dim, L.dim):
             return grown
         current = grown
 
@@ -294,7 +296,8 @@ def odd_bracket_span(L: GradedLieAlgebra) -> Subspace:
 
 def is_generated_by_odd(L: GradedLieAlgebra) -> bool:
     """True iff the odd part generates; cross-checked against the equivalent
-    criterion [L_1, L_1] = L_0."""
+    criterion [L_1, L_1] = L_0.  When [L_1, L_1] = L_0, the first round of
+    subalgebra_generated reaches dim L and is its last."""
     generated = subalgebra_generated(L, L.odd_subspace()).dim == L.dim
     even_covered = odd_bracket_span(L).dim == L.dim0
     if generated != even_covered:

@@ -33,8 +33,7 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, Record, Subspace, Vector, kernel_of_rows, linear_combination,
-    mat_from_flat, nonzeros, span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero,
-    vec_scale, zero_vec,
+    mat_from_flat, nonzeros, span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero, zero_vec,
 )
 
 
@@ -392,13 +391,12 @@ def _assemble_lts(field: Field, n: int, rows) -> LieTripleSystem:
     [e_i, e_i, -] as zero.  The callers' constructions are triple systems by
     theorem; tests/test_trusted.py asserts that with check_lts_axioms.
     """
-    z = zero_vec(field, n)
-    zero_row = (z,) * n
-    minus_one = field.neg(field.one())
+    p = field.p
+    zero_row = (zero_vec(field, n),) * n
     t = [[zero_row] * n for _ in range(n)]
     for i, j, row in rows:
         t[i][j] = tuple(row)
-        t[j][i] = tuple(vec_scale(field, minus_one, v) for v in row)
+        t[j][i] = tuple(tuple(x and (-x if p is None else p - x) for x in v) for v in row)
     return LieTripleSystem(field, n, tuple(tuple(ti) for ti in t), unchecked=True)
 
 

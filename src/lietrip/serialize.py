@@ -25,7 +25,7 @@ class PayloadError(ValueError):
 
 def fmt_matrix(m: Matrix) -> list:
     """The entries as nested lists of exact scalar strings."""
-    return [[m.field.fmt(x) for x in row] for row in m.entries]
+    return [list(map(m.field.fmt, row)) for row in m.entries]
 
 
 def _scalar(field: Field, x):
@@ -57,7 +57,7 @@ def save(obj, name: Optional[str] = None) -> dict:
     if isinstance(obj, LieTripleSystem):
         body = {
             "dims": {"dim": obj.dim},
-            "entries": [[[[obj.field.fmt(x) for x in v] for v in tij] for tij in ti]
+            "entries": [[[list(map(obj.field.fmt, v)) for v in tij] for tij in ti]
                         for ti in obj.triple],
         }
         kind = "lts"
@@ -65,7 +65,7 @@ def save(obj, name: Optional[str] = None) -> dict:
     elif isinstance(obj, GradedLieAlgebra):
         body = {
             "dims": {"dim0": obj.dim0, "dim1": obj.dim1},
-            "entries": [[[obj.field.fmt(x) for x in v] for v in row] for row in obj.bracket],
+            "entries": [[list(map(obj.field.fmt, v)) for v in row] for row in obj.bracket],
         }
         kind = "graded_lie"
         field = obj.field
@@ -99,7 +99,7 @@ def save(obj, name: Optional[str] = None) -> dict:
     elif isinstance(obj, Cochain):
         body = {
             "dims": {"degree": obj.degree},
-            "entries": [[obj.algebra.field.fmt(x) for x in v] for v in obj.values],
+            "entries": [list(map(obj.algebra.field.fmt, v)) for v in obj.values],
             "algebra": save(obj.algebra),
             "module": save(obj.module),
         }

@@ -107,30 +107,23 @@ def delta1_matrix(raw):
 
 def delta2_matrix(raw):
     """Matrix of the degree-2 coboundary: columns = graded pairs, rows =
-    graded triples; trivial action, so only the bracket terms appear."""
+    graded triples; trivial action, so only the bracket terms appear:
+    (d f)(x, y, z) = -f([x,y], z) + f([x,z], y) - f([y,z], x), where
+    f(e_l, e_w) is the coordinate of the pair (l, w), negated when l > w."""
     pairs = graded_pairs(raw)
     pair_pos = {p: k for k, p in enumerate(pairs)}
-    triples = graded_triples(raw)
-    n = raw[0] + raw[1]
-
-    def f_entry(col, a, b):
-        # coefficient of the pair-coordinate `col` in f(e_a, e_b)
-        if a == b:
-            return 0
-        if a < b:
-            return 1 if pair_pos.get((a, b)) == col else 0
-        return -1 if pair_pos.get((b, a)) == col else 0
-
+    brackets = {}
+    for (i, j, l), c in raw[2].items():
+        brackets.setdefault((i, j), []).append((l, c))
     rows = []
-    for (x, y, z) in triples:
-        row = []
-        for col in range(len(pairs)):
-            acc = 0
-            for l in range(n):
-                acc -= _bracket(raw, x, y, l) * f_entry(col, l, z)
-                acc += _bracket(raw, x, z, l) * f_entry(col, l, y)
-                acc -= _bracket(raw, y, z, l) * f_entry(col, l, x)
-            row.append(acc)
+    for (x, y, z) in graded_triples(raw):
+        row = [0] * len(pairs)
+        for (a, b, w), sign in (((x, y, z), -1), ((x, z, y), 1), ((y, z, x), -1)):
+            for l, c in brackets.get((a, b), ()):
+                if l < w and (l, w) in pair_pos:
+                    row[pair_pos[(l, w)]] += sign * c
+                elif l > w and (w, l) in pair_pos:
+                    row[pair_pos[(w, l)]] -= sign * c
         rows.append(row)
     return rows
 
@@ -143,6 +136,28 @@ def h2_graded_dim(raw, p=None):
     z2 = len(pairs) - frac_rank(d2, p)
     b2 = frac_rank(delta1_matrix(raw), p)
     return z2 - b2
+
+
+def subalgebra_closure(raw, seed, p=None):
+    """The reduced basis of the smallest bracket-closed subspace containing
+    the seed rows: V <- V + [V, V], with [u, v] for every ordered pair of
+    V's reduced basis, until the dimension stops growing.  There is no early
+    stop at the full space, so the last round only confirms."""
+    n = raw[0] + raw[1]
+
+    def bracket(u, v):
+        out = [Fraction(0)] * n
+        for (i, j, l), c in raw[2].items():
+            out[l] += Fraction(u[i]) * v[j] * c
+        return out
+
+    red, pivots = naive_rref(seed, n, p)
+    basis = red[:len(pivots)]
+    while True:
+        red, pivots = naive_rref(basis + [bracket(u, v) for u in basis for v in basis], n, p)
+        if len(pivots) == len(basis):
+            return red[:len(pivots)]
+        basis = red[:len(pivots)]
 
 
 # ---------------------------------------------------------------------------

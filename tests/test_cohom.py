@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+import lietrip.cohom
 import oracles
 
 from lietrip.corpus import (
@@ -16,12 +17,13 @@ from lietrip.cohom import (
     is_0_centrally_closed, split_central_0_extension, zero_cochain,
 )
 from lietrip.embed import universal_central_0_extension, universal_imbedding
-from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
+from lietrip.exactlin import Field, Matrix, QQ, Subspace, kernel_of_rows, unit_vec
 from lietrip.grlie import (
-    GradedHom, adjoint_module, central_quotient, direct_sum, identity_hom,
+    GradedHom, adjoint_module, central_quotient, direct_sum, graded_lie, identity_hom,
     trivial_module,
 )
-from lietrip.lts import lie_triple_system, odd_part_lts
+from lietrip.lts import lie_triple_system, lts_of_lie, odd_part_lts
+from test_lts import LADDER
 
 GRADED_CORPUS = lambda field=QQ: [heis(field), ab2(field), sl2graded(field)]
 
@@ -331,3 +333,117 @@ def test_recognition_on_envelopes():
         result = envelope_criterion(U)
         assert result.verdict
         assert result.witness.is_bijective()
+
+
+# ---------------------------------------------------------------------------
+# the H^2 = 0 certificate: ranks mod q, then the exact path only when needed
+
+def _h2(L):
+    r = h2_graded(L, trivial_module(L))
+    return r.dimension, r.cocycle_dim, r.coboundary_dim
+
+
+def _oracle_h2(L):
+    raw = _raw(L)
+    cocycles = (len(oracles.graded_pairs(raw))
+                - oracles.frac_rank(oracles.delta2_matrix(raw), L.field.p))
+    coboundaries = oracles.frac_rank(oracles.delta1_matrix(raw), L.field.p)
+    return cocycles - coboundaries, cocycles, coboundaries
+
+
+def _exact_path_calls(monkeypatch):
+    """The calls h2_graded makes to kernel_of_rows, which only its exact
+    path reaches."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return kernel_of_rows(*args)
+
+    monkeypatch.setattr(lietrip.cohom, "kernel_of_rows", spy)
+    return calls
+
+
+ENVELOPES = [(name, lambda F, raw=raw: lie_triple_system(F, raw), field)
+             for name, raw, field in LADDER] + [
+    (name, make, field)
+    for name, make in (("abl(6)", lambda F: abl(6, F)),
+                       ("gl(3)", lambda F: lts_of_lie(oracles.gl_bracket(3), F)))
+    for field in (QQ, Field(5), Field(2)) if (name, field) != ("gl(3)", Field(5))]
+
+
+@pytest.mark.parametrize("name, make, field", ENVELOPES,
+                         ids=[f"A({name})-{field}" for name, _, field in ENVELOPES])
+def test_h2_certificate_on_envelopes_matches_oracle(name, make, field, monkeypatch):
+    L = universal_imbedding(make(field)).algebra
+    calls = _exact_path_calls(monkeypatch)
+    got = _h2(L)
+    assert got == _oracle_h2(L)
+    assert got[0] == 0 and calls == []
+
+
+def _central_quotients(field, rng):
+    """A(abl(3)), whose even part is central, by a seeded line and plane."""
+    A = universal_imbedding(abl(3, field)).algebra
+    out = []
+    for k in (1, 2):
+        while True:
+            vecs = [[rng.randint(-2, 2) for _ in range(A.dim0)] + [0] * A.dim1
+                    for _ in range(k)]
+            ideal = Subspace.span(field, A.dim, vecs)
+            if ideal.dim == k:
+                break
+        out.append(central_quotient(A, ideal)[0])
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
+def test_h2_exact_path_exactly_when_h2_is_nonzero(field, monkeypatch):
+    quotients = _central_quotients(field, random.Random(7))
+    extensions = []
+    for Q in quotients:
+        M = trivial_module(Q)
+        extensions += [cocycle_extension(Q, M, sigma).total
+                       for sigma in h2_graded(Q, M).representatives]
+    calls = _exact_path_calls(monkeypatch)
+    nonzero = 0
+    for L in [ab2(field)] + quotients + extensions:
+        calls.clear()
+        got = _h2(L)
+        assert got == _oracle_h2(L)
+        assert len(calls) == (got[0] != 0)
+        nonzero += got[0] != 0
+    # ab2, both quotients and the extensions of the plane quotient
+    assert nonzero == 5
+
+
+def test_h2_falls_back_when_the_prime_drops_a_rank(monkeypatch):
+    # mod 2, d1 or d2 of A(gl(2)) and A(grass(2,2)) loses rank over Q, so
+    # the bound stays above H^2 = 0 and the exact path decides
+    monkeypatch.setattr(lietrip.cohom, "SELECT_PRIME", 2)
+    calls = _exact_path_calls(monkeypatch)
+    fell_back = []
+    for name, L, frozen in _h2_ladder():
+        calls.clear()
+        assert _h2(L) == _oracle_h2(L), name
+        assert _h2(L)[0] == frozen, name
+        if calls and frozen == 0:
+            fell_back.append(name)
+    assert fell_back == ["A(gl2)", "A(grass(2,2))"]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
+def test_h2_refuses_a_broken_jacobi_on_both_paths(field, monkeypatch):
+    # [e_0, e_1] = -e_2 and [e_0, e_2] = e_0 break Jacobi at (0, 1, 2); two
+    # more central basis vectors add free cocycles, so the bound is no
+    # longer 0 and the exact path runs
+    calls = _exact_path_calls(monkeypatch)
+    for n, exact in ((3, False), (5, True)):
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        c[0][1][2], c[1][0][2] = -1, 1
+        c[0][2][0], c[2][0][0] = 1, -1
+        L = graded_lie(field, n, 0, c, unchecked=True)
+        calls.clear()
+        with pytest.raises(RuntimeError, match="coboundaries escaped the cocycles"):
+            h2_graded(L, trivial_module(L))
+        assert bool(calls) == exact

@@ -5,6 +5,8 @@ import pytest
 
 import lietrip.cohom
 import lietrip.embed
+import lietrip.exactlin
+import lietrip.grlie
 import oracles
 from lietrip.cohom import envelope_criterion
 from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
@@ -545,6 +547,47 @@ def test_envelope_criterion_checks_generation_once(monkeypatch):
     A = universal_imbedding(sl2lts()).algebra
     assert envelope_criterion(A).verdict
     assert calls == [A]
+
+
+def test_envelope_criterion_builds_no_center_and_no_rank_when_true(monkeypatch):
+    # the witness matrix is eliminated once, and a zero kernel is even and
+    # central with nothing to check
+    calls = []
+
+    def spy(name, real):
+        def counting(*args):
+            calls.append(name)
+            return real(*args)
+        return counting
+
+    for module in (lietrip.exactlin, lietrip.grlie, lietrip.embed, lietrip.cohom):
+        for name in ("center", "rank"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for L in (heis(), sl2graded(), universal_imbedding(sl2lts()).algebra):
+        assert envelope_criterion(L).verdict
+    assert calls == []
+    # the spies are live: a nonzero kernel is checked against the center
+    assert universal_central_0_extension(ab2()).kernel.dim == 1
+    assert calls == ["center"]
+
+
+def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
+    A = universal_imbedding(abl(3)).algebra
+    Q, _ = central_quotient(A, Subspace.span(QQ, A.dim, [unit_vec(QQ, A.dim, 0)]))
+    ext = universal_central_0_extension(Q)
+    assert ext.kernel.dim == 1
+    assert ext.envelope.algebra.even_subspace().contains_subspace(ext.kernel)
+    assert center(ext.envelope.algebra).contains_subspace(ext.kernel)
+    # both checks run: each one raises once its subspace is made too small
+    zero = Subspace.zero(QQ, A.dim)
+    with monkeypatch.context() as m:
+        m.setattr(GradedLieAlgebra, "even_subspace", lambda self: zero)
+        with pytest.raises(RuntimeError, match="kernel escaped the even part"):
+            universal_central_0_extension(Q)
+    monkeypatch.setattr(lietrip.embed, "center", lambda L: zero)
+    with pytest.raises(RuntimeError, match="kernel escaped the center"):
+        universal_central_0_extension(Q)
 
 
 def test_decomposition_into_quotient_of_envelope():

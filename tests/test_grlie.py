@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
-from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2graded
+import lietrip.grlie
+import oracles
+from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts
+from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedLieError, GradedModule, abelian_algebra,
@@ -8,7 +13,9 @@ from lietrip.grlie import (
     graded_lie, graded_pullback, identity_hom, is_generated_by_odd,
     is_graded_hom, restrict_hom_to_odd, subalgebra_generated, trivial_module,
 )
-from lietrip.lts import is_lts_hom, odd_part_lts
+from lietrip.lts import is_lts_hom, lie_triple_system, odd_part_lts
+from test_cohom import _raw
+from test_lts import LADDER
 
 FIELDS = [QQ, Field(2), Field(3), Field(5)]
 
@@ -60,6 +67,57 @@ def test_subalgebra_generated():
     S = sl2graded()
     e_line = Subspace.span(QQ, 3, [unit_vec(QQ, 3, 1)])
     assert subalgebra_generated(S, e_line) == e_line
+
+
+def _generation_cases(field, rng):
+    """(algebra, seed rows): the odd part, the even part and random seeds of
+    corpus algebras, of the envelopes of the ladder's systems but gl(3), and
+    of unchecked alternating tensors, which need not satisfy Jacobi."""
+    algebras = [heis(field), ab2(field), sl2graded(field), sl2_double_swap(field),
+                direct_sum(sl2graded(field), even_line(field))]
+    algebras += [universal_imbedding(lie_triple_system(field, raw)).algebra
+                 for name, raw, f in LADDER if f == field and name != "gl(3)"]
+    for n in (4, 5):
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    c[i][j][k] = rng.choice((0, 0, 1, -1))
+                    c[j][i][k] = -c[i][j][k]
+        algebras.append(graded_lie(field, n - 2, 2, c, unchecked=True))
+    for L in algebras:
+        n = L.dim
+        yield L, [list(v) for v in L.odd_subspace().vectors()]
+        yield L, [list(v) for v in L.even_subspace().vectors()]
+        for k in (1, 2):
+            yield L, [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
+def test_subalgebra_generated_matches_naive_closure(field):
+    full = proper = 0
+    for L, seed in _generation_cases(field, random.Random(11)):
+        got = subalgebra_generated(L, Subspace.span(field, L.dim, seed))
+        assert got.basis.to_lists() == oracles.subalgebra_closure(_raw(L), seed, field.p)
+        full += got.dim == L.dim
+        proper += got.dim < L.dim
+    assert full and proper
+
+
+def test_generation_stops_at_the_full_space(monkeypatch):
+    # [L_1, L_1] = L_0 in A(sl2lts), so the first round reaches dim L and
+    # no second round of brackets confirms that the whole space is closed
+    A = universal_imbedding(sl2lts()).algebra
+    odd = A.odd_subspace()
+    rounds = []
+
+    def spy(*args):
+        rounds.append(args)
+        return lietrip.exactlin.span_of(*args)
+
+    monkeypatch.setattr(lietrip.grlie, "span_of", spy)
+    assert subalgebra_generated(A, odd).dim == A.dim
+    assert len(rounds) == 1
 
 
 def test_is_generated_by_odd():

@@ -87,9 +87,11 @@ def graded_cochain_basis(L: GradedLieAlgebra, M: GradedModule, degree: int) -> l
 
 def _graded_slots(L: GradedLieAlgebra, M: GradedModule, degree: int) -> list:
     """The slots (combo, r) where a graded cochain of this degree may be nonzero:
-    module coordinate r has the parity of the combination."""
+    module coordinate r has the parity of the combination, the number of its
+    odd indices."""
+    coords = (range(M.dim0), range(M.dim0, M.dim))
     return [(combo, r) for combo in combinations(range(L.dim), degree)
-            for r in range(M.dim) if M.degree(r) == sum(L.degree(i) for i in combo) % 2]
+            for r in coords[sum(i >= L.dim0 for i in combo) % 2]]
 
 
 def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict) -> Cochain:
@@ -100,7 +102,15 @@ def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict
     return Cochain(L, M, degree, tuple(tuple(v) for v in values))
 
 
-def _differential(L: GradedLieAlgebra, M: GradedModule, n: int) -> dict:
+def _nonzero_structure(L: GradedLieAlgebra, M: GradedModule) -> tuple:
+    """What _differential reads: the nonzeros (s, r, x) of each of M's actions
+    and (k, x) of each bracket [e_i, e_j] with i < j."""
+    return ([[(s, r, x) for s, row in enumerate(a.entries) for r, x in nonzeros(row)]
+             for a in M.action], [[nonzeros(v) if i < j else () for j, v in enumerate(row)]
+                                  for i, row in enumerate(L.bracket)])
+
+
+def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple) -> dict:
     """The differential from degree-n to degree-(n+1) cochains as sparse rows.
 
     Row (combo, s), in the order (combination, module coordinate), maps each
@@ -111,9 +121,7 @@ def _differential(L: GradedLieAlgebra, M: GradedModule, n: int) -> dict:
     at combo' = the sorted combination, for each k not already in the rest.
     """
     p = L.field.p
-    actions = [[(s, r, x) for s, row in enumerate(a.entries) for r, x in nonzeros(row)]
-               for a in M.action]
-    brackets = [[nonzeros(v) for v in row] for row in L.bracket]
+    actions, brackets = structure
     rows = {}
     for combo in combinations(range(L.dim), n + 1):
         acc = [{} for _ in range(M.dim)]
@@ -154,7 +162,7 @@ def coboundary(f: Cochain) -> Cochain:
     if n >= 3:
         raise ValueError("coboundary is only taken up to degree-3 output")
     values = {(combo, r): x for combo, v in zip(f.combos(), f.values) for r, x in nonzeros(v)}
-    rows = _differential(L, M, n)
+    rows = _differential(L, M, n, _nonzero_structure(L, M))
     out = tuple(
         vec_from_sums(L.field, [sum(c * values[slot] for slot, c in rows[(combo, s)].items()
                                     if slot in values) for s in range(M.dim)])
@@ -195,8 +203,9 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     p = F.p
     slots1, slots2, slots3 = (_graded_slots(L, M, n) for n in (1, 2, 3))
     c2 = len(slots2)
-    d2 = _graded_rows(_differential(L, M, 2), slots3, slots2)
-    d1 = _graded_rows(_differential(L, M, 1), slots2, slots1)
+    structure = _nonzero_structure(L, M)
+    d2 = _graded_rows(_differential(L, M, 2, structure), slots3, slots2)
+    d1 = _graded_rows(_differential(L, M, 1, structure), slots2, slots1)
     d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
     q = SELECT_PRIME if p is None else p
     rows2, cols1 = _distinct_rows(p, d2), _distinct_rows(p, d1_cols)
@@ -238,7 +247,7 @@ class CentralExtensionProblem(Record):
     @classmethod
     def from_hom(cls, phi: GradedHom) -> "CentralExtensionProblem":
         ker = phi.kernel()
-        if not phi.is_surjective():
+        if phi.source.dim - ker.dim != phi.target.dim:  # rank-nullity
             raise NotCentral0Extension("the hom is not surjective")
         if not phi.source.even_subspace().contains_subspace(ker):
             raise NotCentral0Extension("the kernel is not contained in the even part")

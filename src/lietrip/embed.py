@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, QuotientSpace, Record, Subspace, Vector, _echelon, _reduce, _subspace,
-    kernel_basis, mat_from_flat, nonzeros, quotient, unit_vec, vec_add, vec_from_sums,
-    vec_is_zero, zero_vec,
+    kernel_basis, linear_combination, mat_from_flat, nonzeros, quotient, unit_vec, vec_add,
+    vec_from_sums, vec_is_zero, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
@@ -182,18 +182,20 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
 
     a_sub = _subspace(F, mdim, echelon)
     q = quotient(mdim, a_sub)
-    mu = lam.matmul(q.section)
+    # the section's columns are the unit vectors at the free coordinates
     free = [c for c in range(mdim) if c not in echelon]
+    mu = Matrix.from_cols(F, [lam.col(c) for c in free], rows=L.dim)
     position = {c: s for s, c in enumerate(free)}
     # [s, t] is the normal form of lam(e_f).e_g, for f, g the free columns s, t
     pairs = [(s, position[g], [(position[c], x) for c, x in
                                _reduce(dict(acts[f][g]), echelon, p).items()])
              for s, f in enumerate(free) for g in free[s + 1:]]
     algebra = _assemble(F, q.dim, 0, pairs)
-    units = [unit_vec(F, q.dim, j) for j in range(q.dim)]
-    if any(not vec_is_zero(F, algebra.bracket_vec(z, e))
-           for z in kernel_basis(mu).basis.entries for e in units):
-        raise RuntimeError("kernel of mu is not central in the quotient")
+    for z in kernel_basis(mu).basis.entries:  # [z, e_j] is sum_i z_i [e_i, e_j]
+        terms = nonzeros(z)
+        if any(not vec_is_zero(F, linear_combination(
+                F, q.dim, ((x, algebra.bracket[i][j]) for i, x in terms))) for j in range(q.dim)):
+            raise RuntimeError("kernel of mu is not central in the quotient")
     return ModuleQuotient(a_sub, q, algebra, mu)
 
 
@@ -357,8 +359,9 @@ def _extension(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     for v in env.pair.a_subspace.basis.entries:
         if not vec_is_zero(F, zeta.matvec(v)):
             raise RuntimeError("extension ill-defined: the radical does not map to zero")
-    cols = [zeta.matvec(env.pair.section.col(s)) for s in range(env.algebra.dim0)]
-    cols += alpha_cols
+    # the pair section's columns are the unit vectors at the free coordinates
+    pivots = set(env.pair.a_subspace.pivots)
+    cols = [v for c, v in enumerate(zeta_cols) if c not in pivots] + alpha_cols
     return GradedHom(env.algebra, L, Matrix.from_cols(F, cols, rows=L.dim), unchecked=True)
 
 

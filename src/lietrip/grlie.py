@@ -386,10 +386,12 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
     F = L.field
     new_dim0 = L.dim0 - ideal.dim
     # pivots of the ideal sit in even columns, so the free columns stay ordered
-    # even-then-odd and the quotient inherits dims (dim0 - dim I, dim1).
-    sec_cols = [q.section.col(j) for j in range(q.dim)]
+    # even-then-odd and the quotient inherits dims (dim0 - dim I, dim1); the
+    # section's columns are the unit vectors at the free coordinates.
+    pivots = set(ideal.pivots)
+    free = [c for c in range(L.dim) if c not in pivots]
     Q = _assemble(F, new_dim0, L.dim1, (
-        (s, t, enumerate(q.projection.matvec(L.bracket_vec(sec_cols[s], sec_cols[t]))))
+        (s, t, enumerate(q.projection.matvec(L.bracket[free[s]][free[t]])))
         for s in range(q.dim) for t in range(s + 1, q.dim)))
     return Q, GradedHom(L, Q, q.projection, unchecked=True)
 

@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import lietrip.cohom
+import lietrip.exactlin
+import lietrip.grlie
 import oracles
 
 from lietrip.corpus import (
@@ -19,7 +21,7 @@ from lietrip.cohom import (
 from lietrip.embed import universal_central_0_extension, universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, kernel_of_rows, unit_vec
 from lietrip.grlie import (
-    GradedHom, adjoint_module, central_quotient, direct_sum, graded_lie, identity_hom,
+    GradedHom, abelian_algebra, adjoint_module, central_quotient, direct_sum, graded_lie, identity_hom,
     trivial_module,
 )
 from lietrip.lts import lie_triple_system, lts_of_lie, odd_part_lts
@@ -237,6 +239,39 @@ def test_central_extension_problem_validation():
     not_surjective = GradedHom(B, B, Matrix.zeros(QQ, 2, 2))
     with pytest.raises(NotCentral0Extension):
         CentralExtensionProblem.from_hom(not_surjective)
+
+
+def test_central_extension_problem_reads_surjectivity_from_its_kernel(monkeypatch):
+    # rank-nullity on the kernel it computes: the hom is eliminated once
+    calls = []
+
+    def spy(real):
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        return counting
+
+    for module in (lietrip.exactlin, lietrip.grlie, lietrip.cohom):
+        if hasattr(module, "rank"):
+            monkeypatch.setattr(module, "rank", spy(module.rank))
+    for F in (QQ, Field(5)):
+        proj = GradedHom(heis(F), ab2(F), Matrix.make(F, [[0, 1, 0], [0, 0, 1]]))
+        assert CentralExtensionProblem.from_hom(proj).kernel.dim == 1
+        assert CentralExtensionProblem.from_hom(identity_hom(heis(F))).kernel.dim == 0
+        # [h, x] = x: the ideal spanned by x is even but not central
+        b = graded_lie(F, 2, 0, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+        # the first failing condition names the error, in the order surjective,
+        # even, central
+        for phi, message in (
+                (GradedHom(heis(F), heis(F), Matrix.zeros(F, 3, 3)), "not surjective"),
+                (GradedHom(ab2(F), abelian_algebra(F, 0, 1), Matrix.make(F, [[1, 0]])),
+                 "not contained in the even part"),
+                (GradedHom(b, abelian_algebra(F, 1, 0), Matrix.make(F, [[1, 0]])), "not central")):
+            with pytest.raises(NotCentral0Extension, match=message):
+                CentralExtensionProblem.from_hom(phi)
+    assert calls == []
+    # the spy is live
+    assert identity_hom(heis()).is_bijective() and len(calls) == 1
 
 
 def abl_odd_line():

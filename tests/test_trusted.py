@@ -207,9 +207,9 @@ TRUSTED_SITES = {
     ("serialize.load", "GradedHom(unchecked=unchecked)"),
     ("serialize.load", "GradedModule(unchecked=unchecked)"),
     ("cli._load_input", "load(unchecked=unchecked)"),
-    # check-lts and check-graded load unchecked to report the violations
-    ("cli._run_check_lts", "_load_input(unchecked=True)"),
-    ("cli._run_check_graded", "_load_input(unchecked=True)"),
+    # the one loading call site; check-lts and check-graded always load
+    # unchecked, to report the violations
+    ("cli.main", "_load_input(unchecked=args.unchecked or args.command in _CHECKS)"),
 }
 
 # (module.function, constructor) for every internal call that validates

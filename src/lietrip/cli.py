@@ -267,8 +267,12 @@ def main(argv: Optional[list] = None) -> int:
               "dimensions": dimensions, "witnesses": witnesses, "derived": derived}
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     print(text)
     if verdict in ("fail", "false"):
         print(f"{args.command}: {verdict}", file=sys.stderr)

@@ -9,12 +9,13 @@ the degree-g block of the module.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional
 
 from .exactlin import (
-    SELECT_PRIME, Matrix, Record, Subspace, Vector, _distinct_rows, _echelon, _span,
+    SELECT_PRIME, Matrix, Record, Subspace, Vector, _distinct_rows, _echelon, _integer_rows, _span,
     _sparse_rows, kernel_of_rows, linear_combination, nonzeros, solve, unit_vec, vec_add,
     vec_from_sums, vec_is_zero, zero_vec,
 )
@@ -104,10 +105,14 @@ def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict
 
 def _nonzero_structure(L: GradedLieAlgebra, M: GradedModule) -> tuple:
     """What _differential reads: the nonzeros (s, r, x) of each of M's actions
-    and (k, x) of each bracket [e_i, e_j] with i < j."""
-    return ([[(s, r, x) for s, row in enumerate(a.entries) for r, x in nonzeros(row)]
-             for a in M.action], [[nonzeros(v) if i < j else () for j, v in enumerate(row)]
-                                  for i, row in enumerate(L.bracket)])
+    and (k, x) of each bracket [e_i, e_j] with i < j, over Q as integers over
+    one denominator den, and den (1 over F_p)."""
+    n, m = L.dim, M.dim
+    rows, den = _integer_rows(L.field.p, [dict(nonzeros(row)) for a in M.action for row in a.entries]
+                              + [dict(nonzeros(v)) if i < j else {}
+                                 for i, row in enumerate(L.bracket) for j, v in enumerate(row)])
+    return ([[(s, r, x) for s in range(m) for r, x in rows[a * m + s].items()] for a in range(n)],
+            [[list(rows[n * m + i * n + j].items()) for j in range(n)] for i in range(n)]), den
 
 
 def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple) -> dict:
@@ -161,8 +166,10 @@ def coboundary(f: Cochain) -> Cochain:
     n = f.degree
     if n >= 3:
         raise ValueError("coboundary is only taken up to degree-3 output")
-    values = {(combo, r): x for combo, v in zip(f.combos(), f.values) for r, x in nonzeros(v)}
-    rows = _differential(L, M, n, _nonzero_structure(L, M))
+    structure, den = _nonzero_structure(L, M)  # the rows are den times the differential's
+    values = {(combo, r): Fraction(x, den) if den != 1 else x
+              for combo, v in zip(f.combos(), f.values) for r, x in nonzeros(v)}
+    rows = _differential(L, M, n, structure)
     out = tuple(
         vec_from_sums(L.field, [sum(c * values[slot] for slot, c in rows[(combo, s)].items()
                                     if slot in values) for s in range(M.dim)])
@@ -203,7 +210,7 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     p = F.p
     slots1, slots2, slots3 = (_graded_slots(L, M, n) for n in (1, 2, 3))
     c2 = len(slots2)
-    structure = _nonzero_structure(L, M)
+    structure, _ = _nonzero_structure(L, M)
     d2 = _graded_rows(_differential(L, M, 2, structure), slots3, slots2)
     d1 = _graded_rows(_differential(L, M, 1, structure), slots2, slots1)
     d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
@@ -225,7 +232,7 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
     # the cocycle basis vectors outside the span of the coboundaries and the
     # cocycles before them
-    _, picked = _echelon(_sparse_rows(b2.vectors() + z2.vectors()), F.p, len(slots2))
+    _, picked = _echelon(_integer_rows(p, _sparse_rows(b2.vectors() + z2.vectors()))[0], p, len(slots2))
     reps = [z2.vectors()[i - b2.dim] for i in picked[b2.dim:]]
     rep_cochains = tuple(_cochain_at(L, M, 2, {slot: c for slot, c in zip(slots2, coords) if c})
                          for coords in reps)

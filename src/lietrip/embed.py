@@ -20,19 +20,21 @@ structure constants are reproducible across runs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, QuotientSpace, Record, Subspace, Vector, _echelon, _reduce, _subspace,
-    kernel_basis, linear_combination, mat_from_flat, nonzeros, quotient, unit_vec, vec_add,
-    vec_from_sums, vec_is_zero, zero_vec,
+    Field, Matrix, QuotientSpace, Record, Subspace, Vector, _echelon, _integer_rows,
+    _kernel_vectors, _reduce, _subspace, kernel_basis, mat_from_flat, nonzeros, quotient,
+    unit_vec, vec_add, vec_from_sums, vec_is_zero, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
 )
 from .lts import (
-    DerivationAlgebra, LieTripleSystem, LtsHom, _inner_flats, inner_derivation_algebra,
-    is_lts_hom, odd_part_lts,
+    DerivationAlgebra, LieTripleSystem, LtsHom, inner_derivation_algebra, is_lts_hom,
+    odd_part_lts,
 )
 
 
@@ -96,9 +98,9 @@ def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
     total = r + n
     even = _assemble(F, r, 0, (
         (a, b, enumerate(inder.bracket[a][b])) for a in range(r) for b in range(a + 1, r)))
-    flat = _inner_flats(T)
-    pairing = Matrix.from_cols(F, [inder.span.coordinates(flat[i][j]) for i, j in wedge_pairs(n)],
-                               rows=r)
+    # the D_{e_i,e_j} span Inder(T): coordinates are pivot entries, c = r*n + m at t[i][j][m][r]
+    pairing = Matrix.from_cols(F, [tuple(T.triple[i][j][c % n][c // n] for c in inder.span.pivots)
+                                   for i, j in wedge_pairs(n)], rows=r)
     algebra = _glue(even, n, inder.basis, pairing)
     inclusion = Matrix.from_cols(F, [unit_vec(F, total, r + i) for i in range(n)], rows=total)
     return StandardImbedding(T, algebra, inclusion, inder)
@@ -147,20 +149,22 @@ class ModuleQuotient(Record):
 def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
                             lam: Matrix) -> ModuleQuotient:
     """Requires lam to be a module homomorphism into the adjoint module,
-    lam(l.m) = [l, lam(m)]; raises with a witness pair otherwise.  Every step
-    runs on sparse columns of lam and the actions."""
+    lam(l.m) = [l, lam(m)]; raises with a witness pair otherwise.  Every step runs
+    on sparse columns of lam, the actions and L's brackets, over Q as integers over
+    one denominator den; a structure constant is divided by its scale when written."""
     F = L.field
     p = F.p
     mdim = module.dim
     if lam.rows != L.dim or lam.cols != mdim:
         raise ValueError("lam shape mismatch")
-    lam_cols = [dict(nonzeros(c)) for c in lam.transpose().entries]
-    action_cols = [[dict(nonzeros(c)) for c in a.transpose().entries] for a in module.action]
+    cols = [dict(nonzeros(c)) for m in (lam, *module.action) for c in m.transpose().entries]
+    ints, den = _integer_rows(p, cols + [dict(nonzeros(v)) for row in L.bracket for v in row])
+    lam_cols, *action_cols = (ints[k * mdim:(k + 1) * mdim] for k in range(L.dim + 1))
+    bracket = ints[len(cols):]  # bracket[a * L.dim + b] = [e_a, e_b]
     for a in range(L.dim):
-        bracket = [dict(nonzeros(v)) for v in L.bracket[a]]
         for u in range(mdim):
             lhs = _sparse_sum(p, ((x, lam_cols[w]) for w, x in action_cols[a][u].items()))
-            rhs = _sparse_sum(p, ((x, bracket[b]) for b, x in lam_cols[u].items()))
+            rhs = _sparse_sum(p, ((x, bracket[a * L.dim + b]) for b, x in lam_cols[u].items()))
             if lhs != rhs:
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
@@ -169,12 +173,11 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     acts = [[_sparse_sum(p, ((x, action_cols[a][v]) for a, x in lam_cols[u].items()))
              for v in range(mdim)] for u in range(mdim)]
     gens = [dict(acts[u][u]) for u in range(mdim)]  # copies: the echelon reduces rows in place
-    one = F.one()
-    gens += [_sparse_sum(p, ((one, acts[u][v]), (one, acts[v][u])))
+    gens += [_sparse_sum(p, ((1, acts[u][v]), (1, acts[v][u])))
              for u in range(mdim) for v in range(u + 1, mdim)]
     if any(_sparse_sum(p, ((x, lam_cols[w]) for w, x in g.items())) for g in gens):
         raise RuntimeError("A(M) escaped the kernel of lam")
-    ker = [dict(nonzeros(k)) for k in kernel_basis(lam).basis.entries]
+    ker = _kernel_vectors(lam)
     echelon, _ = _echelon(gens, p, len(ker))
     if any(_reduce(_sparse_sum(p, ((x, act[w]) for w, x in k.items())), echelon, p)
            for act in acts for k in ker):
@@ -186,15 +189,18 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     free = [c for c in range(mdim) if c not in echelon]
     mu = Matrix.from_cols(F, [lam.col(c) for c in free], rows=L.dim)
     position = {c: s for s, c in enumerate(free)}
-    # [s, t] is the normal form of lam(e_f).e_g, for f, g the free columns s, t
-    pairs = [(s, position[g], [(position[c], x) for c, x in
-                               _reduce(dict(acts[f][g]), echelon, p).items()])
-             for s, f in enumerate(free) for g in free[s + 1:]]
-    algebra = _assemble(F, q.dim, 0, pairs)
-    for z in kernel_basis(mu).basis.entries:  # [z, e_j] is sum_i z_i [e_i, e_j]
-        terms = nonzeros(z)
-        if any(not vec_is_zero(F, linear_combination(
-                F, q.dim, ((x, algebra.bracket[i][j]) for i, x in terms))) for j in range(q.dim)):
+    # [s, t] is the normal form of lam(e_f).e_g, f and g the free columns s and t; over Q
+    # of den^2 * scale times it, integral for scale the lcm of the pivot entries
+    scale = lcm(*(row[c] for c, row in echelon.items()))
+    table = {(s, position[g]): {position[c]: x for c, x in _reduce(
+        dict(acts[f][g]) if scale == 1 else {j: x * scale for j, x in acts[f][g].items()},
+        echelon, p).items()} for s, f in enumerate(free) for g in free[s + 1:]}
+    algebra = _assemble(F, q.dim, 0, (
+        (s, t, [(c, Fraction(x, den * den * scale)) for c, x in v.items()] if p is None else v.items())
+        for (s, t), v in table.items()))
+    for z in _kernel_vectors(mu):  # [z, e_j] is sum_i z_i [e_i, e_j]
+        if any(_sparse_sum(p, ((x, table[i, j]) if i < j else (-x, table[j, i])
+                               for i, x in z.items() if i != j)) for j in range(q.dim)):
             raise RuntimeError("kernel of mu is not central in the quotient")
     return ModuleQuotient(a_sub, q, algebra, mu)
 

@@ -9,10 +9,11 @@ subspaces are immutable, and every operation is a pure function.
 Every elimination runs through one sparse echelon engine, ``_echelon``:
 rows are dicts {column: scalar}, and each row joins at its leftmost
 column, which is then cleared from the rows already there.  It runs
-exactly over Q or F_p, or modulo a large prime to pick independent rows.
-Its basis is the unique RREF basis, so every derived basis (RREF, spans,
-kernels, sums, intersections, quotient sections) is canonical and
-reproducible.
+exactly over Q or F_p, or modulo a large prime to pick independent rows;
+over Q on integer rows (``_integer_rows``), building a ``Fraction`` only
+per output entry.  Its basis is the unique RREF basis, so every derived
+basis (RREF, spans, kernels, sums, intersections, quotient sections) is
+canonical and reproducible.
 """
 
 from __future__ import annotations
@@ -124,10 +125,6 @@ class Field(Record):
         return self.p == other.p
 
     __hash__ = Record.__hash__
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
 
     def of(self, x) -> Scalar:
         """Coerce an int, a Fraction or a string "n" or "n/d" into the field.
@@ -531,9 +528,13 @@ def kernel_basis(m: Matrix) -> Subspace:
     """The solution space of m*x = 0, dim = cols - rank: m's nonzero rows go
     into the echelon engine exactly, and the solutions it leaves free are
     reduced to their RREF basis."""
+    return _span(m.field, m.cols, _kernel_vectors(m))
+
+
+def _kernel_vectors(m: Matrix) -> list:
+    """A basis of the solutions of m*x = 0 as sparse rows, integers over Q."""
     p = m.field.p
-    echelon, _ = _echelon(_sparse_rows(m.entries), p, m.cols)
-    return _span(m.field, m.cols, _null_vectors(p, m.cols, echelon))
+    return _null_vectors(p, m.cols, _echelon(_integer_rows(p, _sparse_rows(m.entries))[0], p, m.cols)[0])
 
 
 # Over Q, kernel_of_rows picks its rows by their rank profile modulo this
@@ -563,7 +564,7 @@ def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
         _, picked = _echelon([{c: x % q for c, x in row if x % q} for row in distinct], q, ncols)
         chosen = [distinct[i] for i in picked]
     vecs = _null_vectors(p, ncols, _echelon([dict(row) for row in chosen], p, ncols)[0])
-    if p is None and not _annihilates(distinct, vecs):
+    if p is None and any(sum(x * v[c] for c, x in row if c in v) for v in vecs for row in distinct):
         vecs = _null_vectors(p, ncols, _echelon([dict(row) for row in distinct], p, ncols)[0])
     return _span(field, ncols, vecs)
 
@@ -573,17 +574,28 @@ def _sparse_rows(vectors: Iterable) -> Iterable:
     return ({j: x for j, x in enumerate(v) if x} for v in vectors)
 
 
+def _integer_rows(p: Optional[int], rows: Iterable) -> tuple[list, int]:
+    """Sparse rows {column: scalar} as (integer rows, den): over Q, times den,
+    the least common denominator of their entries; over F_p, unchanged, den 1."""
+    if p is not None:
+        return rows, 1
+    rows = list(rows)
+    den = lcm(*(x.denominator for r in rows for x in r.values()))
+    return [{j: x.numerator * (den // x.denominator) for j, x in r.items()} for r in rows], den
+
+
 def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
     """The echelon engine, exact over Q (p is None) or modulo the prime p:
     the reduced echelon basis {pivot column: row} of sparse rows, and the
     indices of the rows that enlarged it.  It reads no row after the rank
     reaches bound: the number of columns, or a known dimension of the span.
 
-    Each row is a dict {column: scalar} of nonzero entries (residues mod p),
-    reduced in place against the basis rows at its pivot columns.  A row
-    left nonzero is scaled to 1 at its leftmost column and joins there, and
-    that column is cleared from the rows already in; so every basis row
-    starts at its pivot and is 0 at the others: sorted, the unique RREF.
+    Each row is a dict {column: scalar} of nonzero entries (integers over Q,
+    residues mod p), reduced in place against the basis rows at its pivot
+    columns.  A row left nonzero joins at its leftmost column, scaled to 1
+    there (over Q, made primitive and positive there), and that column is
+    cleared from the rows already in; so every basis row starts at its pivot
+    and is 0 at the others: sorted, and divided by that entry, the unique RREF.
     """
     basis = {}
     picked = []
@@ -593,14 +605,15 @@ def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
             continue
         c = min(r)
         if p is None:
-            inv = _ONE / r[c]
-            r = {j: x * inv for j, x in r.items()}
+            _primitive(r, c)
         else:
             inv = pow(r[c], -1, p)
             r = {j: x * inv % p for j, x in r.items()}
         for b in basis.values():
-            if c in b:
+            if c in b and p is not None:
                 _sub_multiple(b, b[c], r, p)
+            elif c in b:  # fraction-free, then primitive again
+                _primitive(_reduce(b, {c: r}, p), min(b))
         basis[c] = r
         picked.append(i)
         if len(basis) == bound:
@@ -608,11 +621,27 @@ def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
     return basis, picked
 
 
+def _primitive(r: dict, c: int) -> dict:
+    """The integer row r divided in place by the gcd of its entries, made positive at column c."""
+    g = gcd(*r.values()) if r[c] > 0 else -gcd(*r.values())
+    if g != 1:
+        for j in r:
+            r[j] //= g
+    return r
+
+
 def _reduce(r: dict, echelon: dict, p: Optional[int]) -> dict:
-    """r, reduced in place to its normal form modulo a reduced echelon basis:
-    one pass, since each basis row is 0 at the other pivots."""
-    for c in [c for c in r if c in echelon]:
-        _sub_multiple(r, r[c], echelon[c], p)
+    """r, reduced in place to its normal form modulo a reduced echelon basis
+    (over Q, an integer multiple of it, scaled first so that every step is
+    integral): one pass, since each basis row is 0 at the other pivots."""
+    hits = [c for c in r if c in echelon]
+    if p is None:
+        m = lcm(*(echelon[c][c] // gcd(r[c], echelon[c][c]) for c in hits))
+        if m != 1:
+            for j in r:
+                r[j] *= m
+    for c in hits:  # mod p the pivot entry is 1
+        _sub_multiple(r, r[c] // echelon[c][c], echelon[c], p)
     return r
 
 
@@ -636,19 +665,21 @@ def _sub_multiple(r: dict, f: Scalar, b: dict, p: Optional[int]) -> None:
 
 
 def _null_vectors(p: Optional[int], ncols: int, echelon: dict) -> list:
-    """One solution of the echelon's rows per free column f, as a sparse
-    row: 1 at f, and minus each basis row's entry at f at its pivot."""
-    vecs = {f: {f: _ONE if p is None else 1} for f in range(ncols) if f not in echelon}
+    """One solution of the echelon's rows per free column f, as a sparse row: 1 at f, and minus
+    each basis row's entry at f at its pivot; over Q times den, the lcm of the pivot entries."""
+    den = lcm(*(row[c] for c, row in echelon.items()))
+    vecs = {f: {f: den if p is None else 1} for f in range(ncols) if f not in echelon}
     for c, row in echelon.items():
         for j, x in row.items():
             if j != c:
-                vecs[j][c] = -x if p is None else -x % p
+                vecs[j][c] = -x * (den // row[c]) if p is None else -x % p
     return list(vecs.values())
 
 
 def _span(field: Field, ambient_dim: int, rows: Iterable) -> Subspace:
     """The span of sparse rows {column: scalar}, which the echelon engine
     consumes."""
+    rows, _ = _integer_rows(field.p, rows)
     return _subspace(field, ambient_dim, _echelon(rows, field.p, ambient_dim)[0])
 
 
@@ -659,7 +690,10 @@ def _subspace(field: Field, ambient_dim: int, echelon: dict) -> Subspace:
     basis = []
     for c in pivots:
         v = [zero] * ambient_dim
-        for j, x in echelon[c].items():
+        row = echelon[c]
+        if field.p is None:
+            row = {j: Fraction(x, row[c]) for j, x in row.items()}
+        for j, x in row.items():
             v[j] = x
         basis.append(tuple(v))
     return Subspace(field, ambient_dim, Matrix(field, len(basis), ambient_dim, tuple(basis)),
@@ -672,13 +706,9 @@ def _distinct_rows(p: Optional[int], rows: Iterable) -> list:
     seen = {}
     for row in rows:
         if p is None:
-            items = sorted((c, x) for c, x in row.items() if x)
-            if not items:
-                continue
-            den = lcm(*(x.denominator for _, x in items))
-            xs = [x.numerator * (den // x.denominator) for _, x in items]
-            g = gcd(*xs) if xs[0] > 0 else -gcd(*xs)
-            seen[tuple((c, x // g) for (c, _), x in zip(items, xs))] = None
+            items = sorted((c, x) for c, x in _integer_rows(p, [row])[0][0].items() if x)
+            if items:
+                seen[tuple(_primitive(dict(items), items[0][0]).items())] = None
         else:
             items = sorted((c, x % p) for c, x in row.items() if x % p)
             if not items:
@@ -686,18 +716,6 @@ def _distinct_rows(p: Optional[int], rows: Iterable) -> list:
             inv = pow(items[0][1], -1, p)
             seen[tuple((c, x * inv % p) for c, x in items)] = None
     return list(seen)
-
-
-def _annihilates(rows: list, vecs: list) -> bool:
-    """Whether every integer row is orthogonal to every rational sparse
-    vector, checked on integer multiples of the vectors."""
-    for v in vecs:
-        den = lcm(*(x.denominator for x in v.values()))
-        w = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
-        for row in rows:
-            if sum(x * w[c] for c, x in row if c in w):
-                return False
-    return True
 
 
 class QuotientSpace(Record):

@@ -28,12 +28,13 @@ of Der(T) is checked apart, by ``ideal_closure_certificate``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Record, Subspace, Vector, kernel_of_rows, linear_combination,
-    mat_from_flat, nonzeros, span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero, zero_vec,
+    Field, Matrix, Record, Subspace, Vector, _integer_rows, _reduce, kernel_of_rows,
+    linear_combination, mat_from_flat, nonzeros, span_of, unit_vec, vec_add, vec_from_sums,
+    vec_is_zero, zero_vec,
 )
 
 
@@ -101,11 +102,9 @@ def _nonzero_view(T: LieTripleSystem) -> tuple[list, int]:
     Over F_p den is 1 and x the residue; over Q den is the common
     denominator of all entries, so x is a plain int either way.
     """
-    den = 1
-    if T.field.is_rational:
-        den = lcm(*(x.denominator for ti in T.triple for tij in ti for v in tij for x in v))
-    return [[[[(u, x.numerator * (den // x.denominator)) for u, x in enumerate(v) if x]
-              for v in tij] for tij in ti] for ti in T.triple], den
+    rows, den = _integer_rows(T.field.p, [dict(nonzeros(v)) for ti in T.triple for tij in ti for v in tij])
+    rows = iter(list(r.items()) for r in rows)
+    return [[[next(rows) for _ in tij] for tij in ti] for ti in T.triple], den
 
 
 # The tuples a canonical tuple stands for: index permutations, each with its sign.
@@ -284,18 +283,24 @@ def _derivation_rows(T: LieTripleSystem):
 
 
 def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
-    """The algebra on a bracket-closed span of endomorphisms of T."""
+    """The algebra on a bracket-closed span of endomorphisms of T.  Over Q the
+    commutators are taken in integers, of the basis times its common denominator."""
     F = T.field
     n = T.dim
     flats = span.basis.entries
-    rows = [_sparse_rows(v, n) for v in flats]
+    ints, den = _integer_rows(F.p, [dict(nonzeros(v)) for v in flats])
+    echelon = dict(zip(span.pivots, ints))  # each row den at its pivot, 0 at the others
+    rows = [_sparse_rows(v, n) for v in ints]
     # [D_b, D_a] = -[D_a, D_b]: each unordered pair is computed once
     zero = (F.zero(),) * len(flats)
     table = [[zero] * len(flats) for _ in flats]
     for a in range(len(flats)):
         for b in range(a + 1, len(flats)):
-            coords = span.coordinates(_commutator(F, n, rows[a], rows[b]))
-            if coords is None:
+            comm = _commutator(n, rows[a], rows[b])
+            v = dict(nonzeros(comm if F.p is None else vec_from_sums(F, comm)))
+            coords = tuple(Fraction(v.get(c, 0), den * den) if F.p is None else v.get(c, 0)
+                           for c in span.pivots)
+            if _reduce(v, echelon, F.p):
                 raise RuntimeError("derivations not closed under commutator")
             table[a][b] = coords
             table[b][a] = tuple(F.neg(x) for x in coords)
@@ -309,13 +314,14 @@ def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     return _derivations(T, kernel_of_rows(T.field, T.dim ** 2, _derivation_rows(T)))
 
 
-def _sparse_rows(flat: Vector, n: int) -> list:
-    """The (column, entry) nonzeros of each row of a row-major flat n x n matrix."""
-    return [nonzeros(flat[r * n:(r + 1) * n]) for r in range(n)]
+def _sparse_rows(flat: dict, n: int) -> list:
+    """The (column, entry) nonzeros of each row of a row-major flat n x n matrix {index: entry}."""
+    return [[(k - r * n, x) for k, x in flat.items() if r * n <= k < r * n + n] for r in range(n)]
 
 
-def _commutator(F: Field, n: int, x: list, y: list) -> Vector:
-    """XY - YX, flattened row-major, for X and Y given by their sparse rows."""
+def _commutator(n: int, x: list, y: list) -> list:
+    """XY - YX, flattened row-major, as plain sums of products, for X and Y
+    given by their sparse rows."""
     acc = [0] * (n * n)
     for r in range(n):
         base = r * n
@@ -325,15 +331,13 @@ def _commutator(F: Field, n: int, x: list, y: list) -> Vector:
         for k, a in y[r]:
             for s, b in x[k]:
                 acc[base + s] -= a * b
-    return vec_from_sums(F, acc)
+    return acc
 
 
 def _inner_flats(T: LieTripleSystem) -> list:
     """flat[u][v] = D_{e_u,e_v} = [e_u, e_v, -] flattened row-major, read
     from the tensor: its column m is t[u][v][m]."""
-    n = T.dim
-    return [[tuple(tuv[m][r] for r in range(n) for m in range(n)) for tuv in tu]
-            for tu in T.triple]
+    return [[tuple(chain.from_iterable(zip(*tuv))) for tuv in tu] for tu in T.triple]
 
 
 def inner_derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
@@ -361,7 +365,7 @@ def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
     flat_nz = [[nonzeros(f) for f in fu] for fu in flat]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     span = span_of(F, n * n, [flat[i][j] for i, j in pairs])
-    pair_rows = [_sparse_rows(flat[i][j], n) for i, j in pairs]
+    pair_rows = [_sparse_rows(dict(nonzeros(flat[i][j])), n) for i, j in pairs]
     failures = []
     checked = 0
     for d in derivation_algebra(T).basis:
@@ -369,7 +373,7 @@ def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
         d_rows = [nonzeros(r) for r in e]
         for (i, j), dij in zip(pairs, pair_rows):
             checked += 1
-            comm = _commutator(F, n, d_rows, dij)
+            comm = vec_from_sums(F, _commutator(n, d_rows, dij))
             # [D, D_{i,j}] = D_{De_i, e_j} + D_{e_i, De_j}, expanded bilinearly
             acc = [0] * (n * n)
             for u in range(n):

@@ -386,6 +386,21 @@ def change_basis(t, seed):
              for b in range(n)] for a in range(n)]
 
 
+RATIONAL_DIAGONAL = (2, Fraction(1, 3))
+
+
+def rational_change_basis(t, seed):
+    """The raw tensor t in the basis g_a = d_a f_a, where f is the basis of
+    change_basis(t, seed) and d = (2, 1/3, 1, ..., 1): the constant of g_l
+    in [g_a, g_b, g_c] is d_a d_b d_c / d_l times that of f_l, so the
+    constants themselves have denominators."""
+    u = change_basis(t, seed)
+    n = len(t)
+    d = [Fraction(x) for x in RATIONAL_DIAGONAL[:n]] + [Fraction(1)] * (n - len(RATIONAL_DIAGONAL))
+    return [[[[Fraction(u[a][b][c][l]) * d[a] * d[b] * d[c] / d[l] for l in range(n)]
+              for c in range(n)] for b in range(n)] for a in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # the pair algebra <T,T> = (T^T)/A(T^T) of a raw triple tensor t[i][j][k][l]
 

@@ -638,3 +638,18 @@ def test_cli_out_flag(capsys, tmp_path):
     assert code == 0
     on_disk = json.loads(out_path.read_text())
     assert on_disk == report
+
+
+@pytest.mark.parametrize("command", ["thm-a", "h2"])
+def test_cli_out_unwritable_is_invalid_input(capsys, tmp_path, command):
+    """An --out path that cannot be written exits 2 with one error line,
+    prints no report and leaves no file behind."""
+    out_path = tmp_path / "missing" / "report.json"
+    code = main([command, "heis", "--out", str(out_path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: cannot write --out: ")
+    assert "Traceback" not in out.err
+    assert not out_path.parent.exists()

@@ -8,7 +8,7 @@ import lietrip.embed
 import lietrip.exactlin
 import lietrip.grlie
 import oracles
-from lietrip.cohom import envelope_criterion
+from lietrip.cohom import envelope_criterion, h2_graded
 from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import (
     extend_hom, graded_algebra_from_pairing, imbedding_functor_hom,
@@ -22,13 +22,19 @@ from lietrip.exactlin import (
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center,
     central_quotient, check_graded_lie, direct_sum, identity_hom,
-    is_generated_by_odd,
+    is_generated_by_odd, trivial_module,
 )
 from lietrip.lts import (
     LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra, identity_lts_hom,
     inner_derivation_algebra, lie_triple_system, odd_part_lts, triple_bracket,
 )
-from test_lts import LADDER
+from test_exactlin import _assert_field_entries
+from test_lts import LADDER, ORACLE_SYSTEMS
+
+# seeded changes of basis with the diagonal (2, 1/3, 1, ...), so that the
+# structure constants themselves have denominators
+RATIONAL = [(f"{name}@3/rational", oracles.rational_change_basis(ORACLE_SYSTEMS[name], 3), QQ)
+            for name in ("gl(2)", "sl2lts", "grass(2,2)")]
 
 CORPUS_LTS = lambda field=QQ: [abl(1, field), abl(2, field), abl(3, field),
                                abl(4, field), odd2(field), sl2lts(field)]
@@ -162,6 +168,17 @@ def test_module_quotient_adjoint_sl2():
     assert mq.algebra.bracket == sl2_even.bracket
 
 
+def _first_non_hom_pair(L, module, lam):
+    """The first basis pair (a, u), in row-major order, at which
+    lam(e_a . e_u) != [e_a, lam(e_u)], from dense matrix products."""
+    F = L.field
+    for a in range(L.dim):
+        for u in range(module.dim):
+            if lam.matvec(module.action[a].col(u)) != L.bracket_vec(unit_vec(F, L.dim, a), lam.col(u)):
+                return a, u
+    return None
+
+
 def test_module_quotient_rejects_non_hom():
     sl2_even = GradedLieAlgebra(QQ, 3, 0, sl2graded().bracket)
     adj = adjoint_module(sl2_even)
@@ -175,6 +192,22 @@ def test_module_quotient_rejects_non_hom():
     module = GradedModule(line, 1, 0, (Matrix.identity(QQ, 1),), unchecked=True)
     with pytest.raises(RuntimeError, match=r"A\(M\) escaped the kernel of lam"):
         module_quotient_algebra(line, module, Matrix.identity(QQ, 1))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, Fraction(1, 3)]],
+    [[Fraction(2, 3), 0, 0], [0, 1, Fraction(-1, 4)], [0, Fraction(5, 6), 1]],
+], ids=["integer", "rational", "rational-dense"])
+def test_module_quotient_names_the_first_non_hom_pair(rows):
+    """The hom law runs on integer columns over Q, and still names the first
+    failing pair when lam has denominators."""
+    sl2_even = GradedLieAlgebra(QQ, 3, 0, sl2graded().bracket)
+    adj = adjoint_module(sl2_even)
+    bad = Matrix.make(QQ, rows)
+    a, u = _first_non_hom_pair(sl2_even, adj, bad)
+    with pytest.raises(ValueError, match=fr"module homomorphism: fails at basis pair \({a}, {u}\)$"):
+        module_quotient_algebra(sl2_even, adj, bad)
 
 
 def test_radical_chain_inclusions():
@@ -196,8 +229,8 @@ def _pair_algebra_lists(pa):
     return pa.a_subspace.basis.to_lists(), [[list(v) for v in row] for row in pa.algebra.bracket]
 
 
-@pytest.mark.parametrize("name, raw, field", LADDER,
-                         ids=[f"{name}-{field}" for name, _, field in LADDER])
+@pytest.mark.parametrize("name, raw, field", LADDER + RATIONAL,
+                         ids=[f"{name}-{field}" for name, _, field in LADDER + RATIONAL])
 def test_pair_algebra_matches_oracle(name, raw, field):
     pa = pair_algebra(lie_triple_system(field, raw))
     assert _pair_algebra_lists(pa) == oracles.pair_algebra(raw, field.p)
@@ -602,3 +635,43 @@ def test_decomposition_into_quotient_of_envelope():
         induced = GradedHom(Q, L, ext.hom.matrix.matmul(q.section))
         assert induced.is_bijective()
         assert induced.compose(proj).matrix == ext.hom.matrix
+
+
+# ---------------------------------------------------------------------------
+# rational structure constants: Q against a large prime, and Fraction entries
+
+@pytest.mark.parametrize("name, raw", [(name, raw) for name, raw, _ in RATIONAL],
+                         ids=[name for name, _, _ in RATIONAL])
+def test_rational_basis_agrees_with_a_large_prime(name, raw):
+    """A(T) in the rational basis has the same dims, H^2 and verdict over Q
+    and over F_(2^61-1), where every denominator is invertible."""
+    facts = []
+    for field in (QQ, Field(2 ** 61 - 1)):
+        A = universal_imbedding(lie_triple_system(field, raw)).algebra
+        report = envelope_criterion(A)
+        facts.append(((A.dim0, A.dim1), h2_graded(A, trivial_module(A)).dimension,
+                      report.h2_dimension, report.verdict))
+    assert facts[0] == facts[1]
+    assert facts[0][1:] == (0, 0, True)
+
+
+@pytest.mark.parametrize("name, raw", [(name, raw) for name, raw, _ in RATIONAL],
+                         ids=[name for name, _, _ in RATIONAL])
+def test_rational_basis_results_hold_fractions(name, raw):
+    """Every entry the imbedding chain returns over Q is a Fraction, also
+    where the constants have denominators and the kernels work on integers."""
+    T = lie_triple_system(QQ, raw)
+    assert any(x.denominator > 1 for ti in T.triple for tij in ti for v in tij for x in v)
+    env = universal_imbedding(T)
+    A = env.algebra
+    assert any(x.denominator > 1 for row in A.bracket for v in row for x in v)
+    rows = [v for row in A.bracket for v in row]
+    rows += env.upsilon.matrix.entries + env.pair.mu.entries + env.pair.mu_end.entries
+    rows += env.pair.a_subspace.basis.entries + env.angle_projection.entries
+    rows += envelope_criterion(A).witness.matrix.entries
+    # A(T) + ab2 has H^2 != 0, so its representatives come from the exact path
+    L = direct_sum(A, ab2())
+    h2 = h2_graded(L, trivial_module(L))
+    assert h2.dimension > 0
+    rows += [v for c in h2.representatives for v in c.values]
+    _assert_field_entries(QQ, rows)

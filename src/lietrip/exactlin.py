@@ -133,6 +133,11 @@ class Field(Record):
         ASCII digits and at most one "/" before more digits.  ``bool`` is
         refused, although Python counts it as an int.
         """
+        # exact ints and Fractions skip the ABC isinstance checks; over Q, 0 is one shared Fraction
+        if type(x) is int:
+            return (Fraction(x) if x else _ZERO) if self.p is None else x % self.p
+        if type(x) is Fraction and self.p is None:
+            return x
         if isinstance(x, bool):
             raise TypeError(f"cannot coerce the boolean {x!r} into {self}")
         if isinstance(x, str):

@@ -14,6 +14,11 @@ that of (3) in (i, j) and in (k, l): only the canonical tuples i < j < k,
 resp. i < j and k < l, are computed, every other defect is read off by sign
 (a repeated pair gives zero).  When (1) fails, the loops take every tuple.
 
+On the canonical path (3) is checked first at the pairs i < j whose D_{i,j}
+= [e_i, e_j, -] enlarge an exact echelon of their flats, a basis of Inder(T):
+the defect of (3) at (i, j, k, l, m) is linear in D_{i,j}, so it vanishes at
+every pair once it vanishes at a basis.  On any defect every pair is scanned.
+
 Constructors run the checker and refuse invalid tensors unless an
 explicit ``unchecked`` flag is passed (needed to store intentionally
 broken systems for negative tests).  Systems derived from validated input
@@ -32,9 +37,9 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Record, Subspace, Vector, _integer_rows, _reduce, kernel_of_rows,
-    linear_combination, mat_from_flat, nonzeros, span_of, unit_vec, vec_add, vec_from_sums,
-    vec_is_zero, zero_vec,
+    Field, Matrix, Record, Subspace, Vector, _echelon, _integer_rows, _reduce, _subspace,
+    kernel_of_rows, linear_combination, mat_from_flat, nonzeros, unit_vec, vec_add,
+    vec_from_sums, vec_is_zero, zero_vec,
 )
 
 
@@ -80,7 +85,7 @@ def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = Fals
     """Build a system from nested [i][j][k][l] entries of ints/strings/Fractions."""
     n = len(entries)
     tensor = tuple(
-        tuple(tuple(tuple(field.of(x) for x in vec) for vec in tij) for tij in ti)
+        tuple(tuple(tuple(map(field.of, vec)) for vec in tij) for tij in ti)
         for ti in entries)
     return LieTripleSystem(field, n, tensor, unchecked=unchecked)
 
@@ -121,6 +126,43 @@ def _spread(F: Field, identity: str, found, orbit: tuple) -> list:
     return [AxiomViolation(identity, ix, d) for ix, d in sorted(out, key=lambda v: v[0])]
 
 
+def _derivation_defects(F: Field, nz: list, den: int, pairs: list, canonical: bool) -> list:
+    """((i, j, k, l, m), defect) for each nonzero defect of (3) at the (i, j) of
+    pairs, from the nonzero view; on the canonical path only at k < l.
+    [e_i,e_j,[e_k,e_l,e_m]] = [[e_i,e_j,e_k],e_l,e_m] + [e_k,[e_i,e_j,e_l],e_m]
+    + [e_k,e_l,[e_i,e_j,e_m]], each term a sum of products of two structure
+    constants over nonzeros only; the defect is an integer multiple of 1/den^2."""
+    n = len(nz)
+    found = []
+    for i, j in pairs:
+        tij = nz[i][j]
+        if not any(tij):
+            continue  # every term carries a factor t[i][j][.]
+        for k in range(n):
+            tijk = tij[k]
+            tk = nz[k]
+            for l in range(k + 1 if canonical else 0, n):
+                tijl = tij[l]
+                tkl = tk[l]
+                for m in range(n):
+                    acc = [0] * n
+                    for u, x in tkl[m]:
+                        for v, y in tij[u]:
+                            acc[v] += x * y
+                    for u, x in tijk:
+                        for v, y in nz[u][l][m]:
+                            acc[v] -= x * y
+                    for u, x in tijl:
+                        for v, y in tk[u][m]:
+                            acc[v] -= x * y
+                    for u, x in tij[m]:
+                        for v, y in tkl[u]:
+                            acc[v] -= x * y
+                    if any(acc) and (F.p is None or any(c % F.p for c in acc)):
+                        found.append(((i, j, k, l, m), tuple(F.of(Fraction(c, den * den)) for c in acc)))
+    return found
+
+
 def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
     """Verify the three defining identities (plus the polarized form of the
     first) on all basis tuples and report every violation with a witness."""
@@ -140,45 +182,15 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
               for k in range(j + 1 if canonical else 0, n))
     bad += _spread(F, "cyclic", cyclic, _CYCLIC_ORBIT[orbits])
 
-    # [e_i,e_j,[e_k,e_l,e_m]] = [[e_i,e_j,e_k],e_l,e_m] + [e_k,[e_i,e_j,e_l],e_m]
-    #                           + [e_k,e_l,[e_i,e_j,e_m]],
-    # each term a sum of products of two structure constants, taken over
-    # nonzeros only; the defect is an integer multiple of 1/den^2.
     nz, den = _nonzero_view(T)
-    den2 = den * den
-    p = F.p
-    found = []
-    for i in range(n):
-        ti = nz[i]
-        for j in range(i + 1 if canonical else 0, n):
-            tij = ti[j]
-            if not any(tij):
-                continue  # every term carries a factor t[i][j][.]
-            for k in range(n):
-                tijk = tij[k]
-                tk = nz[k]
-                for l in range(k + 1 if canonical else 0, n):
-                    tijl = tij[l]
-                    tkl = tk[l]
-                    for m in range(n):
-                        acc = {}
-                        for u, x in tkl[m]:
-                            for v, y in tij[u]:
-                                acc[v] = acc.get(v, 0) + x * y
-                        for u, x in tijk:
-                            for v, y in nz[u][l][m]:
-                                acc[v] = acc.get(v, 0) - x * y
-                        for u, x in tijl:
-                            for v, y in tk[u][m]:
-                                acc[v] = acc.get(v, 0) - x * y
-                        for u, x in tij[m]:
-                            for v, y in tkl[u]:
-                                acc[v] = acc.get(v, 0) - x * y
-                        if p is not None:
-                            acc = {v: c % p for v, c in acc.items()}
-                        if any(acc.values()):
-                            d = tuple(F.of(Fraction(acc.get(v, 0), den2)) for v in range(n))
-                            found.append(((i, j, k, l, m), d))
+    if canonical:  # (3) first at the pairs that span Inder(T), see the module docstring
+        pairs, _, picked = _inner_span(T, lambda i, j: {l * n + m: x for m, v in enumerate(nz[i][j])
+                                                         for l, x in v})
+        found = _derivation_defects(F, nz, den, [pairs[q] for q in picked], True)
+        if found:
+            found = _derivation_defects(F, nz, den, pairs, True)
+    else:
+        found = _derivation_defects(F, nz, den, [(i, j) for i in range(n) for j in range(n)], False)
     bad += _spread(F, "derivation", found, _DERIVATION_ORBIT[orbits])
     return LtsAxiomReport(not bad, tuple(bad))
 
@@ -340,12 +352,22 @@ def _inner_flats(T: LieTripleSystem) -> list:
     return [[tuple(chain.from_iterable(zip(*tuv))) for tuv in tu] for tu in T.triple]
 
 
+def _inner_span(T: LieTripleSystem, flat) -> tuple[list, dict, list]:
+    """The pairs i < j, the reduced echelon basis of their flats flat(i, j) (sparse
+    rows of D_{e_i,e_j}, up to one common scale), a basis of Inder(T), and the
+    indices of the pairs whose flats enlarged it."""
+    n = T.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, _ = _integer_rows(T.field.p, [flat(i, j) for i, j in pairs])
+    echelon, picked = _echelon(rows, T.field.p, n * n)
+    return pairs, echelon, picked
+
+
 def inner_derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     """Inder(T), spanned by the D_{e_i,e_j} with i < j."""
-    n = T.dim
     flat = _inner_flats(T)
-    return _derivations(T, span_of(T.field, n * n, [flat[i][j] for i in range(n)
-                                                    for j in range(i + 1, n)]))
+    return _derivations(T, _subspace(T.field, T.dim ** 2,
+                                     _inner_span(T, lambda i, j: dict(nonzeros(flat[i][j])))[1]))
 
 
 class IdealClosureCertificate(Record):
@@ -361,11 +383,10 @@ def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
     """Check [D, D_{e_i,e_j}] for every basis derivation D and pair i < j."""
     F = T.field
     n = T.dim
-    flat = _inner_flats(T)
-    flat_nz = [[nonzeros(f) for f in fu] for fu in flat]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    span = span_of(F, n * n, [flat[i][j] for i, j in pairs])
-    pair_rows = [_sparse_rows(dict(nonzeros(flat[i][j])), n) for i, j in pairs]
+    flat_nz = [[nonzeros(f) for f in fu] for fu in _inner_flats(T)]
+    pairs, echelon, _ = _inner_span(T, lambda i, j: dict(flat_nz[i][j]))
+    span = _subspace(F, n * n, echelon)
+    pair_rows = [_sparse_rows(dict(flat_nz[i][j]), n) for i, j in pairs]
     failures = []
     checked = 0
     for d in derivation_algebra(T).basis:
@@ -421,7 +442,7 @@ def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
         field = algebra.field
         bracket = algebra.bracket
     else:
-        bracket = tuple(tuple(tuple(field.of(x) for x in v) for v in row) for row in algebra)
+        bracket = tuple(tuple(tuple(map(field.of, v)) for v in row) for row in algebra)
     F = field
     n = len(bracket)
     try:

@@ -64,6 +64,46 @@ def test_field_of_and_fmt():
             assert field.of(field.fmt(y)) == y
 
 
+class _Int(int):
+    pass
+
+
+class _Frac(Fraction):
+    pass
+
+
+def test_field_of_values_types_and_errors():
+    """Exact ints and Fractions take a fast path; bool, subclasses, strings
+    and every refusal keep the general branches."""
+    huge = 10 ** 30 + 1
+    cases = [
+        (QQ, 0, Fraction(0), Fraction), (QQ, -7, Fraction(-7), Fraction),
+        (QQ, huge, Fraction(huge), Fraction), (QQ, _Int(7), Fraction(7), Fraction),
+        (QQ, Fraction(-2, 3), Fraction(-2, 3), Fraction), (QQ, _Frac(2, 3), Fraction(2, 3), _Frac),
+        (QQ, "-6/4", Fraction(-3, 2), Fraction), (QQ, "12", Fraction(12), Fraction),
+        (F5, 0, 0, int), (F5, -7, 3, int), (F5, huge, 1, int), (F5, _Int(7), 2, int),
+        (F5, Fraction(-2, 3), 1, int), (F5, _Frac(2, 3), 4, int),
+        (F5, "-6/4", 1, int), (F5, "12", 2, int),
+    ]
+    for field, x, want, kind in cases:
+        got = field.of(x)
+        assert got == want and type(got) is kind, (field, x, got)
+    errors = [
+        (QQ, True, TypeError, "cannot coerce the boolean True into Q"),
+        (F5, False, TypeError, "cannot coerce the boolean False into Fp:5"),
+        (QQ, 1.5, TypeError, "cannot coerce 1.5 into Q"),
+        (F5, 1.5, TypeError, "cannot coerce 1.5 into F_5"),
+        (F5, Fraction(3, 10), ZeroDivisionError, "denominator of 3/10 vanishes mod 5"),
+        (F5, _Frac(1, 5), ZeroDivisionError, "denominator of 1/5 vanishes mod 5"),
+        (F5, "-1/15", ZeroDivisionError, "denominator of -1/15 vanishes mod 5"),
+        (QQ, "1/-2", ValueError, "malformed scalar '1/-2' (expected n or n/d)"),
+    ]
+    for field, x, exc, message in errors:
+        with pytest.raises(exc) as info:
+            field.of(x)
+        assert str(info.value) == message
+
+
 def test_rref_identity():
     m = Matrix.identity(QQ, 2)
     red, pivots = rref(m)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from lietrip import lts
 from lietrip.corpus import abl, heis, odd2, sl2graded, sl2lts
 from lietrip.exactlin import Field, Matrix, QQ, unit_vec
 from lietrip.lts import (
@@ -275,6 +276,13 @@ DENSE_SYSTEMS = {
 DENSE_CASES = [(name, field) for name in DENSE_SYSTEMS for field in (QQ, Field(5), Field(2))
                if not (name.startswith("grass") and field.p == 2)]
 
+# a change of basis with denominators, so that over Q den != 1 in the nonzero view
+RATIONAL_SYSTEMS = {
+    "gl(2)@3/rational": oracles.rational_change_basis(ORACLE_SYSTEMS["gl(2)"], 3),
+    "sl2lts@1/rational": oracles.rational_change_basis(ORACLE_SYSTEMS["sl2lts"], 1),
+}
+RATIONAL_CASES = [(name, field) for name in RATIONAL_SYSTEMS for field in (QQ, Field(5))]
+
 LADDER = [(name, ORACLE_SYSTEMS[name], field) for name, field in ORACLE_CASES] + [
     (name, DENSE_SYSTEMS[name], field) for name, field in DENSE_CASES] + [
     ("grass(2,3)", oracles.grass_triple(2, 3), QQ),
@@ -302,14 +310,14 @@ def test_axiom_check_matches_oracle_under_mutation(case, data):
     assert _violations(field, t) == oracles.lts_violations(t, field.p)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(ORACLE_CASES + DENSE_CASES), st.data())
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(ORACLE_CASES + DENSE_CASES + RATIONAL_CASES), st.data())
 def test_axiom_check_matches_oracle_under_antisymmetric_mutation(case, data):
     """The mutation keeps t alternating in its first two slots, so only the
     cyclic and derivation identities can fail, and the check reads them on
     canonical tuples and spreads the defects by sign."""
     name, field = case
-    raw = {**ORACLE_SYSTEMS, **DENSE_SYSTEMS}[name]
+    raw = {**ORACLE_SYSTEMS, **DENSE_SYSTEMS, **RATIONAL_SYSTEMS}[name]
     n = len(raw)
     i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     k, l = (data.draw(st.integers(0, n - 1)) for _ in range(2))
@@ -318,6 +326,48 @@ def test_axiom_check_matches_oracle_under_antisymmetric_mutation(case, data):
     t[i][j][k][l] += delta
     t[j][i][k][l] -= delta
     assert _violations(field, t) == oracles.lts_violations(t, field.p)
+
+
+def _scanned_pairs(field, raw, monkeypatch):
+    """The lists of pairs (i, j) at which check_lts_axioms reads identity (3), call by call."""
+    calls = []
+    scan = lts._derivation_defects
+    monkeypatch.setattr(lts, "_derivation_defects", lambda F, nz, den, pairs, canonical: (
+        calls.append(list(pairs)) or scan(F, nz, den, pairs, canonical)))
+    check_lts_axioms(lie_triple_system(field, raw, unchecked=True))
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name, raw, field", LADDER,
+                         ids=[f"{name}-{field}" for name, _, field in LADDER])
+def test_picked_pairs_are_a_basis_of_the_inner_derivations(name, raw, field, monkeypatch):
+    (picked,) = _scanned_pairs(field, raw, monkeypatch)
+    assert len(picked) == inner_derivation_algebra(lie_triple_system(field, raw)).dim
+
+
+PICKED_CASES = [(name, raw, field) for name, raw in (
+    ("gl(2)", ORACLE_SYSTEMS["gl(2)"]),
+    ("grass(2,3)@3", oracles.change_basis(oracles.grass_triple(2, 3), 3)),
+) for field in (QQ, Field(5))]
+
+
+@pytest.mark.parametrize("name, raw, field", PICKED_CASES,
+                         ids=[f"{name}-{field}" for name, _, field in PICKED_CASES])
+def test_mutation_outside_the_picked_pairs_is_caught(name, raw, field, monkeypatch):
+    """Identity (3) is linear in D_{i,j}, so the check reads it first at the
+    pairs whose flats span Inder(T).  Here the mutated pair is not one of
+    them, and with k = i the cyclic sums stay clean, so only (3) fails: the
+    report must still list every violation the oracle finds."""
+    (picked,) = _scanned_pairs(field, raw, monkeypatch)
+    n = len(raw)
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in picked)
+    t = [[[list(v) for v in tij] for tij in ti] for ti in raw]
+    t[i][j][i][0] += Fraction(1, 3)
+    t[j][i][i][0] -= Fraction(1, 3)
+    got = _violations(field, t)
+    assert got and {identity for identity, _, _ in got} == {"derivation"}
+    assert got == oracles.lts_violations(t, field.p)
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,10 @@ def _nonzero_structure(L: GradedLieAlgebra, M: GradedModule) -> tuple:
             [[list(rows[n * m + i * n + j].items()) for j in range(n)] for i in range(n)]), den
 
 
-def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple) -> dict:
-    """The differential from degree-n to degree-(n+1) cochains as sparse rows.
+def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple,
+                  graded: bool = False) -> dict:
+    """The differential from degree-n to degree-(n+1) cochains as sparse rows,
+    or, when graded, its rows at the graded output slots only.
 
     Row (combo, s), in the order (combination, module coordinate), maps each
     input slot (combo', r) to its nonzero coefficient in (df)(combo)_s:
@@ -127,14 +129,18 @@ def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple
     """
     p = L.field.p
     actions, brackets = structure
+    coords = (range(M.dim0), range(M.dim0, M.dim))
     rows = {}
     for combo in combinations(range(L.dim), n + 1):
-        acc = [{} for _ in range(M.dim)]
+        outs = coords[sum(i >= L.dim0 for i in combo) % 2] if graded else range(M.dim)
+        if not outs:
+            continue
+        acc = {s: {} for s in outs}
         for i, c in enumerate(combo):
             rest = combo[:i] + combo[i + 1:]
             for s, r, x in actions[c]:
-                key = (rest, r)
-                acc[s][key] = acc[s].get(key, 0) + (-x if i % 2 else x)
+                if s in acc:
+                    acc[s][rest, r] = acc[s].get((rest, r), 0) + (-x if i % 2 else x)
         moved = {}
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
@@ -145,7 +151,7 @@ def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple
                     pos = sum(1 for t in rest if t < k)
                     target = rest[:pos] + (k,) + rest[pos:]
                     moved[target] = moved.get(target, 0) + (-x if (i + j + pos) % 2 else x)
-        for s, row in enumerate(acc):
+        for s, row in acc.items():
             for target, x in moved.items():
                 row[(target, s)] = row.get((target, s), 0) + x
             if p is not None:
@@ -177,18 +183,6 @@ def coboundary(f: Cochain) -> Cochain:
     return Cochain(L, M, n + 1, out)
 
 
-def _graded_rows(rows: dict, out_slots: list, in_slots: list) -> list:
-    """The sparse rows of a differential from the graded in_slots to the
-    graded out_slots, each {position in in_slots: coefficient}; raises when
-    a graded cochain reaches any other output slot."""
-    position = {slot: k for k, slot in enumerate(in_slots)}
-    graded_out = set(out_slots)
-    for slot, row in rows.items():
-        if slot not in graded_out and not position.keys().isdisjoint(row):
-            raise ValueError("cochain is not graded")
-    return [{position[c]: x for c, x in rows[s].items() if c in position} for s in out_slots]
-
-
 class H2Result(Record):
     dimension: int
     cocycle_dim: int
@@ -208,11 +202,16 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     are computed exactly."""
     F = L.field
     p = F.p
-    slots1, slots2, slots3 = (_graded_slots(L, M, n) for n in (1, 2, 3))
+    slots1, slots2 = _graded_slots(L, M, 1), _graded_slots(L, M, 2)
     c2 = len(slots2)
     structure, _ = _nonzero_structure(L, M)
-    d2 = _graded_rows(_differential(L, M, 2, structure), slots3, slots2)
-    d1 = _graded_rows(_differential(L, M, 1, structure), slots2, slots1)
+
+    def graded_rows(n, in_slots):  # {position in in_slots: coefficient} per graded output slot
+        position = {slot: k for k, slot in enumerate(in_slots)}
+        return [{position[c]: x for c, x in row.items() if c in position}
+                for row in _differential(L, M, n, structure, graded=True).values()]
+
+    d2, d1 = graded_rows(2, slots2), graded_rows(1, slots1)
     d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
     q = SELECT_PRIME if p is None else p
     rows2, cols1 = _distinct_rows(p, d2), _distinct_rows(p, d1_cols)
@@ -365,18 +364,13 @@ class EnvelopeCriterionReport(Record):
 
 
 def envelope_criterion(L: GradedLieAlgebra) -> EnvelopeCriterionReport:
-    generated = is_generated_by_odd(L)
-    h2 = h2_graded(L, trivial_module(L))
-    closed = h2.dimension == 0
-    verdict = generated and closed
-    obstruction = None
-    extension = None
-    if not generated:
-        obstruction = "the odd part does not generate the algebra"
-    elif not closed:
-        obstruction = f"graded H^2 with trivial coefficients has dimension {h2.dimension}"
-    else:
-        extension = _universal_central_0_extension(L)
-        if extension.kernel.dim != 0:
-            raise RuntimeError("criterion held but the canonical extension is not injective")
-    return EnvelopeCriterionReport(verdict, generated, h2.dimension, obstruction, extension)
+    """When L_1 generates L, every graded central extension of L by the even
+    line either splits or is a quotient of A(L_1) over L, so dim H^2 is the
+    dimension of the kernel of A(L_1) -> L; only otherwise is H^2 eliminated."""
+    if not is_generated_by_odd(L):
+        return EnvelopeCriterionReport(False, False, h2_graded(L, trivial_module(L)).dimension,
+                                       "the odd part does not generate the algebra", None)
+    extension = _universal_central_0_extension(L)
+    h2 = extension.kernel.dim
+    obstruction = f"graded H^2 with trivial coefficients has dimension {h2}" if h2 else None
+    return EnvelopeCriterionReport(not h2, True, h2, obstruction, None if h2 else extension)

@@ -26,11 +26,12 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, QuotientSpace, Record, Subspace, Vector, _echelon, _integer_rows,
-    _kernel_vectors, _reduce, _subspace, kernel_basis, mat_from_flat, nonzeros, quotient,
-    unit_vec, vec_add, vec_from_sums, vec_is_zero, zero_vec,
+    _kernel_vectors, _null_vectors, _reduce, _sparse_rows, _subspace, kernel_basis,
+    linear_combination, mat_from_flat, nonzeros, quotient, unit_vec, vec_add, vec_from_sums,
+    vec_is_zero, zero_vec,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
+    GradedHom, GradedLieAlgebra, GradedModule, _assemble, is_generated_by_odd,
 )
 from .lts import (
     DerivationAlgebra, LieTripleSystem, LtsHom, inner_derivation_algebra, is_lts_hom,
@@ -168,20 +169,22 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
             if lhs != rhs:
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
-    # acts[u][v] = lam(e_u).e_v; the generators of A(M) all lie in ker(lam),
-    # so its echelon stops at rank dim ker(lam)
-    acts = [[_sparse_sum(p, ((x, action_cols[a][v]) for a, x in lam_cols[u].items()))
-             for v in range(mdim)] for u in range(mdim)]
-    gens = [dict(acts[u][u]) for u in range(mdim)]  # copies: the echelon reduces rows in place
-    gens += [_sparse_sum(p, ((1, acts[u][v]), (1, acts[v][u])))
-             for u in range(mdim) for v in range(u + 1, mdim)]
+    def act(u, v):  # lam(e_u).e_v
+        return _sparse_sum(p, ((x, action_cols[a][v]) for a, x in lam_cols[u].items()))
+
+    # lam maps its pivot columns s_i onto a basis of Im(lam), so A(M) = span{lam(m).m} is
+    # spanned by lam(s_i).s_i, lam(s_i).s_j + lam(s_j).s_i and lam(s_i).k for k in ker(lam)
+    lam_echelon, _ = _echelon(_integer_rows(p, _sparse_rows(lam.entries))[0], p, mdim)
+    pivots = sorted(lam_echelon)
+    ker = _null_vectors(p, mdim, lam_echelon)
+    acts = [{v: act(u, v) for v in range(mdim)} for u in pivots]  # acts[i][v] = lam(s_i).e_v
+    gens = [act(u, u) for u in pivots]
+    gens += [_sparse_sum(p, ((1, acts[i][pivots[j]]), (1, acts[j][u])))
+             for i, u in enumerate(pivots) for j in range(i + 1, len(pivots))]
+    gens += [_sparse_sum(p, ((x, row[w]) for w, x in k.items())) for row in acts for k in ker]
     if any(_sparse_sum(p, ((x, lam_cols[w]) for w, x in g.items())) for g in gens):
         raise RuntimeError("A(M) escaped the kernel of lam")
-    ker = _kernel_vectors(lam)
-    echelon, _ = _echelon(gens, p, len(ker))
-    if any(_reduce(_sparse_sum(p, ((x, act[w]) for w, x in k.items())), echelon, p)
-           for act in acts for k in ker):
-        raise RuntimeError("Im(lam).Ker(lam) escaped A(M)")
+    echelon, _ = _echelon(gens, p, len(ker))  # A(M) lies in ker(lam): stop at its rank
 
     a_sub = _subspace(F, mdim, echelon)
     q = quotient(mdim, a_sub)
@@ -193,8 +196,8 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     # of den^2 * scale times it, integral for scale the lcm of the pivot entries
     scale = lcm(*(row[c] for c, row in echelon.items()))
     table = {(s, position[g]): {position[c]: x for c, x in _reduce(
-        dict(acts[f][g]) if scale == 1 else {j: x * scale for j, x in acts[f][g].items()},
-        echelon, p).items()} for s, f in enumerate(free) for g in free[s + 1:]}
+        {j: x * scale for j, x in act(f, g).items()}, echelon, p).items()}
+        for s, f in enumerate(free) for g in free[s + 1:]}
     algebra = _assemble(F, q.dim, 0, (
         (s, t, [(c, Fraction(x, den * den * scale)) for c, x in v.items()] if p is None else v.items())
         for (s, t), v in table.items()))
@@ -399,17 +402,20 @@ def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exten
 
 def _universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
     """universal_central_0_extension once L is known to be generated by its odd part.
-    The hom is eliminated once, and the kernel is checked to be even and
-    central only when it is nonzero."""
+    The hom is eliminated once, and each kernel basis vector z is checked to be
+    0 on the odd coordinates and to have [z, e_j] = 0 for every j."""
     F = L.field
     T = odd_part_lts(L)
     env = universal_imbedding(T)
+    A = env.algebra
     hom = _extension(T, L, Matrix.identity(F, L.dim1), env)
     ker = kernel_basis(hom.matrix)
-    if env.algebra.dim - ker.dim != L.dim:
+    if A.dim - ker.dim != L.dim:
         raise RuntimeError("extension of the identity failed to be surjective")
-    if ker.dim and not env.algebra.even_subspace().contains_subspace(ker):
+    zs = [nonzeros(z) for z in ker.basis.entries]
+    if any(i >= A.dim0 for z in zs for i, _ in z):
         raise RuntimeError("kernel escaped the even part")
-    if ker.dim and not center(env.algebra).contains_subspace(ker):
+    if any(not vec_is_zero(F, linear_combination(F, A.dim, ((x, A.bracket[i][j]) for i, x in z)))
+           for z in zs for j in range(A.dim)):
         raise RuntimeError("kernel escaped the center")
     return UniversalCentral0Extension(env, hom, ker)

@@ -413,6 +413,26 @@ def pair_algebra(t, p=None):
     The bracket [s, t] is the normal form of lam(e_f).e_g modulo A, read at
     the free columns of A's reduced basis, f and g the free columns s and t;
     it is computed for every ordered pair, so antisymmetry is not assumed."""
+    m, act = _wedge_action(t)
+    gens = [act(u, u) for u in range(m)]
+    gens += [[x + y for x, y in zip(act(u, v), act(v, u))] for u, v in combinations(range(m), 2)]
+    red, pivots = naive_rref(gens, m, p)
+    rows = red[:len(pivots)]
+    free = [c for c in range(m) if c not in pivots]
+
+    def normal_form(v):
+        v = [scalar(x, p) for x in v]
+        return [scalar(v[f] - sum((v[c] * row[f] for c, row in zip(pivots, rows)), Fraction(0)), p)
+                for f in free]
+
+    return rows, [[normal_form(act(f, g)) for g in free] for f in free]
+
+
+def _wedge_action(t):
+    """(m, act) for the exterior square of t: its dimension m, and act(u, v),
+    the coordinates of lam(e_u).e_v on the wedge basis e_i^e_j (i < j, in
+    lexicographic order), where lam(e_i^e_j) = [e_i, e_j, -] acts by
+    D(a^b) = Da^b + a^Db."""
     n = len(t)
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
@@ -429,15 +449,22 @@ def pair_algebra(t, p=None):
         (i, j), (k, l) = pairs[u], pairs[v]
         return [x + y for x, y in zip(wedge(t[i][j][k], e[l]), wedge(e[k], t[i][j][l]))]
 
-    gens = [act(u, u) for u in range(m)]
-    gens += [[x + y for x, y in zip(act(u, v), act(v, u))] for u, v in combinations(range(m), 2)]
-    red, pivots = naive_rref(gens, m, p)
-    rows = red[:len(pivots)]
-    free = [c for c in range(m) if c not in pivots]
+    return m, act
 
-    def normal_form(v):
-        v = [scalar(x, p) for x in v]
-        return [scalar(v[f] - sum((v[c] * row[f] for c, row in zip(pivots, rows)), Fraction(0)), p)
-                for f in free]
 
-    return rows, [[normal_form(act(f, g)) for g in free] for f in free]
+def image_kernel_products(t, p=None):
+    """Every lam(e_u).k, for u a wedge index and k in a basis of ker(lam),
+    where lam(e_i^e_j) = [e_i, e_j, -] in End(T): the products of Im(lam)
+    with Ker(lam), as rows on the wedge basis."""
+    n = len(t)
+    m, act = _wedge_action(t)
+    pairs = list(combinations(range(n), 2))
+    # lam as a matrix: row (a, b) of End(T), column u = (i, j), entry t[i][j][a][b]
+    lam = [[t[i][j][a][b] for i, j in pairs] for a in range(n) for b in range(n)]
+    kernel = naive_kernel(lam, m, p)
+    out = []
+    for u in range(m):
+        acts = [act(u, v) for v in range(m)]
+        out += [[scalar(sum((Fraction(k[v]) * acts[v][w] for v in range(m) if k[v]), Fraction(0)), p)
+                 for w in range(m)] for k in kernel]
+    return out

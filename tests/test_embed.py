@@ -9,7 +9,7 @@ import lietrip.exactlin
 import lietrip.grlie
 import oracles
 from lietrip.cohom import envelope_criterion, h2_graded
-from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
+from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import (
     extend_hom, graded_algebra_from_pairing, imbedding_functor_hom,
     module_quotient_algebra, pair_algebra, standard_imbedding,
@@ -238,20 +238,37 @@ def test_pair_algebra_matches_oracle(name, raw, field):
 
 @pytest.mark.parametrize("field, a_dim, ker_dim", [(Field(2), 2, 4), (QQ, 3, 3)], ids=str)
 def test_pair_algebra_rank_stop_both_branches(field, a_dim, ker_dim, monkeypatch):
-    """The echelon of A(M) stops at rank dim ker(lam): in gl(2) over Q it
-    gets there before the last generator, over F_2 never."""
-    read = []
+    """A(M) is eliminated from r * dim ker(lam) + r(r+1)/2 generators, r the
+    rank of lam, and the echelon stops at rank dim ker(lam): in gl(2) over Q
+    it gets there before the last generator, over F_2 never."""
+    calls = []
 
     def counting(rows, p, bound):
+        read = []
+        calls.append(read)
         return _echelon((read.append(r) or r for r in rows), p, bound)
 
     monkeypatch.setattr(lietrip.embed, "_echelon", counting)
     raw = oracles.lts_of_bracket(oracles.gl_bracket(2))
     pa = pair_algebra(lie_triple_system(field, raw))
     assert (pa.a_subspace.dim, kernel_basis(pa.wedge.lam).dim) == (a_dim, ker_dim)
-    m = wedge_dim(4)
-    assert (len(read) < m * (m + 1) // 2) == (a_dim == ker_dim)
+    r = wedge_dim(4) - ker_dim
+    generators = r * ker_dim + r * (r + 1) // 2
+    assert len(calls) == 2  # lam's rows, then the generators of A(M)
+    assert (len(calls[1]) < generators) == (a_dim == ker_dim)
+    assert len(calls[1]) <= generators
     assert _pair_algebra_lists(pa) == oracles.pair_algebra(raw, field.p)
+
+
+@pytest.mark.parametrize("name, raw, field", LADDER + RATIONAL,
+                         ids=[f"{name}-{field}" for name, _, field in LADDER + RATIONAL])
+def test_image_times_kernel_of_lam_lies_in_a(name, raw, field):
+    """Im(lam).Ker(lam), from the oracle's dense products over every wedge
+    basis vector, lies in A(M): the pair algebra builds it only from the
+    products with lam's pivot columns."""
+    a_rows = pair_algebra(lie_triple_system(field, raw)).a_subspace.basis.to_lists()
+    products = oracles.image_kernel_products(raw, field.p)
+    assert oracles.frac_rank(a_rows + products, field.p) == len(a_rows)
 
 
 def test_pair_algebra_examples():
@@ -563,7 +580,6 @@ def test_universal_central_0_extension_examples():
     ext = universal_central_0_extension(sl2graded())
     assert ext.kernel.dim == 0
 
-    from lietrip.corpus import even_line
     with pytest.raises(ValueError, match="generated"):
         universal_central_0_extension(direct_sum(sl2graded(), even_line()))
 
@@ -583,8 +599,9 @@ def test_envelope_criterion_checks_generation_once(monkeypatch):
 
 
 def test_envelope_criterion_builds_no_center_and_no_rank_when_true(monkeypatch):
-    # the witness matrix is eliminated once, and a zero kernel is even and
-    # central with nothing to check
+    # the witness matrix is eliminated once, a kernel is checked vector by
+    # vector, and H^2 of an odd-generated algebra is the kernel's dimension:
+    # no center, rank or H^2 elimination, whatever the verdict
     calls = []
 
     def spy(name, real):
@@ -594,15 +611,37 @@ def test_envelope_criterion_builds_no_center_and_no_rank_when_true(monkeypatch):
         return counting
 
     for module in (lietrip.exactlin, lietrip.grlie, lietrip.embed, lietrip.cohom):
-        for name in ("center", "rank"):
+        for name in ("center", "rank", "h2_graded"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     for L in (heis(), sl2graded(), universal_imbedding(sl2lts()).algebra):
         assert envelope_criterion(L).verdict
+    report = envelope_criterion(ab2())
+    assert (report.verdict, report.h2_dimension, report.extension) == (False, 1, None)
     assert calls == []
-    # the spies are live: a nonzero kernel is checked against the center
-    assert universal_central_0_extension(ab2()).kernel.dim == 1
-    assert calls == ["center"]
+    # the spies are live: H^2 is eliminated when the odd part does not generate
+    assert not envelope_criterion(direct_sum(sl2graded(), even_line())).generated_by_odd
+    assert calls == ["h2_graded"]
+    lietrip.grlie.center(ab2())
+    assert calls == ["h2_graded", "center"]
+
+
+def _with_envelope_algebra(monkeypatch, dim0, edit=None):
+    """Make universal_imbedding return its envelope with the algebra's bracket
+    regraded to dim0 even basis vectors, after edit(bracket) on a copy."""
+    real = lietrip.embed.universal_imbedding
+
+    def corrupted(T):
+        env = real(T)
+        A = env.algebra
+        bracket = [list(row) for row in A.bracket]
+        if edit is not None:
+            edit(bracket)
+        B = GradedLieAlgebra(A.field, dim0, A.dim - dim0, tuple(tuple(row) for row in bracket),
+                             unchecked=True)
+        return type(env)(*(B if name == "algebra" else getattr(env, name) for name in env._fields))
+
+    monkeypatch.setattr(lietrip.embed, "universal_imbedding", corrupted)
 
 
 def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
@@ -612,15 +651,24 @@ def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
     assert ext.kernel.dim == 1
     assert ext.envelope.algebra.even_subspace().contains_subspace(ext.kernel)
     assert center(ext.envelope.algebra).contains_subspace(ext.kernel)
-    # both checks run: each one raises once its subspace is made too small
-    zero = Subspace.zero(QQ, A.dim)
+    # both checks run: each one raises on an envelope algebra corrupted where
+    # the kernel lies (the kernel's hom, read off the radical, is unchanged)
+    B = ext.envelope.algebra
     with monkeypatch.context() as m:
-        m.setattr(GradedLieAlgebra, "even_subspace", lambda self: zero)
+        _with_envelope_algebra(m, 0)  # every coordinate odd
         with pytest.raises(RuntimeError, match="kernel escaped the even part"):
             universal_central_0_extension(Q)
-    monkeypatch.setattr(lietrip.embed, "center", lambda L: zero)
-    with pytest.raises(RuntimeError, match="kernel escaped the center"):
-        universal_central_0_extension(Q)
+    c = next(i for i, x in enumerate(ext.kernel.basis.entries[0]) if x)
+    one = unit_vec(QQ, B.dim, 0)
+
+    def edit(bracket):  # [e_c, e_odd] = e_0; the rest of B's even part stays central
+        bracket[c][B.dim0], bracket[B.dim0][c] = one, tuple(-x for x in one)
+
+    with monkeypatch.context() as m:
+        _with_envelope_algebra(m, B.dim0, edit)
+        with pytest.raises(RuntimeError, match="kernel escaped the center"):
+            universal_central_0_extension(Q)
+    assert universal_central_0_extension(Q) == ext
 
 
 def test_decomposition_into_quotient_of_envelope():

@@ -139,6 +139,19 @@ def test_pair_algebra_matches_the_derivation_route(name, field):
     assert tuple(row[:q] for row in env.upsilon.matrix.entries[:r]) == pa.mu.entries
 
 
+@pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
+def test_image_times_kernel_of_lam_lies_in_a_on_the_derivation_route(name, field):
+    """Over Der(T), L is larger than Im(lam) = Inder(T); Im(lam).Ker(lam),
+    from the oracle's dense products, still lies in the A(M) that the
+    module quotient builds from the products with lam's pivot columns."""
+    T = SYSTEMS[name](field)
+    mq, _ = _pair_algebra_over_der(T)
+    a_rows = mq.a_subspace.basis.to_lists()
+    raw = [[[list(v) for v in tij] for tij in ti] for ti in T.triple]
+    products = oracles.image_kernel_products(raw, field.p)
+    assert oracles.frac_rank(a_rows + products, field.p) == len(a_rows)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_graded_corpus_extensions_pass_the_full_checks(field):
     for L in (heis(field), sl2_double_swap(field), universal_imbedding(abl(2, field)).algebra):

@@ -3,7 +3,8 @@
 Inputs are JSON files or corpus names (e.g. ``heis``, ``abl(3)``,
 ``a_of(odd2)``).  Every command prints a single JSON report to stdout and
 human-readable diagnostics to stderr.  Exit codes: 0 pass/true, 1
-fail/false, 2 invalid input, 3 internal error (a library self-check failed).
+fail/false, 2 invalid input, 3 internal error (a library self-check failed,
+or the run, the report's encoding or its writing ran out of memory).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .lts import (
     LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra, ideal_closure_certificate,
     inner_derivation_algebra, odd_part_lts,
 )
-from .serialize import fmt_matrix, load, save
+from .serialize import fmt_matrix, fmt_terms, load, save
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -94,7 +95,7 @@ def _run_derive(names, T):
     der = derivation_algebra(T)
     return "pass", {"dim": der.dim}, {}, {
         "basis": [fmt_matrix(m) for m in der.basis],
-        "bracket_table": [[list(map(T.field.fmt, v)) for v in row] for row in der.bracket]}
+        "bracket_table": fmt_terms(T.field, der.dim, der.terms, 2)}
 
 
 def _run_inder(names, T):
@@ -125,7 +126,7 @@ def _run_univ(names, T):
 
 
 def _run_extend(names, hom, L):
-    if odd_part_lts(L).triple != hom.target.triple:
+    if odd_part_lts(L) != hom.target:
         raise ValueError("the hom's target is not the odd part of the target algebra")
     ext = extend_hom(hom.source, L, hom.matrix)
     return ("pass", {"source_dim0": ext.source.dim0, "source_dim1": ext.source.dim1}, {},
@@ -157,8 +158,8 @@ def _run_split(names, phi):
 
 
 def _run_closed(names, L):
-    h2 = h2_graded(L, trivial_module(L))
-    return "true" if h2.dimension == 0 else "false", {"h2": h2.dimension}, {}, {}
+    h2 = envelope_criterion(L).h2_dimension
+    return "true" if h2 == 0 else "false", {"h2": h2}, {}, {}
 
 
 def _run_thm_a(names, L):
@@ -253,6 +254,20 @@ def main(argv: Optional[list] = None) -> int:
                     arg, args.field, unchecked=args.unchecked or args.command in _CHECKS), cls)
                 for arg, cls in given]
         verdict, dimensions, witnesses, derived = runner(names, *objs)
+        # the field of the first system or algebra, else of the hom's matrix
+        fields = [o.field for o in objs if isinstance(o, (LieTripleSystem, GradedLieAlgebra))]
+        field = fields[0] if fields else objs[0].matrix.field
+        report = {"command": args.command, "inputs": names, "field": field.tag, "verdict": verdict,
+                  "dimensions": dimensions, "witnesses": witnesses, "derived": derived}
+        text = json.dumps(report, indent=2)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: cannot write --out: {exc}", file=sys.stderr)
+                return EXIT_INVALID
+        print(text)
     # ValueError covers invalid input, KeyError an unknown corpus name
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -260,20 +275,9 @@ def main(argv: Optional[list] = None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {args.command}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    # the field of the first system or algebra, else of the hom's matrix
-    fields = [o.field for o in objs if isinstance(o, (LieTripleSystem, GradedLieAlgebra))]
-    field = fields[0] if fields else objs[0].matrix.field
-    report = {"command": args.command, "inputs": names, "field": field.tag, "verdict": verdict,
-              "dimensions": dimensions, "witnesses": witnesses, "derived": derived}
-    text = json.dumps(report, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-    print(text)
+    except MemoryError:
+        print(f"internal error: {args.command}: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL
     if verdict in ("fail", "false"):
         print(f"{args.command}: {verdict}", file=sys.stderr)
         return EXIT_FAIL

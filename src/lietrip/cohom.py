@@ -15,15 +15,15 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    SELECT_PRIME, Matrix, Record, Subspace, Vector, _distinct_rows, _echelon, _integer_rows, _span,
-    _sparse_rows, kernel_of_rows, linear_combination, nonzeros, solve, unit_vec, vec_add,
-    vec_from_sums, vec_is_zero, zero_vec,
+    Matrix, Record, SELECT_PRIME, Subspace, Vector, _distinct_rows, _echelon, _integer_rows,
+    _integer_terms, _span, _sparse_rows, _sparse_sum, kernel_of_rows, linear_combination,
+    nonzeros, solve, unit_vec, vec_add, vec_from_sums, vec_is_zero, vec_sub, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
     trivial_module,
 )
-from .embed import UniversalCentral0Extension, _sparse_sum, _universal_central_0_extension
+from .embed import UniversalCentral0Extension, _universal_central_0_extension
 
 
 class Cochain(Record):
@@ -49,12 +49,9 @@ class Cochain(Record):
         return self.values[_combo_index(combo, self.algebra.dim, self.degree)]
 
     def is_graded(self) -> bool:
-        for combo, v in zip(self.combos(), self.values):
-            g = sum(self.algebra.degree(i) for i in combo) % 2
-            for r, x in enumerate(v):
-                if self.module.degree(r) != g and not self.module.algebra.field.is_zero(x):
-                    return False
-        return True
+        slots = set(_graded_slots(self.algebra, self.module, self.degree))
+        return all((combo, r) in slots for combo, v in zip(self.combos(), self.values)
+                   for r, _ in nonzeros(v))
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(self.algebra.field, v) for v in self.values)
@@ -72,9 +69,7 @@ def _combo_index(combo: tuple, n: int, degree: int) -> int:
 
 
 def zero_cochain(L: GradedLieAlgebra, M: GradedModule, degree: int) -> Cochain:
-    combos = list(combinations(range(L.dim), degree))
-    z = zero_vec(L.field, M.dim)
-    return Cochain(L, M, degree, tuple(z for _ in combos))
+    return _cochain_at(L, M, degree, {})
 
 
 def graded_cochain_basis(L: GradedLieAlgebra, M: GradedModule, degree: int) -> list:
@@ -103,22 +98,11 @@ def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict
     return Cochain(L, M, degree, tuple(tuple(v) for v in values))
 
 
-def _nonzero_structure(L: GradedLieAlgebra, M: GradedModule) -> tuple:
-    """What _differential reads: the nonzeros (s, r, x) of each of M's actions
-    and (k, x) of each bracket [e_i, e_j] with i < j, over Q as integers over
-    one denominator den, and den (1 over F_p)."""
-    n, m = L.dim, M.dim
-    rows, den = _integer_rows(L.field.p, [dict(nonzeros(row)) for a in M.action for row in a.entries]
-                              + [dict(nonzeros(v)) if i < j else {}
-                                 for i, row in enumerate(L.bracket) for j, v in enumerate(row)])
-    return ([[(s, r, x) for s in range(m) for r, x in rows[a * m + s].items()] for a in range(n)],
-            [[list(rows[n * m + i * n + j].items()) for j in range(n)] for i in range(n)]), den
-
-
-def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple,
-                  graded: bool = False) -> dict:
+def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, graded: bool = False) -> tuple:
     """The differential from degree-n to degree-(n+1) cochains as sparse rows,
-    or, when graded, its rows at the graded output slots only.
+    or, when graded, its rows at the graded output slots only, read from the
+    nonzeros of M's actions and L's brackets; over Q as integers over one
+    denominator den, which is returned with the rows (1 over F_p).
 
     Row (combo, s), in the order (combination, module coordinate), maps each
     input slot (combo', r) to its nonzero coefficient in (df)(combo)_s:
@@ -128,7 +112,9 @@ def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple
     at combo' = the sorted combination, for each k not already in the rest.
     """
     p = L.field.p
-    actions, brackets = structure
+    (action_cols, brackets), den = _integer_terms(p, (M.terms, L.terms), 3)
+    # the nonzeros (s, r, x) of each action: column r of it holds (s, x)
+    actions = [[(s, r, x) for r, col in enumerate(a) for s, x in col] for a in action_cols]
     coords = (range(M.dim0), range(M.dim0, M.dim))
     rows = {}
     for combo in combinations(range(L.dim), n + 1):
@@ -157,7 +143,7 @@ def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, structure: tuple
             if p is not None:
                 row = {key: x % p for key, x in row.items()}
             rows[(combo, s)] = {key: x for key, x in row.items() if x}
-    return rows
+    return rows, den
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -172,10 +158,9 @@ def coboundary(f: Cochain) -> Cochain:
     n = f.degree
     if n >= 3:
         raise ValueError("coboundary is only taken up to degree-3 output")
-    structure, den = _nonzero_structure(L, M)  # the rows are den times the differential's
+    rows, den = _differential(L, M, n)  # the rows are den times the differential's
     values = {(combo, r): Fraction(x, den) if den != 1 else x
               for combo, v in zip(f.combos(), f.values) for r, x in nonzeros(v)}
-    rows = _differential(L, M, n, structure)
     out = tuple(
         vec_from_sums(L.field, [sum(c * values[slot] for slot, c in rows[(combo, s)].items()
                                     if slot in values) for s in range(M.dim)])
@@ -204,12 +189,11 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     p = F.p
     slots1, slots2 = _graded_slots(L, M, 1), _graded_slots(L, M, 2)
     c2 = len(slots2)
-    structure, _ = _nonzero_structure(L, M)
 
     def graded_rows(n, in_slots):  # {position in in_slots: coefficient} per graded output slot
         position = {slot: k for k, slot in enumerate(in_slots)}
         return [{position[c]: x for c, x in row.items() if c in position}
-                for row in _differential(L, M, n, structure, graded=True).values()]
+                for row in _differential(L, M, n, graded=True)[0].values()]
 
     d2, d1 = graded_rows(2, slots2), graded_rows(1, slots1)
     d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
@@ -222,7 +206,7 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
         for i, row in enumerate(rows2):
             for c, x in row:
                 d2_cols.setdefault(c, {})[i] = x
-        if any(_sparse_sum(p, ((y, d2_cols.get(c, {})) for c, y in col)) for col in cols1):
+        if any(_sparse_sum(p, ((y, d2_cols.get(c, {}).items()) for c, y in col)) for col in cols1):
             raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
         return H2Result(0, c2 - r2, r1, ())
     z2 = kernel_of_rows(F, c2, d2)
@@ -276,11 +260,12 @@ def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> C
         raise ValueError("sigma is not a cocycle")
     m = M.dim
     total_dim = L.dim + m
-    # L's basis, even-first, around the new central block at L.dim0 .. L.dim0 + m - 1
+    # L's basis, even-first, around the new central block at L.dim0 .. L.dim0 + m - 1;
+    # sigma is graded, so its values follow the even brackets and [e_i, e_j] stays sorted
     lift = list(range(L.dim0)) + [i + m for i in range(L.dim0, L.dim)]
     total = _assemble(F, L.dim0 + m, L.dim1, (
-        (lift[i], lift[j], [(lift[l], x) for l, x in enumerate(L.bracket[i][j])]
-         + list(enumerate(sigma.value((i, j)), L.dim0)))
+        (lift[i], lift[j], [(lift[l], x) for l, x in L.terms[i][j]]
+         + [(L.dim0 + r, x) for r, x in nonzeros(sigma.value((i, j)))])
         for i in range(L.dim) for j in range(i + 1, L.dim)))
     proj_rows = [unit_vec(F, total_dim, lift[i]) for i in range(L.dim)]
     phi = GradedHom(total, L, Matrix(F, L.dim, total_dim, tuple(proj_rows)), unchecked=True)
@@ -299,7 +284,6 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
         if col is None:
             raise NotCentral0Extension("the hom is not surjective")
         eta_cols.append(col)
-    eta = Matrix.from_cols(F, eta_cols, rows=K.dim)
 
     ker = prob.kernel
     # sigma(e_i, e_j) = [eta e_i, eta e_j] - eta([e_i, e_j]), valued in the kernel
@@ -307,8 +291,8 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     rhs = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            sig = K.bracket_vec(eta_cols[i], eta_cols[j])
-            sig = tuple(F.sub(a, b) for a, b in zip(sig, eta.matvec(L.bracket[i][j])))
+            image = linear_combination(F, K.dim, ((x, nonzeros(eta_cols[l])) for l, x in L.terms[i][j]))
+            sig = vec_sub(F, K.bracket_vec(eta_cols[i], eta_cols[j]), image)
             sig_coords = ker.coordinates(sig)
             if sig_coords is None:
                 raise RuntimeError("section defect escaped the kernel")
@@ -319,8 +303,9 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
             # unknowns: tau(e_l) for even l, in kernel coordinates
             for s in range(ker.dim):
                 row = [F.zero()] * (L.dim0 * ker.dim)
-                for l in range(L.dim0):
-                    row[l * ker.dim + s] = L.bracket[i][j][l]
+                for l, x in L.terms[i][j]:
+                    if l < L.dim0:
+                        row[l * ker.dim + s] = x
                 rows.append(tuple(row))
                 rhs.append(sig_coords[s])
     system = Matrix(F, len(rows), L.dim0 * ker.dim, tuple(rows))
@@ -331,8 +316,8 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     for l in range(L.dim):
         col = eta_cols[l]
         if l < L.dim0:
-            tau_l = linear_combination(F, K.dim, zip(sol[l * ker.dim:(l + 1) * ker.dim],
-                                                     ker.basis.entries))
+            tau_l = linear_combination(F, K.dim, ((c, nonzeros(v)) for c, v in zip(
+                sol[l * ker.dim:(l + 1) * ker.dim], ker.basis.entries)))
             col = vec_add(F, col, tau_l)
         psi_cols.append(col)
     psi = GradedHom(L, K, Matrix.from_cols(F, psi_cols, rows=K.dim), unchecked=True)
@@ -343,8 +328,9 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
 
 def is_0_centrally_closed(L: GradedLieAlgebra) -> bool:
     """Whether every central 0-extension of L splits; decided on the
-    one-dimensional trivial module, which suffices over a field."""
-    return h2_graded(L, trivial_module(L)).dimension == 0
+    one-dimensional trivial module, which suffices over a field, by H^2 as
+    :func:`envelope_criterion` reads it."""
+    return envelope_criterion(L).h2_dimension == 0
 
 
 class EnvelopeCriterionReport(Record):

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import re
 
-from .exactlin import Field, QQ, zero_vec
+from .exactlin import Field, Nonzeros, QQ
 from .grlie import GradedLieAlgebra, abelian_algebra, graded_lie
 from .lts import LieTripleSystem, lie_triple_system, lts_of_lie
 
 
 def abl(n: int, field: Field = QQ) -> LieTripleSystem:
-    z = zero_vec(field, n)
-    tensor = tuple(tuple(tuple(z for _ in range(n)) for _ in range(n)) for _ in range(n))
-    return LieTripleSystem(field, n, tensor, unchecked=True)
+    return LieTripleSystem(field, n, Nonzeros(((((),) * n,) * n,) * n), unchecked=True)
 
 
 def _sl2_bracket(field: Field):
@@ -71,26 +69,19 @@ def sl2_double_swap(field: Field = QQ) -> GradedLieAlgebra:
     d-block when the arguments have equal parity and the a-block otherwise.
     """
     c = _sl2_bracket(field)
-    z = zero_vec(field, 6)
-    tensor = [[list(z) for _ in range(6)] for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                x = c[i][j][k]
-                tensor[i][j][k] = x          # [d, d] -> d
-                tensor[i][3 + j][3 + k] = x  # [d, a] -> a
-                tensor[3 + i][j][3 + k] = x
-                tensor[3 + i][3 + j][k] = x  # [a, a] -> d
-    return GradedLieAlgebra(field, 3, 3,
-                            tuple(tuple(tuple(v) for v in row) for row in tensor))
+    # [d, d] -> d, [d, a] -> a, [a, d] -> a, [a, a] -> d: the block of the sum of the parities
+    return GradedLieAlgebra(field, 3, 3, tuple(
+        tuple(tuple(c[i % 3][j % 3][k % 3] if ((i >= 3) ^ (j >= 3)) == (k >= 3) else field.zero()
+                    for k in range(6)) for j in range(6)) for i in range(6)))
 
 
-_LTS_NAMES = ("odd2", "sl2lts")
+_LTS_NAMES = {"odd2": odd2, "sl2lts": sl2lts}
+_ALGEBRA_NAMES = {"heis": heis, "ab2": ab2, "sl2graded": sl2graded}
 # n in abl(n) is ASCII digits; a minus sign is read only to be refused by range
 _ABL_RE = re.compile(r"abl\((-?[0-9]+)\)")
 _A_OF_RE = re.compile(r"a_of\((.+)\)")
 
-# abl(n) is a tensor of n^4 scalars: 331,776 at the ceiling
+# a_of(abl(n)) has dimension n(n+1)/2: its dense JSON holds 27 million scalars at the ceiling
 MAX_ABL_DIM = 24
 
 
@@ -102,10 +93,8 @@ def lts_by_name(name: str, field: Field = QQ) -> LieTripleSystem:
         if text.startswith("-") or n > MAX_ABL_DIM:
             raise ValueError(f"abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {text}")
         return abl(n, field)
-    if name == "odd2":
-        return odd2(field)
-    if name == "sl2lts":
-        return sl2lts(field)
+    if name in _LTS_NAMES:
+        return _LTS_NAMES[name](field)
     raise KeyError(f"unknown triple system name {name!r}")
 
 
@@ -118,10 +107,6 @@ def by_name(name: str, field: Field = QQ):
         return universal_imbedding(lts_by_name(m.group(1), field)).algebra
     if _ABL_RE.fullmatch(name) or name in _LTS_NAMES:
         return lts_by_name(name, field)
-    if name == "heis":
-        return heis(field)
-    if name == "ab2":
-        return ab2(field)
-    if name == "sl2graded":
-        return sl2graded(field)
+    if name in _ALGEBRA_NAMES:
+        return _ALGEBRA_NAMES[name](field)
     raise KeyError(f"unknown corpus name {name!r}")

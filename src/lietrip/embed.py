@@ -20,22 +20,22 @@ structure constants are reproducible across runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, QuotientSpace, Record, Subspace, Vector, _echelon, _integer_rows,
-    _kernel_vectors, _null_vectors, _reduce, _sparse_rows, _subspace, kernel_basis,
-    linear_combination, mat_from_flat, nonzeros, quotient, unit_vec, vec_add, vec_from_sums,
-    vec_is_zero, zero_vec,
+    Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows, _integer_terms,
+    _kernel_vectors, _null_vectors, _reduce, _sparse_rows, _sparse_sum, _subspace, _terms_of,
+    dense_tensor, kernel_basis, linear_combination, nonzeros, quotient, unit_vec, vec_is_zero,
+    zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, is_generated_by_odd,
 )
 from .lts import (
-    DerivationAlgebra, LieTripleSystem, LtsHom, inner_derivation_algebra, is_lts_hom,
-    odd_part_lts,
+    DerivationAlgebra, LieTripleSystem, LtsHom, _inner_flats, inner_derivation_algebra,
+    is_lts_hom, odd_part_lts,
 )
 
 
@@ -54,31 +54,17 @@ def wedge_index(i: int, j: int, n: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def wedge_of(field: Field, a: Vector, b: Vector) -> Vector:
-    """Coordinates of a^b on the basis {e_i^e_j : i < j}."""
-    nb = nonzeros(b)
-    return _wedge(field, len(a), [(i, j, x * y) for i, x in nonzeros(a) for j, y in nb])
+def _wedge(k: int, l: int, n: int) -> tuple:
+    """e_k^e_l on the basis {e_i^e_j : i < j}, as a sparse vector."""
+    return () if k == l else ((wedge_index(min(k, l), max(k, l), n), 1 if k < l else -1),)
 
 
-def wedge_action(endo: Matrix) -> Matrix:
-    """The induced action D.(a^b) = Da^b + a^Db on the exterior square,
-    read from the nonzeros of D's columns."""
-    n = endo.rows
-    cols = [nonzeros(c) for c in endo.transpose().entries]
-    return Matrix.from_cols(endo.field, [
-        _wedge(endo.field, n, [(k, j, x) for k, x in cols[i]] + [(i, k, x) for k, x in cols[j]])
-        for i, j in wedge_pairs(n)], rows=wedge_dim(n))
-
-
-def _wedge(field: Field, n: int, terms: list) -> Vector:
-    """Coordinates of the sum of x e_k^e_l over the (k, l, x) in terms."""
-    acc = [0] * wedge_dim(n)
-    for k, l, x in terms:
-        if k < l:
-            acc[wedge_index(k, l, n)] += x
-        elif l < k:
-            acc[wedge_index(l, k, n)] -= x
-    return vec_from_sums(field, acc)
+def _wedge_columns(p: Optional[int], n: int, cols: list, den: int) -> tuple:
+    """The sparse columns D.(e_i^e_j) = De_i^e_j + e_i^De_j, i < j, of D on the
+    exterior square, from D's sparse integer columns over den."""
+    return tuple(_terms_of(p, _sparse_sum(p, chain(((x, _wedge(k, j, n)) for k, x in cols[i]),
+                                                   ((x, _wedge(i, k, n)) for k, x in cols[j]))), den)
+                 for i, j in wedge_pairs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +84,13 @@ def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
     r = inder.dim
     total = r + n
     even = _assemble(F, r, 0, (
-        (a, b, enumerate(inder.bracket[a][b])) for a in range(r) for b in range(a + 1, r)))
-    # the D_{e_i,e_j} span Inder(T): coordinates are pivot entries, c = r*n + m at t[i][j][m][r]
-    pairing = Matrix.from_cols(F, [tuple(T.triple[i][j][c % n][c // n] for c in inder.span.pivots)
+        (a, b, inder.terms[a][b]) for a in range(r) for b in range(a + 1, r)))
+    # the D_{e_i,e_j} span Inder(T): their coordinates are their entries at the pivots
+    flat = _inner_flats(T)
+    pairing = Matrix.from_cols(F, [tuple(flat[i][j].get(c, F.zero()) for c in inder.span.pivots)
                                    for i, j in wedge_pairs(n)], rows=r)
-    algebra = _glue(even, n, inder.basis, pairing)
+    actions = [[tuple(nonzeros(col)) for col in d.transpose().entries] for d in inder.basis]
+    algebra = _glue(even, n, actions, pairing)
     inclusion = Matrix.from_cols(F, [unit_vec(F, total, r + i) for i in range(n)], rows=total)
     return StandardImbedding(T, algebra, inclusion, inder)
 
@@ -119,18 +107,20 @@ class WedgeModule(Record):
 
 
 def wedge_module(T: LieTripleSystem) -> WedgeModule:
-    """T^T as a module over Inder(T), with lam read off Ste(T)'s odd-odd
-    bracket block."""
+    """T^T as a module over Inder(T), read off the nonzeros of Ste(T): the
+    action from its even-odd block, lam from its odd-odd block."""
     F = T.field
     n = T.dim
     ste = standard_imbedding(T)
     r = ste.inder.dim
-    br = ste.algebra.bracket
-    inder_algebra = _assemble(F, r, 0, (
-        (a, b, enumerate(br[a][b][:r])) for a in range(r) for b in range(a + 1, r)))
-    actions = tuple(wedge_action(x) for x in ste.inder.basis)
+    s = ste.algebra.terms
+    inder_algebra = _assemble(F, r, 0, ((a, b, s[a][b]) for a in range(r) for b in range(a + 1, r)))
+    # column u of the basis derivation D_a is [D_a, e_u], at the odd index r + u
+    cols, den = _integer_terms(F.p, [[[(l - r, x) for l, x in v] for v in s[a][r:]]
+                                     for a in range(r)], 2)
+    actions = Nonzeros(tuple(_wedge_columns(F.p, n, c, den) for c in cols))
     module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, unchecked=True)
-    lam = Matrix.from_cols(F, [br[r + i][r + j][:r] for i, j in wedge_pairs(n)], rows=r)
+    lam = Matrix.from_cols(F, [dense_tensor(F, r, s[r + i][r + j], 0) for i, j in wedge_pairs(n)], rows=r)
     return WedgeModule(T, ste, inder_algebra, module, lam)
 
 
@@ -158,19 +148,20 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     mdim = module.dim
     if lam.rows != L.dim or lam.cols != mdim:
         raise ValueError("lam shape mismatch")
-    cols = [dict(nonzeros(c)) for m in (lam, *module.action) for c in m.transpose().entries]
-    ints, den = _integer_rows(p, cols + [dict(nonzeros(v)) for row in L.bracket for v in row])
+    cols = [dict(nonzeros(c)) for c in lam.transpose().entries]
+    cols += [dict(c) for a in module.terms for c in a]
+    ints, den = _integer_rows(p, cols + [dict(v) for row in L.terms for v in row])
     lam_cols, *action_cols = (ints[k * mdim:(k + 1) * mdim] for k in range(L.dim + 1))
     bracket = ints[len(cols):]  # bracket[a * L.dim + b] = [e_a, e_b]
     for a in range(L.dim):
         for u in range(mdim):
-            lhs = _sparse_sum(p, ((x, lam_cols[w]) for w, x in action_cols[a][u].items()))
-            rhs = _sparse_sum(p, ((x, bracket[a * L.dim + b]) for b, x in lam_cols[u].items()))
+            lhs = _sparse_sum(p, ((x, lam_cols[w].items()) for w, x in action_cols[a][u].items()))
+            rhs = _sparse_sum(p, ((x, bracket[a * L.dim + b].items()) for b, x in lam_cols[u].items()))
             if lhs != rhs:
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
     def act(u, v):  # lam(e_u).e_v
-        return _sparse_sum(p, ((x, action_cols[a][v]) for a, x in lam_cols[u].items()))
+        return _sparse_sum(p, ((x, action_cols[a][v].items()) for a, x in lam_cols[u].items()))
 
     # lam maps its pivot columns s_i onto a basis of Im(lam), so A(M) = span{lam(m).m} is
     # spanned by lam(s_i).s_i, lam(s_i).s_j + lam(s_j).s_i and lam(s_i).k for k in ker(lam)
@@ -179,10 +170,10 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     ker = _null_vectors(p, mdim, lam_echelon)
     acts = [{v: act(u, v) for v in range(mdim)} for u in pivots]  # acts[i][v] = lam(s_i).e_v
     gens = [act(u, u) for u in pivots]
-    gens += [_sparse_sum(p, ((1, acts[i][pivots[j]]), (1, acts[j][u])))
+    gens += [_sparse_sum(p, ((1, acts[i][pivots[j]].items()), (1, acts[j][u].items())))
              for i, u in enumerate(pivots) for j in range(i + 1, len(pivots))]
-    gens += [_sparse_sum(p, ((x, row[w]) for w, x in k.items())) for row in acts for k in ker]
-    if any(_sparse_sum(p, ((x, lam_cols[w]) for w, x in g.items())) for g in gens):
+    gens += [_sparse_sum(p, ((x, row[w].items()) for w, x in k.items())) for row in acts for k in ker]
+    if any(_sparse_sum(p, ((x, lam_cols[w].items()) for w, x in g.items())) for g in gens):
         raise RuntimeError("A(M) escaped the kernel of lam")
     echelon, _ = _echelon(gens, p, len(ker))  # A(M) lies in ker(lam): stop at its rank
 
@@ -198,29 +189,13 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     table = {(s, position[g]): {position[c]: x for c, x in _reduce(
         {j: x * scale for j, x in act(f, g).items()}, echelon, p).items()}
         for s, f in enumerate(free) for g in free[s + 1:]}
-    algebra = _assemble(F, q.dim, 0, (
-        (s, t, [(c, Fraction(x, den * den * scale)) for c, x in v.items()] if p is None else v.items())
-        for (s, t), v in table.items()))
+    algebra = _assemble(F, q.dim, 0, ((s, t, _terms_of(p, v, den * den * scale))
+                                      for (s, t), v in table.items()))
     for z in _kernel_vectors(mu):  # [z, e_j] is sum_i z_i [e_i, e_j]
-        if any(_sparse_sum(p, ((x, table[i, j]) if i < j else (-x, table[j, i])
+        if any(_sparse_sum(p, ((x, table[i, j].items()) if i < j else (-x, table[j, i].items())
                                for i, x in z.items() if i != j)) for j in range(q.dim)):
             raise RuntimeError("kernel of mu is not central in the quotient")
     return ModuleQuotient(a_sub, q, algebra, mu)
-
-
-def _sparse_sum(p: Optional[int], terms) -> dict:
-    """The sum of c * v over the (c, v) pairs in terms, v a sparse dict,
-    as a sparse dict of its nonzero entries (reduced mod p)."""
-    acc = {}
-    for c, v in terms:
-        for j, x in v.items():
-            if j in acc:
-                acc[j] += c * x
-            else:
-                acc[j] = c * x
-    if p is None:
-        return {j: x for j, x in acc.items() if x}
-    return {j: x % p for j, x in acc.items() if x % p}
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +239,9 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
     pa = pair_algebra(T)
     q = pa.algebra.dim0
     total = q + n
-    mats = [mat_from_flat(F, pa.mu_end.col(s), n, n) for s in range(q)]
-    algebra = _glue(pa.algebra, n, mats, pa.projection)
+    # e_s acts on T by mu(e_s): column u of it is every n-th entry of its flattening, from u
+    actions = [[tuple(nonzeros(f[u::n])) for u in range(n)] for f in pa.mu_end.transpose().entries]
+    algebra = _glue(pa.algebra, n, actions, pa.projection)
 
     ste = pa.wedge.ste
     r = ste.inder.dim
@@ -296,44 +272,41 @@ def graded_algebra_from_pairing(L: GradedLieAlgebra, module: GradedModule,
     if pairing.rows != L.dim or pairing.cols != wedge_dim(mdim):
         raise ValueError("pairing shape mismatch")
 
-    def pair_of(u: Vector, v: Vector) -> Vector:
-        return pairing.matvec(wedge_of(F, u, v))
+    cols = [nonzeros(c) for c in pairing.transpose().entries]
+    act = module.terms  # act[a][u] = the nonzeros of e_a . m_u
+
+    def pair(u: int, v: int):  # the nonzeros of <m_u, m_v>
+        return [(l, s * x) for w, s in _wedge(u, v, mdim) for l, x in cols[w]]
 
     for a in range(L.dim):
-        act = module.action[a]
         for u in range(mdim):
-            eu = unit_vec(F, mdim, u)
             for v in range(u + 1, mdim):
-                ev = unit_vec(F, mdim, v)
-                lhs = L.bracket_vec(unit_vec(F, L.dim, a), pair_of(eu, ev))
-                rhs = vec_add(F, pair_of(act.col(u), ev), pair_of(eu, act.col(v)))
+                lhs = linear_combination(F, L.dim, ((x, L.terms[a][l]) for l, x in pair(u, v)))
+                rhs = linear_combination(F, L.dim, chain(((x, pair(w, v)) for w, x in act[a][u]),
+                                                         ((x, pair(u, w)) for w, x in act[a][v])))
                 if lhs != rhs:
                     raise ValueError(f"pairing is not equivariant: fails at ({a}, {u}, {v})")
     for u in range(mdim):
-        eu = unit_vec(F, mdim, u)
         for v in range(mdim):
-            ev = unit_vec(F, mdim, v)
             for k in range(mdim):
-                ek = unit_vec(F, mdim, k)
-                acc = module.act(pair_of(eu, ev)).matvec(ek)
-                acc = vec_add(F, acc, module.act(pair_of(ev, ek)).matvec(eu))
-                acc = vec_add(F, acc, module.act(pair_of(ek, eu)).matvec(ev))
-                if not vec_is_zero(F, acc):
+                if any(linear_combination(F, mdim, (
+                        (y, act[b][h]) for f, g, h in ((u, v, k), (v, k, u), (k, u, v))
+                        for b, y in pair(f, g)))):
                     raise ValueError(f"pairing violates the cyclic relation at ({u}, {v}, {k})")
-    return _glue(L, mdim, module.action, pairing)
+    return _glue(L, mdim, module.terms, pairing)
 
 
-def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence[Matrix],
-          pairing: Matrix) -> GradedLieAlgebra:
-    """The algebra of :func:`graded_algebra_from_pairing`, with actions[i]
-    the matrix of e_i on M, built by the trusted assembler; it checks
-    nothing.  Ste(T) and A(T) satisfy the hypotheses by theorem, and
+def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence, pairing: Matrix) -> GradedLieAlgebra:
+    """The algebra of :func:`graded_algebra_from_pairing`, with actions[i][u]
+    the nonzeros (l, x) of e_i . m_u, built by the trusted assembler; it
+    checks nothing.  Ste(T) and A(T) satisfy the hypotheses by theorem, and
     tests/test_trusted.py asserts that with check_graded_lie."""
     d = L.dim
-    pairs = [(i, j, enumerate(L.bracket[i][j])) for i in range(d) for j in range(i + 1, d)]
-    pairs += [(i, d + u, enumerate(actions[i].col(u), d)) for i in range(d) for u in range(mdim)]
-    pairs += [(d + u, d + v, enumerate(pairing.col(k)))
-              for k, (u, v) in enumerate(wedge_pairs(mdim))]
+    pairs = [(i, j, L.terms[i][j]) for i in range(d) for j in range(i + 1, d)]
+    pairs += [(i, d + u, [(d + l, x) for l, x in col])
+              for i, cols in enumerate(actions) for u, col in enumerate(cols)]
+    pairs += [(d + u, d + v, nonzeros(col))
+              for col, (u, v) in zip(pairing.transpose().entries, wedge_pairs(mdim))]
     return _assemble(L.field, d, mdim, pairs)
 
 
@@ -415,7 +388,7 @@ def _universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exte
     zs = [nonzeros(z) for z in ker.basis.entries]
     if any(i >= A.dim0 for z in zs for i, _ in z):
         raise RuntimeError("kernel escaped the even part")
-    if any(not vec_is_zero(F, linear_combination(F, A.dim, ((x, A.bracket[i][j]) for i, x in z)))
+    if any(not vec_is_zero(F, linear_combination(F, A.dim, ((x, A.terms[i][j]) for i, x in z)))
            for z in zs for j in range(A.dim)):
         raise RuntimeError("kernel escaped the center")
     return UniversalCentral0Extension(env, hom, ker)

@@ -250,22 +250,108 @@ def vec_from_sums(field: Field, sums: Sequence) -> Vector:
         return tuple(x if x else _ZERO for x in sums)
     return tuple(x % p for x in sums)
 
-def linear_combination(field: Field, n: int, terms: Iterable) -> Vector:
-    """The sum of c * v over the (c, v) pairs in terms, v of length n.
-
-    Zero entries of each v are skipped, and a coefficient may be an
-    unreduced product over F_p: every entry is normalised once, at the end.
-    """
-    acc = [0] * n
-    for c, v in terms:
-        for j, x in enumerate(v):
-            if x:
-                acc[j] += c * x
-    return vec_from_sums(field, acc)
-
 def nonzeros(v: Vector) -> list:
     """The (index, entry) pairs of v's nonzero entries."""
     return [(j, x) for j, x in enumerate(v) if x]
+
+
+def linear_combination(field: Field, n: int, terms: Iterable) -> Vector:
+    """The sum of c * v over the (c, v) pairs in terms, each v a sparse vector
+    of (index, scalar) pairs, as a vector of length n.  A coefficient may be
+    an unreduced product over F_p: every entry is normalised once, at the end."""
+    acc = [0] * n
+    for c, v in terms:
+        for j, x in v:
+            acc[j] += c * x
+    return vec_from_sums(field, acc)
+
+
+class Nonzeros(tuple):
+    """The one stored form of a structure tensor: nested tuples indexed by basis
+    elements, down to one sparse vector per basis pair (or triple), the tuple
+    of its nonzero (index, scalar) pairs sorted by index.  A constructor tells
+    it from the dense tensor by its type; it compares and hashes as a tuple."""
+
+    __slots__ = ()
+
+
+def _as_nonzeros(tensor: tuple, shape: tuple) -> Optional[Nonzeros]:
+    """A tensor of the given shape, dense or as Nonzeros (whose vectors have
+    no fixed length), as Nonzeros; None when it has another shape."""
+    sparse = type(tensor) is Nonzeros
+
+    def shaped(t, dims):
+        return len(t) == dims[0] and (len(dims) == 1 or all(shaped(s, dims[1:]) for s in t))
+
+    def stored(t, d):
+        return tuple(stored(s, d - 1) for s in t) if d else tuple(nonzeros(t))
+
+    if not shaped(tensor, shape[:-1] if sparse else shape):
+        return None
+    return tensor if sparse else Nonzeros(stored(tensor, len(shape) - 1))
+
+
+def dense_tensor(field: Field, n: int, tensor: tuple, depth: int) -> tuple:
+    """The dense form of a sparse tensor with depth levels above its vectors
+    of length n (a vector for depth 0)."""
+    if depth:
+        return tuple(dense_tensor(field, n, t, depth - 1) for t in tensor)
+    v = [field.zero()] * n
+    for j, x in tensor:
+        v[j] = x
+    return tuple(v)
+
+
+def _integer_terms(p: Optional[int], tensor: tuple, depth: int) -> tuple:
+    """A sparse tensor and den, with integer entries: over F_p the tensor and 1;
+    over Q the same nesting times den, the lcm of its entries' denominators."""
+    if p is not None:
+        return tensor, 1
+    leaves = [tensor]
+    for _ in range(depth):
+        leaves = [s for t in leaves for s in t]
+    den = lcm(*(x.denominator for leaf in leaves for _, x in leaf))
+
+    def scale(t, d):
+        if d:
+            return [scale(s, d - 1) for s in t]
+        return [(j, x.numerator * (den // x.denominator)) for j, x in t]
+
+    return scale(tensor, depth), den
+
+
+def _sparse_sum(p: Optional[int], terms) -> dict:
+    """The sum of c * v over the (c, v) pairs in terms, each v an iterable of
+    (index, entry) pairs, as a dict of its nonzero entries (reduced mod p)."""
+    acc = {}
+    for c, v in terms:
+        for j, x in v:
+            if j in acc:
+                acc[j] += c * x
+            else:
+                acc[j] = c * x
+    if p is None:
+        return {j: x for j, x in acc.items() if x}
+    return {j: x % p for j, x in acc.items() if x % p}
+
+
+def _defects(field: Field, n: int, den: int, sums) -> list:
+    """(key, defect) for each (key, terms) of sums whose sum of c * v over the
+    (c, v) of terms, v a sparse integer vector, is not zero: that sum divided
+    by den, as a vector of length n of the field."""
+    found = ((key, _terms_of(field.p, _sparse_sum(field.p, terms), den)) for key, terms in sums)
+    return [(key, dense_tensor(field, n, d, 0)) for key, d in found if d]
+
+
+def _terms_of(p: Optional[int], acc: dict, den: int = 1) -> tuple:
+    """The sparse vector of integer sums {index: sum}: over Q divided by den."""
+    if p is None:
+        return tuple(sorted((j, Fraction(x, den)) for j, x in acc.items() if x))
+    return tuple(sorted((j, x % p) for j, x in acc.items() if x % p))
+
+
+def _neg_terms(p: Optional[int], v: tuple) -> tuple:
+    return tuple((j, -x if p is None else p - x) for j, x in v)
 
 
 class Matrix(Record):
@@ -340,17 +426,10 @@ class Matrix(Record):
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"matmul: {self.cols} vs {other.rows}")
-        F = self.field
         onz = [nonzeros(r) for r in other.entries]
-        out = []
-        for r in self.entries:
-            acc = [0] * other.cols
-            for a, nz in zip(r, onz):
-                if a:
-                    for j, x in nz:
-                        acc[j] += a * x
-            out.append(vec_from_sums(F, acc))
-        return Matrix(F, self.rows, other.cols, tuple(out))
+        return Matrix(self.field, self.rows, other.cols, tuple(
+            linear_combination(self.field, other.cols, ((a, nz) for a, nz in zip(r, onz) if a))
+            for r in self.entries))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -513,7 +592,7 @@ class Subspace(Record):
                                                   for r in other.basis.entries]
         m = Matrix.from_cols(self.field, cols, rows=self.ambient_dim)
         vecs = [linear_combination(self.field, self.ambient_dim,
-                                   zip(coeffs[: self.dim], self.basis.entries))
+                                   ((c, nonzeros(v)) for c, v in zip(coeffs[: self.dim], self.basis.entries)))
                 for coeffs in kernel_basis(m).basis.entries]
         return span_of(self.field, self.ambient_dim, vecs)
 

@@ -3,17 +3,20 @@
 The global basis convention is even-first: indices 0..dim0-1 are even,
 dim0..dim0+dim1-1 are odd, and every tensor (brackets, hom matrices,
 module actions) uses this order.  These are ordinary Lie algebras carrying
-a grading; there is no super sign rule.
+a grading; there is no super sign rule.  Algebras and modules store their
+structure constants once, as ``Nonzeros``; the dense ``bracket`` and
+``action`` are views derived on each read.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from typing import Sequence
 
 from .exactlin import (
-    Field, Matrix, Record, Subspace, Vector, kernel_basis, quotient, rank, solve,
-    linear_combination, nonzeros, span_of, unit_vec, vec_add, vec_from_sums, vec_is_zero,
-    zero_vec,
+    Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _defects, _integer_terms,
+    _neg_terms, _span, _sparse_sum, dense_tensor, kernel_basis, kernel_of_rows,
+    linear_combination, nonzeros, quotient, rank, span_of, unit_vec,
 )
 from .lts import LtsHom, odd_part_lts
 
@@ -36,19 +39,24 @@ class GradedLieAlgebra(Record):
     field: Field
     dim0: int
     dim1: int
-    bracket: tuple  # bracket[i][j] = coordinates of [e_i, e_j]
+    terms: Nonzeros  # terms[i][j] = the nonzeros (l, x) of [e_i, e_j]
 
     def __init__(self, field: Field, dim0: int, dim1: int, bracket: tuple,
                  unchecked: bool = False):
-        Record.__init__(self, field, dim0, dim1, bracket)
-        n = self.dim
-        if len(self.bracket) != n or any(
-                len(bi) != n or any(len(v) != n for v in bi) for bi in self.bracket):
+        """bracket: the dense tensor (bracket[i][j] = coordinates of [e_i, e_j]) or its Nonzeros."""
+        terms = _as_nonzeros(bracket, (dim0 + dim1,) * 3)
+        if terms is None:
             raise ValueError("bracket tensor shape does not match dims")
+        Record.__init__(self, field, dim0, dim1, terms)
         if not unchecked:
             report = check_graded_lie(self)
             if not report.ok:
                 raise GradedLieError(report)
+
+    @property
+    def bracket(self) -> tuple:
+        """The dense tensor, derived from terms: bracket[i][j] = coordinates of [e_i, e_j]."""
+        return dense_tensor(self.field, self.dim, self.terms, 2)
 
     @property
     def dim(self) -> int:
@@ -60,11 +68,11 @@ class GradedLieAlgebra(Record):
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
         ny = nonzeros(y)
         return linear_combination(self.field, self.dim, (
-            (xi * yj, self.bracket[i][j]) for i, xi in nonzeros(x) for j, yj in ny))
+            (xi * yj, self.terms[i][j]) for i, xi in nonzeros(x) for j, yj in ny))
 
     def ad(self, i: int) -> Matrix:
         """Matrix of x -> [e_i, x]."""
-        return Matrix.from_cols(self.field, [self.bracket[i][j] for j in range(self.dim)],
+        return Matrix.from_cols(self.field, dense_tensor(self.field, self.dim, self.terms[i], 1),
                                 rows=self.dim)
 
     def even_subspace(self) -> Subspace:
@@ -85,9 +93,7 @@ def graded_lie(field: Field, dim0: int, dim1: int, entries: Sequence, *,
 
 def abelian_algebra(field: Field, dim0: int, dim1: int) -> GradedLieAlgebra:
     n = dim0 + dim1
-    z = zero_vec(field, n)
-    return GradedLieAlgebra(field, dim0, dim1, tuple(tuple(z for _ in range(n)) for _ in range(n)),
-                            unchecked=True)
+    return GradedLieAlgebra(field, dim0, dim1, Nonzeros((((),) * n,) * n), unchecked=True)
 
 
 def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
@@ -95,60 +101,44 @@ def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
     validated input; it checks nothing.
 
     ``pairs`` yields (i, j, terms), each unordered pair {i, j} at most once
-    and never i = j, where terms are the (l, x) with [e_i, e_j] = sum x e_l,
-    x already a scalar of the field (zeros may be left out).  [e_j, e_i] is
-    filled in as the negative, and every other bracket is zero.  Each caller's
-    construction is a graded Lie algebra by theorem when its inputs are
-    valid; tests/test_trusted.py asserts that with check_graded_lie.
+    and never i = j, where terms are the nonzeros (l, x) of [e_i, e_j] =
+    sum x e_l, sorted by l, each x a nonzero scalar of the field.  [e_j, e_i]
+    is filled in as the negative, and every other bracket is zero.  Each
+    caller's construction is a graded Lie algebra by theorem when its inputs
+    are valid; tests/test_trusted.py asserts that with check_graded_lie, and
+    tests/test_stored_form.py that the terms are canonical.
     """
     n = dim0 + dim1
     p = field.p
-    z = zero_vec(field, n)
-    bracket = [[z] * n for _ in range(n)]
-    for i, j, terms in pairs:
-        v, w = list(z), list(z)
-        for l, x in terms:
-            if x:
-                v[l] = x
-                w[l] = -x if p is None else p - x
-        bracket[i][j] = tuple(v)
-        bracket[j][i] = tuple(w)
-    return GradedLieAlgebra(field, dim0, dim1, tuple(tuple(row) for row in bracket),
+    terms = [[()] * n for _ in range(n)]
+    for i, j, v in pairs:
+        v = tuple(v)
+        terms[i][j] = v
+        terms[j][i] = _neg_terms(p, v)
+    return GradedLieAlgebra(field, dim0, dim1, Nonzeros(tuple(map(tuple, terms))),
                             unchecked=True)
 
 
 def check_graded_lie(L: GradedLieAlgebra) -> GradedCheckReport:
     """Antisymmetry (char-2-safe), Jacobi on basis triples, and structural
-    grading ([L_i, L_j] inside L_{i+j}, checked as zero blocks)."""
+    grading ([L_i, L_j] inside L_{i+j}, checked as zero blocks), on the
+    nonzeros of the structure constants, over Q as integers over den."""
     F = L.field
     n = L.dim
-    c = L.bracket
-    bad = []
-    for i in range(n):
-        if not vec_is_zero(F, c[i][i]):
-            bad.append(("alternating", (i, i), c[i][i]))
-        for j in range(i + 1, n):
-            d = vec_add(F, c[i][j], c[j][i])
-            if not vec_is_zero(F, d):
-                bad.append(("antisymmetry", (i, j), d))
+    s = L.terms
+    c, den = _integer_terms(F.p, s, 2)
+    pairs = ((("alternating", (i, i)), ((1, c[i][i]),)) if i == j
+             else (("antisymmetry", (i, j)), ((1, c[i][j]), (1, c[j][i])))
+             for i in range(n) for j in range(i, n))
+    bad = [(family, ix, d) for (family, ix), d in _defects(F, n, den, pairs)]
     for i in range(n):
         for j in range(n):
             g = (L.degree(i) + L.degree(j)) % 2
-            for k in range(n):
-                if L.degree(k) != g and not F.is_zero(c[i][j][k]):
-                    bad.append(("grading", (i, j, k), (c[i][j][k],)))
-    nz = [[nonzeros(v) for v in row] for row in c]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = [0] * n
-                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, wm in nz[a][b]:
-                        for l, x in nz[m][e]:
-                            acc[l] += wm * x
-                acc = vec_from_sums(F, acc)
-                if not vec_is_zero(F, acc):
-                    bad.append(("jacobi", (i, j, k), acc))
+            bad += [("grading", (i, j, k), (x,)) for k, x in s[i][j] if L.degree(k) != g]
+    jacobi = ((("jacobi", (i, j, k)), ((w, c[m][e]) for a, b, e in ((i, j, k), (j, k, i), (k, i, j))
+                                       for m, w in c[a][b]))
+              for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+    bad += [(family, ix, d) for (family, ix), d in _defects(F, n, den * den, jacobi)]
     return GradedCheckReport(not bad, tuple(bad))
 
 
@@ -161,10 +151,12 @@ def is_graded_hom(matrix: Matrix, source: GradedLieAlgebra, target: GradedLieAlg
         for i in range(target.dim):
             if source.degree(j) != target.degree(i) and not F.is_zero(matrix.entries[i][j]):
                 return False
-    cols = [matrix.col(j) for j in range(source.dim)]
+    cols = matrix.transpose().entries
+    sparse = [nonzeros(c) for c in cols]
     for i in range(source.dim):
         for j in range(source.dim):
-            if matrix.matvec(source.bracket[i][j]) != target.bracket_vec(cols[i], cols[j]):
+            lhs = linear_combination(F, target.dim, ((x, sparse[l]) for l, x in source.terms[i][j]))
+            if lhs != target.bracket_vec(cols[i], cols[j]):
                 return False
     return True
 
@@ -206,38 +198,48 @@ def identity_hom(L: GradedLieAlgebra) -> GradedHom:
 
 
 class GradedModule(Record):
-    """A graded module, given by one action matrix per algebra basis vector."""
+    """A graded module, given by the action of each algebra basis vector."""
 
     algebra: GradedLieAlgebra
     dim0: int
     dim1: int
-    action: tuple  # action[i] is a (dim0+dim1) x (dim0+dim1) Matrix
+    terms: Nonzeros  # terms[i][c] = the nonzeros (r, x) of e_i . m_c, column c of action i
 
     def __init__(self, algebra: GradedLieAlgebra, dim0: int, dim1: int, action: tuple,
                  unchecked: bool = False):
-        Record.__init__(self, algebra, dim0, dim1, action)
-        m = self.dim
-        if len(self.action) != self.algebra.dim or any(
-                a.rows != m or a.cols != m for a in self.action):
+        """action: the (dim0+dim1)-square Matrix of each e_i, or the Nonzeros of their columns."""
+        m = dim0 + dim1
+        if type(action) is not Nonzeros:
+            action = tuple(a.transpose().entries for a in action)
+        terms = _as_nonzeros(action, (algebra.dim, m, m))
+        if terms is None:
             raise ValueError("action shape mismatch")
+        Record.__init__(self, algebra, dim0, dim1, terms)
         if unchecked:
             return
-        F = self.algebra.field
-        for i in range(self.algebra.dim):
-            gi = self.algebra.degree(i)
-            a = self.action[i]
-            for r in range(m):
-                for c in range(m):
-                    if (self.degree(r) != (gi + self.degree(c)) % 2
-                            and not F.is_zero(a.entries[r][c])):
-                        raise ValueError(f"module grading violated at action[{i}][{r}][{c}]")
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                lhs = self.act(self.algebra.bracket[i][j])
-                rhs = self.action[i].matmul(self.action[j]).sub(
-                    self.action[j].matmul(self.action[i]))
-                if lhs != rhs:
+        p = algebra.field.p
+        act, br = self.terms, algebra.terms
+        for i in range(algebra.dim):
+            gi = algebra.degree(i)
+            wrong = [(r, c) for c, col in enumerate(act[i]) for r, _ in col
+                     if self.degree(r) != (gi + self.degree(c)) % 2]
+            if wrong:
+                r, c = min(wrong)
+                raise ValueError(f"module grading violated at action[{i}][{r}][{c}]")
+        # [e_i, e_j] acts as e_i e_j - e_j e_i, column by column
+        for i in range(algebra.dim):
+            for j in range(algebra.dim):
+                if any(_sparse_sum(p, chain(((w, act[l][c]) for l, w in br[i][j]),
+                                            ((-x, act[i][r]) for r, x in act[j][c]),
+                                            ((x, act[j][r]) for r, x in act[i][c])))
+                       for c in range(m)):
                     raise ValueError(f"not a representation: fails at basis pair ({i}, {j})")
+
+    @property
+    def action(self) -> tuple:
+        """The action matrices, derived from terms: action[i] is the matrix of e_i."""
+        F, m = self.algebra.field, self.dim
+        return tuple(Matrix.from_cols(F, dense_tensor(F, m, a, 1), rows=m) for a in self.terms)
 
     @property
     def dim(self) -> int:
@@ -250,22 +252,22 @@ class GradedModule(Record):
         """Action matrix of an algebra element given in coordinates."""
         F = self.algebra.field
         m = self.dim
-        terms = [(xi, self.action[i].entries) for i, xi in nonzeros(x)]
-        return Matrix(F, m, m, tuple(linear_combination(F, m, ((xi, a[r]) for xi, a in terms))
-                                     for r in range(m)))
+        nx = nonzeros(x)
+        return Matrix.from_cols(F, [linear_combination(F, m, ((xi, self.terms[i][c]) for i, xi in nx))
+                                    for c in range(m)], rows=m)
 
     def is_trivial(self) -> bool:
-        return all(a.is_zero() for a in self.action)
+        return not any(col for a in self.terms for col in a)
 
 
 def trivial_module(L: GradedLieAlgebra, dim0: int = 1) -> GradedModule:
     """Trivial module with trivial grading (no odd part)."""
-    z = Matrix.zeros(L.field, dim0, dim0)
-    return GradedModule(L, dim0, 0, tuple(z for _ in range(L.dim)), unchecked=True)
+    return GradedModule(L, dim0, 0, Nonzeros((((),) * dim0,) * L.dim), unchecked=True)
 
 
 def adjoint_module(L: GradedLieAlgebra) -> GradedModule:
-    return GradedModule(L, L.dim0, L.dim1, tuple(L.ad(i) for i in range(L.dim)))
+    """L acting on itself: column c of the action of e_i is [e_i, e_c]."""
+    return GradedModule(L, L.dim0, L.dim1, L.terms)
 
 
 def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
@@ -276,12 +278,8 @@ def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
         raise ValueError("seed ambient mismatch")
     current = seed
     while True:
-        vecs = list(current.basis.entries)
         base = current.basis.entries
-        for i in range(len(base)):
-            for j in range(i + 1, len(base)):
-                vecs.append(L.bracket_vec(base[i], base[j]))
-        grown = span_of(L.field, L.dim, vecs)
+        grown = span_of(L.field, L.dim, base + tuple(L.bracket_vec(a, b) for a, b in combinations(base, 2)))
         if grown.dim in (current.dim, L.dim):
             return grown
         current = grown
@@ -289,9 +287,8 @@ def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
 
 def odd_bracket_span(L: GradedLieAlgebra) -> Subspace:
     """[L_1, L_1] as a subspace of the ambient space."""
-    vecs = [L.bracket[i][j]
-            for i in range(L.dim0, L.dim) for j in range(i + 1, L.dim)]
-    return span_of(L.field, L.dim, vecs)
+    return _span(L.field, L.dim, [dict(L.terms[i][j])
+                                  for i in range(L.dim0, L.dim) for j in range(i + 1, L.dim)])
 
 
 def is_generated_by_odd(L: GradedLieAlgebra) -> bool:
@@ -306,11 +303,14 @@ def is_generated_by_odd(L: GradedLieAlgebra) -> bool:
 
 
 def center(L: GradedLieAlgebra) -> Subspace:
-    """{z : [z, e_j] = 0 for all j}, the kernel of the stacked ad matrices."""
-    F = L.field
-    n = L.dim
-    rows = tuple(tuple(L.bracket[i][j][l] for i in range(n)) for j in range(n) for l in range(n))
-    return kernel_basis(Matrix(F, n * n, n, rows))
+    """{z : [z, e_j] = 0 for all j}, the kernel of the stacked ad matrices:
+    row (j, l) holds coordinate l of each [e_i, e_j]."""
+    rows = {}
+    for i, row in enumerate(L.terms):
+        for j, v in enumerate(row):
+            for l, x in v:
+                rows.setdefault((j, l), {})[i] = x
+    return kernel_of_rows(L.field, L.dim, rows.values())
 
 
 def direct_sum(K: GradedLieAlgebra, U: GradedLieAlgebra) -> GradedLieAlgebra:
@@ -322,18 +322,9 @@ def direct_sum(K: GradedLieAlgebra, U: GradedLieAlgebra) -> GradedLieAlgebra:
     k_index = list(range(K.dim0)) + [dim0 + a for a in range(K.dim1)]
     u_index = [K.dim0 + j for j in range(U.dim0)] + [dim0 + K.dim1 + b for b in range(U.dim1)]
     return _assemble(K.field, dim0, dim1, (
-        (index[i], index[j], ((index[l], x) for l, x in enumerate(A.bracket[i][j])))
+        (index[i], index[j], ((index[l], x) for l, x in A.terms[i][j]))
         for A, index in ((K, k_index), (U, u_index))
         for i in range(A.dim) for j in range(i + 1, A.dim)))
-
-
-def _coords_in_rows(field: Field, basis_rows: Sequence[Vector], v: Vector) -> Vector:
-    """Coefficients expressing v in the given independent rows; error if outside."""
-    m = Matrix.from_cols(field, list(basis_rows), rows=len(v)) if basis_rows else Matrix.zeros(field, len(v), 0)
-    x = solve(m, v)
-    if x is None:
-        raise RuntimeError("vector unexpectedly outside span")
-    return x
 
 
 def graded_pullback(phi: GradedHom, ups: GradedHom):
@@ -355,17 +346,20 @@ def graded_pullback(phi: GradedHom, ups: GradedHom):
     odd_part = sols.intersect(odd_amb)
     if even_part.dim + odd_part.dim != sols.dim:
         raise RuntimeError("pullback solution space is not graded")
-    basis = list(even_part.basis.entries) + list(odd_part.basis.entries)
+    basis = even_part.basis.entries + odd_part.basis.entries
+    # the even and odd parts live on disjoint coordinates, so each basis vector
+    # is 1 at its pivot and 0 at the others: coordinates are pivot entries
+    pivots = even_part.pivots + odd_part.pivots
 
-    def bracket_pair(v: Vector, w: Vector) -> Vector:
-        kv, uv = v[:K.dim], v[K.dim:]
-        kw, uw = w[:K.dim], w[K.dim:]
-        return K.bracket_vec(kv, kw) + U.bracket_vec(uv, uw)
+    def coords(v: Vector, w: Vector) -> list:  # of [v, w] in the basis
+        u = K.bracket_vec(v[:K.dim], w[:K.dim]) + U.bracket_vec(v[K.dim:], w[K.dim:])
+        if not sols.contains(u):
+            raise RuntimeError("vector unexpectedly outside span")
+        return nonzeros(tuple(u[c] for c in pivots))
 
     dim_a = len(basis)
     A = _assemble(F, even_part.dim, odd_part.dim, (
-        (s, t, enumerate(_coords_in_rows(F, basis, bracket_pair(basis[s], basis[t]))))
-        for s in range(dim_a) for t in range(s + 1, dim_a)))
+        (s, t, coords(basis[s], basis[t])) for s in range(dim_a) for t in range(s + 1, dim_a)))
     pk = GradedHom(A, K, Matrix.from_cols(F, [v[:K.dim] for v in basis], rows=K.dim),
                    unchecked=True)
     pu = GradedHom(A, U, Matrix.from_cols(F, [v[K.dim:] for v in basis], rows=U.dim),
@@ -390,8 +384,9 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
     # section's columns are the unit vectors at the free coordinates.
     pivots = set(ideal.pivots)
     free = [c for c in range(L.dim) if c not in pivots]
+    cols = [nonzeros(c) for c in q.projection.transpose().entries]
     Q = _assemble(F, new_dim0, L.dim1, (
-        (s, t, enumerate(q.projection.matvec(L.bracket[free[s]][free[t]])))
+        (s, t, nonzeros(linear_combination(F, q.dim, ((x, cols[l]) for l, x in L.terms[free[s]][free[t]]))))
         for s in range(q.dim) for t in range(s + 1, q.dim)))
     return Q, GradedHom(L, Q, q.projection, unchecked=True)
 

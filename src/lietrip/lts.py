@@ -1,8 +1,9 @@
 """Lie triple systems presented by structure constants.
 
 A system of dimension n is the tensor t with [e_i, e_j, e_k] =
-sum_l t[i][j][k][l] e_l.  The axioms are verified on basis tuples only,
-which suffices by multilinearity:
+sum_l t[i][j][k][l] e_l, stored once as its nonzeros (``terms``, a
+``Nonzeros``); the dense ``triple`` is a view derived on each read.  The
+axioms are verified on basis tuples only, which suffices by multilinearity:
 
   (1) alternation in the first two slots, stored char-2-safely as both
       t[i][i][k] = 0 and the polarized form t[i][j][k] + t[j][i][k] = 0;
@@ -37,9 +38,10 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Record, Subspace, Vector, _echelon, _integer_rows, _reduce, _subspace,
-    kernel_of_rows, linear_combination, mat_from_flat, nonzeros, unit_vec, vec_add,
-    vec_from_sums, vec_is_zero, zero_vec,
+    Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _defects, _echelon,
+    _integer_rows, _integer_terms, _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of,
+    dense_tensor, kernel_of_rows, linear_combination, mat_from_flat, nonzeros, unit_vec,
+    vec_from_sums,
 )
 
 
@@ -66,28 +68,29 @@ class LtsAxiomReport(Record):
 class LieTripleSystem(Record):
     field: Field
     dim: int
-    triple: tuple  # triple[i][j][k] = coordinates of [e_i, e_j, e_k]
+    terms: Nonzeros  # terms[i][j][k] = the nonzeros (l, x) of [e_i, e_j, e_k]
 
     def __init__(self, field: Field, dim: int, triple: tuple, unchecked: bool = False):
-        Record.__init__(self, field, dim, triple)
-        n = self.dim
-        if len(self.triple) != n or any(
-                len(ti) != n or any(len(tij) != n or any(len(v) != n for v in tij) for tij in ti)
-                for ti in self.triple):
+        """triple: the dense tensor (triple[i][j][k] = coordinates of [e_i, e_j, e_k]) or its Nonzeros."""
+        terms = _as_nonzeros(triple, (dim,) * 4)
+        if terms is None:
             raise ValueError("triple tensor shape does not match dim")
+        Record.__init__(self, field, dim, terms)
         if not unchecked:
             report = check_lts_axioms(self)
             if not report.ok:
                 raise LtsAxiomError(report)
 
+    @property
+    def triple(self) -> tuple:
+        """The dense tensor, derived from terms: triple[i][j][k] = coordinates of [e_i, e_j, e_k]."""
+        return dense_tensor(self.field, self.dim, self.terms, 3)
+
 
 def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = False) -> LieTripleSystem:
     """Build a system from nested [i][j][k][l] entries of ints/strings/Fractions."""
-    n = len(entries)
-    tensor = tuple(
-        tuple(tuple(tuple(map(field.of, vec)) for vec in tij) for tij in ti)
-        for ti in entries)
-    return LieTripleSystem(field, n, tensor, unchecked=unchecked)
+    tensor = tuple(tuple(tuple(tuple(map(field.of, vec)) for vec in tij) for tij in ti) for ti in entries)
+    return LieTripleSystem(field, len(entries), tensor, unchecked=unchecked)
 
 
 def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vector:
@@ -95,21 +98,10 @@ def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vecto
     n = T.dim
     if len(a) != n or len(b) != n or len(c) != n:
         raise ValueError("vector dimension mismatch")
-    t = T.triple
+    t = T.terms
     nb, nc = nonzeros(b), nonzeros(c)
     return linear_combination(T.field, n, (
         (x * y * z, t[i][j][k]) for i, x in nonzeros(a) for j, y in nb for k, z in nc))
-
-
-def _nonzero_view(T: LieTripleSystem) -> tuple[list, int]:
-    """nz[a][b][c] lists the (u, x) with x = den * t[a][b][c][u] != 0.
-
-    Over F_p den is 1 and x the residue; over Q den is the common
-    denominator of all entries, so x is a plain int either way.
-    """
-    rows, den = _integer_rows(T.field.p, [dict(nonzeros(v)) for ti in T.triple for tij in ti for v in tij])
-    rows = iter(list(r.items()) for r in rows)
-    return [[[next(rows) for _ in tij] for tij in ti] for ti in T.triple], den
 
 
 # The tuples a canonical tuple stands for: index permutations, each with its sign.
@@ -119,16 +111,16 @@ _DERIVATION_ORBIT = (((0, 1, 2, 3, 4), 1), ((0, 1, 3, 2, 4), -1), ((1, 0, 2, 3, 
 
 def _spread(F: Field, identity: str, found, orbit: tuple) -> list:
     """The violations of one identity in lexicographic order: for each found
-    (indices, defect) with a nonzero defect, every tuple of its orbit, with
-    the defect times the sign of the permutation."""
+    (indices, defect), every tuple of its orbit, with the defect times the
+    sign of the permutation."""
     out = [(tuple(indices[q] for q in perm), d if sign > 0 else tuple(F.neg(x) for x in d))
-           for indices, d in found if not vec_is_zero(F, d) for perm, sign in orbit]
+           for indices, d in found for perm, sign in orbit]
     return [AxiomViolation(identity, ix, d) for ix, d in sorted(out, key=lambda v: v[0])]
 
 
 def _derivation_defects(F: Field, nz: list, den: int, pairs: list, canonical: bool) -> list:
     """((i, j, k, l, m), defect) for each nonzero defect of (3) at the (i, j) of
-    pairs, from the nonzero view; on the canonical path only at k < l.
+    pairs, from the nonzeros as integers; on the canonical path only at k < l.
     [e_i,e_j,[e_k,e_l,e_m]] = [[e_i,e_j,e_k],e_l,e_m] + [e_k,[e_i,e_j,e_l],e_m]
     + [e_k,e_l,[e_i,e_j,e_m]], each term a sum of products of two structure
     constants over nonzeros only; the defect is an integer multiple of 1/den^2."""
@@ -168,24 +160,22 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
     first) on all basis tuples and report every violation with a witness."""
     F = T.field
     n = T.dim
-    t = T.triple
-    bad = [AxiomViolation("alternating", (i, i, k), t[i][i][k])
-           for i in range(n) for k in range(n) if not vec_is_zero(F, t[i][i][k])]
-    polar = (((i, j, k), vec_add(F, t[i][j][k], t[j][i][k]))
+    nz, den = _integer_terms(F.p, T.terms, 3)
+    alternating = (((i, i, k), ((1, nz[i][i][k]),)) for i in range(n) for k in range(n))
+    bad = [AxiomViolation("alternating", ix, d) for ix, d in _defects(F, n, den, alternating)]
+    polar = (((i, j, k), ((1, nz[i][j][k]), (1, nz[j][i][k])))
              for i in range(n) for j in range(i + 1, n) for k in range(n))
-    bad += [AxiomViolation("polarized-alternating", ix, d) for ix, d in polar if not vec_is_zero(F, d)]
+    bad += [AxiomViolation("polarized-alternating", ix, d) for ix, d in _defects(F, n, den, polar)]
 
     canonical = not bad  # when t is alternating, canonical tuples suffice (see the module docstring)
     orbits = slice(None if canonical else 1)  # off the canonical path a tuple is itself only
-    cyclic = (((i, j, k), vec_add(F, vec_add(F, t[i][j][k], t[j][k][i]), t[k][i][j]))
+    cyclic = (((i, j, k), ((1, nz[i][j][k]), (1, nz[j][k][i]), (1, nz[k][i][j])))
               for i in range(n) for j in range(i + 1 if canonical else 0, n)
               for k in range(j + 1 if canonical else 0, n))
-    bad += _spread(F, "cyclic", cyclic, _CYCLIC_ORBIT[orbits])
+    bad += _spread(F, "cyclic", _defects(F, n, den, cyclic), _CYCLIC_ORBIT[orbits])
 
-    nz, den = _nonzero_view(T)
     if canonical:  # (3) first at the pairs that span Inder(T), see the module docstring
-        pairs, _, picked = _inner_span(T, lambda i, j: {l * n + m: x for m, v in enumerate(nz[i][j])
-                                                         for l, x in v})
+        pairs, _, _, picked = _inner_span(T)
         found = _derivation_defects(F, nz, den, [pairs[q] for q in picked], True)
         if found:
             found = _derivation_defects(F, nz, den, pairs, True)
@@ -221,11 +211,12 @@ def is_lts_hom(alpha: Matrix, T: LieTripleSystem, S: LieTripleSystem) -> bool:
     """True iff alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all basis triples."""
     if alpha.rows != S.dim or alpha.cols != T.dim:
         raise ValueError("hom matrix shape mismatch")
-    cols = [alpha.col(j) for j in range(T.dim)]
+    cols = alpha.transpose().entries
+    sparse = [nonzeros(c) for c in cols]
     for i in range(T.dim):
         for j in range(T.dim):
             for k in range(T.dim):
-                lhs = alpha.matvec(T.triple[i][j][k])
+                lhs = linear_combination(S.field, S.dim, ((x, sparse[l]) for l, x in T.terms[i][j][k]))
                 rhs = triple_bracket(S, cols[i], cols[j], cols[k])
                 if lhs != rhs:
                     return False
@@ -238,10 +229,8 @@ def identity_lts_hom(T: LieTripleSystem) -> LtsHom:
 
 def inner_derivation(T: LieTripleSystem, a: Vector, b: Vector) -> Matrix:
     """The endomorphism c -> [a, b, c], bilinear in (a, b)."""
-    F = T.field
-    n = T.dim
-    cols = [triple_bracket(T, a, b, unit_vec(F, n, m)) for m in range(n)]
-    return Matrix.from_cols(F, cols, rows=n)
+    return Matrix.from_cols(T.field, [triple_bracket(T, a, b, unit_vec(T.field, T.dim, m))
+                                      for m in range(T.dim)], rows=T.dim)
 
 
 class DerivationAlgebra(Record):
@@ -249,17 +238,22 @@ class DerivationAlgebra(Record):
 
     ``span`` is the space inside End(T) flattened row-major to F^(n^2),
     with its deterministic RREF basis; ``basis`` is that basis as n x n
-    matrices and ``bracket`` the commutator table in it.
+    matrices and ``terms`` the commutator table in it.
     """
 
     lts: LieTripleSystem
     basis: tuple           # tuple of n x n Matrix
     span: Subspace         # in F^(n^2), row-major flattening
-    bracket: tuple         # bracket[a][b] = coordinates of [D_a, D_b]
+    terms: Nonzeros        # terms[a][b] = the nonzeros (c, x) of [D_a, D_b]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def bracket(self) -> tuple:
+        """The dense commutator table, derived from terms: bracket[a][b] = coordinates of [D_a, D_b]."""
+        return dense_tensor(self.lts.field, self.dim, self.terms, 2)
 
     def coordinates(self, endo: Matrix) -> Optional[Vector]:
         return self.span.coordinates(endo.flatten())
@@ -271,11 +265,11 @@ def _derivation_rows(T: LieTripleSystem):
     of D[u][v]}: T is alternating, so (j, i, k) gives the same rows negated
     and (i, i, k) zero rows.
 
-    They are read from the nonzero view, so over Q each row is den times
+    They are read from the nonzeros as integers, so over Q each row is den times
     the true one, which has the same kernel.
     """
     n = T.dim
-    nz, _ = _nonzero_view(T)
+    nz, _ = _integer_terms(T.field.p, T.terms, 3)
     for i in range(n):
         nzi = nz[i]
         for j in range(i + 1, n):
@@ -304,20 +298,18 @@ def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
     echelon = dict(zip(span.pivots, ints))  # each row den at its pivot, 0 at the others
     rows = [_sparse_rows(v, n) for v in ints]
     # [D_b, D_a] = -[D_a, D_b]: each unordered pair is computed once
-    zero = (F.zero(),) * len(flats)
-    table = [[zero] * len(flats) for _ in flats]
+    table = [[()] * len(flats) for _ in flats]
     for a in range(len(flats)):
         for b in range(a + 1, len(flats)):
             comm = _commutator(n, rows[a], rows[b])
             v = dict(nonzeros(comm if F.p is None else vec_from_sums(F, comm)))
-            coords = tuple(Fraction(v.get(c, 0), den * den) if F.p is None else v.get(c, 0)
-                           for c in span.pivots)
+            coords = _terms_of(F.p, {q: v[c] for q, c in enumerate(span.pivots) if c in v}, den * den)
             if _reduce(v, echelon, F.p):
                 raise RuntimeError("derivations not closed under commutator")
             table[a][b] = coords
-            table[b][a] = tuple(F.neg(x) for x in coords)
+            table[b][a] = _neg_terms(F.p, coords)
     basis = tuple(mat_from_flat(F, v, n, n) for v in flats)
-    return DerivationAlgebra(T, basis, span, tuple(tuple(row) for row in table))
+    return DerivationAlgebra(T, basis, span, Nonzeros(tuple(map(tuple, table))))
 
 
 def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
@@ -347,27 +339,28 @@ def _commutator(n: int, x: list, y: list) -> list:
 
 
 def _inner_flats(T: LieTripleSystem) -> list:
-    """flat[u][v] = D_{e_u,e_v} = [e_u, e_v, -] flattened row-major, read
-    from the tensor: its column m is t[u][v][m]."""
-    return [[tuple(chain.from_iterable(zip(*tuv))) for tuv in tu] for tu in T.triple]
+    """flat[u][v] = D_{e_u,e_v} = [e_u, e_v, -] flattened row-major, as a
+    sparse dict {l*n + m: entry} read from the nonzeros of its columns
+    [e_u, e_v, e_m]."""
+    n = T.dim
+    return [[{l * n + m: x for m, v in enumerate(tuv) for l, x in v} for tuv in tu] for tu in T.terms]
 
 
-def _inner_span(T: LieTripleSystem, flat) -> tuple[list, dict, list]:
-    """The pairs i < j, the reduced echelon basis of their flats flat(i, j) (sparse
-    rows of D_{e_i,e_j}, up to one common scale), a basis of Inder(T), and the
+def _inner_span(T: LieTripleSystem) -> tuple[list, list, dict, list]:
+    """The pairs i < j, the flats of T, the reduced echelon basis of the flats
+    of the pairs (up to one common scale), a basis of Inder(T), and the
     indices of the pairs whose flats enlarged it."""
     n = T.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows, _ = _integer_rows(T.field.p, [flat(i, j) for i, j in pairs])
+    flat = _inner_flats(T)
+    rows, _ = _integer_rows(T.field.p, [dict(flat[i][j]) for i, j in pairs])
     echelon, picked = _echelon(rows, T.field.p, n * n)
-    return pairs, echelon, picked
+    return pairs, flat, echelon, picked
 
 
 def inner_derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     """Inder(T), spanned by the D_{e_i,e_j} with i < j."""
-    flat = _inner_flats(T)
-    return _derivations(T, _subspace(T.field, T.dim ** 2,
-                                     _inner_span(T, lambda i, j: dict(nonzeros(flat[i][j])))[1]))
+    return _derivations(T, _subspace(T.field, T.dim ** 2, _inner_span(T)[2]))
 
 
 class IdealClosureCertificate(Record):
@@ -383,10 +376,9 @@ def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
     """Check [D, D_{e_i,e_j}] for every basis derivation D and pair i < j."""
     F = T.field
     n = T.dim
-    flat_nz = [[nonzeros(f) for f in fu] for fu in _inner_flats(T)]
-    pairs, echelon, _ = _inner_span(T, lambda i, j: dict(flat_nz[i][j]))
+    pairs, flat, echelon, _ = _inner_span(T)
     span = _subspace(F, n * n, echelon)
-    pair_rows = [_sparse_rows(dict(flat_nz[i][j]), n) for i, j in pairs]
+    pair_rows = [_sparse_rows(flat[i][j], n) for i, j in pairs]
     failures = []
     checked = 0
     for d in derivation_algebra(T).basis:
@@ -396,13 +388,10 @@ def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
             checked += 1
             comm = vec_from_sums(F, _commutator(n, d_rows, dij))
             # [D, D_{i,j}] = D_{De_i, e_j} + D_{e_i, De_j}, expanded bilinearly
-            acc = [0] * (n * n)
-            for u in range(n):
-                for c, terms in ((e[u][i], flat_nz[u][j]), (e[u][j], flat_nz[i][u])):
-                    if c:
-                        for k, x in terms:
-                            acc[k] += c * x
-            if comm != vec_from_sums(F, acc) or not span.contains(comm):
+            rhs = linear_combination(F, n * n, chain(
+                ((e[u][i], flat[u][j].items()) for u in range(n) if e[u][i]),
+                ((e[u][j], flat[i][u].items()) for u in range(n) if e[u][j])))
+            if comm != rhs or not span.contains(comm):
                 failures.append((i, j))
     return IdealClosureCertificate(not failures, checked, tuple(failures))
 
@@ -411,18 +400,17 @@ def _assemble_lts(field: Field, n: int, rows) -> LieTripleSystem:
     """The trusted constructor of the systems derived from validated input;
     it checks nothing.
 
-    ``rows`` yields (i, j, row) for each i < j, row[k] the coordinates of
-    [e_i, e_j, e_k]; [e_j, e_i, -] is filled in as the negative and
-    [e_i, e_i, -] as zero.  The callers' constructions are triple systems by
-    theorem; tests/test_trusted.py asserts that with check_lts_axioms.
+    ``rows`` yields (i, j, row) for each i < j, row[k] the nonzeros (l, x) of
+    [e_i, e_j, e_k], sorted by l; [e_j, e_i, -] is filled in as the negative
+    and [e_i, e_i, -] as zero.  The callers' constructions are triple systems
+    by theorem; tests/test_trusted.py asserts that with check_lts_axioms.
     """
     p = field.p
-    zero_row = (zero_vec(field, n),) * n
-    t = [[zero_row] * n for _ in range(n)]
+    t = [[((),) * n] * n for _ in range(n)]
     for i, j, row in rows:
-        t[i][j] = tuple(row)
-        t[j][i] = tuple(tuple(x and (-x if p is None else p - x) for x in v) for v in row)
-    return LieTripleSystem(field, n, tuple(tuple(ti) for ti in t), unchecked=True)
+        t[i][j] = row
+        t[j][i] = tuple(_neg_terms(p, v) for v in row)
+    return LieTripleSystem(field, n, Nonzeros(tuple(map(tuple, t))), unchecked=True)
 
 
 _LIE_FAILURES = {"alternating": "[e_{0}, e_{0}] != 0",
@@ -440,39 +428,39 @@ def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     from .grlie import GradedLieAlgebra, GradedLieError
     if field is None:
         field = algebra.field
-        bracket = algebra.bracket
+        bracket = algebra.terms
     else:
         bracket = tuple(tuple(tuple(map(field.of, v)) for v in row) for row in algebra)
     F = field
     n = len(bracket)
     try:
-        GradedLieAlgebra(F, n, 0, bracket)
+        L = GradedLieAlgebra(F, n, 0, bracket)
     except GradedLieError as exc:
         family, indices, _ = exc.report.violations[0]
         raise ValueError("not a Lie algebra: " + _LIE_FAILURES[family].format(*indices)) from None
-    return _assemble_lts(F, n, (
-        (i, j, tuple(
-            linear_combination(F, n, ((cm, bracket[m][k]) for m, cm in enumerate(bracket[i][j]) if cm))
-            for k in range(n)))
-        for i in range(n) for j in range(i + 1, n)))
+    return _assemble_lts(F, n, _product_rows(L, 0))
+
+
+def _product_rows(L, start: int):
+    """The rows for _assemble_lts of [a,b,c] = [[a,b],c] on e_start, e_start+1,
+    ... of the algebra L (all of L, or its odd part), from its nonzeros."""
+    p = L.field.p
+    c, den = _integer_terms(p, L.terms, 2)
+    basis = range(start, L.dim)
+
+    def row(i: int, j: int) -> tuple:
+        out = []
+        for k in basis:
+            v = _terms_of(p, _sparse_sum(p, ((x, c[m][k]) for m, x in c[i][j])), den * den)
+            if v and v[0][0] < start:
+                raise ValueError("grading violated: [[odd,odd],odd] left the odd part")
+            out.append(tuple((l - start, x) for l, x in v) if start else v)
+        return tuple(out)
+
+    return ((a - start, b - start, row(a, b)) for a in basis for b in range(a + 1, L.dim))
 
 
 def odd_part_lts(L) -> LieTripleSystem:
     """The odd component of a graded Lie algebra as a triple system under
     [a,b,c] = [[a,b],c] (which lands back in the odd part)."""
-    F = L.field
-    n0, n1 = L.dim0, L.dim1
-    n = n0 + n1
-
-    def row(a: int, b: int) -> tuple:
-        out = []
-        for c in range(n1):
-            acc = linear_combination(F, n, (
-                (wm, L.bracket[m][n0 + c])
-                for m, wm in enumerate(L.bracket[n0 + a][n0 + b]) if wm))
-            if any(acc[:n0]):
-                raise ValueError("grading violated: [[odd,odd],odd] left the odd part")
-            out.append(acc[n0:])
-        return tuple(out)
-
-    return _assemble_lts(F, n1, ((a, b, row(a, b)) for a in range(n1) for b in range(a + 1, n1)))
+    return _assemble_lts(L.field, L.dim1, _product_rows(L, L.dim0))

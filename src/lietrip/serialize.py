@@ -1,7 +1,8 @@
 """JSON payloads for systems, algebras, homs, modules and cochains.
 
 Scalars are serialized as exact strings ("p/q" over Q, plain residues over
-F_p), tensors as dense nested arrays in the global even-first basis order.
+F_p), tensors as dense nested arrays in the global even-first basis order,
+formatted from the stored nonzeros.
 Hom, module and cochain payloads embed their source/target objects inline
 so a single file round-trips to a fully validated value:
 load(save(x)) == x structurally.
@@ -26,6 +27,23 @@ class PayloadError(ValueError):
 def fmt_matrix(m: Matrix) -> list:
     """The entries as nested lists of exact scalar strings."""
     return [list(map(m.field.fmt, row)) for row in m.entries]
+
+
+def fmt_terms(field: Field, n: int, tensor: tuple, depth: int) -> list:
+    """A sparse tensor, depth levels above its vectors of length n, as dense nested scalar strings."""
+    if depth:
+        return [fmt_terms(field, n, t, depth - 1) for t in tensor]
+    v = ["0"] * n
+    for j, x in tensor:
+        v[j] = field.fmt(x)
+    return v
+
+
+def _parse(field: Field, entries, depth: int) -> tuple:
+    """Nested lists of scalars, depth levels deep, as nested tuples of the field's scalars."""
+    if depth > 1:
+        return tuple(_parse(field, e, depth - 1) for e in entries)
+    return tuple(_scalar(field, x) for x in entries)
 
 
 def _scalar(field: Field, x):
@@ -55,62 +73,35 @@ def _load_nested(payload: dict, key: str, cls: type, unchecked: bool):
 def save(obj, name: Optional[str] = None) -> dict:
     """Serialize a supported value to a JSON-ready dict."""
     if isinstance(obj, LieTripleSystem):
-        body = {
-            "dims": {"dim": obj.dim},
-            "entries": [[[list(map(obj.field.fmt, v)) for v in tij] for tij in ti]
-                        for ti in obj.triple],
-        }
-        kind = "lts"
-        field = obj.field
+        kind, field, dims = "lts", obj.field, {"dim": obj.dim}
+        body = {"entries": fmt_terms(field, obj.dim, obj.terms, 3)}
     elif isinstance(obj, GradedLieAlgebra):
-        body = {
-            "dims": {"dim0": obj.dim0, "dim1": obj.dim1},
-            "entries": [[list(map(obj.field.fmt, v)) for v in row] for row in obj.bracket],
-        }
-        kind = "graded_lie"
-        field = obj.field
-    elif isinstance(obj, LtsHom):
-        body = {
-            "dims": {"source_dim": obj.source.dim, "target_dim": obj.target.dim},
-            "entries": fmt_matrix(obj.matrix),
-            "source": save(obj.source),
-            "target": save(obj.target),
-        }
-        kind = "lts_hom"
-        field = obj.matrix.field
-    elif isinstance(obj, GradedHom):
-        body = {
-            "dims": {"source_dim0": obj.source.dim0, "source_dim1": obj.source.dim1,
-                     "target_dim0": obj.target.dim0, "target_dim1": obj.target.dim1},
-            "entries": fmt_matrix(obj.matrix),
-            "source": save(obj.source),
-            "target": save(obj.target),
-        }
-        kind = "graded_hom"
-        field = obj.matrix.field
+        kind, field, dims = "graded_lie", obj.field, {"dim0": obj.dim0, "dim1": obj.dim1}
+        body = {"entries": fmt_terms(field, obj.dim, obj.terms, 2)}
+    elif isinstance(obj, (LtsHom, GradedHom)):
+        source, target, field = obj.source, obj.target, obj.matrix.field
+        if isinstance(obj, LtsHom):
+            kind, dims = "lts_hom", {"source_dim": source.dim, "target_dim": target.dim}
+        else:
+            kind, dims = "graded_hom", {"source_dim0": source.dim0, "source_dim1": source.dim1,
+                                        "target_dim0": target.dim0, "target_dim1": target.dim1}
+        body = {"entries": fmt_matrix(obj.matrix), "source": save(source), "target": save(target)}
     elif isinstance(obj, GradedModule):
-        body = {
-            "dims": {"dim0": obj.dim0, "dim1": obj.dim1},
-            "entries": [fmt_matrix(a) for a in obj.action],
-            "algebra": save(obj.algebra),
-        }
-        kind = "module"
-        field = obj.algebra.field
+        kind, field, dims = "module", obj.algebra.field, {"dim0": obj.dim0, "dim1": obj.dim1}
+        # the columns of each action, transposed into its rows
+        body = {"entries": [list(map(list, zip(*fmt_terms(field, obj.dim, a, 1)))) for a in obj.terms],
+                "algebra": save(obj.algebra)}
     elif isinstance(obj, Cochain):
-        body = {
-            "dims": {"degree": obj.degree},
-            "entries": [list(map(obj.algebra.field.fmt, v)) for v in obj.values],
-            "algebra": save(obj.algebra),
-            "module": save(obj.module),
-        }
-        kind = "cochain"
-        field = obj.algebra.field
+        kind, field, dims = "cochain", obj.algebra.field, {"degree": obj.degree}
+        body = {"entries": [list(map(field.fmt, v)) for v in obj.values],
+                "algebra": save(obj.algebra), "module": save(obj.module)}
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
     payload = {"format_version": FORMAT_VERSION, "kind": kind, "field": field.tag}
     if name is not None:
         payload["name"] = name
+    payload["dims"] = dims
     payload.update(body)
     return payload
 
@@ -137,15 +128,12 @@ def load(payload: dict, *, unchecked: bool = False):
 
     try:
         if kind == "lts":
-            n = dims["dim"]
-            tensor = tuple(
-                tuple(tuple(tuple(_scalar(field, x) for x in v) for v in tij) for tij in ti)
-                for ti in entries)
-            if len(tensor) != n:
+            tensor = _parse(field, entries, 4)
+            if len(tensor) != dims["dim"]:
                 raise PayloadError("tensor size disagrees with dim")
-            return LieTripleSystem(field, n, tensor, unchecked=unchecked)
+            return LieTripleSystem(field, dims["dim"], tensor, unchecked=unchecked)
         if kind == "graded_lie":
-            tensor = tuple(tuple(tuple(_scalar(field, x) for x in v) for v in row) for row in entries)
+            tensor = _parse(field, entries, 3)
             return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
         if kind == "lts_hom":
             source = _load_nested(payload, "source", LieTripleSystem, unchecked)
@@ -167,8 +155,7 @@ def load(payload: dict, *, unchecked: bool = False):
         if kind == "cochain":
             algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)
             module = _load_nested(payload, "module", GradedModule, unchecked)
-            values = tuple(tuple(_scalar(field, x) for x in v) for v in entries)
-            f = Cochain(algebra, module, dims["degree"], values)
+            f = Cochain(algebra, module, dims["degree"], _parse(field, entries, 2))
             if not unchecked and not f.is_graded():
                 raise PayloadError("cochain is not graded")
             return f

@@ -428,6 +428,11 @@ def pair_algebra(t, p=None):
     return rows, [[normal_form(act(f, g)) for g in free] for f in free]
 
 
+def _wedge(pairs, a, b):
+    """The coordinates of a^b on the wedge basis e_x^e_y, (x, y) in pairs."""
+    return [Fraction(a[x]) * b[y] - Fraction(a[y]) * b[x] for x, y in pairs]
+
+
 def _wedge_action(t):
     """(m, act) for the exterior square of t: its dimension m, and act(u, v),
     the coordinates of lam(e_u).e_v on the wedge basis e_i^e_j (i < j, in
@@ -435,21 +440,26 @@ def _wedge_action(t):
     D(a^b) = Da^b + a^Db."""
     n = len(t)
     pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-
-    def wedge(a, b):
-        out = [Fraction(0)] * m
-        for w, (x, y) in enumerate(pairs):
-            out[w] = Fraction(a[x]) * b[y] - Fraction(a[y]) * b[x]
-        return out
-
     e = [[int(r == c) for c in range(n)] for r in range(n)]
 
     def act(u, v):
         (i, j), (k, l) = pairs[u], pairs[v]
-        return [x + y for x, y in zip(wedge(t[i][j][k], e[l]), wedge(e[k], t[i][j][l]))]
+        return [x + y for x, y in zip(_wedge(pairs, t[i][j][k], e[l]), _wedge(pairs, e[k], t[i][j][l]))]
 
-    return m, act
+    return len(pairs), act
+
+
+def wedge_action(d, p=None):
+    """The matrix, as rows, of the action D.(a^b) = Da^b + a^Db of an n x n
+    matrix D (nested lists) on the wedge basis e_i^e_j (i < j, in
+    lexicographic order)."""
+    n = len(d)
+    pairs = list(combinations(range(n), 2))
+    e = [[int(r == c) for c in range(n)] for r in range(n)]
+    col = [[d[k][i] for k in range(n)] for i in range(n)]
+    cols = [[scalar(x + y, p) for x, y in zip(_wedge(pairs, col[i], e[j]), _wedge(pairs, e[i], col[j]))]
+            for i, j in pairs]
+    return [list(row) for row in zip(*cols)] if cols else []
 
 
 def image_kernel_products(t, p=None):

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lietrip.cli
 from lietrip.cli import main
 from lietrip.cohom import h2_graded
 import oracles
@@ -643,6 +647,37 @@ def test_cli_out_flag(capsys, tmp_path):
     assert code == 0
     on_disk = json.loads(out_path.read_text())
     assert on_disk == report
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("stage", ["h2_graded", "dumps", "open"])
+def test_cli_out_of_memory_in_each_stage_is_an_internal_error(capsys, monkeypatch, tmp_path, stage):
+    """A MemoryError in the runner, in the report's encoding or in the --out
+    write exits 3 with one stderr line and prints no report."""
+    target = lietrip.cli.json if stage == "dumps" else lietrip.cli
+    monkeypatch.setattr(target, stage, _out_of_memory, raising=stage != "open")
+    code = main(["h2", "heis", "--out", str(tmp_path / "report.json")])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (3, "", "internal error: h2: out of memory\n")
+
+
+@pytest.mark.parametrize("cap_mb", [150, 250])
+def test_cli_out_of_memory_under_an_address_space_cap(cap_mb):
+    """The report of a_of(abl(24)) has 27 million scalars, far beyond either
+    cap: the run runs out of memory while it saves or encodes the report,
+    and exits 3 with one line, not a traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.cli.__file__)))
+    code = ("import resource, runpy, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap_mb << 20}, {cap_mb << 20})); "
+            "sys.argv = ['lietrip', 'corpus', 'a_of(abl(24))', '--field', 'Fp:5']; "
+            "runpy.run_module('lietrip.cli', run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "internal error: corpus: out of memory\n")
 
 
 @pytest.mark.parametrize("command", ["thm-a", "h2"])

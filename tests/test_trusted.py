@@ -25,7 +25,7 @@ from lietrip.cohom import (
 )
 from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import (
-    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_action, wedge_dim,
+    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_dim,
     wedge_pairs,
 )
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
@@ -114,7 +114,8 @@ def _pair_algebra_over_der(T):
     F, n = T.field, T.dim
     der = derivation_algebra(T)
     L = GradedLieAlgebra(F, der.dim, 0, der.bracket)  # validated: Jacobi of Der(T)
-    module = GradedModule(L, wedge_dim(n), 0, tuple(wedge_action(x) for x in der.basis),
+    module = GradedModule(L, wedge_dim(n), 0, tuple(Matrix.make(F, oracles.wedge_action(
+                              x.to_lists(), F.p), cols=wedge_dim(n)) for x in der.basis),
                           unchecked=True)
     lam = Matrix.from_cols(F, [
         der.coordinates(inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)))

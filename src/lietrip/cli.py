@@ -267,7 +267,12 @@ def main(argv: Optional[list] = None) -> int:
             except OSError as exc:
                 print(f"error: cannot write --out: {exc}", file=sys.stderr)
                 return EXIT_INVALID
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:  # a closed pipe, say; the interpreter's last flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     # ValueError covers invalid input, KeyError an unknown corpus name
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,9 +15,9 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Record, SELECT_PRIME, Subspace, Vector, _distinct_rows, _echelon, _integer_rows,
-    _integer_terms, _span, _sparse_rows, _sparse_sum, kernel_of_rows, linear_combination,
-    nonzeros, solve, unit_vec, vec_add, vec_from_sums, vec_is_zero, vec_sub, zero_vec,
+    Matrix, Record, Subspace, Vector, _distinct_rows, _echelon, _integer_rows, _integer_terms,
+    _null_vectors, _span, _sparse_rows, _sparse_sum, linear_combination, nonzeros, solve,
+    unit_vec, vec_add, vec_from_sums, vec_is_zero, vec_sub, zero_vec,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
@@ -179,12 +179,11 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     """dim ker(d_2) - dim im(d_1) on the graded subcomplex, with a
     deterministic RREF-complement of representatives.
 
-    d_2's rows and d_1's columns, scaled as primitive integer rows (over
-    F_p, to leading entry 1), are ranked modulo p over F_p, exactly, and
-    modulo SELECT_PRIME over Q, where a rank can only drop.  Once d_2 d_1 = 0
-    is checked exactly, H^2 <= c_2 - r_2 - r_1 for the c_2 graded 2-slots;
-    when that is 0 so is H^2 and the ranks are exact.  Otherwise Z^2 and B^2
-    are computed exactly."""
+    d_2's rows and d_1's columns, each scaled to a canonical multiple and
+    kept once, are checked for d_2 d_1 = 0 and then eliminated once each,
+    exactly: d_1's to rank r_1, and d_2's until their rank reaches its
+    bound c_2 - r_1 for the c_2 graded 2-slots, as im d_1 lies in ker d_2.
+    Z^2 is read off d_2's echelon only when H^2 = c_2 - r_2 - r_1 is not 0."""
     F = L.field
     p = F.p
     slots1, slots2 = _graded_slots(L, M, 1), _graded_slots(L, M, 2)
@@ -197,29 +196,24 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
 
     d2, d1 = graded_rows(2, slots2), graded_rows(1, slots1)
     d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
-    q = SELECT_PRIME if p is None else p
     rows2, cols1 = _distinct_rows(p, d2), _distinct_rows(p, d1_cols)
-    r2, r1 = (len(_echelon([{c: x % q for c, x in row if x % q} for row in rows], q, c2)[1])
-              for rows in (rows2, cols1))
-    if c2 - r2 - r1 == 0:
-        d2_cols = {}  # d_2 d_1 = 0 on the scaled rows, through an index of their columns
-        for i, row in enumerate(rows2):
-            for c, x in row:
-                d2_cols.setdefault(c, {})[i] = x
-        if any(_sparse_sum(p, ((y, d2_cols.get(c, {}).items()) for c, y in col)) for col in cols1):
-            raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
-        return H2Result(0, c2 - r2, r1, ())
-    z2 = kernel_of_rows(F, c2, d2)
-    b2 = _span(F, c2, d1_cols)
-    if not z2.contains_subspace(b2):
+    d2_cols = {}  # d_2 d_1 = 0 on the scaled rows, through an index of their columns
+    for i, row in enumerate(rows2):
+        for c, x in row:
+            d2_cols.setdefault(c, {})[i] = x
+    if any(_sparse_sum(p, ((y, d2_cols.get(c, {}).items()) for c, y in col)) for col in cols1):
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
-    # the cocycle basis vectors outside the span of the coboundaries and the
-    # cocycles before them
-    _, picked = _echelon(_integer_rows(p, _sparse_rows(b2.vectors() + z2.vectors()))[0], p, len(slots2))
-    reps = [z2.vectors()[i - b2.dim] for i in picked[b2.dim:]]
-    rep_cochains = tuple(_cochain_at(L, M, 2, {slot: c for slot, c in zip(slots2, coords) if c})
-                         for coords in reps)
-    return H2Result(z2.dim - b2.dim, z2.dim, b2.dim, rep_cochains)
+    b2, _ = _echelon([dict(col) for col in cols1], p, c2)
+    r1 = len(b2)
+    z2, _ = _echelon([dict(row) for row in rows2], p, c2 - r1)
+    if c2 - len(z2) == r1:
+        return H2Result(0, r1, r1, ())
+    cocycles = _span(F, c2, _null_vectors(p, c2, z2)).vectors()
+    # the cocycle basis vectors outside the span of the coboundaries and the cocycles before them
+    _, picked = _echelon(_integer_rows(p, [*b2.values(), *_sparse_rows(cocycles)])[0], p, c2)
+    reps = tuple(_cochain_at(L, M, 2, {slot: c for slot, c in zip(slots2, cocycles[i - r1]) if c})
+                 for i in picked[r1:])
+    return H2Result(len(cocycles) - r1, len(cocycles), r1, reps)
 
 
 class NotCentral0Extension(ValueError):

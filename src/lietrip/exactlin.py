@@ -9,11 +9,11 @@ subspaces are immutable, and every operation is a pure function.
 Every elimination runs through one sparse echelon engine, ``_echelon``:
 rows are dicts {column: scalar}, and each row joins at its leftmost
 column, which is then cleared from the rows already there.  It runs
-exactly over Q or F_p, or modulo a large prime to pick independent rows;
-over Q on integer rows (``_integer_rows``), building a ``Fraction`` only
-per output entry.  Its basis is the unique RREF basis, so every derived
-basis (RREF, spans, kernels, sums, intersections, quotient sections) is
-canonical and reproducible.
+exactly, with no modular pass: over F_p on residues, over Q on integer
+rows (``_integer_rows``), building a ``Fraction`` only per output entry.
+Its basis is the unique RREF basis, so every derived basis (RREF, spans,
+kernels, sums, intersections, quotient sections) is canonical and
+reproducible.
 """
 
 from __future__ import annotations
@@ -621,36 +621,15 @@ def _kernel_vectors(m: Matrix) -> list:
     return _null_vectors(p, m.cols, _echelon(_integer_rows(p, _sparse_rows(m.entries))[0], p, m.cols)[0])
 
 
-# Over Q, kernel_of_rows picks its rows by their rank profile modulo this
-# prime, then certifies the pick exactly.
-SELECT_PRIME = 2 ** 61 - 1
-
-
 def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
-    """The common kernel of sparse rows, each a dict {column: scalar}: the
-    same subspace, with the same RREF basis, as :func:`kernel_basis` of the
-    matrix the rows form.
-
-    Each row is scaled to a canonical multiple (over Q a primitive integer
-    row with a positive leading entry, over F_p leading entry 1), and equal
-    rows are kept once; over F_p the engine then reduces them exactly.  Over
-    Q it first picks, modulo SELECT_PRIME, the rows that enlarge the
-    echelon, and reduces only those exactly.  The rank may drop modulo the
-    prime, leaving the kernel of the picked rows too large, so each of its
-    vectors is checked in integers against every distinct row; if one check
-    fails, all distinct rows are reduced exactly.
-    """
+    """The common kernel of sparse rows, each a dict {column: scalar}, in the
+    RREF basis :func:`kernel_basis` gives the matrix they form: each row is
+    scaled to a canonical multiple (over Q primitive with a positive leading
+    entry, over F_p leading entry 1) and kept once, and the engine reduces
+    them exactly, up to rank ncols."""
     p = field.p
-    distinct = _distinct_rows(p, rows)
-    chosen = distinct
-    if p is None:
-        q = SELECT_PRIME
-        _, picked = _echelon([{c: x % q for c, x in row if x % q} for row in distinct], q, ncols)
-        chosen = [distinct[i] for i in picked]
-    vecs = _null_vectors(p, ncols, _echelon([dict(row) for row in chosen], p, ncols)[0])
-    if p is None and any(sum(x * v[c] for c, x in row if c in v) for v in vecs for row in distinct):
-        vecs = _null_vectors(p, ncols, _echelon([dict(row) for row in distinct], p, ncols)[0])
-    return _span(field, ncols, vecs)
+    echelon, _ = _echelon([dict(row) for row in _distinct_rows(p, rows)], p, ncols)
+    return _span(field, ncols, _null_vectors(p, ncols, echelon))
 
 
 def _sparse_rows(vectors: Iterable) -> Iterable:
@@ -669,7 +648,7 @@ def _integer_rows(p: Optional[int], rows: Iterable) -> tuple[list, int]:
 
 
 def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
-    """The echelon engine, exact over Q (p is None) or modulo the prime p:
+    """The echelon engine, exact over Q (p is None) or over F_p:
     the reduced echelon basis {pivot column: row} of sparse rows, and the
     indices of the rows that enlarged it.  It reads no row after the rank
     reaches bound: the number of columns, or a known dimension of the span.
@@ -693,11 +672,11 @@ def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
         else:
             inv = pow(r[c], -1, p)
             r = {j: x * inv % p for j, x in r.items()}
-        for b in basis.values():
-            if c in b and p is not None:
-                _sub_multiple(b, b[c], r, p)
-            elif c in b:  # fraction-free, then primitive again
+        for b in [b for b in basis.values() if c in b]:
+            if p is None:  # fraction-free, then primitive again
                 _primitive(_reduce(b, {c: r}, p), min(b))
+            else:
+                _sub_multiple(b, b[c], r, p)
         basis[c] = r
         picked.append(i)
         if len(basis) == bound:

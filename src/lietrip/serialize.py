@@ -41,6 +41,8 @@ def fmt_terms(field: Field, n: int, tensor: tuple, depth: int) -> list:
 
 def _parse(field: Field, entries, depth: int) -> tuple:
     """Nested lists of scalars, depth levels deep, as nested tuples of the field's scalars."""
+    if not isinstance(entries, (list, tuple)):
+        raise PayloadError(f"expected an array, found {type(entries).__name__} {entries!r:.40}")
     if depth > 1:
         return tuple(_parse(field, e, depth - 1) for e in entries)
     return tuple(_scalar(field, x) for x in entries)
@@ -54,7 +56,7 @@ def _scalar(field: Field, x):
 
 
 def _parse_matrix(field: Field, entries, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
-    m = Matrix.make(field, [[_scalar(field, x) for x in row] for row in entries], cols=cols)
+    m = Matrix.make(field, _parse(field, entries, 2), cols=cols)
     if rows is not None and m.rows != rows:
         raise PayloadError(f"expected {rows} rows, found {m.rows}")
     if cols is not None and m.cols != cols:
@@ -150,7 +152,7 @@ def load(payload: dict, *, unchecked: bool = False):
         if kind == "module":
             algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)
             m = dims["dim0"] + dims["dim1"]
-            action = tuple(_parse_matrix(field, a, rows=m, cols=m) for a in entries)
+            action = tuple(_parse_matrix(field, a, rows=m, cols=m) for a in _parse(field, entries, 3))
             return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
         if kind == "cochain":
             algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)

@@ -80,6 +80,23 @@ def test_loader_rejects_malformed():
     with pytest.raises(PayloadError):
         load({"format_version": 1, "kind": "nope", "field": "Q",
               "dims": {}, "entries": []})
+    # a string or an object in place of an array is refused, not iterated,
+    # even where every character or key would read as a scalar
+    for payload in _not_arrays():
+        with pytest.raises(PayloadError, match="expected an array"):
+            load(payload, unchecked=True)
+
+
+def _not_arrays():
+    """Payloads with a string or an object where an array belongs: the
+    tensor itself, one vector of it, one row of a hom's matrix, an action."""
+    lts = {"format_version": 1, "kind": "lts", "field": "Q", "dims": {"dim": 1}}
+    hom = save(identity_lts_hom(abl(3)))
+    hom["entries"][0] = "100"
+    module = save(trivial_module(heis()))
+    module["entries"] = {"0": module["entries"][0]}
+    return [{**lts, "entries": "0"}, {**lts, "entries": [[[{"0": 1}]]]},
+            {**lts, "entries": {"a": 1}}, hom, module]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +247,14 @@ def test_cli_malformed_file(capsys, tmp_path):
     path2.write_text(json.dumps(save(heis())))
     code, _, err = run_cli(capsys, "check-lts", str(path2))
     assert code == 2 and "expected" in err
+
+    for k, payload in enumerate(_not_arrays()):
+        path3 = tmp_path / f"notarray{k}.json"
+        path3.write_text(json.dumps(payload))
+        argv = {"lts": ["check-lts", str(path3)], "lts_hom": ["extend", str(path3), "a_of(abl(3))"],
+                "module": ["h2", "heis", str(path3)]}[payload["kind"]]
+        line = _one_error_line(capsys, argv, 2, "error: ")
+        assert "expected an array" in line
 
 
 def _one_error_line(capsys, argv, code, prefix):
@@ -678,6 +703,22 @@ def test_cli_out_of_memory_under_an_address_space_cap(cap_mb):
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (
         3, "", "internal error: corpus: out of memory\n")
+
+
+@pytest.mark.parametrize("argv", [["corpus", "a_of(abl(6))"], ["h2", "heis"]], ids=" ".join)
+def test_cli_closed_stdout_is_invalid_output(argv):
+    """With the read end of its stdout pipe closed, a run exits 2 with one
+    stderr line, like an unwritable --out, and no traceback follows at exit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lietrip.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("command", ["thm-a", "h2"])

@@ -22,7 +22,9 @@ from lietrip.cohom import (
 from lietrip.embed import (
     _universal_central_0_extension, universal_central_0_extension, universal_imbedding,
 )
-from lietrip.exactlin import Field, Matrix, QQ, Subspace, kernel_of_rows, unit_vec
+from lietrip.exactlin import (
+    Field, Matrix, QQ, Subspace, _distinct_rows, _echelon, _null_vectors, unit_vec,
+)
 from lietrip.grlie import (
     GradedHom, abelian_algebra, adjoint_module, center, central_quotient, direct_sum, graded_lie,
     identity_hom, is_generated_by_odd, trivial_module,
@@ -439,7 +441,7 @@ def test_recognition_on_envelopes():
 
 
 # ---------------------------------------------------------------------------
-# the H^2 = 0 certificate: ranks mod q, then the exact path only when needed
+# one exact elimination of d2: ranks first, cocycles only when H^2 != 0
 
 def _h2(L):
     r = h2_graded(L, trivial_module(L))
@@ -454,17 +456,40 @@ def _oracle_h2(L):
     return cocycles - coboundaries, cocycles, coboundaries
 
 
-def _exact_path_calls(monkeypatch):
-    """The calls h2_graded makes to kernel_of_rows, which only its exact
-    path reaches."""
-    calls = []
+def _eliminations(monkeypatch):
+    """The calls h2_graded makes to the echelon engine, as (rows, p, bound)
+    with each row's sorted items, and to the null-space reader, which only
+    builds Z^2."""
+    echelons, nulls = [], []
 
-    def spy(*args):
-        calls.append(args)
-        return kernel_of_rows(*args)
+    def echelon(rows, p, bound):
+        rows = list(rows)
+        echelons.append(([sorted(r.items()) for r in rows], p, bound))
+        return _echelon(rows, p, bound)
 
-    monkeypatch.setattr(lietrip.cohom, "kernel_of_rows", spy)
-    return calls
+    def null_vectors(*args):
+        nulls.append(args)
+        return _null_vectors(*args)
+
+    monkeypatch.setattr(lietrip.cohom, "_echelon", echelon)
+    monkeypatch.setattr(lietrip.cohom, "_null_vectors", null_vectors)
+    return echelons, nulls
+
+
+def _assert_d2_eliminated_once(L, echelons, nulls, h2):
+    """Every call runs over L's field, exactly: d1 once, d2 once (stopped at
+    rank c2 - dim B^2) and, only when H^2 != 0, the representatives' pick;
+    Z^2 is built exactly when H^2 != 0.  d2's rows are the oracle's, each
+    scaled to its canonical multiple and kept once."""
+    raw = _raw(L)
+    d2 = [sorted(row) for row in _distinct_rows(L.field.p, (
+        {c: x for c, x in enumerate(row) if x} for row in oracles.delta2_matrix(raw)))]
+    assert all(p == L.field.p for _, p, _ in echelons)
+    assert len(echelons) == 2 + (h2[0] != 0)
+    d2_calls = [bound for rows, _, bound in echelons if rows == d2]
+    if d2:  # an abelian algebra has no d2 rows, and no d1 columns either
+        assert d2_calls == [len(oracles.graded_pairs(raw)) - h2[2]]
+    assert len(nulls) == (h2[0] != 0)
 
 
 ENVELOPES = [(name, lambda F, raw=raw: lie_triple_system(F, raw), field)
@@ -479,10 +504,11 @@ ENVELOPES = [(name, lambda F, raw=raw: lie_triple_system(F, raw), field)
                          ids=[f"A({name})-{field}" for name, _, field in ENVELOPES])
 def test_h2_certificate_on_envelopes_matches_oracle(name, make, field, monkeypatch):
     L = universal_imbedding(make(field)).algebra
-    calls = _exact_path_calls(monkeypatch)
+    echelons, nulls = _eliminations(monkeypatch)
     got = _h2(L)
     assert got == _oracle_h2(L)
-    assert got[0] == 0 and calls == []
+    assert got[0] == 0
+    _assert_d2_eliminated_once(L, echelons, nulls, got)
 
 
 def _central_quotients(field, rng):
@@ -508,45 +534,30 @@ def test_h2_exact_path_exactly_when_h2_is_nonzero(field, monkeypatch):
         M = trivial_module(Q)
         extensions += [cocycle_extension(Q, M, sigma).total
                        for sigma in h2_graded(Q, M).representatives]
-    calls = _exact_path_calls(monkeypatch)
+    echelons, nulls = _eliminations(monkeypatch)
     nonzero = 0
     for L in [ab2(field)] + quotients + extensions:
-        calls.clear()
+        echelons.clear()
+        nulls.clear()
         got = _h2(L)
         assert got == _oracle_h2(L)
-        assert len(calls) == (got[0] != 0)
+        _assert_d2_eliminated_once(L, echelons, nulls, got)
         nonzero += got[0] != 0
     # ab2, both quotients and the extensions of the plane quotient
     assert nonzero == 5
 
 
-def test_h2_falls_back_when_the_prime_drops_a_rank(monkeypatch):
-    # mod 2, d1 or d2 of A(gl(2)) and A(grass(2,2)) loses rank over Q, so
-    # the bound stays above H^2 = 0 and the exact path decides
-    monkeypatch.setattr(lietrip.cohom, "SELECT_PRIME", 2)
-    calls = _exact_path_calls(monkeypatch)
-    fell_back = []
-    for name, L, frozen in _h2_ladder():
-        calls.clear()
-        assert _h2(L) == _oracle_h2(L), name
-        assert _h2(L)[0] == frozen, name
-        if calls and frozen == 0:
-            fell_back.append(name)
-    assert fell_back == ["A(gl2)", "A(grass(2,2))"]
-
-
 @pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
 def test_h2_refuses_a_broken_jacobi_on_both_paths(field, monkeypatch):
     # [e_0, e_1] = -e_2 and [e_0, e_2] = e_0 break Jacobi at (0, 1, 2); two
-    # more central basis vectors add free cocycles, so the bound is no
-    # longer 0 and the exact path runs
-    calls = _exact_path_calls(monkeypatch)
-    for n, exact in ((3, False), (5, True)):
+    # more central basis vectors add free cocycles, so H^2 would not be 0.
+    # Either way d2 d1 = 0 is checked before anything is eliminated
+    echelons, nulls = _eliminations(monkeypatch)
+    for n in (3, 5):
         c = [[[0] * n for _ in range(n)] for _ in range(n)]
         c[0][1][2], c[1][0][2] = -1, 1
         c[0][2][0], c[2][0][0] = 1, -1
         L = graded_lie(field, n, 0, c, unchecked=True)
-        calls.clear()
         with pytest.raises(RuntimeError, match="coboundaries escaped the cocycles"):
             h2_graded(L, trivial_module(L))
-        assert bool(calls) == exact
+        assert echelons == [] and nulls == []

@@ -29,6 +29,7 @@ from lietrip.lts import (
     inner_derivation_algebra, lie_triple_system, odd_part_lts, triple_bracket,
 )
 from test_exactlin import _assert_field_entries
+from test_cohom import _h2_ladder
 from test_lts import LADDER, ORACLE_SYSTEMS
 
 # seeded changes of basis with the diagonal (2, 1/3, 1, ...), so that the
@@ -688,19 +689,40 @@ def test_decomposition_into_quotient_of_envelope():
 # ---------------------------------------------------------------------------
 # rational structure constants: Q against a large prime, and Fraction entries
 
-@pytest.mark.parametrize("name, raw", [(name, raw) for name, raw, _ in RATIONAL],
-                         ids=[name for name, _, _ in RATIONAL])
-def test_rational_basis_agrees_with_a_large_prime(name, raw):
-    """A(T) in the rational basis has the same dims, H^2 and verdict over Q
-    and over F_(2^61-1), where every denominator is invertible."""
-    facts = []
-    for field in (QQ, Field(2 ** 61 - 1)):
-        A = universal_imbedding(lie_triple_system(field, raw)).algebra
-        report = envelope_criterion(A)
-        facts.append(((A.dim0, A.dim1), h2_graded(A, trivial_module(A)).dimension,
-                      report.h2_dimension, report.verdict))
+def _quotient_of_ladder(name):
+    return lambda F: next(L for n, L, _ in _h2_ladder(F) if n == name)
+
+
+# the rational bases, every system of the ladder, and graded algebras with H^2 != 0
+LARGE_PRIME_CASES = [(name, lambda F, raw=raw: lie_triple_system(F, raw))
+                     for name, raw in {name: raw for name, raw, _ in RATIONAL + LADDER}.items()] + [
+    ("ab2", ab2), ("A(abl(3))/line", _quotient_of_ladder("A(abl(3))/line")),
+    ("A(abl(3))/plane", _quotient_of_ladder("A(abl(3))/plane"))]
+
+
+def _large_prime_facts(obj):
+    """dim Der and dim Inder of a triple system T, and the dims of A(T);
+    then, for A(T) or a graded algebra, H^2 by elimination, H^2 as
+    envelope_criterion reads it, and its verdict."""
+    facts = ()
+    if isinstance(obj, LieTripleSystem):
+        facts = (derivation_algebra(obj).span.dim, inner_derivation_algebra(obj).span.dim)
+        obj = universal_imbedding(obj).algebra
+        facts += ((obj.dim0, obj.dim1),)
+    report = envelope_criterion(obj)
+    return facts + (h2_graded(obj, trivial_module(obj)).dimension, report.h2_dimension,
+                    report.verdict)
+
+
+@pytest.mark.parametrize("name, make", LARGE_PRIME_CASES, ids=[name for name, _ in LARGE_PRIME_CASES])
+def test_rational_basis_agrees_with_a_large_prime(name, make):
+    """The same facts over Q and over F_(2^61-1), where every denominator is
+    invertible: the rational bases, the ladder, and H^2 != 0."""
+    facts = [_large_prime_facts(make(field)) for field in (QQ, Field(2 ** 61 - 1))]
     assert facts[0] == facts[1]
-    assert facts[0][1:] == (0, 0, True)
+    h2, criterion, verdict = facts[0][-3:]
+    assert h2 == criterion and verdict == (h2 == 0)
+    assert (h2 == 0) == (name not in ("ab2", "A(abl(3))/line", "A(abl(3))/plane"))
 
 
 @pytest.mark.parametrize("name, raw", [(name, raw) for name, raw, _ in RATIONAL],

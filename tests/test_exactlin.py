@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from lietrip import exactlin
 from lietrip.exactlin import (
-    MAX_MODULUS, SELECT_PRIME, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis,
+    MAX_MODULUS, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis,
     kernel_of_rows, quotient, rank, rref, solve, solve_with_certificate, unit_vec,
     vec_is_zero, vec_sub,
 )
@@ -377,38 +376,6 @@ def test_kernel_of_rows_matches_naive_oracle(field, zero_heavy, data):
                                        for row in rows])
     assert ker.basis.to_lists() == oracles.naive_kernel(rows, cols, field.p)
     assert ker == kernel_basis(Matrix.make(field, rows, cols=cols))
-
-
-def test_kernel_of_rows_falls_back_when_the_prime_drops_the_rank(monkeypatch):
-    # the rows agree mod SELECT_PRIME, so the pick keeps one of them and
-    # finds the line x + y = 0; the integer check against the second row
-    # fails, and all rows are eliminated exactly
-    exact = []
-    engine = exactlin._echelon
-
-    def spy(rows, p, ncols):
-        rows = list(rows)
-        if p is None:
-            exact.append([sorted(r.items()) for r in rows])
-        return engine(rows, p, ncols)
-
-    monkeypatch.setattr(exactlin, "_echelon", spy)
-    # the copies up to sign and scale are kept once, so two rows are eliminated
-    rows = [[1, 1], [-1, -1], [Fraction(2, 3), Fraction(2, 3)], [1, 1 + SELECT_PRIME]]
-    ker = kernel_of_rows(QQ, 2, [{0: x, 1: y} for x, y in rows])
-    assert ker.basis.to_lists() == oracles.naive_kernel(rows, 2) == []
-    distinct = [[(0, 1), (1, 1)], [(0, 1), (1, 1 + SELECT_PRIME)]]
-    assert exact[:2] == [distinct[:1], distinct]
-
-    exact.clear()
-    # the last row is a combination of the distinct rows before it: the pick
-    # drops it, the kernel of the picked rows passes the check, and no
-    # fallback follows
-    rows = [[1, 1, 0], [-2, -2, 0], [0, 0, -2], [1, 1, 1]]
-    ker = kernel_of_rows(QQ, 3, [dict(enumerate(row)) for row in rows])
-    assert ker.basis.to_lists() == oracles.naive_kernel(rows, 3)
-    assert exact[0] == [[(0, 1), (1, 1)], [(2, 1)]]
-    assert [(0, 1), (1, 1), (2, 1)] not in sum(exact, [])
 
 
 @pytest.mark.parametrize("field", [QQ, F5, F2], ids=str)

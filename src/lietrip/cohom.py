@@ -10,14 +10,14 @@ the degree-g block of the module.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Record, Subspace, Vector, _distinct_rows, _echelon, _integer_rows, _integer_terms,
-    _null_vectors, _span, _sparse_rows, _sparse_sum, linear_combination, nonzeros, solve,
-    unit_vec, vec_add, vec_from_sums, vec_is_zero, vec_sub, zero_vec,
+    Matrix, Nonzeros, Record, Subspace, Vector, _combination, _distinct_rows, _echelon,
+    _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, linear_combination,
+    nonzeros, solve, unit_vec, vec_from_sums,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
@@ -54,7 +54,7 @@ class Cochain(Record):
                    for r, _ in nonzeros(v))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(self.algebra.field, v) for v in self.values)
+        return not any(map(any, self.values))
 
 
 def _combo_index(combo: tuple, n: int, degree: int) -> int:
@@ -92,7 +92,7 @@ def _graded_slots(L: GradedLieAlgebra, M: GradedModule, degree: int) -> list:
 
 def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict) -> Cochain:
     """The cochain with the given {(combo, r): value} entries, zero elsewhere."""
-    values = [list(zero_vec(L.field, M.dim)) for _ in combinations(range(L.dim), degree)]
+    values = [[L.field.zero()] * M.dim for _ in combinations(range(L.dim), degree)]
     for (combo, r), x in entries.items():
         values[_combo_index(combo, L.dim, degree)][r] = x
     return Cochain(L, M, degree, tuple(tuple(v) for v in values))
@@ -208,10 +208,10 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     z2, _ = _echelon([dict(row) for row in rows2], p, c2 - r1)
     if c2 - len(z2) == r1:
         return H2Result(0, r1, r1, ())
-    cocycles = _span(F, c2, _null_vectors(p, c2, z2)).vectors()
+    cocycles = _span(F, c2, _null_vectors(p, c2, z2)).basis.terms
     # the cocycle basis vectors outside the span of the coboundaries and the cocycles before them
-    _, picked = _echelon(_integer_rows(p, [*b2.values(), *_sparse_rows(cocycles)])[0], p, c2)
-    reps = tuple(_cochain_at(L, M, 2, {slot: c for slot, c in zip(slots2, cocycles[i - r1]) if c})
+    _, picked = _echelon(_integer_rows(p, [*b2.values(), *map(dict, cocycles)])[0], p, c2)
+    reps = tuple(_cochain_at(L, M, 2, {slots2[k]: c for k, c in cocycles[i - r1]})
                  for i in picked[r1:])
     return H2Result(len(cocycles) - r1, len(cocycles), r1, reps)
 
@@ -253,7 +253,6 @@ def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> C
     if not coboundary(sigma).is_zero():
         raise ValueError("sigma is not a cocycle")
     m = M.dim
-    total_dim = L.dim + m
     # L's basis, even-first, around the new central block at L.dim0 .. L.dim0 + m - 1;
     # sigma is graded, so its values follow the even brackets and [e_i, e_j] stays sorted
     lift = list(range(L.dim0)) + [i + m for i in range(L.dim0, L.dim)]
@@ -261,8 +260,8 @@ def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> C
         (lift[i], lift[j], [(lift[l], x) for l, x in L.terms[i][j]]
          + [(L.dim0 + r, x) for r, x in nonzeros(sigma.value((i, j)))])
         for i in range(L.dim) for j in range(i + 1, L.dim)))
-    proj_rows = [unit_vec(F, total_dim, lift[i]) for i in range(L.dim)]
-    phi = GradedHom(total, L, Matrix(F, L.dim, total_dim, tuple(proj_rows)), unchecked=True)
+    proj_rows = Nonzeros(((lift[i], F.one()),) for i in range(L.dim))
+    phi = GradedHom(total, L, Matrix(F, L.dim, total.dim, proj_rows), unchecked=True)
     return CentralExtensionProblem.from_hom(phi)
 
 
@@ -271,13 +270,13 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     not split (the defining cocycle class is nonzero)."""
     K, L, phi = prob.total, prob.base, prob.phi
     F = K.field
-    # graded linear section eta (block-diagonal matrices solve blockwise)
-    eta_cols = []
+    # graded linear section eta (block-diagonal matrices solve blockwise), by its columns' nonzeros
+    eta = []
     for i in range(L.dim):
         col = solve(phi.matrix, unit_vec(F, L.dim, i))
         if col is None:
             raise NotCentral0Extension("the hom is not surjective")
-        eta_cols.append(col)
+        eta.append(nonzeros(col))
 
     ker = prob.kernel
     # sigma(e_i, e_j) = [eta e_i, eta e_j] - eta([e_i, e_j]), valued in the kernel
@@ -285,36 +284,28 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     rhs = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            image = linear_combination(F, K.dim, ((x, nonzeros(eta_cols[l])) for l, x in L.terms[i][j]))
-            sig = vec_sub(F, K.bracket_vec(eta_cols[i], eta_cols[j]), image)
+            sig = linear_combination(F, K.dim, chain(
+                ((x * y, K.terms[a][b]) for a, x in eta[i] for b, y in eta[j]),
+                ((-x, eta[l]) for l, x in L.terms[i][j])))
             sig_coords = ker.coordinates(sig)
             if sig_coords is None:
                 raise RuntimeError("section defect escaped the kernel")
             if L.degree(i) != L.degree(j):
-                if not vec_is_zero(F, sig_coords):
+                if any(sig_coords):
                     raise RuntimeError("mixed-parity defect should vanish for a 0-extension")
                 continue
             # unknowns: tau(e_l) for even l, in kernel coordinates
             for s in range(ker.dim):
-                row = [F.zero()] * (L.dim0 * ker.dim)
-                for l, x in L.terms[i][j]:
-                    if l < L.dim0:
-                        row[l * ker.dim + s] = x
-                rows.append(tuple(row))
+                rows.append(tuple((l * ker.dim + s, x) for l, x in L.terms[i][j] if l < L.dim0))
                 rhs.append(sig_coords[s])
-    system = Matrix(F, len(rows), L.dim0 * ker.dim, tuple(rows))
-    sol = solve(system, tuple(rhs))
+    sol = solve(Matrix(F, len(rows), L.dim0 * ker.dim, Nonzeros(rows)), tuple(rhs))
     if sol is None:
         return None
     psi_cols = []
     for l in range(L.dim):
-        col = eta_cols[l]
-        if l < L.dim0:
-            tau_l = linear_combination(F, K.dim, ((c, nonzeros(v)) for c, v in zip(
-                sol[l * ker.dim:(l + 1) * ker.dim], ker.basis.entries)))
-            col = vec_add(F, col, tau_l)
-        psi_cols.append(col)
-    psi = GradedHom(L, K, Matrix.from_cols(F, psi_cols, rows=K.dim), unchecked=True)
+        tau = zip(sol[l * ker.dim:(l + 1) * ker.dim], ker.basis.terms) if l < L.dim0 else ()
+        psi_cols.append(_combination(F.p, chain(((1, eta[l]),), tau)))
+    psi = GradedHom(L, K, Matrix.from_cols(F, Nonzeros(psi_cols), rows=K.dim), unchecked=True)
     if phi.compose(psi).matrix != Matrix.identity(F, L.dim):
         raise RuntimeError("splitting failed to section the extension")
     return psi

@@ -26,15 +26,14 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows, _integer_terms,
-    _kernel_vectors, _null_vectors, _reduce, _sparse_rows, _sparse_sum, _subspace, _terms_of,
-    dense_tensor, kernel_basis, linear_combination, nonzeros, quotient, unit_vec, vec_is_zero,
-    zero_vec,
+    _kernel_vectors, _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, kernel_basis,
+    linear_combination, quotient,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, _assemble, is_generated_by_odd,
+    GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, is_generated_by_odd,
 )
 from .lts import (
-    DerivationAlgebra, LieTripleSystem, LtsHom, _inner_flats, inner_derivation_algebra,
+    DerivationAlgebra, LieTripleSystem, LtsHom, _flat_rows, _inner_flats, inner_derivation_algebra,
     is_lts_hom, odd_part_lts,
 )
 
@@ -82,16 +81,15 @@ def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
     n = T.dim
     inder = inner_derivation_algebra(T)
     r = inder.dim
-    total = r + n
     even = _assemble(F, r, 0, (
         (a, b, inder.terms[a][b]) for a in range(r) for b in range(a + 1, r)))
     # the D_{e_i,e_j} span Inder(T): their coordinates are their entries at the pivots
     flat = _inner_flats(T)
-    pairing = Matrix.from_cols(F, [tuple(flat[i][j].get(c, F.zero()) for c in inder.span.pivots)
-                                   for i, j in wedge_pairs(n)], rows=r)
-    actions = [[tuple(nonzeros(col)) for col in d.transpose().entries] for d in inder.basis]
-    algebra = _glue(even, n, actions, pairing)
-    inclusion = Matrix.from_cols(F, [unit_vec(F, total, r + i) for i in range(n)], rows=total)
+    pairing = Matrix.from_cols(F, Nonzeros(
+        tuple((q, flat[i][j][c]) for q, c in enumerate(inder.span.pivots) if c in flat[i][j])
+        for i, j in wedge_pairs(n)), rows=r)
+    algebra = _glue(even, n, [d.transpose().terms for d in inder.basis], pairing)
+    inclusion = Matrix.from_cols(F, Nonzeros(((r + a, F.one()),) for a in range(n)), rows=r + n)
     return StandardImbedding(T, algebra, inclusion, inder)
 
 
@@ -120,7 +118,7 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
                                      for a in range(r)], 2)
     actions = Nonzeros(tuple(_wedge_columns(F.p, n, c, den) for c in cols))
     module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, unchecked=True)
-    lam = Matrix.from_cols(F, [dense_tensor(F, r, s[r + i][r + j], 0) for i, j in wedge_pairs(n)], rows=r)
+    lam = Matrix.from_cols(F, Nonzeros(s[r + i][r + j] for i, j in wedge_pairs(n)), rows=r)
     return WedgeModule(T, ste, inder_algebra, module, lam)
 
 
@@ -148,7 +146,8 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     mdim = module.dim
     if lam.rows != L.dim or lam.cols != mdim:
         raise ValueError("lam shape mismatch")
-    cols = [dict(nonzeros(c)) for c in lam.transpose().entries]
+    lam_t = lam.transpose().terms
+    cols = [dict(c) for c in lam_t]
     cols += [dict(c) for a in module.terms for c in a]
     ints, den = _integer_rows(p, cols + [dict(v) for row in L.terms for v in row])
     lam_cols, *action_cols = (ints[k * mdim:(k + 1) * mdim] for k in range(L.dim + 1))
@@ -165,7 +164,7 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
 
     # lam maps its pivot columns s_i onto a basis of Im(lam), so A(M) = span{lam(m).m} is
     # spanned by lam(s_i).s_i, lam(s_i).s_j + lam(s_j).s_i and lam(s_i).k for k in ker(lam)
-    lam_echelon, _ = _echelon(_integer_rows(p, _sparse_rows(lam.entries))[0], p, mdim)
+    lam_echelon, _ = _echelon(_integer_rows(p, map(dict, lam.terms))[0], p, mdim)
     pivots = sorted(lam_echelon)
     ker = _null_vectors(p, mdim, lam_echelon)
     acts = [{v: act(u, v) for v in range(mdim)} for u in pivots]  # acts[i][v] = lam(s_i).e_v
@@ -181,7 +180,7 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     q = quotient(mdim, a_sub)
     # the section's columns are the unit vectors at the free coordinates
     free = [c for c in range(mdim) if c not in echelon]
-    mu = Matrix.from_cols(F, [lam.col(c) for c in free], rows=L.dim)
+    mu = Matrix.from_cols(F, Nonzeros(lam_t[c] for c in free), rows=L.dim)
     position = {c: s for s, c in enumerate(free)}
     # [s, t] is the normal form of lam(e_f).e_g, f and g the free columns s and t; over Q
     # of den^2 * scale times it, integral for scale the lcm of the pivot entries
@@ -238,18 +237,17 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
     n = T.dim
     pa = pair_algebra(T)
     q = pa.algebra.dim0
-    total = q + n
-    # e_s acts on T by mu(e_s): column u of it is every n-th entry of its flattening, from u
-    actions = [[tuple(nonzeros(f[u::n])) for u in range(n)] for f in pa.mu_end.transpose().entries]
+    # e_s acts on T by mu(e_s), the n x n matrix whose flattening is column s of mu_end
+    actions = [Matrix(F, n, n, _flat_rows(f, n)).transpose().terms
+               for f in pa.mu_end.transpose().terms]
     algebra = _glue(pa.algebra, n, actions, pa.projection)
 
     ste = pa.wedge.ste
     r = ste.inder.dim
-    # the even block of upsilon is mu itself, valued in Ste's even basis
-    ucols = [pa.mu.col(s) + zero_vec(F, n) for s in range(q)]
-    ucols += [unit_vec(F, r + n, r + a) for a in range(n)]
-    upsilon = GradedHom(algebra, ste.algebra, Matrix.from_cols(F, ucols, rows=r + n), unchecked=True)
-    iota = Matrix.from_cols(F, [unit_vec(F, total, q + a) for a in range(n)], rows=total)
+    # the even block of upsilon is mu itself, valued in Ste's even basis, the odd block the identity
+    upsilon = GradedHom(algebra, ste.algebra, Matrix(F, r + n, q + n, Nonzeros(
+        pa.mu.terms + tuple(((q + a, F.one()),) for a in range(n)))), unchecked=True)
+    iota = Matrix.from_cols(F, Nonzeros(((q + a, F.one()),) for a in range(n)), rows=q + n)
     return UniversalImbedding(T, algebra, iota, upsilon, pa.projection, pa, ste)
 
 
@@ -272,7 +270,7 @@ def graded_algebra_from_pairing(L: GradedLieAlgebra, module: GradedModule,
     if pairing.rows != L.dim or pairing.cols != wedge_dim(mdim):
         raise ValueError("pairing shape mismatch")
 
-    cols = [nonzeros(c) for c in pairing.transpose().entries]
+    cols = pairing.transpose().terms
     act = module.terms  # act[a][u] = the nonzeros of e_a . m_u
 
     def pair(u: int, v: int):  # the nonzeros of <m_u, m_v>
@@ -305,8 +303,7 @@ def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence, pairing: Matrix) ->
     pairs = [(i, j, L.terms[i][j]) for i in range(d) for j in range(i + 1, d)]
     pairs += [(i, d + u, [(d + l, x) for l, x in col])
               for i, cols in enumerate(actions) for u, col in enumerate(cols)]
-    pairs += [(d + u, d + v, nonzeros(col))
-              for col, (u, v) in zip(pairing.transpose().entries, wedge_pairs(mdim))]
+    pairs += [(d + u, d + v, col) for col, (u, v) in zip(pairing.transpose().terms, wedge_pairs(mdim))]
     return _assemble(L.field, d, mdim, pairs)
 
 
@@ -334,17 +331,15 @@ def _extension(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
                env: UniversalImbedding) -> GradedHom:
     """extend_hom once alpha is known to be a hom T -> L_1."""
     F = L.field
-    n = T.dim
-    alpha_cols = [zero_vec(F, L.dim0) + alpha.col(j) for j in range(n)]
-    zeta_cols = [L.bracket_vec(alpha_cols[i], alpha_cols[j]) for i, j in wedge_pairs(n)]
-    zeta = Matrix.from_cols(F, zeta_cols, rows=L.dim)
-    for v in env.pair.a_subspace.basis.entries:
-        if not vec_is_zero(F, zeta.matvec(v)):
-            raise RuntimeError("extension ill-defined: the radical does not map to zero")
+    # the columns of alpha, and their brackets, at their places in L
+    alpha_cols = [tuple((L.dim0 + a, x) for a, x in col) for col in alpha.transpose().terms]
+    zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in wedge_pairs(T.dim)]
+    if any(_sparse_sum(F.p, ((x, zeta_cols[w]) for w, x in v)) for v in env.pair.a_subspace.basis.terms):
+        raise RuntimeError("extension ill-defined: the radical does not map to zero")
     # the pair section's columns are the unit vectors at the free coordinates
     pivots = set(env.pair.a_subspace.pivots)
-    cols = [v for c, v in enumerate(zeta_cols) if c not in pivots] + alpha_cols
-    return GradedHom(env.algebra, L, Matrix.from_cols(F, cols, rows=L.dim), unchecked=True)
+    cols = [tuple(sorted(v)) for c, v in enumerate(zeta_cols) if c not in pivots] + alpha_cols
+    return GradedHom(env.algebra, L, Matrix.from_cols(F, Nonzeros(cols), rows=L.dim), unchecked=True)
 
 
 def imbedding_functor_hom(alpha: LtsHom,
@@ -385,10 +380,9 @@ def _universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exte
     ker = kernel_basis(hom.matrix)
     if A.dim - ker.dim != L.dim:
         raise RuntimeError("extension of the identity failed to be surjective")
-    zs = [nonzeros(z) for z in ker.basis.entries]
+    zs = ker.basis.terms
     if any(i >= A.dim0 for z in zs for i, _ in z):
         raise RuntimeError("kernel escaped the even part")
-    if any(not vec_is_zero(F, linear_combination(F, A.dim, ((x, A.terms[i][j]) for i, x in z)))
-           for z in zs for j in range(A.dim)):
+    if any(_sparse_sum(F.p, ((x, A.terms[i][j]) for i, x in z)) for z in zs for j in range(A.dim)):
         raise RuntimeError("kernel escaped the center")
     return UniversalCentral0Extension(env, hom, ker)

@@ -2,9 +2,11 @@
 
 Scalars are ``fractions.Fraction`` over Q and plain ``int`` residues in
 ``range(p)`` over F_p; there is no floating point anywhere.  The kernels
-below read ``field.p`` once and then use plain operators, skipping zero
-operands and, over F_p, reducing once per output entry.  Matrices and
-subspaces are immutable, and every operation is a pure function.
+below read ``field.p`` once and then use plain operators on nonzero
+entries only, over F_p reducing once per output entry.  A matrix stores
+the nonzeros of its rows once (``Matrix.terms``, a ``Nonzeros``), and a
+subspace the echelon engine's RREF rows as its basis matrix; both are
+immutable, and every operation is a pure function.
 
 Every elimination runs through one sparse echelon engine, ``_echelon``:
 rows are dicts {column: scalar}, and each row joins at its leftmost
@@ -167,22 +169,11 @@ class Field(Record):
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.p is None else (a + b) % self.p
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.p is None else (a - b) % self.p
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return a * b if self.p is None else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a: Scalar) -> Scalar:
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
 
     # a scalar's exact string, "n/d" or "n": the builtin, so a row formats in one C-level map
     fmt = staticmethod(str)
@@ -210,36 +201,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def zero_vec(field: Field, n: int) -> Vector:
-    return (field.zero(),) * n
-
 def unit_vec(field: Field, n: int, i: int) -> Vector:
     v = [field.zero()] * n
     v[i] = field.one()
     return tuple(v)
-
-def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
-    p = field.p
-    if p is None:
-        return tuple(a + b if b else a for a, b in zip(u, v, strict=True))
-    return tuple((a + b) % p if b else a for a, b in zip(u, v, strict=True))
-
-def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
-    p = field.p
-    if p is None:
-        return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
-    return tuple((a - b) % p if b else a for a, b in zip(u, v, strict=True))
-
-def vec_scale(field: Field, c: Scalar, v: Vector) -> Vector:
-    p = field.p
-    if p is None:
-        if not c:
-            return (_ZERO,) * len(v)
-        return tuple(c * a if a else _ZERO for a in v)
-    return tuple(c * a % p for a in v)
-
-def vec_is_zero(field: Field, v: Vector) -> bool:
-    return not any(v)
 
 def vec_from_sums(field: Field, sums: Sequence) -> Vector:
     """Field entries from plain sums of products of field elements: each is
@@ -267,10 +232,11 @@ def linear_combination(field: Field, n: int, terms: Iterable) -> Vector:
 
 
 class Nonzeros(tuple):
-    """The one stored form of a structure tensor: nested tuples indexed by basis
-    elements, down to one sparse vector per basis pair (or triple), the tuple
-    of its nonzero (index, scalar) pairs sorted by index.  A constructor tells
-    it from the dense tensor by its type; it compares and hashes as a tuple."""
+    """The one stored form of a structure tensor or a matrix: nested tuples
+    indexed by basis elements (or rows), down to one sparse vector per basis
+    pair, triple or row, the tuple of its nonzero (index, scalar) pairs
+    sorted by index.  A constructor tells it from the dense form by its type;
+    it compares and hashes as a tuple."""
 
     __slots__ = ()
 
@@ -335,6 +301,11 @@ def _sparse_sum(p: Optional[int], terms) -> dict:
     return {j: x % p for j, x in acc.items() if x % p}
 
 
+def _combination(p: Optional[int], terms) -> tuple:
+    """:func:`_sparse_sum` as a sparse vector: its nonzero (index, entry) pairs, sorted by index."""
+    return tuple(sorted(_sparse_sum(p, terms).items()))
+
+
 def _defects(field: Field, n: int, den: int, sums) -> list:
     """(key, defect) for each (key, terms) of sums whose sum of c * v over the
     (c, v) of terms, v a sparse integer vector, is not zero: that sum divided
@@ -355,18 +326,29 @@ def _neg_terms(p: Optional[int], v: tuple) -> tuple:
 
 
 class Matrix(Record):
-    """Dense matrix with exact entries, all in one field."""
+    """A matrix with exact entries, all in one field, stored once as the
+    nonzeros of its rows: terms[i] is the tuple of row i's nonzero (column,
+    scalar) pairs, sorted by column.  The dense ``entries`` is a view
+    derived on each read."""
 
     field: Field
     rows: int
     cols: int
-    entries: tuple
+    terms: Nonzeros
 
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        """entries: the dense rows, or their Nonzeros, stored as given."""
+        if type(entries) is not Nonzeros:
+            entries = Nonzeros(tuple(tuple(nonzeros(r)) for r in entries))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "terms", entries)
+
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, derived from terms."""
+        return dense_tensor(self.field, self.cols, self.terms, 1)
 
     @classmethod
     def make(cls, field: Field, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
@@ -385,103 +367,94 @@ class Matrix(Record):
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return cls(field, rows, cols, Nonzeros(((),) * rows))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, n, n, tuple(unit_vec(field, n, i) for i in range(n)))
+        return cls(field, n, n, Nonzeros(tuple(((i, field.one()),) for i in range(n))))
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Vector], rows: Optional[int] = None) -> "Matrix":
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return cls(field, rows, len(cols), tuple(zip(*cols, strict=True)) if cols else ((),) * rows)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
+    def from_cols(cls, field: Field, cols: Sequence, rows: Optional[int] = None) -> "Matrix":
+        """The transpose of the matrix whose rows are the given columns: dense
+        vectors of length rows, or the Nonzeros of sparse ones, which need rows."""
+        if type(cols) is not Nonzeros:
+            if rows is None:
+                if not cols:
+                    raise ValueError("empty column list needs an explicit row count")
+                rows = len(cols[0])
+            if any(len(c) != rows for c in cols):
+                raise ValueError(f"every column needs {rows} entries")
+        return cls(field, len(cols), rows, cols).transpose()
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        return dense_tensor(self.field, self.rows, self.transpose().terms[j], 0)
 
     def transpose(self) -> "Matrix":
-        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return Matrix(self.field, self.cols, self.rows, cols)
+        """The nonzeros regrouped by column, in one pass."""
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.terms):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Matrix(self.field, self.cols, self.rows, Nonzeros(tuple(map(tuple, cols))))
 
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"matvec: {self.cols} columns vs vector of length {len(v)}")
-        nz = nonzeros(v)
-        p = self.field.p
-        if p is None:
-            return tuple(sum((r[k] * x for k, x in nz if r[k]), _ZERO) for r in self.entries)
-        return tuple(sum(r[k] * x for k, x in nz) % p for r in self.entries)
+        return vec_from_sums(self.field, [sum(x * v[j] for j, x in row) for row in self.terms])
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Each row of the product is the combination of other's rows that
-        the row's nonzeros select, over other's precomputed nonzeros."""
+        the row's nonzeros select."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"matmul: {self.cols} vs {other.rows}")
-        onz = [nonzeros(r) for r in other.entries]
-        return Matrix(self.field, self.rows, other.cols, tuple(
-            linear_combination(self.field, other.cols, ((a, nz) for a, nz in zip(r, onz) if a))
-            for r in self.entries))
+        p, rows = self.field.p, other.terms
+        return Matrix(self.field, self.rows, other.cols, Nonzeros(tuple(
+            _combination(p, ((a, rows[k]) for k, a in row)) for row in self.terms)))
 
     def add(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(vec_add(self.field, a, b) for a, b in zip(self.entries, other.entries)))
+        p = self.field.p
+        return Matrix(self.field, self.rows, self.cols, Nonzeros(tuple(
+            _combination(p, ((1, a), (1, b))) for a, b in zip(self.terms, other.terms))))
 
     def sub(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(vec_sub(self.field, a, b) for a, b in zip(self.entries, other.entries)))
+        return self.add(other.scale(-1))
 
     def scale(self, c: Scalar) -> "Matrix":
+        p = self.field.p
         return Matrix(self.field, self.rows, self.cols,
-                      tuple(vec_scale(self.field, c, r) for r in self.entries))
-
-    def neg(self) -> "Matrix":
-        return self.scale(self.field.neg(self.field.one()))
+                      Nonzeros(tuple(_combination(p, ((c, row),)) for row in self.terms)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack shape/field mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        shift = self.cols
+        return Matrix(self.field, self.rows, self.cols + other.cols, Nonzeros(tuple(
+            a + tuple((j + shift, x) for j, x in b) for a, b in zip(self.terms, other.terms))))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(self.field, r) for r in self.entries)
+        return not any(self.terms)
 
     def to_lists(self) -> list:
-        return [list(r) for r in self.entries]
+        return [list(r) for r in dense_tensor(self.field, self.cols, self.terms, 1)]
 
     def flatten(self) -> Vector:
-        return tuple(x for r in self.entries for x in r)
+        return tuple(x for r in dense_tensor(self.field, self.cols, self.terms, 1) for x in r)
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols, self.field) != (other.rows, other.cols, other.field):
             raise ValueError("shape/field mismatch")
 
 
-def mat_from_flat(field: Field, flat: Vector, rows: int, cols: int) -> Matrix:
-    if len(flat) != rows * cols:
-        raise ValueError("flat length mismatch")
-    return Matrix(field, rows, cols,
-                  tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows)))
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple]:
     """Reduced row echelon form and its (strictly increasing) pivot columns:
     the RREF basis of m's row space, which the echelon engine builds from
     m's nonzero entries, followed by m.rows - rank zero rows."""
-    span = span_of(m.field, m.cols, m.entries)
-    zeros = (zero_vec(m.field, m.cols),) * (m.rows - span.dim)
-    return Matrix(m.field, m.rows, m.cols, span.basis.entries + zeros), span.pivots
+    span = _span(m.field, m.cols, map(dict, m.terms))
+    return (Matrix(m.field, m.rows, m.cols, Nonzeros(span.basis.terms + ((),) * (m.rows - span.dim))),
+            span.pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -508,15 +481,14 @@ def solve_with_certificate(m: Matrix, rhs: Vector) -> tuple[Optional[Vector], Op
         raise ValueError(f"solve: {m.rows} rows vs rhs of length {len(rhs)}")
     aug = m.hstack(Matrix.from_cols(F, [rhs], rows=m.rows)).hstack(Matrix.identity(F, m.rows))
     red, pivots = rref(aug)
-    for i, row in enumerate(red.entries):
-        lead = next((j for j in range(m.cols + 1) if not F.is_zero(row[j])), None)
-        if lead == m.cols:
+    for row in red.terms:
+        if row and row[0][0] == m.cols:
             # 0 = 1 row: the trailing identity block records the combination.
-            cert = vec_scale(F, F.inv(row[m.cols]), row[m.cols + 1:])
-            return None, cert
-    x = list(zero_vec(F, m.cols))
-    for r, c in enumerate(p for p in pivots if p < m.cols):
-        x[c] = red.entries[r][m.cols]
+            return None, dense_tensor(F, m.rows, ((j - m.cols - 1, x) for j, x in row[1:]), 0)
+    x = [F.zero()] * m.cols
+    for row, c in zip(red.terms, pivots):
+        if c < m.cols:
+            x[c] = dict(row).get(m.cols, F.zero())
     return tuple(x), None
 
 
@@ -524,15 +496,18 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     """Two-sided inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
-    red, pivots = rref(m.hstack(Matrix.identity(m.field, m.rows)))
-    if pivots[: m.rows] != tuple(range(m.rows)):
+    n = m.rows
+    red, pivots = rref(m.hstack(Matrix.identity(m.field, n)))
+    if pivots[:n] != tuple(range(n)):
         return None
-    return Matrix(m.field, m.rows, m.rows,
-                  tuple(r[m.rows:] for r in red.entries[: m.rows]))
+    # row r of the RREF is e_r, then row r of the inverse
+    return Matrix(m.field, n, n, Nonzeros(tuple(tuple((j - n, x) for j, x in row[1:])
+                                                for row in red.terms[:n])))
 
 
 class Subspace(Record):
-    """A subspace of F^n held as its unique RREF basis (rows)."""
+    """A subspace of F^n held as its unique RREF basis: the rows of
+    ``basis``, whose terms are the echelon engine's rows."""
 
     field: Field
     ambient_dim: int
@@ -542,35 +517,23 @@ class Subspace(Record):
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
         """The span of vectors given as ints, Fractions or strings."""
-        return span_of(field, ambient_dim, Matrix.make(field, list(vectors), cols=ambient_dim).entries)
+        rows = Matrix.make(field, list(vectors), cols=ambient_dim).terms
+        return _span(field, ambient_dim, map(dict, rows))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return span_of(field, ambient_dim, ())
+        return _subspace(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return span_of(field, ambient_dim, [unit_vec(field, ambient_dim, i) for i in range(ambient_dim)])
+        return _subspace(field, ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
-    def vectors(self) -> tuple:
-        return self.basis.entries
-
-    def reduce(self, v: Vector) -> Vector:
-        """Normal form of v modulo the subspace (pivot coordinates cleared)."""
-        F = self.field
-        out = v
-        for r, p in enumerate(self.pivots):
-            c = out[p]
-            if not F.is_zero(c):
-                out = vec_sub(F, out, vec_scale(F, c, self.basis.entries[r]))
-        return out
-
     def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return not self._residue(dict(nonzeros(v)))
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is outside."""
@@ -579,33 +542,35 @@ class Subspace(Record):
         return tuple(v[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        return not any(self._residue(dict(row)) for row in other.basis.terms)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._compatible(other)
-        return span_of(self.field, self.ambient_dim, self.basis.entries + other.basis.entries)
+        return _span(self.field, self.ambient_dim, map(dict, self.basis.terms + other.basis.terms))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel method: x = u*A = w*B forces (u, w) into a kernel."""
         self._compatible(other)
-        cols = [r for r in self.basis.entries] + [vec_scale(self.field, self.field.neg(self.field.one()), r)
-                                                  for r in other.basis.entries]
+        p = self.field.p
+        basis = self.basis.terms
+        cols = Nonzeros(basis + tuple(_neg_terms(p, row) for row in other.basis.terms))
         m = Matrix.from_cols(self.field, cols, rows=self.ambient_dim)
-        vecs = [linear_combination(self.field, self.ambient_dim,
-                                   ((c, nonzeros(v)) for c, v in zip(coeffs[: self.dim], self.basis.entries)))
-                for coeffs in kernel_basis(m).basis.entries]
-        return span_of(self.field, self.ambient_dim, vecs)
+        return _span(self.field, self.ambient_dim, (
+            _sparse_sum(p, ((c, basis[i]) for i, c in z if i < self.dim))
+            for z in kernel_basis(m).basis.terms))
+
+    def _residue(self, v: dict) -> dict:
+        """The sparse vector v {column: scalar}, reduced in place to its
+        normal form modulo the subspace (pivot coordinates cleared)."""
+        p = self.field.p
+        for c, row in zip(self.pivots, self.basis.terms):
+            if c in v:
+                _sub_multiple(v, v[c], row, p)
+        return v
 
     def _compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspace field/ambient mismatch")
-
-
-def span_of(field: Field, ambient_dim: int, vectors: Sequence[Vector]) -> Subspace:
-    """The span of vectors whose entries are already the field's scalars,
-    each of length ambient_dim: :meth:`Subspace.span` without coercing
-    every entry, for the vectors the library computes itself."""
-    return _span(field, ambient_dim, _sparse_rows(vectors))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -618,7 +583,7 @@ def kernel_basis(m: Matrix) -> Subspace:
 def _kernel_vectors(m: Matrix) -> list:
     """A basis of the solutions of m*x = 0 as sparse rows, integers over Q."""
     p = m.field.p
-    return _null_vectors(p, m.cols, _echelon(_integer_rows(p, _sparse_rows(m.entries))[0], p, m.cols)[0])
+    return _null_vectors(p, m.cols, _echelon(_integer_rows(p, map(dict, m.terms))[0], p, m.cols)[0])
 
 
 def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
@@ -630,11 +595,6 @@ def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
     p = field.p
     echelon, _ = _echelon([dict(row) for row in _distinct_rows(p, rows)], p, ncols)
     return _span(field, ncols, _null_vectors(p, ncols, echelon))
-
-
-def _sparse_rows(vectors: Iterable) -> Iterable:
-    """Each dense vector as a dict {column: entry} of its nonzero entries."""
-    return ({j: x for j, x in enumerate(v) if x} for v in vectors)
 
 
 def _integer_rows(p: Optional[int], rows: Iterable) -> tuple[list, int]:
@@ -676,7 +636,7 @@ def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
             if p is None:  # fraction-free, then primitive again
                 _primitive(_reduce(b, {c: r}, p), min(b))
             else:
-                _sub_multiple(b, b[c], r, p)
+                _sub_multiple(b, b[c], r.items(), p)
         basis[c] = r
         picked.append(i)
         if len(basis) == bound:
@@ -704,22 +664,23 @@ def _reduce(r: dict, echelon: dict, p: Optional[int]) -> dict:
             for j in r:
                 r[j] *= m
     for c in hits:  # mod p the pivot entry is 1
-        _sub_multiple(r, r[c] // echelon[c][c], echelon[c], p)
+        _sub_multiple(r, r[c] // echelon[c][c], echelon[c].items(), p)
     return r
 
 
-def _sub_multiple(r: dict, f: Scalar, b: dict, p: Optional[int]) -> None:
-    """r -= f * b in place, exactly or mod p, dropping the entries that
-    vanish; f * y is nonzero, so x vanishes only where r had an entry."""
+def _sub_multiple(r: dict, f: Scalar, b: Iterable, p: Optional[int]) -> None:
+    """r -= f * b in place, b given by its nonzero (column, entry) pairs,
+    exactly or mod p, dropping the entries that vanish; f * y is nonzero,
+    so x vanishes only where r had an entry."""
     if p is None:
-        for j, y in b.items():
+        for j, y in b:
             x = r.get(j, 0) - f * y
             if x:
                 r[j] = x
             else:
                 del r[j]
     else:
-        for j, y in b.items():
+        for j, y in b:
             x = (r.get(j, 0) - f * y) % p
             if x:
                 r[j] = x
@@ -739,6 +700,8 @@ def _null_vectors(p: Optional[int], ncols: int, echelon: dict) -> list:
     return list(vecs.values())
 
 
+
+
 def _span(field: Field, ambient_dim: int, rows: Iterable) -> Subspace:
     """The span of sparse rows {column: scalar}, which the echelon engine
     consumes."""
@@ -747,31 +710,34 @@ def _span(field: Field, ambient_dim: int, rows: Iterable) -> Subspace:
 
 
 def _subspace(field: Field, ambient_dim: int, echelon: dict) -> Subspace:
-    """The subspace of a reduced echelon basis, held as its dense RREF basis."""
-    pivots = tuple(sorted(echelon))
-    zero = field.zero()
-    basis = []
-    for c in pivots:
-        v = [zero] * ambient_dim
-        row = echelon[c]
+    """The subspace of a reduced echelon basis, its rows stored sorted and,
+    over Q, divided by their pivot entries."""
+    rows = []
+    for c in sorted(echelon):
+        row = sorted(echelon[c].items())
         if field.p is None:
-            row = {j: Fraction(x, row[c]) for j, x in row.items()}
-        for j, x in row.items():
-            v[j] = x
-        basis.append(tuple(v))
-    return Subspace(field, ambient_dim, Matrix(field, len(basis), ambient_dim, tuple(basis)),
-                    pivots)
+            d = echelon[c][c]
+            row = [(j, Fraction(x, d)) for j, x in row]
+        rows.append(tuple(row))
+    return Subspace(field, ambient_dim, Matrix(field, len(rows), ambient_dim, Nonzeros(tuple(rows))),
+                    tuple(sorted(echelon)))
 
 
 def _distinct_rows(p: Optional[int], rows: Iterable) -> list:
     """The nonzero rows as (column, entry) tuples sorted by column, each
-    scaled to its canonical multiple, every row once, in first-seen order."""
+    scaled to its canonical multiple, every row once, in first-seen order.
+    Over Q a row of ints is divided by its gcd as it is, a row with a
+    Fraction after its denominators are cleared."""
     seen = {}
     for row in rows:
         if p is None:
-            items = sorted((c, x) for c, x in _integer_rows(p, [row])[0][0].items() if x)
-            if items:
-                seen[tuple(_primitive(dict(items), items[0][0]).items())] = None
+            if not all(type(x) is int for x in row.values()):
+                row = _integer_rows(p, [row])[0][0]
+            items = sorted(item for item in row.items() if item[1])
+            if not items:
+                continue
+            g = gcd(*row.values()) if items[0][1] > 0 else -gcd(*row.values())
+            seen[tuple(items) if g == 1 else tuple((c, x // g) for c, x in items)] = None
         else:
             items = sorted((c, x % p) for c, x in row.items() if x % p)
             if not items:
@@ -806,14 +772,15 @@ def quotient(ambient_dim: int, sub: Subspace) -> QuotientSpace:
         raise ValueError("ambient dimension mismatch")
     pivot_set = set(sub.pivots)
     free = [c for c in range(ambient_dim) if c not in pivot_set]
-    q = len(free)
-    # projection row j reads coordinate free[j] of the normal form v - sum v[p_r] basis_r.
-    proj_rows = []
-    for f in free:
-        row = list(unit_vec(F, ambient_dim, f))
-        for r, p in enumerate(sub.pivots):
-            row[p] = F.sub(row[p], sub.basis.entries[r][f])
-        proj_rows.append(tuple(row))
-    projection = Matrix(F, q, ambient_dim, tuple(proj_rows))
-    section = Matrix.from_cols(F, [unit_vec(F, ambient_dim, f) for f in free], rows=ambient_dim)
+    position = {f: s for s, f in enumerate(free)}
+    # projection row s reads coordinate free[s] of the normal form v - sum v[p_r] basis_r:
+    # 1 at free[s], and minus the entry of basis_r there at p_r
+    proj_rows = [[(f, F.one())] for f in free]
+    for c, row in zip(sub.pivots, sub.basis.terms):
+        for j, x in row:
+            if j != c:
+                proj_rows[position[j]].append((c, F.neg(x)))
+    projection = Matrix(F, len(free), ambient_dim, Nonzeros(tuple(tuple(sorted(r)) for r in proj_rows)))
+    section = Matrix(F, ambient_dim, len(free), Nonzeros(tuple(
+        ((position[c], F.one()),) if c in position else () for c in range(ambient_dim))))
     return QuotientSpace(F, ambient_dim, sub, projection, section)

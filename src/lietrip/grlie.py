@@ -14,9 +14,9 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .exactlin import (
-    Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _defects, _integer_terms,
-    _neg_terms, _span, _sparse_sum, dense_tensor, kernel_basis, kernel_of_rows,
-    linear_combination, nonzeros, quotient, rank, span_of, unit_vec,
+    Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _combination, _defects,
+    _integer_terms, _neg_terms, _span, _sparse_sum, dense_tensor, kernel_basis, kernel_of_rows,
+    nonzeros, quotient, rank,
 )
 from .lts import LtsHom, odd_part_lts
 
@@ -66,22 +66,23 @@ class GradedLieAlgebra(Record):
         return 0 if i < self.dim0 else 1
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        ny = nonzeros(y)
-        return linear_combination(self.field, self.dim, (
-            (xi * yj, self.terms[i][j]) for i, xi in nonzeros(x) for j, yj in ny))
+        return dense_tensor(self.field, self.dim, _bracket(self, nonzeros(x), nonzeros(y)).items(), 0)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of x -> [e_i, x]."""
-        return Matrix.from_cols(self.field, dense_tensor(self.field, self.dim, self.terms[i], 1),
-                                rows=self.dim)
+        return Matrix.from_cols(self.field, Nonzeros(self.terms[i]), rows=self.dim)
 
     def even_subspace(self) -> Subspace:
-        return span_of(self.field, self.dim,
-                       [unit_vec(self.field, self.dim, i) for i in range(self.dim0)])
+        return _span(self.field, self.dim, ({i: 1} for i in range(self.dim0)))
 
     def odd_subspace(self) -> Subspace:
-        return span_of(self.field, self.dim,
-                       [unit_vec(self.field, self.dim, self.dim0 + a) for a in range(self.dim1)])
+        return _span(self.field, self.dim, ({i: 1} for i in range(self.dim0, self.dim)))
+
+
+def _bracket(L: GradedLieAlgebra, x, y) -> dict:
+    """[x, y] for x and y given by their nonzero (index, scalar) pairs, as a
+    dict of its nonzero entries."""
+    return _sparse_sum(L.field.p, ((a * b, L.terms[i][j]) for i, a in x for j, b in y))
 
 
 def graded_lie(field: Field, dim0: int, dim1: int, entries: Sequence, *,
@@ -146,17 +147,14 @@ def is_graded_hom(matrix: Matrix, source: GradedLieAlgebra, target: GradedLieAlg
     """Block structure phi(L_i) in K_i plus the hom law on basis pairs."""
     if matrix.rows != target.dim or matrix.cols != source.dim:
         raise ValueError("hom matrix shape mismatch")
-    F = matrix.field
-    for j in range(source.dim):
-        for i in range(target.dim):
-            if source.degree(j) != target.degree(i) and not F.is_zero(matrix.entries[i][j]):
-                return False
-    cols = matrix.transpose().entries
-    sparse = [nonzeros(c) for c in cols]
+    if any(source.degree(j) != target.degree(i) for i, row in enumerate(matrix.terms) for j, _ in row):
+        return False
+    p = matrix.field.p
+    cols = matrix.transpose().terms
     for i in range(source.dim):
         for j in range(source.dim):
-            lhs = linear_combination(F, target.dim, ((x, sparse[l]) for l, x in source.terms[i][j]))
-            if lhs != target.bracket_vec(cols[i], cols[j]):
+            lhs = _sparse_sum(p, ((x, cols[l]) for l, x in source.terms[i][j]))
+            if lhs != _bracket(target, cols[i], cols[j]):
                 return False
     return True
 
@@ -210,7 +208,9 @@ class GradedModule(Record):
         """action: the (dim0+dim1)-square Matrix of each e_i, or the Nonzeros of their columns."""
         m = dim0 + dim1
         if type(action) is not Nonzeros:
-            action = tuple(a.transpose().entries for a in action)
+            if any((a.rows, a.cols) != (m, m) for a in action):
+                raise ValueError("action shape mismatch")
+            action = Nonzeros(tuple(a.transpose().terms for a in action))
         terms = _as_nonzeros(action, (algebra.dim, m, m))
         if terms is None:
             raise ValueError("action shape mismatch")
@@ -239,7 +239,7 @@ class GradedModule(Record):
     def action(self) -> tuple:
         """The action matrices, derived from terms: action[i] is the matrix of e_i."""
         F, m = self.algebra.field, self.dim
-        return tuple(Matrix.from_cols(F, dense_tensor(F, m, a, 1), rows=m) for a in self.terms)
+        return tuple(Matrix.from_cols(F, Nonzeros(a), rows=m) for a in self.terms)
 
     @property
     def dim(self) -> int:
@@ -250,11 +250,9 @@ class GradedModule(Record):
 
     def act(self, x: Vector) -> Matrix:
         """Action matrix of an algebra element given in coordinates."""
-        F = self.algebra.field
-        m = self.dim
-        nx = nonzeros(x)
-        return Matrix.from_cols(F, [linear_combination(F, m, ((xi, self.terms[i][c]) for i, xi in nx))
-                                    for c in range(m)], rows=m)
+        F, nx = self.algebra.field, nonzeros(x)
+        cols = Nonzeros(_combination(F.p, ((xi, self.terms[i][c]) for i, xi in nx)) for c in range(self.dim))
+        return Matrix.from_cols(F, cols, rows=self.dim)
 
     def is_trivial(self) -> bool:
         return not any(col for a in self.terms for col in a)
@@ -278,8 +276,9 @@ def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
         raise ValueError("seed ambient mismatch")
     current = seed
     while True:
-        base = current.basis.entries
-        grown = span_of(L.field, L.dim, base + tuple(L.bracket_vec(a, b) for a, b in combinations(base, 2)))
+        base = current.basis.terms
+        brackets = (_bracket(L, a, b) for a, b in combinations(base, 2))
+        grown = _span(L.field, L.dim, chain(map(dict, base), brackets))
         if grown.dim in (current.dim, L.dim):
             return grown
         current = grown
@@ -334,35 +333,38 @@ def graded_pullback(phi: GradedHom, ups: GradedHom):
         raise ValueError("pullback requires a common codomain")
     K, U = phi.source, ups.source
     F = K.field
-    cond = phi.matrix.hstack(ups.matrix.neg())  # L.dim x (K.dim + U.dim)
+    cond = phi.matrix.hstack(ups.matrix.scale(-1))  # L.dim x (K.dim + U.dim)
     sols = kernel_basis(cond)
 
     ndim = K.dim + U.dim
     even_idx = list(range(K.dim0)) + [K.dim + j for j in range(U.dim0)]
     odd_idx = [K.dim0 + a for a in range(K.dim1)] + [K.dim + U.dim0 + b for b in range(U.dim1)]
-    even_amb = span_of(F, ndim, [unit_vec(F, ndim, i) for i in even_idx])
-    odd_amb = span_of(F, ndim, [unit_vec(F, ndim, i) for i in odd_idx])
-    even_part = sols.intersect(even_amb)
-    odd_part = sols.intersect(odd_amb)
+    even_part = sols.intersect(_span(F, ndim, ({i: 1} for i in even_idx)))
+    odd_part = sols.intersect(_span(F, ndim, ({i: 1} for i in odd_idx)))
     if even_part.dim + odd_part.dim != sols.dim:
         raise RuntimeError("pullback solution space is not graded")
-    basis = even_part.basis.entries + odd_part.basis.entries
+    basis = even_part.basis.terms + odd_part.basis.terms
+    # each basis vector's K and U parts: its nonzeros below K.dim, and the rest moved down
+    parts = [(tuple((j, x) for j, x in v if j < K.dim), tuple((j - K.dim, x) for j, x in v if j >= K.dim))
+             for v in basis]
     # the even and odd parts live on disjoint coordinates, so each basis vector
     # is 1 at its pivot and 0 at the others: coordinates are pivot entries
     pivots = even_part.pivots + odd_part.pivots
 
-    def coords(v: Vector, w: Vector) -> list:  # of [v, w] in the basis
-        u = K.bracket_vec(v[:K.dim], w[:K.dim]) + U.bracket_vec(v[K.dim:], w[K.dim:])
-        if not sols.contains(u):
+    def coords(s: int, t: int) -> list:  # of [basis[s], basis[t]] in the basis
+        (vk, vu), (wk, wu) = parts[s], parts[t]
+        u = _bracket(K, vk, wk)
+        u.update((K.dim + j, x) for j, x in _bracket(U, vu, wu).items())
+        if sols._residue(dict(u)):
             raise RuntimeError("vector unexpectedly outside span")
-        return nonzeros(tuple(u[c] for c in pivots))
+        return [(q, u[c]) for q, c in enumerate(pivots) if c in u]
 
     dim_a = len(basis)
     A = _assemble(F, even_part.dim, odd_part.dim, (
-        (s, t, coords(basis[s], basis[t])) for s in range(dim_a) for t in range(s + 1, dim_a)))
-    pk = GradedHom(A, K, Matrix.from_cols(F, [v[:K.dim] for v in basis], rows=K.dim),
+        (s, t, coords(s, t)) for s in range(dim_a) for t in range(s + 1, dim_a)))
+    pk = GradedHom(A, K, Matrix.from_cols(F, Nonzeros(k for k, _ in parts), rows=K.dim),
                    unchecked=True)
-    pu = GradedHom(A, U, Matrix.from_cols(F, [v[K.dim:] for v in basis], rows=U.dim),
+    pu = GradedHom(A, U, Matrix.from_cols(F, Nonzeros(u for _, u in parts), rows=U.dim),
                    unchecked=True)
     return A, pk, pu
 
@@ -384,9 +386,9 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
     # section's columns are the unit vectors at the free coordinates.
     pivots = set(ideal.pivots)
     free = [c for c in range(L.dim) if c not in pivots]
-    cols = [nonzeros(c) for c in q.projection.transpose().entries]
+    cols = q.projection.transpose().terms
     Q = _assemble(F, new_dim0, L.dim1, (
-        (s, t, nonzeros(linear_combination(F, q.dim, ((x, cols[l]) for l, x in L.terms[free[s]][free[t]]))))
+        (s, t, _combination(F.p, ((x, cols[l]) for l, x in L.terms[free[s]][free[t]])))
         for s in range(q.dim) for t in range(s + 1, q.dim)))
     return Q, GradedHom(L, Q, q.projection, unchecked=True)
 
@@ -395,7 +397,7 @@ def restrict_hom_to_odd(phi: GradedHom) -> LtsHom:
     """Odd-odd block of a graded hom, as a triple-system homomorphism."""
     F = phi.matrix.field
     src, tgt = phi.source, phi.target
-    block = tuple(tuple(phi.matrix.entries[tgt.dim0 + r][src.dim0 + c] for c in range(src.dim1))
-                  for r in range(tgt.dim1))
+    block = Nonzeros(tuple(tuple((c - src.dim0, x) for c, x in row if c >= src.dim0)
+                           for row in phi.matrix.terms[tgt.dim0:]))
     return LtsHom(odd_part_lts(src), odd_part_lts(tgt), Matrix(F, tgt.dim1, src.dim1, block),
                   unchecked=True)

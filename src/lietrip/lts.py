@@ -40,8 +40,7 @@ from typing import Optional, Sequence
 from .exactlin import (
     Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _defects, _echelon,
     _integer_rows, _integer_terms, _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of,
-    dense_tensor, kernel_of_rows, linear_combination, mat_from_flat, nonzeros, unit_vec,
-    vec_from_sums,
+    dense_tensor, kernel_of_rows, linear_combination, nonzeros, unit_vec,
 )
 
 
@@ -211,13 +210,14 @@ def is_lts_hom(alpha: Matrix, T: LieTripleSystem, S: LieTripleSystem) -> bool:
     """True iff alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all basis triples."""
     if alpha.rows != S.dim or alpha.cols != T.dim:
         raise ValueError("hom matrix shape mismatch")
-    cols = alpha.transpose().entries
-    sparse = [nonzeros(c) for c in cols]
+    p = S.field.p
+    cols = alpha.transpose().terms
     for i in range(T.dim):
         for j in range(T.dim):
             for k in range(T.dim):
-                lhs = linear_combination(S.field, S.dim, ((x, sparse[l]) for l, x in T.terms[i][j][k]))
-                rhs = triple_bracket(S, cols[i], cols[j], cols[k])
+                lhs = _sparse_sum(p, ((x, cols[l]) for l, x in T.terms[i][j][k]))
+                rhs = _sparse_sum(p, ((x * y * z, S.terms[a][b][c]) for a, x in cols[i]
+                                      for b, y in cols[j] for c, z in cols[k]))
                 if lhs != rhs:
                     return False
     return True
@@ -293,22 +293,21 @@ def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
     commutators are taken in integers, of the basis times its common denominator."""
     F = T.field
     n = T.dim
-    flats = span.basis.entries
-    ints, den = _integer_rows(F.p, [dict(nonzeros(v)) for v in flats])
+    flats = span.basis.terms
+    ints, den = _integer_rows(F.p, [dict(v) for v in flats])
     echelon = dict(zip(span.pivots, ints))  # each row den at its pivot, 0 at the others
-    rows = [_sparse_rows(v, n) for v in ints]
+    rows = [_flat_rows(v.items(), n) for v in ints]
     # [D_b, D_a] = -[D_a, D_b]: each unordered pair is computed once
     table = [[()] * len(flats) for _ in flats]
     for a in range(len(flats)):
         for b in range(a + 1, len(flats)):
-            comm = _commutator(n, rows[a], rows[b])
-            v = dict(nonzeros(comm if F.p is None else vec_from_sums(F, comm)))
+            v = _commutator(F.p, rows[a], rows[b])
             coords = _terms_of(F.p, {q: v[c] for q, c in enumerate(span.pivots) if c in v}, den * den)
             if _reduce(v, echelon, F.p):
                 raise RuntimeError("derivations not closed under commutator")
             table[a][b] = coords
             table[b][a] = _neg_terms(F.p, coords)
-    basis = tuple(mat_from_flat(F, v, n, n) for v in flats)
+    basis = tuple(Matrix(F, n, n, _flat_rows(v, n)) for v in flats)
     return DerivationAlgebra(T, basis, span, Nonzeros(tuple(map(tuple, table))))
 
 
@@ -318,14 +317,19 @@ def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     return _derivations(T, kernel_of_rows(T.field, T.dim ** 2, _derivation_rows(T)))
 
 
-def _sparse_rows(flat: dict, n: int) -> list:
-    """The (column, entry) nonzeros of each row of a row-major flat n x n matrix {index: entry}."""
-    return [[(k - r * n, x) for k, x in flat.items() if r * n <= k < r * n + n] for r in range(n)]
+def _flat_rows(flat, n: int) -> Nonzeros:
+    """The (column, entry) nonzeros of each row of the n x n matrix whose
+    row-major flattening has the nonzero (index, entry) pairs flat, in their order."""
+    rows = [[] for _ in range(n)]
+    for k, x in flat:
+        rows[k // n].append((k % n, x))
+    return Nonzeros(map(tuple, rows))
 
 
-def _commutator(n: int, x: list, y: list) -> list:
-    """XY - YX, flattened row-major, as plain sums of products, for X and Y
-    given by their sparse rows."""
+def _commutator(p: Optional[int], x, y) -> dict:
+    """XY - YX, flattened row-major, as a dict of its nonzero entries (reduced
+    mod p), for X and Y given by their sparse rows."""
+    n = len(x)
     acc = [0] * (n * n)
     for r in range(n):
         base = r * n
@@ -335,7 +339,9 @@ def _commutator(n: int, x: list, y: list) -> list:
         for k, a in y[r]:
             for s, b in x[k]:
                 acc[base + s] -= a * b
-    return acc
+    if p is None:
+        return {j: v for j, v in enumerate(acc) if v}
+    return {j: v % p for j, v in enumerate(acc) if v % p}
 
 
 def _inner_flats(T: LieTripleSystem) -> list:
@@ -378,20 +384,18 @@ def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
     n = T.dim
     pairs, flat, echelon, _ = _inner_span(T)
     span = _subspace(F, n * n, echelon)
-    pair_rows = [_sparse_rows(flat[i][j], n) for i, j in pairs]
+    pair_rows = [_flat_rows(flat[i][j].items(), n) for i, j in pairs]
     failures = []
     checked = 0
     for d in derivation_algebra(T).basis:
-        e = d.entries
-        d_rows = [nonzeros(r) for r in e]
+        d_cols = d.transpose().terms
         for (i, j), dij in zip(pairs, pair_rows):
             checked += 1
-            comm = vec_from_sums(F, _commutator(n, d_rows, dij))
+            comm = _commutator(F.p, d.terms, dij)
             # [D, D_{i,j}] = D_{De_i, e_j} + D_{e_i, De_j}, expanded bilinearly
-            rhs = linear_combination(F, n * n, chain(
-                ((e[u][i], flat[u][j].items()) for u in range(n) if e[u][i]),
-                ((e[u][j], flat[i][u].items()) for u in range(n) if e[u][j])))
-            if comm != rhs or not span.contains(comm):
+            rhs = _sparse_sum(F.p, chain(((x, flat[u][j].items()) for u, x in d_cols[i]),
+                                         ((x, flat[i][u].items()) for u, x in d_cols[j])))
+            if comm != rhs or span._residue(dict(comm)):
                 failures.append((i, j))
     return IdealClosureCertificate(not failures, checked, tuple(failures))
 

@@ -25,8 +25,8 @@ class PayloadError(ValueError):
 
 
 def fmt_matrix(m: Matrix) -> list:
-    """The entries as nested lists of exact scalar strings."""
-    return [list(map(m.field.fmt, row)) for row in m.entries]
+    """The dense rows as nested lists of exact scalar strings, formatted from the stored nonzeros."""
+    return fmt_terms(m.field, m.cols, m.terms, 1)
 
 
 def fmt_terms(field: Field, n: int, tensor: tuple, depth: int) -> list:

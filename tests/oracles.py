@@ -24,6 +24,21 @@ def scalar(x, p=None):
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
+def vec_is_zero(field, v):
+    """Whether every entry of v is zero (the field is that of the caller's vectors)."""
+    return all(x == 0 for x in v)
+
+
+def vec_add(u, v, p=None):
+    """The entrywise sum of two vectors of equal length."""
+    return tuple(scalar(Fraction(a) + Fraction(b), p) for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u, v, p=None):
+    """The entrywise difference of two vectors of equal length."""
+    return tuple(scalar(Fraction(a) - Fraction(b), p) for a, b in zip(u, v, strict=True))
+
+
 def naive_matmul(a, b, ncols, p=None):
     """a times b for raw nested lists, b with ncols columns: every entry is
     the full sum over the inner index, zeros included."""

@@ -13,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import oracles
+from oracles import vec_is_zero
 
 from lietrip.cohom import (
     cocycle_extension, coboundary, envelope_criterion, graded_cochain_basis,
@@ -25,7 +26,7 @@ from lietrip.embed import (
     extend_hom, imbedding_functor_hom, standard_imbedding,
     universal_central_0_extension, universal_imbedding, wedge_pairs,
 )
-from lietrip.exactlin import Field, Matrix, QQ, Subspace, solve, unit_vec, vec_add, vec_is_zero
+from lietrip.exactlin import Field, Matrix, QQ, Subspace, solve, unit_vec
 from lietrip.grlie import (
     center, central_quotient, check_graded_lie, direct_sum, is_generated_by_odd,
     is_graded_hom, trivial_module,
@@ -97,10 +98,10 @@ def test_criterion_01_axiom_suite():
             assert not vec_is_zero(QQ, t[a][a][c])
         elif w.identity == "polarized-alternating":
             a, b, c = w.indices
-            assert not vec_is_zero(QQ, vec_add(QQ, t[a][b][c], t[b][a][c]))
+            assert not vec_is_zero(QQ, oracles.vec_add(t[a][b][c], t[b][a][c]))
         elif w.identity == "cyclic":
             a, b, c = w.indices
-            s = vec_add(QQ, vec_add(QQ, t[a][b][c], t[b][c][a]), t[c][a][b])
+            s = oracles.vec_add(oracles.vec_add(t[a][b][c], t[b][c][a]), t[c][a][b])
             assert not vec_is_zero(QQ, s)
         else:
             assert w.identity == "derivation" and len(w.indices) == 5
@@ -152,7 +153,7 @@ def _check_unique_extension(T, L, alpha):
         assert coeffs is not None
         image = tuple([F.zero()] * L.dim)
         for c, (i, j) in zip(coeffs, pairs):
-            if not F.is_zero(c):
+            if c:
                 term = L.bracket_vec(alpha_cols[i], alpha_cols[j])
                 image = tuple(F.add(a, F.mul(c, b)) for a, b in zip(image, term))
         assert image == ext.matrix.col(s)

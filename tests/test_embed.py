@@ -8,6 +8,7 @@ import lietrip.embed
 import lietrip.exactlin
 import lietrip.grlie
 import oracles
+from oracles import vec_is_zero
 from lietrip.cohom import envelope_criterion, h2_graded
 from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import (
@@ -17,7 +18,7 @@ from lietrip.embed import (
     wedge_module, wedge_pairs,
 )
 from lietrip.exactlin import (
-    Field, Matrix, QQ, Subspace, _echelon, kernel_basis, solve, unit_vec, vec_is_zero,
+    Field, Matrix, QQ, Subspace, _echelon, kernel_basis, solve, unit_vec,
 )
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center,
@@ -513,7 +514,7 @@ def _reconstruct_even_block(T, L, alpha, env, ext):
         assert coeffs is not None
         image = tuple([F.zero()] * L.dim)
         for c, (i, j) in zip(coeffs, pairs):
-            if not F.is_zero(c):
+            if c:
                 term = L.bracket_vec(alpha_cols[i], alpha_cols[j])
                 image = tuple(F.add(a, F.mul(c, b)) for a, b in zip(image, term))
         assert image == ext.matrix.col(s)

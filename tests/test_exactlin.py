@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import vec_is_zero
 from lietrip.exactlin import (
     MAX_MODULUS, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis,
     kernel_of_rows, quotient, rank, rref, solve, solve_with_certificate, unit_vec,
-    vec_is_zero, vec_sub,
 )
 
 F2 = Field(2)
@@ -243,7 +243,7 @@ def test_quotient_section_property(data):
     for i in range(n):
         v = unit_vec(field, n, i)
         back = q.section.matvec(q.projection.matvec(v))
-        assert a.contains(vec_sub(field, back, v))
+        assert a.contains(oracles.vec_sub(back, v, field.p))
     for v in a.basis.entries:
         assert vec_is_zero(field, q.projection.matvec(v))
 
@@ -289,6 +289,16 @@ def test_transpose_including_empty_shapes():
         z = Matrix.zeros(QQ, rows, cols)
         assert z.transpose() == Matrix.zeros(QQ, cols, rows)
         assert z.transpose().transpose() == z
+
+
+def test_from_cols_checks_the_row_count():
+    assert Matrix.from_cols(QQ, [(1, 2)], rows=2) == Matrix.make(QQ, [[1], [2]])
+    assert Matrix.from_cols(QQ, [], rows=3) == Matrix.zeros(QQ, 3, 0)
+    for cols, rows in (([(1, 2)], 3), ([(1, 2)], 1), ([(1, 2), (3,)], None), ([(1, 2), (3,)], 2)):
+        with pytest.raises(ValueError):
+            Matrix.from_cols(QQ, cols, rows=rows)
+    with pytest.raises(ValueError):
+        Matrix.from_cols(QQ, [])
 
 
 # ---------------------------------------------------------------------------

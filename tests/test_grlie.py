@@ -87,8 +87,8 @@ def _generation_cases(field, rng):
         algebras.append(graded_lie(field, n - 2, 2, c, unchecked=True))
     for L in algebras:
         n = L.dim
-        yield L, [list(v) for v in L.odd_subspace().vectors()]
-        yield L, [list(v) for v in L.even_subspace().vectors()]
+        yield L, [list(v) for v in L.odd_subspace().basis.entries]
+        yield L, [list(v) for v in L.even_subspace().basis.entries]
         for k in (1, 2):
             yield L, [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
 
@@ -113,9 +113,9 @@ def test_generation_stops_at_the_full_space(monkeypatch):
 
     def spy(*args):
         rounds.append(args)
-        return lietrip.exactlin.span_of(*args)
+        return lietrip.exactlin._span(*args)
 
-    monkeypatch.setattr(lietrip.grlie, "span_of", spy)
+    monkeypatch.setattr(lietrip.grlie, "_span", spy)
     assert subalgebra_generated(A, odd).dim == A.dim
     assert len(rounds) == 1
 

@@ -1,36 +1,45 @@
 """One stored form: triple systems, graded algebras and modules hold their
-structure constants once, as ``Nonzeros``, and the library reads nothing
-else.
+structure constants once, and matrices (so subspace bases too) their rows,
+as ``Nonzeros``, and the library reads nothing else.
 
-The dense ``triple``, ``bracket`` and ``action`` are views derived on each
-read.  No module of ``src/lietrip`` reads them.  Every record the corpus
-or a trusted assembler builds is canonical: the public constructor, given
-its dense view, returns an equal record with an equal hash, and
-``load(save(x)) == x``.  This is checked over Q, F_2 and F_5.
+The dense ``triple``, ``bracket``, ``action`` and ``entries`` are views
+derived on each read.  No module of ``src/lietrip`` reads them.  Every
+record the corpus or a trusted assembler builds is canonical: the public
+constructor, given its dense view, returns an equal record with an equal
+hash, and ``load(save(x)) == x``.  Every matrix the library builds along
+the way (homs, projections, sections, lam, mu, derivation and subspace
+bases) is canonical the same way.  This is checked over Q, F_2 and F_5.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oracles
-from lietrip.cohom import coboundary, cocycle_extension, graded_cochain_basis, h2_graded
+from lietrip.cohom import (
+    coboundary, cocycle_extension, envelope_criterion, graded_cochain_basis, h2_graded,
+    split_central_0_extension,
+)
 from lietrip.corpus import (
     ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
 )
 from lietrip.embed import graded_algebra_from_pairing, universal_imbedding
-from lietrip.exactlin import Field, Nonzeros, QQ, Subspace, mat_from_flat
+from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Record, Subspace, inverse
 from lietrip.grlie import (
     GradedLieAlgebra, GradedModule, adjoint_module, center, central_quotient, direct_sum,
-    graded_pullback, trivial_module,
+    graded_pullback, restrict_hom_to_odd, trivial_module,
 )
-from lietrip.lts import DerivationAlgebra, LieTripleSystem, lts_of_lie, odd_part_lts
+from lietrip.lts import (
+    DerivationAlgebra, LieTripleSystem, derivation_algebra, lts_of_lie, odd_part_lts,
+)
 from lietrip.serialize import load, save
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lietrip"
 VIEWS = {LieTripleSystem: "triple", GradedLieAlgebra: "bracket", GradedModule: "action",
-         DerivationAlgebra: "bracket"}
+         DerivationAlgebra: "bracket", Matrix: "entries"}
+STRUCTURES = (LieTripleSystem, GradedLieAlgebra, GradedModule)
 
 
 def test_the_dense_tensors_are_derived_views():
@@ -50,7 +59,8 @@ def test_no_library_module_reads_a_dense_view():
 def _records(F):
     """(what, record) for the corpus and for every output of the trusted
     assemblers: _assemble_lts, _assemble (directly and through _glue) and
-    the modules built unchecked."""
+    the modules built unchecked; and the records that hold the matrices
+    built on the way: imbeddings, derivation algebras, homs, extensions."""
     yield from ((f"abl({n})", abl(n, F)) for n in range(4))
     yield from (("odd2", odd2(F)), ("sl2lts", sl2lts(F)), ("heis", heis(F)), ("ab2", ab2(F)),
                 ("sl2graded", sl2graded(F)), ("sl2_double_swap", sl2_double_swap(F)),
@@ -59,6 +69,12 @@ def _records(F):
     yield "gl(2)", gl2
     for name, T in (("odd2", odd2(F)), ("gl(2)", gl2), ("abl(3)", abl(3, F))):
         env = universal_imbedding(T)
+        yield from ((f"univ({name})", env), (f"Der({name})", derivation_algebra(T)),
+                    (f"restricted upsilon of {name}", restrict_hom_to_odd(env.upsilon)))
+        criterion = envelope_criterion(env.algebra)
+        yield f"criterion of A({name})", criterion
+        if criterion.witness is not None:
+            yield f"inverse witness of A({name})", inverse(criterion.witness.matrix)
         wedge = env.pair.wedge
         yield from ((f"A({name})", env.algebra), (f"Ste({name})", env.ste.algebra),
                     (f"Inder({name})", wedge.inder_algebra),
@@ -71,17 +87,22 @@ def _records(F):
     A = universal_imbedding(abl(2, F)).algebra
     line = center(A).intersect(A.even_subspace())
     Q, proj = central_quotient(A, Subspace.span(F, A.dim, [line.basis.entries[0]]))
-    yield "A(abl(2))/line", Q
-    yield "pullback", graded_pullback(proj, proj)[0]
+    yield from (("A(abl(2))/line", Q), ("projection onto A(abl(2))/line", proj))
+    pullback = graded_pullback(proj, proj)
+    yield from (("pullback", pullback[0]), ("pullback projections", pullback[1:]))
     M = trivial_module(Q)
     for k, sigma in enumerate(h2_graded(Q, M).representatives):
-        yield f"extension {k}", cocycle_extension(Q, M, sigma).total
+        problem = cocycle_extension(Q, M, sigma)
+        yield from ((f"extension {k}", problem.total), (f"extension problem {k}", problem))
     H = heis(F)  # coboundaries put sigma's terms next to the bracket's on one pair
     for k, g in enumerate(graded_cochain_basis(H, trivial_module(H), 1)):
-        yield f"coboundary extension {k}", cocycle_extension(H, trivial_module(H), coboundary(g)).total
+        problem = cocycle_extension(H, trivial_module(H), coboundary(g))
+        yield from ((f"coboundary extension {k}", problem.total),
+                    (f"splitting {k}", split_central_0_extension(problem)))
     pa = universal_imbedding(gl2).pair  # gl(2) as a module over <gl(2),gl(2)>, glued back
-    module = GradedModule(pa.algebra, 4, 0, tuple(mat_from_flat(F, pa.mu_end.col(s), 4, 4)
-                                                  for s in range(pa.algebra.dim)))
+    flats = (pa.mu_end.col(s) for s in range(pa.algebra.dim))
+    module = GradedModule(pa.algebra, 4, 0, tuple(Matrix(F, 4, 4, (f[0:4], f[4:8], f[8:12], f[12:16]))
+                                                  for f in flats))
     yield "gl(2) over <gl(2),gl(2)>", module
     yield "glued A(gl(2))", graded_algebra_from_pairing(pa.algebra, module, pa.projection)
 
@@ -99,9 +120,43 @@ def _public(x):
 def test_every_built_record_is_canonical_and_round_trips(field):
     seen = 0
     for what, x in _records(field):
+        if not isinstance(x, STRUCTURES):
+            continue
         assert type(x.terms) is Nonzeros, what
         y = _public(x)
         assert y == x and hash(y) == hash(x), what
         assert load(save(x)) == x, what
         seen += 1
     assert seen >= 40
+
+
+def _matrices(x, path):
+    """(path, matrix) for every Matrix x holds: itself, or in the fields of
+    a record and the items of a tuple, recursively (not in Nonzeros)."""
+    if isinstance(x, Matrix):
+        yield path, x
+    elif isinstance(x, Record):
+        for name in x._fields:
+            yield from _matrices(getattr(x, name), f"{path}.{name}")
+    elif type(x) is tuple:
+        for k, y in enumerate(x):
+            yield from _matrices(y, f"{path}[{k}]")
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(5)], ids=str)
+def test_every_built_matrix_is_canonical(field):
+    """Each stored row holds its nonzero field scalars sorted by column, so
+    the constructor, given the dense view, returns an equal matrix with an
+    equal hash."""
+    scalar = Fraction if field.p is None else int
+    kinds = set()
+    for what, x in _records(field):
+        for path, m in _matrices(x, what):
+            assert type(m.terms) is Nonzeros and len(m.terms) == m.rows, path
+            assert all(type(c) is scalar and (field.p is None or 0 < c < field.p)
+                       for row in m.terms for _, c in row), path
+            y = Matrix(m.field, m.rows, m.cols, m.entries)
+            assert y == m and hash(y) == hash(m), path
+            kinds.add(path.rpartition(".")[2].partition("[")[0])
+    assert kinds >= {"matrix", "projection", "section", "lam", "mu", "mu_end", "basis", "iota",
+                     "inclusion", "angle_projection"}

@@ -16,14 +16,14 @@ from typing import Optional
 
 from .exactlin import (
     Matrix, Nonzeros, Record, Subspace, Vector, _combination, _distinct_rows, _echelon,
-    _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, linear_combination,
-    nonzeros, solve, unit_vec, vec_from_sums,
+    _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed, inverse,
+    linear_combination, nonzeros, solve, unit_vec, vec_from_sums,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
+    GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, center, is_generated_by_odd,
     trivial_module,
 )
-from .embed import UniversalCentral0Extension, _universal_central_0_extension
+from .embed import _radical, _wedge_columns, wedge_pairs
 
 
 class Cochain(Record):
@@ -197,10 +197,7 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     d2, d1 = graded_rows(2, slots2), graded_rows(1, slots1)
     d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
     rows2, cols1 = _distinct_rows(p, d2), _distinct_rows(p, d1_cols)
-    d2_cols = {}  # d_2 d_1 = 0 on the scaled rows, through an index of their columns
-    for i, row in enumerate(rows2):
-        for c, x in row:
-            d2_cols.setdefault(c, {})[i] = x
+    d2_cols = _transposed(rows2)  # d_2 d_1 = 0 on the scaled rows, through an index of their columns
     if any(_sparse_sum(p, ((y, d2_cols.get(c, {}).items()) for c, y in col)) for col in cols1):
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")
     b2, _ = _echelon([dict(col) for col in cols1], p, c2)
@@ -327,21 +324,43 @@ class EnvelopeCriterionReport(Record):
     generated_by_odd: bool
     h2_dimension: int
     obstruction: Optional[str]
-    extension: Optional[UniversalCentral0Extension]  # witness when the verdict holds
-
-    @property
-    def witness(self) -> Optional[GradedHom]:
-        return self.extension.hom if self.extension is not None else None
+    witness: Optional[GradedHom]  # A(L_1) -> L, an isomorphism, when the verdict holds
 
 
 def envelope_criterion(L: GradedLieAlgebra) -> EnvelopeCriterionReport:
-    """When L_1 generates L, every graded central extension of L by the even
-    line either splits or is a quotient of A(L_1) over L, so dim H^2 is the
-    dimension of the kernel of A(L_1) -> L; only otherwise is H^2 eliminated."""
+    """When L_1 generates L, the bracket beta: L_1^L_1 -> L_0 is onto and induces A(L_1)_0 -> L_0,
+    whose kernel has dimension H^2 = dim L_1^L_1 - dim A(L_1^L_1) - dim L_0 (Weibel 7.9).  The
+    radical A(L_1^L_1) lies in ker(beta), by Jacobi beta(D_m.m') = [beta(m), beta(m')], which
+    bounds its rank and checks its rows.  If H^2 = 0, the witness is beta at the free columns plus
+    the identity on L_1, and A(L_1) is L pulled back along it; else no witness is built."""
     if not is_generated_by_odd(L):
         return EnvelopeCriterionReport(False, False, h2_graded(L, trivial_module(L)).dimension,
                                        "the odd part does not generate the algebra", None)
-    extension = _universal_central_0_extension(L)
-    h2 = extension.kernel.dim
-    obstruction = f"graded H^2 with trivial coefficients has dimension {h2}" if h2 else None
-    return EnvelopeCriterionReport(not h2, True, h2, obstruction, None if h2 else extension)
+    F, d, n, pairs = L.field, L.dim0, L.dim1, wedge_pairs(L.dim1)
+    c, _ = _integer_terms(F.p, L.terms, 2)
+    beta = [c[d + i][d + j] for i, j in pairs]
+    ad = [[[(l - d, x) for l, x in c[z][d + m]] for m in range(n)] for z in range(d)]  # [e_z, e_m]
+    # lam(e_i^e_j) = D_{e_i,e_j} = ad(beta(e_i^e_j)) on L_1: the rows of lam span those of
+    # ad: L_0 -> End(L_1), in echelon, times beta, and D_u's columns are [beta(e_u), e_a]
+    ad_rows = _transposed((((m, l), x) for m, col in enumerate(ad_z) for l, x in col) for ad_z in ad)
+    beta_rows = _transposed(beta)
+    lam_rows = [_sparse_sum(F.p, ((y, beta_rows[z].items()) for z, y in r.items()))
+                for r in _echelon(list(ad_rows.values()), F.p, d)[0].values()]
+    echelon = _radical(F.p, len(pairs), lam_rows, lambda u: _wedge_columns(F.p, n, [
+        _sparse_sum(F.p, ((y, ad[z][a]) for z, y in beta[u])).items() for a in range(n)]),
+                       beta, len(pairs) - d, "the bracket")
+    h2 = len(pairs) - len(echelon) - d
+    if h2:
+        return EnvelopeCriterionReport(False, True, h2,
+                                       f"graded H^2 with trivial coefficients has dimension {h2}", None)
+    cols = [L.terms[d + i][d + j] for w, (i, j) in enumerate(pairs) if w not in echelon]
+    cols += [((d + a, F.one()),) for a in range(n)]
+    inv = inverse(Matrix.from_cols(F, Nonzeros(cols[:d]), rows=d))
+    if inv is None:
+        raise RuntimeError("the bracket is not injective on the even part of A(L_1)")
+    back = inv.transpose().terms + tuple(cols[d:])  # the witness's inverse, by its columns
+    A = _assemble(F, d, n, ((s, u, _combination(F.p, ((x, back[l]) for l, x in
+                                                     _bracket(L, cols[s], cols[u]).items())))
+                            for s in range(L.dim) for u in range(s + 1, L.dim)))
+    return EnvelopeCriterionReport(True, True, 0, None, GradedHom(
+        A, L, Matrix.from_cols(F, Nonzeros(cols), rows=L.dim), unchecked=True))

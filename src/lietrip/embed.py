@@ -58,12 +58,12 @@ def _wedge(k: int, l: int, n: int) -> tuple:
     return () if k == l else ((wedge_index(min(k, l), max(k, l), n), 1 if k < l else -1),)
 
 
-def _wedge_columns(p: Optional[int], n: int, cols: list, den: int) -> tuple:
-    """The sparse columns D.(e_i^e_j) = De_i^e_j + e_i^De_j, i < j, of D on the
-    exterior square, from D's sparse integer columns over den."""
-    return tuple(_terms_of(p, _sparse_sum(p, chain(((x, _wedge(k, j, n)) for k, x in cols[i]),
-                                                   ((x, _wedge(i, k, n)) for k, x in cols[j]))), den)
-                 for i, j in wedge_pairs(n))
+def _wedge_columns(p: Optional[int], n: int, cols: Sequence) -> list:
+    """The columns D.(e_i^e_j) = De_i^e_j + e_i^De_j, i < j, of D on the exterior
+    square, as dicts of their nonzeros, from D's sparse (integer) columns."""
+    return [_sparse_sum(p, chain(((x, _wedge(k, j, n)) for k, x in cols[i]),
+                                 ((x, _wedge(i, k, n)) for k, x in cols[j])))
+            for i, j in wedge_pairs(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
     # column u of the basis derivation D_a is [D_a, e_u], at the odd index r + u
     cols, den = _integer_terms(F.p, [[[(l - r, x) for l, x in v] for v in s[a][r:]]
                                      for a in range(r)], 2)
-    actions = Nonzeros(tuple(_wedge_columns(F.p, n, c, den) for c in cols))
+    actions = Nonzeros(tuple(tuple(_terms_of(F.p, v, den) for v in _wedge_columns(F.p, n, c)) for c in cols))
     module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, unchecked=True)
     lam = Matrix.from_cols(F, Nonzeros(s[r + i][r + j] for i, j in wedge_pairs(n)), rows=r)
     return WedgeModule(T, ste, inder_algebra, module, lam)
@@ -133,6 +133,27 @@ class ModuleQuotient(Record):
     quotient: QuotientSpace
     algebra: GradedLieAlgebra  # all-even, dim = M/A(M)
     mu: Matrix                 # L.dim x quotient dim
+
+
+def _radical(p: Optional[int], mdim: int, lam_rows: list, acting, image: Sequence,
+             bound: Optional[int] = None, kernel: str = "lam") -> dict:
+    """The echelon {pivot: row} of A(M) = span{lam(m).m} from lam's integer rows and acting(u)
+    = [lam(e_u).e_v for each v]: lam maps its pivot columns s_i onto a basis of Im(lam), so
+    lam(s_i).s_i, lam(s_i).s_j + lam(s_j).s_i and lam(s_i).k, k in ker(lam), span A(M).  It
+    stops at rank bound (default dim ker(lam), as A(M) lies in ker(lam)); its rows must map
+    to 0 under image, the columns of a map."""
+    lam_echelon, _ = _echelon(lam_rows, p, mdim)
+    pivots = sorted(lam_echelon)
+    ker = _null_vectors(p, mdim, lam_echelon)
+    acts = [acting(u) for u in pivots]  # acts[i][v] = lam(s_i).e_v
+    gens = [row[u] for row, u in zip(acts, pivots)]
+    gens += [_sparse_sum(p, ((1, acts[i][pivots[j]].items()), (1, acts[j][u].items())))
+             for i, u in enumerate(pivots) for j in range(i + 1, len(pivots))]
+    gens += [_sparse_sum(p, ((x, row[w].items()) for w, x in k.items())) for row in acts for k in ker]
+    echelon, _ = _echelon(gens, p, len(ker) if bound is None else bound)
+    if any(_sparse_sum(p, ((x, image[w]) for w, x in row.items())) for row in echelon.values()):
+        raise RuntimeError(f"A(M) escaped the kernel of {kernel}")
+    return echelon
 
 
 def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
@@ -162,37 +183,26 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     def act(u, v):  # lam(e_u).e_v
         return _sparse_sum(p, ((x, action_cols[a][v].items()) for a, x in lam_cols[u].items()))
 
-    # lam maps its pivot columns s_i onto a basis of Im(lam), so A(M) = span{lam(m).m} is
-    # spanned by lam(s_i).s_i, lam(s_i).s_j + lam(s_j).s_i and lam(s_i).k for k in ker(lam)
-    lam_echelon, _ = _echelon(_integer_rows(p, map(dict, lam.terms))[0], p, mdim)
-    pivots = sorted(lam_echelon)
-    ker = _null_vectors(p, mdim, lam_echelon)
-    acts = [{v: act(u, v) for v in range(mdim)} for u in pivots]  # acts[i][v] = lam(s_i).e_v
-    gens = [act(u, u) for u in pivots]
-    gens += [_sparse_sum(p, ((1, acts[i][pivots[j]].items()), (1, acts[j][u].items())))
-             for i, u in enumerate(pivots) for j in range(i + 1, len(pivots))]
-    gens += [_sparse_sum(p, ((x, row[w].items()) for w, x in k.items())) for row in acts for k in ker]
-    if any(_sparse_sum(p, ((x, lam_cols[w].items()) for w, x in g.items())) for g in gens):
-        raise RuntimeError("A(M) escaped the kernel of lam")
-    echelon, _ = _echelon(gens, p, len(ker))  # A(M) lies in ker(lam): stop at its rank
-
+    echelon = _radical(p, mdim, _integer_rows(p, map(dict, lam.terms))[0],
+                       lambda u: [act(u, v) for v in range(mdim)], lam_t)
     a_sub = _subspace(F, mdim, echelon)
     q = quotient(mdim, a_sub)
     # the section's columns are the unit vectors at the free coordinates
     free = [c for c in range(mdim) if c not in echelon]
     mu = Matrix.from_cols(F, Nonzeros(lam_t[c] for c in free), rows=L.dim)
     position = {c: s for s, c in enumerate(free)}
-    # [s, t] is the normal form of lam(e_f).e_g, f and g the free columns s and t; over Q
-    # of den^2 * scale times it, integral for scale the lcm of the pivot entries
+    # [s, t] is the normal form of lam(e_f).e_g (0 if lam(e_f) = 0), f and g the free columns s
+    # and t; over Q of den^2 * scale times it, integral for scale the lcm of the pivot entries
     scale = lcm(*(row[c] for c, row in echelon.items()))
     table = {(s, position[g]): {position[c]: x for c, x in _reduce(
         {j: x * scale for j, x in act(f, g).items()}, echelon, p).items()}
-        for s, f in enumerate(free) for g in free[s + 1:]}
+        for s, f in enumerate(free) if lam_cols[f] for g in free[s + 1:]}
     algebra = _assemble(F, q.dim, 0, ((s, t, _terms_of(p, v, den * den * scale))
                                       for (s, t), v in table.items()))
-    for z in _kernel_vectors(mu):  # [z, e_j] is sum_i z_i [e_i, e_j]
-        if any(_sparse_sum(p, ((x, table[i, j].items()) if i < j else (-x, table[j, i].items())
-                               for i, x in z.items() if i != j)) for j in range(q.dim)):
+    # [z, e_j] = sum_i z_i [e_i, e_j] at (j, c): table entry v = [e_s, e_t] adds z_s v at t, -z_t v at s
+    for z in _kernel_vectors(mu):
+        if _sparse_sum(p, ((y, (((j, c), x) for c, x in v.items())) for (s, t), v in table.items()
+                           for j, y in ((t, z.get(s, 0)), (s, -z.get(t, 0))) if y)):
             raise RuntimeError("kernel of mu is not central in the quotient")
     return ModuleQuotient(a_sub, q, algebra, mu)
 
@@ -324,16 +334,15 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
         raise ValueError("alpha must be an L.dim1 x dim(T) matrix")
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
         raise ValueError("alpha is not a homomorphism into the odd part of L")
-    return _extension(T, L, alpha, envelope if envelope is not None else universal_imbedding(T))
+    return _extension(L, alpha, envelope if envelope is not None else universal_imbedding(T))
 
 
-def _extension(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
-               env: UniversalImbedding) -> GradedHom:
+def _extension(L: GradedLieAlgebra, alpha: Matrix, env: UniversalImbedding) -> GradedHom:
     """extend_hom once alpha is known to be a hom T -> L_1."""
     F = L.field
     # the columns of alpha, and their brackets, at their places in L
     alpha_cols = [tuple((L.dim0 + a, x) for a, x in col) for col in alpha.transpose().terms]
-    zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in wedge_pairs(T.dim)]
+    zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in wedge_pairs(env.lts.dim)]
     if any(_sparse_sum(F.p, ((x, zeta_cols[w]) for w, x in v)) for v in env.pair.a_subspace.basis.terms):
         raise RuntimeError("extension ill-defined: the radical does not map to zero")
     # the pair section's columns are the unit vectors at the free coordinates
@@ -362,27 +371,19 @@ class UniversalCentral0Extension(Record):
 def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
     """For L generated by its odd part: the extension of id on L_1 to a
     surjection from the universal imbedding of L_1, whose kernel is even
-    and central."""
+    and central.  The hom is eliminated once, and each kernel basis vector z is
+    checked to be 0 on the odd coordinates and to have [z, e_j] = 0 for every j."""
     if not is_generated_by_odd(L):
         raise ValueError("algebra is not generated by its odd part")
-    return _universal_central_0_extension(L)
-
-
-def _universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
-    """universal_central_0_extension once L is known to be generated by its odd part.
-    The hom is eliminated once, and each kernel basis vector z is checked to be
-    0 on the odd coordinates and to have [z, e_j] = 0 for every j."""
-    F = L.field
-    T = odd_part_lts(L)
-    env = universal_imbedding(T)
+    env = universal_imbedding(odd_part_lts(L))
     A = env.algebra
-    hom = _extension(T, L, Matrix.identity(F, L.dim1), env)
+    hom = _extension(L, Matrix.identity(L.field, L.dim1), env)
     ker = kernel_basis(hom.matrix)
     if A.dim - ker.dim != L.dim:
         raise RuntimeError("extension of the identity failed to be surjective")
     zs = ker.basis.terms
     if any(i >= A.dim0 for z in zs for i, _ in z):
         raise RuntimeError("kernel escaped the even part")
-    if any(_sparse_sum(F.p, ((x, A.terms[i][j]) for i, x in z)) for z in zs for j in range(A.dim)):
+    if any(_sparse_sum(A.field.p, ((x, A.terms[i][j]) for i, x in z)) for z in zs for j in range(A.dim)):
         raise RuntimeError("kernel escaped the center")
     return UniversalCentral0Extension(env, hom, ker)

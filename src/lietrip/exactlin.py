@@ -301,6 +301,15 @@ def _sparse_sum(p: Optional[int], terms) -> dict:
     return {j: x % p for j, x in acc.items() if x % p}
 
 
+def _transposed(vectors: Iterable) -> dict:
+    """{index: {position: entry}} of sparse vectors, each an iterable of (index, entry) pairs."""
+    out = {}
+    for k, v in enumerate(vectors):
+        for i, x in v:
+            out.setdefault(i, {})[k] = x
+    return out
+
+
 def _combination(p: Optional[int], terms) -> tuple:
     """:func:`_sparse_sum` as a sparse vector: its nonzero (index, entry) pairs, sorted by index."""
     return tuple(sorted(_sparse_sum(p, terms).items()))

@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .exactlin import (
     Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _combination, _defects,
-    _integer_terms, _neg_terms, _span, _sparse_sum, dense_tensor, kernel_basis, kernel_of_rows,
-    nonzeros, quotient, rank,
+    _integer_terms, _neg_terms, _span, _sparse_sum, _transposed, dense_tensor, kernel_basis,
+    kernel_of_rows, nonzeros, quotient, rank,
 )
 from .lts import LtsHom, odd_part_lts
 
@@ -304,11 +304,7 @@ def is_generated_by_odd(L: GradedLieAlgebra) -> bool:
 def center(L: GradedLieAlgebra) -> Subspace:
     """{z : [z, e_j] = 0 for all j}, the kernel of the stacked ad matrices:
     row (j, l) holds coordinate l of each [e_i, e_j]."""
-    rows = {}
-    for i, row in enumerate(L.terms):
-        for j, v in enumerate(row):
-            for l, x in v:
-                rows.setdefault((j, l), {})[i] = x
+    rows = _transposed((((j, l), x) for j, v in enumerate(row) for l, x in v) for row in L.terms)
     return kernel_of_rows(L.field, L.dim, rows.values())
 
 

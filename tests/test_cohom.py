@@ -19,9 +19,7 @@ from lietrip.cohom import (
     cocycle_extension, envelope_criterion, graded_cochain_basis, h2_graded,
     is_0_centrally_closed, split_central_0_extension, zero_cochain,
 )
-from lietrip.embed import (
-    _universal_central_0_extension, universal_central_0_extension, universal_imbedding,
-)
+from lietrip.embed import universal_central_0_extension, universal_imbedding
 from lietrip.exactlin import (
     Field, Matrix, QQ, Subspace, _distinct_rows, _echelon, _null_vectors, unit_vec,
 )
@@ -399,13 +397,23 @@ def _odd_generated(field):
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
 def test_h2_is_the_kernel_of_the_universal_central_0_extension(field):
     """For L generated by L_1, dim H^2(L, F) = dim ker(A(L_1) -> L), with H^2
-    from the oracle's own d1 and d2; envelope_criterion reads H^2 this way."""
+    from the oracle's own d1 and d2.  envelope_criterion reads H^2 off the rank
+    of the radical without building A(L_1), and when it is 0 its witness is the
+    universal central 0-extension: A(L_1) pulled back from L is A(L_1) as the
+    imbedding chain builds it."""
     seen = set()
     for L in _odd_generated(field):
         assert is_generated_by_odd(L)
         h2 = oracles.h2_graded_dim(_raw(L), field.p)
-        assert _universal_central_0_extension(L).kernel.dim == h2
-        assert envelope_criterion(L).h2_dimension == h2
+        ext = universal_central_0_extension(L)
+        report = envelope_criterion(L)
+        assert ext.kernel.dim == report.h2_dimension == h2
+        assert report.verdict == (h2 == 0)
+        if report.verdict:
+            assert report.witness.source == universal_imbedding(odd_part_lts(L)).algebra
+            assert report.witness == ext.hom
+        else:
+            assert report.witness is None
         seen.add(h2)
     assert 0 in seen and max(seen) >= 2
 
@@ -417,7 +425,7 @@ def test_envelope_criterion_positive():
         assert result.witness is not None
         assert result.witness.is_bijective()
         # the witness really maps the envelope of the odd part onto L
-        assert result.extension.envelope.lts.triple == odd_part_lts(L).triple
+        assert result.witness.source == universal_imbedding(odd_part_lts(L)).algebra
 
 
 def test_envelope_criterion_negative():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -196,6 +197,19 @@ def test_module_quotient_rejects_non_hom():
         module_quotient_algebra(line, module, Matrix.identity(QQ, 1))
 
 
+def test_module_quotient_checks_that_the_kernel_of_mu_is_central(monkeypatch):
+    """The check reads [e_s, e_t] off the bracket table on both sides of s: in
+    <sl2lts, sl2lts> = sl(2), no basis vector is central, whichever its index;
+    the one basis vector of <abl(2), abl(2)> is."""
+    w = wedge_module(sl2lts())
+    for s in range(3):
+        monkeypatch.setattr(lietrip.embed, "_kernel_vectors", lambda m, s=s: [{s: 1}])
+        with pytest.raises(RuntimeError, match="kernel of mu is not central in the quotient"):
+            module_quotient_algebra(w.inder_algebra, w.module, w.lam)
+    monkeypatch.setattr(lietrip.embed, "_kernel_vectors", lambda m: [{0: 1}])
+    assert pair_algebra(abl(2)).algebra.dim == 1
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
     [[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, Fraction(1, 3)]],
@@ -260,6 +274,59 @@ def test_pair_algebra_rank_stop_both_branches(field, a_dim, ker_dim, monkeypatch
     assert (len(calls[1]) < generators) == (a_dim == ker_dim)
     assert len(calls[1]) <= generators
     assert _pair_algebra_lists(pa) == oracles.pair_algebra(raw, field.p)
+
+
+def radical_generators(monkeypatch, build):
+    """The generators of A(M) that build() hands to the echelon engine: of
+    the two echelons of embed._radical, lam's rows and then these."""
+    calls = []
+
+    def recording(rows, p, bound):
+        rows = list(rows)
+        calls.append([dict(r) for r in rows])
+        return _echelon(rows, p, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(lietrip.embed, "_echelon", recording)
+        build()
+    assert len(calls) == 2
+    return calls[1]
+
+
+def assert_in_kernel_of_lam(raw, generators, p):
+    """Each generator, a sparse row on the wedge basis, is killed by the
+    oracle's dense lam: e_i^e_j -> [e_i, e_j, -]."""
+    lam = oracles.lam_matrix(raw)
+    den = lcm(*(Fraction(x).denominator for row in lam for x in row))
+    rows = [[int(Fraction(x) * den) for x in row] for row in lam if any(row)]
+    assert not any(oracles.scalar(sum(row[u] * x for u, x in g.items()), p)
+                   for g in generators for row in rows)
+
+
+DENSE_GL3 = oracles.lts_of_bracket(oracles.change_bracket_basis(oracles.gl_bracket(3), 1))
+RADICAL_CASES = LADDER + RATIONAL + [("gl(3)@1", DENSE_GL3, QQ), ("gl(3)@1", DENSE_GL3, Field(5))]
+
+
+def test_dense_gl3_is_a_change_of_basis_of_its_triple():
+    gl2 = oracles.gl_bracket(2)
+    assert (oracles.lts_of_bracket(oracles.change_bracket_basis(gl2, 1))
+            == oracles.change_basis(oracles.lts_of_bracket(gl2), 1))
+
+
+@pytest.mark.parametrize("name, raw, field", RADICAL_CASES,
+                         ids=[f"{name}-{field}" for name, _, field in RADICAL_CASES])
+def test_every_radical_generator_lies_in_the_kernel_of_lam(name, raw, field, monkeypatch):
+    """The library checks only the echelon rows of A(M) against ker(lam) (or
+    the bracket); every generator lies there, on both routes that build A(M):
+    the pair algebra's module quotient over Inder(T), and envelope_criterion
+    on A(T), whose lam is ad(beta) on the odd part, beta the odd-odd bracket."""
+    T = lie_triple_system(field, raw)
+    assert_in_kernel_of_lam(raw, radical_generators(monkeypatch, lambda: pair_algebra(T)), field.p)
+    A = universal_imbedding(T).algebra
+    odd = [[[list(v) for v in tij] for tij in ti] for ti in odd_part_lts(A).triple]
+    assert odd == [[[list(v) for v in tij] for tij in ti] for ti in T.triple]
+    assert_in_kernel_of_lam(odd, radical_generators(monkeypatch, lambda: envelope_criterion(A)),
+                            field.p)
 
 
 @pytest.mark.parametrize("name, raw, field", LADDER + RATIONAL,
@@ -601,9 +668,9 @@ def test_envelope_criterion_checks_generation_once(monkeypatch):
 
 
 def test_envelope_criterion_builds_no_center_and_no_rank_when_true(monkeypatch):
-    # the witness matrix is eliminated once, a kernel is checked vector by
-    # vector, and H^2 of an odd-generated algebra is the kernel's dimension:
-    # no center, rank or H^2 elimination, whatever the verdict
+    # H^2 of an odd-generated algebra is read off the rank of the radical and
+    # the witness is L pulled back along the bracket: no center, rank or H^2
+    # elimination, whatever the verdict
     calls = []
 
     def spy(name, real):
@@ -619,13 +686,42 @@ def test_envelope_criterion_builds_no_center_and_no_rank_when_true(monkeypatch):
     for L in (heis(), sl2graded(), universal_imbedding(sl2lts()).algebra):
         assert envelope_criterion(L).verdict
     report = envelope_criterion(ab2())
-    assert (report.verdict, report.h2_dimension, report.extension) == (False, 1, None)
+    assert (report.verdict, report.h2_dimension, report.witness) == (False, 1, None)
     assert calls == []
     # the spies are live: H^2 is eliminated when the odd part does not generate
     assert not envelope_criterion(direct_sum(sl2graded(), even_line())).generated_by_odd
     assert calls == ["h2_graded"]
     lietrip.grlie.center(ab2())
     assert calls == ["h2_graded", "center"]
+
+
+def test_envelope_criterion_builds_no_envelope(monkeypatch):
+    """The criterion reads H^2 and the witness off the radical of L_1^L_1 and
+    L itself: none of the imbedding chain runs, whatever the verdict."""
+    calls = []
+
+    def spy(name, real):
+        def counting(*args):
+            calls.append(name)
+            return real(*args)
+        return counting
+
+    names = ("universal_imbedding", "standard_imbedding", "inner_derivation_algebra",
+             "pair_algebra", "module_quotient_algebra")
+    for module in (lietrip, lietrip.lts, lietrip.embed, lietrip.cohom):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    A = lietrip.embed.universal_imbedding(sl2lts()).algebra
+    assert sorted(calls) == sorted(names)
+    calls.clear()
+    for L in (heis(), ab2(), sl2graded(), A):
+        envelope_criterion(L)
+    assert lietrip.is_0_centrally_closed(A)
+    assert calls == []
+    # the spies are live: the universal central 0-extension builds the envelope
+    lietrip.embed.universal_central_0_extension(A)
+    assert sorted(calls) == sorted(names)
 
 
 def _with_envelope_algebra(monkeypatch, dim0, edit=None):

@@ -10,7 +10,9 @@ import pytest
 import lietrip
 from lietrip.cohom import H2Result, cocycle_extension, envelope_criterion, h2_graded
 from lietrip.corpus import ab2, heis, odd2
-from lietrip.embed import module_quotient_algebra, universal_imbedding
+from lietrip.embed import (
+    module_quotient_algebra, universal_central_0_extension, universal_imbedding,
+)
 from lietrip.exactlin import Field, Record
 from lietrip.grlie import adjoint_module, check_graded_lie, trivial_module
 from lietrip.lts import (
@@ -39,7 +41,7 @@ def ladder_records():
         axioms.violations[0], axioms, odd2(), identity_lts_hom(odd2()),
         derivation_algebra(odd2()), ideal_closure_certificate(odd2()),
         check_graded_lie(heis()), heis(), env.upsilon, adjoint_module(heis()),
-        env.ste, wedge, mq, env.pair, env, criterion.extension,
+        env.ste, wedge, mq, env.pair, env, universal_central_0_extension(env.algebra),
         h2.representatives[0], h2, cocycle_extension(ab2(), M, h2.representatives[0]),
         criterion,
     ]

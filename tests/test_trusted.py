@@ -40,6 +40,7 @@ from lietrip.lts import (
     is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts,
 )
 from lietrip.serialize import PayloadError, load, save
+from test_embed import assert_in_kernel_of_lam, radical_generators
 
 SYSTEMS = {
     "abl(4)": lambda F: abl(4, F),
@@ -101,6 +102,7 @@ def test_derived_objects_pass_the_full_checks(name, field):
     report = envelope_criterion(A)
     assert report.verdict, name
     _hom_ok(report.witness, f"envelope_criterion witness of A({name})")
+    assert report.witness.source == A, name
     _quotient_and_extensions(A, f"A({name})")
     n = T.dim
     assert ideal_closure_certificate(T) == IdealClosureCertificate(
@@ -141,14 +143,18 @@ def test_pair_algebra_matches_the_derivation_route(name, field):
 
 
 @pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
-def test_image_times_kernel_of_lam_lies_in_a_on_the_derivation_route(name, field):
+def test_image_times_kernel_of_lam_lies_in_a_on_the_derivation_route(name, field, monkeypatch):
     """Over Der(T), L is larger than Im(lam) = Inder(T); Im(lam).Ker(lam),
     from the oracle's dense products, still lies in the A(M) that the
-    module quotient builds from the products with lam's pivot columns."""
+    module quotient builds from the products with lam's pivot columns, and
+    each of those generators lies in ker(lam)."""
     T = SYSTEMS[name](field)
-    mq, _ = _pair_algebra_over_der(T)
+    built = []
+    gens = radical_generators(monkeypatch, lambda: built.append(_pair_algebra_over_der(T)))
+    mq, _ = built[0]
     a_rows = mq.a_subspace.basis.to_lists()
     raw = [[[list(v) for v in tij] for tij in ti] for ti in T.triple]
+    assert_in_kernel_of_lam(raw, gens, field.p)
     products = oracles.image_kernel_products(raw, field.p)
     assert oracles.frac_rank(a_rows + products, field.p) == len(a_rows)
 
@@ -203,6 +209,8 @@ TRUSTED_SITES = {
     ("cohom.cocycle_extension", "_assemble"),
     ("cohom.cocycle_extension", "GradedHom(unchecked=True)"),
     ("cohom.split_central_0_extension", "GradedHom(unchecked=True)"),
+    ("cohom.envelope_criterion", "_assemble"),
+    ("cohom.envelope_criterion", "GradedHom(unchecked=True)"),
     # objects valid by their shape alone
     ("corpus.abl", "LieTripleSystem(unchecked=True)"),
     ("grlie.abelian_algebra", "GradedLieAlgebra(unchecked=True)"),

@@ -332,6 +332,8 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     """
     if alpha.rows != L.dim1 or alpha.cols != T.dim:
         raise ValueError("alpha must be an L.dim1 x dim(T) matrix")
+    if envelope is not None and envelope.lts is not T and envelope.lts != T:
+        raise ValueError("envelope is not the universal imbedding of T")
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
         raise ValueError("alpha is not a homomorphism into the odd part of L")
     return _extension(L, alpha, envelope if envelope is not None else universal_imbedding(T))
@@ -355,6 +357,8 @@ def imbedding_functor_hom(alpha: LtsHom,
                           source_env: Optional[UniversalImbedding] = None,
                           target_env: Optional[UniversalImbedding] = None) -> GradedHom:
     """The universal imbedding applied to a morphism of triple systems."""
+    if target_env is not None and target_env.lts is not alpha.target and target_env.lts != alpha.target:
+        raise ValueError("target_env is not the universal imbedding of the target")
     env_s = target_env if target_env is not None else universal_imbedding(alpha.target)
     return extend_hom(alpha.source, env_s.algebra, alpha.matrix, envelope=source_env)
 

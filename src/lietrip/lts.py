@@ -15,10 +15,13 @@ that of (3) in (i, j) and in (k, l): only the canonical tuples i < j < k,
 resp. i < j and k < l, are computed, every other defect is read off by sign
 (a repeated pair gives zero).  When (1) fails, the loops take every tuple.
 
-On the canonical path (3) is checked first at the pairs i < j whose D_{i,j}
-= [e_i, e_j, -] enlarge an exact echelon of their flats, a basis of Inder(T):
-the defect of (3) at (i, j, k, l, m) is linear in D_{i,j}, so it vanishes at
-every pair once it vanishes at a basis.  On any defect every pair is scanned.
+On the canonical path (3), [D, D_{k,l}] = D_{De_k,e_l} + D_{e_k,De_l} for D
+= D_{i,j} (D_{k,l} = [e_k, e_l, -]), is decided in Inder(T) coordinates: it
+is linear in D, and with B_1..B_r the reduced echelon basis of the flats of
+the D_{k,l}, k < l, it holds iff (A) every [B_p, B_q] reduces to 0 against
+it and (B) for each p and k < l, sum_s D_{k,l}[c_s] [B_p, B_s] (c_s the
+pivots) and the right side at D = B_p agree at the pivots, their
+coordinates in Inder(T).  If either fails, every pair i < j is scanned.
 
 Constructors run the checker and refuse invalid tensors unless an
 explicit ``unchecked`` flag is passed (needed to store intentionally
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
@@ -173,11 +177,10 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
               for k in range(j + 1 if canonical else 0, n))
     bad += _spread(F, "cyclic", _defects(F, n, den, cyclic), _CYCLIC_ORBIT[orbits])
 
-    if canonical:  # (3) first at the pairs that span Inder(T), see the module docstring
-        pairs, _, _, picked = _inner_span(T)
-        found = _derivation_defects(F, nz, den, [pairs[q] for q in picked], True)
-        if found:
-            found = _derivation_defects(F, nz, den, pairs, True)
+    if canonical:  # (3) in Inder(T) coordinates first, see the module docstring
+        pairs, flats, echelon = _inner_span(T)
+        found = [] if _derivation_identity_holds(F.p, n, pairs, flats, echelon) else (
+            _derivation_defects(F, nz, den, pairs, True))
     else:
         found = _derivation_defects(F, nz, den, [(i, j) for i in range(n) for j in range(n)], False)
     bad += _spread(F, "derivation", found, _DERIVATION_ORBIT[orbits])
@@ -295,20 +298,32 @@ def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
     n = T.dim
     flats = span.basis.terms
     ints, den = _integer_rows(F.p, [dict(v) for v in flats])
-    echelon = dict(zip(span.pivots, ints))  # each row den at its pivot, 0 at the others
-    rows = [_flat_rows(v.items(), n) for v in ints]
-    # [D_b, D_a] = -[D_a, D_b]: each unordered pair is computed once
-    table = [[()] * len(flats) for _ in flats]
-    for a in range(len(flats)):
-        for b in range(a + 1, len(flats)):
-            v = _commutator(F.p, rows[a], rows[b])
-            coords = _terms_of(F.p, {q: v[c] for q, c in enumerate(span.pivots) if c in v}, den * den)
-            if _reduce(v, echelon, F.p):
-                raise RuntimeError("derivations not closed under commutator")
-            table[a][b] = coords
-            table[b][a] = _neg_terms(F.p, coords)
+    table = _commutator_coordinates(F.p, n, span.pivots, ints)
+    if table is None:
+        raise RuntimeError("derivations not closed under commutator")
     basis = tuple(Matrix(F, n, n, _flat_rows(v, n)) for v in flats)
-    return DerivationAlgebra(T, basis, span, Nonzeros(tuple(map(tuple, table))))
+    return DerivationAlgebra(T, basis, span, Nonzeros(
+        tuple(tuple(_terms_of(F.p, c, den * den) for c in row) for row in table)))
+
+
+def _commutator_coordinates(p: Optional[int], n: int, pivots: Sequence, ints: list) -> Optional[list]:
+    """table[a][b] = [R_a, R_b] at the pivots, {q: x}, for integer rows R_a
+    (n x n, row-major) each d at its pivot and 0 at the other pivots: d^2 times
+    the coordinates of [R_a / d, R_b / d].  None if one leaves the span."""
+    table = [[{}] * len(ints) for _ in ints]
+    if len(ints) < 2:
+        return table  # no commutator to take
+    echelon = dict(zip(pivots, ints))
+    rows = [_flat_rows(v.items(), n) for v in ints]
+    # [R_b, R_a] = -[R_a, R_b]: each unordered pair is computed once
+    for a in range(len(ints)):
+        for b in range(a + 1, len(ints)):
+            v = _commutator(p, rows[a], rows[b])
+            table[a][b] = coords = {q: v[c] for q, c in enumerate(pivots) if c in v}
+            table[b][a] = {q: -x for q, x in coords.items()}
+            if _reduce(v, echelon, p):
+                return None
+    return table
 
 
 def derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
@@ -352,16 +367,51 @@ def _inner_flats(T: LieTripleSystem) -> list:
     return [[{l * n + m: x for m, v in enumerate(tuv) for l, x in v} for tuv in tu] for tu in T.terms]
 
 
-def _inner_span(T: LieTripleSystem) -> tuple[list, list, dict, list]:
-    """The pairs i < j, the flats of T, the reduced echelon basis of the flats
-    of the pairs (up to one common scale), a basis of Inder(T), and the
-    indices of the pairs whose flats enlarged it."""
+def _inner_span(T: LieTripleSystem) -> tuple[list, list, dict]:
+    """The pairs i < j, the flats of their D_{i,j} as integer rows (over Q
+    times one common denominator), and the reduced echelon basis of those
+    flats (each row up to scale), a basis of Inder(T)."""
     n = T.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    flat = _inner_flats(T)
-    rows, _ = _integer_rows(T.field.p, [dict(flat[i][j]) for i, j in pairs])
-    echelon, picked = _echelon(rows, T.field.p, n * n)
-    return pairs, flat, echelon, picked
+    flats, _ = _integer_rows(T.field.p, [
+        {l * n + m: x for m, v in enumerate(T.terms[i][j]) for l, x in v} for i, j in pairs])
+    return pairs, flats, _echelon(map(dict, flats), T.field.p, n * n)[0]
+
+
+def _derivation_identity_holds(p: Optional[int], n: int, pairs: list, flats: list, echelon: dict) -> bool:
+    """(3) on an alternating T by (A) and (B) of the module docstring, from
+    _inner_span: (B) compares sum_s f_{k,l}[c_s] [R_p, R_s] with d (sum_u
+    R_p[u,k] f_{u,l} + sum_u R_p[u,l] f_{k,u}), R_p = d B_p, f the flats."""
+    pivots = sorted(echelon)
+    d = 1 if p is not None else lcm(*(echelon[c][c] for c in pivots))
+    basis = [echelon[c] if d == 1 else {j: x * (d // echelon[c][c]) for j, x in echelon[c].items()}
+             for c in pivots]
+    table = _commutator_coordinates(p, n, pivots, basis)
+    if table is None:
+        return False  # (A)
+    coords = [[{}] * n for _ in range(n)]  # coords[u][v] = f_{u,v} at the pivots
+    for (u, v), f in zip(pairs, flats):
+        if f:
+            coords[u][v] = c = {q: f[c] for q, c in enumerate(pivots) if c in f}
+            coords[v][u] = {q: -x for q, x in c.items()}
+    for row, comm in zip(basis, table):
+        cols = [[] for _ in range(n)]  # cols[k] = the nonzeros (u, d R_p[u,k])
+        for j, x in row.items():
+            cols[j % n].append((j // n, d * x))
+        for k, l in pairs:
+            acc = [0] * len(pivots)
+            for s, x in coords[k][l].items():
+                for q, y in comm[s].items():
+                    acc[q] += x * y
+            for u, x in cols[k]:
+                for q, y in coords[u][l].items():
+                    acc[q] -= x * y
+            for u, x in cols[l]:
+                for q, y in coords[k][u].items():
+                    acc[q] -= x * y
+            if any(acc) and (p is None or any(x % p for x in acc)):
+                return False  # (B)
+    return True
 
 
 def inner_derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
@@ -382,8 +432,9 @@ def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
     """Check [D, D_{e_i,e_j}] for every basis derivation D and pair i < j."""
     F = T.field
     n = T.dim
-    pairs, flat, echelon, _ = _inner_span(T)
+    pairs, _, echelon = _inner_span(T)
     span = _subspace(F, n * n, echelon)
+    flat = _inner_flats(T)
     pair_rows = [_flat_rows(flat[i][j].items(), n) for i, j in pairs]
     failures = []
     checked = 0

@@ -567,6 +567,23 @@ def test_extend_rejects_non_hom():
         extend_hom(odd2(), sl2graded(), Matrix.identity(QQ, 2).scale(QQ.of(2)))
 
 
+def test_extend_rejects_the_envelope_of_another_system():
+    env = universal_imbedding(odd2())
+    with pytest.raises(ValueError, match="envelope"):
+        extend_hom(abl(2), universal_imbedding(abl(2)).algebra, Matrix.identity(QQ, 2), envelope=env)
+    with pytest.raises(ValueError, match="envelope"):
+        imbedding_functor_hom(identity_lts_hom(abl(2)), source_env=env)
+
+
+def test_functor_rejects_the_envelope_of_another_target():
+    A = abl(2)
+    with pytest.raises(ValueError, match="target_env"):
+        imbedding_functor_hom(identity_lts_hom(A), target_env=universal_imbedding(odd2()))
+    # an equal system in another object is the same target
+    f = imbedding_functor_hom(identity_lts_hom(A), target_env=universal_imbedding(abl(2)))
+    assert f.matrix == Matrix.identity(QQ, universal_imbedding(A).algebra.dim)
+
+
 def _reconstruct_even_block(T, L, alpha, env, ext):
     """Independent route to the even values: solve for any decomposition of
     each pair-algebra basis vector into projected wedges, then map through
@@ -790,9 +807,17 @@ def _quotient_of_ladder(name):
     return lambda F: next(L for n, L, _ in _h2_ladder(F) if n == name)
 
 
-# the rational bases, every system of the ladder, and graded algebras with H^2 != 0
-LARGE_PRIME_CASES = [(name, lambda F, raw=raw: lie_triple_system(F, raw))
-                     for name, raw in {name: raw for name, raw, _ in RATIONAL + LADDER}.items()] + [
+# the wall inputs that fit a test's time: gl(4), a dense gl(3) and abl(8)
+WALL_SYSTEMS = {
+    "gl(4)": oracles.lts_of_bracket(oracles.gl_bracket(4)),
+    "gl(3)@1": oracles.change_basis(oracles.lts_of_bracket(oracles.gl_bracket(3)), 1),
+    "abl(8)": [[[[0] * 8 for _ in range(8)] for _ in range(8)] for _ in range(8)],
+}
+
+# the rational bases, every system of the ladder, the wall inputs (each built
+# and axiom-checked in the field), and graded algebras with H^2 != 0
+LARGE_PRIME_CASES = [(name, lambda F, raw=raw: lie_triple_system(F, raw)) for name, raw in (
+    {name: raw for name, raw, _ in RATIONAL + LADDER} | WALL_SYSTEMS).items()] + [
     ("ab2", ab2), ("A(abl(3))/line", _quotient_of_ladder("A(abl(3))/line")),
     ("A(abl(3))/plane", _quotient_of_ladder("A(abl(3))/plane"))]
 
@@ -814,7 +839,7 @@ def _large_prime_facts(obj):
 @pytest.mark.parametrize("name, make", LARGE_PRIME_CASES, ids=[name for name, _ in LARGE_PRIME_CASES])
 def test_rational_basis_agrees_with_a_large_prime(name, make):
     """The same facts over Q and over F_(2^61-1), where every denominator is
-    invertible: the rational bases, the ladder, and H^2 != 0."""
+    invertible: the rational bases, the ladder, the wall inputs, and H^2 != 0."""
     facts = [_large_prime_facts(make(field)) for field in (QQ, Field(2 ** 61 - 1))]
     assert facts[0] == facts[1]
     h2, criterion, verdict = facts[0][-3:]

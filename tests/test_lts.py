@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lietrip import lts
 from lietrip.corpus import abl, heis, odd2, sl2graded, sl2lts
-from lietrip.exactlin import Field, Matrix, QQ, unit_vec
+from lietrip.exactlin import Field, Matrix, QQ, _echelon, _integer_rows, unit_vec
 from lietrip.lts import (
     IdealClosureCertificate, LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
     derivation_algebra, ideal_closure_certificate, inner_derivation, inner_derivation_algebra,
@@ -328,8 +328,79 @@ def test_axiom_check_matches_oracle_under_antisymmetric_mutation(case, data):
     assert _violations(field, t) == oracles.lts_violations(t, field.p)
 
 
+DERIVATION_SYSTEMS = {**ORACLE_SYSTEMS, **DENSE_SYSTEMS, **RATIONAL_SYSTEMS}
+DERIVATION_CASES = [(name, field) for name, field in ORACLE_CASES + DENSE_CASES + RATIONAL_CASES
+                    if len(DERIVATION_SYSTEMS[name]) >= 3]
+
+
+def _derivation_mutation(raw, i, j, k, l, delta):
+    """raw with +delta at (i,j,k,l) and (k,j,i,l), -delta at (j,i,k,l) and
+    (j,k,i,l), for distinct i, j, k: t stays alternating and its cyclic sum
+    at (i,j,k) gains delta - delta, so only identity (3) can fail."""
+    t = [[[list(v) for v in tij] for tij in ti] for ti in raw]
+    t[i][j][k][l] += delta
+    t[k][j][i][l] += delta
+    t[j][i][k][l] -= delta
+    t[j][k][i][l] -= delta
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DERIVATION_CASES), st.data())
+def test_axiom_check_matches_oracle_under_derivation_only_mutation(case, data):
+    """(3) is decided in Inder(T) coordinates, by the closure (A) and the
+    coordinate identity (B) of the lts module docstring; a mutation that
+    keeps (1) and (2) reaches both branches, and the report must list every
+    violation the oracle finds."""
+    name, field = case
+    raw = DERIVATION_SYSTEMS[name]
+    i, j, k = data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=3, max_size=3, unique=True))
+    l = data.draw(st.integers(0, len(raw) - 1))
+    delta = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-2, 3)]))
+    t = _derivation_mutation(raw, i, j, k, l, delta)
+    got = _violations(field, t)
+    assert {identity for identity, _, _ in got} <= {"derivation"}
+    assert got == oracles.lts_violations(t, field.p)
+
+
+def test_failures_of_closure_and_of_coordinates_reach_the_scan(monkeypatch):
+    """On a seeded list of (1)(2)-preserving mutations, a failure of (A) (the
+    commutators of the echelon basis leave Inder(T)) and a failure of (B)
+    (they stay in, but a coordinate differs) each hand over to the scan of
+    every pair, whose report is the oracle's; a valid system never does."""
+    calls = []
+    scan, closure = lts._derivation_defects, lts._commutator_coordinates
+
+    def closure_spy(*args):
+        table = closure(*args)
+        calls.append(("closed", table is not None))
+        return table
+
+    monkeypatch.setattr(lts, "_derivation_defects", lambda F, nz, den, pairs, canonical: (
+        calls.append(("scan", len(pairs))) or scan(F, nz, den, pairs, canonical)))
+    monkeypatch.setattr(lts, "_commutator_coordinates", closure_spy)
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(60):
+        name, field = rng.choice(DERIVATION_CASES)
+        raw = DERIVATION_SYSTEMS[name]
+        n = len(raw)
+        t = _derivation_mutation(raw, *rng.sample(range(n), 3), rng.randrange(n),
+                                 rng.choice([1, -1, Fraction(1, 3)]))
+        calls.clear()
+        got = _violations(field, t)
+        assert got == oracles.lts_violations(t, field.p)
+        if not got:
+            assert calls == [("closed", True)]
+            continue
+        (_, closed), *rest = calls
+        assert rest == [("scan", n * (n - 1) // 2)]
+        kinds.add("B" if closed else "A")
+    assert kinds == {"A", "B"}
+
+
 def _scanned_pairs(field, raw, monkeypatch):
-    """The lists of pairs (i, j) at which check_lts_axioms reads identity (3), call by call."""
+    """The lists of pairs (i, j) at which check_lts_axioms scans identity (3), call by call."""
     calls = []
     scan = lts._derivation_defects
     monkeypatch.setattr(lts, "_derivation_defects", lambda F, nz, den, pairs, canonical: (
@@ -339,11 +410,25 @@ def _scanned_pairs(field, raw, monkeypatch):
     return calls
 
 
+def _picked_pairs(field, raw):
+    """The pairs i < j whose D_{i,j} enlarge an exact echelon of the flats of
+    the D_{i,j}, in order: a basis of Inder(T)."""
+    T = lie_triple_system(field, raw, unchecked=True)
+    n = T.dim
+    pairs = list(combinations(range(n), 2))
+    flats = [{c: x for c, x in enumerate(inner_derivation(
+        T, unit_vec(field, n, i), unit_vec(field, n, j)).flatten()) if x} for i, j in pairs]
+    _, picked = _echelon(_integer_rows(field.p, flats)[0], field.p, n * n)
+    return [pairs[q] for q in picked]
+
+
 @pytest.mark.parametrize("name, raw, field", LADDER,
                          ids=[f"{name}-{field}" for name, _, field in LADDER])
 def test_picked_pairs_are_a_basis_of_the_inner_derivations(name, raw, field, monkeypatch):
-    (picked,) = _scanned_pairs(field, raw, monkeypatch)
-    assert len(picked) == inner_derivation_algebra(lie_triple_system(field, raw)).dim
+    """On a valid system (3) is decided in the coordinates of Inder(T): the
+    scan of the five-index tuples never runs."""
+    assert _scanned_pairs(field, raw, monkeypatch) == []
+    assert len(_picked_pairs(field, raw)) == inner_derivation_algebra(lie_triple_system(field, raw)).dim
 
 
 PICKED_CASES = [(name, raw, field) for name, raw in (
@@ -355,16 +440,17 @@ PICKED_CASES = [(name, raw, field) for name, raw in (
 @pytest.mark.parametrize("name, raw, field", PICKED_CASES,
                          ids=[f"{name}-{field}" for name, _, field in PICKED_CASES])
 def test_mutation_outside_the_picked_pairs_is_caught(name, raw, field, monkeypatch):
-    """Identity (3) is linear in D_{i,j}, so the check reads it first at the
-    pairs whose flats span Inder(T).  Here the mutated pair is not one of
-    them, and with k = i the cyclic sums stay clean, so only (3) fails: the
+    """Identity (3) is linear in D_{i,j}, so a basis of Inder(T) decides it.
+    Here the mutated pair is not one of the pairs whose flats give that
+    basis, and with k = i the cyclic sums stay clean, so only (3) fails: the
     report must still list every violation the oracle finds."""
-    (picked,) = _scanned_pairs(field, raw, monkeypatch)
+    picked = _picked_pairs(field, raw)
     n = len(raw)
     i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in picked)
     t = [[[list(v) for v in tij] for tij in ti] for ti in raw]
     t[i][j][i][0] += Fraction(1, 3)
     t[j][i][i][0] -= Fraction(1, 3)
+    assert _scanned_pairs(field, t, monkeypatch) == [list(combinations(range(n), 2))]
     got = _violations(field, t)
     assert got and {identity for identity, _, _ in got} == {"derivation"}
     assert got == oracles.lts_violations(t, field.p)

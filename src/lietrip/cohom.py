@@ -2,22 +2,23 @@
 H^2 of the graded subcomplex, cocycle-built central extensions, and the
 constructive splitting of central 0-extensions.
 
-A degree-n cochain stores one module-coordinate vector per sorted basis
-combination i_1 < ... < i_n, so alternation is structural.  A cochain is graded when arguments of total degree g land in
-the degree-g block of the module.
+A degree-n cochain stores one sparse module vector, the nonzeros of its
+value, per sorted basis combination i_1 < ... < i_n, so alternation is
+structural; the dense ``values`` is a view derived on each read.  A cochain
+is graded when arguments of total degree g land in the degree-g block of the
+module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Nonzeros, Record, Subspace, Vector, _combination, _distinct_rows, _echelon,
-    _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed, inverse,
-    linear_combination, nonzeros, solve, unit_vec, vec_from_sums,
+    Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _combination, _distinct_rows,
+    _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _terms_of,
+    _transposed, dense_tensor, inverse, rref, solve,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, center, is_generated_by_odd,
@@ -30,31 +31,38 @@ class Cochain(Record):
     algebra: GradedLieAlgebra
     module: GradedModule
     degree: int
-    values: tuple  # one module-coordinate vector per sorted index combination
+    terms: Nonzeros  # one sparse module vector per sorted index combination
 
     def __init__(self, algebra: GradedLieAlgebra, module: GradedModule, degree: int,
                  values: tuple):
-        Record.__init__(self, algebra, module, degree, values)
-        if self.degree not in (1, 2, 3):
+        """values: the dense module vectors, one per sorted combination, or their Nonzeros."""
+        if degree not in (1, 2, 3):
             raise ValueError("supported cochain degrees are 1, 2, 3")
-        if len(self.values) != len(self.combos()):
+        if len(values) != comb(algebra.dim, degree):
             raise ValueError("value count does not match the combination count")
-        if any(len(v) != self.module.dim for v in self.values):
+        terms = _as_nonzeros(values, (len(values), module.dim))
+        if terms is None:
             raise ValueError("value length does not match the module dimension")
+        Record.__init__(self, algebra, module, degree, terms)
+
+    @property
+    def values(self) -> tuple:
+        """The dense module vectors, derived from terms."""
+        return dense_tensor(self.algebra.field, self.module.dim, self.terms, 1)
 
     def combos(self) -> list:
         return list(combinations(range(self.algebra.dim), self.degree))
 
     def value(self, combo: tuple) -> Vector:
-        return self.values[_combo_index(combo, self.algebra.dim, self.degree)]
+        return dense_tensor(self.algebra.field, self.module.dim,
+                            self.terms[_combo_index(combo, self.algebra.dim, self.degree)], 0)
 
     def is_graded(self) -> bool:
         slots = set(_graded_slots(self.algebra, self.module, self.degree))
-        return all((combo, r) in slots for combo, v in zip(self.combos(), self.values)
-                   for r, _ in nonzeros(v))
+        return all((combo, r) in slots for combo, v in zip(self.combos(), self.terms) for r, _ in v)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.values))
+        return not any(self.terms)
 
 
 def _combo_index(combo: tuple, n: int, degree: int) -> int:
@@ -91,11 +99,11 @@ def _graded_slots(L: GradedLieAlgebra, M: GradedModule, degree: int) -> list:
 
 
 def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict) -> Cochain:
-    """The cochain with the given {(combo, r): value} entries, zero elsewhere."""
-    values = [[L.field.zero()] * M.dim for _ in combinations(range(L.dim), degree)]
-    for (combo, r), x in entries.items():
-        values[_combo_index(combo, L.dim, degree)][r] = x
-    return Cochain(L, M, degree, tuple(tuple(v) for v in values))
+    """The cochain with the given nonzero {(combo, r): value} entries, zero elsewhere."""
+    terms = [()] * comb(L.dim, degree)
+    for (combo, r), x in sorted(entries.items()):
+        terms[_combo_index(combo, L.dim, degree)] += ((r, x),)
+    return Cochain(L, M, degree, Nonzeros(terms))
 
 
 def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, graded: bool = False) -> tuple:
@@ -159,13 +167,11 @@ def coboundary(f: Cochain) -> Cochain:
     if n >= 3:
         raise ValueError("coboundary is only taken up to degree-3 output")
     rows, den = _differential(L, M, n)  # the rows are den times the differential's
-    values = {(combo, r): Fraction(x, den) if den != 1 else x
-              for combo, v in zip(f.combos(), f.values) for r, x in nonzeros(v)}
-    out = tuple(
-        vec_from_sums(L.field, [sum(c * values[slot] for slot, c in rows[(combo, s)].items()
-                                    if slot in values) for s in range(M.dim)])
-        for combo in combinations(range(L.dim), n + 1))
-    return Cochain(L, M, n + 1, out)
+    values = {(combo, r): x for combo, v in zip(f.combos(), f.terms) for r, x in v}
+    return Cochain(L, M, n + 1, Nonzeros(
+        _terms_of(L.field.p, {s: sum(c * values[slot] for slot, c in rows[(combo, s)].items()
+                                     if slot in values) for s in range(M.dim)}, den)
+        for combo in combinations(range(L.dim), n + 1)))
 
 
 class H2Result(Record):
@@ -254,9 +260,8 @@ def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> C
     # sigma is graded, so its values follow the even brackets and [e_i, e_j] stays sorted
     lift = list(range(L.dim0)) + [i + m for i in range(L.dim0, L.dim)]
     total = _assemble(F, L.dim0 + m, L.dim1, (
-        (lift[i], lift[j], [(lift[l], x) for l, x in L.terms[i][j]]
-         + [(L.dim0 + r, x) for r, x in nonzeros(sigma.value((i, j)))])
-        for i in range(L.dim) for j in range(i + 1, L.dim)))
+        (lift[i], lift[j], [(lift[l], x) for l, x in L.terms[i][j]] + [(L.dim0 + r, x) for r, x in v])
+        for (i, j), v in zip(combinations(range(L.dim), 2), sigma.terms)))
     proj_rows = Nonzeros(((lift[i], F.one()),) for i in range(L.dim))
     phi = GradedHom(total, L, Matrix(F, L.dim, total.dim, proj_rows), unchecked=True)
     return CentralExtensionProblem.from_hom(phi)
@@ -267,13 +272,13 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     not split (the defining cocycle class is nonzero)."""
     K, L, phi = prob.total, prob.base, prob.phi
     F = K.field
-    # graded linear section eta (block-diagonal matrices solve blockwise), by its columns' nonzeros
-    eta = []
-    for i in range(L.dim):
-        col = solve(phi.matrix, unit_vec(F, L.dim, i))
-        if col is None:
-            raise NotCentral0Extension("the hom is not surjective")
-        eta.append(nonzeros(col))
+    # graded linear section eta, by its columns' nonzeros: phi is onto, so the RREF of
+    # [phi | I] has its pivots in phi's block, and column i of I holds the solution of
+    # phi x = e_i that is 0 at the free columns (block-diagonal matrices reduce blockwise)
+    red, pivots = rref(phi.matrix.hstack(Matrix.identity(F, L.dim)))
+    if any(c >= K.dim for c in pivots):
+        raise NotCentral0Extension("the hom is not surjective")
+    eta = [tuple((pivots[r], x) for r, x in col) for col in red.transpose().terms[K.dim:]]
 
     ker = prob.kernel
     # sigma(e_i, e_j) = [eta e_i, eta e_j] - eta([e_i, e_j]), valued in the kernel
@@ -281,11 +286,11 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     rhs = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            sig = linear_combination(F, K.dim, chain(
+            sig = _sparse_sum(F.p, chain(
                 ((x * y, K.terms[a][b]) for a, x in eta[i] for b, y in eta[j]),
                 ((-x, eta[l]) for l, x in L.terms[i][j])))
-            sig_coords = ker.coordinates(sig)
-            if sig_coords is None:
+            sig_coords = [sig.get(c, F.zero()) for c in ker.pivots]
+            if ker._residue(sig):
                 raise RuntimeError("section defect escaped the kernel")
             if L.degree(i) != L.degree(j):
                 if any(sig_coords):

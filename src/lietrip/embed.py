@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .exactlin import (
     Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows, _integer_terms,
     _kernel_vectors, _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, kernel_basis,
-    linear_combination, quotient,
+    quotient,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, is_generated_by_odd,
@@ -289,17 +289,15 @@ def graded_algebra_from_pairing(L: GradedLieAlgebra, module: GradedModule,
     for a in range(L.dim):
         for u in range(mdim):
             for v in range(u + 1, mdim):
-                lhs = linear_combination(F, L.dim, ((x, L.terms[a][l]) for l, x in pair(u, v)))
-                rhs = linear_combination(F, L.dim, chain(((x, pair(w, v)) for w, x in act[a][u]),
-                                                         ((x, pair(u, w)) for w, x in act[a][v])))
-                if lhs != rhs:
+                if _sparse_sum(F.p, chain(((x, L.terms[a][l]) for l, x in pair(u, v)),
+                                          ((-x, pair(w, v)) for w, x in act[a][u]),
+                                          ((-x, pair(u, w)) for w, x in act[a][v]))):
                     raise ValueError(f"pairing is not equivariant: fails at ({a}, {u}, {v})")
     for u in range(mdim):
         for v in range(mdim):
             for k in range(mdim):
-                if any(linear_combination(F, mdim, (
-                        (y, act[b][h]) for f, g, h in ((u, v, k), (v, k, u), (k, u, v))
-                        for b, y in pair(f, g)))):
+                if _sparse_sum(F.p, ((y, act[b][h]) for f, g, h in ((u, v, k), (v, k, u), (k, u, v))
+                                     for b, y in pair(f, g))):
                     raise ValueError(f"pairing violates the cyclic relation at ({u}, {v}, {k})")
     return _glue(L, mdim, module.terms, pairing)
 

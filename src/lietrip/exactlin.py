@@ -206,37 +206,18 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
     v[i] = field.one()
     return tuple(v)
 
-def vec_from_sums(field: Field, sums: Sequence) -> Vector:
-    """Field entries from plain sums of products of field elements: each is
-    reduced mod p once, and over Q an entry no product reached becomes
-    Fraction(0)."""
-    p = field.p
-    if p is None:
-        return tuple(x if x else _ZERO for x in sums)
-    return tuple(x % p for x in sums)
 
 def nonzeros(v: Vector) -> list:
     """The (index, entry) pairs of v's nonzero entries."""
     return [(j, x) for j, x in enumerate(v) if x]
 
 
-def linear_combination(field: Field, n: int, terms: Iterable) -> Vector:
-    """The sum of c * v over the (c, v) pairs in terms, each v a sparse vector
-    of (index, scalar) pairs, as a vector of length n.  A coefficient may be
-    an unreduced product over F_p: every entry is normalised once, at the end."""
-    acc = [0] * n
-    for c, v in terms:
-        for j, x in v:
-            acc[j] += c * x
-    return vec_from_sums(field, acc)
-
-
 class Nonzeros(tuple):
-    """The one stored form of a structure tensor or a matrix: nested tuples
-    indexed by basis elements (or rows), down to one sparse vector per basis
-    pair, triple or row, the tuple of its nonzero (index, scalar) pairs
-    sorted by index.  A constructor tells it from the dense form by its type;
-    it compares and hashes as a tuple."""
+    """The one stored form of a structure tensor, a matrix or a cochain: nested
+    tuples indexed by basis elements (or rows, or combinations), down to one
+    sparse vector per basis pair, triple, row or combination, the tuple of
+    its nonzero (index, scalar) pairs sorted by index.  A constructor tells
+    it from the dense form by its type; it compares and hashes as a tuple."""
 
     __slots__ = ()
 
@@ -409,7 +390,8 @@ class Matrix(Record):
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"matvec: {self.cols} columns vs vector of length {len(v)}")
-        return vec_from_sums(self.field, [sum(x * v[j] for j, x in row) for row in self.terms])
+        return dense_tensor(self.field, self.rows, _terms_of(
+            self.field.p, {i: sum(x * v[j] for j, x in row) for i, row in enumerate(self.terms)}), 0)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Each row of the product is the combination of other's rows that
@@ -707,8 +689,6 @@ def _null_vectors(p: Optional[int], ncols: int, echelon: dict) -> list:
             if j != c:
                 vecs[j][c] = -x * (den // row[c]) if p is None else -x % p
     return list(vecs.values())
-
-
 
 
 def _span(field: Field, ambient_dim: int, rows: Iterable) -> Subspace:

@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 from .exactlin import (
     Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _defects, _echelon,
     _integer_rows, _integer_terms, _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of,
-    dense_tensor, kernel_of_rows, linear_combination, nonzeros, unit_vec,
+    dense_tensor, kernel_of_rows, nonzeros, unit_vec,
 )
 
 
@@ -103,8 +103,8 @@ def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vecto
         raise ValueError("vector dimension mismatch")
     t = T.terms
     nb, nc = nonzeros(b), nonzeros(c)
-    return linear_combination(T.field, n, (
-        (x * y * z, t[i][j][k]) for i, x in nonzeros(a) for j, y in nb for k, z in nc))
+    return dense_tensor(T.field, n, _sparse_sum(T.field.p, (
+        (x * y * z, t[i][j][k]) for i, x in nonzeros(a) for j, y in nb for k, z in nc)).items(), 0)
 
 
 # The tuples a canonical tuple stands for: index permutations, each with its sign.

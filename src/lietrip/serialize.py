@@ -95,7 +95,7 @@ def save(obj, name: Optional[str] = None) -> dict:
                 "algebra": save(obj.algebra)}
     elif isinstance(obj, Cochain):
         kind, field, dims = "cochain", obj.algebra.field, {"degree": obj.degree}
-        body = {"entries": [list(map(field.fmt, v)) for v in obj.values],
+        body = {"entries": fmt_terms(field, obj.module.dim, obj.terms, 1),
                 "algebra": save(obj.algebra), "module": save(obj.module)}
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -8,7 +8,7 @@ import pytest
 
 import lietrip.cli
 from lietrip.cli import main
-from lietrip.cohom import h2_graded
+from lietrip.cohom import coboundary, cocycle_extension, graded_cochain_basis, h2_graded
 import oracles
 from lietrip.corpus import (
     MAX_ABL_DIM, ab2, abl, by_name, even_line, heis, lts_by_name, odd2,
@@ -85,6 +85,21 @@ def test_loader_rejects_malformed():
     for payload in _not_arrays():
         with pytest.raises(PayloadError, match="expected an array"):
             load(payload, unchecked=True)
+
+
+def test_malformed_cochain_payloads_keep_their_messages():
+    H = heis()
+    payload = save(graded_cochain_basis(H, trivial_module(H, 2), 2)[0])
+    entries = payload["entries"]
+    cases = [({**payload, "entries": entries[:-1]},
+              "value count does not match the combination count"),
+             ({**payload, "entries": [entries[0][:-1], *entries[1:]]},
+              "value length does not match the module dimension"),
+             ({**payload, "dims": {"degree": 4}}, "supported cochain degrees are 1, 2, 3")]
+    for bad, message in cases:
+        for unchecked in (False, True):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                load(bad, unchecked=unchecked)
 
 
 def _not_arrays():
@@ -559,6 +574,8 @@ GOLDEN_REPORTS = {
     ('h2', 'heis adjoint.json', 'Q'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: module file is over a different algebra\n'),
     ('split', 'iso.json', 'Q'): (0, '7396fc78676efa160a40921433723be4831d07fed8c1d3d34d24a206c14d9607', ''),
     ('split', 'proj.json', 'Q'): (1, '6fb91d80c3c57b6ac0e0abbcf176bc669c30db056e551d2f81eba179e18a8693', 'split: false\n'),
+    ('split', 'cobext.json', 'Q'): (0, '7d3109d558863aa9a81050823068244917e2fa15d0733548f53676fa073a836a', ''),
+    ('split', 'cobext_line.json', 'Q'): (0, 'a6a5cd65d21ac20000bddf5f739401480acbbaf26946f0ea07cbc1af0b838892', ''),
     ('split', 'notsurj.json', 'Q'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: the hom is not surjective\n'),
     ('closed', 'heis', 'Q'): (0, 'b9c1f30ae13dac9dbc7d9822f0ae3b0b33c80b1a7d9b57a014c13522485a4107', ''),
     ('closed', 'ab2', 'Q'): (1, '861148ffe40b06bdb75147ca20baf365c867a8db05bc2f77866dcf77a7b1f7b8', 'closed: false\n'),
@@ -583,6 +600,8 @@ GOLDEN_REPORTS = {
     ('h2', 'heis adjoint.json', 'Fp:5'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: module file is over a different algebra\n'),
     ('split', 'iso.json', 'Fp:5'): (0, 'e0c6cfa9bd91aeebe7d2f2944cf7a4c56496f46932319a4b876eb6c4e2ad2b7b', ''),
     ('split', 'proj.json', 'Fp:5'): (1, '5284b85f019f7292fb636f01d82d052ded9789b2d24c0657fabbb4f06e76cbc3', 'split: false\n'),
+    ('split', 'cobext.json', 'Fp:5'): (0, '828df729b97c426a6fa9243b5aa982f7b80ab8202e40b294754e31038008ce6d', ''),
+    ('split', 'cobext_line.json', 'Fp:5'): (0, '11c6d5754be25a7fc6ba16fbb40ef6d3568bb2b124242a0662c1e2541d4dd176', ''),
     ('split', 'notsurj.json', 'Fp:5'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: the hom is not surjective\n'),
     ('closed', 'heis', 'Fp:5'): (0, 'eae28b4a3cbbf555480b4fe93ebc8704ac658b73a7c7bcf4de326c38b50ce785', ''),
     ('closed', 'ab2', 'Fp:5'): (1, 'b51d1bcad33dd17855ecd3ce02036d7edccd1b212cf94b7f65fc376468cb3e36', 'closed: false\n'),
@@ -596,6 +615,9 @@ def _golden_payloads(F):
     """File name -> the library object the golden file cases read, over F."""
     graded = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     graded[1][2][1], graded[2][1][1] = 1, -1  # [e1, e2] = e1 breaks the grading
+    H, M = heis(F), trivial_module(heis(F))
+    HL = direct_sum(H, even_line(F))
+    ML = trivial_module(HL)
     return {
         "broken_lts.json": LieTripleSystem(F, 1, ((((F.one(),),),),), unchecked=True),
         "broken_graded.json": graded_lie(F, 1, 2, graded, unchecked=True),
@@ -604,6 +626,10 @@ def _golden_payloads(F):
         "adjoint.json": adjoint_module(sl2graded(F)),
         "iso.json": identity_hom(heis(F)),
         "proj.json": GradedHom(heis(F), ab2(F), Matrix.make(F, [[0, 1, 0], [0, 0, 1]])),
+        # split with a nontrivial kernel; the splitting of heis is unique, but on
+        # the even line, outside [L, L], it is the section the split takes
+        "cobext.json": cocycle_extension(H, M, coboundary(graded_cochain_basis(H, M, 1)[0])).phi,
+        "cobext_line.json": cocycle_extension(HL, ML, coboundary(graded_cochain_basis(HL, ML, 1)[0])).phi,
         "notsurj.json": GradedHom(heis(F), heis(F), Matrix.zeros(F, 3, 3)),
         "notgen.json": direct_sum(sl2graded(F), even_line(F)),
     }

@@ -71,9 +71,7 @@ def _checked(result, dimensions: dict):
     """An axiom check's verdict, with the count and the first 25 violations."""
     if result.ok:
         return "pass", dimensions, {}, {}
-    first = [{"identity": v[0] if isinstance(v, tuple) else v.identity,
-              "indices": list(v[1] if isinstance(v, tuple) else v.indices)}
-             for v in result.violations[:25]]
+    first = [{"identity": v.identity, "indices": list(v.indices)} for v in result.violations[:25]]
     return "fail", dimensions, {"violations": {"count": len(result.violations), "first": first}}, {}
 
 

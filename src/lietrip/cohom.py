@@ -16,7 +16,7 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _combination, _distinct_rows,
+    Matrix, Nonzeros, Record, Subspace, _as_nonzeros, _combination, _distinct_rows,
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _terms_of,
     _transposed, dense_tensor, inverse, rref, solve,
 )
@@ -52,10 +52,6 @@ class Cochain(Record):
 
     def combos(self) -> list:
         return list(combinations(range(self.algebra.dim), self.degree))
-
-    def value(self, combo: tuple) -> Vector:
-        return dense_tensor(self.algebra.field, self.module.dim,
-                            self.terms[_combo_index(combo, self.algebra.dim, self.degree)], 0)
 
     def is_graded(self) -> bool:
         slots = set(_graded_slots(self.algebra, self.module, self.degree))

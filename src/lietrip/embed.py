@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows, _integer_terms,
-    _kernel_vectors, _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, kernel_basis,
-    quotient,
+    _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, kernel_basis, quotient,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, is_generated_by_odd,
@@ -200,7 +199,7 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
     algebra = _assemble(F, q.dim, 0, ((s, t, _terms_of(p, v, den * den * scale))
                                       for (s, t), v in table.items()))
     # [z, e_j] = sum_i z_i [e_i, e_j] at (j, c): table entry v = [e_s, e_t] adds z_s v at t, -z_t v at s
-    for z in _kernel_vectors(mu):
+    for z in map(dict, kernel_basis(mu).basis.terms):
         if _sparse_sum(p, ((y, (((j, c), x) for c, x in v.items())) for (s, t), v in table.items()
                            for j, y in ((t, z.get(s, 0)), (s, -z.get(t, 0))) if y)):
             raise RuntimeError("kernel of mu is not central in the quotient")

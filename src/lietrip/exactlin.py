@@ -565,24 +565,16 @@ class Subspace(Record):
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """The solution space of m*x = 0, dim = cols - rank: m's nonzero rows go
-    into the echelon engine exactly, and the solutions it leaves free are
-    reduced to their RREF basis."""
-    return _span(m.field, m.cols, _kernel_vectors(m))
-
-
-def _kernel_vectors(m: Matrix) -> list:
-    """A basis of the solutions of m*x = 0 as sparse rows, integers over Q."""
-    p = m.field.p
-    return _null_vectors(p, m.cols, _echelon(_integer_rows(p, map(dict, m.terms))[0], p, m.cols)[0])
+    """The solution space of m*x = 0, dim = cols - rank, in its RREF basis."""
+    return kernel_of_rows(m.field, m.cols, map(dict, m.terms))
 
 
 def kernel_of_rows(field: Field, ncols: int, rows: Iterable) -> Subspace:
-    """The common kernel of sparse rows, each a dict {column: scalar}, in the
-    RREF basis :func:`kernel_basis` gives the matrix they form: each row is
-    scaled to a canonical multiple (over Q primitive with a positive leading
-    entry, over F_p leading entry 1) and kept once, and the engine reduces
-    them exactly, up to rank ncols."""
+    """The common kernel of sparse rows, each a dict {column: scalar}, in its
+    RREF basis: each row is scaled to a canonical multiple (over Q primitive
+    with a positive leading entry, over F_p leading entry 1) and kept once,
+    the engine reduces them exactly, up to rank ncols, and the solutions it
+    leaves free are reduced to their RREF basis."""
     p = field.p
     echelon, _ = _echelon([dict(row) for row in _distinct_rows(p, rows)], p, ncols)
     return _span(field, ncols, _null_vectors(p, ncols, echelon))

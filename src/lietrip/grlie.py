@@ -5,7 +5,9 @@ dim0..dim0+dim1-1 are odd, and every tensor (brackets, hom matrices,
 module actions) uses this order.  These are ordinary Lie algebras carrying
 a grading; there is no super sign rule.  Algebras and modules store their
 structure constants once, as ``Nonzeros``; the dense ``bracket`` and
-``action`` are views derived on each read.
+``action`` are views derived on each read.  ``check_graded_lie`` reports
+in the records of ``lts``: an ``AxiomReport`` of ``AxiomViolation``s, and
+``GradedLieError`` is an ``AxiomError``.
 """
 
 from __future__ import annotations
@@ -15,24 +17,14 @@ from typing import Sequence
 
 from .exactlin import (
     Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _combination, _defects,
-    _integer_terms, _neg_terms, _span, _sparse_sum, _transposed, dense_tensor, kernel_basis,
-    kernel_of_rows, nonzeros, quotient, rank,
+    _integer_terms, _neg_terms, _span, _sparse_sum, _subspace, _transposed, dense_tensor,
+    kernel_basis, kernel_of_rows, nonzeros, quotient, rank,
 )
-from .lts import LtsHom, odd_part_lts
+from .lts import AxiomError, AxiomReport, AxiomViolation, LtsHom, odd_part_lts
 
 
-class GradedLieError(ValueError):
-    def __init__(self, report: "GradedCheckReport"):
-        self.report = report
-        first = report.violations[0]
-        super().__init__(
-            f"not a graded Lie algebra: {len(report.violations)} violation(s), "
-            f"first is {first[0]} at {first[1]}")
-
-
-class GradedCheckReport(Record):
-    ok: bool
-    violations: tuple  # (family, indices, defect) triples
+class GradedLieError(AxiomError):
+    structure = "graded Lie algebra"
 
 
 class GradedLieAlgebra(Record):
@@ -73,10 +65,10 @@ class GradedLieAlgebra(Record):
         return Matrix.from_cols(self.field, Nonzeros(self.terms[i]), rows=self.dim)
 
     def even_subspace(self) -> Subspace:
-        return _span(self.field, self.dim, ({i: 1} for i in range(self.dim0)))
+        return _subspace(self.field, self.dim, {i: {i: 1} for i in range(self.dim0)})
 
     def odd_subspace(self) -> Subspace:
-        return _span(self.field, self.dim, ({i: 1} for i in range(self.dim0, self.dim)))
+        return _subspace(self.field, self.dim, {i: {i: 1} for i in range(self.dim0, self.dim)})
 
 
 def _bracket(L: GradedLieAlgebra, x, y) -> dict:
@@ -120,7 +112,7 @@ def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
                             unchecked=True)
 
 
-def check_graded_lie(L: GradedLieAlgebra) -> GradedCheckReport:
+def check_graded_lie(L: GradedLieAlgebra) -> AxiomReport:
     """Antisymmetry (char-2-safe), Jacobi on basis triples, and structural
     grading ([L_i, L_j] inside L_{i+j}, checked as zero blocks), on the
     nonzeros of the structure constants, over Q as integers over den."""
@@ -131,16 +123,16 @@ def check_graded_lie(L: GradedLieAlgebra) -> GradedCheckReport:
     pairs = ((("alternating", (i, i)), ((1, c[i][i]),)) if i == j
              else (("antisymmetry", (i, j)), ((1, c[i][j]), (1, c[j][i])))
              for i in range(n) for j in range(i, n))
-    bad = [(family, ix, d) for (family, ix), d in _defects(F, n, den, pairs)]
+    bad = [AxiomViolation(*key, d) for key, d in _defects(F, n, den, pairs)]
     for i in range(n):
         for j in range(n):
             g = (L.degree(i) + L.degree(j)) % 2
-            bad += [("grading", (i, j, k), (x,)) for k, x in s[i][j] if L.degree(k) != g]
-    jacobi = ((("jacobi", (i, j, k)), ((w, c[m][e]) for a, b, e in ((i, j, k), (j, k, i), (k, i, j))
-                                       for m, w in c[a][b]))
+            bad += [AxiomViolation("grading", (i, j, k), (x,)) for k, x in s[i][j] if L.degree(k) != g]
+    jacobi = (((i, j, k), ((w, c[m][e]) for a, b, e in ((i, j, k), (j, k, i), (k, i, j))
+                           for m, w in c[a][b]))
               for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
-    bad += [(family, ix, d) for (family, ix), d in _defects(F, n, den * den, jacobi)]
-    return GradedCheckReport(not bad, tuple(bad))
+    bad += [AxiomViolation("jacobi", ix, d) for ix, d in _defects(F, n, den * den, jacobi)]
+    return AxiomReport(not bad, tuple(bad))
 
 
 def is_graded_hom(matrix: Matrix, source: GradedLieAlgebra, target: GradedLieAlgebra) -> bool:
@@ -329,25 +321,23 @@ def graded_pullback(phi: GradedHom, ups: GradedHom):
         raise ValueError("pullback requires a common codomain")
     K, U = phi.source, ups.source
     F = K.field
-    cond = phi.matrix.hstack(ups.matrix.scale(-1))  # L.dim x (K.dim + U.dim)
-    sols = kernel_basis(cond)
+    sols = kernel_basis(phi.matrix.hstack(ups.matrix.scale(-1)))  # in K + U
 
-    ndim = K.dim + U.dim
-    even_idx = list(range(K.dim0)) + [K.dim + j for j in range(U.dim0)]
-    odd_idx = [K.dim0 + a for a in range(K.dim1)] + [K.dim + U.dim0 + b for b in range(U.dim1)]
-    even_part = sols.intersect(_span(F, ndim, ({i: 1} for i in even_idx)))
-    odd_part = sols.intersect(_span(F, ndim, ({i: 1} for i in odd_idx)))
-    if even_part.dim + odd_part.dim != sols.dim:
+    def odd(j: int) -> bool:
+        return K.dim0 <= j < K.dim or j >= K.dim + U.dim0
+
+    # when phi and ups are graded, so is sols, and then each row of its RREF
+    # basis lies wholly in the even or wholly in the odd coordinates: the rows
+    # of each parity are the RREF basis of that part, even rows first
+    rows = sorted(zip(sols.pivots, sols.basis.terms), key=lambda row: odd(row[0]))
+    if any(odd(j) != odd(c) for c, v in rows for j, _ in v):
         raise RuntimeError("pullback solution space is not graded")
-    basis = even_part.basis.terms + odd_part.basis.terms
+    pivots = [c for c, _ in rows]
     # each basis vector's K and U parts: its nonzeros below K.dim, and the rest moved down
     parts = [(tuple((j, x) for j, x in v if j < K.dim), tuple((j - K.dim, x) for j, x in v if j >= K.dim))
-             for v in basis]
-    # the even and odd parts live on disjoint coordinates, so each basis vector
-    # is 1 at its pivot and 0 at the others: coordinates are pivot entries
-    pivots = even_part.pivots + odd_part.pivots
+             for _, v in rows]
 
-    def coords(s: int, t: int) -> list:  # of [basis[s], basis[t]] in the basis
+    def coords(s: int, t: int) -> list:  # of [basis[s], basis[t]] in the basis: its pivot entries
         (vk, vu), (wk, wu) = parts[s], parts[t]
         u = _bracket(K, vk, wk)
         u.update((K.dim + j, x) for j, x in _bracket(U, vu, wu).items())
@@ -355,8 +345,9 @@ def graded_pullback(phi: GradedHom, ups: GradedHom):
             raise RuntimeError("vector unexpectedly outside span")
         return [(q, u[c]) for q, c in enumerate(pivots) if c in u]
 
-    dim_a = len(basis)
-    A = _assemble(F, even_part.dim, odd_part.dim, (
+    dim_a = len(rows)
+    dim0 = sum(not odd(c) for c in pivots)
+    A = _assemble(F, dim0, dim_a - dim0, (
         (s, t, coords(s, t)) for s in range(dim_a) for t in range(s + 1, dim_a)))
     pk = GradedHom(A, K, Matrix.from_cols(F, Nonzeros(k for k, _ in parts), rows=K.dim),
                    unchecked=True)

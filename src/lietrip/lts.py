@@ -23,11 +23,13 @@ it and (B) for each p and k < l, sum_s D_{k,l}[c_s] [B_p, B_s] (c_s the
 pivots) and the right side at D = B_p agree at the pivots, their
 coordinates in Inder(T).  If either fails, every pair i < j is scanned.
 
-Constructors run the checker and refuse invalid tensors unless an
-explicit ``unchecked`` flag is passed (needed to store intentionally
-broken systems for negative tests).  Systems derived from validated input
-(``lts_of_lie``, ``odd_part_lts``) are built by ``_assemble_lts``, which
-checks nothing.
+The checker returns an ``AxiomReport`` of ``AxiomViolation`` records, as
+``grlie.check_graded_lie`` does, and ``AxiomError`` words the message of
+either failure.  Constructors run the checker and refuse invalid tensors
+unless an explicit ``unchecked`` flag is passed (needed to store
+intentionally broken systems for negative tests).  Systems derived from
+validated input (``lts_of_lie``, ``odd_part_lts``) are built by
+``_assemble_lts``, which checks nothing.
 
 Der(T) and Inder(T) are both ``DerivationAlgebra`` records built by one
 routine; Inder(T) is read from the tensor alone, and that it is an ideal
@@ -48,24 +50,31 @@ from .exactlin import (
 )
 
 
-class LtsAxiomError(ValueError):
-    def __init__(self, report: "LtsAxiomReport"):
+class AxiomViolation(Record):
+    identity: str  # the failed identity's family, e.g. "cyclic" or "jacobi"
+    indices: tuple  # the basis tuple it fails at
+    defect: Vector  # its defect there: a vector, or for "grading" the 1-tuple of the stray scalar
+
+
+class AxiomReport(Record):
+    ok: bool
+    violations: tuple  # of AxiomViolation, in the checker's order
+
+
+class AxiomError(ValueError):
+    """A failed axiom check, worded from its report."""
+    structure, prefix = "", ""  # what was checked; the words before the first violation's indices
+
+    def __init__(self, report: AxiomReport):
         self.report = report
         first = report.violations[0]
         super().__init__(
-            f"not a Lie triple system: {len(report.violations)} violation(s), "
-            f"first is {first.identity} at basis tuple {first.indices}")
+            f"not a {self.structure}: {len(report.violations)} violation(s), "
+            f"first is {first.identity} at {self.prefix}{first.indices}")
 
 
-class AxiomViolation(Record):
-    identity: str
-    indices: tuple
-    defect: Vector
-
-
-class LtsAxiomReport(Record):
-    ok: bool
-    violations: tuple
+class LtsAxiomError(AxiomError):
+    structure, prefix = "Lie triple system", "basis tuple "
 
 
 class LieTripleSystem(Record):
@@ -158,7 +167,7 @@ def _derivation_defects(F: Field, nz: list, den: int, pairs: list, canonical: bo
     return found
 
 
-def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
+def check_lts_axioms(T: LieTripleSystem) -> AxiomReport:
     """Verify the three defining identities (plus the polarized form of the
     first) on all basis tuples and report every violation with a witness."""
     F = T.field
@@ -184,7 +193,7 @@ def check_lts_axioms(T: LieTripleSystem) -> LtsAxiomReport:
     else:
         found = _derivation_defects(F, nz, den, [(i, j) for i in range(n) for j in range(n)], False)
     bad += _spread(F, "derivation", found, _DERIVATION_ORBIT[orbits])
-    return LtsAxiomReport(not bad, tuple(bad))
+    return AxiomReport(not bad, tuple(bad))
 
 
 class LtsHom(Record):
@@ -491,8 +500,8 @@ def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     try:
         L = GradedLieAlgebra(F, n, 0, bracket)
     except GradedLieError as exc:
-        family, indices, _ = exc.report.violations[0]
-        raise ValueError("not a Lie algebra: " + _LIE_FAILURES[family].format(*indices)) from None
+        v = exc.report.violations[0]
+        raise ValueError("not a Lie algebra: " + _LIE_FAILURES[v.identity].format(*v.indices)) from None
     return _assemble_lts(F, n, _product_rows(L, 0))
 
 

@@ -283,6 +283,42 @@ def lts_violations(t, p=None):
     return found
 
 
+def graded_violations(c, dim0, p=None):
+    """Every failed axiom instance of the raw bracket c[i][j][l] with even
+    part e_0..e_{dim0-1}, as (family, indices, defect), in the library's
+    reporting order: [e_i, e_i] = 0 and then antisymmetry at (i, j) for each
+    j > i, row by row; then every nonzero constant of [e_i, e_j] at an e_k of
+    the wrong parity, its defect the 1-tuple of that constant; then the Jacobi
+    identity at i < j < k.  Scalars are Fractions (p is None) or residues mod
+    p, and each identity is evaluated from its definition."""
+    n = len(c)
+    v = [[[scalar(x, p) for x in vec] for vec in row] for row in c]
+    found = []
+
+    def report(family, indices, vec):
+        defect = tuple(scalar(x, p) for x in vec)
+        if any(defect):
+            found.append((family, indices, defect))
+
+    for i in range(n):
+        report("alternating", (i, i), v[i][i])
+        for j in range(i + 1, n):
+            report("antisymmetry", (i, j), [x + y for x, y in zip(v[i][j], v[j][i])])
+    for i, j, k in product(range(n), repeat=3):
+        # [L_a, L_b] lies in L_{a+b}: the degrees of i, j and k sum to an even number
+        if v[i][j][k] and ((i >= dim0) + (j >= dim0) + (k >= dim0)) % 2:
+            found.append(("grading", (i, j, k), (v[i][j][k],)))
+    for i, j, k in combinations(range(n), 3):
+        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        jacobiator = [Fraction(0)] * n
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m in range(n):
+                for l in range(n):
+                    jacobiator[l] += v[a][b][m] * v[m][d][l]
+        report("jacobi", (i, j, k), jacobiator)
+    return found
+
+
 def lie_bracket_error(c, p=None):
     """The message of the first failed Lie algebra axiom of the raw bracket
     c[i][j][l], or None, scanning every ordered index tuple: for each i,
@@ -398,8 +434,25 @@ def change_bracket_basis(c, seed):
     """The raw bracket c in the basis f of change_basis(t, seed), for t of the
     same dimension: lts_of_bracket of it is change_basis(lts_of_bracket(c), seed),
     at a fraction of the cost."""
+    return _bracket_in_basis(c, *_unimodular(len(c), seed))
+
+
+def change_graded_basis(c, dim0, seed):
+    """The raw bracket c in a basis that keeps the grading: f_a = sum_i P[i][a]
+    e_i for P block diagonal, a seeded unimodular block (as in change_basis)
+    on the even part and another on the odd part."""
     n = len(c)
-    f, pinv = _unimodular(n, seed)
+    f0, inv0 = _unimodular(dim0, seed)
+    f1, inv1 = _unimodular(n - dim0, seed + 1)
+    f = [v + [0] * (n - dim0) for v in f0] + [[0] * dim0 + v for v in f1]
+    pinv = [row + [0] * (n - dim0) for row in inv0] + [[0] * dim0 + row for row in inv1]
+    return _bracket_in_basis(c, f, pinv)
+
+
+def _bracket_in_basis(c, f, pinv):
+    """The raw bracket c in the basis f (f[a] the coordinates of f_a), with
+    pinv the inverse of the matrix whose columns are the f[a]."""
+    n = len(c)
     return [[_apply(pinv, [sum(Fraction(x) * y * c[i][j][l] for i, x in enumerate(f[a]) if x
                                for j, y in enumerate(f[b]) if y) for l in range(n)])
              for b in range(n)] for a in range(n)]

@@ -8,7 +8,10 @@ as ``"Matrix.matmul"``) in any Python file of ``src``, ``tests``, ``demos``
 or ``perfbench``.  Dunder methods are called by Python itself and are
 exempt.  A field counts only when some file of those directories reads
 ``x.field``; the generic ``getattr`` over ``_fields`` in the record tests
-does not count.
+does not count.  A method that is not a property counts only when some file
+calls it, ``x.name(...)``, or names it in a dotted string, ``"Class.name"``:
+a mere attribute or variable of the same name, such as ``exc.value``, does
+not.
 """
 
 import ast
@@ -91,3 +94,46 @@ def test_every_record_field_is_read():
     assert {cls for _, cls, _ in fields} == {cls.__name__ for cls in Record.__subclasses__()}
     unread = sorted(f"{path.stem}.{cls}.{name}" for path, cls, name in fields if name not in read)
     assert unread == []
+
+
+def _methods():
+    """(path, class, name, first line, last line) of every non-dunder method
+    of a library class that is not a property."""
+    for path in sorted((ROOT / "src" / "lietrip").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and not any(isinstance(d, ast.Name) and d.id == "property"
+                                    for d in item.decorator_list)):
+                    first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    yield path, node.name, item.name, first, item.end_lineno
+
+
+def _method_uses():
+    """name -> list of (path, line) where it is called as x.name(...) or
+    named after a dot in a dotted string."""
+    uses = {}
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            names = ()
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                names = (node.func.attr,)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                    names = parts[1:]
+            for name in names:
+                uses.setdefault(name, []).append((path, node.lineno))
+    return uses
+
+
+def test_every_library_method_is_called():
+    uses = _method_uses()
+    uncalled = sorted(
+        f"{path.stem}.{cls}.{name}" for path, cls, name, first, last in _methods()
+        if not any(where != path or not first <= line <= last
+                   for where, line in uses.get(name, ())))
+    assert uncalled == []

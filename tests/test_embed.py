@@ -203,10 +203,12 @@ def test_module_quotient_checks_that_the_kernel_of_mu_is_central(monkeypatch):
     the one basis vector of <abl(2), abl(2)> is."""
     w = wedge_module(sl2lts())
     for s in range(3):
-        monkeypatch.setattr(lietrip.embed, "_kernel_vectors", lambda m, s=s: [{s: 1}])
+        monkeypatch.setattr(lietrip.embed, "kernel_basis",
+                            lambda m, s=s: Subspace.span(QQ, m.cols, [unit_vec(QQ, m.cols, s)]))
         with pytest.raises(RuntimeError, match="kernel of mu is not central in the quotient"):
             module_quotient_algebra(w.inder_algebra, w.module, w.lam)
-    monkeypatch.setattr(lietrip.embed, "_kernel_vectors", lambda m: [{0: 1}])
+    monkeypatch.setattr(lietrip.embed, "kernel_basis",
+                        lambda m: Subspace.span(QQ, m.cols, [unit_vec(QQ, m.cols, 0)]))
     assert pair_algebra(abl(2)).algebra.dim == 1
 
 

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import lietrip.grlie
 import oracles
 from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import universal_imbedding
-from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
+from lietrip.exactlin import Field, Matrix, QQ, Subspace, kernel_basis, unit_vec
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedLieError, GradedModule, abelian_algebra,
     adjoint_module, center, central_quotient, check_graded_lie, direct_sum,
@@ -44,7 +47,7 @@ def test_misgraded_sl2_fails_with_witness():
     L = graded_lie(QQ, 2, 1, entries, unchecked=True)
     report = check_graded_lie(L)
     assert not report.ok
-    assert any(fam == "grading" for fam, _, _ in report.violations)
+    assert any(v.identity == "grading" for v in report.violations)
     with pytest.raises(GradedLieError):
         graded_lie(QQ, 2, 1, entries)
 
@@ -55,6 +58,68 @@ def test_char2_antisymmetry_storage():
     entries = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
     with pytest.raises(GradedLieError):
         graded_lie(Field(2), 0, 2, entries)
+
+
+# check_graded_lie against the direct definition of its three families
+
+# the graded corpus and A of the ladder's systems over Q but gl(3), each also
+# after a change of basis that keeps the grading
+LADDER_Q = {name: raw for name, raw, f in LADDER if f == QQ and name != "gl(3)"}
+GRADED_BASE = ["heis", "ab2", "sl2graded", "sl2_double_swap"] + [f"A({name})" for name in LADDER_Q]
+GRADED_ORACLE_NAMES = GRADED_BASE + [f"{name}@{k}" for k, name in enumerate(GRADED_BASE, 1)]
+MUTATIONS = [1, -1, 2, Fraction(1, 3), Fraction(-2, 3)]
+
+
+@cache
+def _graded_oracle_systems():
+    """name -> (raw bracket over Q, dim0) for every name of GRADED_ORACLE_NAMES."""
+    algebras = {"heis": heis(), "ab2": ab2(), "sl2graded": sl2graded(),
+                "sl2_double_swap": sl2_double_swap()}
+    algebras.update((f"A({name})", universal_imbedding(lie_triple_system(QQ, raw)).algebra)
+                    for name, raw in LADDER_Q.items())
+    systems = {name: ([[list(v) for v in row] for row in L.bracket], L.dim0)
+               for name, L in algebras.items()}
+    for k, name in enumerate(GRADED_BASE, 1):
+        c, dim0 = systems[name]
+        systems[f"{name}@{k}"] = (oracles.change_graded_basis(c, dim0, k), dim0)
+    return systems
+
+
+def _graded_fields(c):
+    """The fields of FIELDS in which every constant of the raw bracket c is defined."""
+    dens = {Fraction(x).denominator for row in c for v in row for x in v}
+    return [F for F in FIELDS if F.p is None or all(d % F.p for d in dens)]
+
+
+def _graded_report(field, c, dim0):
+    report = check_graded_lie(graded_lie(field, dim0, len(c) - dim0, c, unchecked=True))
+    assert report.ok == (not report.violations)
+    return [(v.identity, v.indices, v.defect) for v in report.violations]
+
+
+@pytest.mark.parametrize("name", GRADED_ORACLE_NAMES)
+def test_graded_check_matches_oracle_on_the_corpus(name):
+    c, dim0 = _graded_oracle_systems()[name]
+    for field in _graded_fields(c):
+        assert _graded_report(field, c, dim0) == oracles.graded_violations(c, dim0, field.p) == []
+
+
+@seed(25)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GRADED_ORACLE_NAMES), st.data())
+def test_graded_check_matches_oracle_under_mutation(name, data):
+    """A single-entry mutation, or an antisymmetric one that keeps the
+    bracket alternating, so that the grading and Jacobi families decide."""
+    c, dim0 = _graded_oracle_systems()[name]
+    field = data.draw(st.sampled_from(_graded_fields(c)))
+    n = len(c)
+    i, j, l = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = data.draw(st.sampled_from([d for d in MUTATIONS if field.p != 3 or type(d) is int]))
+    c = [[list(v) for v in row] for row in c]
+    c[i][j][l] += delta
+    if data.draw(st.booleans()) and i != j:
+        c[j][i][l] -= delta
+    assert _graded_report(field, c, dim0) == oracles.graded_violations(c, dim0, field.p)
 
 
 def test_subalgebra_generated():
@@ -176,6 +241,67 @@ def test_graded_pullback_with_kernel():
     A, pk, pu = graded_pullback(identity_hom(L), phi)
     assert A.dim == K.dim  # rank-nullity on the defining condition
     assert identity_hom(L).compose(pk).matrix == phi.compose(pu).matrix
+
+
+def _pullback_by_intersection(phi, ups):
+    """graded_pullback's (A, pk, pu) by a second route: the even and odd parts
+    of the solution space are its intersections with the even and odd
+    coordinate spans of K + U, and each bracket of A is read at the pivots."""
+    K, U = phi.source, ups.source
+    F, ndim = K.field, K.dim + U.dim
+    sols = kernel_basis(phi.matrix.hstack(ups.matrix.scale(-1)))
+
+    def part(indices):
+        return sols.intersect(Subspace.span(F, ndim, [unit_vec(F, ndim, i) for i in indices]))
+
+    even = part([*range(K.dim0), *range(K.dim, K.dim + U.dim0)])
+    odd = part([*range(K.dim0, K.dim), *range(K.dim + U.dim0, ndim)])
+    basis = even.basis.entries + odd.basis.entries
+    pivots = even.pivots + odd.pivots
+
+    def bracket(v, w):
+        return K.bracket_vec(v[:K.dim], w[:K.dim]) + U.bracket_vec(v[K.dim:], w[K.dim:])
+
+    A = GradedLieAlgebra(F, even.dim, odd.dim, tuple(
+        tuple(tuple(bracket(v, w)[c] for c in pivots) for w in basis) for v in basis))
+    return (A, GradedHom(A, K, Matrix.from_cols(F, [v[:K.dim] for v in basis], rows=K.dim)),
+            GradedHom(A, U, Matrix.from_cols(F, [v[K.dim:] for v in basis], rows=U.dim)))
+
+
+def _pullback_inputs():
+    """The (phi, ups) of every pullback the tests build: those above, and
+    (proj, proj) for the quotient of A(T) and of the corpus algebras by a
+    central even line, as in test_trusted._quotient_and_extensions."""
+    from test_trusted import CASES, SYSTEMS  # imported here: test_embed is slow to import
+    L, B = heis(), ab2()
+    proj = GradedHom(L, B, Matrix.make(QQ, [[0, 1, 0], [0, 0, 1]]))
+    yield from ((identity_hom(L), identity_hom(L)), (proj, identity_hom(B)), (identity_hom(B), proj))
+    algebras = [universal_imbedding(SYSTEMS[name](F)).algebra for name, F in CASES]
+    algebras += [A for F in (QQ, Field(5), Field(2))
+                 for A in (heis(F), sl2_double_swap(F), universal_imbedding(abl(2, F)).algebra)]
+    for A in algebras:
+        line = center(A).intersect(A.even_subspace())
+        if line.dim:
+            _, proj = central_quotient(A, Subspace.span(A.field, A.dim, [line.basis.entries[0]]))
+            yield proj, proj
+
+
+def test_graded_pullback_matches_the_intersection_route():
+    count = 0
+    for phi, ups in _pullback_inputs():
+        assert graded_pullback(phi, ups) == _pullback_by_intersection(phi, ups)
+        count += 1
+    assert count > 3
+
+
+def test_graded_pullback_refuses_homs_that_are_not_graded():
+    # phi sends the even and the odd basis vector of K both to the even line,
+    # so (e_0 - e_1, 0) solves phi(k) = ups(u) and mixes the two parities
+    K, line = abelian_algebra(QQ, 1, 1), abelian_algebra(QQ, 1, 0)
+    phi = GradedHom(K, line, Matrix.make(QQ, [[1, 1]]), unchecked=True)
+    ups = GradedHom(K, line, Matrix.zeros(QQ, 1, 2), unchecked=True)
+    with pytest.raises(RuntimeError, match="pullback solution space is not graded"):
+        graded_pullback(phi, ups)
 
 
 def test_central_quotient():

@@ -49,7 +49,7 @@ def ladder_records():
 
 
 def test_ladder_covers_every_record_class(ladder_records):
-    assert len(RECORD_CLASSES) == 24
+    assert len(RECORD_CLASSES) == 23
     assert set(ladder_records) == set(RECORD_CLASSES)
 
 

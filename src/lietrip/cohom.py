@@ -40,7 +40,7 @@ class Cochain(Record):
             raise ValueError("supported cochain degrees are 1, 2, 3")
         if len(values) != comb(algebra.dim, degree):
             raise ValueError("value count does not match the combination count")
-        terms = _as_nonzeros(values, (len(values), module.dim))
+        terms = _as_nonzeros(values, (len(values), module.dim), algebra.field.of)
         if terms is None:
             raise ValueError("value length does not match the module dimension")
         Record.__init__(self, algebra, module, degree, terms)

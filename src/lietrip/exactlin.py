@@ -222,20 +222,29 @@ class Nonzeros(tuple):
     __slots__ = ()
 
 
-def _as_nonzeros(tensor: tuple, shape: tuple) -> Optional[Nonzeros]:
-    """A tensor of the given shape, dense or as Nonzeros (whose vectors have
-    no fixed length), as Nonzeros; None when it has another shape."""
-    sparse = type(tensor) is Nonzeros
+def _as_nonzeros(tensor: tuple, shape: tuple, of=None) -> Optional[Nonzeros]:
+    """A tensor of the given shape as Nonzeros: a Nonzeros (whose vectors have
+    no fixed length) as it is, or nested entries read in one pass, each scalar
+    through of, to the end before the shape is judged; None when it has another shape."""
+    if type(tensor) is Nonzeros:
+        def shaped(t, dims):
+            return len(t) == dims[0] and (len(dims) == 1 or all(shaped(s, dims[1:]) for s in t))
 
-    def shaped(t, dims):
-        return len(t) == dims[0] and (len(dims) == 1 or all(shaped(s, dims[1:]) for s in t))
+        return tensor if shaped(tensor, shape[:-1]) else None
+    misfits = []
 
-    def stored(t, d):
-        return tuple(stored(s, d - 1) for s in t) if d else tuple(nonzeros(t))
+    def read(t, d):
+        if d < len(shape) - 1:
+            t = v = tuple([read(s, d + 1) for s in t])
+        else:  # an exact int 0 is zero in every field: only the other entries go through of
+            v = tuple(t)
+            t = tuple([(j, y) for j, x in enumerate(v) if (x or type(x) is not int) and (y := of(x))])
+        if len(v) != shape[d]:
+            misfits.append(d)
+        return t
 
-    if not shaped(tensor, shape[:-1] if sparse else shape):
-        return None
-    return tensor if sparse else Nonzeros(stored(tensor, len(shape) - 1))
+    stored = read(tensor, 0)
+    return None if misfits else Nonzeros(stored)
 
 
 def dense_tensor(field: Field, n: int, tensor: tuple, depth: int) -> tuple:
@@ -251,7 +260,7 @@ def dense_tensor(field: Field, n: int, tensor: tuple, depth: int) -> tuple:
 
 def _integer_terms(p: Optional[int], tensor: tuple, depth: int) -> tuple:
     """A sparse tensor and den, with integer entries: over F_p the tensor and 1;
-    over Q the same nesting times den, the lcm of its entries' denominators."""
+    over Q the same nesting of tuples times den, the lcm of its entries' denominators."""
     if p is not None:
         return tensor, 1
     leaves = [tensor]
@@ -262,7 +271,7 @@ def _integer_terms(p: Optional[int], tensor: tuple, depth: int) -> tuple:
     def scale(t, d):
         if d:
             return [scale(s, d - 1) for s in t]
-        return [(j, x.numerator * (den // x.denominator)) for j, x in t]
+        return tuple([(j, x.numerator * (den // x.denominator)) for j, x in t])
 
     return scale(tensor, depth), den
 
@@ -296,12 +305,22 @@ def _combination(p: Optional[int], terms) -> tuple:
     return tuple(sorted(_sparse_sum(p, terms).items()))
 
 
-def _defects(field: Field, n: int, den: int, sums) -> list:
-    """(key, defect) for each (key, terms) of sums whose sum of c * v over the
-    (c, v) of terms, v a sparse integer vector, is not zero: that sum divided
-    by den, as a vector of length n of the field."""
-    found = ((key, _terms_of(field.p, _sparse_sum(field.p, terms), den)) for key, terms in sums)
-    return [(key, dense_tensor(field, n, d, 0)) for key, d in found if d]
+def _keyed_sums(p: Optional[int], chains, den: int = 1) -> list:
+    """(key, v) in key order for each key whose sum of c * w over the (key, c, w)
+    of chains, w a sparse integer vector, is not zero: v that sum as a sparse
+    vector, over Q divided by den.  Only the keys chains name are visited."""
+    acc = {}
+    for key, c, w in chains:
+        sums = acc.setdefault(key, {})
+        for j, x in w:
+            sums[j] = sums.get(j, 0) + c * x
+    found = ((key, _terms_of(p, sums, den)) for key, sums in sorted(acc.items()))
+    return [(key, v) for key, v in found if v]
+
+
+def _defects(field: Field, n: int, den: int, chains) -> list:
+    """:func:`_keyed_sums` with each nonzero sum a vector of length n of the field."""
+    return [(key, dense_tensor(field, n, v, 0)) for key, v in _keyed_sums(field.p, chains, den)]
 
 
 def _terms_of(p: Optional[int], acc: dict, den: int = 1) -> tuple:

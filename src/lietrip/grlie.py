@@ -20,7 +20,7 @@ from .exactlin import (
     _integer_terms, _neg_terms, _span, _sparse_sum, _subspace, _transposed, dense_tensor,
     kernel_basis, kernel_of_rows, nonzeros, quotient, rank,
 )
-from .lts import AxiomError, AxiomReport, AxiomViolation, LtsHom, odd_part_lts
+from .lts import AxiomError, AxiomReport, AxiomViolation, LtsHom, _cyclic_keys, odd_part_lts
 
 
 class GradedLieError(AxiomError):
@@ -36,7 +36,7 @@ class GradedLieAlgebra(Record):
     def __init__(self, field: Field, dim0: int, dim1: int, bracket: tuple,
                  unchecked: bool = False):
         """bracket: the dense tensor (bracket[i][j] = coordinates of [e_i, e_j]) or its Nonzeros."""
-        terms = _as_nonzeros(bracket, (dim0 + dim1,) * 3)
+        terms = _as_nonzeros(bracket, (dim0 + dim1,) * 3, field.of)
         if terms is None:
             raise ValueError("bracket tensor shape does not match dims")
         Record.__init__(self, field, dim0, dim1, terms)
@@ -80,8 +80,7 @@ def _bracket(L: GradedLieAlgebra, x, y) -> dict:
 def graded_lie(field: Field, dim0: int, dim1: int, entries: Sequence, *,
                unchecked: bool = False) -> GradedLieAlgebra:
     """Build an algebra from nested [i][j][k] entries of ints/strings/Fractions."""
-    tensor = tuple(tuple(tuple(field.of(x) for x in v) for v in row) for row in entries)
-    return GradedLieAlgebra(field, dim0, dim1, tensor, unchecked=unchecked)
+    return GradedLieAlgebra(field, dim0, dim1, entries, unchecked=unchecked)
 
 
 def abelian_algebra(field: Field, dim0: int, dim1: int) -> GradedLieAlgebra:
@@ -106,8 +105,8 @@ def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
     terms = [[()] * n for _ in range(n)]
     for i, j, v in pairs:
         v = tuple(v)
-        terms[i][j] = v
-        terms[j][i] = _neg_terms(p, v)
+        if v:
+            terms[i][j], terms[j][i] = v, _neg_terms(p, v)
     return GradedLieAlgebra(field, dim0, dim1, Nonzeros(tuple(map(tuple, terms))),
                             unchecked=True)
 
@@ -115,22 +114,20 @@ def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
 def check_graded_lie(L: GradedLieAlgebra) -> AxiomReport:
     """Antisymmetry (char-2-safe), Jacobi on basis triples, and structural
     grading ([L_i, L_j] inside L_{i+j}, checked as zero blocks), on the
-    nonzeros of the structure constants, over Q as integers over den."""
-    F = L.field
-    n = L.dim
-    s = L.terms
+    nonzeros of the structure constants, over Q as integers over den: Jacobi
+    sums the chains c[a][b][m] c[m][e] != 0 into the rotation i < j < k of (a, b, e)."""
+    F, n, d0, s = L.field, L.dim, L.dim0, L.terms
     c, den = _integer_terms(F.p, s, 2)
-    pairs = ((("alternating", (i, i)), ((1, c[i][i]),)) if i == j
-             else (("antisymmetry", (i, j)), ((1, c[i][j]), (1, c[j][i])))
-             for i in range(n) for j in range(i, n))
-    bad = [AxiomViolation(*key, d) for key, d in _defects(F, n, den, pairs)]
-    for i in range(n):
-        for j in range(n):
-            g = (L.degree(i) + L.degree(j)) % 2
-            bad += [AxiomViolation("grading", (i, j, k), (x,)) for k, x in s[i][j] if L.degree(k) != g]
-    jacobi = (((i, j, k), ((w, c[m][e]) for a, b, e in ((i, j, k), (j, k, i), (k, i, j))
-                           for m, w in c[a][b]))
-              for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+    pairs = (((i, j), 1, v) for i in range(n) for j in range(i, n)
+             if (c[i][j] or c[j][i]) and (i == j or c[j][i] != _neg_terms(F.p, c[i][j]))
+             for v in ((c[i][i],) if i == j else (c[i][j], c[j][i])))
+    bad = [AxiomViolation("alternating" if i == j else "antisymmetry", (i, j), d)
+           for (i, j), d in _defects(F, n, den, pairs)]
+    bad += [AxiomViolation("grading", (i, j, k), (x,)) for i, row in enumerate(s)
+            for j, v in enumerate(row) if v for k, x in v if (k >= d0) != ((i >= d0) != (j >= d0))]
+    brackets = [[(e, v) for e, v in enumerate(row) if v] for row in c]
+    jacobi = ((ix, w, v) for a, row in enumerate(brackets) for b, cab in row for m, w in cab
+              for e, v in brackets[m] for ix in _cyclic_keys(a, b, e, True))
     bad += [AxiomViolation("jacobi", ix, d) for ix, d in _defects(F, n, den * den, jacobi)]
     return AxiomReport(not bad, tuple(bad))
 

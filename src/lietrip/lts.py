@@ -45,8 +45,8 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _defects, _echelon,
-    _integer_rows, _integer_terms, _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of,
-    dense_tensor, kernel_of_rows, nonzeros, unit_vec,
+    _integer_rows, _integer_terms, _keyed_sums, _neg_terms, _reduce, _sparse_sum, _subspace,
+    _terms_of, dense_tensor, kernel_of_rows, nonzeros, unit_vec,
 )
 
 
@@ -84,7 +84,7 @@ class LieTripleSystem(Record):
 
     def __init__(self, field: Field, dim: int, triple: tuple, unchecked: bool = False):
         """triple: the dense tensor (triple[i][j][k] = coordinates of [e_i, e_j, e_k]) or its Nonzeros."""
-        terms = _as_nonzeros(triple, (dim,) * 4)
+        terms = _as_nonzeros(triple, (dim,) * 4, field.of)
         if terms is None:
             raise ValueError("triple tensor shape does not match dim")
         Record.__init__(self, field, dim, terms)
@@ -101,8 +101,7 @@ class LieTripleSystem(Record):
 
 def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = False) -> LieTripleSystem:
     """Build a system from nested [i][j][k][l] entries of ints/strings/Fractions."""
-    tensor = tuple(tuple(tuple(tuple(map(field.of, vec)) for vec in tij) for tij in ti) for ti in entries)
-    return LieTripleSystem(field, len(entries), tensor, unchecked=unchecked)
+    return LieTripleSystem(field, len(entries), entries, unchecked=unchecked)
 
 
 def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vector:
@@ -119,6 +118,16 @@ def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vecto
 # The tuples a canonical tuple stands for: index permutations, each with its sign.
 _CYCLIC_ORBIT = (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1))
 _DERIVATION_ORBIT = (((0, 1, 2, 3, 4), 1), ((0, 1, 3, 2, 4), -1), ((1, 0, 2, 3, 4), -1), ((1, 0, 3, 2, 4), 1))
+
+
+def _cyclic_keys(a: int, b: int, e: int, canonical: bool) -> tuple:
+    """The (i, j, k) whose cyclic sum over (i, j, k), (j, k, i), (k, i, j) has a
+    term at (a, b, e): its three rotations, or on the canonical path the increasing one, if any."""
+    if not canonical:
+        return (a, b, e), (e, a, b), (b, e, a)
+    if a < b:
+        return ((a, b, e),) if b < e else ((e, a, b),) if e < a else ()
+    return ((b, e, a),) if b < e < a else ()
 
 
 def _spread(F: Field, identity: str, found, orbit: tuple) -> list:
@@ -170,20 +179,19 @@ def _derivation_defects(F: Field, nz: list, den: int, pairs: list, canonical: bo
 def check_lts_axioms(T: LieTripleSystem) -> AxiomReport:
     """Verify the three defining identities (plus the polarized form of the
     first) on all basis tuples and report every violation with a witness."""
-    F = T.field
-    n = T.dim
-    nz, den = _integer_terms(F.p, T.terms, 3)
-    alternating = (((i, i, k), ((1, nz[i][i][k]),)) for i in range(n) for k in range(n))
+    F, n, p = T.field, T.dim, T.field.p
+    nz, den = _integer_terms(p, T.terms, 3)
+    alternating = (((i, i, k), 1, v) for i in range(n) for k, v in enumerate(nz[i][i]) if v)
     bad = [AxiomViolation("alternating", ix, d) for ix, d in _defects(F, n, den, alternating)]
-    polar = (((i, j, k), ((1, nz[i][j][k]), (1, nz[j][i][k])))
-             for i in range(n) for j in range(i + 1, n) for k in range(n))
+    polar = (((i, j, k), 1, v) for i in range(n) for j in range(i + 1, n) for k in range(n)
+             if (nz[i][j][k] or nz[j][i][k]) and nz[j][i][k] != _neg_terms(p, nz[i][j][k])
+             for v in (nz[i][j][k], nz[j][i][k]))  # at the pairs not stored as negatives
     bad += [AxiomViolation("polarized-alternating", ix, d) for ix, d in _defects(F, n, den, polar)]
 
     canonical = not bad  # when t is alternating, canonical tuples suffice (see the module docstring)
     orbits = slice(None if canonical else 1)  # off the canonical path a tuple is itself only
-    cyclic = (((i, j, k), ((1, nz[i][j][k]), (1, nz[j][k][i]), (1, nz[k][i][j])))
-              for i in range(n) for j in range(i + 1 if canonical else 0, n)
-              for k in range(j + 1 if canonical else 0, n))
+    cyclic = ((ix, 1, v) for a, ta in enumerate(nz) for b, tab in enumerate(ta)
+              for e, v in enumerate(tab) if v for ix in _cyclic_keys(a, b, e, canonical))
     bad += _spread(F, "cyclic", _defects(F, n, den, cyclic), _CYCLIC_ORBIT[orbits])
 
     if canonical:  # (3) in Inder(T) coordinates first, see the module docstring
@@ -473,7 +481,7 @@ def _assemble_lts(field: Field, n: int, rows) -> LieTripleSystem:
     t = [[((),) * n] * n for _ in range(n)]
     for i, j, row in rows:
         t[i][j] = row
-        t[j][i] = tuple(_neg_terms(p, v) for v in row)
+        t[j][i] = tuple([_neg_terms(p, v) if v else v for v in row])
     return LieTripleSystem(field, n, Nonzeros(tuple(map(tuple, t))), unchecked=True)
 
 
@@ -491,34 +499,29 @@ def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     """
     from .grlie import GradedLieAlgebra, GradedLieError
     if field is None:
-        field = algebra.field
-        bracket = algebra.terms
-    else:
-        bracket = tuple(tuple(tuple(map(field.of, v)) for v in row) for row in algebra)
-    F = field
-    n = len(bracket)
+        field, algebra = algebra.field, algebra.terms
     try:
-        L = GradedLieAlgebra(F, n, 0, bracket)
+        L = GradedLieAlgebra(field, len(algebra), 0, algebra)
     except GradedLieError as exc:
         v = exc.report.violations[0]
         raise ValueError("not a Lie algebra: " + _LIE_FAILURES[v.identity].format(*v.indices)) from None
-    return _assemble_lts(F, n, _product_rows(L, 0))
+    return _assemble_lts(field, L.dim, _product_rows(L, 0))
 
 
 def _product_rows(L, start: int):
     """The rows for _assemble_lts of [a,b,c] = [[a,b],c] on e_start, e_start+1,
-    ... of the algebra L (all of L, or its odd part), from its nonzeros."""
+    ... of the algebra L (all of L, or its odd part), from the chains [a,b]_m [e_m,e_k] != 0."""
     p = L.field.p
     c, den = _integer_terms(p, L.terms, 2)
     basis = range(start, L.dim)
+    brackets = [[(k, v) for k, v in enumerate(row[start:], start) if v] for row in c]
 
     def row(i: int, j: int) -> tuple:
-        out = []
-        for k in basis:
-            v = _terms_of(p, _sparse_sum(p, ((x, c[m][k]) for m, x in c[i][j])), den * den)
-            if v and v[0][0] < start:
+        out = [()] * len(basis)
+        for k, v in _keyed_sums(p, ((k, x, v) for m, x in c[i][j] for k, v in brackets[m]), den * den):
+            if v[0][0] < start:
                 raise ValueError("grading violated: [[odd,odd],odd] left the odd part")
-            out.append(tuple((l - start, x) for l, x in v) if start else v)
+            out[k - start] = tuple((l - start, x) for l, x in v) if start else v
         return tuple(out)
 
     return ((a - start, b - start, row(a, b)) for a in basis for b in range(a + 1, L.dim))

@@ -30,13 +30,14 @@ def fmt_matrix(m: Matrix) -> list:
 
 
 def fmt_terms(field: Field, n: int, tensor: tuple, depth: int) -> list:
-    """A sparse tensor, depth levels above its vectors of length n, as dense nested scalar strings."""
-    if depth:
+    """A sparse tensor, depth >= 1 levels above its vectors of length n, as dense nested scalar strings."""
+    if depth > 1:
         return [fmt_terms(field, n, t, depth - 1) for t in tensor]
-    v = ["0"] * n
-    for j, x in tensor:
-        v[j] = field.fmt(x)
-    return v
+    out = [["0"] * n for _ in tensor]
+    for v, vec in zip(out, tensor):
+        for j, x in vec:
+            v[j] = field.fmt(x)
+    return out
 
 
 def _parse(field: Field, entries, depth: int) -> tuple:

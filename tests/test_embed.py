@@ -812,7 +812,7 @@ def _quotient_of_ladder(name):
 # the wall inputs that fit a test's time: gl(4), a dense gl(3) and abl(8)
 WALL_SYSTEMS = {
     "gl(4)": oracles.lts_of_bracket(oracles.gl_bracket(4)),
-    "gl(3)@1": oracles.change_basis(oracles.lts_of_bracket(oracles.gl_bracket(3)), 1),
+    "gl(3)@1": DENSE_GL3,  # equal to oracles.change_basis(lts_of_bracket(gl(3)), 1), built faster
     "abl(8)": [[[[0] * 8 for _ in range(8)] for _ in range(8)] for _ in range(8)],
 }
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -16,7 +17,7 @@ from lietrip.grlie import (
     graded_lie, graded_pullback, identity_hom, is_generated_by_odd,
     is_graded_hom, restrict_hom_to_odd, subalgebra_generated, trivial_module,
 )
-from lietrip.lts import is_lts_hom, lie_triple_system, odd_part_lts
+from lietrip.lts import check_lts_axioms, is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts
 from test_cohom import _raw
 from test_lts import LADDER
 
@@ -120,6 +121,108 @@ def test_graded_check_matches_oracle_under_mutation(name, data):
     if data.draw(st.booleans()) and i != j:
         c[j][i][l] -= delta
     assert _graded_report(field, c, dim0) == oracles.graded_violations(c, dim0, field.p)
+
+
+# sparse inputs: the checks and triple products visit only chains of nonzero
+# constants; a mutation that makes a zero bracket nonzero feeds the Jacobi sum
+# of its triples through a single chain
+
+SPARSE_NAMES = ["gl(3)", "A(abl(4))", "A(abl(3))+heis"]
+
+
+def _lists(t):
+    """A tensor of nested tuples (or lists) as nested lists."""
+    return [_lists(s) for s in t] if isinstance(t, (list, tuple)) else t
+
+
+@cache
+def _sparse_inputs():
+    """name -> (raw bracket over Q, dim0): gl(3) as a 9-dimensional even
+    algebra, A(abl(4)) with dims (6, 4), and the direct sum of A(abl(3)) and heis."""
+    sums = {"A(abl(4))": universal_imbedding(abl(4)).algebra,
+            "A(abl(3))+heis": direct_sum(universal_imbedding(abl(3)).algebra, heis())}
+    return {"gl(3)": (oracles.gl_bracket(3), 9),
+            **{name: (_lists(L.bracket), L.dim0) for name, L in sums.items()}}
+
+
+def _in_field(field, t):
+    """A raw tensor as nested lists of the field's scalars."""
+    return [_in_field(field, s) for s in t] if isinstance(t, (list, tuple)) else field.of(t)
+
+
+def _odd_block(t, dim0):
+    """The raw triple t restricted to the indices from dim0 on."""
+    return [[[v[dim0:] for v in tij[dim0:]] for tij in ti[dim0:]] for ti in t[dim0:]]
+
+
+def _mutated(data, t, field, depth):
+    """The raw tensor t (a bracket, depth 2, or a triple, depth 3) with one to
+    three seeded mutations: a drawn delta added at one entry, in a vector
+    drawn at random or among the zero vectors off the diagonal, and
+    subtracted at the swapped first two indices or not."""
+    n = len(t)
+    t = _lists(t)
+    keys = list(product(range(n), repeat=depth))
+    deltas = [d for d in MUTATIONS if field.p != 3 or type(d) is int]
+
+    def at(key):
+        return reduce(lambda s, i: s[i], key, t)
+
+    for _ in range(data.draw(st.integers(1, 3))):
+        zeros = [key for key in keys if key[0] != key[1] and not any(at(key))]
+        key = data.draw(st.sampled_from(zeros if zeros and data.draw(st.booleans()) else keys))
+        l, delta = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from(deltas))
+        at(key)[l] += delta
+        if data.draw(st.booleans()) and key[0] != key[1]:
+            at((key[1], key[0]) + key[2:])[l] -= delta
+    return t
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", SPARSE_NAMES)
+def test_sparse_inputs_match_the_oracles(name, field):
+    c, dim0 = _sparse_inputs()[name]
+    L = graded_lie(field, dim0, len(c) - dim0, c)
+    assert _graded_report(field, c, dim0) == oracles.graded_violations(c, dim0, field.p) == []
+    t = _in_field(field, oracles.lts_of_bracket(c))
+    assert _in_field(field, lts_of_lie(L).triple) == t
+    assert _in_field(field, lts_of_lie(c, field).triple) == t
+    assert _in_field(field, odd_part_lts(L).triple) == _odd_block(t, dim0)
+
+
+@seed(26)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPARSE_NAMES), st.sampled_from(FIELDS), st.data())
+def test_sparse_inputs_match_the_oracles_under_mutation(name, field, data):
+    c, dim0 = _sparse_inputs()[name]
+    c = _mutated(data, c, field, 2)
+    assert _graded_report(field, c, dim0) == oracles.graded_violations(c, dim0, field.p)
+    if dim0 == len(c):  # lts_of_lie refuses the first failure of an ordered scan, or matches
+        expected = oracles.lie_bracket_error(c, field.p)
+        try:
+            got = _in_field(field, lts_of_lie(c, field).triple)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None and got == _in_field(field, oracles.lts_of_bracket(c))
+
+
+# outputs of lts_of_lie and odd_part_lts small enough for the five-index oracle
+TRIPLE_OUTPUTS = {"lts_of_lie(gl(2))": lambda F: lts_of_lie(oracles.gl_bracket(2), F),
+                  "lts_of_lie(sl2)": lambda F: lts_of_lie(oracles.SL2_BRACKET, F),
+                  "odd_part_lts(A(abl(4)))": lambda F: odd_part_lts(universal_imbedding(abl(4, F)).algebra)}
+
+
+@seed(26)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TRIPLE_OUTPUTS)), st.sampled_from(FIELDS), st.data())
+def test_axiom_check_matches_oracle_on_mutated_triple_products(name, field, data):
+    """A zero [e_i, e_j, e_k] made nonzero is a single stored nonzero in its cyclic sums."""
+    t = _mutated(data, TRIPLE_OUTPUTS[name](field).triple, field, 3)
+    report = check_lts_axioms(lie_triple_system(field, t, unchecked=True))
+    assert report.ok == (not report.violations)
+    got = [(v.identity, v.indices, v.defect) for v in report.violations]
+    assert got == oracles.lts_violations(t, field.p)
 
 
 def test_subalgebra_generated():

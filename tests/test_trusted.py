@@ -321,6 +321,24 @@ BOUNDARY_CASES = {
                            "not a Lie algebra: antisymmetry fails at (0, 1)"),
     "lts_of_lie(algebra)": (lambda: lts_of_lie(_broken_lie()), ValueError,
                             "not a Lie algebra: Jacobi fails at (0, 1, 2)"),
+    # raw entries are read whole before their shape is judged: a bad scalar
+    # anywhere is the error, even after a ragged row
+    "lts_of_lie(ragged tensor)": (lambda: lts_of_lie([[[0, 0], [1]], [[0, 0], [0, 0]]], QQ),
+                                  ValueError, "bracket tensor shape does not match dims"),
+    "lts_of_lie(bad scalar)": (lambda: lts_of_lie([[[0, 0], [1]], [[0, 0], [0, "1.5"]]], QQ),
+                               ValueError, "malformed scalar '1.5' (expected n or n/d)"),
+    "graded_lie(ragged tensor)": (lambda: graded_lie(QQ, 1, 1, [[[0, 0], [0, 0]], [[0, 0], [0]]]),
+                                  ValueError, "bracket tensor shape does not match dims"),
+    "graded_lie(bad scalar)": (lambda: graded_lie(QQ, 1, 1, [[[0], [0, 0]], [[0, 0], [0, "x"]]]),
+                               ValueError, "malformed scalar 'x' (expected n or n/d)"),
+    "lie_triple_system(ragged tensor)": (
+        lambda: lie_triple_system(QQ, [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                       [[[0, 0], [0, 0]], [[0, 0], [0]]]]),
+        ValueError, "triple tensor shape does not match dim"),
+    "lie_triple_system(bad scalar)": (
+        lambda: lie_triple_system(Field(5), [[[[0, 0], [0]], [[0, 0], [0, 0]]],
+                                             [[[0, 0], [0, 0]], [[0, 0], [0, "--1"]]]]),
+        ValueError, "malformed scalar '--1' (expected n or n/d)"),
     "LtsHom": (lambda: LtsHom(odd2(), odd2(), _doubled(Matrix.identity(QQ, 2))), ValueError,
                "matrix is not a homomorphism of Lie triple systems"),
     "GradedHom": (lambda: GradedHom(heis(), heis(), _doubled(Matrix.identity(QQ, 3))), ValueError,

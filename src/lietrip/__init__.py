@@ -1,30 +1,40 @@
 """Exact-arithmetic Lie triple systems, their imbeddings into Z2-graded
 Lie algebras, and graded Chevalley-Eilenberg cohomology."""
 
-from .exactlin import Field, Matrix, QQ, Subspace, kernel_basis, quotient, rank, rref, solve
-from .lts import (
-    LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra,
-    ideal_closure_certificate, inner_derivation, inner_derivation_algebra,
-    is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts, triple_bracket,
-)
-from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center,
-    central_quotient, check_graded_lie, direct_sum, graded_lie,
-    graded_pullback, is_generated_by_odd, is_graded_hom, restrict_hom_to_odd,
-    subalgebra_generated, trivial_module,
-)
-from .embed import (
-    StandardImbedding, UniversalImbedding, extend_hom,
-    graded_algebra_from_pairing, imbedding_functor_hom, module_quotient_algebra,
-    pair_algebra, standard_imbedding, universal_central_0_extension,
-    universal_imbedding, wedge_module,
-)
-from .cohom import (
-    CentralExtensionProblem, Cochain, H2Result, coboundary, cocycle_extension,
-    envelope_criterion, graded_cochain_basis, h2_graded, is_0_centrally_closed,
-    split_central_0_extension,
-)
-from .serialize import load, save
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public name -> defining submodule, imported on first access (PEP 562), in __all__'s order
+_HOMES = {
+    "CentralExtensionProblem": "cohom", "Cochain": "cohom", "Field": "exactlin",
+    "GradedHom": "grlie", "GradedLieAlgebra": "grlie", "GradedModule": "grlie", "H2Result": "cohom",
+    "LieTripleSystem": "lts", "LtsHom": "lts", "Matrix": "exactlin", "QQ": "exactlin",
+    "StandardImbedding": "embed", "Subspace": "exactlin", "UniversalImbedding": "embed",
+    "adjoint_module": "grlie", "center": "grlie", "central_quotient": "grlie",
+    "check_graded_lie": "grlie", "check_lts_axioms": "lts", "coboundary": "cohom",
+    "cocycle_extension": "cohom", "cohom": "cohom", "derivation_algebra": "lts",
+    "direct_sum": "grlie", "embed": "embed", "envelope_criterion": "cohom", "exactlin": "exactlin",
+    "extend_hom": "embed", "graded_algebra_from_pairing": "embed", "graded_cochain_basis": "cohom",
+    "graded_lie": "grlie", "graded_pullback": "grlie", "grlie": "grlie", "h2_graded": "cohom",
+    "ideal_closure_certificate": "lts", "imbedding_functor_hom": "embed", "inner_derivation": "lts",
+    "inner_derivation_algebra": "lts", "is_0_centrally_closed": "cohom",
+    "is_generated_by_odd": "grlie", "is_graded_hom": "grlie", "is_lts_hom": "lts",
+    "kernel_basis": "exactlin", "lie_triple_system": "lts", "load": "serialize", "lts": "lts",
+    "lts_of_lie": "lts", "module_quotient_algebra": "embed", "odd_part_lts": "lts",
+    "pair_algebra": "embed", "quotient": "exactlin", "rank": "exactlin",
+    "restrict_hom_to_odd": "grlie", "rref": "exactlin", "save": "serialize",
+    "serialize": "serialize", "solve": "exactlin", "split_central_0_extension": "cohom",
+    "standard_imbedding": "embed", "subalgebra_generated": "grlie", "triple_bracket": "lts",
+    "trivial_module": "grlie", "universal_central_0_extension": "embed",
+    "universal_imbedding": "embed", "wedge_module": "embed",
+}
+__all__ = list(_HOMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    globals()[name] = value = module if name == home else getattr(module, name)
+    return value

@@ -15,12 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from . import corpus
-from .cohom import (
-    CentralExtensionProblem, envelope_criterion, h2_graded,
-    split_central_0_extension,
-)
-from .embed import standard_imbedding, universal_central_0_extension, universal_imbedding, extend_hom
+# embed, cohom and corpus load where a command needs them, so start-up runs only what it uses
 from .exactlin import Field, inverse
 from .grlie import GradedHom, GradedLieAlgebra, GradedModule, check_graded_lie, trivial_module
 from .lts import (
@@ -51,11 +46,16 @@ def _load_input(arg: str, field: Field, unchecked: bool):
         except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"{arg}: {exc}") from None
     try:
-        return corpus.by_name(arg, field)
+        return _by_name(arg, field)
     except KeyError:
         raise ValueError(f"{arg}: not a readable file and not a corpus name") from None
     except ValueError as exc:
         raise ValueError(f"{arg}: {exc}") from None
+
+
+def _by_name(arg: str, field: Field):
+    from . import corpus
+    return corpus.by_name(arg, field)
 
 
 def _expect(obj, cls):
@@ -105,6 +105,7 @@ def _run_inder(names, T):
 
 
 def _run_ste(names, T):
+    from .embed import standard_imbedding
     ste = standard_imbedding(T)
     return "pass", {"dim0": ste.algebra.dim0, "dim1": ste.algebra.dim1}, {}, {
         "algebra": save(ste.algebra, name=f"ste({names[0]})"),
@@ -112,6 +113,7 @@ def _run_ste(names, T):
 
 
 def _run_univ(names, T):
+    from .embed import universal_imbedding
     env = universal_imbedding(T)
     kernel = env.upsilon.kernel()
     return ("pass",
@@ -124,6 +126,7 @@ def _run_univ(names, T):
 
 
 def _run_extend(names, hom, L):
+    from .embed import extend_hom
     if odd_part_lts(L) != hom.target:
         raise ValueError("the hom's target is not the odd part of the target algebra")
     ext = extend_hom(hom.source, L, hom.matrix)
@@ -132,6 +135,7 @@ def _run_extend(names, hom, L):
 
 
 def _run_h2(names, L, M=None):
+    from .cohom import h2_graded
     if M is None:
         M = trivial_module(L)
     elif M.algebra != L:
@@ -145,6 +149,7 @@ def _run_h2(names, L, M=None):
 
 
 def _run_split(names, phi):
+    from .cohom import CentralExtensionProblem, h2_graded, split_central_0_extension
     prob = CentralExtensionProblem.from_hom(phi)
     psi = split_central_0_extension(prob)
     dims = {"kernel_dim": prob.kernel.dim}
@@ -156,11 +161,13 @@ def _run_split(names, phi):
 
 
 def _run_closed(names, L):
+    from .cohom import envelope_criterion
     h2 = envelope_criterion(L).h2_dimension
     return "true" if h2 == 0 else "false", {"h2": h2}, {}, {}
 
 
 def _run_thm_a(names, L):
+    from .cohom import envelope_criterion
     result = envelope_criterion(L)
     witnesses: dict = {"generated_by_odd": result.generated_by_odd,
                        "h2_dimension": result.h2_dimension}
@@ -177,6 +184,7 @@ def _run_thm_a(names, L):
 
 
 def _run_u0ext(names, L):
+    from .embed import universal_central_0_extension
     ext = universal_central_0_extension(L)
     return ("pass",
             {"dim0": ext.envelope.algebra.dim0, "dim1": ext.envelope.algebra.dim1,
@@ -225,10 +233,14 @@ def _parse_field(text: str) -> Field:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command alone: then a metavar lists every
+    command in the usage line of its errors (on the full parser it would reword two errors)."""
     parser = argparse.ArgumentParser(prog="lietrip", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, inputs, _) in _COMMANDS.items():
+    built = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if built is _COMMANDS
+                                else "{" + ",".join(_COMMANDS) + "}")
+    for command, (help_text, inputs, _) in built.items():
         p = sub.add_parser(command, help=help_text)
         for argument, _, options in inputs:
             p.add_argument(argument, **options)
@@ -241,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(*(sys.argv[1:] if argv is None else argv)[:1]).parse_args(argv)
     _, inputs, runner = _COMMANDS[args.command]
     # the arguments given, in order; h2's optional module file may be absent or ""
     given = [(getattr(args, argument), cls) for argument, cls, options in inputs
              if getattr(args, argument) or "nargs" not in options]
     names = [arg for arg, _ in given]
     try:
-        objs = [corpus.by_name(arg, args.field) if cls is None else _expect(_load_input(
+        objs = [_by_name(arg, args.field) if cls is None else _expect(_load_input(
                     arg, args.field, unchecked=args.unchecked or args.command in _CHECKS), cls)
                 for arg, cls in given]
         verdict, dimensions, witnesses, derived = runner(names, *objs)

@@ -24,7 +24,6 @@ from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, center, is_generated_by_odd,
     trivial_module,
 )
-from .embed import _radical, _wedge_columns, wedge_pairs
 
 
 class Cochain(Record):
@@ -337,6 +336,7 @@ def envelope_criterion(L: GradedLieAlgebra) -> EnvelopeCriterionReport:
     if not is_generated_by_odd(L):
         return EnvelopeCriterionReport(False, False, h2_graded(L, trivial_module(L)).dimension,
                                        "the odd part does not generate the algebra", None)
+    from .embed import _radical, _wedge_columns, wedge_pairs  # h2 alone leaves embed unloaded
     F, d, n, pairs = L.field, L.dim0, L.dim1, wedge_pairs(L.dim1)
     c, _ = _integer_terms(F.p, L.terms, 2)
     beta = [c[d + i][d + j] for i, j in pairs]

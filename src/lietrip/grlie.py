@@ -215,13 +215,15 @@ class GradedModule(Record):
             if wrong:
                 r, c = min(wrong)
                 raise ValueError(f"module grading violated at action[{i}][{r}][{c}]")
-        # [e_i, e_j] acts as e_i e_j - e_j e_i, column by column
+        # [e_i, e_j] acts as e_i e_j - e_j e_i, column by column; every term is zero at a
+        # pair with an empty bracket and a zero action on either side
+        idle = [not any(a) for a in act]
         for i in range(algebra.dim):
             for j in range(algebra.dim):
-                if any(_sparse_sum(p, chain(((w, act[l][c]) for l, w in br[i][j]),
-                                            ((-x, act[i][r]) for r, x in act[j][c]),
-                                            ((x, act[j][r]) for r, x in act[i][c])))
-                       for c in range(m)):
+                if (br[i][j] or not (idle[i] or idle[j])) and any(_sparse_sum(p, chain(
+                        ((w, act[l][c]) for l, w in br[i][j]),
+                        ((-x, act[i][r]) for r, x in act[j][c]),
+                        ((x, act[j][r]) for r, x in act[i][c]))) for c in range(m)):
                     raise ValueError(f"not a representation: fails at basis pair ({i}, {j})")
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cohom import Cochain
 from .exactlin import Field, Matrix
 from .grlie import GradedHom, GradedLieAlgebra, GradedModule
 from .lts import LieTripleSystem, LtsHom
@@ -94,12 +93,13 @@ def save(obj, name: Optional[str] = None) -> dict:
         # the columns of each action, transposed into its rows
         body = {"entries": [list(map(list, zip(*fmt_terms(field, obj.dim, a, 1)))) for a in obj.terms],
                 "algebra": save(obj.algebra)}
-    elif isinstance(obj, Cochain):
+    else:  # a Cochain, whose cohom is loaded already, or a value save refuses
+        from .cohom import Cochain
+        if not isinstance(obj, Cochain):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
         kind, field, dims = "cochain", obj.algebra.field, {"degree": obj.degree}
         body = {"entries": fmt_terms(field, obj.module.dim, obj.terms, 1),
                 "algebra": save(obj.algebra), "module": save(obj.module)}
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
     payload = {"format_version": FORMAT_VERSION, "kind": kind, "field": field.tag}
     if name is not None:
@@ -156,6 +156,7 @@ def load(payload: dict, *, unchecked: bool = False):
             action = tuple(_parse_matrix(field, a, rows=m, cols=m) for a in _parse(field, entries, 3))
             return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
         if kind == "cochain":
+            from .cohom import Cochain
             algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)
             module = _load_nested(payload, "module", GradedModule, unchecked)
             f = Cochain(algebra, module, dims["degree"], _parse(field, entries, 2))

@@ -319,6 +319,23 @@ def graded_violations(c, dim0, p=None):
     return found
 
 
+def representation_failure(c, action, p=None):
+    """The first basis pair (i, j), row by row over every ordered pair, at
+    which the dense m x m matrices action[i] fail the law that [e_i, e_j]
+    acts as e_i e_j - e_j e_i, for the raw bracket c[i][j][l]; None when
+    there is none.  Every product and sum runs in full, zeros included."""
+    n = len(c)
+    a = [[[scalar(x, p) for x in row] for row in mat] for mat in action]
+    m = len(a[0]) if a else 0
+    for i, j in product(range(n), repeat=2):
+        ij, ji = naive_matmul(a[i], a[j], m, p), naive_matmul(a[j], a[i], m, p)
+        for r, k in product(range(m), repeat=2):
+            lhs = sum((Fraction(c[i][j][l]) * a[l][r][k] for l in range(n)), Fraction(0))
+            if scalar(lhs - ij[r][k] + ji[r][k], p):
+                return (i, j)
+    return None
+
+
 def lie_bracket_error(c, p=None):
     """The message of the first failed Lie algebra axiom of the raw bracket
     c[i][j][l], or None, scanning every ordered index tuple: for each i,

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import lietrip.cli
-from lietrip.cli import main
+import lietrip.cohom
+from lietrip.cli import build_parser, main
 from lietrip.cohom import coboundary, cocycle_extension, graded_cochain_basis, h2_graded
 import oracles
 from lietrip.corpus import (
@@ -651,6 +652,119 @@ def test_cli_reports_match_golden_digests(capsys, monkeypatch, tmp_path, command
     assert (code == 1) == (verdict in ("fail", "false"))
 
 
+# The exit code and the SHA-256 of stdout and of stderr of argparse's own
+# output, help and usage errors, captured with Python 3.11 at 80 columns
+# before main built the parser of the named command alone.  A key holds the
+# arguments, split at spaces.
+ARGPARSE_GOLDENS = {
+    '--help': (0, 'f4d5faf606741c9ee2a49c356c1e0bd3c7ac34a0b1c5d2444005f5c3a0592eba',
+                'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    '-h thm-a': (0, 'f4d5faf606741c9ee2a49c356c1e0bd3c7ac34a0b1c5d2444005f5c3a0592eba',
+                  'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm-a -h': (0, 'bcbbc771eca21d397dc6c49e90862d8269d9a39e3b2dc70ff17a8a363c09746f',
+                  'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'corpus --help': (0, '232b41ade403a4503487b0b23cd3eda5e7e4a7f4604b090359d6d8753c743579',
+                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'check-lts --help': (0, '288cb34ebaac04d4bcc9623db54ff58fd2047c09c6025ba74c4dbd16e8ac39d6',
+                          'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'check-graded --help': (0, '3095e9d885051f08b34dccf5edc644e5998b3ba0471c8c580d0a8a7a75d866d5',
+                             'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'derive --help': (0, 'eb2eeae40570bf855df2855d4ed81e2919e8d2c74208e7e584faacba2f430f89',
+                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'inder --help': (0, '83cca39e421f005f410b21cbe9a03b7bb127051bf44d92b891f753ed4a39bbc8',
+                      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'ste --help': (0, 'd26002f6cc88db81246d97bf87bde73555c2b9f786a81359fa9cd4065d9511fc',
+                    'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'univ --help': (0, 'c4c5a0f088245d81b026e9dc8a0deb6447333115dcadce8ac6473dac5164f2c8',
+                     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'extend --help': (0, 'afbfd2ee3d0e269efa079c37bb5b9a6cabe3d525c7d9ef48021e32d7feb2bff3',
+                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'h2 --help': (0, '839db886dffba3d248384cadf92cfd60d7d67e43be381cba888c8a32c576e697',
+                   'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'split --help': (0, '095615a6ddc78866a70cf7f2cc59fed0c1f01f70c8dd6249863df70d36225659',
+                      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'closed --help': (0, '3f7d8537cd41e275ce8a676a203889e666a2aec7a5c175e494cbbc5fb260854a',
+                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm-a --help': (0, 'bcbbc771eca21d397dc6c49e90862d8269d9a39e3b2dc70ff17a8a363c09746f',
+                      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'u0ext --help': (0, '4b63e1e0694f5917c1429bd5779d2b535b64b595a1acb2d2e96a106dc1428f46',
+                      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    '': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+          '0ea87c48b0314faf8d775a4529510a1f237c681dcd788f65cc254cf2b8c85224'),
+    'bogus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+               'ab44ee911b936c00e09ac34ac105682e4a93b8a5102741c6758a6dfe3fe9baff'),
+    'thm': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+             'a37312d2bc2ba2d25a1506146ec3c2c8e2e3cafcf23f107752931ee4039dcb1c'),
+    'thm-a heis --bogus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                            '630d884ea34edb7afceae9c8104635327347712564f20c8527f5c68fc3810746'),
+    'h2 heis a b c': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                       '76d536ccc26105e8ebffe8ce4d65da327b6fbd9d2cda2cb8a87d579ee136514d'),
+    'thm-a heis --field Fp:4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                 '114e1e6d2d0003fdf98425340ff7b577bae6c703ec0aef707e82e63c761c82ce'),
+    'univ sl2lts --out': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                           '4c85e742c82d9af9acb82f7fa669898ed8ab4898ec06a274a64c8ff27ce7c2f3'),
+    'corpus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                'cf5d5db2e27971ef53272cd6aa38724a4bc8142efd11b273c0df6b2a11f05122'),
+}
+
+
+def _argparse_output(capsys, monkeypatch, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which argparse ends."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words help and errors differently in other Python versions")
+@pytest.mark.parametrize("argv", ARGPARSE_GOLDENS)
+def test_cli_argparse_output_matches_golden_digests(capsys, monkeypatch, argv):
+    code, out, err = _argparse_output(capsys, monkeypatch, main, argv.split())
+    digest = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert (code, *digest) == ARGPARSE_GOLDENS[argv]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_GOLDENS)
+def test_cli_argparse_output_matches_the_parser_of_every_command(capsys, monkeypatch, argv):
+    """main builds one subparser when the first argument names a command; its
+    help and errors read as the parser of every command writes them."""
+    full = _argparse_output(capsys, monkeypatch, build_parser().parse_args, argv.split())
+    assert _argparse_output(capsys, monkeypatch, main, argv.split()) == full
+
+
+# Each command in a fresh interpreter that compiles lietrip from source, on a
+# corpus name and on a file where it takes either: the in-process tests run
+# with every module loaded, so only here would a runner's missing import show.
+FRESH_RUNS = ["corpus heis", "check-lts sl2lts", "check-lts broken_lts.json",
+              "check-graded sl2graded", "check-graded broken_graded.json",
+              "derive odd2", "derive odd2.json", "inder odd2", "inder odd2.json",
+              "ste odd2", "ste odd2.json", "univ odd2", "univ odd2.json",
+              "extend hom.json sl2graded", "extend hom.json sl2graded.json",
+              "h2 ab2", "h2 ab2.json", "h2 sl2graded.json adjoint.json", "split iso.json",
+              "closed heis", "closed heis.json", "thm-a heis", "thm-a heis.json",
+              "u0ext ab2", "u0ext ab2.json"]
+
+
+@pytest.mark.parametrize("argv", FRESH_RUNS)
+def test_cli_in_a_fresh_process_matches_main(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    args = argv.split()
+    payloads = _golden_payloads(QQ)
+    for arg in args:
+        if arg.endswith(".json"):
+            obj = payloads[arg] if arg in payloads else by_name(arg.removesuffix(".json"))
+            (tmp_path / arg).write_text(json.dumps(save(obj)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "lietrip.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=60)
+    code = main(args)
+    out = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.out, out.err)
+
+
 @pytest.mark.parametrize("tag", ["Fp:1_3", "Fp: 5", "Fp:+5", "Fp:\u0665", "Fp:5 ", "fp:5", "Q ", ""])
 def test_field_tag_is_q_or_ascii_digits(capsys, tmp_path, tag):
     with pytest.raises(ValueError):
@@ -708,7 +822,8 @@ def _out_of_memory(*args, **kwargs):
 def test_cli_out_of_memory_in_each_stage_is_an_internal_error(capsys, monkeypatch, tmp_path, stage):
     """A MemoryError in the runner, in the report's encoding or in the --out
     write exits 3 with one stderr line and prints no report."""
-    target = lietrip.cli.json if stage == "dumps" else lietrip.cli
+    # the h2 runner imports h2_graded from cohom when it runs
+    target = {"h2_graded": lietrip.cohom, "dumps": lietrip.cli.json, "open": lietrip.cli}[stage]
     monkeypatch.setattr(target, stage, _out_of_memory, raising=stage != "open")
     code = main(["h2", "heis", "--out", str(tmp_path / "report.json")])
     out = capsys.readouterr()

@@ -17,7 +17,7 @@ not.
 import ast
 from pathlib import Path
 
-import lietrip  # noqa: F401  (defines every Record class)
+import lietrip.cohom  # noqa: F401  (with the modules it imports, defines every Record class)
 from lietrip.exactlin import Record
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -469,6 +469,67 @@ def test_graded_module_validation():
         GradedModule(L, 1, 2, bad_action)
 
 
+# the representation law against its dense definition: the check skips the
+# pairs with an empty bracket and a zero action on either side
+MODULE_ALGEBRAS = {"heis": heis, "ab2": ab2, "sl2graded": sl2graded,
+                   "sl2_double_swap": sl2_double_swap,
+                   "A(abl(3))": lambda F: universal_imbedding(abl(3, F)).algebra}
+
+
+def _module_check(L, dims, action):
+    """The message of GradedModule's refusal of the dense action over L, or None."""
+    F = L.field
+    try:
+        GradedModule(L, *dims, tuple(Matrix.make(F, a) for a in action))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _base_module(L, kind):
+    """(dims, dense action) of the adjoint module of L, or of the zero action on F^(1|1)."""
+    if kind == "adjoint":
+        return (L.dim0, L.dim1), [[list(row) for row in a.entries] for a in adjoint_module(L).action]
+    return (1, 1), [[[L.field.zero()] * 2 for _ in range(2)] for _ in range(L.dim)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("kind", ["adjoint", "trivial"])
+@pytest.mark.parametrize("name", sorted(MODULE_ALGEBRAS))
+def test_representation_check_matches_oracle_on_the_corpus(name, kind, field):
+    L = MODULE_ALGEBRAS[name](field)
+    dims, action = _base_module(L, kind)
+    assert oracles.representation_failure(L.bracket, action, field.p) is None
+    assert _module_check(L, dims, action) is None
+
+
+@seed(27)
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(MODULE_ALGEBRAS)), st.sampled_from(["adjoint", "trivial"]),
+       st.sampled_from(FIELDS), st.data())
+def test_representation_check_matches_oracle_under_mutation(name, kind, field, data):
+    """One to three entries of the action changed where the grading allows
+    them, and a bracket constant changed or not: a checked module may sit on
+    an unchecked algebra, so no pair is inferred from its swap."""
+    L = MODULE_ALGEBRAS[name](field)
+    (d0, d1), action = _base_module(L, kind)
+    allowed = [(i, r, k) for i in range(L.dim) for r in range(d0 + d1) for k in range(d0 + d1)
+               if (r >= d0) == (L.degree(i) + (k >= d0)) % 2]
+    deltas = [field.of(d) for d in MUTATIONS if field.p != 3 or type(d) is int]
+    # the adjoint module of ab2 allows none: its odd part acts into an even part of 0
+    for _ in range(data.draw(st.integers(1, 3)) if allowed else 0):
+        i, r, k = data.draw(st.sampled_from(allowed))
+        action[i][r][k] += data.draw(st.sampled_from(deltas))
+    c = [[list(v) for v in row] for row in L.bracket]
+    if data.draw(st.booleans()):
+        i, j, l = (data.draw(st.integers(0, L.dim - 1)) for _ in range(3))
+        c[i][j][l] += data.draw(st.sampled_from(deltas))
+        L = graded_lie(field, L.dim0, L.dim1, c, unchecked=True)
+    pair = oracles.representation_failure(c, action, field.p)
+    expected = None if pair is None else f"not a representation: fails at basis pair {pair}"
+    assert _module_check(L, (d0, d1), action) == expected
+
+
 def test_graded_module_grading_enforced():
     L = heis()
     # an action sending the even z into the odd block violates the grading

@@ -187,10 +187,10 @@ def _run_u0ext(names, L):
     from .embed import universal_central_0_extension
     ext = universal_central_0_extension(L)
     return ("pass",
-            {"dim0": ext.envelope.algebra.dim0, "dim1": ext.envelope.algebra.dim1,
+            {"dim0": ext.algebra.dim0, "dim1": ext.algebra.dim1,
              "kernel_dim": ext.kernel.dim},
             {},
-            {"total": save(ext.envelope.algebra),
+            {"total": save(ext.algebra),
              "upsilon_hat": save(ext.hom),
              "kernel_basis": fmt_matrix(ext.kernel.basis)})
 

@@ -18,10 +18,10 @@ from typing import Optional
 from .exactlin import (
     Matrix, Nonzeros, Record, Subspace, _as_nonzeros, _combination, _distinct_rows,
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _terms_of,
-    _transposed, dense_tensor, inverse, rref, solve,
+    _transposed, dense_tensor, rref, solve,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, center, is_generated_by_odd,
+    GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
     trivial_module,
 )
 
@@ -328,40 +328,16 @@ class EnvelopeCriterionReport(Record):
 
 
 def envelope_criterion(L: GradedLieAlgebra) -> EnvelopeCriterionReport:
-    """When L_1 generates L, the bracket beta: L_1^L_1 -> L_0 is onto and induces A(L_1)_0 -> L_0,
-    whose kernel has dimension H^2 = dim L_1^L_1 - dim A(L_1^L_1) - dim L_0 (Weibel 7.9).  The
-    radical A(L_1^L_1) lies in ker(beta), by Jacobi beta(D_m.m') = [beta(m), beta(m')], which
-    bounds its rank and checks its rows.  If H^2 = 0, the witness is beta at the free columns plus
-    the identity on L_1, and A(L_1) is L pulled back along it; else no witness is built."""
+    """When L_1 generates L, A(L_1) -> L, the identity on L_1, is onto with an even central
+    kernel of dimension H^2 = dim A(L_1)_0 - dim L_0 (Weibel 7.9); A(L_1) and the hom are
+    read off L's brackets by embed._envelope.  If H^2 = 0, the hom is the witness."""
     if not is_generated_by_odd(L):
         return EnvelopeCriterionReport(False, False, h2_graded(L, trivial_module(L)).dimension,
                                        "the odd part does not generate the algebra", None)
-    from .embed import _radical, _wedge_columns, wedge_pairs  # h2 alone leaves embed unloaded
-    F, d, n, pairs = L.field, L.dim0, L.dim1, wedge_pairs(L.dim1)
-    c, _ = _integer_terms(F.p, L.terms, 2)
-    beta = [c[d + i][d + j] for i, j in pairs]
-    ad = [[[(l - d, x) for l, x in c[z][d + m]] for m in range(n)] for z in range(d)]  # [e_z, e_m]
-    # lam(e_i^e_j) = D_{e_i,e_j} = ad(beta(e_i^e_j)) on L_1: the rows of lam span those of
-    # ad: L_0 -> End(L_1), in echelon, times beta, and D_u's columns are [beta(e_u), e_a]
-    ad_rows = _transposed((((m, l), x) for m, col in enumerate(ad_z) for l, x in col) for ad_z in ad)
-    beta_rows = _transposed(beta)
-    lam_rows = [_sparse_sum(F.p, ((y, beta_rows[z].items()) for z, y in r.items()))
-                for r in _echelon(list(ad_rows.values()), F.p, d)[0].values()]
-    echelon = _radical(F.p, len(pairs), lam_rows, lambda u: _wedge_columns(F.p, n, [
-        _sparse_sum(F.p, ((y, ad[z][a]) for z, y in beta[u])).items() for a in range(n)]),
-                       beta, len(pairs) - d, "the bracket")
-    h2 = len(pairs) - len(echelon) - d
+    from .embed import _envelope  # h2 alone leaves embed unloaded
+    _, A, hom = _envelope(L)
+    h2 = A.dim0 - L.dim0
     if h2:
         return EnvelopeCriterionReport(False, True, h2,
                                        f"graded H^2 with trivial coefficients has dimension {h2}", None)
-    cols = [L.terms[d + i][d + j] for w, (i, j) in enumerate(pairs) if w not in echelon]
-    cols += [((d + a, F.one()),) for a in range(n)]
-    inv = inverse(Matrix.from_cols(F, Nonzeros(cols[:d]), rows=d))
-    if inv is None:
-        raise RuntimeError("the bracket is not injective on the even part of A(L_1)")
-    back = inv.transpose().terms + tuple(cols[d:])  # the witness's inverse, by its columns
-    A = _assemble(F, d, n, ((s, u, _combination(F.p, ((x, back[l]) for l, x in
-                                                     _bracket(L, cols[s], cols[u]).items())))
-                            for s in range(L.dim) for u in range(s + 1, L.dim)))
-    return EnvelopeCriterionReport(True, True, 0, None, GradedHom(
-        A, L, Matrix.from_cols(F, Nonzeros(cols), rows=L.dim), unchecked=True))
+    return EnvelopeCriterionReport(True, True, 0, None, hom)

@@ -1,5 +1,4 @@
-"""Imbeddings of Lie triple systems into Z2-graded Lie algebras, built for
-a system T in one chain T -> Ste(T) -> <T,T> -> A(T):
+"""Imbeddings of Lie triple systems into Z2-graded Lie algebras:
 
 * the standard imbedding Ste(T), inner derivations plus T itself, with
   bracket [X+a, Y+b] = ([X,Y] + D_{a,b}) + (Xb - Ya);
@@ -11,29 +10,32 @@ a system T in one chain T -> Ste(T) -> <T,T> -> A(T):
   algebras, which makes T -> A(T) a functor and every hom out of it
   determined by its odd restriction.
 
-Ste(T), A(T) and graded_algebra_from_pairing glue an even algebra to a
-module through an alternating pairing with ``_glue``.  The chain reads
-only the structure tensor: Ste(T) is Inder(T) paired by the D_{e_i,e_j},
-and no step computes Der(T).  Bases are deterministic RREF bases, so
-structure constants are reproducible across runs.
+One builder, ``_envelope``, reads A(L_1) and its hom onto L off the brackets
+of any L that its odd part generates: A(T) is it on Ste(T), the universal
+central 0-extension of L is it on L, and envelope_criterion reads H^2 and its
+witness off it.  ``pair_algebra`` builds <T,T> by the generic module route.
+Everything reads only the structure tensor, no step computes Der(T), and
+bases are deterministic RREF bases, so structure constants are reproducible.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows, _integer_terms,
-    _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, kernel_basis, quotient,
+    Field, Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows,
+    _integer_terms, _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, _transposed,
+    kernel_basis, quotient,
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, is_generated_by_odd,
 )
 from .lts import (
-    DerivationAlgebra, LieTripleSystem, LtsHom, _flat_rows, _inner_flats, inner_derivation_algebra,
-    is_lts_hom, odd_part_lts,
+    DerivationAlgebra, LieTripleSystem, LtsHom, _inner_flats, inner_derivation_algebra, is_lts_hom,
+    odd_part_lts,
 )
 
 
@@ -57,12 +59,12 @@ def _wedge(k: int, l: int, n: int) -> tuple:
     return () if k == l else ((wedge_index(min(k, l), max(k, l), n), 1 if k < l else -1),)
 
 
-def _wedge_columns(p: Optional[int], n: int, cols: Sequence) -> list:
-    """The columns D.(e_i^e_j) = De_i^e_j + e_i^De_j, i < j, of D on the exterior
-    square, as dicts of their nonzeros, from D's sparse (integer) columns."""
+def _wedge_columns(p: Optional[int], n: int, cols: Sequence, pairs: Sequence) -> list:
+    """The columns D.(e_i^e_j) = De_i^e_j + e_i^De_j of D on the exterior square at the
+    pairs i < j, as dicts of their nonzeros, from D's sparse (integer) columns."""
     return [_sparse_sum(p, chain(((x, _wedge(k, j, n)) for k, x in cols[i]),
                                  ((x, _wedge(i, k, n)) for k, x in cols[j])))
-            for i, j in wedge_pairs(n)]
+            if cols[i] or cols[j] else {} for i, j in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +108,7 @@ class WedgeModule(Record):
 def wedge_module(T: LieTripleSystem) -> WedgeModule:
     """T^T as a module over Inder(T), read off the nonzeros of Ste(T): the
     action from its even-odd block, lam from its odd-odd block."""
-    F = T.field
-    n = T.dim
+    F, n, pairs = T.field, T.dim, wedge_pairs(T.dim)
     ste = standard_imbedding(T)
     r = ste.inder.dim
     s = ste.algebra.terms
@@ -115,9 +116,10 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
     # column u of the basis derivation D_a is [D_a, e_u], at the odd index r + u
     cols, den = _integer_terms(F.p, [[[(l - r, x) for l, x in v] for v in s[a][r:]]
                                      for a in range(r)], 2)
-    actions = Nonzeros(tuple(tuple(_terms_of(F.p, v, den) for v in _wedge_columns(F.p, n, c)) for c in cols))
+    actions = Nonzeros(tuple(tuple(_terms_of(F.p, v, den) for v in _wedge_columns(F.p, n, c, pairs))
+                             for c in cols))
     module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, unchecked=True)
-    lam = Matrix.from_cols(F, Nonzeros(s[r + i][r + j] for i, j in wedge_pairs(n)), rows=r)
+    lam = Matrix.from_cols(F, Nonzeros(s[r + i][r + j] for i, j in pairs), rows=r)
     return WedgeModule(T, ste, inder_algebra, module, lam)
 
 
@@ -131,20 +133,20 @@ class ModuleQuotient(Record):
     a_subspace: Subspace
     quotient: QuotientSpace
     algebra: GradedLieAlgebra  # all-even, dim = M/A(M)
-    mu: Matrix                 # L.dim x quotient dim
+    mu: Matrix                 # lam at the free columns, valued where lam is
 
 
-def _radical(p: Optional[int], mdim: int, lam_rows: list, acting, image: Sequence,
+def _radical(p: Optional[int], mdim: int, lam_rows: list, act, image: Sequence,
              bound: Optional[int] = None, kernel: str = "lam") -> dict:
-    """The echelon {pivot: row} of A(M) = span{lam(m).m} from lam's integer rows and acting(u)
-    = [lam(e_u).e_v for each v]: lam maps its pivot columns s_i onto a basis of Im(lam), so
+    """The echelon {pivot: row} of A(M) = span{lam(m).m} from lam's integer rows and act(u, vs)
+    = [lam(e_u).e_v for v in vs]: lam maps its pivot columns s_i onto a basis of Im(lam), so
     lam(s_i).s_i, lam(s_i).s_j + lam(s_j).s_i and lam(s_i).k, k in ker(lam), span A(M).  It
     stops at rank bound (default dim ker(lam), as A(M) lies in ker(lam)); its rows must map
     to 0 under image, the columns of a map."""
     lam_echelon, _ = _echelon(lam_rows, p, mdim)
     pivots = sorted(lam_echelon)
     ker = _null_vectors(p, mdim, lam_echelon)
-    acts = [acting(u) for u in pivots]  # acts[i][v] = lam(s_i).e_v
+    acts = [act(u, range(mdim)) for u in pivots]  # acts[i][v] = lam(s_i).e_v
     gens = [row[u] for row, u in zip(acts, pivots)]
     gens += [_sparse_sum(p, ((1, acts[i][pivots[j]].items()), (1, acts[j][u].items())))
              for i, u in enumerate(pivots) for j in range(i + 1, len(pivots))]
@@ -179,24 +181,33 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
             if lhs != rhs:
                 raise ValueError(f"lam is not a module homomorphism: fails at basis pair ({a}, {u})")
 
-    def act(u, v):  # lam(e_u).e_v
-        return _sparse_sum(p, ((x, action_cols[a][v].items()) for a, x in lam_cols[u].items()))
+    def act(u, vs):  # lam(e_u).e_v for v in vs
+        return [_sparse_sum(p, ((x, action_cols[a][v].items()) for a, x in lam_cols[u].items()))
+                for v in vs]
 
-    echelon = _radical(p, mdim, _integer_rows(p, map(dict, lam.terms))[0],
-                       lambda u: [act(u, v) for v in range(mdim)], lam_t)
+    echelon = _radical(p, mdim, _integer_rows(p, map(dict, lam.terms))[0], act, lam_t)
+    return _module_quotient(F, mdim, echelon, act, lam_t, L.dim, den * den)
+
+
+def _module_quotient(F: Field, mdim: int, echelon: dict, act, lam_t: Sequence, rows: int,
+                     den: int) -> ModuleQuotient:
+    """M/A(M) from the echelon of A(M), with act as for _radical (over Q den times its values)
+    and lam_t lam's columns, each rows long.  The section's columns are the unit vectors at the
+    free coordinates, and mu is lam there."""
+    p = F.p
     a_sub = _subspace(F, mdim, echelon)
     q = quotient(mdim, a_sub)
-    # the section's columns are the unit vectors at the free coordinates
     free = [c for c in range(mdim) if c not in echelon]
-    mu = Matrix.from_cols(F, Nonzeros(lam_t[c] for c in free), rows=L.dim)
+    mu = Matrix.from_cols(F, Nonzeros(lam_t[c] for c in free), rows=rows)
     position = {c: s for s, c in enumerate(free)}
-    # [s, t] is the normal form of lam(e_f).e_g (0 if lam(e_f) = 0), f and g the free columns s
-    # and t; over Q of den^2 * scale times it, integral for scale the lcm of the pivot entries
+    # [s, t] is the normal form of lam(e_f).e_g where that is not 0, f and g the free columns s
+    # and t; over Q of den * scale times it, integral for scale the lcm of the pivot entries
     scale = lcm(*(row[c] for c, row in echelon.items()))
     table = {(s, position[g]): {position[c]: x for c, x in _reduce(
-        {j: x * scale for j, x in act(f, g).items()}, echelon, p).items()}
-        for s, f in enumerate(free) if lam_cols[f] for g in free[s + 1:]}
-    algebra = _assemble(F, q.dim, 0, ((s, t, _terms_of(p, v, den * den * scale))
+        {j: x * scale for j, x in v.items()}, echelon, p).items()}
+        for s, f in enumerate(free) if lam_t[f]
+        for g, v in zip(free[s + 1:], act(f, free[s + 1:])) if v}
+    algebra = _assemble(F, q.dim, 0, ((s, t, _terms_of(p, v, den * scale))
                                       for (s, t), v in table.items()))
     # [z, e_j] = sum_i z_i [e_i, e_j] at (j, c): table entry v = [e_s, e_t] adds z_s v at t, -z_t v at s
     for z in map(dict, kernel_basis(mu).basis.terms):
@@ -231,33 +242,52 @@ def pair_algebra(T: LieTripleSystem) -> PairAlgebra:
 # ---------------------------------------------------------------------------
 # the universal imbedding
 
+def _envelope(L: GradedLieAlgebra) -> tuple:
+    """(<L_1,L_1>, A(L_1), the hom A(L_1) -> L) for L that its odd part L_1 generates, read off
+    L's brackets.  beta: L_1^L_1 -> L_0 is onto and lam(e_i^e_j) = D_{e_i,e_j} = ad(beta(e_i^e_j))
+    on L_1: lam's rows are the rows of ad: L_0 -> End(L_1), in echelon, times beta.  The radical
+    lies in ker(beta), by Jacobi beta(D_m.m') = [beta(m), beta(m')], which bounds its rank and
+    checks its rows.  The hom is beta at the free columns, where the free column f acts on L_1
+    by D_f, and the identity on L_1; its kernel is central, of dimension H^2 (Weibel 7.9)."""
+    F, p, d, n, pairs = L.field, L.field.p, L.dim0, L.dim1, wedge_pairs(L.dim1)
+    c, den = _integer_terms(p, L.terms, 2)
+    beta = [c[d + i][d + j] for i, j in pairs]
+    ad = [[[(l - d, x) for l, x in c[z][d + m]] for m in range(n)] for z in range(d)]  # [e_z, e_m]
+    ad_rows = _transposed((((m, l), x) for m, col in enumerate(ad_z) for l, x in col) for ad_z in ad)
+    beta_rows = _transposed(beta)
+    lam_rows = [_sparse_sum(p, ((y, beta_rows[z].items()) for z, y in r.items()))
+                for r in _echelon(list(ad_rows.values()), p, d)[0].values()]
+    # D_u = ad(beta(e_u)) on L_1 by its columns, over Q den^2 times it, built once for each of
+    # lam's pivot columns and the free columns; act is D_u on L_1^L_1 at the wedge columns ws
+    columns = cache(lambda u: [_sparse_sum(p, ((y, ad[z][a]) for z, y in beta[u])).items()
+                               for a in range(n)])
+    act = lambda u, ws: _wedge_columns(p, n, columns(u), [pairs[w] for w in ws])
+    echelon = _radical(p, len(pairs), lam_rows, act, beta, len(pairs) - d, "the bracket")
+    pair = _module_quotient(F, len(pairs), echelon, act, [L.terms[d + i][d + j] for i, j in pairs],
+                            d, den * den)
+    free = [w for w in range(len(pairs)) if w not in echelon]
+    algebra = _glue(pair.algebra, n, [[_terms_of(p, dict(v), den * den) for v in columns(f)] for f in free],
+                    pair.quotient.projection)
+    q = len(free)
+    hom = Matrix(F, L.dim, q + n, Nonzeros(pair.mu.terms + tuple(((q + a, F.one()),) for a in range(n))))
+    return pair, algebra, GradedHom(algebra, L, hom, unchecked=True)
+
+
 class UniversalImbedding(Record):
     lts: LieTripleSystem
     algebra: GradedLieAlgebra
     iota: Matrix               # dim x dim(T), inclusion onto the odd part
     upsilon: GradedHom         # onto the standard imbedding
-    angle_projection: Matrix   # wedge -> <T,T>
-    pair: PairAlgebra
+    pair: ModuleQuotient       # <T,T> = T^T/A(T^T), the even part
     ste: StandardImbedding
 
 
 def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
-    F = T.field
-    n = T.dim
-    pa = pair_algebra(T)
-    q = pa.algebra.dim0
-    # e_s acts on T by mu(e_s), the n x n matrix whose flattening is column s of mu_end
-    actions = [Matrix(F, n, n, _flat_rows(f, n)).transpose().terms
-               for f in pa.mu_end.transpose().terms]
-    algebra = _glue(pa.algebra, n, actions, pa.projection)
-
-    ste = pa.wedge.ste
-    r = ste.inder.dim
-    # the even block of upsilon is mu itself, valued in Ste's even basis, the odd block the identity
-    upsilon = GradedHom(algebra, ste.algebra, Matrix(F, r + n, q + n, Nonzeros(
-        pa.mu.terms + tuple(((q + a, F.one()),) for a in range(n)))), unchecked=True)
-    iota = Matrix.from_cols(F, Nonzeros(((q + a, F.one()),) for a in range(n)), rows=q + n)
-    return UniversalImbedding(T, algebra, iota, upsilon, pa.projection, pa, ste)
+    ste = standard_imbedding(T)
+    pair, algebra, upsilon = _envelope(ste.algebra)
+    F, q = T.field, algebra.dim0
+    iota = Matrix.from_cols(F, Nonzeros(((q + a, F.one()),) for a in range(T.dim)), rows=q + T.dim)
+    return UniversalImbedding(T, algebra, iota, upsilon, pair, ste)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +363,11 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
         raise ValueError("envelope is not the universal imbedding of T")
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
         raise ValueError("alpha is not a homomorphism into the odd part of L")
-    return _extension(L, alpha, envelope if envelope is not None else universal_imbedding(T))
-
-
-def _extension(L: GradedLieAlgebra, alpha: Matrix, env: UniversalImbedding) -> GradedHom:
-    """extend_hom once alpha is known to be a hom T -> L_1."""
+    env = envelope if envelope is not None else universal_imbedding(T)
     F = L.field
     # the columns of alpha, and their brackets, at their places in L
     alpha_cols = [tuple((L.dim0 + a, x) for a, x in col) for col in alpha.transpose().terms]
-    zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in wedge_pairs(env.lts.dim)]
+    zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in wedge_pairs(T.dim)]
     if any(_sparse_sum(F.p, ((x, zeta_cols[w]) for w, x in v)) for v in env.pair.a_subspace.basis.terms):
         raise RuntimeError("extension ill-defined: the radical does not map to zero")
     # the pair section's columns are the unit vectors at the free coordinates
@@ -364,21 +390,18 @@ def imbedding_functor_hom(alpha: LtsHom,
 # universal central 0-extensions
 
 class UniversalCentral0Extension(Record):
-    envelope: UniversalImbedding  # of the odd part of L
-    hom: GradedHom                # envelope.algebra -> L, the identity on odd parts
+    algebra: GradedLieAlgebra  # A(L_1), the universal imbedding of the odd part of L
+    hom: GradedHom             # algebra -> L, the identity on odd parts
     kernel: Subspace
 
 
 def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
-    """For L generated by its odd part: the extension of id on L_1 to a
-    surjection from the universal imbedding of L_1, whose kernel is even
-    and central.  The hom is eliminated once, and each kernel basis vector z is
-    checked to be 0 on the odd coordinates and to have [z, e_j] = 0 for every j."""
+    """For L generated by its odd part: A(L_1) -> L, the identity on L_1, read off L's brackets
+    by _envelope.  Its kernel is eliminated once, and each basis vector z is checked to be 0
+    on the odd coordinates and to have [z, e_j] = 0 for every j: even and central."""
     if not is_generated_by_odd(L):
         raise ValueError("algebra is not generated by its odd part")
-    env = universal_imbedding(odd_part_lts(L))
-    A = env.algebra
-    hom = _extension(L, Matrix.identity(L.field, L.dim1), env)
+    _, A, hom = _envelope(L)
     ker = kernel_basis(hom.matrix)
     if A.dim - ker.dim != L.dim:
         raise RuntimeError("extension of the identity failed to be surjective")
@@ -387,4 +410,4 @@ def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exten
         raise RuntimeError("kernel escaped the even part")
     if any(_sparse_sum(A.field.p, ((x, A.terms[i][j]) for i, x in z)) for z in zs for j in range(A.dim)):
         raise RuntimeError("kernel escaped the center")
-    return UniversalCentral0Extension(env, hom, ker)
+    return UniversalCentral0Extension(A, hom, ker)

@@ -397,10 +397,10 @@ def _odd_generated(field):
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
 def test_h2_is_the_kernel_of_the_universal_central_0_extension(field):
     """For L generated by L_1, dim H^2(L, F) = dim ker(A(L_1) -> L), with H^2
-    from the oracle's own d1 and d2.  envelope_criterion reads H^2 off the rank
-    of the radical without building A(L_1), and when it is 0 its witness is the
-    universal central 0-extension: A(L_1) pulled back from L is A(L_1) as the
-    imbedding chain builds it."""
+    from the oracle's own d1 and d2.  envelope_criterion reads H^2 off the
+    dimensions of A(L_1), built from L's brackets, and when it is 0 its witness
+    is the universal central 0-extension, whose source is A(L_1) as the
+    universal imbedding of the triple system L_1 builds it."""
     seen = set()
     for L in _odd_generated(field):
         assert is_generated_by_odd(L)

@@ -279,8 +279,9 @@ def test_pair_algebra_rank_stop_both_branches(field, a_dim, ker_dim, monkeypatch
 
 
 def radical_generators(monkeypatch, build):
-    """The generators of A(M) that build() hands to the echelon engine: of
-    the two echelons of embed._radical, lam's rows and then these."""
+    """The generators of A(M) that build() hands to the echelon engine: the
+    last of the echelons it runs in embed, after lam's rows (and, on the
+    path of embed._envelope, the rows of ad before them)."""
     calls = []
 
     def recording(rows, p, bound):
@@ -291,8 +292,8 @@ def radical_generators(monkeypatch, build):
     with monkeypatch.context() as m:
         m.setattr(lietrip.embed, "_echelon", recording)
         build()
-    assert len(calls) == 2
-    return calls[1]
+    assert len(calls) in (2, 3)
+    return calls[-1]
 
 
 def assert_in_kernel_of_lam(raw, generators, p):
@@ -596,7 +597,7 @@ def _reconstruct_even_block(T, L, alpha, env, ext):
     pairs = wedge_pairs(n)
     for s in range(env.algebra.dim0):
         target = unit_vec(F, env.algebra.dim0, s)
-        coeffs = solve(env.angle_projection, target)
+        coeffs = solve(env.pair.quotient.projection, target)
         assert coeffs is not None
         image = tuple([F.zero()] * L.dim)
         for c, (i, j) in zip(coeffs, pairs):
@@ -663,13 +664,54 @@ def test_universal_central_0_extension_examples():
 
     ext = universal_central_0_extension(ab2())
     assert ext.kernel.dim == 1
-    assert (ext.envelope.algebra.dim0, ext.envelope.algebra.dim1) == (1, 2)
+    assert (ext.algebra.dim0, ext.algebra.dim1) == (1, 2)
 
     ext = universal_central_0_extension(sl2graded())
     assert ext.kernel.dim == 0
 
     with pytest.raises(ValueError, match="generated"):
         universal_central_0_extension(direct_sum(sl2graded(), even_line()))
+
+
+def _seeded_central_quotient(field, count, seed):
+    """A(abl(3)), whose even part is central, divided by `count` seeded
+    independent even vectors: H^2 of the quotient is count."""
+    A = universal_imbedding(abl(3, field)).algebra
+    rng = random.Random(seed)
+    while True:
+        vecs = [tuple(field.of(rng.randint(-3, 3)) for _ in range(A.dim0)) + (field.zero(),) * A.dim1
+                for _ in range(count)]
+        ideal = Subspace.span(field, A.dim, vecs)
+        if ideal.dim == count:
+            return central_quotient(A, ideal)[0]
+
+
+# (name, the algebra over a field, H^2 = dim of the kernel of A(L_1) -> L)
+U0EXT_CASES = [(f"{name}-{field}", lambda field=field, make=make: make(field), h2)
+               for field in (QQ, Field(5))
+               for name, make, h2 in (
+                   ("heis", heis, 0), ("sl2graded", sl2graded, 0), ("sl2ds", sl2_double_swap, 0),
+                   ("ab2", ab2, 1),
+                   ("A(abl(3))/line@1", lambda F: _seeded_central_quotient(F, 1, 1), 1),
+                   ("A(abl(3))/plane@2", lambda F: _seeded_central_quotient(F, 2, 2), 2))]
+U0EXT_CASES += [(f"A({name})-{field}", lambda field=field, raw=raw: universal_imbedding(
+                    lie_triple_system(field, raw)).algebra, 0)
+                for name, raw, field in LADDER if field.p in (None, 5)]
+
+
+@pytest.mark.parametrize("name, make, h2", U0EXT_CASES, ids=[name for name, _, _ in U0EXT_CASES])
+def test_universal_central_0_extension_matches_the_route_through_the_odd_part(name, make, h2):
+    """u0ext reads A(L_1) off L's own brackets; the public route takes L_1 as
+    a triple system, builds its universal imbedding and extends the identity
+    on L_1 to it: the same algebra, hom and kernel."""
+    L = make()
+    ext = universal_central_0_extension(L)
+    T = odd_part_lts(L)
+    hom = extend_hom(T, L, Matrix.identity(L.field, L.dim1))
+    assert ext.algebra == universal_imbedding(T).algebra == hom.source
+    assert ext.hom == hom
+    assert ext.kernel == kernel_basis(hom.matrix)
+    assert ext.kernel.dim == h2
 
 
 def test_envelope_criterion_checks_generation_once(monkeypatch):
@@ -687,9 +729,9 @@ def test_envelope_criterion_checks_generation_once(monkeypatch):
 
 
 def test_envelope_criterion_builds_no_center_and_no_rank_when_true(monkeypatch):
-    # H^2 of an odd-generated algebra is read off the rank of the radical and
-    # the witness is L pulled back along the bracket: no center, rank or H^2
-    # elimination, whatever the verdict
+    # H^2 of an odd-generated algebra is read off the dimensions of A(L_1),
+    # built from L's brackets, and the witness is its hom: no center, rank or
+    # H^2 elimination, whatever the verdict
     calls = []
 
     def spy(name, real):
@@ -715,8 +757,9 @@ def test_envelope_criterion_builds_no_center_and_no_rank_when_true(monkeypatch):
 
 
 def test_envelope_criterion_builds_no_envelope(monkeypatch):
-    """The criterion reads H^2 and the witness off the radical of L_1^L_1 and
-    L itself: none of the imbedding chain runs, whatever the verdict."""
+    """The criterion and the universal central 0-extension read A(L_1) and its
+    hom off L's own brackets: neither runs the imbedding chain of L_1 or
+    takes L_1 as a triple system, whatever the verdict."""
     calls = []
 
     def spy(name, real):
@@ -726,39 +769,39 @@ def test_envelope_criterion_builds_no_envelope(monkeypatch):
         return counting
 
     names = ("universal_imbedding", "standard_imbedding", "inner_derivation_algebra",
-             "pair_algebra", "module_quotient_algebra")
+             "pair_algebra", "odd_part_lts")
     for module in (lietrip, lietrip.lts, lietrip.embed, lietrip.cohom):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     A = lietrip.embed.universal_imbedding(sl2lts()).algebra
-    assert sorted(calls) == sorted(names)
+    # the spies are live
+    lietrip.embed.pair_algebra(sl2lts())
+    lietrip.lts.odd_part_lts(A)
+    assert set(calls) == set(names)
     calls.clear()
     for L in (heis(), ab2(), sl2graded(), A):
         envelope_criterion(L)
+        lietrip.embed.universal_central_0_extension(L)
     assert lietrip.is_0_centrally_closed(A)
     assert calls == []
-    # the spies are live: the universal central 0-extension builds the envelope
-    lietrip.embed.universal_central_0_extension(A)
-    assert sorted(calls) == sorted(names)
 
 
 def _with_envelope_algebra(monkeypatch, dim0, edit=None):
-    """Make universal_imbedding return its envelope with the algebra's bracket
-    regraded to dim0 even basis vectors, after edit(bracket) on a copy."""
-    real = lietrip.embed.universal_imbedding
+    """Make embed._envelope return A(L_1) with its bracket regraded to dim0
+    even basis vectors, after edit(bracket) on a copy."""
+    real = lietrip.embed._envelope
 
-    def corrupted(T):
-        env = real(T)
-        A = env.algebra
+    def corrupted(L):
+        pair, A, hom = real(L)
         bracket = [list(row) for row in A.bracket]
         if edit is not None:
             edit(bracket)
         B = GradedLieAlgebra(A.field, dim0, A.dim - dim0, tuple(tuple(row) for row in bracket),
                              unchecked=True)
-        return type(env)(*(B if name == "algebra" else getattr(env, name) for name in env._fields))
+        return pair, B, hom
 
-    monkeypatch.setattr(lietrip.embed, "universal_imbedding", corrupted)
+    monkeypatch.setattr(lietrip.embed, "_envelope", corrupted)
 
 
 def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
@@ -766,11 +809,11 @@ def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
     Q, _ = central_quotient(A, Subspace.span(QQ, A.dim, [unit_vec(QQ, A.dim, 0)]))
     ext = universal_central_0_extension(Q)
     assert ext.kernel.dim == 1
-    assert ext.envelope.algebra.even_subspace().contains_subspace(ext.kernel)
-    assert center(ext.envelope.algebra).contains_subspace(ext.kernel)
+    assert ext.algebra.even_subspace().contains_subspace(ext.kernel)
+    assert center(ext.algebra).contains_subspace(ext.kernel)
     # both checks run: each one raises on an envelope algebra corrupted where
     # the kernel lies (the kernel's hom, read off the radical, is unchanged)
-    B = ext.envelope.algebra
+    B = ext.algebra
     with monkeypatch.context() as m:
         _with_envelope_algebra(m, 0)  # every coordinate odd
         with pytest.raises(RuntimeError, match="kernel escaped the even part"):
@@ -794,9 +837,9 @@ def test_decomposition_into_quotient_of_envelope():
     from lietrip.exactlin import quotient as ambient_quotient
     for L in (heis(), ab2(), sl2graded(), sl2_double_swap()):
         ext = universal_central_0_extension(L)
-        Q, proj = central_quotient(ext.envelope.algebra, ext.kernel)
+        Q, proj = central_quotient(ext.algebra, ext.kernel)
         # induced map = canonical surjection composed with the coset section
-        q = ambient_quotient(ext.envelope.algebra.dim, ext.kernel)
+        q = ambient_quotient(ext.algebra.dim, ext.kernel)
         induced = GradedHom(Q, L, ext.hom.matrix.matmul(q.section))
         assert induced.is_bijective()
         assert induced.compose(proj).matrix == ext.hom.matrix
@@ -860,8 +903,8 @@ def test_rational_basis_results_hold_fractions(name, raw):
     A = env.algebra
     assert any(x.denominator > 1 for row in A.bracket for v in row for x in v)
     rows = [v for row in A.bracket for v in row]
-    rows += env.upsilon.matrix.entries + env.pair.mu.entries + env.pair.mu_end.entries
-    rows += env.pair.a_subspace.basis.entries + env.angle_projection.entries
+    rows += env.upsilon.matrix.entries + env.pair.mu.entries + pair_algebra(T).mu_end.entries
+    rows += env.pair.a_subspace.basis.entries + env.pair.quotient.projection.entries
     rows += envelope_criterion(A).witness.matrix.entries
     # A(T) + ab2 has H^2 != 0, so its representatives come from the exact path
     L = direct_sum(A, ab2())

@@ -11,7 +11,7 @@ import lietrip
 from lietrip.cohom import H2Result, cocycle_extension, envelope_criterion, h2_graded
 from lietrip.corpus import ab2, heis, odd2
 from lietrip.embed import (
-    module_quotient_algebra, universal_central_0_extension, universal_imbedding,
+    module_quotient_algebra, pair_algebra, universal_central_0_extension, universal_imbedding,
 )
 from lietrip.exactlin import Field, Record
 from lietrip.grlie import adjoint_module, check_graded_lie, trivial_module
@@ -27,7 +27,8 @@ RECORD_CLASSES = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
 def ladder_records():
     """One instance of each record class, built from the ladder's objects."""
     env = universal_imbedding(odd2())
-    wedge = env.pair.wedge
+    pa = pair_algebra(odd2())
+    wedge = pa.wedge
     mq = module_quotient_algebra(wedge.inder_algebra, wedge.module, wedge.lam)
     criterion = envelope_criterion(env.algebra)
     M = trivial_module(ab2())
@@ -41,7 +42,7 @@ def ladder_records():
         axioms.violations[0], axioms, odd2(), identity_lts_hom(odd2()),
         derivation_algebra(odd2()), ideal_closure_certificate(odd2()),
         check_graded_lie(heis()), heis(), env.upsilon, adjoint_module(heis()),
-        env.ste, wedge, mq, env.pair, env, universal_central_0_extension(env.algebra),
+        env.ste, wedge, mq, pa, env, universal_central_0_extension(env.algebra),
         h2.representatives[0], h2, cocycle_extension(ab2(), M, h2.representatives[0]),
         criterion,
     ]

@@ -26,7 +26,7 @@ from lietrip.cohom import (
 from lietrip.corpus import (
     ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
 )
-from lietrip.embed import graded_algebra_from_pairing, universal_imbedding
+from lietrip.embed import graded_algebra_from_pairing, pair_algebra, universal_imbedding
 from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Record, Subspace, inverse
 from lietrip.grlie import (
     GradedLieAlgebra, GradedModule, adjoint_module, center, central_quotient, direct_sum,
@@ -80,7 +80,9 @@ def _records(F):
         yield f"criterion of A({name})", criterion
         if criterion.witness is not None:
             yield f"inverse witness of A({name})", inverse(criterion.witness.matrix)
-        wedge = env.pair.wedge
+        pa = pair_algebra(T)
+        wedge = pa.wedge
+        yield f"pair algebra of {name}", pa
         yield from ((f"A({name})", env.algebra), (f"Ste({name})", env.ste.algebra),
                     (f"Inder({name})", wedge.inder_algebra),
                     (f"<{name},{name}>", env.pair.algebra), (f"T^T({name})", wedge.module),
@@ -112,7 +114,7 @@ def _records(F):
                     yield from ((f"{degree}-cochain {k} on {name}", c),
                                 (f"its coboundary {k} on {name}", coboundary(c)))
             yield f"zero 3-cochain on {name}", zero_cochain(L, M, 3)
-    pa = universal_imbedding(gl2).pair  # gl(2) as a module over <gl(2),gl(2)>, glued back
+    pa = pair_algebra(gl2)  # gl(2) as a module over <gl(2),gl(2)>, glued back
     flats = (pa.mu_end.col(s) for s in range(pa.algebra.dim))
     module = GradedModule(pa.algebra, 4, 0, tuple(Matrix(F, 4, 4, (f[0:4], f[4:8], f[8:12], f[12:16]))
                                                   for f in flats))
@@ -178,4 +180,4 @@ def test_every_built_matrix_is_canonical(field):
             assert y == m and hash(y) == hash(m), path
             kinds.add(path.rpartition(".")[2].partition("[")[0])
     assert kinds >= {"matrix", "projection", "section", "lam", "mu", "mu_end", "basis", "iota",
-                     "inclusion", "angle_projection"}
+                     "inclusion"}

@@ -25,7 +25,7 @@ from lietrip.cohom import (
 )
 from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import (
-    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_dim,
+    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_dim, wedge_module,
     wedge_pairs,
 )
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
@@ -92,7 +92,7 @@ def test_derived_objects_pass_the_full_checks(name, field):
     assert check_lts_axioms(T).ok, name  # lts_of_lie builds gl(n) unchecked
     env = universal_imbedding(T)
     A = env.algebra
-    for what, L in (("Inder", env.pair.wedge.inder_algebra), ("<T,T>", env.pair.algebra),
+    for what, L in (("Inder", wedge_module(T).inder_algebra), ("<T,T>", env.pair.algebra),
                     ("Ste", env.ste.algebra), ("A", A)):
         _graded_ok(L, f"{what}({name})")
     _hom_ok(env.upsilon, f"upsilon of {name}")
@@ -140,6 +140,19 @@ def test_pair_algebra_matches_the_derivation_route(name, field):
     env = universal_imbedding(T)
     r, q = env.ste.inder.dim, pa.algebra.dim
     assert tuple(row[:q] for row in env.upsilon.matrix.entries[:r]) == pa.mu.entries
+
+
+@pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
+def test_universal_imbedding_pair_is_the_module_quotient_of_the_pair_algebra(name, field):
+    """universal_imbedding reads <T,T> off the brackets of Ste(T); pair_algebra
+    divides T^T, a module over Inder(T), by its radical: the same quotient."""
+    T = SYSTEMS[name](field)
+    pair, pa = universal_imbedding(T).pair, pair_algebra(T)
+    assert pair.algebra == pa.algebra
+    assert pair.a_subspace == pa.a_subspace
+    assert pair.quotient.projection == pa.projection
+    assert pair.quotient.section == pa.section
+    assert pair.mu == pa.mu
 
 
 @pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
@@ -200,17 +213,15 @@ TRUSTED_SITES = {
     ("embed.standard_imbedding", "_glue"),
     ("embed.wedge_module", "_assemble"),
     ("embed.wedge_module", "GradedModule(unchecked=True)"),
-    ("embed.module_quotient_algebra", "_assemble"),
-    ("embed.universal_imbedding", "_glue"),
-    ("embed.universal_imbedding", "GradedHom(unchecked=True)"),
+    ("embed._module_quotient", "_assemble"),
+    ("embed._envelope", "_glue"),
+    ("embed._envelope", "GradedHom(unchecked=True)"),
     ("embed.graded_algebra_from_pairing", "_glue"),
     ("embed._glue", "_assemble"),
-    ("embed._extension", "GradedHom(unchecked=True)"),
+    ("embed.extend_hom", "GradedHom(unchecked=True)"),
     ("cohom.cocycle_extension", "_assemble"),
     ("cohom.cocycle_extension", "GradedHom(unchecked=True)"),
     ("cohom.split_central_0_extension", "GradedHom(unchecked=True)"),
-    ("cohom.envelope_criterion", "_assemble"),
-    ("cohom.envelope_criterion", "GradedHom(unchecked=True)"),
     # objects valid by their shape alone
     ("corpus.abl", "LieTripleSystem(unchecked=True)"),
     ("grlie.abelian_algebra", "GradedLieAlgebra(unchecked=True)"),

@@ -15,11 +15,10 @@ import os
 import sys
 from typing import Optional
 
-# embed, cohom and corpus load where a command needs them, so start-up runs only what it uses
+# grlie, embed, cohom and corpus load where a command needs them; inputs are told apart by class name
 from .exactlin import Field, inverse
-from .grlie import GradedHom, GradedLieAlgebra, GradedModule, check_graded_lie, trivial_module
 from .lts import (
-    LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra, ideal_closure_certificate,
+    LieTripleSystem, check_lts_axioms, derivation_algebra, ideal_closure_certificate,
     inner_derivation_algebra, odd_part_lts,
 )
 from .serialize import fmt_matrix, fmt_terms, load, save
@@ -28,11 +27,11 @@ EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
 
 # what an input of each kind is called when a file holds another kind
 _KINDS = {
-    LieTripleSystem: "a Lie triple system",
-    GradedLieAlgebra: "a graded Lie algebra",
-    LtsHom: "a triple-system hom file",
-    GradedHom: "a graded hom file",
-    GradedModule: "a module file",
+    "LieTripleSystem": "a Lie triple system",
+    "GradedLieAlgebra": "a graded Lie algebra",
+    "LtsHom": "a triple-system hom file",
+    "GradedHom": "a graded hom file",
+    "GradedModule": "a module file",
 }
 
 
@@ -58,8 +57,8 @@ def _by_name(arg: str, field: Field):
     return corpus.by_name(arg, field)
 
 
-def _expect(obj, cls):
-    if not isinstance(obj, cls):
+def _expect(obj, cls: str):
+    if type(obj).__name__ != cls:
         raise ValueError(f"expected {_KINDS[cls]}, found {type(obj).__name__}")
     return obj
 
@@ -86,6 +85,7 @@ def _run_check_lts(names, T):
 
 
 def _run_check_graded(names, L):
+    from .grlie import check_graded_lie
     return _checked(check_graded_lie(L), {"dim0": L.dim0, "dim1": L.dim1})
 
 
@@ -136,6 +136,7 @@ def _run_extend(names, hom, L):
 
 def _run_h2(names, L, M=None):
     from .cohom import h2_graded
+    from .grlie import trivial_module
     if M is None:
         M = trivial_module(L)
     elif M.algebra != L:
@@ -150,6 +151,7 @@ def _run_h2(names, L, M=None):
 
 def _run_split(names, phi):
     from .cohom import CentralExtensionProblem, h2_graded, split_central_0_extension
+    from .grlie import trivial_module
     prob = CentralExtensionProblem.from_hom(phi)
     psi = split_central_0_extension(prob)
     dims = {"kernel_dim": prob.kernel.dim}
@@ -195,11 +197,11 @@ def _run_u0ext(names, L):
              "kernel_basis": fmt_matrix(ext.kernel.basis)})
 
 
-# command -> (help, inputs as (argument, expected class, argparse options), runner);
+# command -> (help, inputs as (argument, expected class's name, argparse options), runner);
 # a class of None takes a corpus name only
 _FILE_OR_NAME = {"help": "JSON file or corpus name"}
-_LTS = (("input", LieTripleSystem, _FILE_OR_NAME),)
-_ALGEBRA = (("input", GradedLieAlgebra, _FILE_OR_NAME),)
+_LTS = (("input", "LieTripleSystem", _FILE_OR_NAME),)
+_ALGEBRA = (("input", "GradedLieAlgebra", _FILE_OR_NAME),)
 _COMMANDS = {
     "corpus": ("emit a named example", (("name", None, {}),), _run_corpus),
     "check-lts": ("verify the triple-system axioms", _LTS, _run_check_lts),
@@ -210,17 +212,17 @@ _COMMANDS = {
     "univ": ("compute the universal imbedding with iota, upsilon and its kernel", _LTS,
              _run_univ),
     "h2": ("graded H^2 with trivial coefficients (or a module file)",
-           _ALGEBRA + (("module", GradedModule, {"nargs": "?", "help": "optional module file"}),),
+           _ALGEBRA + (("module", "GradedModule", {"nargs": "?", "help": "optional module file"}),),
            _run_h2),
     "closed": ("decide whether every central 0-extension splits", _ALGEBRA, _run_closed),
     "thm-a": ("generated-by-odd and 0-centrally-closed, with a witness", _ALGEBRA, _run_thm_a),
     "u0ext": ("universal central 0-extension of a graded algebra", _ALGEBRA, _run_u0ext),
     "extend": ("extend a triple-system hom to the universal imbedding",
-               (("hom", LtsHom, {"help": "lts_hom JSON file (target = odd part of the algebra)"}),
-                ("target", GradedLieAlgebra, {"help": "graded algebra JSON file or corpus name"})),
+               (("hom", "LtsHom", {"help": "lts_hom JSON file (target = odd part of the algebra)"}),
+                ("target", "GradedLieAlgebra", {"help": "graded algebra JSON file or corpus name"})),
                _run_extend),
     "split": ("attempt to split a central 0-extension",
-              (("hom", GradedHom, {"help": "graded_hom JSON file"}),), _run_split),
+              (("hom", "GradedHom", {"help": "graded_hom JSON file"}),), _run_split),
 }
 # check-lts and check-graded load unchecked to report the violations
 _CHECKS = ("check-lts", "check-graded")
@@ -265,7 +267,7 @@ def main(argv: Optional[list] = None) -> int:
                 for arg, cls in given]
         verdict, dimensions, witnesses, derived = runner(names, *objs)
         # the field of the first system or algebra, else of the hom's matrix
-        fields = [o.field for o in objs if isinstance(o, (LieTripleSystem, GradedLieAlgebra))]
+        fields = [o.field for o in objs if type(o).__name__ in ("LieTripleSystem", "GradedLieAlgebra")]
         field = fields[0] if fields else objs[0].matrix.field
         report = {"command": args.command, "inputs": names, "field": field.tag, "verdict": verdict,
                   "dimensions": dimensions, "witnesses": witnesses, "derived": derived}

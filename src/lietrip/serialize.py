@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .exactlin import Field, Matrix
-from .grlie import GradedHom, GradedLieAlgebra, GradedModule
 from .lts import LieTripleSystem, LtsHom
 
 FORMAT_VERSION = 1
@@ -32,20 +31,35 @@ def fmt_terms(field: Field, n: int, tensor: tuple, depth: int) -> list:
     """A sparse tensor, depth >= 1 levels above its vectors of length n, as dense nested scalar strings."""
     if depth > 1:
         return [fmt_terms(field, n, t, depth - 1) for t in tensor]
-    out = [["0"] * n for _ in tensor]
-    for v, vec in zip(out, tensor):
+    fmt, zeros, out = field.fmt, ["0"] * n, []
+    for vec in tensor:
+        out.append(v := zeros.copy())
         for j, x in vec:
-            v[j] = field.fmt(x)
+            v[j] = fmt(x)
     return out
 
 
-def _parse(field: Field, entries, depth: int) -> tuple:
+class _Scalars(dict):
+    """The field's scalar of each str and int of one payload, each coerced once; "0" is the
+    exact int 0, zero in every field.  A value that fails is not kept."""
+
+    def __init__(self, field: Field):
+        super().__init__({"0": 0})
+        self.field = field
+
+    def __missing__(self, x):
+        self[x] = value = _scalar(self.field, x)
+        return value
+
+
+def _parse(memo: _Scalars, entries, depth: int) -> tuple:
     """Nested lists of scalars, depth levels deep, as nested tuples of the field's scalars."""
     if not isinstance(entries, (list, tuple)):
         raise PayloadError(f"expected an array, found {type(entries).__name__} {entries!r:.40}")
     if depth > 1:
-        return tuple(_parse(field, e, depth - 1) for e in entries)
-    return tuple(_scalar(field, x) for x in entries)
+        return tuple([_parse(memo, e, depth - 1) for e in entries])
+    # no str equals an int; a bool or a float (True == 1.0 == 1), null, an array or an object is no key
+    return tuple([memo[x] if type(x) is str or type(x) is int else _scalar(memo.field, x) for x in entries])
 
 
 def _scalar(field: Field, x):
@@ -55,8 +69,8 @@ def _scalar(field: Field, x):
         raise PayloadError(f"bad scalar {x!r}: {exc}") from None
 
 
-def _parse_matrix(field: Field, entries, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
-    m = Matrix.make(field, _parse(field, entries, 2), cols=cols)
+def _parse_matrix(memo: _Scalars, entries, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
+    m = Matrix.make(memo.field, _parse(memo, entries, 2), cols=cols)
     if rows is not None and m.rows != rows:
         raise PayloadError(f"expected {rows} rows, found {m.rows}")
     if cols is not None and m.cols != cols:
@@ -64,42 +78,42 @@ def _parse_matrix(field: Field, entries, rows: Optional[int] = None, cols: Optio
     return m
 
 
-def _load_nested(payload: dict, key: str, cls: type, unchecked: bool):
-    """The object embedded under key, which must load as a cls."""
+def _load_nested(payload: dict, key: str, cls: str, unchecked: bool):
+    """The object embedded under key, which must load as the class named cls."""
     obj = load(payload[key], unchecked=unchecked)
-    if not isinstance(obj, cls):
-        raise PayloadError(f"{key} must be a {cls.__name__}, found {type(obj).__name__}")
+    if type(obj).__name__ != cls:
+        raise PayloadError(f"{key} must be a {cls}, found {type(obj).__name__}")
     return obj
 
 
 def save(obj, name: Optional[str] = None) -> dict:
     """Serialize a supported value to a JSON-ready dict."""
-    if isinstance(obj, LieTripleSystem):
+    cls = type(obj).__name__  # by name, so that no module loads for a value of another
+    if cls == "LieTripleSystem":
         kind, field, dims = "lts", obj.field, {"dim": obj.dim}
         body = {"entries": fmt_terms(field, obj.dim, obj.terms, 3)}
-    elif isinstance(obj, GradedLieAlgebra):
+    elif cls == "GradedLieAlgebra":
         kind, field, dims = "graded_lie", obj.field, {"dim0": obj.dim0, "dim1": obj.dim1}
         body = {"entries": fmt_terms(field, obj.dim, obj.terms, 2)}
-    elif isinstance(obj, (LtsHom, GradedHom)):
+    elif cls in ("LtsHom", "GradedHom"):
         source, target, field = obj.source, obj.target, obj.matrix.field
-        if isinstance(obj, LtsHom):
+        if cls == "LtsHom":
             kind, dims = "lts_hom", {"source_dim": source.dim, "target_dim": target.dim}
         else:
             kind, dims = "graded_hom", {"source_dim0": source.dim0, "source_dim1": source.dim1,
                                         "target_dim0": target.dim0, "target_dim1": target.dim1}
         body = {"entries": fmt_matrix(obj.matrix), "source": save(source), "target": save(target)}
-    elif isinstance(obj, GradedModule):
+    elif cls == "GradedModule":
         kind, field, dims = "module", obj.algebra.field, {"dim0": obj.dim0, "dim1": obj.dim1}
         # the columns of each action, transposed into its rows
         body = {"entries": [list(map(list, zip(*fmt_terms(field, obj.dim, a, 1)))) for a in obj.terms],
                 "algebra": save(obj.algebra)}
-    else:  # a Cochain, whose cohom is loaded already, or a value save refuses
-        from .cohom import Cochain
-        if not isinstance(obj, Cochain):
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    elif cls == "Cochain":
         kind, field, dims = "cochain", obj.algebra.field, {"degree": obj.degree}
         body = {"entries": fmt_terms(field, obj.module.dim, obj.terms, 1),
                 "algebra": save(obj.algebra), "module": save(obj.module)}
+    else:
+        raise TypeError(f"cannot serialize {cls}")
 
     payload = {"format_version": FORMAT_VERSION, "kind": kind, "field": field.tag}
     if name is not None:
@@ -129,37 +143,41 @@ def load(payload: dict, *, unchecked: bool = False):
         if type(value) is not int or value < 0:
             raise PayloadError(f"dims {key!r} must be a non-negative integer, found {value!r}")
 
+    memo = _Scalars(field)
     try:
         if kind == "lts":
-            tensor = _parse(field, entries, 4)
+            tensor = _parse(memo, entries, 4)
             if len(tensor) != dims["dim"]:
                 raise PayloadError("tensor size disagrees with dim")
             return LieTripleSystem(field, dims["dim"], tensor, unchecked=unchecked)
         if kind == "graded_lie":
-            tensor = _parse(field, entries, 3)
+            from .grlie import GradedLieAlgebra
+            tensor = _parse(memo, entries, 3)
             return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
         if kind == "lts_hom":
-            source = _load_nested(payload, "source", LieTripleSystem, unchecked)
-            target = _load_nested(payload, "target", LieTripleSystem, unchecked)
-            matrix = _parse_matrix(field, entries, rows=dims["target_dim"], cols=dims["source_dim"])
+            source = _load_nested(payload, "source", "LieTripleSystem", unchecked)
+            target = _load_nested(payload, "target", "LieTripleSystem", unchecked)
+            matrix = _parse_matrix(memo, entries, rows=dims["target_dim"], cols=dims["source_dim"])
             return LtsHom(source, target, matrix, unchecked=unchecked)
         if kind == "graded_hom":
-            source = _load_nested(payload, "source", GradedLieAlgebra, unchecked)
-            target = _load_nested(payload, "target", GradedLieAlgebra, unchecked)
-            matrix = _parse_matrix(field, entries,
+            from .grlie import GradedHom
+            source = _load_nested(payload, "source", "GradedLieAlgebra", unchecked)
+            target = _load_nested(payload, "target", "GradedLieAlgebra", unchecked)
+            matrix = _parse_matrix(memo, entries,
                                    rows=dims["target_dim0"] + dims["target_dim1"],
                                    cols=dims["source_dim0"] + dims["source_dim1"])
             return GradedHom(source, target, matrix, unchecked=unchecked)
         if kind == "module":
-            algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)
+            from .grlie import GradedModule
+            algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
             m = dims["dim0"] + dims["dim1"]
-            action = tuple(_parse_matrix(field, a, rows=m, cols=m) for a in _parse(field, entries, 3))
+            action = tuple(_parse_matrix(memo, a, rows=m, cols=m) for a in _parse(memo, entries, 3))
             return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
         if kind == "cochain":
             from .cohom import Cochain
-            algebra = _load_nested(payload, "algebra", GradedLieAlgebra, unchecked)
-            module = _load_nested(payload, "module", GradedModule, unchecked)
-            f = Cochain(algebra, module, dims["degree"], _parse(field, entries, 2))
+            algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
+            module = _load_nested(payload, "module", "GradedModule", unchecked)
+            f = Cochain(algebra, module, dims["degree"], _parse(memo, entries, 2))
             if not unchecked and not f.is_graded():
                 raise PayloadError("cochain is not graded")
             return f

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -9,7 +10,9 @@ import pytest
 import lietrip.cli
 import lietrip.cohom
 from lietrip.cli import build_parser, main
-from lietrip.cohom import coboundary, cocycle_extension, graded_cochain_basis, h2_graded
+from lietrip.cohom import (
+    coboundary, cocycle_extension, graded_cochain_basis, h2_graded, zero_cochain,
+)
 import oracles
 from lietrip.corpus import (
     MAX_ABL_DIM, ab2, abl, by_name, even_line, heis, lts_by_name, odd2,
@@ -101,6 +104,88 @@ def test_malformed_cochain_payloads_keep_their_messages():
         for unchecked in (False, True):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 load(bad, unchecked=unchecked)
+
+
+# Every value in a scalar position that load refuses, with the exact message,
+# over Q and over F_5
+BAD_SCALARS = {
+    "Q": [
+        ([1], "bad scalar [1]: cannot coerce [1] into Q"),
+        ({"a": 1}, "bad scalar {'a': 1}: cannot coerce {'a': 1} into Q"),
+        (True, "bad scalar True: cannot coerce the boolean True into Q"),
+        (False, "bad scalar False: cannot coerce the boolean False into Q"),
+        (1.0, "bad scalar 1.0: cannot coerce 1.0 into Q"),
+        (None, "bad scalar None: cannot coerce None into Q"),
+        (" 1", "bad scalar ' 1': malformed scalar ' 1' (expected n or n/d)"),
+        ("0.5e0", "bad scalar '0.5e0': malformed scalar '0.5e0' (expected n or n/d)"),
+        ("1/0", "bad scalar '1/0': Fraction(1, 0)"),
+    ],
+    "Fp:5": [
+        ([1], "bad scalar [1]: cannot coerce [1] into F_5"),
+        ({"a": 1}, "bad scalar {'a': 1}: cannot coerce {'a': 1} into F_5"),
+        (True, "bad scalar True: cannot coerce the boolean True into Fp:5"),
+        (False, "bad scalar False: cannot coerce the boolean False into Fp:5"),
+        (1.0, "bad scalar 1.0: cannot coerce 1.0 into F_5"),
+        (None, "bad scalar None: cannot coerce None into F_5"),
+        (" 1", "bad scalar ' 1': malformed scalar ' 1' (expected n or n/d)"),
+        ("0.5e0", "bad scalar '0.5e0': malformed scalar '0.5e0' (expected n or n/d)"),
+        ("1/0", "bad scalar '1/0': Fraction(1, 0)"),
+        ("1/5", "bad scalar '1/5': denominator of 1/5 vanishes mod 5"),
+    ],
+}
+
+
+def _scalar_payloads(F):
+    """(kind, payload, paths of its first and last vector of scalars) for each
+    kind of payload whose own entries are scalars."""
+    H = heis(F)
+    return [("lts", save(sl2lts(F)), [0, 0, 0], [-1, -1, -1]),
+            ("graded_lie", save(H), [0, 0], [-1, -1]),
+            ("graded_hom", save(identity_hom(H)), [0], [-1]),
+            ("module", save(adjoint_module(sl2graded(F))), [0, 0], [-1, -1]),
+            ("cochain", save(zero_cochain(H, trivial_module(H, 2), 2)), [0], [-1])]
+
+
+def _vector(payload, path):
+    node = payload["entries"]
+    for k in path:
+        node = node[k]
+    return node
+
+
+def _refused(payload):
+    """load's message for payload, the same checked and unchecked."""
+    messages = set()
+    for unchecked in (False, True):
+        with pytest.raises(PayloadError) as info:
+            load(payload, unchecked=unchecked)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    return messages.pop()
+
+
+@pytest.mark.parametrize("tag", sorted(BAD_SCALARS))
+def test_bad_scalars_keep_their_messages(tag):
+    F = Field.from_tag(tag)
+    for kind, payload, first, last in _scalar_payloads(F):
+        for bad, message in BAD_SCALARS[tag]:
+            # alone, in the last vector
+            alone = copy.deepcopy(payload)
+            _vector(alone, last)[-1] = bad
+            assert (kind, _refused(alone)) == (kind, message)
+            # after the ints 1 and 0, which True, False and 1.0 equal
+            after_ints = copy.deepcopy(alone)
+            _vector(after_ints, first)[:2] = [1, 0]
+            assert (kind, _refused(after_ints)) == (kind, message)
+            # after another bad scalar earlier in the document, which is named
+            second = copy.deepcopy(alone)
+            _vector(second, first)[0] = "1.5"
+            assert (kind, _refused(second)) == (
+                kind, "bad scalar '1.5': malformed scalar '1.5' (expected n or n/d)")
+            # after a vector one entry short: every scalar is read before any shape is judged
+            misfit = copy.deepcopy(alone)
+            _vector(misfit, first).pop()
+            assert (kind, _refused(misfit)) == (kind, message)
 
 
 def _not_arrays():
@@ -651,6 +736,84 @@ def test_cli_reports_match_golden_digests(capsys, monkeypatch, tmp_path, command
     assert (code, digest, out.err) == GOLDEN_REPORTS[command, name, field]
     verdict = json.loads(out.out)["verdict"] if out.out else None
     assert (code == 1) == (verdict in ("fail", "false"))
+
+
+# The SHA-256 of repr(load(payload)) for every input the golden reports read and
+# every corpus name (abl(n) and a_of(abl(n)) for n <= 4), over Q and F_5, fixed
+# before load read each distinct scalar once.  The repr tells an int from a
+# Fraction, so the types of the stored scalars are pinned too.
+GOLDEN_LOADS = {
+    ('a_of(abl(0))', 'Q'): '95909f78acf539f18455ca7a905e0680770375da5b62c657ebf937541f822d58',
+    ('a_of(abl(1))', 'Q'): 'c525ef63793013b26da17c0deee149e3bec9e9564c8feaf6573ad6dd340d2339',
+    ('a_of(abl(2))', 'Q'): 'ce573d0248bf01077d3f34b3bcd8fa1fd4251b6d5145390663d77ae9968b7efb',
+    ('a_of(abl(3))', 'Q'): '30ef21a11e7a39090a77ffd22921bbca67ba58b12acee5baef85e6b28561af0c',
+    ('a_of(abl(4))', 'Q'): 'db604867b78bce27c6a0f4b09b09e0df67c192a094d830703bb8df09a3dc0d96',
+    ('a_of(odd2)', 'Q'): 'a40850cc8c7f5bf11def92ec86f919a197d43db1e1908dd30716890945d9281b',
+    ('a_of(sl2lts)', 'Q'): '90652c204a4150007044ac57afd312a55d2d3a263781cf8aed098e6255332ab8',
+    ('ab2', 'Q'): 'b542705d7142261272c80ad1c31e9f64d752d3e4e5afc410e98b97d225f6d681',
+    ('abl(0)', 'Q'): '69d7e49b11649d488fdc0daf9282639e2cc9761bf2e03ca4eaa66c1b3923c0a7',
+    ('abl(1)', 'Q'): '58b52fd06c9749d8aba11fdfa9f42cfae82a04eb8c7b53ab288472848ce2646c',
+    ('abl(2)', 'Q'): 'e3e6c4385d8732b04329e277637c0bec37ddad98db782114936ae304df628d42',
+    ('abl(3)', 'Q'): '10c60990943cf99da6c59f089805ee6be3de9d1fd4b3bd769297819ea891c9e4',
+    ('abl(4)', 'Q'): 'b2681443e24056508edae01879b9f527f698f0395e5f4ea5e01e9a265a2ed9ed',
+    ('adjoint.json', 'Q'): '29911480462263e9d69b3194078098cc354c83820b3e02cbfc3ca412e811ac39',
+    ('bad_hom.json', 'Q'): '997f8a788f01f6efc2c1d010b2a5cefc4d3bb5d789d47a1cfd809b157c1e3f5e',
+    ('broken_graded.json', 'Q'): '94ed97ba8f94176df744c6af5f89647f47ce153bc6de0f4c92a8b9b6865996e6',
+    ('broken_lts.json', 'Q'): '11135f3ba8613572a302856b388611a198954e5872e3fe62e6ae87c75ad8c01d',
+    ('cobext.json', 'Q'): 'af7057e14cbf1cbfdca44c4b4d2b3cfa4ad2a7c6a3ce5396b1529a09fa9e5a0c',
+    ('cobext_line.json', 'Q'): 'fd504f31d6d300079b574c7c634d9e2bdf97b1def2b1635e9ad9dde6c62764cd',
+    ('heis', 'Q'): 'ce573d0248bf01077d3f34b3bcd8fa1fd4251b6d5145390663d77ae9968b7efb',
+    ('hom.json', 'Q'): '4195c721730f1317b4f8bb4091cba722b6bbe2c04c78b14a836c23c47ad1662a',
+    ('iso.json', 'Q'): '3acaac5fe20536c14ba5349a551d6afdff721de5a90877359241a7a4c475909f',
+    ('notgen.json', 'Q'): '658e87165299b9461e2a71e771c6c53cf896fcafabe22e2c999e347e4082d580',
+    ('notsurj.json', 'Q'): 'd55090471031b5edb0d6d18a02dce0d71d6060dc4c02a2d4dd5c40ca028b2309',
+    ('odd2', 'Q'): 'ca5aa71059e6ba6ba61043cbdd542a2fff3fa8286d653eeb6ee0babe326214a4',
+    ('proj.json', 'Q'): 'e2f1aacabfdc88e68bdecc0f0050413b12ea73e9cd06feecfbf95c7f5595e89e',
+    ('sl2graded', 'Q'): 'a40850cc8c7f5bf11def92ec86f919a197d43db1e1908dd30716890945d9281b',
+    ('sl2lts', 'Q'): '2b89c74cc2f702acbdfaf91dc618a970fae494c33cb0e5c89558b303d7aeaed4',
+    ('a_of(abl(0))', 'Fp:5'): '8028401db0c3f8011cf2c4477c1c57149e08ccaeb0cfe37af4537b6ddd2a42cc',
+    ('a_of(abl(1))', 'Fp:5'): '49c1ce062cbaf097dd27a0c9c524bda04dfe6232949518f9c0cac00ac51c1990',
+    ('a_of(abl(2))', 'Fp:5'): '8ee72b6fa8ce1615bb52bada5e31afe81d12da26830185558207735f8d3bdecb',
+    ('a_of(abl(3))', 'Fp:5'): '47b9960208eed8fb121ae907e4d8538b8acce21c9f8889223a7923345c8c8cb7',
+    ('a_of(abl(4))', 'Fp:5'): 'fa3a879b94c8c89b3f8dffecc9d0e73daaed11fbf853f141ced7ce78d6f9a660',
+    ('a_of(odd2)', 'Fp:5'): '378436d8fe0c10993e19410e2ece6067b12f09ae3316a74105a35fad34aa5692',
+    ('a_of(sl2lts)', 'Fp:5'): '02ecaf767fd02059945b40189d09173fa52c9936b59d5df996afc871b3371d9d',
+    ('ab2', 'Fp:5'): '1276e6677dcd4ff753a69d7240512d6d7f8da52abee910997b11ff362044a847',
+    ('abl(0)', 'Fp:5'): '7edca3c18d97f350cb97983b9d7ff0a23167150e056301eb54f9218d77065b82',
+    ('abl(1)', 'Fp:5'): '0925e4a918a607450487b100b1a60fe902393cecd118f023f2445e12c3ad355f',
+    ('abl(2)', 'Fp:5'): '18c0825085fd44def23fef0561618f303c4c9d235c8f8a0cc0fb6bfb7fb1f60f',
+    ('abl(3)', 'Fp:5'): '58064306329129e2cee54a42d4b8c5ecbed022776817d38e410b0812e56a4fdf',
+    ('abl(4)', 'Fp:5'): 'cf89d29ae5f5bc33ed6cc1319dcc6d8d6703a545692327e6e2a6287510c0c40c',
+    ('adjoint.json', 'Fp:5'): '8b87426f33b9d4696f245aa670382e12b2d21625fb8dfce627b62a7687be41fd',
+    ('bad_hom.json', 'Fp:5'): '590bad2fa6d299e7faf94c7f148388416ecabf682b720fca19803cba973cbd76',
+    ('broken_graded.json', 'Fp:5'): 'b4720072c884a3ff6e9cbaeae9569a230e34e68e95300ed873acb88d4a59543f',
+    ('broken_lts.json', 'Fp:5'): '80f669a4d744f9b42b7ffa98ed6a17fbc3c9eb342c88d67f59be4bf90f2f9a8f',
+    ('cobext.json', 'Fp:5'): 'f5d95a91c17afb7ef636c1384a7e2c550b401fd3b33e0d7383946585f68e8b00',
+    ('cobext_line.json', 'Fp:5'): '031af435731d0ef4a1f27f8625dd7ac755f29fc461dc0f17511fdf1cb5cfbbcd',
+    ('heis', 'Fp:5'): '8ee72b6fa8ce1615bb52bada5e31afe81d12da26830185558207735f8d3bdecb',
+    ('hom.json', 'Fp:5'): '33ed0f25fed1d2ffeb8f95b540ae7b876275917aab879b661d74dd6c91b7b4a2',
+    ('iso.json', 'Fp:5'): '766f7c962d2bee1738e677c9490e04f1168c0d40eaaa305640819f0f6e8445b2',
+    ('notgen.json', 'Fp:5'): '1c82ade16831b4d75300a0d8a10faef2b19d865c4f0f6aeb8c8440129c8f7037',
+    ('notsurj.json', 'Fp:5'): '3a53b25ce4e651af35251d5480f8072fefc320a1f2c7957dfb80fd7b66b86386',
+    ('odd2', 'Fp:5'): '0b4f0a769adfb8400ef2b62f4df1346679f8f0752f9c889162ce58ee90ca61ab',
+    ('proj.json', 'Fp:5'): 'f59b154afed60ed5bbd709f19f22f69d2c3cef19d826c3c058d6c778d09b83bc',
+    ('sl2graded', 'Fp:5'): '378436d8fe0c10993e19410e2ece6067b12f09ae3316a74105a35fad34aa5692',
+    ('sl2lts', 'Fp:5'): 'c57ef354e65448ae4d0e06194d918ae24f8d0113006fb672a46e7e8e75cbbe73',
+}
+
+
+@pytest.mark.parametrize("tag", ["Q", "Fp:5"])
+def test_loads_match_golden_digests(tag):
+    F = Field.from_tag(tag)
+    names = sorted(name for name, t in GOLDEN_LOADS if t == tag)
+    assert {arg for _, name, t in GOLDEN_REPORTS if t == tag for arg in name.split()} - {"nosuch"} \
+        <= set(names)
+    payloads = _golden_payloads(F)
+    for name in names:
+        obj = payloads[name] if name in payloads else by_name(name, F)
+        loaded = load(json.loads(json.dumps(save(obj))), unchecked=name.startswith("broken_"))
+        assert loaded == obj, name
+        assert hashlib.sha256(repr(loaded).encode()).hexdigest() == GOLDEN_LOADS[name, tag], name
 
 
 # The exit code and the SHA-256 of stdout and of stderr of argparse's own

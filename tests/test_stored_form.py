@@ -13,6 +13,7 @@ over Q, F_2 and F_5.
 """
 
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,11 +30,11 @@ from lietrip.corpus import (
 from lietrip.embed import graded_algebra_from_pairing, pair_algebra, universal_imbedding
 from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Record, Subspace, inverse
 from lietrip.grlie import (
-    GradedLieAlgebra, GradedModule, adjoint_module, center, central_quotient, direct_sum,
-    graded_pullback, restrict_hom_to_odd, trivial_module,
+    GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center, central_quotient,
+    direct_sum, graded_pullback, restrict_hom_to_odd, trivial_module,
 )
 from lietrip.lts import (
-    DerivationAlgebra, LieTripleSystem, derivation_algebra, lts_of_lie, odd_part_lts,
+    DerivationAlgebra, LieTripleSystem, LtsHom, derivation_algebra, lts_of_lie, odd_part_lts,
 )
 from lietrip.serialize import load, save
 
@@ -41,6 +42,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lietrip"
 VIEWS = {LieTripleSystem: "triple", GradedLieAlgebra: "bracket", GradedModule: "action",
          DerivationAlgebra: "bracket", Matrix: "entries", Cochain: "values"}
 STRUCTURES = (LieTripleSystem, GradedLieAlgebra, GradedModule, Cochain)
+# the levels of each structure's terms above its sparse vectors
+DEPTHS = {LieTripleSystem: 3, GradedLieAlgebra: 2, GradedModule: 2, Cochain: 1}
+PAYLOADS = STRUCTURES + (LtsHom, GradedHom)
 
 
 def test_the_dense_tensors_are_derived_views():
@@ -62,6 +66,16 @@ def test_no_library_module_reads_a_dense_view():
 
 
 def _records(F):
+    """(what, record) for the records _built makes, and for each one that
+    save writes, the record load reads back from its payload."""
+    built = list(_built(F))
+    yield from built
+    for what, x in built:
+        if isinstance(x, PAYLOADS):
+            yield f"loaded {what}", load(json.loads(json.dumps(save(x))))
+
+
+def _built(F):
     """(what, record) for the corpus and for every output of the trusted
     assemblers: _assemble_lts, _assemble (directly and through _glue) and
     the modules built unchecked; and the records that hold the matrices
@@ -144,9 +158,11 @@ def test_every_built_record_is_canonical_and_round_trips(field):
         y = _public(x)
         assert y == x and hash(y) == hash(x), what
         assert load(save(x)) == x, what
-        if isinstance(x, Cochain):  # an int over Q would compare equal to its Fraction
-            assert all(type(c) is scalar and (field.p is None or 0 < c < field.p)
-                       for v in x.terms for _, c in v), what
+        vectors = [x.terms]  # an int over Q would compare equal to its Fraction
+        for _ in range(DEPTHS[type(x)]):
+            vectors = [v for t in vectors for v in t]
+        assert all(type(c) is scalar and (field.p is None or 0 < c < field.p)
+                   for v in vectors for _, c in v), what
         seen.append(type(x))
     assert len(seen) >= 40 and set(seen) == set(STRUCTURES)
 

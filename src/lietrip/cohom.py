@@ -1,6 +1,8 @@
 """Graded Chevalley-Eilenberg cochains in degrees <= 3, the coboundary,
 H^2 of the graded subcomplex, cocycle-built central extensions, and the
-constructive splitting of central 0-extensions.
+constructive splitting of central 0-extensions.  The two-condition test,
+``envelope_criterion``, lives in ``embed`` beside the builder it reads; it
+is still importable from here.
 
 A degree-n cochain stores one sparse module vector, the nonzeros of its
 value, per sorted basis combination i_1 < ... < i_n, so alternation is
@@ -20,10 +22,7 @@ from .exactlin import (
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _terms_of,
     _transposed, dense_tensor, rref, solve,
 )
-from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, is_generated_by_odd,
-    trivial_module,
-)
+from .grlie import GradedHom, GradedLieAlgebra, GradedModule, _assemble, center
 
 
 class Cochain(Record):
@@ -311,33 +310,14 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
 def is_0_centrally_closed(L: GradedLieAlgebra) -> bool:
     """Whether every central 0-extension of L splits; decided on the
     one-dimensional trivial module, which suffices over a field, by H^2 as
-    :func:`envelope_criterion` reads it."""
+    :func:`embed.envelope_criterion` reads it."""
+    from .embed import envelope_criterion
     return envelope_criterion(L).h2_dimension == 0
 
 
-class EnvelopeCriterionReport(Record):
-    """Outcome of the two-condition test for being (isomorphic to) the
-    universal imbedding of a triple system: the odd part must generate and
-    trivial-coefficient graded H^2 must vanish."""
-
-    verdict: bool
-    generated_by_odd: bool
-    h2_dimension: int
-    obstruction: Optional[str]
-    witness: Optional[GradedHom]  # A(L_1) -> L, an isomorphism, when the verdict holds
-
-
-def envelope_criterion(L: GradedLieAlgebra) -> EnvelopeCriterionReport:
-    """When L_1 generates L, A(L_1) -> L, the identity on L_1, is onto with an even central
-    kernel of dimension H^2 = dim A(L_1)_0 - dim L_0 (Weibel 7.9); A(L_1) and the hom are
-    read off L's brackets by embed._envelope.  If H^2 = 0, the hom is the witness."""
-    if not is_generated_by_odd(L):
-        return EnvelopeCriterionReport(False, False, h2_graded(L, trivial_module(L)).dimension,
-                                       "the odd part does not generate the algebra", None)
-    from .embed import _envelope  # h2 alone leaves embed unloaded
-    _, A, hom = _envelope(L)
-    h2 = A.dim0 - L.dim0
-    if h2:
-        return EnvelopeCriterionReport(False, True, h2,
-                                       f"graded H^2 with trivial coefficients has dimension {h2}", None)
-    return EnvelopeCriterionReport(True, True, 0, None, hom)
+def __getattr__(name: str):
+    # envelope_criterion and its report live in embed, beside their builder; embed loads on first use
+    if name in ("envelope_criterion", "EnvelopeCriterionReport"):
+        from . import embed
+        return getattr(embed, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,13 +14,17 @@ Names accepted by :func:`by_name` (and the CLI):
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 from .exactlin import Field, Nonzeros, QQ
 from .grlie import GradedLieAlgebra, abelian_algebra, graded_lie
-from .lts import LieTripleSystem, lie_triple_system, lts_of_lie
+
+if TYPE_CHECKING:  # lts loads only for a triple system, so that a graded algebra's name runs no lts
+    from .lts import LieTripleSystem
 
 
 def abl(n: int, field: Field = QQ) -> LieTripleSystem:
+    from .lts import LieTripleSystem
     return LieTripleSystem(field, n, Nonzeros(((((),) * n,) * n,) * n), unchecked=True)
 
 
@@ -37,10 +41,12 @@ def sl2graded(field: Field = QQ) -> GradedLieAlgebra:
 
 
 def sl2lts(field: Field = QQ) -> LieTripleSystem:
+    from .lts import lts_of_lie
     return lts_of_lie(sl2graded(field))
 
 
 def odd2(field: Field = QQ) -> LieTripleSystem:
+    from .lts import lie_triple_system
     entries = [[[[0, 0], [0, 0]], [[2, 0], [0, -2]]],
                [[[-2, 0], [0, 2]], [[0, 0], [0, 0]]]]
     return lie_triple_system(field, entries)

@@ -12,10 +12,14 @@
 
 One builder, ``_envelope``, reads A(L_1) and its hom onto L off the brackets
 of any L that its odd part generates: A(T) is it on Ste(T), the universal
-central 0-extension of L is it on L, and envelope_criterion reads H^2 and its
-witness off it.  ``pair_algebra`` builds <T,T> by the generic module route.
-Everything reads only the structure tensor, no step computes Der(T), and
-bases are deterministic RREF bases, so structure constants are reproducible.
+central 0-extension of L is it on L, and envelope_criterion, the paper's
+two-condition test, reads H^2 after its first step, the radical, and runs
+the rest for the witness only when H^2 = 0.  ``pair_algebra`` builds <T,T>
+by the generic module route.  Everything reads only the structure tensor, no
+step computes Der(T), and bases are deterministic RREF bases, so structure
+constants are reproducible.  ``lts`` loads only with a triple system's
+construction (Ste(T), extend_hom), and ``cohom`` only when the criterion
+meets an algebra its odd part does not generate.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain
 from math import lcm
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows,
@@ -32,11 +36,11 @@ from .exactlin import (
 )
 from .grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, is_generated_by_odd,
+    trivial_module,
 )
-from .lts import (
-    DerivationAlgebra, LieTripleSystem, LtsHom, _inner_flats, inner_derivation_algebra, is_lts_hom,
-    odd_part_lts,
-)
+
+if TYPE_CHECKING:  # lts loads with the constructions on a triple system, not with embed
+    from .lts import DerivationAlgebra, LieTripleSystem, LtsHom
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +82,7 @@ class StandardImbedding(Record):
 
 
 def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
+    from .lts import _inner_flats, inner_derivation_algebra
     F = T.field
     n = T.dim
     inder = inner_derivation_algebra(T)
@@ -242,14 +247,13 @@ def pair_algebra(T: LieTripleSystem) -> PairAlgebra:
 # ---------------------------------------------------------------------------
 # the universal imbedding
 
-def _envelope(L: GradedLieAlgebra) -> tuple:
-    """(<L_1,L_1>, A(L_1), the hom A(L_1) -> L) for L that its odd part L_1 generates, read off
-    L's brackets.  beta: L_1^L_1 -> L_0 is onto and lam(e_i^e_j) = D_{e_i,e_j} = ad(beta(e_i^e_j))
-    on L_1: lam's rows are the rows of ad: L_0 -> End(L_1), in echelon, times beta.  The radical
-    lies in ker(beta), by Jacobi beta(D_m.m') = [beta(m), beta(m')], which bounds its rank and
-    checks its rows.  The hom is beta at the free columns, where the free column f acts on L_1
-    by D_f, and the identity on L_1; its kernel is central, of dimension H^2 (Weibel 7.9)."""
-    F, p, d, n, pairs = L.field, L.field.p, L.dim0, L.dim1, wedge_pairs(L.dim1)
+def _bracket_radical(L: GradedLieAlgebra) -> tuple:
+    """The first step of _envelope: (the pairs i < j of L_1^L_1, den, D_u's columns, act, the
+    echelon of the radical A(L_1^L_1)).  beta: L_1^L_1 -> L_0 is onto and lam(e_i^e_j) =
+    D_{e_i,e_j} = ad(beta(e_i^e_j)) on L_1: lam's rows are the rows of ad: L_0 -> End(L_1), in
+    echelon, times beta.  The radical lies in ker(beta), by Jacobi beta(D_m.m') = [beta(m),
+    beta(m')], which bounds its rank and checks its rows."""
+    p, d, n, pairs = L.field.p, L.dim0, L.dim1, wedge_pairs(L.dim1)
     c, den = _integer_terms(p, L.terms, 2)
     beta = [c[d + i][d + j] for i, j in pairs]
     ad = [[[(l - d, x) for l, x in c[z][d + m]] for m in range(n)] for z in range(d)]  # [e_z, e_m]
@@ -263,6 +267,17 @@ def _envelope(L: GradedLieAlgebra) -> tuple:
                                for a in range(n)])
     act = lambda u, ws: _wedge_columns(p, n, columns(u), [pairs[w] for w in ws])
     echelon = _radical(p, len(pairs), lam_rows, act, beta, len(pairs) - d, "the bracket")
+    return pairs, den, columns, act, echelon
+
+
+def _envelope(L: GradedLieAlgebra, radical: Optional[tuple] = None) -> tuple:
+    """(<L_1,L_1>, A(L_1), the hom A(L_1) -> L) for L that its odd part L_1 generates, read off
+    L's brackets in two steps: the radical (_bracket_radical, unless the caller has run it),
+    then the quotient by it, the glued algebra and the hom.  The hom is beta at the free
+    columns, where the free column f acts on L_1 by D_f, and the identity on L_1; its kernel is
+    central, of dimension H^2 (Weibel 7.9)."""
+    F, p, d, n = L.field, L.field.p, L.dim0, L.dim1
+    pairs, den, columns, act, echelon = _bracket_radical(L) if radical is None else radical
     pair = _module_quotient(F, len(pairs), echelon, act, [L.terms[d + i][d + j] for i, j in pairs],
                             d, den * den)
     free = [w for w in range(len(pairs)) if w not in echelon]
@@ -357,6 +372,7 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     each pair-algebra basis vector; well-definedness (the radical A(T^T)
     must map to zero) is re-verified at runtime.
     """
+    from .lts import is_lts_hom, odd_part_lts
     if alpha.rows != L.dim1 or alpha.cols != T.dim:
         raise ValueError("alpha must be an L.dim1 x dim(T) matrix")
     if envelope is not None and envelope.lts is not T and envelope.lts != T:
@@ -411,3 +427,36 @@ def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Exten
     if any(_sparse_sum(A.field.p, ((x, A.terms[i][j]) for i, x in z)) for z in zs for j in range(A.dim)):
         raise RuntimeError("kernel escaped the center")
     return UniversalCentral0Extension(A, hom, ker)
+
+
+# ---------------------------------------------------------------------------
+# the two-condition characterization
+
+class EnvelopeCriterionReport(Record):
+    """Outcome of the two-condition test for being (isomorphic to) the
+    universal imbedding of a triple system: the odd part must generate and
+    trivial-coefficient graded H^2 must vanish."""
+
+    verdict: bool
+    generated_by_odd: bool
+    h2_dimension: int
+    obstruction: Optional[str]
+    witness: Optional[GradedHom]  # A(L_1) -> L, an isomorphism, when the verdict holds
+
+
+def envelope_criterion(L: GradedLieAlgebra) -> EnvelopeCriterionReport:
+    """When L_1 generates L, A(L_1) -> L, the identity on L_1, is onto with an even central
+    kernel of dimension H^2 = dim A(L_1)_0 - dim L_0 (Weibel 7.9), read after the radical step
+    of _envelope as dim L_1^L_1 - dim A(L_1^L_1) - dim L_0.  Only if H^2 = 0 does the rest of
+    _envelope run: its hom is then the witness.  H^2 is eliminated, by cohom, only when the
+    odd part does not generate."""
+    if not is_generated_by_odd(L):
+        from .cohom import h2_graded
+        return EnvelopeCriterionReport(False, False, h2_graded(L, trivial_module(L)).dimension,
+                                       "the odd part does not generate the algebra", None)
+    radical = _bracket_radical(L)
+    h2 = len(radical[0]) - len(radical[-1]) - L.dim0  # the pairs, the radical's echelon
+    if h2:
+        return EnvelopeCriterionReport(False, True, h2,
+                                       f"graded H^2 with trivial coefficients has dimension {h2}", None)
+    return EnvelopeCriterionReport(True, True, 0, None, _envelope(L, radical)[2])

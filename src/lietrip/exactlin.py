@@ -323,6 +323,41 @@ def _defects(field: Field, n: int, den: int, chains) -> list:
     return [(key, dense_tensor(field, n, v, 0)) for key, v in _keyed_sums(field.p, chains, den)]
 
 
+def _cyclic_keys(a: int, b: int, e: int, canonical: bool) -> tuple:
+    """The (i, j, k) whose cyclic sum over (i, j, k), (j, k, i), (k, i, j) has a
+    term at (a, b, e): its three rotations, or on the canonical path the increasing one, if any."""
+    if not canonical:
+        return (a, b, e), (e, a, b), (b, e, a)
+    if a < b:
+        return ((a, b, e),) if b < e else ((e, a, b),) if e < a else ()
+    return ((b, e, a),) if b < e < a else ()
+
+
+# the records of both axiom checkers, lts.check_lts_axioms and grlie.check_graded_lie
+
+class AxiomViolation(Record):
+    identity: str  # the failed identity's family, e.g. "cyclic" or "jacobi"
+    indices: tuple  # the basis tuple it fails at
+    defect: Vector  # its defect there: a vector, or for "grading" the 1-tuple of the stray scalar
+
+
+class AxiomReport(Record):
+    ok: bool
+    violations: tuple  # of AxiomViolation, in the checker's order
+
+
+class AxiomError(ValueError):
+    """A failed axiom check, worded from its report."""
+    structure, prefix = "", ""  # what was checked; the words before the first violation's indices
+
+    def __init__(self, report: AxiomReport):
+        self.report = report
+        first = report.violations[0]
+        super().__init__(
+            f"not a {self.structure}: {len(report.violations)} violation(s), "
+            f"first is {first.identity} at {self.prefix}{first.indices}")
+
+
 def _terms_of(p: Optional[int], acc: dict, den: int = 1) -> tuple:
     """The sparse vector of integer sums {index: sum}: over Q divided by den."""
     if p is None:

@@ -6,21 +6,26 @@ module actions) uses this order.  These are ordinary Lie algebras carrying
 a grading; there is no super sign rule.  Algebras and modules store their
 structure constants once, as ``Nonzeros``; the dense ``bracket`` and
 ``action`` are views derived on each read.  ``check_graded_lie`` reports
-in the records of ``lts``: an ``AxiomReport`` of ``AxiomViolation``s, and
-``GradedLieError`` is an ``AxiomError``.
+as ``lts.check_lts_axioms`` does, in the records both take from
+``exactlin``: an ``AxiomReport`` of ``AxiomViolation``s, and
+``GradedLieError`` is an ``AxiomError``.  Only ``restrict_hom_to_odd``
+loads ``lts``.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exactlin import (
-    Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _combination, _defects,
-    _integer_terms, _neg_terms, _span, _sparse_sum, _subspace, _transposed, dense_tensor,
-    kernel_basis, kernel_of_rows, nonzeros, quotient, rank,
+    AxiomError, AxiomReport, AxiomViolation, Field, Matrix, Nonzeros, Record, Subspace, Vector,
+    _as_nonzeros, _combination, _cyclic_keys, _defects, _integer_terms, _neg_terms, _span,
+    _sparse_sum, _subspace, _transposed, dense_tensor, kernel_basis, kernel_of_rows, nonzeros,
+    quotient, rank,
 )
-from .lts import AxiomError, AxiomReport, AxiomViolation, LtsHom, _cyclic_keys, odd_part_lts
+
+if TYPE_CHECKING:  # only restrict_hom_to_odd loads lts
+    from .lts import LtsHom
 
 
 class GradedLieError(AxiomError):
@@ -381,6 +386,7 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
 
 def restrict_hom_to_odd(phi: GradedHom) -> LtsHom:
     """Odd-odd block of a graded hom, as a triple-system homomorphism."""
+    from .lts import LtsHom, odd_part_lts
     F = phi.matrix.field
     src, tgt = phi.source, phi.target
     block = Nonzeros(tuple(tuple((c - src.dim0, x) for c, x in row if c >= src.dim0)

@@ -25,7 +25,7 @@ coordinates in Inder(T).  If either fails, every pair i < j is scanned.
 
 The checker returns an ``AxiomReport`` of ``AxiomViolation`` records, as
 ``grlie.check_graded_lie`` does, and ``AxiomError`` words the message of
-either failure.  Constructors run the checker and refuse invalid tensors
+either failure; the three live in ``exactlin``, which both checkers import.  Constructors run the checker and refuse invalid tensors
 unless an explicit ``unchecked`` flag is passed (needed to store
 intentionally broken systems for negative tests).  Systems derived from
 validated input (``lts_of_lie``, ``odd_part_lts``) are built by
@@ -44,33 +44,11 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Nonzeros, Record, Subspace, Vector, _as_nonzeros, _defects, _echelon,
-    _integer_rows, _integer_terms, _keyed_sums, _neg_terms, _reduce, _sparse_sum, _subspace,
-    _terms_of, dense_tensor, kernel_of_rows, nonzeros, unit_vec,
+    AxiomError, AxiomReport, AxiomViolation, Field, Matrix, Nonzeros, Record, Subspace, Vector,
+    _as_nonzeros, _cyclic_keys, _defects, _echelon, _integer_rows, _integer_terms, _keyed_sums,
+    _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of, dense_tensor, kernel_of_rows,
+    nonzeros, unit_vec,
 )
-
-
-class AxiomViolation(Record):
-    identity: str  # the failed identity's family, e.g. "cyclic" or "jacobi"
-    indices: tuple  # the basis tuple it fails at
-    defect: Vector  # its defect there: a vector, or for "grading" the 1-tuple of the stray scalar
-
-
-class AxiomReport(Record):
-    ok: bool
-    violations: tuple  # of AxiomViolation, in the checker's order
-
-
-class AxiomError(ValueError):
-    """A failed axiom check, worded from its report."""
-    structure, prefix = "", ""  # what was checked; the words before the first violation's indices
-
-    def __init__(self, report: AxiomReport):
-        self.report = report
-        first = report.violations[0]
-        super().__init__(
-            f"not a {self.structure}: {len(report.violations)} violation(s), "
-            f"first is {first.identity} at {self.prefix}{first.indices}")
 
 
 class LtsAxiomError(AxiomError):
@@ -118,16 +96,6 @@ def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vecto
 # The tuples a canonical tuple stands for: index permutations, each with its sign.
 _CYCLIC_ORBIT = (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1))
 _DERIVATION_ORBIT = (((0, 1, 2, 3, 4), 1), ((0, 1, 3, 2, 4), -1), ((1, 0, 2, 3, 4), -1), ((1, 0, 3, 2, 4), 1))
-
-
-def _cyclic_keys(a: int, b: int, e: int, canonical: bool) -> tuple:
-    """The (i, j, k) whose cyclic sum over (i, j, k), (j, k, i), (k, i, j) has a
-    term at (a, b, e): its three rotations, or on the canonical path the increasing one, if any."""
-    if not canonical:
-        return (a, b, e), (e, a, b), (b, e, a)
-    if a < b:
-        return ((a, b, e),) if b < e else ((e, a, b),) if e < a else ()
-    return ((b, e, a),) if b < e < a else ()
 
 
 def _spread(F: Field, identity: str, found, orbit: tuple) -> list:

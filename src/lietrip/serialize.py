@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .exactlin import Field, Matrix
-from .lts import LieTripleSystem, LtsHom
 
 FORMAT_VERSION = 1
 
@@ -69,13 +68,15 @@ def _scalar(field: Field, x):
         raise PayloadError(f"bad scalar {x!r}: {exc}") from None
 
 
-def _parse_matrix(memo: _Scalars, entries, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
-    m = Matrix.make(memo.field, _parse(memo, entries, 2), cols=cols)
-    if rows is not None and m.rows != rows:
-        raise PayloadError(f"expected {rows} rows, found {m.rows}")
-    if cols is not None and m.cols != cols:
-        raise PayloadError(f"expected {cols} columns, found {m.cols}")
-    return m
+def _matrix(field: Field, data: tuple, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix of rows of scalars _parse has read; the first row of another
+    length is named before a wrong row count."""
+    for row in data:
+        if len(row) != cols:
+            raise PayloadError(f"expected {cols} columns, found {len(row)}")
+    if len(data) != rows:
+        raise PayloadError(f"expected {rows} rows, found {len(data)}")
+    return Matrix(field, rows, cols, data)
 
 
 def _load_nested(payload: dict, key: str, cls: str, unchecked: bool):
@@ -146,6 +147,7 @@ def load(payload: dict, *, unchecked: bool = False):
     memo = _Scalars(field)
     try:
         if kind == "lts":
+            from .lts import LieTripleSystem
             tensor = _parse(memo, entries, 4)
             if len(tensor) != dims["dim"]:
                 raise PayloadError("tensor size disagrees with dim")
@@ -155,23 +157,23 @@ def load(payload: dict, *, unchecked: bool = False):
             tensor = _parse(memo, entries, 3)
             return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
         if kind == "lts_hom":
+            from .lts import LtsHom
             source = _load_nested(payload, "source", "LieTripleSystem", unchecked)
             target = _load_nested(payload, "target", "LieTripleSystem", unchecked)
-            matrix = _parse_matrix(memo, entries, rows=dims["target_dim"], cols=dims["source_dim"])
+            matrix = _matrix(field, _parse(memo, entries, 2), dims["target_dim"], dims["source_dim"])
             return LtsHom(source, target, matrix, unchecked=unchecked)
         if kind == "graded_hom":
             from .grlie import GradedHom
             source = _load_nested(payload, "source", "GradedLieAlgebra", unchecked)
             target = _load_nested(payload, "target", "GradedLieAlgebra", unchecked)
-            matrix = _parse_matrix(memo, entries,
-                                   rows=dims["target_dim0"] + dims["target_dim1"],
-                                   cols=dims["source_dim0"] + dims["source_dim1"])
+            matrix = _matrix(field, _parse(memo, entries, 2), dims["target_dim0"] + dims["target_dim1"],
+                             dims["source_dim0"] + dims["source_dim1"])
             return GradedHom(source, target, matrix, unchecked=unchecked)
         if kind == "module":
             from .grlie import GradedModule
             algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
             m = dims["dim0"] + dims["dim1"]
-            action = tuple(_parse_matrix(memo, a, rows=m, cols=m) for a in _parse(memo, entries, 3))
+            action = tuple(_matrix(field, a, m, m) for a in _parse(memo, entries, 3))
             return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
         if kind == "cochain":
             from .cohom import Cochain

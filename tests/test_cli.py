@@ -106,6 +106,32 @@ def test_malformed_cochain_payloads_keep_their_messages():
                 load(bad, unchecked=unchecked)
 
 
+def test_matrix_payloads_name_their_counts():
+    """Every 3 x 3 matrix of an lts_hom, a graded_hom and a module payload (one per action):
+    a row of another length is named with both column counts, before a wrong row count,
+    checked and unchecked."""
+    def short_first(m):
+        m.pop()
+        m[0].pop()
+
+    edits = [(lambda m: [row.pop() for row in m], "expected 3 columns, found 2"),
+             (lambda m: m[-1].append("0"), "expected 3 columns, found 4"),
+             (lambda m: m.pop(), "expected 3 rows, found 2"),
+             (short_first, "expected 3 columns, found 2")]
+    for payload, key in ((save(identity_lts_hom(abl(3))), "source_dim"),
+                         (save(identity_hom(heis())), "source_dim0"),
+                         (save(adjoint_module(sl2graded())), None)):
+        for edit, message in edits:
+            bad = copy.deepcopy(payload)
+            for matrix in bad["entries"] if key is None else [bad["entries"]]:
+                edit(matrix)
+            assert _refused(bad) == message
+        if key is not None:
+            bad = copy.deepcopy(payload)
+            bad["dims"][key] -= 1
+            assert _refused(bad) == "expected 2 columns, found 3"
+
+
 # Every value in a scalar position that load refuses, with the exact message,
 # over Q and over F_5
 BAD_SCALARS = {

@@ -17,7 +17,10 @@ not.
 import ast
 from pathlib import Path
 
-import lietrip.cohom  # noqa: F401  (with the modules it imports, defines every Record class)
+# with the modules they import, these define every Record class
+import lietrip.cohom  # noqa: F401
+import lietrip.embed  # noqa: F401
+import lietrip.lts  # noqa: F401
 from lietrip.exactlin import Record
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -714,6 +714,33 @@ def test_universal_central_0_extension_matches_the_route_through_the_odd_part(na
     assert ext.kernel.dim == h2
 
 
+# the criterion's inputs with H^2 != 0: ab2, and A(abl(3)) divided by seeded central lines and
+# planes (the benchmark's cq1 and cq2) and by unit ones, over Q and F_5
+H2_NONZERO_CASES = [case for case in U0EXT_CASES if case[2]] + [
+    (f"{name}-{field}", lambda field=field, name=name: _quotient_of_ladder(name)(field), h2)
+    for field in (QQ, Field(5)) for name, h2 in (("A(abl(3))/line", 1), ("A(abl(3))/plane", 2))]
+
+
+@pytest.mark.parametrize("name, make, h2", H2_NONZERO_CASES, ids=[name for name, _, _ in H2_NONZERO_CASES])
+def test_kernel_of_mu_is_checked_central_when_h2_is_nonzero(name, make, h2, monkeypatch):
+    """With H^2 != 0 the criterion stops after the radical, so it reaches no kernel of mu;
+    the universal central 0-extension still checks that kernel, of dimension H^2, for being
+    central in the quotient, and it is."""
+    L = make()
+    kernels = []
+
+    def recording(m):
+        kernels.append(kernel_basis(m))
+        return kernels[-1]
+
+    monkeypatch.setattr(lietrip.embed, "kernel_basis", recording)
+    assert envelope_criterion(L).h2_dimension == h2
+    assert kernels == []
+    ext = universal_central_0_extension(L)
+    mu_kernel, hom_kernel = kernels  # _module_quotient's check, then the extension's kernel
+    assert mu_kernel.dim == hom_kernel.dim == ext.kernel.dim == h2
+
+
 def test_envelope_criterion_checks_generation_once(monkeypatch):
     calls = []
 
@@ -721,7 +748,6 @@ def test_envelope_criterion_checks_generation_once(monkeypatch):
         calls.append(L)
         return is_generated_by_odd(L)
 
-    monkeypatch.setattr(lietrip.cohom, "is_generated_by_odd", spy)
     monkeypatch.setattr(lietrip.embed, "is_generated_by_odd", spy)
     A = universal_imbedding(sl2lts()).algebra
     assert envelope_criterion(A).verdict

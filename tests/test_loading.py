@@ -13,8 +13,11 @@ import pytest
 
 import lietrip
 from lietrip.cohom import h2_graded
-from lietrip.corpus import ab2, sl2lts
-from lietrip.grlie import trivial_module
+from lietrip.corpus import ab2, abl, heis, sl2_double_swap, sl2lts
+from lietrip.embed import universal_imbedding
+from lietrip.exactlin import QQ, Subspace, unit_vec
+from lietrip.grlie import central_quotient, trivial_module
+from lietrip.lts import LieTripleSystem
 from lietrip.serialize import save
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.__file__)))
@@ -52,24 +55,84 @@ def test_import_lietrip_loads_no_submodule():
     assert _fresh(f"import sys, lietrip; print({LOADED})") == ["[]"]
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    ("check-lts sl2lts.json", ["cli", "exactlin", "lts", "serialize"]),
-    ("derive sl2lts.json", ["cli", "exactlin", "lts", "serialize"]),
-    ("univ sl2lts", ["cli", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
-    ("h2 ab2.json", ["cli", "cohom", "exactlin", "grlie", "lts", "serialize"]),
-    ("thm-a heis", ["cli", "cohom", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
-])
-def test_a_command_loads_only_the_modules_it_reaches(tmp_path, argv, loaded):
-    for name, obj in (("sl2lts.json", sl2lts()), ("ab2.json", ab2())):
-        (tmp_path / name).write_text(json.dumps(save(obj)))
-    code = ("import io, sys\n"
-            "from lietrip.cli import main\n"
+def _cli_inputs(tmp_path):
+    """The payload files the commands below read, of the kinds perfbench/clijobs.py writes: a
+    graded algebra, an algebra with H^2 != 0 and its projection hom, a triple system that
+    fails its axioms, a tensor of the wrong shape, truncated JSON and a scalar "1/0"."""
+    A = universal_imbedding(abl(3)).algebra
+    Q, projection = central_quotient(A, Subspace.span(QQ, A.dim, [unit_vec(QQ, A.dim, 0)]))
+    bad_shape, zero_den = save(heis()), save(heis())
+    bad_shape["entries"] = [[["0"] * 2] * 2] * 2
+    zero_den["entries"][1][2][0] = "1/0"
+    files = {"sl2lts.json": save(sl2lts()), "ab2.json": save(ab2()),
+             "sl2ds.json": save(sl2_double_swap()), "n3q.json": save(Q),
+             "n3proj.json": save(projection), "badshape.json": bad_shape, "zeroden.json": zero_den,
+             "notlts.json": save(LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True))}
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    (tmp_path / "malformed.json").write_text('{"format_version": 1, "kind": "graded_lie", "field": ')
+
+
+# (command, exit code, the modules it loads): the commands of perfbench/clijobs.py, then more
+# commands on a file; a graded command loads no lts, and only h2, split and a criterion on an
+# algebra its odd part does not generate load cohom
+COMMANDS = [
+    ("thm-a heis", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
+    ("thm-a ab2", 1, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
+    ("thm-a a_of(abl(4))", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
+    ("thm-a a_of(sl2lts)", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
+    ("univ sl2lts --field Fp:5", 0,
+     ["cli", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
+    ("h2 sl2ds.json", 0, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
+    ("closed n3q.json", 1, ["cli", "embed", "exactlin", "grlie", "serialize"]),
+    ("split n3proj.json", 1, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
+    ("check-lts notlts.json", 1, ["cli", "exactlin", "lts", "serialize"]),
+    ("check-graded badshape.json", 2, ["cli", "exactlin", "grlie", "serialize"]),
+    ("thm-a malformed.json", 2, ["cli", "exactlin", "serialize"]),
+    ("thm-a zeroden.json", 2, ["cli", "exactlin", "grlie", "serialize"]),
+    ("check-lts sl2lts.json", 0, ["cli", "exactlin", "lts", "serialize"]),
+    ("derive sl2lts.json", 0, ["cli", "exactlin", "lts", "serialize"]),
+    ("univ sl2lts", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
+    ("h2 ab2.json", 0, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
+    ("thm-a ab2.json", 1, ["cli", "embed", "exactlin", "grlie", "serialize"]),
+    ("thm-a sl2ds.json", 0, ["cli", "embed", "exactlin", "grlie", "serialize"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, loaded", COMMANDS, ids=[argv for argv, _, _ in COMMANDS])
+def test_a_command_loads_only_the_modules_it_reaches(tmp_path, argv, code, loaded):
+    _cli_inputs(tmp_path)
+    run = ("import io, sys\n"
+           "from lietrip.cli import main\n"
+           "sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+           "code = main(sys.argv[1:])\n"
+           "sys.stdout = sys.__stdout__\n"
+           f"print(code, {LOADED})\n")
+    assert _fresh(run, *argv.split(), cwd=tmp_path) == [
+        f"{code} {[f'lietrip.{m}' for m in loaded]}"]
+
+
+def test_every_traced_name_resolves_in_a_fresh_process():
+    """Each (module, attribute) that perfbench/spans.py traces is bound, envelope_criterion
+    in cohom too, where it is read from embed on first access; the traced thm-a records the
+    criterion's span."""
+    code = ("import importlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import spans\n"
+            "from lietrip.cohom import envelope_criterion\n"
+            "import lietrip, lietrip.cli, lietrip.embed\n"
+            "print(envelope_criterion is lietrip.embed.envelope_criterion)\n"
+            "for module, attribute, _ in spans.TRACED:\n"
+            "    value = importlib.import_module(f'lietrip.{module}')\n"
+            "    for part in attribute.split('.'):\n"
+            "        value = getattr(value, part)\n"
+            "recorder = spans.Recorder()\n"
+            "recorder.install(lietrip)\n"
             "sys.stdout = io.StringIO()\n"
-            "code = main(sys.argv[1:])\n"
+            "code = lietrip.cli.main(['thm-a', 'heis'])\n"
             "sys.stdout = sys.__stdout__\n"
-            f"print(code, {LOADED})\n")
-    assert _fresh(code, *argv.split(), cwd=tmp_path) == [
-        f"0 {[f'lietrip.{m}' for m in loaded]}"]
+            "print(code, 'cohom.envelope_criterion' in {s['name'] for s in recorder.spans})\n")
+    assert _fresh(code, os.path.join(os.path.dirname(SRC), "perfbench")) == ["True", "0 True"]
 
 
 def test_all_lists_the_public_names():
@@ -99,7 +162,8 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_a_cochain_payload_round_trips_in_a_fresh_process(tmp_path):
-    """serialize imports grlie and cohom only for a payload that holds their values."""
+    """serialize imports grlie and cohom only for a payload that holds their values, and lts
+    not at all for a cochain."""
     payload = save(h2_graded(ab2(), trivial_module(ab2())).representatives[0])
     (tmp_path / "cochain.json").write_text(json.dumps(payload))
     code = ("import json, pathlib, sys\n"
@@ -108,4 +172,4 @@ def test_a_cochain_payload_round_trips_in_a_fresh_process(tmp_path):
             "payload = json.loads(pathlib.Path(sys.argv[1]).read_text())\n"
             "print(save(load(payload)) == payload, 'lietrip.cohom' in sys.modules)\n")
     assert _fresh(code, str(tmp_path / "cochain.json")) == [
-        "['lietrip.exactlin', 'lietrip.lts', 'lietrip.serialize']", "True True"]
+        "['lietrip.exactlin', 'lietrip.serialize']", "True True"]

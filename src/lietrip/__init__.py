@@ -13,8 +13,8 @@ _HOMES = {
     "check_graded_lie": "grlie", "check_lts_axioms": "lts", "coboundary": "cohom",
     "cocycle_extension": "cohom", "cohom": "cohom", "derivation_algebra": "lts",
     "direct_sum": "grlie", "embed": "embed", "envelope_criterion": "embed", "exactlin": "exactlin",
-    "extend_hom": "embed", "graded_algebra_from_pairing": "embed", "graded_cochain_basis": "cohom",
-    "graded_lie": "grlie", "graded_pullback": "grlie", "grlie": "grlie", "h2_graded": "cohom",
+    "extend_hom": "embed", "graded_cochain_basis": "cohom", "graded_lie": "grlie",
+    "graded_pullback": "grlie", "grlie": "grlie", "h2_graded": "cohom",
     "ideal_closure_certificate": "lts", "imbedding_functor_hom": "embed", "inner_derivation": "lts",
     "inner_derivation_algebra": "lts", "is_0_centrally_closed": "cohom",
     "is_generated_by_odd": "grlie", "is_graded_hom": "grlie", "is_lts_hom": "lts",

@@ -22,7 +22,7 @@ from .exactlin import (
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _terms_of,
     _transposed, dense_tensor, rref, solve,
 )
-from .grlie import GradedHom, GradedLieAlgebra, GradedModule, _assemble, center
+from .grlie import GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, check_graded_lie
 
 
 class Cochain(Record):
@@ -239,23 +239,25 @@ class CentralExtensionProblem(Record):
 
 def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> CentralExtensionProblem:
     """The central 0-extension defined by a graded 2-cocycle with values in
-    a trivial module with no odd part: bracket [x+m, y+n] = [x,y] + sigma(x,y)."""
+    a trivial module with no odd part: bracket [x+m, y+n] = [x,y] + sigma(x,y).
+    sigma is checked through the total: for such M, its grading holds exactly
+    when sigma is graded, and its Jacobi identity exactly when d(sigma) = 0."""
     F = L.field
     if sigma.algebra != L or sigma.module != M or sigma.degree != 2:
         raise ValueError("sigma must be a degree-2 cochain on (L, M)")
     if not M.is_trivial() or M.dim1 != 0:
         raise ValueError("coefficients must form a trivial module with no odd part")
-    if not sigma.is_graded():
-        raise ValueError("sigma is not graded")
-    if not coboundary(sigma).is_zero():
-        raise ValueError("sigma is not a cocycle")
     m = M.dim
-    # L's basis, even-first, around the new central block at L.dim0 .. L.dim0 + m - 1;
-    # sigma is graded, so its values follow the even brackets and [e_i, e_j] stays sorted
+    # L's basis, even-first, around the new central block at L.dim0 .. L.dim0 + m - 1; where
+    # sigma is graded its values follow the even brackets and [e_i, e_j] stays sorted, and where
+    # it is not, check_graded_lie, which reads terms in any order, refuses the total
     lift = list(range(L.dim0)) + [i + m for i in range(L.dim0, L.dim)]
     total = _assemble(F, L.dim0 + m, L.dim1, (
         (lift[i], lift[j], [(lift[l], x) for l, x in L.terms[i][j]] + [(L.dim0 + r, x) for r, x in v])
         for (i, j), v in zip(combinations(range(L.dim), 2), sigma.terms)))
+    bad = {v.identity for v in check_graded_lie(total).violations}
+    if bad:
+        raise ValueError("sigma is not graded" if "grading" in bad else "sigma is not a cocycle")
     proj_rows = Nonzeros(((lift[i], F.one()),) for i in range(L.dim))
     phi = GradedHom(total, L, Matrix(F, L.dim, total.dim, proj_rows), unchecked=True)
     return CentralExtensionProblem.from_hom(phi)

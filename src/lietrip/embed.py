@@ -14,12 +14,13 @@ One builder, ``_envelope``, reads A(L_1) and its hom onto L off the brackets
 of any L that its odd part generates: A(T) is it on Ste(T), the universal
 central 0-extension of L is it on L, and envelope_criterion, the paper's
 two-condition test, reads H^2 after its first step, the radical, and runs
-the rest for the witness only when H^2 = 0.  ``pair_algebra`` builds <T,T>
-by the generic module route.  Everything reads only the structure tensor, no
-step computes Der(T), and bases are deterministic RREF bases, so structure
-constants are reproducible.  ``lts`` loads only with a triple system's
-construction (Ste(T), extend_hom), and ``cohom`` only when the criterion
-meets an algebra its odd part does not generate.
+the rest for the witness only when H^2 = 0.  ``pair_algebra`` builds the same
+<T,T> record by the generic module route, and ``_glue`` alone turns an even
+algebra and a module into a graded algebra.  Everything reads only the
+structure tensor, no step computes Der(T), and bases are deterministic RREF
+bases, so structure constants are reproducible.  ``lts`` loads only with a
+triple system's construction (Ste(T), extend_hom), and ``cohom`` only when
+the criterion meets an algebra its odd part does not generate.
 """
 
 from __future__ import annotations
@@ -225,23 +226,10 @@ def _module_quotient(F: Field, mdim: int, echelon: dict, act, lam_t: Sequence, r
 # ---------------------------------------------------------------------------
 # the pair algebra <T,T>
 
-class PairAlgebra(Record):
-    lts: LieTripleSystem
-    algebra: GradedLieAlgebra  # all-even
-    mu: Matrix                 # inder.dim x dim<T,T>, valued in inner-derivation coordinates
-    mu_end: Matrix             # n^2 x dim<T,T>, same map flattened into End(T)
-    projection: Matrix         # wedge -> <T,T>
-    section: Matrix            # <T,T> -> wedge (RREF coset representatives)
-    wedge: WedgeModule
-    a_subspace: Subspace
-
-
-def pair_algebra(T: LieTripleSystem) -> PairAlgebra:
+def pair_algebra(T: LieTripleSystem) -> ModuleQuotient:
+    """<T,T> by the generic module route: the record universal_imbedding(T).pair holds."""
     w = wedge_module(T)
-    mq = module_quotient_algebra(w.inder_algebra, w.module, w.lam)
-    mu_end = w.ste.inder.span.basis.transpose().matmul(mq.mu)
-    return PairAlgebra(T, mq.algebra, mq.mu, mu_end,
-                       mq.quotient.projection, mq.quotient.section, w, mq.a_subspace)
+    return module_quotient_algebra(w.inder_algebra, w.module, w.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -306,51 +294,14 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
 
 
 # ---------------------------------------------------------------------------
-# generic graded algebra from an equivariant alternating pairing
-
-def graded_algebra_from_pairing(L: GradedLieAlgebra, module: GradedModule,
-                                pairing: Matrix) -> GradedLieAlgebra:
-    """Glue an (all-even) algebra L to a module M as the odd part, with
-    [x+m, y+n] = ([x,y] + <m,n>) + (x.n - y.m).
-
-    The pairing is a matrix on wedge coordinates of M.  Both hypotheses are
-    checked on basis tuples first: equivariance [x,<m,n>] = <x.m,n> + <m,x.n>
-    and the cyclic relation <m,n>.k + <n,k>.m + <k,m>.n = 0.
-    """
-    F = L.field
-    if L.dim1 != 0:
-        raise ValueError("the base algebra must be purely even")
-    mdim = module.dim
-    if pairing.rows != L.dim or pairing.cols != wedge_dim(mdim):
-        raise ValueError("pairing shape mismatch")
-
-    cols = pairing.transpose().terms
-    act = module.terms  # act[a][u] = the nonzeros of e_a . m_u
-
-    def pair(u: int, v: int):  # the nonzeros of <m_u, m_v>
-        return [(l, s * x) for w, s in _wedge(u, v, mdim) for l, x in cols[w]]
-
-    for a in range(L.dim):
-        for u in range(mdim):
-            for v in range(u + 1, mdim):
-                if _sparse_sum(F.p, chain(((x, L.terms[a][l]) for l, x in pair(u, v)),
-                                          ((-x, pair(w, v)) for w, x in act[a][u]),
-                                          ((-x, pair(u, w)) for w, x in act[a][v]))):
-                    raise ValueError(f"pairing is not equivariant: fails at ({a}, {u}, {v})")
-    for u in range(mdim):
-        for v in range(mdim):
-            for k in range(mdim):
-                if _sparse_sum(F.p, ((y, act[b][h]) for f, g, h in ((u, v, k), (v, k, u), (k, u, v))
-                                     for b, y in pair(f, g))):
-                    raise ValueError(f"pairing violates the cyclic relation at ({u}, {v}, {k})")
-    return _glue(L, mdim, module.terms, pairing)
-
+# an even algebra and a module glued into a graded algebra
 
 def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence, pairing: Matrix) -> GradedLieAlgebra:
-    """The algebra of :func:`graded_algebra_from_pairing`, with actions[i][u]
-    the nonzeros (l, x) of e_i . m_u, built by the trusted assembler; it
-    checks nothing.  Ste(T) and A(T) satisfy the hypotheses by theorem, and
-    tests/test_trusted.py asserts that with check_graded_lie."""
+    """The all-even L glued to a module M as the odd part, with [x+m, y+n] = ([x,y] + <m,n>) +
+    (x.n - y.m): actions[i][u] are the nonzeros (l, x) of e_i . m_u, and the pairing is a matrix on
+    the wedge coordinates of M.  Built by the trusted assembler, it checks nothing: the result is
+    Lie when the pairing is equivariant and <m,n>.k + <n,k>.m + <k,m>.n = 0.  Ste(T) and A(T)
+    satisfy both by theorem, and tests/test_trusted.py asserts that with check_graded_lie."""
     d = L.dim
     pairs = [(i, j, L.terms[i][j]) for i in range(d) for j in range(i + 1, d)]
     pairs += [(i, d + u, [(d + l, x) for l, x in col])

@@ -1,6 +1,7 @@
 import random
 import sys
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,57 @@ def test_cocycle_extension_rejects_bad_sigma():
     bad = Cochain(H, MH, 2, tuple(values))
     with pytest.raises(ValueError, match="graded"):
         cocycle_extension(H, MH, bad)
+
+
+def _random_sigmas(L, M, rng):
+    """Seeded degree-2 cochains on (L, M): sparse ones on any slot and on graded
+    slots only, and coboundaries of sparse graded 1-cochains."""
+    F, n = L.field, comb(L.dim, 2)
+    draw = lambda: F.of(rng.choice(["1", "-1", "2", "3", "1/2"]) if F.p is None else rng.randrange(1, F.p))
+    slots = [(k, r) for k in range(n) for r in range(M.dim)]
+    graded = [(k, r) for c in graded_cochain_basis(L, M, 2) for k, v in enumerate(c.terms) for r, _ in v]
+    ones = graded_cochain_basis(L, M, 1)
+
+    def cochain(entries):
+        return Cochain(L, M, 2, tuple(tuple(entries.get((k, r), 0) for r in range(M.dim))
+                                      for k in range(n)))
+
+    sigmas = []
+    for _ in range(4):
+        for where in (slots, graded):
+            sigmas.append(cochain({s: draw() for s in rng.sample(where, min(len(where), rng.randint(1, 3)))}))
+        acc = {}
+        for g in rng.sample(ones, min(len(ones), rng.randint(1, 3))):
+            c = draw()
+            for k, v in enumerate(coboundary(g).terms):
+                for r, x in v:
+                    acc[k, r] = acc.get((k, r), 0) + c * x
+        sigmas.append(cochain(acc))
+    return sigmas
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
+def test_cocycle_extension_refuses_exactly_what_the_cochain_predicate_refuses(field):
+    """cocycle_extension checks sigma through the grading and the Jacobi
+    identity of the total; it accepts and refuses, with the same message, as
+    sigma.is_graded() and coboundary(sigma).is_zero() do."""
+    verdicts = set()
+    algebras = (heis(field), sl2graded(field), sl2_double_swap(field),
+                universal_imbedding(abl(3, field)).algebra, universal_imbedding(abl(4, field)).algebra)
+    for L in algebras:
+        for m in (1, 2):
+            M = trivial_module(L, m)
+            for sigma in _random_sigmas(L, M, random.Random(L.dim * 10 + m)):
+                expected = ("sigma is not graded" if not sigma.is_graded() else
+                            None if coboundary(sigma).is_zero() else "sigma is not a cocycle")
+                try:
+                    cocycle_extension(L, M, sigma)
+                    got = None
+                except ValueError as e:
+                    got = str(e)
+                assert got == expected
+                verdicts.add(got)
+    assert verdicts == {None, "sigma is not graded", "sigma is not a cocycle"}
 
 
 def test_central_extension_problem_validation():

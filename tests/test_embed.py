@@ -13,8 +13,7 @@ from oracles import vec_is_zero
 from lietrip.cohom import envelope_criterion, h2_graded
 from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts
 from lietrip.embed import (
-    extend_hom, graded_algebra_from_pairing, imbedding_functor_hom,
-    module_quotient_algebra, pair_algebra, standard_imbedding,
+    extend_hom, imbedding_functor_hom, module_quotient_algebra, pair_algebra, standard_imbedding,
     universal_central_0_extension, universal_imbedding, wedge_dim,
     wedge_module, wedge_pairs,
 )
@@ -266,10 +265,12 @@ def test_pair_algebra_rank_stop_both_branches(field, a_dim, ker_dim, monkeypatch
         calls.append(read)
         return _echelon((read.append(r) or r for r in rows), p, bound)
 
-    monkeypatch.setattr(lietrip.embed, "_echelon", counting)
     raw = oracles.lts_of_bracket(oracles.gl_bracket(2))
-    pa = pair_algebra(lie_triple_system(field, raw))
-    assert (pa.a_subspace.dim, kernel_basis(pa.wedge.lam).dim) == (a_dim, ker_dim)
+    T = lie_triple_system(field, raw)
+    lam = wedge_module(T).lam
+    monkeypatch.setattr(lietrip.embed, "_echelon", counting)
+    pa = pair_algebra(T)
+    assert (pa.a_subspace.dim, kernel_basis(lam).dim) == (a_dim, ker_dim)
     r = wedge_dim(4) - ker_dim
     generators = r * ker_dim + r * (r + 1) // 2
     assert len(calls) == 2  # lam's rows, then the generators of A(M)
@@ -358,7 +359,8 @@ def test_pair_algebra_examples():
     assert pa.algebra.dim == 3
     assert kernel_basis(pa.mu).dim == 0
     ind = inner_derivation_algebra(sl2lts())
-    assert Subspace.span(QQ, 9, [pa.mu_end.col(s) for s in range(3)]) == ind.span
+    mu_end = ind.span.basis.transpose().matmul(pa.mu)  # mu flattened into End(T)
+    assert Subspace.span(QQ, 9, [mu_end.col(s) for s in range(3)]) == ind.span
 
 
 def test_pair_algebra_nontrivial_radical():
@@ -469,18 +471,20 @@ def test_randomized_quotient_systems_validate():
 
 
 # ---------------------------------------------------------------------------
-# the generic pairing construction
+# the glue of an even algebra, a module and a pairing
 
 def test_pairing_reproduces_universal():
     for T in (odd2(), abl(2), sl2lts()):
         pa = pair_algebra(T)
         n = T.dim
-        mats = [Matrix.make(QQ, [[pa.mu_end.col(s)[r * n + c] for c in range(n)]
+        mu_end = inner_derivation_algebra(T).span.basis.transpose().matmul(pa.mu)
+        mats = [Matrix.make(QQ, [[mu_end.col(s)[r * n + c] for c in range(n)]
                                  for r in range(n)])
                 for s in range(pa.algebra.dim)]
         module = GradedModule(pa.algebra, n, 0, tuple(mats))
-        built = graded_algebra_from_pairing(pa.algebra, module, pa.projection)
+        built = lietrip.embed._glue(pa.algebra, n, module.terms, pa.quotient.projection)
         assert built.bracket == universal_imbedding(T).algebra.bracket
+        assert check_graded_lie(built).ok
 
 
 def test_pairing_reproduces_standard():
@@ -503,21 +507,24 @@ def test_pairing_reproduces_standard():
             inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).flatten())
             for i, j in wedge_pairs(n)]
         pairing = Matrix.from_cols(F, pair_cols, rows=ind.dim)
-        built = graded_algebra_from_pairing(L, module, pairing)
+        built = lietrip.embed._glue(L, n, module.terms, pairing)
         assert built.bracket == standard_imbedding(T).algebra.bracket
+        assert check_graded_lie(built).ok
 
 
 def test_pairing_zero_gives_abelian_sum():
     from lietrip.grlie import abelian_algebra
     L = abelian_algebra(QQ, 1, 0)
     module = GradedModule(L, 2, 0, (Matrix.zeros(QQ, 2, 2),))
-    built = graded_algebra_from_pairing(L, module, Matrix.zeros(QQ, 1, 1))
+    built = lietrip.embed._glue(L, 2, module.terms, Matrix.zeros(QQ, 1, 1))
     assert all(vec_is_zero(QQ, v) for row in built.bracket for v in row)
     assert (built.dim0, built.dim1) == (1, 2)
+    assert check_graded_lie(built).ok
 
 
 def test_pairing_hypothesis_violation():
-    # doubling the action breaks equivariance against the untouched pairing
+    # doubling the action breaks equivariance against the untouched pairing,
+    # so the glued algebra breaks Jacobi
     T = sl2lts()
     ind = inner_derivation_algebra(T)
     F, n = T.field, T.dim
@@ -537,8 +544,8 @@ def test_pairing_hypothesis_violation():
         inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).flatten())
         for i, j in wedge_pairs(n)]
     pairing = Matrix.from_cols(F, pair_cols, rows=ind.dim)
-    with pytest.raises(ValueError, match="equivariant"):
-        graded_algebra_from_pairing(L, module, pairing)
+    report = check_graded_lie(lietrip.embed._glue(L, n, module.terms, pairing))
+    assert not report.ok and "jacobi" in {v.identity for v in report.violations}
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +936,8 @@ def test_rational_basis_results_hold_fractions(name, raw):
     A = env.algebra
     assert any(x.denominator > 1 for row in A.bracket for v in row for x in v)
     rows = [v for row in A.bracket for v in row]
-    rows += env.upsilon.matrix.entries + env.pair.mu.entries + pair_algebra(T).mu_end.entries
+    mu_end = env.ste.inder.span.basis.transpose().matmul(pair_algebra(T).mu)
+    rows += env.upsilon.matrix.entries + env.pair.mu.entries + mu_end.entries
     rows += env.pair.a_subspace.basis.entries + env.pair.quotient.projection.entries
     rows += envelope_criterion(A).witness.matrix.entries
     # A(T) + ab2 has H^2 != 0, so its representatives come from the exact path

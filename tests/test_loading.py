@@ -22,21 +22,20 @@ from lietrip.serialize import save
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.__file__)))
 
-# lietrip.__all__ as it stood when the package imported every submodule
+# lietrip.__all__: every public name, in _HOMES order
 PUBLIC = [
     "CentralExtensionProblem", "Cochain", "Field", "GradedHom", "GradedLieAlgebra", "GradedModule",
     "H2Result", "LieTripleSystem", "LtsHom", "Matrix", "QQ", "StandardImbedding", "Subspace",
     "UniversalImbedding", "adjoint_module", "center", "central_quotient", "check_graded_lie",
     "check_lts_axioms", "coboundary", "cocycle_extension", "cohom", "derivation_algebra",
-    "direct_sum", "embed", "envelope_criterion", "exactlin", "extend_hom",
-    "graded_algebra_from_pairing", "graded_cochain_basis", "graded_lie", "graded_pullback", "grlie",
-    "h2_graded", "ideal_closure_certificate", "imbedding_functor_hom", "inner_derivation",
-    "inner_derivation_algebra", "is_0_centrally_closed", "is_generated_by_odd", "is_graded_hom",
-    "is_lts_hom", "kernel_basis", "lie_triple_system", "load", "lts", "lts_of_lie",
-    "module_quotient_algebra", "odd_part_lts", "pair_algebra", "quotient", "rank",
-    "restrict_hom_to_odd", "rref", "save", "serialize", "solve", "split_central_0_extension",
-    "standard_imbedding", "subalgebra_generated", "triple_bracket", "trivial_module",
-    "universal_central_0_extension", "universal_imbedding", "wedge_module",
+    "direct_sum", "embed", "envelope_criterion", "exactlin", "extend_hom", "graded_cochain_basis",
+    "graded_lie", "graded_pullback", "grlie", "h2_graded", "ideal_closure_certificate",
+    "imbedding_functor_hom", "inner_derivation", "inner_derivation_algebra",
+    "is_0_centrally_closed", "is_generated_by_odd", "is_graded_hom", "is_lts_hom", "kernel_basis",
+    "lie_triple_system", "load", "lts", "lts_of_lie", "module_quotient_algebra", "odd_part_lts",
+    "pair_algebra", "quotient", "rank", "restrict_hom_to_odd", "rref", "save", "serialize", "solve",
+    "split_central_0_extension", "standard_imbedding", "subalgebra_generated", "triple_bracket",
+    "trivial_module", "universal_central_0_extension", "universal_imbedding", "wedge_module",
 ]
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('lietrip.'))"

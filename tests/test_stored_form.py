@@ -27,14 +27,15 @@ from lietrip.cohom import (
 from lietrip.corpus import (
     ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
 )
-from lietrip.embed import graded_algebra_from_pairing, pair_algebra, universal_imbedding
+from lietrip.embed import _glue, pair_algebra, universal_imbedding, wedge_module
 from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Record, Subspace, inverse
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center, central_quotient,
     direct_sum, graded_pullback, restrict_hom_to_odd, trivial_module,
 )
 from lietrip.lts import (
-    DerivationAlgebra, LieTripleSystem, LtsHom, derivation_algebra, lts_of_lie, odd_part_lts,
+    DerivationAlgebra, LieTripleSystem, LtsHom, derivation_algebra, inner_derivation_algebra,
+    lts_of_lie, odd_part_lts,
 )
 from lietrip.serialize import load, save
 
@@ -94,9 +95,8 @@ def _built(F):
         yield f"criterion of A({name})", criterion
         if criterion.witness is not None:
             yield f"inverse witness of A({name})", inverse(criterion.witness.matrix)
-        pa = pair_algebra(T)
-        wedge = pa.wedge
-        yield f"pair algebra of {name}", pa
+        wedge = wedge_module(T)
+        yield from ((f"pair algebra of {name}", pair_algebra(T)), (f"wedge module of {name}", wedge))
         yield from ((f"A({name})", env.algebra), (f"Ste({name})", env.ste.algebra),
                     (f"Inder({name})", wedge.inder_algebra),
                     (f"<{name},{name}>", env.pair.algebra), (f"T^T({name})", wedge.module),
@@ -129,11 +129,12 @@ def _built(F):
                                 (f"its coboundary {k} on {name}", coboundary(c)))
             yield f"zero 3-cochain on {name}", zero_cochain(L, M, 3)
     pa = pair_algebra(gl2)  # gl(2) as a module over <gl(2),gl(2)>, glued back
-    flats = (pa.mu_end.col(s) for s in range(pa.algebra.dim))
+    mu_end = inner_derivation_algebra(gl2).span.basis.transpose().matmul(pa.mu)
+    flats = (mu_end.col(s) for s in range(pa.algebra.dim))
     module = GradedModule(pa.algebra, 4, 0, tuple(Matrix(F, 4, 4, (f[0:4], f[4:8], f[8:12], f[12:16]))
                                                   for f in flats))
     yield "gl(2) over <gl(2),gl(2)>", module
-    yield "glued A(gl(2))", graded_algebra_from_pairing(pa.algebra, module, pa.projection)
+    yield "glued A(gl(2))", _glue(pa.algebra, 4, module.terms, pa.quotient.projection)
 
 
 def _public(x):
@@ -195,5 +196,4 @@ def test_every_built_matrix_is_canonical(field):
             y = Matrix(m.field, m.rows, m.cols, m.entries)
             assert y == m and hash(y) == hash(m), path
             kinds.add(path.rpartition(".")[2].partition("[")[0])
-    assert kinds >= {"matrix", "projection", "section", "lam", "mu", "mu_end", "basis", "iota",
-                     "inclusion"}
+    assert kinds >= {"matrix", "projection", "section", "lam", "mu", "basis", "iota", "inclusion"}

@@ -8,7 +8,8 @@ A degree-n cochain stores one sparse module vector, the nonzeros of its
 value, per sorted basis combination i_1 < ... < i_n, so alternation is
 structural; the dense ``values`` is a view derived on each read.  A cochain
 is graded when arguments of total degree g land in the degree-g block of the
-module.
+module.  The differential is built column by column, at only the slots that
+``coboundary`` and ``h2_graded`` read: a cochain's nonzero or graded ones.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Optional
 
 from .exactlin import (
     Matrix, Nonzeros, Record, Subspace, _as_nonzeros, _combination, _distinct_rows,
-    _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _terms_of,
-    _transposed, dense_tensor, rref, solve,
+    _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed,
+    dense_tensor, rref, solve,
 )
 from .grlie import GradedHom, GradedLieAlgebra, GradedModule, _assemble, center, check_graded_lie
 
@@ -36,6 +37,8 @@ class Cochain(Record):
         """values: the dense module vectors, one per sorted combination, or their Nonzeros."""
         if degree not in (1, 2, 3):
             raise ValueError("supported cochain degrees are 1, 2, 3")
+        if module.algebra != algebra:
+            raise ValueError("module is over a different algebra")
         if len(values) != comb(algebra.dim, degree):
             raise ValueError("value count does not match the combination count")
         terms = _as_nonzeros(values, (len(values), module.dim), algebra.field.of)
@@ -100,52 +103,40 @@ def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict
     return Cochain(L, M, degree, Nonzeros(terms))
 
 
-def _differential(L: GradedLieAlgebra, M: GradedModule, n: int, graded: bool = False) -> tuple:
-    """The differential from degree-n to degree-(n+1) cochains as sparse rows,
-    or, when graded, its rows at the graded output slots only, read from the
-    nonzeros of M's actions and L's brackets; over Q as integers over one
-    denominator den, which is returned with the rows (1 over F_p).
-
-    Row (combo, s), in the order (combination, module coordinate), maps each
-    input slot (combo', r) to its nonzero coefficient in (df)(combo)_s:
-    the action term of position i contributes (-1)^i M.action[combo_i][s][r]
-    at combo' = the rest, and the bracket term of positions i < j contributes
-    (-1)^(i+j) [e_combo_i, e_combo_j]_k times the sign of sorting (k, rest...)
-    at combo' = the sorted combination, for each k not already in the rest.
-    """
+def _differential(L: GradedLieAlgebra, M: GradedModule, slots: list) -> tuple:
+    """d of the indicator cochain at each given n-slot (combo, r), as a sparse
+    column {(n+1)-slot: coefficient}, over Q as integers over one denominator
+    den, returned with the columns (1 over F_p, where entries are unreduced).
+    For each a not in combo, at position i of combo' = combo + a, the action
+    adds (-1)^i (e_a . e_r)_s at (combo', s); for each k at position t of combo
+    and each pair a < b outside the rest with [e_a, e_b]_k = x != 0, at
+    positions i < j of combo' = combo - k + a + b, the bracket adds
+    (-1)^(i+j+t) x at (combo', r)."""
     p = L.field.p
-    (action_cols, brackets), den = _integer_terms(p, (M.terms, L.terms), 3)
-    # the nonzeros (s, r, x) of each action: column r of it holds (s, x)
-    actions = [[(s, r, x) for r, col in enumerate(a) for s, x in col] for a in action_cols]
-    coords = (range(M.dim0), range(M.dim0, M.dim))
-    rows = {}
-    for combo in combinations(range(L.dim), n + 1):
-        outs = coords[sum(i >= L.dim0 for i in combo) % 2] if graded else range(M.dim)
-        if not outs:
-            continue
-        acc = {s: {} for s in outs}
-        for i, c in enumerate(combo):
-            rest = combo[:i] + combo[i + 1:]
-            for s, r, x in actions[c]:
-                if s in acc:
-                    acc[s][rest, r] = acc[s].get((rest, r), 0) + (-x if i % 2 else x)
-        moved = {}
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                rest = combo[:i] + combo[i + 1:j] + combo[j + 1:]
-                for k, x in brackets[combo[i]][combo[j]]:
-                    if k in rest:
-                        continue
-                    pos = sum(1 for t in rest if t < k)
-                    target = rest[:pos] + (k,) + rest[pos:]
-                    moved[target] = moved.get(target, 0) + (-x if (i + j + pos) % 2 else x)
-        for s, row in acc.items():
-            for target, x in moved.items():
-                row[(target, s)] = row.get((target, s), 0) + x
-            if p is not None:
-                row = {key: x % p for key, x in row.items()}
-            rows[(combo, s)] = {key: x for key, x in row.items() if x}
-    return rows, den
+    (actions, brackets), den = _integer_terms(p, (M.terms, L.terms), 3)
+    acting = [[(a, col[r]) for a, col in enumerate(actions) if col[r]] for r in range(M.dim)]
+    pairs = list(combinations(range(L.dim), 2))
+    # at each k, {q: [e_a, e_b]_k} over the pairs[q] = (a, b) whose bracket has a k-component
+    into = _transposed(brackets[a][b] for a, b in pairs)
+    cols = []
+    for combo, r in slots:
+        col = {}
+        for a, v in acting[r]:
+            if a not in combo:
+                i = sum(1 for c in combo if c < a)
+                out = combo[:i] + (a,) + combo[i:]
+                for s, x in v:
+                    col[out, s] = col.get((out, s), 0) + (-x if i % 2 else x)
+        for t, k in enumerate(combo):
+            rest = combo[:t] + combo[t + 1:]
+            for q, x in into.get(k, {}).items():
+                a, b = pairs[q]
+                if a not in rest and b not in rest:
+                    out = tuple(sorted(rest + (a, b)))
+                    i, j = out.index(a), out.index(b)
+                    col[out, r] = col.get((out, r), 0) + (-x if (i + j + t) % 2 else x)
+        cols.append({key: x for key, x in col.items() if x})
+    return cols, den
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -154,18 +145,16 @@ def coboundary(f: Cochain) -> Cochain:
     (df)(x_1..x_{n+1}) = sum_i (-1)^{i+1} x_i . f(.. ^x_i ..)
                        + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. ^x_i .. ^x_j ..),
 
-    evaluated on sorted basis combinations.  Grading is preserved.
+    evaluated on sorted basis combinations, as the sum of d's columns at
+    f's nonzero slots.  Grading is preserved.
     """
-    L, M = f.algebra, f.module
-    n = f.degree
+    L, M, n, p = f.algebra, f.module, f.degree, f.algebra.field.p
     if n >= 3:
         raise ValueError("coboundary is only taken up to degree-3 output")
-    rows, den = _differential(L, M, n)  # the rows are den times the differential's
     values = {(combo, r): x for combo, v in zip(f.combos(), f.terms) for r, x in v}
-    return Cochain(L, M, n + 1, Nonzeros(
-        _terms_of(L.field.p, {s: sum(c * values[slot] for slot, c in rows[(combo, s)].items()
-                                     if slot in values) for s in range(M.dim)}, den)
-        for combo in combinations(range(L.dim), n + 1)))
+    cols, den = _differential(L, M, list(values))  # den times d's columns
+    df = _sparse_sum(p, zip(values.values(), map(dict.items, cols)))
+    return _cochain_at(L, M, n + 1, {slot: x if p else x / den for slot, x in df.items()})
 
 
 class H2Result(Record):
@@ -184,19 +173,20 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     exactly: d_1's to rank r_1, and d_2's until their rank reaches its
     bound c_2 - r_1 for the c_2 graded 2-slots, as im d_1 lies in ker d_2.
     Z^2 is read off d_2's echelon only when H^2 = c_2 - r_2 - r_1 is not 0."""
-    F = L.field
-    p = F.p
+    F, p = L.field, L.field.p
+    if M.algebra != L:
+        raise ValueError("module is over a different algebra")
     slots1, slots2 = _graded_slots(L, M, 1), _graded_slots(L, M, 2)
     c2 = len(slots2)
-
-    def graded_rows(n, in_slots):  # {position in in_slots: coefficient} per graded output slot
-        position = {slot: k for k, slot in enumerate(in_slots)}
-        return [{position[c]: x for c, x in row.items() if c in position}
-                for row in _differential(L, M, n, graded=True)[0].values()]
-
-    d2, d1 = graded_rows(2, slots2), graded_rows(1, slots1)
-    d1_cols = [{k: row[j] for k, row in enumerate(d1) if j in row} for j in range(len(slots1))]
-    rows2, cols1 = _distinct_rows(p, d2), _distinct_rows(p, d1_cols)
+    # d_1's columns over the positions of the graded 2-slots, and d_2's turned into rows at the
+    # graded 3-slots in slot order: outputs at ungraded slots, only of unchecked input, are dropped
+    cols = _differential(L, M, slots1 + slots2)[0]
+    position = {slot: k for k, slot in enumerate(slots2)}
+    d1 = [{position[s]: x for s, x in col.items() if s in position} for col in cols[:len(slots1)]]
+    d2 = _transposed(col.items() for col in cols[len(slots1):])
+    rows2 = _distinct_rows(p, (d2[combo, s] for combo, s in sorted(d2)
+                               if (s >= M.dim0) == sum(i >= L.dim0 for i in combo) % 2))
+    cols1 = _distinct_rows(p, d1)
     d2_cols = _transposed(rows2)  # d_2 d_1 = 0 on the scaled rows, through an index of their columns
     if any(_sparse_sum(p, ((y, d2_cols.get(c, {}).items()) for c, y in col)) for col in cols1):
         raise RuntimeError("coboundaries escaped the cocycles; differential is broken")

@@ -161,6 +161,8 @@ class GradedHom(Record):
     def __init__(self, source: GradedLieAlgebra, target: GradedLieAlgebra, matrix: Matrix,
                  unchecked: bool = False):
         Record.__init__(self, source, target, matrix)
+        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+            raise ValueError("hom matrix shape mismatch")
         if self.matrix.field != self.source.field or self.source.field != self.target.field:
             raise ValueError("hom field mismatch")
         if not unchecked and not is_graded_hom(self.matrix, self.source, self.target):

@@ -6,7 +6,7 @@ from a second route sharing no code with the library.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 # raw integer bracket tensors, global basis even-first
 AB2_RAW = (0, 2, {})
@@ -151,6 +151,43 @@ def h2_graded_dim(raw, p=None):
     z2 = len(pairs) - frac_rank(d2, p)
     b2 = frac_rank(delta1_matrix(raw), p)
     return z2 - b2
+
+
+def coboundary(c, action, values, degree, p=None):
+    """The Chevalley-Eilenberg coboundary of a degree-n cochain, by the
+    textbook formula on its dense alternating array:
+
+    (df)(x_1..x_{n+1}) = sum_i (-1)^{i+1} x_i . f(.. ^x_i ..)
+                       + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. ^x_i .. ^x_j ..),
+
+    for the raw bracket c[i][j][l] and the dense m x m matrices action[i]
+    (action[i][s][r] the s-coordinate of e_i . m_r); values holds f's module
+    vector at each sorted combination, in lexicographic order.  Returns df's
+    vectors the same way, every sum run in full, zeros included."""
+    n = len(c)
+    m = len(action[0]) if action else 0
+    # f at every ordered tuple: the sign of the sorting permutation times its
+    # value at the sorted combination, and 0 at a tuple with a repeat
+    f = {args: [0] * m for args in product(range(n), repeat=degree)}
+    for combo, v in zip(combinations(range(n), degree), values):
+        for perm in permutations(range(degree)):
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(degree), 2))
+            f[tuple(combo[k] for k in perm)] = [(-1) ** inversions * Fraction(x) for x in v]
+    out = []
+    for xs in combinations(range(n), degree + 1):
+        df = [Fraction(0)] * m
+        for i in range(degree + 1):
+            rest = xs[:i] + xs[i + 1:]
+            for s in range(m):
+                df[s] += (-1) ** i * sum(Fraction(action[xs[i]][s][r]) * f[rest][r]
+                                         for r in range(m))
+        for i, j in combinations(range(degree + 1), 2):
+            rest = tuple(x for k, x in enumerate(xs) if k not in (i, j))
+            for l in range(n):
+                for s in range(m):
+                    df[s] += (-1) ** (i + j) * Fraction(c[xs[i]][xs[j]][l]) * f[(l,) + rest][s]
+        out.append(tuple(scalar(x, p) for x in df))
+    return out
 
 
 def subalgebra_closure(raw, seed, p=None):

@@ -497,6 +497,19 @@ def test_nested_payload_of_the_wrong_kind_is_invalid_input(capsys, tmp_path, cas
         assert line == f"error: {path}: {message}"
 
 
+def test_graded_hom_dims_that_disagree_with_its_algebras_are_invalid_input(capsys, tmp_path):
+    # a 2 x 3 matrix between two copies of heis: refused by its shape, also
+    # under --unchecked, before split reads a rank off it
+    payload = save(identity_hom(heis()))
+    payload["dims"]["target_dim0"] = 0
+    payload["entries"] = payload["entries"][1:]
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(payload))
+    for flags in ([], ["--unchecked"]):
+        line = _one_error_line(capsys, ["split", str(path)] + flags, 2, "error: ")
+        assert line == f"error: {path}: hom matrix shape mismatch"
+
+
 def test_deeply_nested_json_is_invalid_input(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)

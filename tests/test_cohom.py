@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -187,6 +187,62 @@ def test_delta_squared_zero_on_random_cochains(p):
                                for _ in range(L.dim))
                 g = Cochain(L, M, 1, values)
                 assert coboundary(coboundary(g)).is_zero()
+
+
+def _random_cochain(L, M, degree, graded, rng):
+    """A seeded cochain with a few nonzero values, at graded slots only when graded."""
+    field = L.field
+    values = []
+    for combo in combinations(range(L.dim), degree):
+        odd = sum(i >= L.dim0 for i in combo) % 2
+        values.append(tuple(field.of(rng.choice([0, 0, 1, -1, 2, -3]))
+                            if not graded or (r >= M.dim0) == odd else field.zero()
+                            for r in range(M.dim)))
+    return Cochain(L, M, degree, tuple(values))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
+def test_coboundary_matches_the_dense_oracle(field):
+    # the oracle evaluates the textbook formula on the dense alternating
+    # array of f, so the action terms of the adjoint module are checked too
+    rng = random.Random(32)
+    algebras = [heis(field), sl2graded(field), sl2_double_swap(field),
+                universal_imbedding(abl(3, field)).algebra, universal_imbedding(odd2(field)).algebra]
+    for L in algebras:
+        for M in (trivial_module(L), trivial_module(L, 2), adjoint_module(L)):
+            action = [a.entries for a in M.action]
+            for degree, graded in product((1, 2), (True, False)):
+                for _ in range(2):
+                    f = _random_cochain(L, M, degree, graded, rng)
+                    expected = oracles.coboundary(L.bracket, action, f.values, degree, field.p)
+                    assert coboundary(f).values == tuple(expected), (L.dim, M.dim, degree, graded)
+
+
+def test_coboundary_builds_columns_at_the_nonzero_slots_only(monkeypatch):
+    built, inner = [], lietrip.cohom._differential
+
+    def differential(L, M, slots):
+        built.append(len(slots))
+        return inner(L, M, slots)
+
+    monkeypatch.setattr(lietrip.cohom, "_differential", differential)
+    L = universal_imbedding(abl(3)).algebra
+    M = adjoint_module(L)
+    f = _random_cochain(L, M, 2, False, random.Random(5))
+    nonzero = sum(len(v) for v in f.terms)
+    assert nonzero > 0
+    coboundary(f)
+    coboundary(zero_cochain(L, M, 1))
+    assert built == [nonzero, 0]
+
+
+def test_a_module_over_another_algebra_is_refused():
+    for L, M in ((sl2_double_swap(), adjoint_module(heis())),
+                 (heis(), adjoint_module(sl2_double_swap()))):
+        with pytest.raises(ValueError, match="module is over a different algebra"):
+            h2_graded(L, M)
+        with pytest.raises(ValueError, match="module is over a different algebra"):
+            coboundary(Cochain(L, M, 1, ((L.field.zero(),) * M.dim,) * L.dim))
 
 
 def test_h2_representatives_are_cocycles_not_coboundaries():

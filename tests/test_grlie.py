@@ -447,6 +447,13 @@ def test_restrict_hom_to_odd():
     assert comp.matrix == restrict_hom_to_odd(proj).compose(restrict_hom_to_odd(ident)).matrix
 
 
+def test_graded_hom_refuses_a_wrong_shape_even_unchecked():
+    # as LtsHom does: the O(1) shape check runs before the unchecked branch
+    for unchecked in (False, True):
+        with pytest.raises(ValueError, match="hom matrix shape mismatch"):
+            GradedHom(heis(), heis(), Matrix.identity(QQ, 2), unchecked=unchecked)
+
+
 def test_is_graded_hom_rejects_block_violation():
     L = heis()
     bad = Matrix.make(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # maps odd x to even z

@@ -28,16 +28,14 @@ def abl(n: int, field: Field = QQ) -> LieTripleSystem:
     return LieTripleSystem(field, n, Nonzeros(((((),) * n,) * n,) * n), unchecked=True)
 
 
-def _sl2_bracket(field: Field):
-    """sl2 structure constants in the basis (h, e, f)."""
-    rows = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
-            [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
-            [[0, 0, 2], [-1, 0, 0], [0, 0, 0]]]
-    return tuple(tuple(tuple(field.of(x) for x in v) for v in row) for row in rows)
+# sl2 structure constants in the basis (h, e, f), which the constructor reads into the field
+_SL2_BRACKET = (((0, 0, 0), (0, 2, 0), (0, 0, -2)),
+                ((0, -2, 0), (0, 0, 0), (1, 0, 0)),
+                ((0, 0, 2), (-1, 0, 0), (0, 0, 0)))
 
 
 def sl2graded(field: Field = QQ) -> GradedLieAlgebra:
-    return GradedLieAlgebra(field, 1, 2, _sl2_bracket(field))
+    return GradedLieAlgebra(field, 1, 2, _SL2_BRACKET)
 
 
 def sl2lts(field: Field = QQ) -> LieTripleSystem:
@@ -74,10 +72,9 @@ def sl2_double_swap(field: Field = QQ) -> GradedLieAlgebra:
     a_x = (x, -x), every bracket mirrors the sl2 constants, landing in the
     d-block when the arguments have equal parity and the a-block otherwise.
     """
-    c = _sl2_bracket(field)
     # [d, d] -> d, [d, a] -> a, [a, d] -> a, [a, a] -> d: the block of the sum of the parities
     return GradedLieAlgebra(field, 3, 3, tuple(
-        tuple(tuple(c[i % 3][j % 3][k % 3] if ((i >= 3) ^ (j >= 3)) == (k >= 3) else field.zero()
+        tuple(tuple(_SL2_BRACKET[i % 3][j % 3][k % 3] if ((i >= 3) ^ (j >= 3)) == (k >= 3) else 0
                     for k in range(6)) for j in range(6)) for i in range(6)))
 
 

@@ -153,10 +153,11 @@ def _radical(p: Optional[int], mdim: int, lam_rows: list, act, image: Sequence,
     pivots = sorted(lam_echelon)
     ker = _null_vectors(p, mdim, lam_echelon)
     acts = [act(u, range(mdim)) for u in pivots]  # acts[i][v] = lam(s_i).e_v
-    gens = [row[u] for row, u in zip(acts, pivots)]
-    gens += [_sparse_sum(p, ((1, acts[i][pivots[j]].items()), (1, acts[j][u].items())))
-             for i, u in enumerate(pivots) for j in range(i + 1, len(pivots))]
-    gens += [_sparse_sum(p, ((x, row[w].items()) for w, x in k.items())) for row in acts for k in ker]
+    # built as the engine reads them, which stops at the rank bound; it reduces each row in place
+    gens = chain((dict(row[u]) for row, u in zip(acts, pivots)),
+                 (_sparse_sum(p, ((1, acts[i][pivots[j]].items()), (1, acts[j][u].items())))
+                  for i, u in enumerate(pivots) for j in range(i + 1, len(pivots))),
+                 (_sparse_sum(p, ((x, row[w].items()) for w, x in k.items())) for row in acts for k in ker))
     echelon, _ = _echelon(gens, p, len(ker) if bound is None else bound)
     if any(_sparse_sum(p, ((x, image[w]) for w, x in row.items())) for row in echelon.values()):
         raise RuntimeError(f"A(M) escaped the kernel of {kernel}")

@@ -6,7 +6,9 @@ below read ``field.p`` once and then use plain operators on nonzero
 entries only, over F_p reducing once per output entry.  A matrix stores
 the nonzeros of its rows once (``Matrix.terms``, a ``Nonzeros``), and a
 subspace the echelon engine's RREF rows as its basis matrix; both are
-immutable, and every operation is a pure function.
+immutable, and every operation is a pure function.  Dense input (a tensor,
+a matrix's rows, a vector) has one reader, ``_as_nonzeros``: each scalar
+goes through ``Field.of``, and the shape is checked once.
 
 Every elimination runs through one sparse echelon engine, ``_echelon``:
 rows are dicts {column: scalar}, and each row joins at its leftmost
@@ -207,11 +209,6 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(v)
 
 
-def nonzeros(v: Vector) -> list:
-    """The (index, entry) pairs of v's nonzero entries."""
-    return [(j, x) for j, x in enumerate(v) if x]
-
-
 class Nonzeros(tuple):
     """The one stored form of a structure tensor, a matrix or a cochain: nested
     tuples indexed by basis elements (or rows, or combinations), down to one
@@ -230,7 +227,7 @@ def _as_nonzeros(tensor: tuple, shape: tuple, of=None) -> Optional[Nonzeros]:
         def shaped(t, dims):
             return len(t) == dims[0] and (len(dims) == 1 or all(shaped(s, dims[1:]) for s in t))
 
-        return tensor if shaped(tensor, shape[:-1]) else None
+        return tensor if len(shape) == 1 or shaped(tensor, shape[:-1]) else None
     misfits = []
 
     def read(t, d):
@@ -245,6 +242,15 @@ def _as_nonzeros(tensor: tuple, shape: tuple, of=None) -> Optional[Nonzeros]:
 
     stored = read(tensor, 0)
     return None if misfits else Nonzeros(stored)
+
+
+def nonzeros(field: Field, n: int, v: Vector) -> Nonzeros:
+    """The nonzero (index, entry) pairs of a dense vector of length n, each entry
+    read through field.of: the one reader of a dense vector."""
+    terms = _as_nonzeros(v, (n,), field.of)
+    if terms is None:
+        raise ValueError(f"expected a vector of length {n}")
+    return terms
 
 
 def dense_tensor(field: Field, n: int, tensor: tuple, depth: int) -> tuple:
@@ -381,13 +387,15 @@ class Matrix(Record):
     terms: Nonzeros
 
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
-        """entries: the dense rows, or their Nonzeros, stored as given."""
-        if type(entries) is not Nonzeros:
-            entries = Nonzeros(tuple(tuple(nonzeros(r)) for r in entries))
+        """entries: the dense rows, each scalar read through field.of, or their Nonzeros,
+        which the library's own operations build and which are stored as they are."""
+        terms = entries if type(entries) is Nonzeros else _as_nonzeros(entries, (rows, cols), field.of)
+        if terms is None:
+            raise ValueError(f"expected a {rows} x {cols} matrix")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "terms", entries)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def entries(self) -> tuple:
@@ -396,18 +404,13 @@ class Matrix(Record):
 
     @classmethod
     def make(cls, field: Field, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
-        data = tuple(tuple(field.of(x) for x in row) for row in rows)
-        if data:
-            ncols = len(data[0])
-            if any(len(r) != ncols for r in data):
-                raise ValueError("ragged rows")
-        else:
-            if cols is None:
+        """The matrix of dense rows; cols defaults to the first row's length."""
+        rows = list(rows)
+        if cols is None:
+            if not rows:
                 raise ValueError("empty matrix needs an explicit column count")
-            ncols = cols
-        if cols is not None and cols != ncols:
-            raise ValueError("column count mismatch")
-        return cls(field, len(data), ncols, data)
+            cols = len(rows[0])
+        return cls(field, len(rows), cols, rows)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -421,13 +424,10 @@ class Matrix(Record):
     def from_cols(cls, field: Field, cols: Sequence, rows: Optional[int] = None) -> "Matrix":
         """The transpose of the matrix whose rows are the given columns: dense
         vectors of length rows, or the Nonzeros of sparse ones, which need rows."""
-        if type(cols) is not Nonzeros:
-            if rows is None:
-                if not cols:
-                    raise ValueError("empty column list needs an explicit row count")
-                rows = len(cols[0])
-            if any(len(c) != rows for c in cols):
-                raise ValueError(f"every column needs {rows} entries")
+        if rows is None:
+            if not cols or type(cols) is Nonzeros:
+                raise ValueError("empty or sparse columns need an explicit row count")
+            rows = len(cols[0])
         return cls(field, len(cols), rows, cols).transpose()
 
     def col(self, j: int) -> Vector:
@@ -442,10 +442,9 @@ class Matrix(Record):
         return Matrix(self.field, self.cols, self.rows, Nonzeros(tuple(map(tuple, cols))))
 
     def matvec(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"matvec: {self.cols} columns vs vector of length {len(v)}")
-        return dense_tensor(self.field, self.rows, _terms_of(
-            self.field.p, {i: sum(x * v[j] for j, x in row) for i, row in enumerate(self.terms)}), 0)
+        v = dict(nonzeros(self.field, self.cols, v))
+        return dense_tensor(self.field, self.rows, _terms_of(self.field.p, {
+            i: sum(x * v[j] for j, x in row if j in v) for i, row in enumerate(self.terms)}), 0)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Each row of the product is the combination of other's rows that
@@ -522,9 +521,8 @@ def solve_with_certificate(m: Matrix, rhs: Vector) -> tuple[Optional[Vector], Op
     explicit certificate that no solution exists.
     """
     F = m.field
-    if len(rhs) != m.rows:
-        raise ValueError(f"solve: {m.rows} rows vs rhs of length {len(rhs)}")
-    aug = m.hstack(Matrix.from_cols(F, [rhs], rows=m.rows)).hstack(Matrix.identity(F, m.rows))
+    column = Matrix.from_cols(F, Nonzeros((nonzeros(F, m.rows, rhs),)), rows=m.rows)
+    aug = m.hstack(column).hstack(Matrix.identity(F, m.rows))
     red, pivots = rref(aug)
     for row in red.terms:
         if row and row[0][0] == m.cols:
@@ -562,8 +560,7 @@ class Subspace(Record):
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
         """The span of vectors given as ints, Fractions or strings."""
-        rows = Matrix.make(field, list(vectors), cols=ambient_dim).terms
-        return _span(field, ambient_dim, map(dict, rows))
+        return _span(field, ambient_dim, map(dict, Matrix.make(field, vectors, cols=ambient_dim).terms))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -578,13 +575,12 @@ class Subspace(Record):
         return self.basis.rows
 
     def contains(self, v: Vector) -> bool:
-        return not self._residue(dict(nonzeros(v)))
+        return not self._residue(dict(nonzeros(self.field, self.ambient_dim, v)))
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is outside."""
-        if not self.contains(v):
-            return None
-        return tuple(v[p] for p in self.pivots)
+        v = dict(nonzeros(self.field, self.ambient_dim, v))
+        return None if self._residue(dict(v)) else tuple(v.get(c, self.field.zero()) for c in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return not any(self._residue(dict(row)) for row in other.basis.terms)

@@ -63,7 +63,8 @@ class GradedLieAlgebra(Record):
         return 0 if i < self.dim0 else 1
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        return dense_tensor(self.field, self.dim, _bracket(self, nonzeros(x), nonzeros(y)).items(), 0)
+        F, n = self.field, self.dim
+        return dense_tensor(F, n, _bracket(self, nonzeros(F, n, x), nonzeros(F, n, y)).items(), 0)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of x -> [e_i, x]."""
@@ -248,7 +249,7 @@ class GradedModule(Record):
 
     def act(self, x: Vector) -> Matrix:
         """Action matrix of an algebra element given in coordinates."""
-        F, nx = self.algebra.field, nonzeros(x)
+        F, nx = self.algebra.field, nonzeros(self.algebra.field, self.algebra.dim, x)
         cols = Nonzeros(_combination(F.p, ((xi, self.terms[i][c]) for i, xi in nx)) for c in range(self.dim))
         return Matrix.from_cols(F, cols, rows=self.dim)
 

@@ -84,13 +84,10 @@ def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = Fals
 
 def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vector:
     """Trilinear extension of the structure tensor to arbitrary vectors."""
-    n = T.dim
-    if len(a) != n or len(b) != n or len(c) != n:
-        raise ValueError("vector dimension mismatch")
-    t = T.terms
-    nb, nc = nonzeros(b), nonzeros(c)
-    return dense_tensor(T.field, n, _sparse_sum(T.field.p, (
-        (x * y * z, t[i][j][k]) for i, x in nonzeros(a) for j, y in nb for k, z in nc)).items(), 0)
+    F, n, t = T.field, T.dim, T.terms
+    na, nb, nc = (nonzeros(F, n, v) for v in (a, b, c))
+    return dense_tensor(F, n, _sparse_sum(F.p, (
+        (x * y * z, t[i][j][k]) for i, x in na for j, y in nb for k, z in nc)).items(), 0)
 
 
 # The tuples a canonical tuple stands for: index permutations, each with its sign.

@@ -146,40 +146,42 @@ def load(payload: dict, *, unchecked: bool = False):
 
     memo = _Scalars(field)
     try:
+        # the entries are parsed before the record's module loads, so a bad scalar costs no import
         if kind == "lts":
-            from .lts import LieTripleSystem
             tensor = _parse(memo, entries, 4)
             if len(tensor) != dims["dim"]:
                 raise PayloadError("tensor size disagrees with dim")
+            from .lts import LieTripleSystem
             return LieTripleSystem(field, dims["dim"], tensor, unchecked=unchecked)
         if kind == "graded_lie":
-            from .grlie import GradedLieAlgebra
             tensor = _parse(memo, entries, 3)
+            from .grlie import GradedLieAlgebra
             return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
         if kind == "lts_hom":
-            from .lts import LtsHom
             source = _load_nested(payload, "source", "LieTripleSystem", unchecked)
             target = _load_nested(payload, "target", "LieTripleSystem", unchecked)
             matrix = _matrix(field, _parse(memo, entries, 2), dims["target_dim"], dims["source_dim"])
+            from .lts import LtsHom
             return LtsHom(source, target, matrix, unchecked=unchecked)
         if kind == "graded_hom":
-            from .grlie import GradedHom
             source = _load_nested(payload, "source", "GradedLieAlgebra", unchecked)
             target = _load_nested(payload, "target", "GradedLieAlgebra", unchecked)
             matrix = _matrix(field, _parse(memo, entries, 2), dims["target_dim0"] + dims["target_dim1"],
                              dims["source_dim0"] + dims["source_dim1"])
+            from .grlie import GradedHom
             return GradedHom(source, target, matrix, unchecked=unchecked)
         if kind == "module":
-            from .grlie import GradedModule
             algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
             m = dims["dim0"] + dims["dim1"]
             action = tuple(_matrix(field, a, m, m) for a in _parse(memo, entries, 3))
+            from .grlie import GradedModule
             return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
         if kind == "cochain":
-            from .cohom import Cochain
             algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
             module = _load_nested(payload, "module", "GradedModule", unchecked)
-            f = Cochain(algebra, module, dims["degree"], _parse(memo, entries, 2))
+            degree, values = dims["degree"], _parse(memo, entries, 2)
+            from .cohom import Cochain
+            f = Cochain(algebra, module, degree, values)
             if not unchecked and not f.is_graded():
                 raise PayloadError("cochain is not graded")
             return f

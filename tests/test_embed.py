@@ -18,7 +18,7 @@ from lietrip.embed import (
     wedge_module, wedge_pairs,
 )
 from lietrip.exactlin import (
-    Field, Matrix, QQ, Subspace, _echelon, kernel_basis, solve, unit_vec,
+    Field, Matrix, QQ, Subspace, _echelon, _sparse_sum, kernel_basis, solve, unit_vec,
 )
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center,
@@ -27,7 +27,7 @@ from lietrip.grlie import (
 )
 from lietrip.lts import (
     LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra, identity_lts_hom,
-    inner_derivation_algebra, lie_triple_system, odd_part_lts, triple_bracket,
+    inner_derivation_algebra, lie_triple_system, lts_of_lie, odd_part_lts, triple_bracket,
 )
 from test_exactlin import _assert_field_entries
 from test_cohom import _h2_ladder
@@ -331,6 +331,44 @@ def test_every_radical_generator_lies_in_the_kernel_of_lam(name, raw, field, mon
     assert odd == [[[list(v) for v in tij] for tij in ti] for ti in T.triple]
     assert_in_kernel_of_lam(odd, radical_generators(monkeypatch, lambda: envelope_criterion(A)),
                             field.p)
+
+
+def test_the_radical_builds_no_generator_the_echelon_does_not_read(monkeypatch):
+    """_radical hands its generators of A(M) to the echelon engine as they are built: on
+    the envelope of Ste(gl(6)) over Q the engine stops at the rank bound after reading
+    a fifth of them, and every generator built is one it read.  A spy counts the
+    embed._sparse_sum calls: each generator after the first group (lam(s_i).s_i, which
+    acts already holds) is one call, made while the engine runs."""
+    ste = standard_imbedding(lts_of_lie(oracles.gl_bracket(6), QQ))
+    sums, calls = [0], []
+
+    def counting(p, terms):
+        sums[0] += 1
+        return _sparse_sum(p, terms)
+
+    def spy(rows, p, bound):
+        read = [0]
+
+        def reading():
+            for row in rows:
+                read[0] += 1
+                yield row
+
+        before = sums[0]
+        echelon, picked = _echelon(reading(), p, bound)
+        calls.append((sums[0] - before, read[0], len(echelon)))
+        return echelon, picked
+
+    with monkeypatch.context() as m:
+        m.setattr(lietrip.embed, "_sparse_sum", counting)
+        m.setattr(lietrip.embed, "_echelon", spy)
+        lietrip.embed._bracket_radical(ste.algebra)
+    (_, _, _), (_, _, lam_rank), (built, read, rank) = calls
+    mdim = len(wedge_pairs(ste.algebra.dim1))
+    generators = lam_rank + lam_rank * (lam_rank - 1) // 2 + lam_rank * (mdim - lam_rank)
+    assert rank == mdim - ste.algebra.dim0  # the stop fired at the rank bound
+    assert read < generators // 4
+    assert built == read - lam_rank, (generators, read, built)
 
 
 @pytest.mark.parametrize("name, raw, field", LADDER + RATIONAL,

@@ -36,8 +36,8 @@ from .exactlin import (
     kernel_basis, quotient,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, is_generated_by_odd,
-    trivial_module,
+    GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, _central,
+    is_generated_by_odd, trivial_module,
 )
 
 if TYPE_CHECKING:  # lts loads with the constructions on a triple system, not with embed
@@ -216,11 +216,8 @@ def _module_quotient(F: Field, mdim: int, echelon: dict, act, lam_t: Sequence, r
         for g, v in zip(free[s + 1:], act(f, free[s + 1:])) if v}
     algebra = _assemble(F, q.dim, 0, ((s, t, _terms_of(p, v, den * scale))
                                       for (s, t), v in table.items()))
-    # [z, e_j] = sum_i z_i [e_i, e_j] at (j, c): table entry v = [e_s, e_t] adds z_s v at t, -z_t v at s
-    for z in map(dict, kernel_basis(mu).basis.terms):
-        if _sparse_sum(p, ((y, (((j, c), x) for c, x in v.items())) for (s, t), v in table.items()
-                           for j, y in ((t, z.get(s, 0)), (s, -z.get(t, 0))) if y)):
-            raise RuntimeError("kernel of mu is not central in the quotient")
+    if not _central(algebra, kernel_basis(mu)):
+        raise RuntimeError("kernel of mu is not central in the quotient")
     return ModuleQuotient(a_sub, q, algebra, mu)
 
 
@@ -365,18 +362,16 @@ class UniversalCentral0Extension(Record):
 
 def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
     """For L generated by its odd part: A(L_1) -> L, the identity on L_1, read off L's brackets
-    by _envelope.  Its kernel is eliminated once, and each basis vector z is checked to be 0
-    on the odd coordinates and to have [z, e_j] = 0 for every j: even and central."""
+    by _envelope.  Its kernel is eliminated once and checked even and central."""
     if not is_generated_by_odd(L):
         raise ValueError("algebra is not generated by its odd part")
     _, A, hom = _envelope(L)
     ker = kernel_basis(hom.matrix)
     if A.dim - ker.dim != L.dim:
         raise RuntimeError("extension of the identity failed to be surjective")
-    zs = ker.basis.terms
-    if any(i >= A.dim0 for z in zs for i, _ in z):
+    if any(i >= A.dim0 for z in ker.basis.terms for i, _ in z):
         raise RuntimeError("kernel escaped the even part")
-    if any(_sparse_sum(A.field.p, ((x, A.terms[i][j]) for i, x in z)) for z in zs for j in range(A.dim)):
+    if not _central(A, ker):
         raise RuntimeError("kernel escaped the center")
     return UniversalCentral0Extension(A, hom, ker)
 

@@ -528,7 +528,7 @@ def test_deeply_nested_json_is_invalid_input(capsys, tmp_path):
 
 def test_cli_internal_error_exit_code(capsys, tmp_path):
     # [e1, e2] = e1 puts an odd vector in [L1, L1]: not graded, caught only
-    # by the consistency check inside is_generated_by_odd
+    # by is_generated_by_odd's check that [L1, L1] lies in L0
     path = _bracket_payload(tmp_path, 1, 2, [(0, 1, 1), (1, 2, 1)])
     _one_error_line(capsys, ["thm-a", str(path), "--unchecked"], 3, "internal error: thm-a: ")
 

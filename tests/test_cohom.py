@@ -476,12 +476,16 @@ def _two_dim_systems_over_f3():
     return out
 
 
-def _by_central_lines(A):
-    """A divided by the first one and the first two basis vectors of the even
-    part of its center, as far as that has them."""
+def _central_lines(A):
+    """The spans of the first one and the first two basis vectors of the even
+    part of A's center, as far as that has them."""
     lines = center(A).intersect(A.even_subspace()).basis.entries
-    return [central_quotient(A, Subspace.span(A.field, A.dim, lines[:k]))[0]
-            for k in (1, 2) if k <= len(lines)]
+    return [Subspace.span(A.field, A.dim, lines[:k]) for k in (1, 2) if k <= len(lines)]
+
+
+def _by_central_lines(A):
+    """A divided by each of its central lines and planes."""
+    return [central_quotient(A, Z)[0] for Z in _central_lines(A)]
 
 
 def _odd_generated(field):
@@ -524,6 +528,37 @@ def test_h2_is_the_kernel_of_the_universal_central_0_extension(field):
             assert report.witness is None
         seen.add(h2)
     assert 0 in seen and max(seen) >= 2
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(5)], ids=str)
+def test_central_check_matches_center(field):
+    """grlie._central, the one centrality check of central_quotient, from_hom,
+    universal_central_0_extension and the module quotient, agrees with the
+    kernel that center eliminates: on the central lines and planes of the
+    odd-generated algebras, the kernels of their universal central
+    0-extensions, seeded random even and mixed spans, and unchecked tensors,
+    neither alternating nor Jacobi, where e_0 and e_1 - e_2 bracket to 0 on the left."""
+    rng = random.Random(34)
+    algebras = _odd_generated(field)
+    cases = [(L, Z) for L in algebras for Z in _central_lines(L)]
+    cases += [(ext.algebra, ext.kernel) for ext in map(universal_central_0_extension, algebras)]
+    for n in (3, 4):
+        c = [[[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        c[0], c[2] = [[0] * n] * n, c[1]  # [e_0, x] = 0 and [e_1 - e_2, x] = 0 for every x
+        algebras.append(graded_lie(field, 1, n - 1, c, unchecked=True))
+        cases += [(algebras[-1], Subspace.span(field, n, [v]))
+                  for v in ([1] + [0] * (n - 1), [0, 1, -1] + [0] * (n - 3))]
+    for L in algebras:
+        for k in (1, 2):
+            mixed = [[rng.randint(-1, 1) for _ in range(L.dim)] for _ in range(k)]
+            even = [v[:L.dim0] + [0] * L.dim1 for v in mixed]
+            cases += [(L, Subspace.span(field, L.dim, rows)) for rows in (even, mixed)]
+    seen = set()
+    for L, Z in cases:
+        verdict = lietrip.grlie._central(L, Z)
+        assert verdict == center(L).contains_subspace(Z)
+        seen.add((verdict, Z.dim))
+    assert {(True, 1), (True, 2), (False, 1), (False, 2)} <= seen
 
 
 def test_envelope_criterion_positive():

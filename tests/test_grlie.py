@@ -18,7 +18,7 @@ from lietrip.grlie import (
     is_graded_hom, restrict_hom_to_odd, subalgebra_generated, trivial_module,
 )
 from lietrip.lts import check_lts_axioms, is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts
-from test_cohom import _raw
+from test_cohom import _odd_generated, _raw
 from test_lts import LADDER
 
 FIELDS = [QQ, Field(2), Field(3), Field(5)]
@@ -237,14 +237,20 @@ def test_subalgebra_generated():
     assert subalgebra_generated(S, e_line) == e_line
 
 
-def _generation_cases(field, rng):
-    """(algebra, seed rows): the odd part, the even part and random seeds of
-    corpus algebras, of the envelopes of the ladder's systems but gl(3), and
-    of unchecked alternating tensors, which need not satisfy Jacobi."""
+def _checked_algebras(field):
+    """Corpus algebras, generated by their odd part or not, and the envelopes of
+    the ladder's systems but gl(3)."""
     algebras = [heis(field), ab2(field), sl2graded(field), sl2_double_swap(field),
                 direct_sum(sl2graded(field), even_line(field))]
-    algebras += [universal_imbedding(lie_triple_system(field, raw)).algebra
-                 for name, raw, f in LADDER if f == field and name != "gl(3)"]
+    return algebras + [universal_imbedding(lie_triple_system(field, raw)).algebra
+                       for name, raw, f in LADDER if f == field and name != "gl(3)"]
+
+
+def _generation_cases(field, rng):
+    """(algebra, seed rows): the odd part, the even part and random seeds of
+    the checked algebras and of unchecked alternating tensors, which need not
+    satisfy Jacobi."""
+    algebras = _checked_algebras(field)
     for n in (4, 5):
         c = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -261,7 +267,7 @@ def _generation_cases(field, rng):
             yield L, [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
 
 
-@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)], ids=str)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_subalgebra_generated_matches_naive_closure(field):
     full = proper = 0
     for L, seed in _generation_cases(field, random.Random(11)):
@@ -270,6 +276,15 @@ def test_subalgebra_generated_matches_naive_closure(field):
         full += got.dim == L.dim
         proper += got.dim < L.dim
     assert full and proper
+    # the theorem is_generated_by_odd decides by: on a graded Lie algebra, L_1
+    # generates L exactly when [L_1, L_1] = L_0
+    verdicts = set()
+    for L in _checked_algebras(field) + _odd_generated(field):
+        odd = [list(v) for v in L.odd_subspace().basis.entries]
+        generated = is_generated_by_odd(L)
+        assert generated == (len(oracles.subalgebra_closure(_raw(L), odd, field.p)) == L.dim)
+        verdicts.add(generated)
+    assert verdicts == {True, False}
 
 
 def test_generation_stops_at_the_full_space(monkeypatch):
@@ -293,6 +308,11 @@ def test_is_generated_by_odd():
     assert is_generated_by_odd(ab2())
     assert is_generated_by_odd(sl2graded())
     assert not is_generated_by_odd(direct_sum(sl2graded(), even_line()))
+    # an unchecked tensor with [e_1, e_2] = e_1 is not graded: its odd brackets leave L_0
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[1][2][1], c[2][1][1] = 1, -1
+    with pytest.raises(RuntimeError, match="leaves L_0"):
+        is_generated_by_odd(graded_lie(QQ, 1, 2, c, unchecked=True))
 
 
 def test_center_examples():

@@ -264,11 +264,12 @@ def _envelope(L: GradedLieAlgebra, radical: Optional[tuple] = None) -> tuple:
     central, of dimension H^2 (Weibel 7.9)."""
     F, p, d, n = L.field, L.field.p, L.dim0, L.dim1
     pairs, den, columns, act, echelon = _bracket_radical(L) if radical is None else radical
-    pair = _module_quotient(F, len(pairs), echelon, act, [L.terms[d + i][d + j] for i, j in pairs],
-                            d, den * den)
+    beta = [L.terms[d + i][d + j] for i, j in pairs]
+    pair = _module_quotient(F, len(pairs), echelon, act, beta, d, den * den)
+    # D_f is 0 where beta(e_f) is, and then none of its columns is built
     free = [w for w in range(len(pairs)) if w not in echelon]
-    algebra = _glue(pair.algebra, n, [[_terms_of(p, dict(v), den * den) for v in columns(f)] for f in free],
-                    pair.quotient.projection)
+    algebra = _glue(pair.algebra, n, [[_terms_of(p, dict(v), den * den) for v in columns(f)] if beta[f]
+                                      else () for f in free], pair.quotient.projection)
     q = len(free)
     hom = Matrix(F, L.dim, q + n, Nonzeros(pair.mu.terms + tuple(((q + a, F.one()),) for a in range(n))))
     return pair, algebra, GradedHom(algebra, L, hom, unchecked=True)
@@ -296,14 +297,15 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
 
 def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence, pairing: Matrix) -> GradedLieAlgebra:
     """The all-even L glued to a module M as the odd part, with [x+m, y+n] = ([x,y] + <m,n>) +
-    (x.n - y.m): actions[i][u] are the nonzeros (l, x) of e_i . m_u, and the pairing is a matrix on
-    the wedge coordinates of M.  Built by the trusted assembler, it checks nothing: the result is
-    Lie when the pairing is equivariant and <m,n>.k + <n,k>.m + <k,m>.n = 0.  Ste(T) and A(T)
-    satisfy both by theorem, and tests/test_trusted.py asserts that with check_graded_lie."""
+    (x.n - y.m): actions[i][u] are the nonzeros (l, x) of e_i . m_u (an empty actions[i] acts as
+    0), and the pairing is a matrix on the wedge coordinates of M.  Built by the trusted
+    assembler, it checks nothing: the result is Lie when the pairing is equivariant and
+    <m,n>.k + <n,k>.m + <k,m>.n = 0.  Ste(T) and A(T) satisfy both by theorem, and
+    tests/test_trusted.py asserts that with check_graded_lie."""
     d = L.dim
     pairs = [(i, j, L.terms[i][j]) for i in range(d) for j in range(i + 1, d)]
     pairs += [(i, d + u, [(d + l, x) for l, x in col])
-              for i, cols in enumerate(actions) for u, col in enumerate(cols)]
+              for i, cols in enumerate(actions) for u, col in enumerate(cols) if col]
     pairs += [(d + u, d + v, col) for col, (u, v) in zip(pairing.transpose().terms, wedge_pairs(mdim))]
     return _assemble(L.field, d, mdim, pairs)
 
@@ -322,9 +324,7 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     must map to zero) is re-verified at runtime.
     """
     from .lts import is_lts_hom, odd_part_lts
-    if alpha.rows != L.dim1 or alpha.cols != T.dim:
-        raise ValueError("alpha must be an L.dim1 x dim(T) matrix")
-    if envelope is not None and envelope.lts is not T and envelope.lts != T:
+    if envelope is not None and envelope.lts != T:
         raise ValueError("envelope is not the universal imbedding of T")
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
         raise ValueError("alpha is not a homomorphism into the odd part of L")
@@ -345,7 +345,7 @@ def imbedding_functor_hom(alpha: LtsHom,
                           source_env: Optional[UniversalImbedding] = None,
                           target_env: Optional[UniversalImbedding] = None) -> GradedHom:
     """The universal imbedding applied to a morphism of triple systems."""
-    if target_env is not None and target_env.lts is not alpha.target and target_env.lts != alpha.target:
+    if target_env is not None and target_env.lts != alpha.target:
         raise ValueError("target_env is not the universal imbedding of the target")
     env_s = target_env if target_env is not None else universal_imbedding(alpha.target)
     return extend_hom(alpha.source, env_s.algebra, alpha.matrix, envelope=source_env)

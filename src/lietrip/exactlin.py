@@ -364,6 +364,32 @@ class AxiomError(ValueError):
             f"first is {first.identity} at {self.prefix}{first.indices}")
 
 
+def _check_hom_matrix(matrix: Matrix, source, target) -> None:
+    """The hom contract's shape, then field: matrix is target.dim x source.dim over their field."""
+    if matrix.rows != target.dim or matrix.cols != source.dim:
+        raise ValueError("hom matrix shape mismatch")
+    if matrix.field != source.field or source.field != target.field:
+        raise ValueError("hom field mismatch")
+
+
+class Hom:
+    """The constructor and composition of the hom records, lts.LtsHom and grlie.GradedHom: each
+    lists this class before Record and defines _law(matrix, source, target), its hom predicate,
+    and _refusal, its message.  A matrix of another shape or field is refused even unchecked."""
+
+    def __init__(self, source, target, matrix: Matrix, unchecked: bool = False):
+        Record.__init__(self, source, target, matrix)
+        _check_hom_matrix(matrix, source, target)
+        if not unchecked and not self._law(matrix, source, target):
+            raise ValueError(self._refusal)
+
+    def compose(self, other):
+        """self . other (apply other first)."""
+        if other.target != self.source:
+            raise ValueError("composition mismatch")
+        return self.__class__(other.source, self.target, self.matrix.matmul(other.matrix), unchecked=True)
+
+
 def _terms_of(p: Optional[int], acc: dict, den: int = 1) -> tuple:
     """The sparse vector of integer sums {index: sum}: over Q divided by den."""
     if p is None:

@@ -19,10 +19,10 @@ from itertools import chain, combinations, compress
 from typing import TYPE_CHECKING, Sequence
 
 from .exactlin import (
-    AxiomError, AxiomReport, AxiomViolation, Field, Matrix, Nonzeros, Record, Subspace, Vector,
-    _as_nonzeros, _combination, _cyclic_keys, _defects, _integer_terms, _neg_terms, _span,
-    _sparse_sum, _subspace, _transposed, dense_tensor, kernel_basis, kernel_of_rows, nonzeros,
-    quotient, rank,
+    AxiomError, AxiomReport, AxiomViolation, Field, Hom, Matrix, Nonzeros, Record, Subspace,
+    Vector, _as_nonzeros, _check_hom_matrix, _combination, _cyclic_keys, _defects, _integer_terms,
+    _neg_terms, _span, _sparse_sum, _subspace, _transposed, dense_tensor, kernel_basis,
+    kernel_of_rows, nonzeros, quotient, rank,
 )
 
 if TYPE_CHECKING:  # only restrict_hom_to_odd loads lts
@@ -141,8 +141,7 @@ def check_graded_lie(L: GradedLieAlgebra) -> AxiomReport:
 
 def is_graded_hom(matrix: Matrix, source: GradedLieAlgebra, target: GradedLieAlgebra) -> bool:
     """Block structure phi(L_i) in K_i plus the hom law on basis pairs."""
-    if matrix.rows != target.dim or matrix.cols != source.dim:
-        raise ValueError("hom matrix shape mismatch")
+    _check_hom_matrix(matrix, source, target)
     if any(source.degree(j) != target.degree(i) for i, row in enumerate(matrix.terms) for j, _ in row):
         return False
     p = matrix.field.p
@@ -155,29 +154,12 @@ def is_graded_hom(matrix: Matrix, source: GradedLieAlgebra, target: GradedLieAlg
     return True
 
 
-class GradedHom(Record):
+class GradedHom(Hom, Record):
     source: GradedLieAlgebra
     target: GradedLieAlgebra
     matrix: Matrix  # target.dim x source.dim, block structure w.r.t. gradings
-
-    def __init__(self, source: GradedLieAlgebra, target: GradedLieAlgebra, matrix: Matrix,
-                 unchecked: bool = False):
-        Record.__init__(self, source, target, matrix)
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
-            raise ValueError("hom matrix shape mismatch")
-        if self.matrix.field != self.source.field or self.source.field != self.target.field:
-            raise ValueError("hom field mismatch")
-        if not unchecked and not is_graded_hom(self.matrix, self.source, self.target):
-            raise ValueError("matrix is not a graded Lie algebra homomorphism")
-
-    def apply(self, v: Vector) -> Vector:
-        return self.matrix.matvec(v)
-
-    def compose(self, other: "GradedHom") -> "GradedHom":
-        """self . other (apply other first)."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch")
-        return GradedHom(other.source, self.target, self.matrix.matmul(other.matrix), unchecked=True)
+    _law = staticmethod(lambda *hom: is_graded_hom(*hom))  # looked up by name at each call
+    _refusal = "matrix is not a graded Lie algebra homomorphism"
 
     def kernel(self) -> Subspace:
         return kernel_basis(self.matrix)
@@ -208,6 +190,8 @@ class GradedModule(Record):
         if type(action) is not Nonzeros:
             if any((a.rows, a.cols) != (m, m) for a in action):
                 raise ValueError("action shape mismatch")
+            if any(a.field != algebra.field for a in action):
+                raise ValueError("action field mismatch")
             action = Nonzeros(tuple(a.transpose().terms for a in action))
         terms = _as_nonzeros(action, (algebra.dim, m, m))
         if terms is None:
@@ -372,6 +356,8 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
     projection hom; the projection's kernel is exactly the ideal."""
     if ideal.ambient_dim != L.dim:
         raise ValueError("ideal ambient mismatch")
+    if ideal.field != L.field:
+        raise ValueError("ideal field mismatch")
     if any(i >= L.dim0 for z in ideal.basis.terms for i, _ in z):
         raise ValueError("ideal is not contained in the even part")
     if not _central(L, ideal):

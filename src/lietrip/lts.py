@@ -44,10 +44,10 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .exactlin import (
-    AxiomError, AxiomReport, AxiomViolation, Field, Matrix, Nonzeros, Record, Subspace, Vector,
-    _as_nonzeros, _cyclic_keys, _defects, _echelon, _integer_rows, _integer_terms, _keyed_sums,
-    _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of, dense_tensor, kernel_of_rows,
-    nonzeros, unit_vec,
+    AxiomError, AxiomReport, AxiomViolation, Field, Hom, Matrix, Nonzeros, Record, Subspace,
+    Vector, _as_nonzeros, _check_hom_matrix, _cyclic_keys, _defects, _echelon, _integer_rows,
+    _integer_terms, _keyed_sums, _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of,
+    dense_tensor, kernel_of_rows, nonzeros, unit_vec,
 )
 
 
@@ -169,32 +169,17 @@ def check_lts_axioms(T: LieTripleSystem) -> AxiomReport:
     return AxiomReport(not bad, tuple(bad))
 
 
-class LtsHom(Record):
+class LtsHom(Hom, Record):
     source: LieTripleSystem
     target: LieTripleSystem
     matrix: Matrix  # target.dim x source.dim
-
-    def __init__(self, source: LieTripleSystem, target: LieTripleSystem, matrix: Matrix,
-                 unchecked: bool = False):
-        Record.__init__(self, source, target, matrix)
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
-            raise ValueError("hom matrix shape mismatch")
-        if self.matrix.field != self.source.field or self.source.field != self.target.field:
-            raise ValueError("hom field mismatch")
-        if not unchecked and not is_lts_hom(self.matrix, self.source, self.target):
-            raise ValueError("matrix is not a homomorphism of Lie triple systems")
-
-    def compose(self, other: "LtsHom") -> "LtsHom":
-        """self . other (apply other first)."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition mismatch")
-        return LtsHom(other.source, self.target, self.matrix.matmul(other.matrix), unchecked=True)
+    _law = staticmethod(lambda *hom: is_lts_hom(*hom))  # looked up by name at each call
+    _refusal = "matrix is not a homomorphism of Lie triple systems"
 
 
 def is_lts_hom(alpha: Matrix, T: LieTripleSystem, S: LieTripleSystem) -> bool:
     """True iff alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all basis triples."""
-    if alpha.rows != S.dim or alpha.cols != T.dim:
-        raise ValueError("hom matrix shape mismatch")
+    _check_hom_matrix(alpha, T, S)
     p = S.field.p
     cols = alpha.transpose().terms
     for i in range(T.dim):

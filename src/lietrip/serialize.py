@@ -179,6 +179,8 @@ def load(payload: dict, *, unchecked: bool = False):
         if kind == "cochain":
             algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
             module = _load_nested(payload, "module", "GradedModule", unchecked)
+            if algebra.field != field:
+                raise PayloadError("cochain field mismatch")
             degree, values = dims["degree"], _parse(memo, entries, 2)
             from .cohom import Cochain
             f = Cochain(algebra, module, degree, values)

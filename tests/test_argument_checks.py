@@ -14,12 +14,13 @@ from lietrip.cohom import (
     graded_cochain_basis, split_central_0_extension,
 )
 from lietrip.corpus import ab2, abl, heis, odd2, sl2graded, sl2lts
+from lietrip.embed import extend_hom
 from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Subspace, inverse, quotient, unit_vec
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, central_quotient, direct_sum,
-    graded_pullback, identity_hom, subalgebra_generated, trivial_module,
+    graded_pullback, identity_hom, is_graded_hom, subalgebra_generated, trivial_module,
 )
-from lietrip.lts import LtsHom, identity_lts_hom, odd_part_lts
+from lietrip.lts import LtsHom, identity_lts_hom, is_lts_hom, odd_part_lts
 from lietrip.serialize import PayloadError, load, save
 
 F5 = Field(5)
@@ -61,6 +62,13 @@ def test_a_payload_without_its_field_is_invalid_input(capsys, tmp_path):
         load(payload)
     line = _refused_by_main(capsys, tmp_path, {"nofield": payload}, "thm-a")
     assert line.endswith("nofield.json: missing key 'field'")
+    # a cochain payload over another field than its algebra's
+    H = heis()
+    cochain = save(graded_cochain_basis(H, trivial_module(H), 2)[0])
+    cochain["field"] = "Fp:5"
+    for unchecked in (False, True):
+        with pytest.raises(PayloadError, match="^cochain field mismatch$"):
+            load(cochain, unchecked=unchecked)
 
 
 def test_a_triple_tensor_of_another_size_than_dim_is_invalid_input(capsys, tmp_path):
@@ -91,6 +99,28 @@ def test_save_refuses_a_value_it_cannot_serialize():
 
 # ---------------------------------------------------------------------------
 # homs and modules
+
+# every place a hom matrix enters, with the dimension of its square matrices
+HOM_ENTRIES = {
+    "LtsHom": (2, lambda m: LtsHom(odd2(), odd2(), m)),
+    "LtsHom(unchecked=True)": (2, lambda m: LtsHom(odd2(), odd2(), m, unchecked=True)),
+    "GradedHom": (3, lambda m: GradedHom(heis(), heis(), m)),
+    "GradedHom(unchecked=True)": (3, lambda m: GradedHom(heis(), heis(), m, unchecked=True)),
+    "is_lts_hom": (2, lambda m: is_lts_hom(m, odd2(), odd2())),
+    "is_graded_hom": (3, lambda m: is_graded_hom(m, heis(), heis())),
+    "extend_hom": (2, lambda m: extend_hom(odd2(), sl2graded(), m)),
+}
+
+
+@pytest.mark.parametrize("entry", HOM_ENTRIES)
+def test_a_hom_matrix_is_checked_for_shape_then_field(entry):
+    n, enter = HOM_ENTRIES[entry]
+    # wrong in both: the shape is named
+    with pytest.raises(ValueError, match="^hom matrix shape mismatch$"):
+        enter(Matrix.identity(F5, n + 1))
+    with pytest.raises(ValueError, match="^hom field mismatch$"):
+        enter(Matrix.identity(F5, n))
+
 
 def test_lts_hom_checks_shape_field_and_composition(capsys, tmp_path):
     for unchecked in (False, True):
@@ -145,11 +175,21 @@ def test_a_module_needs_one_square_action_per_basis_vector(capsys, tmp_path):
         GradedModule(H, 1, 0, (Matrix.identity(QQ, 2),) * 3)
     with pytest.raises(ValueError, match="^action shape mismatch$"):
         GradedModule(H, 1, 0, Nonzeros((((),),) * 2))
+    for unchecked in (False, True):
+        with pytest.raises(ValueError, match="^action field mismatch$"):
+            GradedModule(H, 1, 0, (Matrix.zeros(F5, 1, 1),) * 3, unchecked=unchecked)
     payload = save(trivial_module(H))
     payload["entries"] = payload["entries"][:-1]
-    for flags in ((), ("--unchecked",)):
-        line = _refused_by_main(capsys, tmp_path, {"L": "heis", "module": payload}, "h2", flags)
-        assert line.endswith("module.json: action shape mismatch")
+    # a zero action, and sl2graded's adjoint action, over another field than the algebra's
+    zero = save(trivial_module(H))
+    adjoint = save(adjoint_module(sl2graded()))
+    zero["field"] = adjoint["field"] = "Fp:5"
+    for L, module, message in (("heis", payload, "action shape mismatch"),
+                               ("heis", zero, "action field mismatch"),
+                               ("sl2graded", adjoint, "action field mismatch")):
+        for flags in ((), ("--unchecked",)):
+            line = _refused_by_main(capsys, tmp_path, {"L": L, "module": module}, "h2", flags)
+            assert line.endswith(f"module.json: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +214,8 @@ def test_central_quotient_needs_a_central_even_ideal():
     H = heis()
     with pytest.raises(ValueError, match="^ideal ambient mismatch$"):
         central_quotient(H, Subspace.zero(QQ, 2))
+    with pytest.raises(ValueError, match="^ideal field mismatch$"):
+        central_quotient(heis(F5), Subspace.span(QQ, 3, [unit_vec(QQ, 3, 0)]))
     with pytest.raises(ValueError, match="^ideal is not contained in the even part$"):
         central_quotient(H, Subspace.span(QQ, 3, [unit_vec(QQ, 3, 1)]))
     with pytest.raises(ValueError, match="^ideal is not central$"):

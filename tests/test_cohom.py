@@ -20,15 +20,20 @@ from lietrip.cohom import (
     cocycle_extension, envelope_criterion, graded_cochain_basis, h2_graded,
     is_0_centrally_closed, split_central_0_extension, zero_cochain,
 )
-from lietrip.embed import universal_central_0_extension, universal_imbedding
+from lietrip.embed import (
+    imbedding_functor_hom, universal_central_0_extension, universal_imbedding,
+)
 from lietrip.exactlin import (
     Field, Matrix, QQ, Subspace, _distinct_rows, _echelon, _null_vectors, unit_vec,
 )
 from lietrip.grlie import (
     GradedHom, abelian_algebra, adjoint_module, center, central_quotient, direct_sum, graded_lie,
-    identity_hom, is_generated_by_odd, trivial_module,
+    identity_hom, is_generated_by_odd, is_graded_hom, restrict_hom_to_odd, trivial_module,
 )
-from lietrip.lts import check_lts_axioms, lie_triple_system, lts_of_lie, odd_part_lts
+from lietrip.lts import (
+    LtsHom, check_lts_axioms, identity_lts_hom, is_lts_hom, lie_triple_system, lts_of_lie,
+    odd_part_lts,
+)
 from test_lts import LADDER
 
 GRADED_CORPUS = lambda field=QQ: [heis(field), ab2(field), sl2graded(field)]
@@ -528,6 +533,50 @@ def test_h2_is_the_kernel_of_the_universal_central_0_extension(field):
             assert report.witness is None
         seen.add(h2)
     assert 0 in seen and max(seen) >= 2
+
+
+def test_the_imbedding_functor_is_full_and_faithful_on_the_systems_over_f3():
+    """For a seeded sample of 40 ordered pairs (S, T) of the 2-dimensional systems over F_3,
+    and every (T, T): of the 243 block matrices, the graded homs A(S) -> A(T) are exactly
+    the images under imbedding_functor_hom of the triple-system homs S -> T among the 81
+    odd blocks (full), and restrict_hom_to_odd gives each hom's matrix back (faithful).
+    F(id) = id, and F(g f) = F(g) F(f) on a seeded sample of composable triples."""
+    F = Field(3)
+    systems = _two_dim_systems_over_f3()
+    envs = [universal_imbedding(T) for T in systems]
+    n = len(systems)
+    assert n == 27 and all((env.algebra.dim0, env.algebra.dim1) == (1, 2) for env in envs)
+    odd_blocks = [Matrix.make(F, [[a, b], [c, d]]) for a, b, c, d in product(range(3), repeat=4)]
+    blocks = [Matrix.make(F, [[x, 0, 0], [0, a, b], [0, c, d]])
+              for x in range(3) for a, b, c, d in product(range(3), repeat=4)]
+    functor = {}
+
+    def homs(s, t):
+        """The triple-system homs f: S -> T, each with F(f)."""
+        if (s, t) not in functor:
+            functor[s, t] = [(f, imbedding_functor_hom(f, source_env=envs[s], target_env=envs[t]))
+                             for f in (LtsHom(systems[s], systems[t], m, unchecked=True)
+                                       for m in odd_blocks if is_lts_hom(m, systems[s], systems[t]))]
+        return functor[s, t]
+
+    rng = random.Random(35)
+    pairs = {(t, t) for t in range(n)} | set(rng.sample(list(product(range(n), repeat=2)), 40))
+    for s, t in sorted(pairs):
+        images = [image.matrix for _, image in homs(s, t)]
+        assert all(restrict_hom_to_odd(image).matrix == f.matrix for f, image in homs(s, t))
+        graded = [m for m in blocks if is_graded_hom(m, envs[s].algebra, envs[t].algebra)]
+        assert len(images) == len(graded) and set(images) == set(graded), (s, t)
+    for t in range(n):
+        assert imbedding_functor_hom(identity_lts_hom(systems[t]), source_env=envs[t],
+                                     target_env=envs[t]) == identity_hom(envs[t].algebra)
+    composed = 0
+    for r, s, t in rng.sample(list(product(range(n), repeat=3)), 40):
+        for f, image_f in homs(r, s):
+            for g, image_g in homs(s, t):
+                image = imbedding_functor_hom(g.compose(f), source_env=envs[r], target_env=envs[t])
+                assert image == image_g.compose(image_f)
+                composed += not image.matrix.is_zero()
+    assert composed
 
 
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(5)], ids=str)

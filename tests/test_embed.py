@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -453,6 +454,25 @@ def test_universal_computes_derivations_once(monkeypatch):
     assert calls == []
 
 
+def test_universal_builds_no_action_where_the_bracket_is_zero(monkeypatch):
+    """D_f = ad(beta(e_f)) on L_1 is built only where beta(e_f) is nonzero: L_0 = 0 in
+    Ste(abl(8)), so A(abl(8)) builds no column of any D_f."""
+    built = []
+
+    def recording_cache(columns):
+        def recorded(u):
+            built.append(u)
+            return columns(u)
+        return functools.cache(recorded)
+
+    monkeypatch.setattr(lietrip.embed, "cache", recording_cache)
+    A = universal_imbedding(abl(8)).algebra
+    assert (A.dim0, A.dim1) == (28, 8) and built == []
+    # the spy is live: the brackets of Ste(sl2lts) are not zero
+    universal_imbedding(sl2lts())
+    assert built
+
+
 @pytest.mark.parametrize("T", CORPUS_LTS() + [lts_direct_sum(sl2lts(), abl(1))])
 def test_universal_invariants(T):
     env = universal_imbedding(T)
@@ -466,7 +486,7 @@ def test_universal_invariants(T):
     # upsilon restricted to the odd part is the identity on T
     n = T.dim
     for a in range(n):
-        v = env.upsilon.apply(env.iota.col(a))
+        v = env.upsilon.matrix.matvec(env.iota.col(a))
         assert v == env.ste.inclusion.col(a)
     # round trip: the odd part recovers T exactly
     assert odd_part_lts(env.algebra).triple == T.triple

@@ -229,8 +229,7 @@ TRUSTED_SITES = {
     ("grlie.abelian_algebra", "GradedLieAlgebra(unchecked=True)"),
     ("grlie.identity_hom", "GradedHom(unchecked=True)"),
     ("lts.identity_lts_hom", "LtsHom(unchecked=True)"),
-    ("grlie.GradedHom.compose", "GradedHom(unchecked=True)"),
-    ("lts.LtsHom.compose", "LtsHom(unchecked=True)"),
+    ("exactlin.Hom.compose", "__class__(unchecked=True)"),
     ("grlie.trivial_module", "GradedModule(unchecked=True)"),
     # the user's own flag, passed through
     ("lts.lie_triple_system", "LieTripleSystem(unchecked=unchecked)"),

@@ -14,8 +14,8 @@ _HOMES = {
     "cocycle_extension": "cohom", "cohom": "cohom", "derivation_algebra": "lts",
     "direct_sum": "grlie", "embed": "embed", "envelope_criterion": "embed", "exactlin": "exactlin",
     "extend_hom": "embed", "graded_cochain_basis": "cohom", "graded_lie": "grlie",
-    "graded_pullback": "grlie", "grlie": "grlie", "h2_graded": "cohom",
-    "ideal_closure_certificate": "lts", "imbedding_functor_hom": "embed", "inner_derivation": "lts",
+    "grlie": "grlie", "h2_graded": "cohom", "ideal_closure_certificate": "lts",
+    "imbedding_functor_hom": "embed", "inner_derivation": "lts",
     "inner_derivation_algebra": "lts", "is_0_centrally_closed": "cohom",
     "is_generated_by_odd": "grlie", "is_graded_hom": "grlie", "is_lts_hom": "lts",
     "kernel_basis": "exactlin", "lie_triple_system": "lts", "load": "serialize", "lts": "lts",
@@ -23,9 +23,9 @@ _HOMES = {
     "pair_algebra": "embed", "quotient": "exactlin", "rank": "exactlin",
     "restrict_hom_to_odd": "grlie", "rref": "exactlin", "save": "serialize",
     "serialize": "serialize", "solve": "exactlin", "split_central_0_extension": "cohom",
-    "standard_imbedding": "embed", "subalgebra_generated": "grlie", "triple_bracket": "lts",
-    "trivial_module": "grlie", "universal_central_0_extension": "embed",
-    "universal_imbedding": "embed", "wedge_module": "embed",
+    "standard_imbedding": "embed", "triple_bracket": "lts", "trivial_module": "grlie",
+    "universal_central_0_extension": "embed", "universal_imbedding": "embed",
+    "wedge_module": "embed",
 }
 __all__ = list(_HOMES)
 __version__ = "0.1.0"

@@ -73,10 +73,6 @@ def _combo_index(combo: tuple, n: int, degree: int) -> int:
     return idx
 
 
-def zero_cochain(L: GradedLieAlgebra, M: GradedModule, degree: int) -> Cochain:
-    return _cochain_at(L, M, degree, {})
-
-
 def graded_cochain_basis(L: GradedLieAlgebra, M: GradedModule, degree: int) -> list:
     """Indicator cochains spanning the graded cochain space, in the
     deterministic order (combination, module coordinate)."""

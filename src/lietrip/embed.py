@@ -328,6 +328,13 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
         raise ValueError("envelope is not the universal imbedding of T")
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
         raise ValueError("alpha is not a homomorphism into the odd part of L")
+    return _extend(T, L, alpha, envelope)
+
+
+def _extend(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
+            envelope: Optional[UniversalImbedding]) -> GradedHom:
+    """extend_hom past its checks: alpha is a triple-system hom T -> L_1, and envelope is None
+    or the universal imbedding of T."""
     env = envelope if envelope is not None else universal_imbedding(T)
     F = L.field
     # the columns of alpha, and their brackets, at their places in L
@@ -344,11 +351,15 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
 def imbedding_functor_hom(alpha: LtsHom,
                           source_env: Optional[UniversalImbedding] = None,
                           target_env: Optional[UniversalImbedding] = None) -> GradedHom:
-    """The universal imbedding applied to a morphism of triple systems."""
+    """The universal imbedding applied to a morphism of triple systems.  The hom law of alpha
+    was checked when the LtsHom was built, and the odd part of A(T) is T by construction, so
+    extend_hom's own check of alpha is not run again."""
     if target_env is not None and target_env.lts != alpha.target:
         raise ValueError("target_env is not the universal imbedding of the target")
+    if source_env is not None and source_env.lts != alpha.source:
+        raise ValueError("envelope is not the universal imbedding of T")
     env_s = target_env if target_env is not None else universal_imbedding(alpha.target)
-    return extend_hom(alpha.source, env_s.algebra, alpha.matrix, envelope=source_env)
+    return _extend(alpha.source, env_s.algebra, alpha.matrix, source_env)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ column, which is then cleared from the rows already there.  It runs
 exactly, with no modular pass: over F_p on residues, over Q on integer
 rows (``_integer_rows``), building a ``Fraction`` only per output entry.
 Its basis is the unique RREF basis, so every derived basis (RREF, spans,
-kernels, sums, intersections, quotient sections) is canonical and
+kernels, intersections, quotient sections) is canonical and
 reproducible.
 """
 
@@ -118,6 +118,8 @@ class Field(Record):
     p: Optional[int]
 
     def __init__(self, p: Optional[int] = None):
+        if p is not None and type(p) is not int:  # a float, bool or Fraction would reach the tag
+            raise TypeError(f"modulus must be an int, found {type(p).__name__}")
         if p is not None and not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
@@ -167,12 +169,6 @@ class Field(Record):
 
     def one(self) -> Scalar:
         return _ONE if self.p is None else 1
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.p is None else (a + b) % self.p
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.p is None else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.p is None else (-a) % self.p
@@ -456,9 +452,6 @@ class Matrix(Record):
             rows = len(cols[0])
         return cls(field, len(cols), rows, cols).transpose()
 
-    def col(self, j: int) -> Vector:
-        return dense_tensor(self.field, self.rows, self.transpose().terms[j], 0)
-
     def transpose(self) -> "Matrix":
         """The nonzeros regrouped by column, in one pass."""
         cols = [[] for _ in range(self.cols)]
@@ -483,20 +476,6 @@ class Matrix(Record):
         return Matrix(self.field, self.rows, other.cols, Nonzeros(tuple(
             _combination(p, ((a, rows[k]) for k, a in row)) for row in self.terms)))
 
-    def add(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        p = self.field.p
-        return Matrix(self.field, self.rows, self.cols, Nonzeros(tuple(
-            _combination(p, ((1, a), (1, b))) for a, b in zip(self.terms, other.terms))))
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-1))
-
-    def scale(self, c: Scalar) -> "Matrix":
-        p = self.field.p
-        return Matrix(self.field, self.rows, self.cols,
-                      Nonzeros(tuple(_combination(p, ((c, row),)) for row in self.terms)))
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.field != other.field:
             raise ValueError("hstack shape/field mismatch")
@@ -504,18 +483,11 @@ class Matrix(Record):
         return Matrix(self.field, self.rows, self.cols + other.cols, Nonzeros(tuple(
             a + tuple((j + shift, x) for j, x in b) for a, b in zip(self.terms, other.terms))))
 
-    def is_zero(self) -> bool:
-        return not any(self.terms)
-
     def to_lists(self) -> list:
         return [list(r) for r in dense_tensor(self.field, self.cols, self.terms, 1)]
 
     def flatten(self) -> Vector:
         return tuple(x for r in dense_tensor(self.field, self.cols, self.terms, 1) for x in r)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if (self.rows, self.cols, self.field) != (other.rows, other.cols, other.field):
-            raise ValueError("shape/field mismatch")
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple]:
@@ -592,10 +564,6 @@ class Subspace(Record):
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
         return _subspace(field, ambient_dim, {})
 
-    @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return _subspace(field, ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -611,13 +579,10 @@ class Subspace(Record):
     def contains_subspace(self, other: "Subspace") -> bool:
         return not any(self._residue(dict(row)) for row in other.basis.terms)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._compatible(other)
-        return _span(self.field, self.ambient_dim, map(dict, self.basis.terms + other.basis.terms))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel method: x = u*A = w*B forces (u, w) into a kernel."""
-        self._compatible(other)
+        if self.field != other.field or self.ambient_dim != other.ambient_dim:
+            raise ValueError("subspace field/ambient mismatch")
         p = self.field.p
         basis = self.basis.terms
         cols = Nonzeros(basis + tuple(_neg_terms(p, row) for row in other.basis.terms))
@@ -634,10 +599,6 @@ class Subspace(Record):
             if c in v:
                 _sub_multiple(v, v[c], row, p)
         return v
-
-    def _compatible(self, other: "Subspace") -> None:
-        if self.field != other.field or self.ambient_dim != other.ambient_dim:
-            raise ValueError("subspace field/ambient mismatch")
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -15,7 +15,7 @@ is the one centrality check.  Only ``restrict_hom_to_odd`` loads ``lts``.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Sequence
 
 from .exactlin import (
@@ -67,15 +67,8 @@ class GradedLieAlgebra(Record):
         F, n = self.field, self.dim
         return dense_tensor(F, n, _bracket(self, nonzeros(F, n, x), nonzeros(F, n, y)).items(), 0)
 
-    def ad(self, i: int) -> Matrix:
-        """Matrix of x -> [e_i, x]."""
-        return Matrix.from_cols(self.field, Nonzeros(self.terms[i]), rows=self.dim)
-
     def even_subspace(self) -> Subspace:
         return _subspace(self.field, self.dim, {i: {i: 1} for i in range(self.dim0)})
-
-    def odd_subspace(self) -> Subspace:
-        return _subspace(self.field, self.dim, {i: {i: 1} for i in range(self.dim0, self.dim)})
 
 
 def _bracket(L: GradedLieAlgebra, x, y) -> dict:
@@ -252,21 +245,6 @@ def adjoint_module(L: GradedLieAlgebra) -> GradedModule:
     return GradedModule(L, L.dim0, L.dim1, L.terms)
 
 
-def subalgebra_generated(L: GradedLieAlgebra, seed: Subspace) -> Subspace:
-    """Smallest bracket-closed subspace containing the seed, by iterating
-    V <- V + [V, V] until the dimension stabilizes or reaches dim L: the
-    whole space is closed, so no round confirms it."""
-    if seed.ambient_dim != L.dim:
-        raise ValueError("seed ambient mismatch")
-    while True:
-        base = seed.basis.terms
-        brackets = (_bracket(L, a, b) for a, b in combinations(base, 2))
-        grown = _span(L.field, L.dim, chain(map(dict, base), brackets))
-        if grown.dim in (seed.dim, L.dim):
-            return grown
-        seed = grown
-
-
 def is_generated_by_odd(L: GradedLieAlgebra) -> bool:
     """Whether L_1 generates L, decided as [L_1, L_1] = L_0 by one echelon of the brackets
     [e_i, e_j], i < j odd, stopped at rank dim L_0.  L_1 generates L_1 + [L_1, L_1], as that
@@ -307,48 +285,6 @@ def direct_sum(K: GradedLieAlgebra, U: GradedLieAlgebra) -> GradedLieAlgebra:
         (index[i], index[j], ((index[l], x) for l, x in A.terms[i][j]))
         for A, index in ((K, k_index), (U, u_index))
         for i in range(A.dim) for j in range(i + 1, A.dim)))
-
-
-def graded_pullback(phi: GradedHom, ups: GradedHom):
-    """Fibre product {k + u : phi(k) = ups(u)} inside K + U, with the two
-    projection homs; phi . pi_K = ups . pi_U holds by construction."""
-    if phi.target != ups.target:
-        raise ValueError("pullback requires a common codomain")
-    K, U = phi.source, ups.source
-    F = K.field
-    sols = kernel_basis(phi.matrix.hstack(ups.matrix.scale(-1)))  # in K + U
-
-    def odd(j: int) -> bool:
-        return K.dim0 <= j < K.dim or j >= K.dim + U.dim0
-
-    # when phi and ups are graded, so is sols, and then each row of its RREF
-    # basis lies wholly in the even or wholly in the odd coordinates: the rows
-    # of each parity are the RREF basis of that part, even rows first
-    rows = sorted(zip(sols.pivots, sols.basis.terms), key=lambda row: odd(row[0]))
-    if any(odd(j) != odd(c) for c, v in rows for j, _ in v):
-        raise RuntimeError("pullback solution space is not graded")
-    pivots = [c for c, _ in rows]
-    # each basis vector's K and U parts: its nonzeros below K.dim, and the rest moved down
-    parts = [(tuple((j, x) for j, x in v if j < K.dim), tuple((j - K.dim, x) for j, x in v if j >= K.dim))
-             for _, v in rows]
-
-    def coords(s: int, t: int) -> list:  # of [basis[s], basis[t]] in the basis: its pivot entries
-        (vk, vu), (wk, wu) = parts[s], parts[t]
-        u = _bracket(K, vk, wk)
-        u.update((K.dim + j, x) for j, x in _bracket(U, vu, wu).items())
-        if sols._residue(dict(u)):
-            raise RuntimeError("vector unexpectedly outside span")
-        return [(q, u[c]) for q, c in enumerate(pivots) if c in u]
-
-    dim_a = len(rows)
-    dim0 = sum(not odd(c) for c in pivots)
-    A = _assemble(F, dim0, dim_a - dim0, (
-        (s, t, coords(s, t)) for s in range(dim_a) for t in range(s + 1, dim_a)))
-    pk = GradedHom(A, K, Matrix.from_cols(F, Nonzeros(k for k, _ in parts), rows=K.dim),
-                   unchecked=True)
-    pu = GradedHom(A, U, Matrix.from_cols(F, Nonzeros(u for _, u in parts), rows=U.dim),
-                   unchecked=True)
-    return A, pk, pu
 
 
 def central_quotient(L: GradedLieAlgebra, ideal: Subspace):

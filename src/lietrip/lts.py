@@ -225,9 +225,6 @@ class DerivationAlgebra(Record):
         """The dense commutator table, derived from terms: bracket[a][b] = coordinates of [D_a, D_b]."""
         return dense_tensor(self.lts.field, self.dim, self.terms, 2)
 
-    def coordinates(self, endo: Matrix) -> Optional[Vector]:
-        return self.span.coordinates(endo.flatten())
-
 
 def _derivation_rows(T: LieTripleSystem):
     """The rows of D[a,b,c] = [Da,b,c] + [a,Db,c] + [a,b,Dc] on the basis

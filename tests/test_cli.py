@@ -11,7 +11,7 @@ import lietrip.cli
 import lietrip.cohom
 from lietrip.cli import build_parser, main
 from lietrip.cohom import (
-    coboundary, cocycle_extension, graded_cochain_basis, h2_graded, zero_cochain,
+    Cochain, coboundary, cocycle_extension, graded_cochain_basis, h2_graded,
 )
 import oracles
 from lietrip.corpus import (
@@ -169,7 +169,7 @@ def _scalar_payloads(F):
             ("graded_lie", save(H), [0, 0], [-1, -1]),
             ("graded_hom", save(identity_hom(H)), [0], [-1]),
             ("module", save(adjoint_module(sl2graded(F))), [0, 0], [-1, -1]),
-            ("cochain", save(zero_cochain(H, trivial_module(H, 2), 2)), [0], [-1])]
+            ("cochain", save(Cochain(H, trivial_module(H, 2), 2, ((0, 0),) * 3)), [0], [-1])]
 
 
 def _vector(payload, path):

@@ -1,20 +1,26 @@
 """No dead code in the library: every function, class and method defined in
-``src/lietrip`` is named somewhere outside its own definition, and every
-field of a ``Record`` class is read as an attribute somewhere.
+``src/lietrip`` is named by the program, its demos, its benchmark or its
+README, outside its own definition, and every field of a ``Record`` class
+is read as an attribute somewhere.
 
 A name counts when it appears as a variable, an attribute, an imported
 name, or a string constant (whole, or as one part of a dotted string such
-as ``"Matrix.matmul"``) in any Python file of ``src``, ``tests``, ``demos``
-or ``perfbench``.  Dunder methods are called by Python itself and are
-exempt.  A field counts only when some file of those directories reads
-``x.field``; the generic ``getattr`` over ``_fields`` in the record tests
-does not count.  A method that is not a property counts only when some file
-calls it, ``x.name(...)``, or names it in a dotted string, ``"Class.name"``:
-a mere attribute or variable of the same name, such as ``exc.value``, does
-not.
+as ``"Matrix.matmul"``) in any Python file of ``src``, ``demos`` or
+``perfbench``, or as a word in a code span of ``README.md`` (text in
+backticks or in a fenced block).  The tests do not count: a definition
+that only a test calls is dead.  Neither do the strings of the ``_HOMES``
+registry in ``src/lietrip/__init__.py``, which lists every public name.
+Dunder methods are called by Python itself and are exempt.  A method that
+is not a property counts only when some file calls it, ``x.name(...)``,
+or names it in a dotted string, ``"Class.name"``, or a README code span
+writes it after a dot: a mere attribute or variable of the same name,
+such as ``exc.value``, does not.  A field counts when some file of
+``src``, ``tests``, ``demos`` or ``perfbench`` reads ``x.field``; the
+generic ``getattr`` over ``_fields`` in the record tests does not count.
 """
 
 import ast
+import re
 from pathlib import Path
 
 # with the modules they import, these define every Record class
@@ -24,7 +30,8 @@ import lietrip.lts  # noqa: F401
 from lietrip.exactlin import Record
 
 ROOT = Path(__file__).resolve().parent.parent
-SEARCHED = ("src", "tests", "demos", "perfbench")
+SEARCHED = ("src", "demos", "perfbench")
+README = ROOT / "README.md"
 
 
 def _mentions(node):
@@ -42,10 +49,31 @@ def _mentions(node):
     return ()
 
 
-def _trees():
-    for top in SEARCHED:
+def _registry(node):
+    """Whether node is the assignment of the _HOMES registry in __init__.py."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "_HOMES" for t in node.targets)
+
+
+def _trees(tops=SEARCHED):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
-            yield path, ast.parse(path.read_text(encoding="utf-8"))
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            tree.body = [node for node in tree.body if not _registry(node)]
+            yield path, tree
+
+
+def _readme_words(text=None):
+    """(line, word, after_dot) for each identifier in a code span of the README,
+    or of text."""
+    text = README.read_text(encoding="utf-8") if text is None else text
+    fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    spans = [(m.start(1), m.group(1)) for m in fenced.finditer(text)]
+    prose = fenced.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), text)
+    spans += [(m.start(1), m.group(1)) for m in re.finditer(r"`([^`]+)`", prose)]
+    for start, span in spans:
+        for m in re.finditer(r"(?:(\.)|(?<![\w.]))([A-Za-z_]\w*)", span):
+            yield text.count("\n", 0, start + m.start()) + 1, m.group(2), bool(m.group(1))
 
 
 def _references():
@@ -55,7 +83,27 @@ def _references():
         for node in ast.walk(tree):
             for name in _mentions(node):
                 refs.setdefault(name, []).append((path, node.lineno))
+    for line, name, _ in _readme_words():
+        refs.setdefault(name, []).append((README, line))
     return refs
+
+
+def test_only_code_spans_of_the_readme_count():
+    text = ("prose_only `spanned.called` prose_too\n"
+            "```python\n"
+            "fenced(x)\n"
+            "```\n"
+            "after_the_fence\n")
+    assert sorted(_readme_words(text)) == [
+        (1, "called", True), (1, "spanned", False), (3, "fenced", False), (3, "x", False)]
+
+
+def test_tests_and_the_registry_are_not_searched():
+    searched = [path for path, _ in _trees()]
+    assert searched and not any((ROOT / "tests") in path.parents for path in searched)
+    init = ROOT / "src" / "lietrip" / "__init__.py"
+    assert sum(map(_registry, ast.parse(init.read_text(encoding="utf-8")).body)) == 1
+    assert not any(map(_registry, dict(_trees())[init].body))
 
 
 def _definitions():
@@ -91,7 +139,7 @@ def _record_fields():
 
 
 def test_every_record_field_is_read():
-    read = {node.attr for _, tree in _trees() for node in ast.walk(tree)
+    read = {node.attr for _, tree in _trees(SEARCHED + ("tests",)) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     fields = list(_record_fields())
     assert {cls for _, cls, _ in fields} == {cls.__name__ for cls in Record.__subclasses__()}
@@ -116,8 +164,9 @@ def _methods():
 
 
 def _method_uses():
-    """name -> list of (path, line) where it is called as x.name(...) or
-    named after a dot in a dotted string."""
+    """name -> list of (path, line) where it is called as x.name(...),
+    named after a dot in a dotted string, or written after a dot in a
+    README code span."""
     uses = {}
     for path, tree in _trees():
         for node in ast.walk(tree):
@@ -130,6 +179,9 @@ def _method_uses():
                     names = parts[1:]
             for name in names:
                 uses.setdefault(name, []).append((path, node.lineno))
+    for line, name, after_dot in _readme_words():
+        if after_dot:
+            uses.setdefault(name, []).append((README, line))
     return uses
 
 

@@ -9,6 +9,7 @@ import lietrip.cohom
 import lietrip.embed
 import lietrip.exactlin
 import lietrip.grlie
+import lietrip.lts
 import oracles
 from oracles import vec_is_zero
 from lietrip.cohom import envelope_criterion, h2_graded
@@ -102,10 +103,11 @@ def test_ste_sl2lts():
 def test_ste_imbedding_property(T):
     ste = standard_imbedding(T)
     n = T.dim
+    cols = ste.inclusion.transpose().entries
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                a, b, c = (ste.inclusion.col(x) for x in (i, j, k))
+                a, b, c = (cols[x] for x in (i, j, k))
                 lhs = ste.algebra.bracket_vec(ste.algebra.bracket_vec(a, b), c)
                 assert lhs == ste.inclusion.matvec(T.triple[i][j][k])
 
@@ -118,11 +120,11 @@ def test_wedge_module_abelian():
         assert wedge_module(abl(n)).inder_algebra.dim == 0
     w = wedge_module(abl(3))
     assert w.module.dim == 3
-    assert w.lam.is_zero()
+    assert not any(w.lam.terms)
     # the inner derivations (image of lam) are zero and act by zero; the full
     # derivation algebra is gl_3 here and acts by the usual induced wedge action
-    for u in range(w.module.dim):
-        assert w.module.act(w.lam.col(u)).is_zero()
+    for col in w.lam.transpose().entries:
+        assert not any(w.module.act(col).terms)
     assert any(any(map(any, oracles.wedge_action(x.to_lists()))) for x in derivation_algebra(abl(3)).basis)
 
 
@@ -145,11 +147,13 @@ def test_wedge_module_hom_identity():
     for T in (odd2(), sl2lts(), abl(3)):
         w = wedge_module(T)
         F = T.field
+        lam_cols = w.lam.transpose().entries
         for a in range(w.inder_algebra.dim):
             ea = unit_vec(F, w.inder_algebra.dim, a)
+            act_cols = w.module.action[a].transpose().entries
             for u in range(w.module.dim):
-                lhs = w.lam.matvec(w.module.action[a].col(u))
-                rhs = w.inder_algebra.bracket_vec(ea, w.lam.col(u))
+                lhs = w.lam.matvec(act_cols[u])
+                rhs = w.inder_algebra.bracket_vec(ea, lam_cols[u])
                 assert lhs == rhs
 
 
@@ -175,9 +179,11 @@ def _first_non_hom_pair(L, module, lam):
     """The first basis pair (a, u), in row-major order, at which
     lam(e_a . e_u) != [e_a, lam(e_u)], from dense matrix products."""
     F = L.field
+    lam_cols = lam.transpose().entries
     for a in range(L.dim):
+        act_cols = module.action[a].transpose().entries
         for u in range(module.dim):
-            if lam.matvec(module.action[a].col(u)) != L.bracket_vec(unit_vec(F, L.dim, a), lam.col(u)):
+            if lam.matvec(act_cols[u]) != L.bracket_vec(unit_vec(F, L.dim, a), lam_cols[u]):
                 return a, u
     return None
 
@@ -234,8 +240,8 @@ def test_radical_chain_inclusions():
         mq = module_quotient_algebra(w.inder_algebra, w.module, w.lam)
         ker = kernel_basis(w.lam)
         assert ker.contains_subspace(mq.a_subspace)
-        imker = [w.module.act(w.lam.col(u)).matvec(k)
-                 for u in range(w.module.dim) for k in ker.basis.entries]
+        imker = [w.module.act(col).matvec(k)
+                 for col in w.lam.transpose().entries for k in ker.basis.entries]
         assert mq.a_subspace.contains_subspace(
             Subspace.span(T.field, w.module.dim, imker))
 
@@ -386,7 +392,7 @@ def test_image_times_kernel_of_lam_lies_in_a(name, raw, field):
 def test_pair_algebra_examples():
     pa = pair_algebra(abl(2))
     assert pa.algebra.dim == 1
-    assert pa.mu.is_zero()
+    assert not any(pa.mu.terms)
     assert pa.a_subspace.dim == 0
 
     pa = pair_algebra(odd2())
@@ -399,7 +405,7 @@ def test_pair_algebra_examples():
     assert kernel_basis(pa.mu).dim == 0
     ind = inner_derivation_algebra(sl2lts())
     mu_end = ind.span.basis.transpose().matmul(pa.mu)  # mu flattened into End(T)
-    assert Subspace.span(QQ, 9, [mu_end.col(s) for s in range(3)]) == ind.span
+    assert Subspace.span(QQ, 9, mu_end.transpose().entries) == ind.span
 
 
 def test_pair_algebra_nontrivial_radical():
@@ -486,8 +492,8 @@ def test_universal_invariants(T):
     # upsilon restricted to the odd part is the identity on T
     n = T.dim
     for a in range(n):
-        v = env.upsilon.matrix.matvec(env.iota.col(a))
-        assert v == env.ste.inclusion.col(a)
+        v = env.upsilon.matrix.matvec(env.iota.transpose().entries[a])
+        assert v == env.ste.inclusion.transpose().entries[a]
     # round trip: the odd part recovers T exactly
     assert odd_part_lts(env.algebra).triple == T.triple
 
@@ -535,8 +541,8 @@ def test_pairing_reproduces_universal():
     for T in (odd2(), abl(2), sl2lts()):
         pa = pair_algebra(T)
         n = T.dim
-        mu_end = inner_derivation_algebra(T).span.basis.transpose().matmul(pa.mu)
-        mats = [Matrix.make(QQ, [[mu_end.col(s)[r * n + c] for c in range(n)]
+        flats = inner_derivation_algebra(T).span.basis.transpose().matmul(pa.mu).transpose().entries
+        mats = [Matrix.make(QQ, [[flats[s][r * n + c] for c in range(n)]
                                  for r in range(n)])
                 for s in range(pa.algebra.dim)]
         module = GradedModule(pa.algebra, n, 0, tuple(mats))
@@ -555,8 +561,8 @@ def test_pairing_reproduces_standard():
         for a in range(ind.dim):
             row = []
             for b in range(ind.dim):
-                comm = xs[a].matmul(xs[b]).sub(xs[b].matmul(xs[a]))
-                row.append(ind.span.coordinates(comm.flatten()))
+                xy, yx = xs[a].matmul(xs[b]).flatten(), xs[b].matmul(xs[a]).flatten()
+                row.append(ind.span.coordinates(tuple(u - v for u, v in zip(xy, yx))))
             table.append(tuple(row))
         L = GradedLieAlgebra(F, ind.dim, 0, tuple(table))
         module = GradedModule(L, n, 0, xs)
@@ -591,11 +597,11 @@ def test_pairing_hypothesis_violation():
     for a in range(ind.dim):
         row = []
         for b in range(ind.dim):
-            comm = xs[a].matmul(xs[b]).sub(xs[b].matmul(xs[a]))
-            row.append(ind.span.coordinates(comm.flatten()))
+            xy, yx = xs[a].matmul(xs[b]).flatten(), xs[b].matmul(xs[a]).flatten()
+            row.append(ind.span.coordinates(tuple(u - v for u, v in zip(xy, yx))))
         table.append(tuple(row))
     L = GradedLieAlgebra(F, ind.dim, 0, tuple(table))
-    doubled = tuple(x.scale(F.of(2)) for x in xs)
+    doubled = tuple(Matrix(F, x.rows, x.cols, [[2 * e for e in r] for r in x.entries]) for x in xs)
     module = GradedModule(L, n, 0, doubled, unchecked=True)
     from lietrip.lts import inner_derivation
     pair_cols = [ind.span.coordinates(
@@ -632,7 +638,7 @@ def test_extend_abl2_into_ab2():
 
 def test_extend_rejects_non_hom():
     with pytest.raises(ValueError, match="homomorphism"):
-        extend_hom(odd2(), sl2graded(), Matrix.identity(QQ, 2).scale(QQ.of(2)))
+        extend_hom(odd2(), sl2graded(), Matrix.make(QQ, [[2, 0], [0, 2]]))
 
 
 def test_extend_rejects_the_envelope_of_another_system():
@@ -658,7 +664,7 @@ def _reconstruct_even_block(T, L, alpha, env, ext):
     [alpha(.), alpha(.)]; agreement tests uniqueness/well-definedness."""
     F = L.field
     n = T.dim
-    alpha_cols = [tuple([F.zero()] * L.dim0) + alpha.col(j) for j in range(n)]
+    alpha_cols = [tuple([F.zero()] * L.dim0) + alpha.transpose().entries[j] for j in range(n)]
     pairs = wedge_pairs(n)
     for s in range(env.algebra.dim0):
         target = unit_vec(F, env.algebra.dim0, s)
@@ -668,8 +674,8 @@ def _reconstruct_even_block(T, L, alpha, env, ext):
         for c, (i, j) in zip(coeffs, pairs):
             if c:
                 term = L.bracket_vec(alpha_cols[i], alpha_cols[j])
-                image = tuple(F.add(a, F.mul(c, b)) for a, b in zip(image, term))
-        assert image == ext.matrix.col(s)
+                image = tuple(F.of(a + c * b) for a, b in zip(image, term))
+        assert image == ext.matrix.transpose().entries[s]
 
 
 def test_uniqueness_by_independent_reconstruction():
@@ -682,8 +688,8 @@ def test_uniqueness_by_independent_reconstruction():
         env = universal_imbedding(T)
         ext = extend_hom(T, L, alpha, envelope=env)
         for j in range(T.dim):
-            full = tuple([QQ.zero()] * L.dim0) + alpha.col(j)
-            assert ext.matrix.col(env.algebra.dim0 + j) == full
+            full = tuple([QQ.zero()] * L.dim0) + alpha.transpose().entries[j]
+            assert ext.matrix.transpose().entries[env.algebra.dim0 + j] == full
         _reconstruct_even_block(T, L, alpha, env, ext)
 
 
@@ -709,7 +715,7 @@ def test_functor_identity_and_zero():
     envA = universal_imbedding(A)
     zero = LtsHom(A, A, Matrix.zeros(QQ, 2, 2))
     g = imbedding_functor_hom(zero, source_env=envA, target_env=envA)
-    assert g.matrix.is_zero()
+    assert not any(g.matrix.terms)
 
 
 def test_functor_composition():
@@ -720,6 +726,25 @@ def test_functor_composition():
     lhs = imbedding_functor_hom(incl.compose(swap))
     rhs = imbedding_functor_hom(incl).compose(imbedding_functor_hom(swap))
     assert lhs.matrix == rhs.matrix
+
+
+def test_functor_does_not_check_the_hom_law_again(monkeypatch):
+    # an LtsHom's law was checked when it was built, and the odd part of A(T) is T
+    # by construction, so the functor runs no is_lts_hom and builds no odd_part_lts;
+    # extend_hom, given the same matrix, still checks it
+    T, S = odd2(), sl2lts()
+    incl = LtsHom(T, S, Matrix.make(QQ, [[0, 0], [1, 0], [0, 1]]))
+    envT, envS = universal_imbedding(T), universal_imbedding(S)
+    calls = []
+    for name in ("is_lts_hom", "odd_part_lts"):
+        inner = getattr(lietrip.lts, name)
+        monkeypatch.setattr(lietrip.lts, name,
+                            lambda *args, name=name, inner=inner: calls.append(name) or inner(*args))
+    f = imbedding_functor_hom(incl, source_env=envT, target_env=envS)
+    assert imbedding_functor_hom(incl) == f
+    assert calls == []
+    assert extend_hom(T, envS.algebra, incl.matrix, envelope=envT) == f
+    assert calls == ["odd_part_lts", "is_lts_hom"]
 
 
 def test_universal_central_0_extension_examples():

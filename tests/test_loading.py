@@ -29,13 +29,13 @@ PUBLIC = [
     "UniversalImbedding", "adjoint_module", "center", "central_quotient", "check_graded_lie",
     "check_lts_axioms", "coboundary", "cocycle_extension", "cohom", "derivation_algebra",
     "direct_sum", "embed", "envelope_criterion", "exactlin", "extend_hom", "graded_cochain_basis",
-    "graded_lie", "graded_pullback", "grlie", "h2_graded", "ideal_closure_certificate",
-    "imbedding_functor_hom", "inner_derivation", "inner_derivation_algebra",
+    "graded_lie", "grlie", "h2_graded", "ideal_closure_certificate", "imbedding_functor_hom",
+    "inner_derivation", "inner_derivation_algebra",
     "is_0_centrally_closed", "is_generated_by_odd", "is_graded_hom", "is_lts_hom", "kernel_basis",
     "lie_triple_system", "load", "lts", "lts_of_lie", "module_quotient_algebra", "odd_part_lts",
     "pair_algebra", "quotient", "rank", "restrict_hom_to_odd", "rref", "save", "serialize", "solve",
-    "split_central_0_extension", "standard_imbedding", "subalgebra_generated", "triple_bracket",
-    "trivial_module", "universal_central_0_extension", "universal_imbedding", "wedge_module",
+    "split_central_0_extension", "standard_imbedding", "triple_bracket", "trivial_module",
+    "universal_central_0_extension", "universal_imbedding", "wedge_module",
 ]
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('lietrip.'))"

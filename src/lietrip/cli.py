@@ -157,9 +157,10 @@ def _run_split(names, phi):
     dims = {"kernel_dim": prob.kernel.dim}
     if psi is not None:
         return "true", dims, {}, {"splitting": save(psi)}
-    h2 = h2_graded(prob.base, trivial_module(prob.base, prob.kernel.dim or 1))
+    # H^2 with coefficients in F^k is k copies of H^2 with coefficients in F; k > 0, as k = 0 splits
+    h2_dim = prob.kernel.dim * h2_graded(prob.base, trivial_module(prob.base)).dimension
     return ("false", dims,
-            {"obstruction": "the defining cocycle class is nonzero", "h2_dim": h2.dimension}, {})
+            {"obstruction": "the defining cocycle class is nonzero", "h2_dim": h2_dim}, {})
 
 
 def _run_closed(names, L):

@@ -21,7 +21,7 @@ from typing import Optional
 from .exactlin import (
     Matrix, Nonzeros, Record, Subspace, _as_nonzeros, _combination, _distinct_rows,
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed,
-    dense_tensor, rref, solve,
+    dense_tensor, rref,
 )
 from .grlie import GradedHom, GradedLieAlgebra, GradedModule, _assemble, _central, check_graded_lie
 
@@ -262,33 +262,32 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
         raise NotCentral0Extension("the hom is not surjective")
     eta = [tuple((pivots[r], x) for r, x in col) for col in red.transpose().terms[K.dim:]]
 
-    ker = prob.kernel
-    # sigma(e_i, e_j) = [eta e_i, eta e_j] - eta([e_i, e_j]), valued in the kernel
+    ker, n0 = prob.kernel, L.dim0
+    # sigma(e_i, e_j) = [eta e_i, eta e_j] - eta([e_i, e_j]), valued in the kernel; eta + tau sections
+    # phi when tau([e_i, e_j]) = sigma(e_i, e_j) at each pair of equal parity: one row [[e_i, e_j] | sigma]
     rows = []
-    rhs = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             sig = _sparse_sum(F.p, chain(
                 ((x * y, K.terms[a][b]) for a, x in eta[i] for b, y in eta[j]),
                 ((-x, eta[l]) for l, x in L.terms[i][j])))
-            sig_coords = [sig.get(c, F.zero()) for c in ker.pivots]
+            sig_coords = tuple((n0 + s, sig[c]) for s, c in enumerate(ker.pivots) if c in sig)
             if ker._residue(sig):
                 raise RuntimeError("section defect escaped the kernel")
             if L.degree(i) != L.degree(j):
-                if any(sig_coords):
+                if sig_coords:
                     raise RuntimeError("mixed-parity defect should vanish for a 0-extension")
                 continue
-            # unknowns: tau(e_l) for even l, in kernel coordinates
-            for s in range(ker.dim):
-                rows.append(tuple((l * ker.dim + s, x) for l, x in L.terms[i][j] if l < L.dim0))
-                rhs.append(sig_coords[s])
-    sol = solve(Matrix(F, len(rows), L.dim0 * ker.dim, Nonzeros(rows)), tuple(rhs))
-    if sol is None:
+            rows.append(tuple(t for t in L.terms[i][j] if t[0] < n0) + sig_coords)
+    # a pivot in sigma's block: the class is not zero; else tau(e_c) is sigma's block of the row at
+    # each pivot c, and 0 at the free columns
+    red, pivots = rref(Matrix(F, len(rows), n0 + ker.dim, Nonzeros(rows)))
+    if any(c >= n0 for c in pivots):
         return None
-    psi_cols = []
-    for l in range(L.dim):
-        tau = zip(sol[l * ker.dim:(l + 1) * ker.dim], ker.basis.terms) if l < L.dim0 else ()
-        psi_cols.append(_combination(F.p, chain(((1, eta[l]),), tau)))
+    tau = dict(zip(pivots, red.terms))
+    psi_cols = [_combination(F.p, chain(((1, eta[l]),), ((x, ker.basis.terms[s - n0])
+                                                         for s, x in tau.get(l, ()) if s >= n0)))
+                for l in range(L.dim)]
     psi = GradedHom(L, K, Matrix.from_cols(F, Nonzeros(psi_cols), rows=K.dim), unchecked=True)
     if phi.compose(psi).matrix != Matrix.identity(F, L.dim):
         raise RuntimeError("splitting failed to section the extension")

@@ -435,10 +435,6 @@ class Matrix(Record):
         return cls(field, len(rows), cols, rows)
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, Nonzeros(((),) * rows))
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, n, n, Nonzeros(tuple(((i, field.one()),) for i in range(n))))
 

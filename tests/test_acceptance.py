@@ -251,7 +251,7 @@ def test_criterion_10_functoriality():
     incl = LtsHom(odd2(), sl2lts(), Matrix.make(QQ, [[0, 0], [1, 0], [0, 1]]))
     swap = LtsHom(odd2(), odd2(), Matrix.make(QQ, [[0, 1], [1, 0]]))
     neg = LtsHom(odd2(), odd2(), Matrix.make(QQ, [[-1, 0], [0, -1]]))
-    zero22 = LtsHom(abl(2), abl(2), Matrix.zeros(QQ, 2, 2))
+    zero22 = LtsHom(abl(2), abl(2), Matrix(QQ, 2, 2, ((0,) * 2,) * 2))
     any22 = LtsHom(abl(2), abl(2), Matrix.make(QQ, [[1, 2], [3, 4]]))
     a23 = LtsHom(abl(2), abl(3), Matrix.make(QQ, [[1, 0], [2, 1], [0, -1]]))
     a32 = LtsHom(abl(3), abl(2), Matrix.make(QQ, [[1, 1, 0], [0, 2, 5]]))

@@ -177,7 +177,7 @@ def test_a_module_needs_one_square_action_per_basis_vector(capsys, tmp_path):
         GradedModule(H, 1, 0, Nonzeros((((),),) * 2))
     for unchecked in (False, True):
         with pytest.raises(ValueError, match="^action field mismatch$"):
-            GradedModule(H, 1, 0, (Matrix.zeros(F5, 1, 1),) * 3, unchecked=unchecked)
+            GradedModule(H, 1, 0, (Matrix(F5, 1, 1, ((0,) * 1,) * 1),) * 3, unchecked=unchecked)
     payload = save(trivial_module(H))
     payload["entries"] = payload["entries"][:-1]
     # a zero action, and sl2graded's adjoint action, over another field than the algebra's
@@ -230,7 +230,7 @@ def test_cocycle_extension_checks_its_cochain_and_its_coefficients():
 
 def test_split_refuses_a_problem_whose_hom_is_not_onto():
     H = heis()
-    phi = GradedHom(H, H, Matrix.zeros(QQ, 3, 3), unchecked=True)
+    phi = GradedHom(H, H, Matrix(QQ, 3, 3, ((0,) * 3,) * 3), unchecked=True)
     prob = CentralExtensionProblem(H, H, phi, Subspace.span(QQ, 3, Matrix.identity(QQ, 3).entries))
     with pytest.raises(NotCentral0Extension, match="^the hom is not surjective$"):
         split_central_0_extension(prob)

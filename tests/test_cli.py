@@ -19,9 +19,10 @@ from lietrip.corpus import (
     sl2_double_swap, sl2graded, sl2lts,
 )
 from lietrip.embed import universal_imbedding
-from lietrip.exactlin import Field, Matrix, QQ
+from lietrip.exactlin import Field, Matrix, QQ, Subspace
 from lietrip.grlie import (
-    GradedHom, adjoint_module, direct_sum, graded_lie, identity_hom, trivial_module,
+    GradedHom, adjoint_module, central_quotient, direct_sum, graded_lie, identity_hom,
+    trivial_module,
 )
 from lietrip.lts import LieTripleSystem, LtsHom, identity_lts_hom, lie_triple_system
 from lietrip.serialize import PayloadError, load, save
@@ -702,6 +703,8 @@ GOLDEN_REPORTS = {
     ('split', 'proj.json', 'Q'): (1, '6fb91d80c3c57b6ac0e0abbcf176bc669c30db056e551d2f81eba179e18a8693', 'split: false\n'),
     ('split', 'cobext.json', 'Q'): (0, '7d3109d558863aa9a81050823068244917e2fa15d0733548f53676fa073a836a', ''),
     ('split', 'cobext_line.json', 'Q'): (0, 'a6a5cd65d21ac20000bddf5f739401480acbbaf26946f0ea07cbc1af0b838892', ''),
+    ('split', 'cobext2.json', 'Q'): (0, '14c58d9aaa883f8f3b726a17d216aa99d1ff6aecd419ef2bb7ee919e30c677c8', ''),
+    ('split', 'cquot2.json', 'Q'): (1, '8589fe06d276319c6f4a1d7532a04e18bab29d78ddbe9cfcd721de8b0f065f4e', 'split: false\n'),
     ('split', 'notsurj.json', 'Q'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: the hom is not surjective\n'),
     ('closed', 'heis', 'Q'): (0, 'b9c1f30ae13dac9dbc7d9822f0ae3b0b33c80b1a7d9b57a014c13522485a4107', ''),
     ('closed', 'ab2', 'Q'): (1, '861148ffe40b06bdb75147ca20baf365c867a8db05bc2f77866dcf77a7b1f7b8', 'closed: false\n'),
@@ -728,6 +731,8 @@ GOLDEN_REPORTS = {
     ('split', 'proj.json', 'Fp:5'): (1, '5284b85f019f7292fb636f01d82d052ded9789b2d24c0657fabbb4f06e76cbc3', 'split: false\n'),
     ('split', 'cobext.json', 'Fp:5'): (0, '828df729b97c426a6fa9243b5aa982f7b80ab8202e40b294754e31038008ce6d', ''),
     ('split', 'cobext_line.json', 'Fp:5'): (0, '11c6d5754be25a7fc6ba16fbb40ef6d3568bb2b124242a0662c1e2541d4dd176', ''),
+    ('split', 'cobext2.json', 'Fp:5'): (0, 'e01851644d099e4e91e8155bdd15b8fd87425eb7fecc689a0dd91f3f23eecbdb', ''),
+    ('split', 'cquot2.json', 'Fp:5'): (1, 'e0b1024141c03b3335599019d3b9349ceadd8fad06f341e9d9d4ebf8394ab4ad', 'split: false\n'),
     ('split', 'notsurj.json', 'Fp:5'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: the hom is not surjective\n'),
     ('closed', 'heis', 'Fp:5'): (0, 'eae28b4a3cbbf555480b4fe93ebc8704ac658b73a7c7bcf4de326c38b50ce785', ''),
     ('closed', 'ab2', 'Fp:5'): (1, 'b51d1bcad33dd17855ecd3ce02036d7edccd1b212cf94b7f65fc376468cb3e36', 'closed: false\n'),
@@ -744,6 +749,8 @@ def _golden_payloads(F):
     H, M = heis(F), trivial_module(heis(F))
     HL = direct_sum(H, even_line(F))
     ML = trivial_module(HL)
+    M2 = trivial_module(H, 2)
+    A = universal_imbedding(abl(3, F)).algebra
     return {
         "broken_lts.json": LieTripleSystem(F, 1, ((((F.one(),),),),), unchecked=True),
         "broken_graded.json": graded_lie(F, 1, 2, graded, unchecked=True),
@@ -756,7 +763,14 @@ def _golden_payloads(F):
         # the even line, outside [L, L], it is the section the split takes
         "cobext.json": cocycle_extension(H, M, coboundary(graded_cochain_basis(H, M, 1)[0])).phi,
         "cobext_line.json": cocycle_extension(HL, ML, coboundary(graded_cochain_basis(HL, ML, 1)[0])).phi,
-        "notsurj.json": GradedHom(heis(F), heis(F), Matrix.zeros(F, 3, 3)),
+        # split with a two-dimensional kernel: sigma reaches both kernel lines, and it splits
+        "cobext2.json": cocycle_extension(H, M2, coboundary(
+            Cochain(H, M2, 1, ((1, 2), (0, 0), (0, 0))))).phi,
+        # A(abl(3)) onto its quotient by a central plane: the class is nonzero, and the report
+        # carries h2_dim = 2 x H^2 of the quotient with coefficients in F
+        "cquot2.json": central_quotient(A, Subspace.span(F, A.dim, [[1, 1, 0, 0, 0, 0],
+                                                                    [0, 1, 2, 0, 0, 0]]))[1],
+        "notsurj.json": GradedHom(heis(F), heis(F), Matrix(F, 3, 3, ((0,) * 3,) * 3)),
         "notgen.json": direct_sum(sl2graded(F), even_line(F)),
     }
 
@@ -801,6 +815,8 @@ GOLDEN_LOADS = {
     ('broken_lts.json', 'Q'): '11135f3ba8613572a302856b388611a198954e5872e3fe62e6ae87c75ad8c01d',
     ('cobext.json', 'Q'): 'af7057e14cbf1cbfdca44c4b4d2b3cfa4ad2a7c6a3ce5396b1529a09fa9e5a0c',
     ('cobext_line.json', 'Q'): 'fd504f31d6d300079b574c7c634d9e2bdf97b1def2b1635e9ad9dde6c62764cd',
+    ('cobext2.json', 'Q'): 'e413b20b2be1aa4b39f568050c905e85bc6b5ed351f9b7acfdba5768d034c422',
+    ('cquot2.json', 'Q'): 'd7ca1911f5b3c398001999a85638371d35ecfa48feaaa4b293ffde59b1e92429',
     ('heis', 'Q'): 'ce573d0248bf01077d3f34b3bcd8fa1fd4251b6d5145390663d77ae9968b7efb',
     ('hom.json', 'Q'): '4195c721730f1317b4f8bb4091cba722b6bbe2c04c78b14a836c23c47ad1662a',
     ('iso.json', 'Q'): '3acaac5fe20536c14ba5349a551d6afdff721de5a90877359241a7a4c475909f',
@@ -829,6 +845,8 @@ GOLDEN_LOADS = {
     ('broken_lts.json', 'Fp:5'): '80f669a4d744f9b42b7ffa98ed6a17fbc3c9eb342c88d67f59be4bf90f2f9a8f',
     ('cobext.json', 'Fp:5'): 'f5d95a91c17afb7ef636c1384a7e2c550b401fd3b33e0d7383946585f68e8b00',
     ('cobext_line.json', 'Fp:5'): '031af435731d0ef4a1f27f8625dd7ac755f29fc461dc0f17511fdf1cb5cfbbcd',
+    ('cobext2.json', 'Fp:5'): 'e1dfb7a5b83ef65af16ec17575548c3e75f14932ac439cb88c6532c05e9b175e',
+    ('cquot2.json', 'Fp:5'): 'c2dc7b9af85e65b450ee64ac933874b5df26914b1887369431d9065e119a0ae1',
     ('heis', 'Fp:5'): '8ee72b6fa8ce1615bb52bada5e31afe81d12da26830185558207735f8d3bdecb',
     ('hom.json', 'Fp:5'): '33ed0f25fed1d2ffeb8f95b540ae7b876275917aab879b661d74dd6c91b7b4a2',
     ('iso.json', 'Fp:5'): '766f7c962d2bee1738e677c9490e04f1168c0d40eaaa305640819f0f6e8445b2',

@@ -363,7 +363,7 @@ def test_central_extension_problem_validation():
     with pytest.raises(NotCentral0Extension):
         CentralExtensionProblem.from_hom(odd_proj)
 
-    not_surjective = GradedHom(B, B, Matrix.zeros(QQ, 2, 2))
+    not_surjective = GradedHom(B, B, Matrix(QQ, 2, 2, ((0,) * 2,) * 2))
     with pytest.raises(NotCentral0Extension):
         CentralExtensionProblem.from_hom(not_surjective)
 
@@ -390,7 +390,7 @@ def test_central_extension_problem_reads_surjectivity_from_its_kernel(monkeypatc
         # the first failing condition names the error, in the order surjective,
         # even, central
         for phi, message in (
-                (GradedHom(heis(F), heis(F), Matrix.zeros(F, 3, 3)), "not surjective"),
+                (GradedHom(heis(F), heis(F), Matrix(F, 3, 3, ((0,) * 3,) * 3)), "not surjective"),
                 (GradedHom(ab2(F), abelian_algebra(F, 0, 1), Matrix.make(F, [[1, 0]])),
                  "not contained in the even part"),
                 (GradedHom(b, abelian_algebra(F, 1, 0), Matrix.make(F, [[1, 0]])), "not central")):
@@ -449,6 +449,110 @@ def test_split_of_coboundary_extension():
     psi = split_central_0_extension(prob)
     assert psi is not None
     assert prob.phi.compose(psi).matrix == Matrix.identity(QQ, L.dim)
+
+
+def _seeded_coboundary(L, M, rng):
+    """d of a seeded graded 1-cochain: M has no odd part, so only the even basis vectors map."""
+    return coboundary(Cochain(L, M, 1, tuple(
+        tuple(rng.randint(-3, 3) for _ in range(M.dim)) if i < L.dim0 else (0,) * M.dim
+        for i in range(L.dim))))
+
+
+def _rank(rows, p):
+    return oracles.frac_rank(rows, p) if rows else 0
+
+
+def _is_coboundary(sigma):
+    """Whether each coordinate of sigma, on the pairs of equal parity, lies in the
+    column span of the oracle's d_1 with coefficients in F."""
+    L, p = sigma.algebra, sigma.algebra.field.p
+    raw = _raw(L)
+    d1, pairs = oracles.delta1_matrix(raw), oracles.graded_pairs(raw)
+    at = dict(zip(combinations(range(L.dim), 2), sigma.values))
+    return all(_rank([row + [at[pair][s]] for row, pair in zip(d1, pairs)], p) == _rank(d1, p)
+               for s in range(sigma.module.dim))
+
+
+def _splits_by_the_derived_algebra(prob):
+    """A central 0-extension splits exactly when its kernel meets [K, K] in 0."""
+    p = prob.total.field.p
+    derived = [list(v) for row in prob.total.bracket for v in row]
+    kernel = [list(v) for v in prob.kernel.basis.entries]
+    return _rank(derived + kernel, p) == _rank(derived, p) + len(kernel)
+
+
+def _central_projections(field):
+    """A(abl(3)), whose even part is central, onto its quotients by two lines and two planes."""
+    A = universal_imbedding(abl(3, field)).algebra
+    return [central_quotient(A, Subspace.span(field, A.dim, vecs))[1] for vecs in (
+        [[1, 0, 0, 0, 0, 0]], [[1, 2, -1, 0, 0, 0]],
+        [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], [[1, 1, 0, 0, 0, 0], [0, 1, 2, 0, 0, 0]])]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
+def test_split_is_one_problem_for_a_kernel_of_any_dimension(field):
+    """On central quotients of A(abl(3)), heis and ab2, and on their cocycle
+    extensions by k = 1, 2 and 3 lines: H^2 with coefficients in F^k is k copies
+    of H^2 with coefficients in F; split returns psi exactly when sigma is a
+    coboundary, and then psi is a graded hom with phi psi = id; and the quotient
+    maps split exactly when their kernel meets [K, K] in 0."""
+    rng = random.Random(11)
+    projections = _central_projections(field)
+    verdicts = set()
+    for L in [proj.target for proj in projections] + [heis(field), ab2(field)]:
+        h2 = h2_graded(L, trivial_module(L)).dimension
+        for k in (1, 2, 3):
+            M = trivial_module(L, k)
+            result = h2_graded(L, M)
+            assert result.dimension == k * h2
+            cob = _seeded_coboundary(L, M, rng)
+            sigmas = [cob] + [Cochain(L, M, 2, tuple(tuple(a + b for a, b in zip(u, v))
+                                                     for u, v in zip(rep.values, cob.values)))
+                              for rep in result.representatives]
+            for sigma in sigmas:
+                prob = cocycle_extension(L, M, sigma)
+                psi = split_central_0_extension(prob)
+                assert (psi is not None) == _is_coboundary(sigma)
+                verdicts.add(psi is not None)
+                if psi is not None:
+                    assert prob.phi.compose(psi).matrix == Matrix.identity(field, L.dim)
+                    assert is_graded_hom(psi.matrix, L, prob.total)
+    for proj in projections:
+        prob = CentralExtensionProblem.from_hom(proj)
+        assert (split_central_0_extension(prob) is not None) == _splits_by_the_derived_algebra(prob)
+    assert verdicts == {True, False}
+
+
+def test_split_takes_tau_from_one_elimination(monkeypatch):
+    """tau comes from one rref of [even brackets | sigma], a row per pair of equal
+    parity and L.dim0 + k columns, after the one of [phi | I] that reads the
+    section eta; solve is not called."""
+    calls = []
+
+    def spy(real, name):
+        def recording(m, *args):
+            calls.append((name, m.rows, m.cols))
+            return real(m, *args)
+        return recording
+
+    for module in (lietrip.exactlin, lietrip.cohom):
+        for name in ("solve", "solve_with_certificate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(getattr(module, name), name))
+    monkeypatch.setattr(lietrip.cohom, "rref", spy(lietrip.cohom.rref, "rref"))
+    for F in (QQ, Field(5)):
+        projections = _central_projections(F)
+        for k in (1, 2, 3):
+            H, M = heis(F), trivial_module(heis(F), k)
+            extension = cocycle_extension(H, M, _seeded_coboundary(H, M, random.Random(k)))
+            cases = [(CentralExtensionProblem.from_hom(proj), False)
+                     for proj in projections if proj.kernel().dim == k] + [(extension, True)]
+            for prob, splits in cases:
+                L = prob.base
+                calls.clear()
+                assert (split_central_0_extension(prob) is not None) == splits
+                pairs = comb(L.dim0, 2) + comb(L.dim1, 2)
+                assert calls == [("rref", L.dim, prob.total.dim + L.dim), ("rref", pairs, L.dim0 + k)]
 
 
 def test_is_0_centrally_closed():

@@ -14,9 +14,14 @@ Dunder methods are called by Python itself and are exempt.  A method that
 is not a property counts only when some file calls it, ``x.name(...)``,
 or names it in a dotted string, ``"Class.name"``, or a README code span
 writes it after a dot: a mere attribute or variable of the same name,
-such as ``exc.value``, does not.  A field counts when some file of
-``src``, ``tests``, ``demos`` or ``perfbench`` reads ``x.field``; the
-generic ``getattr`` over ``_fields`` in the record tests does not count.
+such as ``exc.value``, does not, and neither does a call whose receiver
+``x`` is a name that an ``import`` statement of the same file binds to a
+module outside ``lietrip``, such as ``json.dumps(...)`` or perfbench's
+``gen.zeros(...)``.  Calls on any other receiver, a local variable such
+as a set's ``add`` among them, are matched by the method's name alone.
+A field counts when some file of ``src``, ``tests``, ``demos`` or
+``perfbench`` reads ``x.field``; the generic ``getattr`` over ``_fields``
+in the record tests does not count.
 """
 
 import ast
@@ -163,22 +168,42 @@ def _methods():
                     yield path, node.name, item.name, first, item.end_lineno
 
 
+def _method_mentions(tree):
+    """(name, line) for each x.name(...) call in a tree whose receiver x is not
+    a name that an import statement binds to a module outside lietrip, and
+    for each part after the first of a dotted string."""
+    modules = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.partition(".")[0] != "lietrip"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            if not (isinstance(receiver, ast.Name) and receiver.id in modules):
+                yield node.func.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                yield from ((part, node.lineno) for part in parts[1:])
+
+
+def test_calls_on_modules_outside_the_library_do_not_count():
+    tree = ast.parse("import json\n"
+                     "import perf.gen as gen, lietrip.cohom\n"
+                     "from . import corpus\n"
+                     "json.dumps(x); gen.zeros(2); lietrip.cohom.split(p); corpus.by_name(n)\n"
+                     "seen.add(1); Matrix.identity(F, 2); f(x).transpose()\n"
+                     "'Matrix.matmul'\n")
+    assert sorted(_method_mentions(tree)) == [
+        ("add", 5), ("by_name", 4), ("identity", 5), ("matmul", 6), ("split", 4), ("transpose", 5)]
+
+
 def _method_uses():
-    """name -> list of (path, line) where it is called as x.name(...),
-    named after a dot in a dotted string, or written after a dot in a
-    README code span."""
+    """name -> list of (path, line) where a file mentions it as a method, by
+    _method_mentions, or a README code span writes it after a dot."""
     uses = {}
     for path, tree in _trees():
-        for node in ast.walk(tree):
-            names = ()
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                names = (node.func.attr,)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                parts = node.value.split(".")
-                if len(parts) > 1 and all(part.isidentifier() for part in parts):
-                    names = parts[1:]
-            for name in names:
-                uses.setdefault(name, []).append((path, node.lineno))
+        for name, line in _method_mentions(tree):
+            uses.setdefault(name, []).append((path, line))
     for line, name, after_dot in _readme_words():
         if after_dot:
             uses.setdefault(name, []).append((README, line))

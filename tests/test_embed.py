@@ -579,8 +579,8 @@ def test_pairing_reproduces_standard():
 def test_pairing_zero_gives_abelian_sum():
     from lietrip.grlie import abelian_algebra
     L = abelian_algebra(QQ, 1, 0)
-    module = GradedModule(L, 2, 0, (Matrix.zeros(QQ, 2, 2),))
-    built = lietrip.embed._glue(L, 2, module.terms, Matrix.zeros(QQ, 1, 1))
+    module = GradedModule(L, 2, 0, (Matrix(QQ, 2, 2, ((0,) * 2,) * 2),))
+    built = lietrip.embed._glue(L, 2, module.terms, Matrix(QQ, 1, 1, ((0,) * 1,) * 1))
     assert all(vec_is_zero(QQ, v) for row in built.bracket for v in row)
     assert (built.dim0, built.dim1) == (1, 2)
     assert check_graded_lie(built).ok
@@ -713,7 +713,7 @@ def test_functor_identity_and_zero():
 
     A = abl(2)
     envA = universal_imbedding(A)
-    zero = LtsHom(A, A, Matrix.zeros(QQ, 2, 2))
+    zero = LtsHom(A, A, Matrix(QQ, 2, 2, ((0,) * 2,) * 2))
     g = imbedding_functor_hom(zero, source_env=envA, target_env=envA)
     assert not any(g.matrix.terms)
 

@@ -121,7 +121,7 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    m = Matrix.zeros(QQ, 3, 3)
+    m = Matrix(QQ, 3, 3, ((0,) * 3,) * 3)
     red, pivots = rref(m)
     assert red == m
     assert pivots == ()
@@ -137,7 +137,7 @@ def test_rref_hand_example():
 
 def test_kernel_identity_and_zero():
     assert kernel_basis(Matrix.identity(QQ, 4)).dim == 0
-    k = kernel_basis(Matrix.zeros(QQ, 2, 3))
+    k = kernel_basis(Matrix(QQ, 2, 3, ((0,) * 3,) * 2))
     assert k == Subspace.span(QQ, 3, Matrix.identity(QQ, 3).entries)
 
 
@@ -298,14 +298,14 @@ def test_transpose_including_empty_shapes():
     m = Matrix.make(QQ, [[1, 2, 3], [4, 5, 6]])
     assert m.transpose() == Matrix.make(QQ, [[1, 4], [2, 5], [3, 6]])
     for rows, cols in ((0, 3), (3, 0), (0, 0)):
-        z = Matrix.zeros(QQ, rows, cols)
-        assert z.transpose() == Matrix.zeros(QQ, cols, rows)
+        z = Matrix(QQ, rows, cols, ((0,) * cols,) * rows)
+        assert z.transpose() == Matrix(QQ, cols, rows, ((0,) * rows,) * cols)
         assert z.transpose().transpose() == z
 
 
 def test_from_cols_checks_the_row_count():
     assert Matrix.from_cols(QQ, [(1, 2)], rows=2) == Matrix.make(QQ, [[1], [2]])
-    assert Matrix.from_cols(QQ, [], rows=3) == Matrix.zeros(QQ, 3, 0)
+    assert Matrix.from_cols(QQ, [], rows=3) == Matrix(QQ, 3, 0, ((0,) * 0,) * 3)
     for cols, rows in (([(1, 2)], 3), ([(1, 2)], 1), ([(1, 2), (3,)], None), ([(1, 2), (3,)], 2)):
         with pytest.raises(ValueError):
             Matrix.from_cols(QQ, cols, rows=rows)

@@ -342,7 +342,7 @@ def test_restrict_hom_to_odd():
     assert rp.matrix == Matrix.identity(QQ, 2)
     assert is_lts_hom(rp.matrix, odd_part_lts(L), odd_part_lts(B))
 
-    zero = GradedHom(L, B, Matrix.zeros(QQ, 2, 3))
+    zero = GradedHom(L, B, Matrix(QQ, 2, 3, ((0,) * 3,) * 2))
     assert not any(restrict_hom_to_odd(zero).matrix.terms)
 
     # functoriality of the restriction
@@ -444,6 +444,6 @@ def test_graded_module_grading_enforced():
     L = heis()
     # an action sending the even z into the odd block violates the grading
     a = Matrix.make(QQ, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    z = Matrix.zeros(QQ, 3, 3)
+    z = Matrix(QQ, 3, 3, ((0,) * 3,) * 3)
     with pytest.raises(ValueError):
         GradedModule(L, 1, 2, (a, z, z))

@@ -211,7 +211,7 @@ def test_is_lts_hom_examples():
     T = sl2lts()
     assert is_lts_hom(Matrix.identity(QQ, 3), T, T)
     S = odd2()
-    assert is_lts_hom(Matrix.zeros(QQ, 2, 3), T, S)
+    assert is_lts_hom(Matrix(QQ, 2, 3, ((0,) * 3,) * 2), T, S)
     doubling = Matrix.make(QQ, [[2, 0], [0, 2]])
     assert not is_lts_hom(doubling, S, S)
     with pytest.raises(ValueError):

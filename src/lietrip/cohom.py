@@ -19,7 +19,7 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Nonzeros, Record, Subspace, _as_nonzeros, _combination, _distinct_rows,
+    Matrix, Nonzeros, Record, Subspace, _array, _as_nonzeros, _combination, _distinct_rows,
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed,
     dense_tensor, rref,
 )
@@ -39,7 +39,7 @@ class Cochain(Record):
             raise ValueError("supported cochain degrees are 1, 2, 3")
         if module.algebra != algebra:
             raise ValueError("module is over a different algebra")
-        if len(values) != comb(algebra.dim, degree):
+        if len(_array(values)) != comb(algebra.dim, degree):
             raise ValueError("value count does not match the combination count")
         terms = _as_nonzeros(values, (len(values), module.dim), algebra.field.of)
         if terms is None:

@@ -65,19 +65,6 @@ def even_line(field: Field = QQ) -> GradedLieAlgebra:
     return abelian_algebra(field, 1, 0)
 
 
-def sl2_double_swap(field: Field = QQ) -> GradedLieAlgebra:
-    """sl2 + sl2 graded by the swap: diagonal copies even, antidiagonal odd.
-
-    In the basis (d_h, d_e, d_f | a_h, a_e, a_f) with d_x = (x, x) and
-    a_x = (x, -x), every bracket mirrors the sl2 constants, landing in the
-    d-block when the arguments have equal parity and the a-block otherwise.
-    """
-    # [d, d] -> d, [d, a] -> a, [a, d] -> a, [a, a] -> d: the block of the sum of the parities
-    return GradedLieAlgebra(field, 3, 3, tuple(
-        tuple(tuple(_SL2_BRACKET[i % 3][j % 3][k % 3] if ((i >= 3) ^ (j >= 3)) == (k >= 3) else 0
-                    for k in range(6)) for j in range(6)) for i in range(6)))
-
-
 _LTS_NAMES = {"odd2": odd2, "sl2lts": sl2lts}
 _ALGEBRA_NAMES = {"heis": heis, "ab2": ab2, "sl2graded": sl2graded}
 # n in abl(n) is ASCII digits; a minus sign is read only to be refused by range

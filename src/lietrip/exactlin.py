@@ -6,9 +6,9 @@ below read ``field.p`` once and then use plain operators on nonzero
 entries only, over F_p reducing once per output entry.  A matrix stores
 the nonzeros of its rows once (``Matrix.terms``, a ``Nonzeros``), and a
 subspace the echelon engine's RREF rows as its basis matrix; both are
-immutable, and every operation is a pure function.  Dense input (a tensor,
-a matrix's rows, a vector) has one reader, ``_as_nonzeros``: each scalar
-goes through ``Field.of``, and the shape is checked once.
+immutable, and every operation is a pure function.  Dense input has one
+reader, ``_as_nonzeros``: only a list or a tuple is an array, each scalar
+goes through ``Field.of`` or a memo of it, and the shape is checked once.
 
 Every elimination runs through one sparse echelon engine, ``_echelon``:
 rows are dicts {column: scalar}, and each row joins at its leftmost
@@ -215,34 +215,37 @@ class Nonzeros(tuple):
     __slots__ = ()
 
 
+def _array(t):
+    """t when it is a list or a tuple, the only dense arrays; any other node is refused."""
+    if not isinstance(t, (list, tuple)):
+        raise ValueError(f"expected an array, found {type(t).__name__} {t!r:.40}")
+    return t
+
+
 def _as_nonzeros(tensor: tuple, shape: tuple, of=None) -> Optional[Nonzeros]:
-    """A tensor of the given shape as Nonzeros: a Nonzeros (whose vectors have
-    no fixed length) as it is, or nested entries read in one pass, each scalar
-    through of, to the end before the shape is judged; None when it has another shape."""
+    """A tensor of the given shape as Nonzeros: a Nonzeros (whose vectors have no fixed
+    length) as it is, or nested entries read in one pass in document order, each node not
+    an array refused and each scalar read through of, the shape judged last; None on a misfit."""
     if type(tensor) is Nonzeros:
         def shaped(t, dims):
             return len(t) == dims[0] and (len(dims) == 1 or all(shaped(s, dims[1:]) for s in t))
 
         return tensor if len(shape) == 1 or shaped(tensor, shape[:-1]) else None
-    misfits = []
+    fits = []
 
     def read(t, d):
+        fits.append(len(_array(t)) == shape[d])
         if d < len(shape) - 1:
-            t = v = tuple([read(s, d + 1) for s in t])
-        else:  # an exact int 0 is zero in every field: only the other entries go through of
-            v = tuple(t)
-            t = tuple([(j, y) for j, x in enumerate(v) if (x or type(x) is not int) and (y := of(x))])
-        if len(v) != shape[d]:
-            misfits.append(d)
-        return t
+            return tuple([read(s, d + 1) for s in t])
+        # an exact int 0 and the string "0" are zero in every field: only the other entries go through of
+        return tuple([(j, y) for j, x in enumerate(t) if (x or type(x) is not int) and x != "0" and (y := of(x))])
 
     stored = read(tensor, 0)
-    return None if misfits else Nonzeros(stored)
+    return Nonzeros(stored) if all(fits) else None
 
 
 def nonzeros(field: Field, n: int, v: Vector) -> Nonzeros:
-    """The nonzero (index, entry) pairs of a dense vector of length n, each entry
-    read through field.of: the one reader of a dense vector."""
+    """The nonzero (index, entry) pairs of a dense vector of length n, each entry read through field.of."""
     terms = _as_nonzeros(v, (n,), field.of)
     if terms is None:
         raise ValueError(f"expected a vector of length {n}")
@@ -427,12 +430,9 @@ class Matrix(Record):
     @classmethod
     def make(cls, field: Field, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
         """The matrix of dense rows; cols defaults to the first row's length."""
-        rows = list(rows)
-        if cols is None:
-            if not rows:
-                raise ValueError("empty matrix needs an explicit column count")
-            cols = len(rows[0])
-        return cls(field, len(rows), cols, rows)
+        if cols is None and not rows:
+            raise ValueError("empty matrix needs an explicit column count")
+        return cls(field, len(_array(rows)), len(_array(rows[0])) if cols is None else cols, rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -442,11 +442,9 @@ class Matrix(Record):
     def from_cols(cls, field: Field, cols: Sequence, rows: Optional[int] = None) -> "Matrix":
         """The transpose of the matrix whose rows are the given columns: dense
         vectors of length rows, or the Nonzeros of sparse ones, which need rows."""
-        if rows is None:
-            if not cols or type(cols) is Nonzeros:
-                raise ValueError("empty or sparse columns need an explicit row count")
-            rows = len(cols[0])
-        return cls(field, len(cols), rows, cols).transpose()
+        if rows is None and (not cols or type(cols) is Nonzeros):
+            raise ValueError("empty or sparse columns need an explicit row count")
+        return cls(field, len(_array(cols)), len(_array(cols[0])) if rows is None else rows, cols).transpose()
 
     def transpose(self) -> "Matrix":
         """The nonzeros regrouped by column, in one pass."""

@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 from .exactlin import (
     AxiomError, AxiomReport, AxiomViolation, Field, Hom, Matrix, Nonzeros, Record, Subspace,
-    Vector, _as_nonzeros, _check_hom_matrix, _cyclic_keys, _defects, _echelon, _integer_rows,
+    Vector, _array, _as_nonzeros, _check_hom_matrix, _cyclic_keys, _defects, _echelon, _integer_rows,
     _integer_terms, _keyed_sums, _neg_terms, _reduce, _sparse_sum, _subspace, _terms_of,
     dense_tensor, kernel_of_rows, nonzeros, unit_vec,
 )
@@ -79,7 +79,7 @@ class LieTripleSystem(Record):
 
 def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = False) -> LieTripleSystem:
     """Build a system from nested [i][j][k][l] entries of ints/strings/Fractions."""
-    return LieTripleSystem(field, len(entries), entries, unchecked=unchecked)
+    return LieTripleSystem(field, len(_array(entries)), entries, unchecked=unchecked)
 
 
 def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vector:
@@ -448,7 +448,7 @@ def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     if field is None:
         field, algebra = algebra.field, algebra.terms
     try:
-        L = GradedLieAlgebra(field, len(algebra), 0, algebra)
+        L = GradedLieAlgebra(field, len(_array(algebra)), 0, algebra)
     except GradedLieError as exc:
         v = exc.report.violations[0]
         raise ValueError("not a Lie algebra: " + _LIE_FAILURES[v.identity].format(*v.indices)) from None

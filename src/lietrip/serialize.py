@@ -2,7 +2,9 @@
 
 Scalars are serialized as exact strings ("p/q" over Q, plain residues over
 F_p), tensors as dense nested arrays in the global even-first basis order,
-formatted from the stored nonzeros.
+formatted from the stored nonzeros, and read back in one walk by the
+library's one reader, exactlin._as_nonzeros, each distinct scalar coerced
+once by the payload's memo.
 Hom, module and cochain payloads embed their source/target objects inline
 so a single file round-trips to a fully validated value:
 load(save(x)) == x structurally.
@@ -10,9 +12,10 @@ load(save(x)) == x structurally.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Optional
 
-from .exactlin import Field, Matrix
+from .exactlin import Field, Matrix, Nonzeros, _as_nonzeros
 
 FORMAT_VERSION = 1
 
@@ -39,44 +42,43 @@ def fmt_terms(field: Field, n: int, tensor: tuple, depth: int) -> list:
 
 
 class _Scalars(dict):
-    """The field's scalar of each str and int of one payload, each coerced once; "0" is the
-    exact int 0, zero in every field.  A value that fails is not kept."""
+    """The memo of one payload's scalars and the reader of its entries, exactlin's, with each
+    distinct str and int coerced into the field once and kept; a value that fails is not kept."""
 
     def __init__(self, field: Field):
-        super().__init__({"0": 0})
         self.field = field
+        # only a str or an int is looked up: no str equals an int, but a bool or a float may (True == 1.0 == 1)
+        self.of = lambda x: self[x] if type(x) is str or type(x) is int else self.__missing__(x)
 
     def __missing__(self, x):
-        self[x] = value = _scalar(self.field, x)
+        try:
+            self[x] = value = self.field.of(x)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PayloadError(f"bad scalar {x!r}: {exc}") from None
         return value
 
-
-def _parse(memo: _Scalars, entries, depth: int) -> tuple:
-    """Nested lists of scalars, depth levels deep, as nested tuples of the field's scalars."""
-    if not isinstance(entries, (list, tuple)):
-        raise PayloadError(f"expected an array, found {type(entries).__name__} {entries!r:.40}")
-    if depth > 1:
-        return tuple([_parse(memo, e, depth - 1) for e in entries])
-    # no str equals an int; a bool or a float (True == 1.0 == 1), null, an array or an object is no key
-    return tuple([memo[x] if type(x) is str or type(x) is int else _scalar(memo.field, x) for x in entries])
+    def read(self, entries, shape: tuple):
+        """The Nonzeros of entries, a tensor of the shape; the raw entries on a misfit."""
+        try:
+            terms = _as_nonzeros(entries, shape, self.of)
+        except ValueError as exc:  # a bad scalar, or a node that is not an array
+            raise PayloadError(*exc.args) from None
+        return entries if terms is None else terms
 
 
-def _scalar(field: Field, x):
-    try:
-        return field.of(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise PayloadError(f"bad scalar {x!r}: {exc}") from None
-
-
-def _matrix(field: Field, data: tuple, rows: int, cols: int) -> Matrix:
-    """The rows x cols matrix of rows of scalars _parse has read; the first row of another
-    length is named before a wrong row count."""
-    for row in data:
-        if len(row) != cols:
-            raise PayloadError(f"expected {cols} columns, found {len(row)}")
-    if len(data) != rows:
-        raise PayloadError(f"expected {rows} rows, found {len(data)}")
-    return Matrix(field, rows, cols, data)
+def _matrices(memo: _Scalars, entries, count: int, rows: int, cols: int) -> tuple:
+    """The count rows x cols matrices of entries; on a misfit the first row of another length is
+    named before a wrong row count, and a wrong count is left for the record to refuse."""
+    terms = memo.read(entries, (count, rows, cols))
+    if type(terms) is Nonzeros:
+        return tuple(Matrix(memo.field, rows, cols, Nonzeros(a)) for a in terms)
+    for matrix in terms:
+        for row in matrix:
+            if len(row) != cols:
+                raise PayloadError(f"expected {cols} columns, found {len(row)}")
+        if len(matrix) != rows:
+            raise PayloadError(f"expected {rows} rows, found {len(matrix)}")
+    return tuple(Matrix(memo.field, rows, cols, a) for a in terms)
 
 
 def _load_nested(payload: dict, key: str, cls: str, unchecked: bool):
@@ -146,34 +148,34 @@ def load(payload: dict, *, unchecked: bool = False):
 
     memo = _Scalars(field)
     try:
-        # the entries are parsed before the record's module loads, so a bad scalar costs no import
+        # the entries are read before the record's module loads, so a bad scalar costs no import
         if kind == "lts":
-            tensor = _parse(memo, entries, 4)
-            if len(tensor) != dims["dim"]:
+            tensor = memo.read(entries, (dims["dim"],) * 4)
+            if len(entries) != dims["dim"]:
                 raise PayloadError("tensor size disagrees with dim")
             from .lts import LieTripleSystem
             return LieTripleSystem(field, dims["dim"], tensor, unchecked=unchecked)
         if kind == "graded_lie":
-            tensor = _parse(memo, entries, 3)
+            tensor = memo.read(entries, (dims["dim0"] + dims["dim1"],) * 3)
             from .grlie import GradedLieAlgebra
             return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
         if kind == "lts_hom":
             source = _load_nested(payload, "source", "LieTripleSystem", unchecked)
             target = _load_nested(payload, "target", "LieTripleSystem", unchecked)
-            matrix = _matrix(field, _parse(memo, entries, 2), dims["target_dim"], dims["source_dim"])
+            matrix = _matrices(memo, [entries], 1, dims["target_dim"], dims["source_dim"])[0]
             from .lts import LtsHom
             return LtsHom(source, target, matrix, unchecked=unchecked)
         if kind == "graded_hom":
             source = _load_nested(payload, "source", "GradedLieAlgebra", unchecked)
             target = _load_nested(payload, "target", "GradedLieAlgebra", unchecked)
-            matrix = _matrix(field, _parse(memo, entries, 2), dims["target_dim0"] + dims["target_dim1"],
-                             dims["source_dim0"] + dims["source_dim1"])
+            matrix = _matrices(memo, [entries], 1, dims["target_dim0"] + dims["target_dim1"],
+                               dims["source_dim0"] + dims["source_dim1"])[0]
             from .grlie import GradedHom
             return GradedHom(source, target, matrix, unchecked=unchecked)
         if kind == "module":
             algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
             m = dims["dim0"] + dims["dim1"]
-            action = tuple(_matrix(field, a, m, m) for a in _parse(memo, entries, 3))
+            action = _matrices(memo, entries, algebra.dim, m, m)
             from .grlie import GradedModule
             return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
         if kind == "cochain":
@@ -181,9 +183,9 @@ def load(payload: dict, *, unchecked: bool = False):
             module = _load_nested(payload, "module", "GradedModule", unchecked)
             if algebra.field != field:
                 raise PayloadError("cochain field mismatch")
-            degree, values = dims["degree"], _parse(memo, entries, 2)
+            values = memo.read(entries, (comb(algebra.dim, dims["degree"]), module.dim))
             from .cohom import Cochain
-            f = Cochain(algebra, module, degree, values)
+            f = Cochain(algebra, module, dims["degree"], values)
             if not unchecked and not f.is_graded():
                 raise PayloadError("cochain is not graded")
             return f

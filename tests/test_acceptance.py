@@ -19,8 +19,9 @@ from lietrip.cohom import (
     cocycle_extension, coboundary, envelope_criterion, graded_cochain_basis,
     h2_graded, is_0_centrally_closed, split_central_0_extension,
 )
+from extra_algebras import sl2_double_swap
 from lietrip.corpus import (
-    ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
+    ab2, abl, even_line, heis, odd2, sl2graded, sl2lts,
 )
 from lietrip.embed import (
     extend_hom, imbedding_functor_hom, standard_imbedding,

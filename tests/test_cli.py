@@ -14,9 +14,10 @@ from lietrip.cohom import (
     Cochain, coboundary, cocycle_extension, graded_cochain_basis, h2_graded,
 )
 import oracles
+from extra_algebras import sl2_double_swap
 from lietrip.corpus import (
     MAX_ABL_DIM, ab2, abl, by_name, even_line, heis, lts_by_name, odd2,
-    sl2_double_swap, sl2graded, sl2lts,
+    sl2graded, sl2lts,
 )
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace

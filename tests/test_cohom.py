@@ -12,8 +12,9 @@ import lietrip.exactlin
 import lietrip.grlie
 import oracles
 
+from extra_algebras import sl2_double_swap
 from lietrip.corpus import (
-    ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
+    ab2, abl, even_line, heis, odd2, sl2graded, sl2lts,
 )
 from lietrip.cohom import (
     CentralExtensionProblem, Cochain, NotCentral0Extension, coboundary,
@@ -562,7 +563,6 @@ def test_is_0_centrally_closed():
 
 
 def test_closedness_equals_trivial_kernel_on_odd_generated_corpus():
-    from lietrip.corpus import sl2_double_swap
     algebras = [heis(), ab2(), sl2graded(), sl2_double_swap(),
                 universal_imbedding(abl(3)).algebra]
     for L in algebras:

@@ -7,19 +7,21 @@ A name counts when it appears as a variable, an attribute, an imported
 name, or a string constant (whole, or as one part of a dotted string such
 as ``"Matrix.matmul"``) in any Python file of ``src``, ``demos`` or
 ``perfbench``, or as a word in a code span of ``README.md`` (text in
-backticks or in a fenced block).  The tests do not count: a definition
-that only a test calls is dead.  Neither do the strings of the ``_HOMES``
-registry in ``src/lietrip/__init__.py``, which lists every public name.
-Dunder methods are called by Python itself and are exempt.  A method that
-is not a property counts only when some file calls it, ``x.name(...)``,
-or names it in a dotted string, ``"Class.name"``, or a README code span
-writes it after a dot: a mere attribute or variable of the same name,
-such as ``exc.value``, does not, and neither does a call whose receiver
-``x`` is a name that an ``import`` statement of the same file binds to a
-module outside ``lietrip``, such as ``json.dumps(...)`` or perfbench's
-``gen.zeros(...)``.  Calls on any other receiver, a local variable such
-as a set's ``add`` among them, are matched by the method's name alone.
-A field counts when some file of ``src``, ``tests``, ``demos`` or
+backticks or in a fenced block).  An attribute ``x.name``, called or not,
+does not count when its receiver ``x`` is a name that an ``import``
+statement of the same file binds to a module outside ``lietrip``, such as
+``json.dumps`` or perfbench's ``gen.sl2_double_swap``: it names the other
+module's definition.  The tests do not count: a definition that only a
+test calls is dead.  Neither do the strings of the ``_HOMES`` registry in
+``src/lietrip/__init__.py``, which lists every public name.  Dunder
+methods are called by Python itself and are exempt.  A method that is not
+a property counts only when some file calls it, ``x.name(...)``, or names
+it in a dotted string, ``"Class.name"``, or a README code span writes it
+after a dot: a mere attribute or variable of the same name, such as
+``exc.value``, does not, and neither does a call on a module outside
+``lietrip``.  Calls on any other receiver, a local variable such as a
+set's ``add`` among them, are matched by the method's name alone.  A
+field counts when some file of ``src``, ``tests``, ``demos`` or
 ``perfbench`` reads ``x.field``; the generic ``getattr`` over ``_fields``
 in the record tests does not count.
 """
@@ -39,12 +41,25 @@ SEARCHED = ("src", "demos", "perfbench")
 README = ROOT / "README.md"
 
 
-def _mentions(node):
-    """The names a node mentions, by the rules of the module docstring."""
+def _outside_modules(tree):
+    """The names that an import statement of tree binds to a module outside lietrip."""
+    return {alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.partition(".")[0] != "lietrip"}
+
+
+def _of_outside_module(node, modules):
+    """Whether node is an attribute x.name whose receiver x is one of modules."""
+    return isinstance(node.value, ast.Name) and node.value.id in modules
+
+
+def _mentions(node, modules):
+    """The names a node mentions, by the rules of the module docstring, in a
+    file whose imports bind the names in modules to modules outside lietrip."""
     if isinstance(node, ast.Name):
         return (node.id,)
     if isinstance(node, ast.Attribute):
-        return (node.attr,)
+        return () if _of_outside_module(node, modules) else (node.attr,)
     if isinstance(node, ast.alias):
         return (node.name,)
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -85,8 +100,9 @@ def _references():
     """name -> list of (path, line) where it is mentioned."""
     refs = {}
     for path, tree in _trees():
+        modules = _outside_modules(tree)
         for node in ast.walk(tree):
-            for name in _mentions(node):
+            for name in _mentions(node, modules):
                 refs.setdefault(name, []).append((path, node.lineno))
     for line, name, _ in _readme_words():
         refs.setdefault(name, []).append((README, line))
@@ -172,13 +188,10 @@ def _method_mentions(tree):
     """(name, line) for each x.name(...) call in a tree whose receiver x is not
     a name that an import statement binds to a module outside lietrip, and
     for each part after the first of a dotted string."""
-    modules = {alias.asname or alias.name.partition(".")[0]
-               for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names if alias.name.partition(".")[0] != "lietrip"}
+    modules = _outside_modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            if not (isinstance(receiver, ast.Name) and receiver.id in modules):
+            if not _of_outside_module(node.func, modules):
                 yield node.func.attr, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
@@ -195,6 +208,16 @@ def test_calls_on_modules_outside_the_library_do_not_count():
                      "'Matrix.matmul'\n")
     assert sorted(_method_mentions(tree)) == [
         ("add", 5), ("by_name", 4), ("identity", 5), ("matmul", 6), ("split", 4), ("transpose", 5)]
+
+
+def test_attributes_of_modules_outside_the_library_do_not_count():
+    tree = ast.parse("import gen, lietrip.corpus\n"
+                     "from . import corpus\n"
+                     "jobs = [gen.sl2_double_swap, corpus.heis, lietrip.corpus.abl, x.attr]\n")
+    modules = _outside_modules(tree)
+    assert modules == {"gen"}
+    assert sorted(name for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  for name in _mentions(node, modules)) == ["abl", "attr", "corpus", "heis"]
 
 
 def _method_uses():

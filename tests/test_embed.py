@@ -13,7 +13,8 @@ import lietrip.lts
 import oracles
 from oracles import vec_is_zero
 from lietrip.cohom import envelope_criterion, h2_graded
-from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts
+from extra_algebras import sl2_double_swap
+from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2graded, sl2lts
 from lietrip.embed import (
     extend_hom, imbedding_functor_hom, module_quotient_algebra, pair_algebra, standard_imbedding,
     universal_central_0_extension, universal_imbedding, wedge_dim,

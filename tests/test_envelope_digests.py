@@ -21,7 +21,8 @@ import pytest
 
 import oracles
 from lietrip.cohom import envelope_criterion
-from lietrip.corpus import ab2, abl, heis, sl2_double_swap, sl2graded
+from extra_algebras import sl2_double_swap
+from lietrip.corpus import ab2, abl, heis, sl2graded
 from lietrip.embed import (
     extend_hom, standard_imbedding, universal_central_0_extension, universal_imbedding,
 )

@@ -7,7 +7,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 import lietrip.exactlin
 import oracles
-from lietrip.corpus import ab2, abl, even_line, heis, sl2_double_swap, sl2graded
+from extra_algebras import sl2_double_swap
+from lietrip.corpus import ab2, abl, even_line, heis, sl2graded
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
 from lietrip.grlie import (

@@ -13,7 +13,8 @@ import pytest
 
 import lietrip
 from lietrip.cohom import h2_graded
-from lietrip.corpus import ab2, abl, heis, sl2_double_swap, sl2lts
+from extra_algebras import sl2_double_swap
+from lietrip.corpus import ab2, abl, heis, sl2lts
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import QQ, Subspace, unit_vec
 from lietrip.grlie import central_quotient, trivial_module

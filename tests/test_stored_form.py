@@ -25,8 +25,9 @@ from lietrip.cohom import (
     Cochain, coboundary, cocycle_extension, envelope_criterion, graded_cochain_basis, h2_graded,
     split_central_0_extension,
 )
+from extra_algebras import sl2_double_swap
 from lietrip.corpus import (
-    ab2, abl, even_line, heis, odd2, sl2_double_swap, sl2graded, sl2lts,
+    ab2, abl, even_line, heis, odd2, sl2graded, sl2lts,
 )
 from lietrip.embed import _glue, pair_algebra, universal_imbedding, wedge_module
 from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Record, Subspace, inverse

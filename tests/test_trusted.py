@@ -23,7 +23,8 @@ from lietrip.cohom import (
     Cochain, cocycle_extension, coboundary, envelope_criterion, graded_cochain_basis, h2_graded,
     split_central_0_extension,
 )
-from lietrip.corpus import ab2, abl, heis, odd2, sl2_double_swap, sl2graded, sl2lts
+from extra_algebras import sl2_double_swap
+from lietrip.corpus import ab2, abl, heis, odd2, sl2graded, sl2lts
 from lietrip.embed import (
     module_quotient_algebra, pair_algebra, universal_imbedding, wedge_dim, wedge_module,
     wedge_pairs,
@@ -244,7 +245,6 @@ VALIDATING_SITES = {
     ("lts.lts_of_lie", "GradedLieAlgebra"),  # the Lie check of its input
     ("grlie.adjoint_module", "GradedModule"),
     ("corpus.sl2graded", "GradedLieAlgebra"),
-    ("corpus.sl2_double_swap", "GradedLieAlgebra"),
 }
 
 

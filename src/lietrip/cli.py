@@ -262,6 +262,10 @@ def main(argv: Optional[list] = None) -> int:
     given = [(getattr(args, argument), cls) for argument, cls, options in inputs
              if getattr(args, argument) or "nargs" not in options]
     names = [arg for arg, _ in given]
+    # exact scalars of any size: Python's int/str digit limit is lifted for the run, then restored
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         objs = [_by_name(arg, args.field) if cls is None else _expect(_load_input(
                     arg, args.field, unchecked=args.unchecked or args.command in _CHECKS), cls)
@@ -296,6 +300,9 @@ def main(argv: Optional[list] = None) -> int:
     except MemoryError:
         print(f"internal error: {args.command}: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if verdict in ("fail", "false"):
         print(f"{args.command}: {verdict}", file=sys.stderr)
         return EXIT_FAIL

@@ -31,7 +31,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Nonzeros, QuotientSpace, Record, Subspace, _echelon, _integer_rows,
+    Field, Matrix, Nonzeros, Record, Subspace, _echelon, _integer_rows,
     _integer_terms, _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, _transposed,
     kernel_basis, quotient,
 )
@@ -137,7 +137,7 @@ class ModuleQuotient(Record):
     carrying the Lie bracket [p,q] = mu(p).q and the induced map mu."""
 
     a_subspace: Subspace
-    quotient: QuotientSpace
+    projection: Matrix         # M -> M/A(M), by exactlin.quotient
     algebra: GradedLieAlgebra  # all-even, dim = M/A(M)
     mu: Matrix                 # lam at the free columns, valued where lam is
 
@@ -199,11 +199,11 @@ def module_quotient_algebra(L: GradedLieAlgebra, module: GradedModule,
 def _module_quotient(F: Field, mdim: int, echelon: dict, act, lam_t: Sequence, rows: int,
                      den: int) -> ModuleQuotient:
     """M/A(M) from the echelon of A(M), with act as for _radical (over Q den times its values)
-    and lam_t lam's columns, each rows long.  The section's columns are the unit vectors at the
-    free coordinates, and mu is lam there."""
+    and lam_t lam's columns, each rows long.  The quotient's basis vector s is the coset of the
+    unit vector at the free column free[s], and mu is lam there."""
     p = F.p
     a_sub = _subspace(F, mdim, echelon)
-    q = quotient(mdim, a_sub)
+    projection = quotient(mdim, a_sub)
     free = [c for c in range(mdim) if c not in echelon]
     mu = Matrix.from_cols(F, Nonzeros(lam_t[c] for c in free), rows=rows)
     position = {c: s for s, c in enumerate(free)}
@@ -214,11 +214,11 @@ def _module_quotient(F: Field, mdim: int, echelon: dict, act, lam_t: Sequence, r
         {j: x * scale for j, x in v.items()}, echelon, p).items()}
         for s, f in enumerate(free) if lam_t[f]
         for g, v in zip(free[s + 1:], act(f, free[s + 1:])) if v}
-    algebra = _assemble(F, q.dim, 0, ((s, t, _terms_of(p, v, den * scale))
-                                      for (s, t), v in table.items()))
+    algebra = _assemble(F, projection.rows, 0, ((s, t, _terms_of(p, v, den * scale))
+                                                for (s, t), v in table.items()))
     if not _central(algebra, kernel_basis(mu)):
         raise RuntimeError("kernel of mu is not central in the quotient")
-    return ModuleQuotient(a_sub, q, algebra, mu)
+    return ModuleQuotient(a_sub, projection, algebra, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def _envelope(L: GradedLieAlgebra, radical: Optional[tuple] = None) -> tuple:
     # D_f is 0 where beta(e_f) is, and then none of its columns is built
     free = [w for w in range(len(pairs)) if w not in echelon]
     algebra = _glue(pair.algebra, n, [[_terms_of(p, dict(v), den * den) for v in columns(f)] if beta[f]
-                                      else () for f in free], pair.quotient.projection)
+                                      else () for f in free], pair.projection)
     q = len(free)
     hom = Matrix(F, L.dim, q + n, Nonzeros(pair.mu.terms + tuple(((q + a, F.one()),) for a in range(n))))
     return pair, algebra, GradedHom(algebra, L, hom, unchecked=True)
@@ -342,7 +342,7 @@ def _extend(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in wedge_pairs(T.dim)]
     if any(_sparse_sum(F.p, ((x, zeta_cols[w]) for w, x in v)) for v in env.pair.a_subspace.basis.terms):
         raise RuntimeError("extension ill-defined: the radical does not map to zero")
-    # the pair section's columns are the unit vectors at the free coordinates
+    # the pair quotient's basis vectors are the cosets of the unit vectors at the free columns
     pivots = set(env.pair.a_subspace.pivots)
     cols = [tuple(sorted(v)) for c, v in enumerate(zeta_cols) if c not in pivots] + alpha_cols
     return GradedHom(env.algebra, L, Matrix.from_cols(F, Nonzeros(cols), rows=L.dim), unchecked=True)

@@ -16,7 +16,7 @@ column, which is then cleared from the rows already there.  It runs
 exactly, with no modular pass: over F_p on residues, over Q on integer
 rows (``_integer_rows``), building a ``Fraction`` only per output entry.
 Its basis is the unique RREF basis, so every derived basis (RREF, spans,
-kernels, intersections, quotient sections) is canonical and
+kernels, intersections, quotient projections) is canonical and
 reproducible.
 """
 
@@ -364,7 +364,9 @@ class AxiomError(ValueError):
 
 
 def _check_hom_matrix(matrix: Matrix, source, target) -> None:
-    """The hom contract's shape, then field: matrix is target.dim x source.dim over their field."""
+    """The hom contract, in order: a Matrix, target.dim x source.dim, over the field of both."""
+    if not isinstance(matrix, Matrix):
+        raise ValueError(f"expected a Matrix, found {type(matrix).__name__} {matrix!r:.40}")
     if matrix.rows != target.dim or matrix.cols != source.dim:
         raise ValueError("hom matrix shape mismatch")
     if matrix.field != source.field or source.field != target.field:
@@ -553,10 +555,6 @@ class Subspace(Record):
     def span(cls, field: Field, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
         """The span of vectors given as ints, Fractions or strings."""
         return _span(field, ambient_dim, map(dict, Matrix.make(field, vectors, cols=ambient_dim).terms))
-
-    @classmethod
-    def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return _subspace(field, ambient_dim, {})
 
     @property
     def dim(self) -> int:
@@ -759,26 +757,9 @@ def _distinct_rows(p: Optional[int], rows: Iterable) -> list:
     return list(seen)
 
 
-class QuotientSpace(Record):
-    """F^n / A with an explicit linear section.
-
-    ``projection`` (q x n) annihilates exactly A; ``section`` (n x q) picks
-    the non-pivot coordinates of A's RREF basis as coset representatives,
-    so projection . section = id on the quotient.
-    """
-
-    field: Field
-    ambient_dim: int
-    kernel: Subspace
-    projection: Matrix
-    section: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - self.kernel.dim
-
-
-def quotient(ambient_dim: int, sub: Subspace) -> QuotientSpace:
+def quotient(ambient_dim: int, sub: Subspace) -> Matrix:
+    """The projection F^n -> F^n / sub, a Matrix that annihilates exactly sub: row s reads the
+    free (non-pivot) coordinate free[s] of a vector's normal form modulo sub's RREF basis."""
     F = sub.field
     if sub.ambient_dim != ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -792,7 +773,4 @@ def quotient(ambient_dim: int, sub: Subspace) -> QuotientSpace:
         for j, x in row:
             if j != c:
                 proj_rows[position[j]].append((c, F.neg(x)))
-    projection = Matrix(F, len(free), ambient_dim, Nonzeros(tuple(tuple(sorted(r)) for r in proj_rows)))
-    section = Matrix(F, ambient_dim, len(free), Nonzeros(tuple(
-        ((position[c], F.one()),) if c in position else () for c in range(ambient_dim))))
-    return QuotientSpace(F, ambient_dim, sub, projection, section)
+    return Matrix(F, len(free), ambient_dim, Nonzeros(tuple(tuple(sorted(r)) for r in proj_rows)))

@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from .exactlin import (
     AxiomError, AxiomReport, AxiomViolation, Field, Hom, Matrix, Nonzeros, Record, Subspace,
-    Vector, _as_nonzeros, _check_hom_matrix, _combination, _cyclic_keys, _defects, _integer_terms,
-    _neg_terms, _span, _sparse_sum, _subspace, _transposed, dense_tensor, kernel_basis,
-    kernel_of_rows, nonzeros, quotient, rank,
+    Vector, _array, _as_nonzeros, _check_hom_matrix, _combination, _cyclic_keys, _defects,
+    _integer_terms, _neg_terms, _span, _sparse_sum, _subspace, _transposed, dense_tensor,
+    kernel_basis, kernel_of_rows, nonzeros, quotient, rank,
 )
 
 if TYPE_CHECKING:  # only restrict_hom_to_odd loads lts
@@ -181,6 +181,8 @@ class GradedModule(Record):
         """action: the (dim0+dim1)-square Matrix of each e_i, or the Nonzeros of their columns."""
         m = dim0 + dim1
         if type(action) is not Nonzeros:
+            if any(not isinstance(a, Matrix) for a in _array(action)):
+                raise ValueError("expected a Matrix for each action")
             if any((a.rows, a.cols) != (m, m) for a in action):
                 raise ValueError("action shape mismatch")
             if any(a.field != algebra.field for a in action):
@@ -298,19 +300,19 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
         raise ValueError("ideal is not contained in the even part")
     if not _central(L, ideal):
         raise ValueError("ideal is not central")
-    q = quotient(L.dim, ideal)
+    projection = quotient(L.dim, ideal)
     F = L.field
     new_dim0 = L.dim0 - ideal.dim
     # pivots of the ideal sit in even columns, so the free columns stay ordered
-    # even-then-odd and the quotient inherits dims (dim0 - dim I, dim1); the
-    # section's columns are the unit vectors at the free coordinates.
+    # even-then-odd and the quotient inherits dims (dim0 - dim I, dim1); its
+    # basis vector s is the coset of the unit vector at free[s].
     pivots = set(ideal.pivots)
     free = [c for c in range(L.dim) if c not in pivots]
-    cols = q.projection.transpose().terms
+    cols = projection.transpose().terms
     Q = _assemble(F, new_dim0, L.dim1, (
         (s, t, _combination(F.p, ((x, cols[l]) for l, x in L.terms[free[s]][free[t]])))
-        for s in range(q.dim) for t in range(s + 1, q.dim)))
-    return Q, GradedHom(L, Q, q.projection, unchecked=True)
+        for s in range(len(free)) for t in range(s + 1, len(free))))
+    return Q, GradedHom(L, Q, projection, unchecked=True)
 
 
 def restrict_hom_to_odd(phi: GradedHom) -> LtsHom:

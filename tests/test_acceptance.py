@@ -150,7 +150,7 @@ def _check_unique_extension(T, L, alpha):
     alpha_cols = [tuple([F.zero()] * L.dim0) + alpha.transpose().entries[j] for j in range(T.dim)]
     pairs = wedge_pairs(T.dim)
     for s in range(env.algebra.dim0):
-        coeffs = solve(env.pair.quotient.projection, unit_vec(F, env.algebra.dim0, s))
+        coeffs = solve(env.pair.projection, unit_vec(F, env.algebra.dim0, s))
         assert coeffs is not None
         image = tuple([F.zero()] * L.dim)
         for c, (i, j) in zip(coeffs, pairs):

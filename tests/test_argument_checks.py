@@ -94,7 +94,7 @@ def test_save_refuses_a_value_it_cannot_serialize():
     with pytest.raises(TypeError, match="^cannot serialize object$"):
         save(object())
     with pytest.raises(TypeError, match="^cannot serialize Subspace$"):
-        save(Subspace.zero(QQ, 1))
+        save(Subspace.span(QQ, 1, []))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,16 @@ def test_a_hom_matrix_is_checked_for_shape_then_field(entry):
         enter(Matrix.identity(F5, n + 1))
     with pytest.raises(ValueError, match="^hom field mismatch$"):
         enter(Matrix.identity(F5, n))
+
+
+@pytest.mark.parametrize("entry", HOM_ENTRIES)
+def test_a_hom_matrix_that_is_not_a_matrix_is_refused(entry):
+    n, enter = HOM_ENTRIES[entry]
+    # the dense rows of the identity's first row, n times: refused before its shape is read
+    with pytest.raises(ValueError, match=r"^expected a Matrix, found list \[\[1, 0"):
+        enter([[1] + [0] * (n - 1)] * n)
+    with pytest.raises(ValueError, match="^expected a Matrix, found Nonzeros"):
+        enter(Matrix.identity(QQ, n).terms)
 
 
 def test_lts_hom_checks_shape_field_and_composition(capsys, tmp_path):
@@ -192,6 +202,15 @@ def test_a_module_needs_one_square_action_per_basis_vector(capsys, tmp_path):
             assert line.endswith(f"module.json: {message}")
 
 
+def test_a_module_action_that_is_not_a_matrix_is_refused():
+    # dense action matrices are refused before their shape is read, unchecked too
+    H, one = heis(), Matrix.identity(QQ, 1)
+    for unchecked in (False, True):
+        for action in ([[[0]]] * 3, (one, one, [[0]])):
+            with pytest.raises(ValueError, match="^expected a Matrix for each action$"):
+                GradedModule(H, 1, 0, action, unchecked=unchecked)
+
+
 # ---------------------------------------------------------------------------
 # constructions on graded algebras
 
@@ -203,7 +222,7 @@ def test_direct_sum_needs_one_field():
 def test_central_quotient_needs_a_central_even_ideal():
     H = heis()
     with pytest.raises(ValueError, match="^ideal ambient mismatch$"):
-        central_quotient(H, Subspace.zero(QQ, 2))
+        central_quotient(H, Subspace.span(QQ, 2, []))
     with pytest.raises(ValueError, match="^ideal field mismatch$"):
         central_quotient(heis(F5), Subspace.span(QQ, 3, [unit_vec(QQ, 3, 0)]))
     with pytest.raises(ValueError, match="^ideal is not contained in the even part$"):
@@ -262,4 +281,4 @@ def test_matmul_hstack_and_quotient_name_their_mismatch():
     with pytest.raises(ValueError, match="^hstack shape/field mismatch$"):
         Matrix.identity(QQ, 2).hstack(Matrix.identity(F5, 2))
     with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
-        quotient(3, Subspace.zero(QQ, 2))
+        quotient(3, Subspace.span(QQ, 2, []))

@@ -617,6 +617,38 @@ def test_cli_large_prime_field(capsys):
     assert exc.value.code == 2
 
 
+def _scaled_sl2graded(digits):
+    """The payload of sl2graded in the basis scaled by 10^(digits - 1): each nonzero
+    structure constant is 10^(digits - 1) times sl2graded's, digits digits long."""
+    payload = save(sl2graded())
+    scale = 10 ** (digits - 1)
+    payload["entries"] = [[[str(int(x) * scale) for x in v] for v in row]
+                          for row in payload["entries"]]
+    return payload
+
+
+def test_cli_reads_and_writes_scalars_of_any_size(capsys, tmp_path):
+    """Constants of 4,200 digits give thm-a and u0ext report scalars over Python's default
+    int/str digit limit (4,300 digits); main lifts the limit for its run and restores it."""
+    path = tmp_path / "sl2graded_4200.json"
+    path.write_text(json.dumps(_scaled_sl2graded(4200)))
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for command in ("thm-a", "u0ext", "check-graded", "h2", "closed"):
+        code, report, err = run_cli(capsys, command, str(path))
+        assert (code, err) == (0, ""), (command, err)
+        assert getattr(sys, "get_int_max_str_digits", int)() == limit
+        if command == "thm-a":
+            derived = report["derived"]["envelope_of_odd_part"]
+    assert max(len(x) for row in derived["entries"] for v in row for x in v) > 4300
+    envelope = tmp_path / "envelope.json"
+    envelope.write_text(json.dumps(derived))
+    code, report, err = run_cli(capsys, "check-graded", str(envelope))
+    assert (code, err, report["verdict"]) == (0, "", "pass")
+    if limit:  # a library caller keeps the limit it set
+        with pytest.raises(PayloadError, match="^bad scalar"):
+            load(derived)
+
+
 def test_cli_unchecked_flag(capsys, tmp_path):
     broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True)
     path = tmp_path / "broken.json"

@@ -20,10 +20,15 @@ it in a dotted string, ``"Class.name"``, or a README code span writes it
 after a dot: a mere attribute or variable of the same name, such as
 ``exc.value``, does not, and neither does a call on a module outside
 ``lietrip``.  Calls on any other receiver, a local variable such as a
-set's ``add`` among them, are matched by the method's name alone.  A
-field counts when some file of ``src``, ``tests``, ``demos`` or
-``perfbench`` reads ``x.field``; the generic ``getattr`` over ``_fields``
-in the record tests does not count.
+set's ``add`` among them, are matched by the method's name alone, except
+for a classmethod: it counts only when it is called or named through its
+class, ``Subspace.span(...)`` or ``"Subspace.span"`` (or ``Subspace.span``
+in a README code span).  A property counts only when it is read as an
+attribute, ``x.action``, or a README code span writes it after a dot: a
+variable or a parameter of the same name does not.  A field counts when
+some file of ``src``, ``tests``, ``demos`` or ``perfbench`` reads
+``x.field``; the generic ``getattr`` over ``_fields`` in the record tests
+does not count.
 """
 
 import ast
@@ -84,8 +89,9 @@ def _trees(tops=SEARCHED):
 
 
 def _readme_words(text=None):
-    """(line, word, after_dot) for each identifier in a code span of the README,
-    or of text."""
+    """(line, word, receiver) for each identifier in a code span of the README,
+    or of text: receiver is None for a word not after a dot, else the word before
+    the dot ("" when there is none)."""
     text = README.read_text(encoding="utf-8") if text is None else text
     fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
     spans = [(m.start(1), m.group(1)) for m in fenced.finditer(text)]
@@ -93,7 +99,8 @@ def _readme_words(text=None):
     spans += [(m.start(1), m.group(1)) for m in re.finditer(r"`([^`]+)`", prose)]
     for start, span in spans:
         for m in re.finditer(r"(?:(\.)|(?<![\w.]))([A-Za-z_]\w*)", span):
-            yield text.count("\n", 0, start + m.start()) + 1, m.group(2), bool(m.group(1))
+            receiver = re.search(r"(\w*)\.\Z", span[:m.start(2)]).group(1) if m.group(1) else None
+            yield text.count("\n", 0, start + m.start()) + 1, m.group(2), receiver
 
 
 def _references():
@@ -112,11 +119,12 @@ def _references():
 def test_only_code_spans_of_the_readme_count():
     text = ("prose_only `spanned.called` prose_too\n"
             "```python\n"
-            "fenced(x)\n"
+            "fenced(x).y\n"
             "```\n"
             "after_the_fence\n")
-    assert sorted(_readme_words(text)) == [
-        (1, "called", True), (1, "spanned", False), (3, "fenced", False), (3, "x", False)]
+    assert sorted(_readme_words(text), key=lambda w: w[:2]) == [
+        (1, "called", "spanned"), (1, "spanned", None), (3, "fenced", None), (3, "x", None),
+        (3, "y", "")]
 
 
 def test_tests_and_the_registry_are_not_searched():
@@ -168,35 +176,40 @@ def test_every_record_field_is_read():
     assert unread == []
 
 
-def _methods():
-    """(path, class, name, first line, last line) of every non-dunder method
-    of a library class that is not a property."""
+def _methods(kind="method"):
+    """(path, class, name, first line, last line) of every non-dunder method of a
+    library class of the kind given: "property", "classmethod", or "method" for
+    any other."""
     for path in sorted((ROOT / "src" / "lietrip").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (item.name.startswith("__") and item.name.endswith("__"))
-                        and not any(isinstance(d, ast.Name) and d.id == "property"
-                                    for d in item.decorator_list)):
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    continue
+                decorators = {d.id for d in item.decorator_list if isinstance(d, ast.Name)}
+                found = next((k for k in ("property", "classmethod") if k in decorators), "method")
+                if found == kind:
                     first = min([item.lineno] + [d.lineno for d in item.decorator_list])
                     yield path, node.name, item.name, first, item.end_lineno
 
 
 def _method_mentions(tree):
-    """(name, line) for each x.name(...) call in a tree whose receiver x is not
-    a name that an import statement binds to a module outside lietrip, and
-    for each part after the first of a dotted string."""
+    """(name, line, receiver) for each x.name(...) call in a tree whose receiver x
+    is not a name that an import statement binds to a module outside lietrip,
+    receiver being x when it is a name and None otherwise, and for each part
+    after the first of a dotted string, receiver being the part before it."""
     modules = _outside_modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if not _of_outside_module(node.func, modules):
-                yield node.func.attr, node.lineno
+                receiver = node.func.value.id if isinstance(node.func.value, ast.Name) else None
+                yield node.func.attr, node.lineno, receiver
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if len(parts) > 1 and all(part.isidentifier() for part in parts):
-                yield from ((part, node.lineno) for part in parts[1:])
+                yield from ((part, node.lineno, before) for before, part in zip(parts, parts[1:]))
 
 
 def test_calls_on_modules_outside_the_library_do_not_count():
@@ -206,8 +219,9 @@ def test_calls_on_modules_outside_the_library_do_not_count():
                      "json.dumps(x); gen.zeros(2); lietrip.cohom.split(p); corpus.by_name(n)\n"
                      "seen.add(1); Matrix.identity(F, 2); f(x).transpose()\n"
                      "'Matrix.matmul'\n")
-    assert sorted(_method_mentions(tree)) == [
-        ("add", 5), ("by_name", 4), ("identity", 5), ("matmul", 6), ("split", 4), ("transpose", 5)]
+    assert sorted(_method_mentions(tree), key=lambda m: m[:2]) == [
+        ("add", 5, "seen"), ("by_name", 4, "corpus"), ("identity", 5, "Matrix"),
+        ("matmul", 6, "Matrix"), ("split", 4, None), ("transpose", 5, None)]
 
 
 def test_attributes_of_modules_outside_the_library_do_not_count():
@@ -221,15 +235,15 @@ def test_attributes_of_modules_outside_the_library_do_not_count():
 
 
 def _method_uses():
-    """name -> list of (path, line) where a file mentions it as a method, by
-    _method_mentions, or a README code span writes it after a dot."""
+    """name -> list of (path, line, receiver) where a file mentions it as a method,
+    by _method_mentions, or a README code span writes it after a dot."""
     uses = {}
     for path, tree in _trees():
-        for name, line in _method_mentions(tree):
-            uses.setdefault(name, []).append((path, line))
-    for line, name, after_dot in _readme_words():
-        if after_dot:
-            uses.setdefault(name, []).append((README, line))
+        for name, line, receiver in _method_mentions(tree):
+            uses.setdefault(name, []).append((path, line, receiver))
+    for line, name, receiver in _readme_words():
+        if receiver is not None:
+            uses.setdefault(name, []).append((README, line, receiver))
     return uses
 
 
@@ -238,5 +252,31 @@ def test_every_library_method_is_called():
     uncalled = sorted(
         f"{path.stem}.{cls}.{name}" for path, cls, name, first, last in _methods()
         if not any(where != path or not first <= line <= last
-                   for where, line in uses.get(name, ())))
+                   for where, line, _ in uses.get(name, ())))
     assert uncalled == []
+
+
+def test_every_library_classmethod_is_called_through_its_class():
+    uses = _method_uses()
+    uncalled = sorted(
+        f"{path.stem}.{cls}.{name}" for path, cls, name, first, last in _methods("classmethod")
+        if not any(receiver == cls and (where != path or not first <= line <= last)
+                   for where, line, receiver in uses.get(name, ())))
+    assert uncalled == []
+
+
+def test_every_library_property_is_read_as_an_attribute():
+    reads = {}
+    for path, tree in _trees():
+        modules = _outside_modules(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not _of_outside_module(node, modules):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    for line, name, receiver in _readme_words():
+        if receiver is not None:
+            reads.setdefault(name, []).append((README, line))
+    unread = sorted(
+        f"{path.stem}.{cls}.{name}" for path, cls, name, first, last in _methods("property")
+        if not any(where != path or not first <= line <= last
+                   for where, line in reads.get(name, ())))
+    assert unread == []

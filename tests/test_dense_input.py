@@ -46,7 +46,7 @@ def test_a_matrix_of_another_shape_is_refused_naming_the_shape(rows, cols, entri
 
 
 def test_contains_reads_a_multiple_of_p_as_zero():
-    zero = Subspace.zero(F5, 2)
+    zero = Subspace.span(F5, 2, [])
     assert zero.contains((5, 0))
     assert zero.contains((-5, 0))
 
@@ -59,7 +59,7 @@ def test_coordinates_are_canonical_residues():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: Subspace.zero(F5, 2).contains((1, 0, 0)),
+    lambda: Subspace.span(F5, 2, []).contains((1, 0, 0)),
     lambda: Subspace.span(F5, 2, [[1, 0]]).coordinates((1,)),
     lambda: Matrix.make(F5, [[1, 2]]).matvec((1, 2, 3)),
     lambda: solve(Matrix.make(F5, [[1, 2]]), (1, 2)),

@@ -547,7 +547,7 @@ def test_pairing_reproduces_universal():
                                  for r in range(n)])
                 for s in range(pa.algebra.dim)]
         module = GradedModule(pa.algebra, n, 0, tuple(mats))
-        built = lietrip.embed._glue(pa.algebra, n, module.terms, pa.quotient.projection)
+        built = lietrip.embed._glue(pa.algebra, n, module.terms, pa.projection)
         assert built.bracket == universal_imbedding(T).algebra.bracket
         assert check_graded_lie(built).ok
 
@@ -669,7 +669,7 @@ def _reconstruct_even_block(T, L, alpha, env, ext):
     pairs = wedge_pairs(n)
     for s in range(env.algebra.dim0):
         target = unit_vec(F, env.algebra.dim0, s)
-        coeffs = solve(env.pair.quotient.projection, target)
+        coeffs = solve(env.pair.projection, target)
         assert coeffs is not None
         image = tuple([F.zero()] * L.dim)
         for c, (i, j) in zip(coeffs, pairs):
@@ -951,13 +951,15 @@ def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
 def test_decomposition_into_quotient_of_envelope():
     # for odd-generated L: the envelope of the odd part modulo the kernel of
     # the canonical surjection is isomorphic to L via the induced map
-    from lietrip.exactlin import quotient as ambient_quotient
     for L in (heis(), ab2(), sl2graded(), sl2_double_swap()):
         ext = universal_central_0_extension(L)
         Q, proj = central_quotient(ext.algebra, ext.kernel)
-        # induced map = canonical surjection composed with the coset section
-        q = ambient_quotient(ext.algebra.dim, ext.kernel)
-        induced = GradedHom(Q, L, ext.hom.matrix.matmul(q.section))
+        # induced map = canonical surjection composed with the coset section, whose
+        # columns are the unit vectors at the kernel's free coordinates
+        n = ext.algebra.dim
+        section = Matrix.from_cols(L.field, [unit_vec(L.field, n, c) for c in range(n)
+                                             if c not in ext.kernel.pivots], rows=n)
+        induced = GradedHom(Q, L, ext.hom.matrix.matmul(section))
         assert induced.is_bijective()
         assert induced.compose(proj).matrix == ext.hom.matrix
 
@@ -1022,7 +1024,7 @@ def test_rational_basis_results_hold_fractions(name, raw):
     rows = [v for row in A.bracket for v in row]
     mu_end = env.ste.inder.span.basis.transpose().matmul(pair_algebra(T).mu)
     rows += env.upsilon.matrix.entries + env.pair.mu.entries + mu_end.entries
-    rows += env.pair.a_subspace.basis.entries + env.pair.quotient.projection.entries
+    rows += env.pair.a_subspace.basis.entries + env.pair.projection.entries
     rows += envelope_criterion(A).witness.matrix.entries
     # A(T) + ab2 has H^2 != 0, so its representatives come from the exact path
     L = direct_sum(A, ab2())

@@ -184,10 +184,12 @@ def test_subspace_sum_intersect_examples():
 
 def test_quotient_example():
     a = Subspace.span(QQ, 3, [(QQ.of(1), QQ.of(1), QQ.of(1))])
-    q = quotient(3, a)
-    assert q.dim == 2
-    assert vec_is_zero(QQ, q.projection.matvec((QQ.of(1), QQ.of(1), QQ.of(1))))
-    assert q.projection.matmul(q.section) == Matrix.identity(QQ, 2)
+    proj = quotient(3, a)
+    assert (proj.rows, proj.cols) == (2, 3)
+    assert vec_is_zero(QQ, proj.matvec((QQ.of(1), QQ.of(1), QQ.of(1))))
+    # the free coordinates 1 and 2 are the coset representatives
+    section = Matrix.from_cols(QQ, [unit_vec(QQ, 3, 1), unit_vec(QQ, 3, 2)])
+    assert proj.matmul(section) == Matrix.identity(QQ, 2)
 
 
 def _matrices(field, max_dim=5):
@@ -250,14 +252,19 @@ def test_grassmann_identity(pair):
             lambda vs: (f, n, Subspace.span(f, n, [tuple(f.of(x) for x in v) for v in vs]))))))
 def test_quotient_section_property(data):
     field, n, a = data
-    q = quotient(n, a)
-    assert q.projection.matmul(q.section) == Matrix.identity(field, q.dim)
+    proj = quotient(n, a)
+    # the section: the unit vectors at the free (non-pivot) coordinates of A's RREF basis
+    free = [c for c in range(n) if c not in a.pivots]
+    assert (proj.rows, proj.cols) == (len(free), n)
+    for s, f in enumerate(free):
+        assert proj.matvec(unit_vec(field, n, f)) == unit_vec(field, len(free), s)
     for i in range(n):
-        v = unit_vec(field, n, i)
-        back = q.section.matvec(q.projection.matvec(v))
-        assert a.contains(oracles.vec_sub(back, v, field.p))
+        back = [field.zero()] * n  # sum_s proj(e_i)_s e_{free[s]}
+        for f, x in zip(free, proj.matvec(unit_vec(field, n, i))):
+            back[f] = x
+        assert a.contains(oracles.vec_sub(tuple(back), unit_vec(field, n, i), field.p))
     for v in a.basis.entries:
-        assert vec_is_zero(field, q.projection.matvec(v))
+        assert vec_is_zero(field, proj.matvec(v))
 
 
 @settings(max_examples=60, deadline=None)

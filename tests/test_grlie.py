@@ -313,7 +313,7 @@ def test_direct_sum():
 
 def test_central_quotient():
     L = heis()
-    zero_ideal = Subspace.zero(QQ, 3)
+    zero_ideal = Subspace.span(QQ, 3, [])
     Q0, proj0 = central_quotient(L, zero_ideal)
     assert Q0.bracket == L.bracket
     assert proj0.is_bijective()

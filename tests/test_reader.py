@@ -7,7 +7,8 @@ entries are read once, each distinct scalar string coerced once, and the
 first fault in document order, a node that is not an array or a bad
 scalar, is the one named.  A seeded fuzz of payload entries through the
 command line ends every run in exit 0, 1 or 2 with at most one line on
-stderr.
+stderr, and one of payload dims, of entries nested 10,000 levels deep and
+of scalars of 5,000 digits in exit 0 to 3, with at most one line.
 """
 
 import contextlib
@@ -57,8 +58,8 @@ ENTRY_POINTS = {
     "solve": lambda bad: solve(Matrix.identity(QQ, 2), bad),
     "Subspace.span": lambda bad: Subspace.span(QQ, 2, bad),
     "Subspace.span(vector)": lambda bad: Subspace.span(QQ, 2, [bad]),
-    "Subspace.contains": lambda bad: Subspace.zero(QQ, 2).contains(bad),
-    "Subspace.coordinates": lambda bad: Subspace.zero(QQ, 2).coordinates(bad),
+    "Subspace.contains": lambda bad: Subspace.span(QQ, 2, []).contains(bad),
+    "Subspace.coordinates": lambda bad: Subspace.span(QQ, 2, []).coordinates(bad),
     "Matrix.matvec": lambda bad: Matrix.identity(QQ, 2).matvec(bad),
     "GradedLieAlgebra.bracket_vec": lambda bad: ab2().bracket_vec(E, bad),
     "GradedModule.act": lambda bad: trivial_module(ab2()).act(bad),
@@ -230,3 +231,70 @@ def test_mutated_entries_end_in_an_exit_code_and_one_line(case):
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and "Traceback" not in err.getvalue(), lines
     assert code != 2 or lines and lines[0].startswith("error: "), lines
+
+
+# stand-ins for what json.dumps cannot write: entries nested 10,000 levels deep (the encoder
+# recurses) and 5,000-digit integers (over Python's int/str digit limit)
+DEEP = "[" * 10_000 + "]" * 10_000
+NESTED = ("source", "target", "algebra", "module")
+
+
+@st.composite
+def _reshaped(draw):
+    """(the JSON text, argv) of one payload of FUZZ_INPUTS with its dims, or those of a
+    payload nested in it, mutated (the dims or one of their keys missing, a key added, a value
+    a bool, a float, a string, null, negative or disagreeing with the entries), or a node of
+    its entries nested 10,000 levels deep, or a scalar of them 5,000 digits long, as a JSON
+    integer or a string."""
+    payload, argv = draw(st.sampled_from(FUZZ_INPUTS))
+    payload = copy.deepcopy(payload)
+    parts = [payload]
+    for part in parts:
+        parts += [part[key] for key in NESTED if key in part]
+    part = draw(st.sampled_from(parts))
+    family = draw(st.sampled_from(["dims", "deep", "digits"]))
+    if family == "dims":
+        dims = part["dims"]
+        key = draw(st.sampled_from(sorted(dims)))
+        op = draw(st.sampled_from(["no dims", "missing", "extra", "type", "negative", "disagree"]))
+        if op == "no dims":
+            del part["dims"]
+        elif op == "missing":
+            del dims[key]
+        elif op == "extra":
+            dims["extra"] = draw(st.integers(0, 2))
+        elif op == "type":
+            dims[key] = draw(st.sampled_from([True, False, 1.0, 2.5, "1", None]))
+        elif op == "negative":
+            dims[key] = -draw(st.integers(1, 3))
+        else:
+            dims[key] += draw(st.sampled_from([-1, 1, 2]))
+        return json.dumps(payload), argv
+    # a node of the entries for the deep family, a scalar for the digits family
+    parent, key = part, "entries"
+    while (isinstance(parent[key], list) and parent[key]
+           and (family == "digits" or draw(st.booleans()))):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    if family == "deep":
+        stand_in = DEEP
+    else:
+        number = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from("123456789")) * 5000
+        stand_in = number if draw(st.booleans()) else f'"{number}"'
+    parent[key] = "@stand-in@"
+    return json.dumps(payload).replace('"@stand-in@"', stand_in), argv
+
+
+@seed(39)
+@settings(max_examples=150, deadline=None)
+@given(_reshaped())
+def test_mutated_dims_depth_and_digits_end_in_an_exit_code_and_one_line(case):
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(path) if arg == "{}" else arg for arg in argv])
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue(), lines

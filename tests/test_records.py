@@ -37,7 +37,7 @@ def ladder_records():
                                unchecked=True)
     axioms = check_lts_axioms(broken)
     instances = [
-        Field(5), env.iota, env.pair.a_subspace, mq.quotient,
+        Field(5), env.iota, env.pair.a_subspace,
         axioms.violations[0], axioms, odd2(), identity_lts_hom(odd2()),
         derivation_algebra(odd2()), ideal_closure_certificate(odd2()),
         check_graded_lie(heis()), heis(), env.upsilon, adjoint_module(heis()),
@@ -49,7 +49,7 @@ def ladder_records():
 
 
 def test_ladder_covers_every_record_class(ladder_records):
-    assert len(RECORD_CLASSES) == 22
+    assert len(RECORD_CLASSES) == 21
     assert set(ladder_records) == set(RECORD_CLASSES)
 
 

@@ -7,7 +7,7 @@ are views derived on each read.  No module of ``src/lietrip`` reads them.
 Every record the corpus, a trusted assembler or the cochain complex builds
 is canonical: the public constructor, given its dense view, returns an
 equal record with an equal hash, and ``load(save(x)) == x``.  Every matrix
-the library builds along the way (homs, projections, sections, lam, mu,
+the library builds along the way (homs, projections, lam, mu,
 derivation and subspace bases) is canonical the same way.  This is checked
 over Q, F_2 and F_5.
 """
@@ -134,7 +134,7 @@ def _built(F):
     module = GradedModule(pa.algebra, 4, 0, tuple(Matrix(F, 4, 4, (f[0:4], f[4:8], f[8:12], f[12:16]))
                                                   for f in flats))
     yield "gl(2) over <gl(2),gl(2)>", module
-    yield "glued A(gl(2))", _glue(pa.algebra, 4, module.terms, pa.quotient.projection)
+    yield "glued A(gl(2))", _glue(pa.algebra, 4, module.terms, pa.projection)
 
 
 def _public(x):
@@ -196,4 +196,4 @@ def test_every_built_matrix_is_canonical(field):
             y = Matrix(m.field, m.rows, m.cols, m.entries)
             assert y == m and hash(y) == hash(m), path
             kinds.add(path.rpartition(".")[2].partition("[")[0])
-    assert kinds >= {"matrix", "projection", "section", "lam", "mu", "basis", "iota", "inclusion"}
+    assert kinds >= {"matrix", "projection", "lam", "mu", "basis", "iota", "inclusion"}

@@ -130,7 +130,7 @@ def test_pair_algebra_matches_the_derivation_route(name, field):
     pa = pair_algebra(T)
     assert pa.algebra == mq.algebra
     assert pa.a_subspace == mq.a_subspace
-    assert pa.quotient == mq.quotient  # projection and section
+    assert pa.projection == mq.projection
     env = universal_imbedding(T)
     assert env.ste.inder.span.basis.transpose().matmul(pa.mu) == mu_end  # mu flattened into End(T)
     r, q = env.ste.inder.dim, pa.algebra.dim

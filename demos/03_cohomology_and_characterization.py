@@ -15,6 +15,7 @@ from lietrip.cohom import (
     split_central_0_extension,
 )
 from lietrip.corpus import ab2, even_line, heis, sl2graded
+from lietrip.embed import universal_central_0_extension
 from lietrip.grlie import GradedHom, direct_sum, trivial_module
 
 print("== graded H^2 with trivial one-dimensional coefficients ==")
@@ -29,6 +30,16 @@ proj = GradedHom(heis(), ab2(), Matrix.make(QQ, [[0, 1, 0], [0, 0, 1]]))
 prob = CentralExtensionProblem.from_hom(proj)
 print("splitting found:", split_central_0_extension(prob) is not None)
 print("(the defining class spans the 1-dimensional H^2 of ab2)")
+
+print()
+print("== the universal central 0-extension A(L_1) -> L splits exactly when H^2 = 0 ==")
+for name, L in [("ab2", ab2()), ("heis", heis())]:
+    ext = universal_central_0_extension(L)
+    h = h2_graded(L, trivial_module(L)).dimension
+    print(f"{name:10s} A(L_1) dims ({ext.phi.source.dim0}, {ext.phi.source.dim1})"
+          f"  H^2 = {h}  splits: {split_central_0_extension(ext) is not None}")
+print("(for ab2 it is the hand-built heis -> ab2 above: the same algebra and hom)")
+print("same extension:", universal_central_0_extension(ab2()) == prob)
 
 print()
 print("== the characterization, end to end ==")

@@ -5,7 +5,7 @@ import importlib
 
 # public name -> defining submodule, imported on first access (PEP 562), in __all__'s order
 _HOMES = {
-    "CentralExtensionProblem": "cohom", "Cochain": "cohom", "Field": "exactlin",
+    "CentralExtensionProblem": "grlie", "Cochain": "cohom", "Field": "exactlin",
     "GradedHom": "grlie", "GradedLieAlgebra": "grlie", "GradedModule": "grlie", "H2Result": "cohom",
     "LieTripleSystem": "lts", "LtsHom": "lts", "Matrix": "exactlin", "QQ": "exactlin",
     "StandardImbedding": "embed", "Subspace": "exactlin", "UniversalImbedding": "embed",

@@ -158,7 +158,7 @@ def _run_split(names, phi):
     if psi is not None:
         return "true", dims, {}, {"splitting": save(psi)}
     # H^2 with coefficients in F^k is k copies of H^2 with coefficients in F; k > 0, as k = 0 splits
-    h2_dim = prob.kernel.dim * h2_graded(prob.base, trivial_module(prob.base)).dimension
+    h2_dim = prob.kernel.dim * h2_graded(phi.target, trivial_module(phi.target)).dimension
     return ("false", dims,
             {"obstruction": "the defining cocycle class is nonzero", "h2_dim": h2_dim}, {})
 
@@ -189,12 +189,12 @@ def _run_thm_a(names, L):
 def _run_u0ext(names, L):
     from .embed import universal_central_0_extension
     ext = universal_central_0_extension(L)
+    A = ext.phi.source
     return ("pass",
-            {"dim0": ext.algebra.dim0, "dim1": ext.algebra.dim1,
-             "kernel_dim": ext.kernel.dim},
+            {"dim0": A.dim0, "dim1": A.dim1, "kernel_dim": ext.kernel.dim},
             {},
-            {"total": save(ext.algebra),
-             "upsilon_hat": save(ext.hom),
+            {"total": save(A),
+             "upsilon_hat": save(ext.phi),
              "kernel_basis": fmt_matrix(ext.kernel.basis)})
 
 

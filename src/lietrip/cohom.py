@@ -1,8 +1,8 @@
 """Graded Chevalley-Eilenberg cochains in degrees <= 3, the coboundary,
 H^2 of the graded subcomplex, cocycle-built central extensions, and the
-constructive splitting of central 0-extensions.  The two-condition test,
-``envelope_criterion``, lives in ``embed`` beside the builder it reads; it
-is still importable from here.
+constructive splitting of central 0-extensions, each a ``grlie``
+``CentralExtensionProblem``.  The two-condition test, ``envelope_criterion``,
+lives in ``embed`` beside the builder it reads; it is importable from here.
 
 A degree-n cochain stores one sparse module vector, the nonzeros of its
 value, per sorted basis combination i_1 < ... < i_n, so alternation is
@@ -19,11 +19,12 @@ from math import comb
 from typing import Optional
 
 from .exactlin import (
-    Matrix, Nonzeros, Record, Subspace, _array, _as_nonzeros, _combination, _distinct_rows,
+    Matrix, Nonzeros, Record, _array, _as_nonzeros, _combination, _distinct_rows,
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed,
     dense_tensor, rref,
 )
-from .grlie import GradedHom, GradedLieAlgebra, GradedModule, _assemble, _central, check_graded_lie
+from .grlie import (CentralExtensionProblem, GradedHom, GradedLieAlgebra, GradedModule,
+                    NotCentral0Extension, _assemble, check_graded_lie)
 
 
 class Cochain(Record):
@@ -199,30 +200,6 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     return H2Result(len(cocycles) - r1, len(cocycles), r1, reps)
 
 
-class NotCentral0Extension(ValueError):
-    pass
-
-
-class CentralExtensionProblem(Record):
-    """A surjective graded hom whose kernel is even and central."""
-
-    total: GradedLieAlgebra
-    base: GradedLieAlgebra
-    phi: GradedHom
-    kernel: Subspace
-
-    @classmethod
-    def from_hom(cls, phi: GradedHom) -> "CentralExtensionProblem":
-        ker = phi.kernel()
-        if phi.source.dim - ker.dim != phi.target.dim:  # rank-nullity
-            raise NotCentral0Extension("the hom is not surjective")
-        if any(i >= phi.source.dim0 for z in ker.basis.terms for i, _ in z):
-            raise NotCentral0Extension("the kernel is not contained in the even part")
-        if not _central(phi.source, ker):
-            raise NotCentral0Extension("the kernel is not central")
-        return cls(phi.source, phi.target, phi, ker)
-
-
 def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> CentralExtensionProblem:
     """The central 0-extension defined by a graded 2-cocycle with values in
     a trivial module with no odd part: bracket [x+m, y+n] = [x,y] + sigma(x,y).
@@ -252,7 +229,7 @@ def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> C
 def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedHom]:
     """A graded hom psi with phi . psi = id, or None when the extension does
     not split (the defining cocycle class is nonzero)."""
-    K, L, phi = prob.total, prob.base, prob.phi
+    phi, K, L = prob.phi, prob.phi.source, prob.phi.target
     F = K.field
     # graded linear section eta, by its columns' nonzeros: phi is onto, so the RREF of
     # [phi | I] has its pivots in phi's block, and column i of I holds the solution of

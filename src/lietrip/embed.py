@@ -36,8 +36,8 @@ from .exactlin import (
     kernel_basis, quotient,
 )
 from .grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, _assemble, _bracket, _central,
-    is_generated_by_odd, trivial_module,
+    CentralExtensionProblem, GradedHom, GradedLieAlgebra, GradedModule, NotCentral0Extension,
+    _assemble, _bracket, _central, is_generated_by_odd, trivial_module,
 )
 
 if TYPE_CHECKING:  # lts loads with the constructions on a triple system, not with embed
@@ -365,26 +365,15 @@ def imbedding_functor_hom(alpha: LtsHom,
 # ---------------------------------------------------------------------------
 # universal central 0-extensions
 
-class UniversalCentral0Extension(Record):
-    algebra: GradedLieAlgebra  # A(L_1), the universal imbedding of the odd part of L
-    hom: GradedHom             # algebra -> L, the identity on odd parts
-    kernel: Subspace
-
-
-def universal_central_0_extension(L: GradedLieAlgebra) -> UniversalCentral0Extension:
+def universal_central_0_extension(L: GradedLieAlgebra) -> CentralExtensionProblem:
     """For L generated by its odd part: A(L_1) -> L, the identity on L_1, read off L's brackets
-    by _envelope.  Its kernel is eliminated once and checked even and central."""
+    by _envelope.  from_hom checks it onto with an even central kernel; a refusal is a fault here."""
     if not is_generated_by_odd(L):
         raise ValueError("algebra is not generated by its odd part")
-    _, A, hom = _envelope(L)
-    ker = kernel_basis(hom.matrix)
-    if A.dim - ker.dim != L.dim:
-        raise RuntimeError("extension of the identity failed to be surjective")
-    if any(i >= A.dim0 for z in ker.basis.terms for i, _ in z):
-        raise RuntimeError("kernel escaped the even part")
-    if not _central(A, ker):
-        raise RuntimeError("kernel escaped the center")
-    return UniversalCentral0Extension(A, hom, ker)
+    try:
+        return CentralExtensionProblem.from_hom(_envelope(L)[2])
+    except NotCentral0Extension as exc:
+        raise RuntimeError(f"universal central 0-extension: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

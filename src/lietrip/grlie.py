@@ -10,7 +10,10 @@ as ``lts.check_lts_axioms`` does, in the records both take from
 ``exactlin``: an ``AxiomReport`` of ``AxiomViolation``s, and
 ``GradedLieError`` is an ``AxiomError``.  L_1 generates L iff [L_1, L_1] =
 L_0, as L_1 + [L_1, L_1] is closed by the grading and Jacobi; ``_central``
-is the one centrality check.  Only ``restrict_hom_to_odd`` loads ``lts``.
+is the one centrality check, and ``CentralExtensionProblem.from_hom`` the
+one check of a central 0-extension, a hom onto with an even central kernel,
+kept here so that ``embed`` builds the universal one without ``cohom``.
+Only ``restrict_hom_to_odd`` loads ``lts``.
 """
 
 from __future__ import annotations
@@ -273,6 +276,28 @@ def _central(L: GradedLieAlgebra, Z: Subspace) -> bool:
     return not _sparse_sum(L.field.p, ((x, (((k, j, l), y) for l, y in v))
                                        for i, zi in zs.items() if any(s[i])
                                        for j, v in compress(enumerate(s[i]), s[i]) for k, x in zi.items()))
+
+
+class NotCentral0Extension(ValueError):
+    pass
+
+
+class CentralExtensionProblem(Record):
+    """A central 0-extension: a surjective graded hom whose kernel is even and central."""
+
+    phi: GradedHom
+    kernel: Subspace
+
+    @classmethod
+    def from_hom(cls, phi: GradedHom) -> "CentralExtensionProblem":
+        ker = phi.kernel()
+        if phi.source.dim - ker.dim != phi.target.dim:  # rank-nullity
+            raise NotCentral0Extension("the hom is not surjective")
+        if any(i >= phi.source.dim0 for z in ker.basis.terms for i, _ in z):
+            raise NotCentral0Extension("the kernel is not contained in the even part")
+        if not _central(phi.source, ker):
+            raise NotCentral0Extension("the kernel is not central")
+        return cls(phi, ker)
 
 
 def direct_sum(K: GradedLieAlgebra, U: GradedLieAlgebra) -> GradedLieAlgebra:

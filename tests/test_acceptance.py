@@ -211,7 +211,7 @@ def test_criterion_07_splitting_dichotomy():
                 assert (psi is not None) == expected_split
                 if psi is not None:
                     assert prob.phi.compose(psi).matrix == Matrix.identity(field, L.dim)
-                    assert is_graded_hom(psi.matrix, L, prob.total)
+                    assert is_graded_hom(psi.matrix, L, prob.phi.source)
     print("PASS criterion 7: splitting succeeds exactly for vanishing classes over Q and F3")
 
 

@@ -250,7 +250,7 @@ def test_cocycle_extension_checks_its_cochain_and_its_coefficients():
 def test_split_refuses_a_problem_whose_hom_is_not_onto():
     H = heis()
     phi = GradedHom(H, H, Matrix(QQ, 3, 3, ((0,) * 3,) * 3), unchecked=True)
-    prob = CentralExtensionProblem(H, H, phi, Subspace.span(QQ, 3, Matrix.identity(QQ, 3).entries))
+    prob = CentralExtensionProblem(phi, Subspace.span(QQ, 3, Matrix.identity(QQ, 3).entries))
     with pytest.raises(NotCentral0Extension, match="^the hom is not surjective$"):
         split_central_0_extension(prob)
 

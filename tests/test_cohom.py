@@ -266,7 +266,7 @@ def test_cocycle_extension_zero_gives_direct_sum():
     M = trivial_module(L)
     prob = cocycle_extension(L, M, Cochain(L, M, 2, ((0,),) * 3))
     expected = direct_sum(even_line(), L)
-    assert (prob.total.dim0, prob.total.dim1) == (expected.dim0, expected.dim1)
+    assert (prob.phi.source.dim0, prob.phi.source.dim1) == (expected.dim0, expected.dim1)
     # relabel: extension order is (L0 | M | L1); compare bracket of L-lifts
     assert prob.phi.is_surjective()
     assert prob.kernel.dim == 1
@@ -279,7 +279,7 @@ def test_cocycle_extension_ab2_gives_heis():
     M = trivial_module(L)
     sigma = h2_graded(L, M).representatives[0]
     prob = cocycle_extension(L, M, sigma)
-    assert prob.total.bracket == heis().bracket
+    assert prob.phi.source.bracket == heis().bracket
     assert prob.kernel.dim == 1
 
 
@@ -476,8 +476,8 @@ def _is_coboundary(sigma):
 
 def _splits_by_the_derived_algebra(prob):
     """A central 0-extension splits exactly when its kernel meets [K, K] in 0."""
-    p = prob.total.field.p
-    derived = [list(v) for row in prob.total.bracket for v in row]
+    p = prob.phi.source.field.p
+    derived = [list(v) for row in prob.phi.source.bracket for v in row]
     kernel = [list(v) for v in prob.kernel.basis.entries]
     return _rank(derived + kernel, p) == _rank(derived, p) + len(kernel)
 
@@ -517,7 +517,7 @@ def test_split_is_one_problem_for_a_kernel_of_any_dimension(field):
                 verdicts.add(psi is not None)
                 if psi is not None:
                     assert prob.phi.compose(psi).matrix == Matrix.identity(field, L.dim)
-                    assert is_graded_hom(psi.matrix, L, prob.total)
+                    assert is_graded_hom(psi.matrix, L, prob.phi.source)
     for proj in projections:
         prob = CentralExtensionProblem.from_hom(proj)
         assert (split_central_0_extension(prob) is not None) == _splits_by_the_derived_algebra(prob)
@@ -549,11 +549,11 @@ def test_split_takes_tau_from_one_elimination(monkeypatch):
             cases = [(CentralExtensionProblem.from_hom(proj), False)
                      for proj in projections if proj.kernel().dim == k] + [(extension, True)]
             for prob, splits in cases:
-                L = prob.base
+                L = prob.phi.target
                 calls.clear()
                 assert (split_central_0_extension(prob) is not None) == splits
                 pairs = comb(L.dim0, 2) + comb(L.dim1, 2)
-                assert calls == [("rref", L.dim, prob.total.dim + L.dim), ("rref", pairs, L.dim0 + k)]
+                assert calls == [("rref", L.dim, prob.phi.source.dim + L.dim), ("rref", pairs, L.dim0 + k)]
 
 
 def test_is_0_centrally_closed():
@@ -630,9 +630,10 @@ def test_h2_is_the_kernel_of_the_universal_central_0_extension(field):
         report = envelope_criterion(L)
         assert ext.kernel.dim == report.h2_dimension == h2
         assert report.verdict == (h2 == 0)
+        assert report.verdict == (split_central_0_extension(ext) is not None)
         if report.verdict:
             assert report.witness.source == universal_imbedding(odd_part_lts(L)).algebra
-            assert report.witness == ext.hom
+            assert report.witness == ext.phi
         else:
             assert report.witness is None
         seen.add(h2)
@@ -698,13 +699,15 @@ def test_the_verdict_holds_exactly_when_extend_hom_is_an_isomorphism_over_f3():
     Q = quotients[0]
     M = trivial_module(Q)
     zero = coboundary(Cochain(Q, M, 1, ((0,),) * Q.dim))
-    algebras += [cocycle_extension(Q, M, sigma).total
+    algebras += [cocycle_extension(Q, M, sigma).phi.source
                  for sigma in h2_graded(Q, M).representatives + (zero,)]
     verdicts = []
     for L in algebras:
         m = extend_hom(odd_part_lts(L), L, Matrix.identity(F, L.dim1)).matrix
         verdict = envelope_criterion(L).verdict
         assert verdict == (m.rows == m.cols and inverse(m) is not None)
+        if is_generated_by_odd(L):  # the paper's theorem: A(L_1) -> L splits exactly when H^2 = 0
+            assert verdict == (split_central_0_extension(universal_central_0_extension(L)) is not None)
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -720,7 +723,7 @@ def test_central_check_matches_center(field):
     rng = random.Random(34)
     algebras = _odd_generated(field)
     cases = [(L, Z) for L in algebras for Z in _central_lines(L)]
-    cases += [(ext.algebra, ext.kernel) for ext in map(universal_central_0_extension, algebras)]
+    cases += [(ext.phi.source, ext.kernel) for ext in map(universal_central_0_extension, algebras)]
     for n in (3, 4):
         c = [[[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
         c[0], c[2] = [[0] * n] * n, c[1]  # [e_0, x] = 0 and [e_1 - e_2, x] = 0 for every x
@@ -862,7 +865,7 @@ def test_h2_exact_path_exactly_when_h2_is_nonzero(field, monkeypatch):
     extensions = []
     for Q in quotients:
         M = trivial_module(Q)
-        extensions += [cocycle_extension(Q, M, sigma).total
+        extensions += [cocycle_extension(Q, M, sigma).phi.source
                        for sigma in h2_graded(Q, M).representatives]
     echelons, nulls = _eliminations(monkeypatch)
     nonzero = 0

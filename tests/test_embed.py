@@ -751,11 +751,11 @@ def test_functor_does_not_check_the_hom_law_again(monkeypatch):
 def test_universal_central_0_extension_examples():
     ext = universal_central_0_extension(heis())
     assert ext.kernel.dim == 0
-    assert ext.hom.is_bijective()
+    assert ext.phi.is_bijective()
 
     ext = universal_central_0_extension(ab2())
     assert ext.kernel.dim == 1
-    assert (ext.algebra.dim0, ext.algebra.dim1) == (1, 2)
+    assert (ext.phi.source.dim0, ext.phi.source.dim1) == (1, 2)
 
     ext = universal_central_0_extension(sl2graded())
     assert ext.kernel.dim == 0
@@ -799,8 +799,8 @@ def test_universal_central_0_extension_matches_the_route_through_the_odd_part(na
     ext = universal_central_0_extension(L)
     T = odd_part_lts(L)
     hom = extend_hom(T, L, Matrix.identity(L.field, L.dim1))
-    assert ext.algebra == universal_imbedding(T).algebra == hom.source
-    assert ext.hom == hom
+    assert ext.phi.source == universal_imbedding(T).algebra == hom.source
+    assert ext.phi == hom
     assert ext.kernel == kernel_basis(hom.matrix)
     assert ext.kernel.dim == h2
 
@@ -825,6 +825,7 @@ def test_kernel_of_mu_is_checked_central_when_h2_is_nonzero(name, make, h2, monk
         return kernels[-1]
 
     monkeypatch.setattr(lietrip.embed, "kernel_basis", recording)
+    monkeypatch.setattr(lietrip.grlie, "kernel_basis", recording)  # GradedHom.kernel's
     assert envelope_criterion(L).h2_dimension == h2
     assert kernels == []
     ext = universal_central_0_extension(L)
@@ -906,7 +907,7 @@ def test_envelope_criterion_builds_no_envelope(monkeypatch):
 
 def _with_envelope_algebra(monkeypatch, dim0, edit=None):
     """Make embed._envelope return A(L_1) with its bracket regraded to dim0
-    even basis vectors, after edit(bracket) on a copy."""
+    even basis vectors, after edit(bracket) on a copy, as its hom's source too."""
     real = lietrip.embed._envelope
 
     def corrupted(L):
@@ -916,7 +917,7 @@ def _with_envelope_algebra(monkeypatch, dim0, edit=None):
             edit(bracket)
         B = GradedLieAlgebra(A.field, dim0, A.dim - dim0, tuple(tuple(row) for row in bracket),
                              unchecked=True)
-        return pair, B, hom
+        return pair, B, GradedHom(B, hom.target, hom.matrix, unchecked=True)
 
     monkeypatch.setattr(lietrip.embed, "_envelope", corrupted)
 
@@ -926,14 +927,15 @@ def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
     Q, _ = central_quotient(A, Subspace.span(QQ, A.dim, [unit_vec(QQ, A.dim, 0)]))
     ext = universal_central_0_extension(Q)
     assert ext.kernel.dim == 1
-    assert ext.algebra.even_subspace().contains_subspace(ext.kernel)
-    assert center(ext.algebra).contains_subspace(ext.kernel)
+    assert ext.phi.source.even_subspace().contains_subspace(ext.kernel)
+    assert center(ext.phi.source).contains_subspace(ext.kernel)
     # both checks run: each one raises on an envelope algebra corrupted where
-    # the kernel lies (the kernel's hom, read off the radical, is unchanged)
-    B = ext.algebra
+    # the kernel lies (the hom's matrix, read off the radical, is unchanged)
+    B = ext.phi.source
     with monkeypatch.context() as m:
         _with_envelope_algebra(m, 0)  # every coordinate odd
-        with pytest.raises(RuntimeError, match="kernel escaped the even part"):
+        with pytest.raises(RuntimeError, match="^universal central 0-extension: "
+                                               "the kernel is not contained in the even part$"):
             universal_central_0_extension(Q)
     c = next(i for i, x in enumerate(ext.kernel.basis.entries[0]) if x)
     one = unit_vec(QQ, B.dim, 0)
@@ -943,7 +945,7 @@ def test_universal_central_0_extension_checks_a_nonzero_kernel(monkeypatch):
 
     with monkeypatch.context() as m:
         _with_envelope_algebra(m, B.dim0, edit)
-        with pytest.raises(RuntimeError, match="kernel escaped the center"):
+        with pytest.raises(RuntimeError, match="^universal central 0-extension: the kernel is not central$"):
             universal_central_0_extension(Q)
     assert universal_central_0_extension(Q) == ext
 
@@ -953,15 +955,15 @@ def test_decomposition_into_quotient_of_envelope():
     # the canonical surjection is isomorphic to L via the induced map
     for L in (heis(), ab2(), sl2graded(), sl2_double_swap()):
         ext = universal_central_0_extension(L)
-        Q, proj = central_quotient(ext.algebra, ext.kernel)
+        Q, proj = central_quotient(ext.phi.source, ext.kernel)
         # induced map = canonical surjection composed with the coset section, whose
         # columns are the unit vectors at the kernel's free coordinates
-        n = ext.algebra.dim
+        n = ext.phi.source.dim
         section = Matrix.from_cols(L.field, [unit_vec(L.field, n, c) for c in range(n)
                                              if c not in ext.kernel.pivots], rows=n)
-        induced = GradedHom(Q, L, ext.hom.matrix.matmul(section))
+        induced = GradedHom(Q, L, ext.phi.matrix.matmul(section))
         assert induced.is_bijective()
-        assert induced.compose(proj).matrix == ext.hom.matrix
+        assert induced.compose(proj).matrix == ext.phi.matrix
 
 
 # ---------------------------------------------------------------------------

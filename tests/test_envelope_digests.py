@@ -61,7 +61,7 @@ def _digest(x):
 
 def _u0ext(L):
     ext = universal_central_0_extension(L)
-    return {"u0ext.algebra": _digest(ext.algebra), "u0ext.hom": _digest(ext.hom),
+    return {"u0ext.algebra": _digest(ext.phi.source), "u0ext.hom": _digest(ext.phi),
             "u0ext.kernel": _digest(ext.kernel.basis)}
 
 

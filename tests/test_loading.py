@@ -75,8 +75,9 @@ def _cli_inputs(tmp_path):
 
 # (command, exit code, the modules it loads): the commands of perfbench/clijobs.py, then more
 # commands on a file; a graded command loads no lts, and only h2, split and a criterion on an
-# algebra its odd part does not generate load cohom; a payload refused for a bad scalar loads
-# no record module, since load parses the entries first
+# algebra its odd part does not generate load cohom (u0ext builds grlie's CentralExtensionProblem
+# without it); a payload refused for a bad scalar loads no record module, since load parses the
+# entries first
 COMMANDS = [
     ("thm-a heis", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
     ("thm-a ab2", 1, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
@@ -97,6 +98,8 @@ COMMANDS = [
     ("h2 ab2.json", 0, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
     ("thm-a ab2.json", 1, ["cli", "embed", "exactlin", "grlie", "serialize"]),
     ("thm-a sl2ds.json", 0, ["cli", "embed", "exactlin", "grlie", "serialize"]),
+    ("u0ext heis", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
+    ("u0ext n3q.json", 0, ["cli", "embed", "exactlin", "grlie", "serialize"]),
 ]
 
 

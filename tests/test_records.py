@@ -10,9 +10,7 @@ import pytest
 import lietrip
 from lietrip.cohom import H2Result, cocycle_extension, envelope_criterion, h2_graded
 from lietrip.corpus import ab2, heis, odd2
-from lietrip.embed import (
-    pair_algebra, universal_central_0_extension, universal_imbedding, wedge_module,
-)
+from lietrip.embed import pair_algebra, universal_imbedding, wedge_module
 from lietrip.exactlin import Field, Record
 from lietrip.grlie import adjoint_module, check_graded_lie, trivial_module
 from lietrip.lts import (
@@ -41,7 +39,7 @@ def ladder_records():
         axioms.violations[0], axioms, odd2(), identity_lts_hom(odd2()),
         derivation_algebra(odd2()), ideal_closure_certificate(odd2()),
         check_graded_lie(heis()), heis(), env.upsilon, adjoint_module(heis()),
-        env.ste, wedge, mq, env, universal_central_0_extension(env.algebra),
+        env.ste, wedge, mq, env,
         h2.representatives[0], h2, cocycle_extension(ab2(), M, h2.representatives[0]),
         criterion,
     ]
@@ -49,7 +47,7 @@ def ladder_records():
 
 
 def test_ladder_covers_every_record_class(ladder_records):
-    assert len(RECORD_CLASSES) == 21
+    assert len(RECORD_CLASSES) == 20
     assert set(ladder_records) == set(RECORD_CLASSES)
 
 

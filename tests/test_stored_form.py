@@ -114,12 +114,12 @@ def _built(F):
     M = trivial_module(Q)
     for k, sigma in enumerate(h2_graded(Q, M).representatives):
         problem = cocycle_extension(Q, M, sigma)
-        yield from ((f"h2 representative {k}", sigma), (f"extension {k}", problem.total),
+        yield from ((f"h2 representative {k}", sigma), (f"extension {k}", problem.phi.source),
                     (f"extension problem {k}", problem))
     H = heis(F)  # coboundaries put sigma's terms next to the bracket's on one pair
     for k, g in enumerate(graded_cochain_basis(H, trivial_module(H), 1)):
         problem = cocycle_extension(H, trivial_module(H), coboundary(g))
-        yield from ((f"coboundary extension {k}", problem.total),
+        yield from ((f"coboundary extension {k}", problem.phi.source),
                     (f"splitting {k}", split_central_0_extension(problem)))
     for name, L in (("heis", H), ("sl2graded", sl2graded(F)), ("A(abl(2))", A)):
         for M in (trivial_module(L, 2), adjoint_module(L)):

@@ -14,6 +14,7 @@ trusted paths, and of the validating constructors, in ``src/lietrip``.
 
 import ast
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from lietrip.grlie import (
 from lietrip.lts import (
     IdealClosureCertificate, LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
     derivation_algebra, ideal_closure_certificate, identity_lts_hom, inner_derivation,
-    is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts,
+    inner_derivation_algebra, is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts,
 )
 from lietrip.serialize import PayloadError, load, save
 from test_embed import assert_in_kernel_of_lam, radical_generators
@@ -78,7 +79,7 @@ def _quotient_and_extensions(A, what):
     M = trivial_module(Q)
     for k, sigma in enumerate(h2_graded(Q, M).representatives):
         prob = cocycle_extension(Q, M, sigma)
-        _graded_ok(prob.total, f"extension {k} of {what}/line")
+        _graded_ok(prob.phi.source, f"extension {k} of {what}/line")
         _hom_ok(prob.phi, f"projection of extension {k} of {what}/line")
 
 
@@ -101,8 +102,16 @@ def test_derived_objects_pass_the_full_checks(name, field):
     assert report.witness.source == A, name
     _quotient_and_extensions(A, f"A({name})")
     n = T.dim
+    der = derivation_algebra(T)
     assert ideal_closure_certificate(T) == IdealClosureCertificate(
-        True, derivation_algebra(T).dim * n * (n - 1) // 2, ()), name
+        True, der.dim * n * (n - 1) // 2, ()), name
+    # what the certificate's identity implies: Inder(T) holds every [D, D_{i,j}]
+    inder = inner_derivation_algebra(T).span
+    for i, j in combinations(range(n), 2):
+        dij = inner_derivation(T, unit_vec(field, n, i), unit_vec(field, n, j))
+        for d in der.basis:
+            comm = [x - y for x, y in zip(d.matmul(dij).flatten(), dij.matmul(d).flatten())]
+            assert inder.contains(comm), (name, i, j)
 
 
 def _pair_algebra_over_der(T):
@@ -179,11 +188,11 @@ def test_graded_corpus_extensions_pass_the_full_checks(field):
         M = trivial_module(L)
         for sigma in h2_graded(L, M).representatives:
             prob = cocycle_extension(L, M, sigma)
-            _graded_ok(prob.total, "cocycle extension")
+            _graded_ok(prob.phi.source, "cocycle extension")
             _hom_ok(prob.phi, "cocycle extension projection")
         for g in graded_cochain_basis(L, M, 1):
             prob = cocycle_extension(L, M, coboundary(g))
-            _graded_ok(prob.total, "coboundary extension")
+            _graded_ok(prob.phi.source, "coboundary extension")
             _hom_ok(split_central_0_extension(prob), "splitting of a coboundary extension")
         _quotient_and_extensions(L, "corpus algebra")
 

@@ -13,7 +13,7 @@ from lietrip import (
 )
 from lietrip.corpus import abl, odd2, sl2lts
 from lietrip.exactlin import unit_vec
-from lietrip.lts import LieTripleSystem
+from lietrip.lts import LieTripleSystem, LtsAxiomError
 
 print("== the odd part of sl2: basis (e, f), [e,f,e] = 2e, [e,f,f] = -2f ==")
 T = odd2()
@@ -27,11 +27,10 @@ print()
 print("== breaking one structure constant produces a located witness ==")
 tensor = [[[list(v) for v in tij] for tij in ti] for ti in T.triple]
 tensor[0][1][0][0] += 1
-broken = LieTripleSystem(QQ, 2,
-                         tuple(tuple(tuple(tuple(v) for v in tij) for tij in ti)
-                               for ti in tensor),
-                         unchecked=True)
-report = check_lts_axioms(broken)
+try:
+    LieTripleSystem(QQ, 2, tensor)  # the constructor runs the axiom check
+except LtsAxiomError as exc:
+    report = exc.report
 print("axioms pass:", report.ok)
 print("first violation:", report.violations[0].identity,
       "at basis tuple", report.violations[0].indices)

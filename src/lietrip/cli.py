@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Inputs are JSON files or corpus names (e.g. ``heis``, ``abl(3)``,
-``a_of(odd2)``).  Every command prints a single JSON report to stdout and
-human-readable diagnostics to stderr.  Exit codes: 0 pass/true, 1
-fail/false, 2 invalid input, 3 internal error (a library self-check failed,
-or the run, the report's encoding or its writing ran out of memory).
+``a_of(odd2)``), validated on loading; check-lts and check-graded run the
+axiom check of a file themselves.  Every command prints a single JSON report
+to stdout and human-readable diagnostics to stderr.  Exit codes: 0 pass/true,
+1 fail/false, 2 invalid input, 3 internal error (a library fault, or out of
+memory in the run, the report's encoding or its writing).
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ _KINDS = {
 }
 
 
-def _load_input(arg: str, field: Field, unchecked: bool):
+def _load_input(arg: str, field: Field, _trusted: bool):
     if os.path.exists(arg):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            return load(payload, unchecked=unchecked)
+            return load(payload, _trusted=_trusted)
         # ValueError covers bad JSON and payloads, RecursionError too deep a nesting
         except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"{arg}: {exc}") from None
@@ -225,7 +226,7 @@ _COMMANDS = {
     "split": ("attempt to split a central 0-extension",
               (("hom", "GradedHom", {"help": "graded_hom JSON file"}),), _run_split),
 }
-# check-lts and check-graded load unchecked to report the violations
+# check-lts and check-graded load their file without the axiom check, which they run and report
 _CHECKS = ("check-lts", "check-graded")
 
 
@@ -249,8 +250,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             p.add_argument(argument, **options)
         p.add_argument("--field", type=_parse_field, default=Field(),
                        help="base field for corpus names: Q (default) or Fp:<p>")
-        p.add_argument("--unchecked", action="store_true",
-                       help="skip invariant validation when loading files")
         p.add_argument("--out", help="also write the report JSON to this path")
     return parser
 
@@ -268,7 +267,7 @@ def main(argv: Optional[list] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         objs = [_by_name(arg, args.field) if cls is None else _expect(_load_input(
-                    arg, args.field, unchecked=args.unchecked or args.command in _CHECKS), cls)
+                    arg, args.field, _trusted=args.command in _CHECKS), cls)
                 for arg, cls in given]
         verdict, dimensions, witnesses, derived = runner(names, *objs)
         # the field of the first system or algebra, else of the hom's matrix

@@ -176,13 +176,12 @@ def h2_graded(L: GradedLieAlgebra, M: GradedModule) -> H2Result:
     slots1, slots2 = _graded_slots(L, M, 1), _graded_slots(L, M, 2)
     c2 = len(slots2)
     # d_1's columns over the positions of the graded 2-slots, and d_2's turned into rows at the
-    # graded 3-slots in slot order: outputs at ungraded slots, only of unchecked input, are dropped
+    # 3-slots in slot order: d sends graded cochains to graded ones, so every slot is graded
     cols = _differential(L, M, slots1 + slots2)[0]
     position = {slot: k for k, slot in enumerate(slots2)}
-    d1 = [{position[s]: x for s, x in col.items() if s in position} for col in cols[:len(slots1)]]
+    d1 = [{position[s]: x for s, x in col.items()} for col in cols[:len(slots1)]]
     d2 = _transposed(col.items() for col in cols[len(slots1):])
-    rows2 = _distinct_rows(p, (d2[combo, s] for combo, s in sorted(d2)
-                               if (s >= M.dim0) == sum(i >= L.dim0 for i in combo) % 2))
+    rows2 = _distinct_rows(p, (d2[slot] for slot in sorted(d2)))
     cols1 = _distinct_rows(p, d1)
     d2_cols = _transposed(rows2)  # d_2 d_1 = 0 on the scaled rows, through an index of their columns
     if any(_sparse_sum(p, ((y, d2_cols.get(c, {}).items()) for c, y in col)) for col in cols1):
@@ -222,7 +221,7 @@ def cocycle_extension(L: GradedLieAlgebra, M: GradedModule, sigma: Cochain) -> C
     if bad:
         raise ValueError("sigma is not graded" if "grading" in bad else "sigma is not a cocycle")
     proj_rows = Nonzeros(((lift[i], F.one()),) for i in range(L.dim))
-    phi = GradedHom(total, L, Matrix(F, L.dim, total.dim, proj_rows), unchecked=True)
+    phi = GradedHom(total, L, Matrix(F, L.dim, total.dim, proj_rows), _trusted=True)
     return CentralExtensionProblem.from_hom(phi)
 
 
@@ -265,7 +264,7 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     psi_cols = [_combination(F.p, chain(((1, eta[l]),), ((x, ker.basis.terms[s - n0])
                                                          for s, x in tau.get(l, ()) if s >= n0)))
                 for l in range(L.dim)]
-    psi = GradedHom(L, K, Matrix.from_cols(F, Nonzeros(psi_cols), rows=K.dim), unchecked=True)
+    psi = GradedHom(L, K, Matrix.from_cols(F, Nonzeros(psi_cols), rows=K.dim), _trusted=True)
     if phi.compose(psi).matrix != Matrix.identity(F, L.dim):
         raise RuntimeError("splitting failed to section the extension")
     return psi

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # lts loads only for a triple system, so that a graded algebr
 
 def abl(n: int, field: Field = QQ) -> LieTripleSystem:
     from .lts import LieTripleSystem
-    return LieTripleSystem(field, n, Nonzeros(((((),) * n,) * n,) * n), unchecked=True)
+    return LieTripleSystem(field, n, Nonzeros(((((),) * n,) * n,) * n), _trusted=True)
 
 
 # sl2 structure constants in the basis (h, e, f), which the constructor reads into the field

@@ -124,7 +124,7 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
                                      for a in range(r)], 2)
     actions = Nonzeros(tuple(tuple(_terms_of(F.p, v, den) for v in _wedge_columns(F.p, n, c, pairs))
                              for c in cols))
-    module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, unchecked=True)
+    module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, _trusted=True)
     lam = Matrix.from_cols(F, Nonzeros(s[r + i][r + j] for i, j in pairs), rows=r)
     return WedgeModule(T, ste, inder_algebra, module, lam)
 
@@ -272,7 +272,7 @@ def _envelope(L: GradedLieAlgebra, radical: Optional[tuple] = None) -> tuple:
                                       else () for f in free], pair.projection)
     q = len(free)
     hom = Matrix(F, L.dim, q + n, Nonzeros(pair.mu.terms + tuple(((q + a, F.one()),) for a in range(n))))
-    return pair, algebra, GradedHom(algebra, L, hom, unchecked=True)
+    return pair, algebra, GradedHom(algebra, L, hom, _trusted=True)
 
 
 class UniversalImbedding(Record):
@@ -345,7 +345,7 @@ def _extend(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     # the pair quotient's basis vectors are the cosets of the unit vectors at the free columns
     pivots = set(env.pair.a_subspace.pivots)
     cols = [tuple(sorted(v)) for c, v in enumerate(zeta_cols) if c not in pivots] + alpha_cols
-    return GradedHom(env.algebra, L, Matrix.from_cols(F, Nonzeros(cols), rows=L.dim), unchecked=True)
+    return GradedHom(env.algebra, L, Matrix.from_cols(F, Nonzeros(cols), rows=L.dim), _trusted=True)
 
 
 def imbedding_functor_hom(alpha: LtsHom,

@@ -376,19 +376,19 @@ def _check_hom_matrix(matrix: Matrix, source, target) -> None:
 class Hom:
     """The constructor and composition of the hom records, lts.LtsHom and grlie.GradedHom: each
     lists this class before Record and defines _law(matrix, source, target), its hom predicate,
-    and _refusal, its message.  A matrix of another shape or field is refused even unchecked."""
+    and _refusal, its message.  A matrix of another shape or field is refused even _trusted."""
 
-    def __init__(self, source, target, matrix: Matrix, unchecked: bool = False):
+    def __init__(self, source, target, matrix: Matrix, *, _trusted: bool = False):
         Record.__init__(self, source, target, matrix)
         _check_hom_matrix(matrix, source, target)
-        if not unchecked and not self._law(matrix, source, target):
+        if not _trusted and not self._law(matrix, source, target):
             raise ValueError(self._refusal)
 
     def compose(self, other):
         """self . other (apply other first)."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        return self.__class__(other.source, self.target, self.matrix.matmul(other.matrix), unchecked=True)
+        return self.__class__(other.source, self.target, self.matrix.matmul(other.matrix), _trusted=True)
 
 
 def _terms_of(p: Optional[int], acc: dict, den: int = 1) -> tuple:

@@ -42,14 +42,13 @@ class GradedLieAlgebra(Record):
     dim1: int
     terms: Nonzeros  # terms[i][j] = the nonzeros (l, x) of [e_i, e_j]
 
-    def __init__(self, field: Field, dim0: int, dim1: int, bracket: tuple,
-                 unchecked: bool = False):
+    def __init__(self, field: Field, dim0: int, dim1: int, bracket: tuple, *, _trusted: bool = False):
         """bracket: the dense tensor (bracket[i][j] = coordinates of [e_i, e_j]) or its Nonzeros."""
         terms = _as_nonzeros(bracket, (dim0 + dim1,) * 3, field.of)
         if terms is None:
             raise ValueError("bracket tensor shape does not match dims")
         Record.__init__(self, field, dim0, dim1, terms)
-        if not unchecked:
+        if not _trusted:
             report = check_graded_lie(self)
             if not report.ok:
                 raise GradedLieError(report)
@@ -80,15 +79,14 @@ def _bracket(L: GradedLieAlgebra, x, y) -> dict:
     return _sparse_sum(L.field.p, ((a * b, L.terms[i][j]) for i, a in x for j, b in y))
 
 
-def graded_lie(field: Field, dim0: int, dim1: int, entries: Sequence, *,
-               unchecked: bool = False) -> GradedLieAlgebra:
+def graded_lie(field: Field, dim0: int, dim1: int, entries: Sequence) -> GradedLieAlgebra:
     """Build an algebra from nested [i][j][k] entries of ints/strings/Fractions."""
-    return GradedLieAlgebra(field, dim0, dim1, entries, unchecked=unchecked)
+    return GradedLieAlgebra(field, dim0, dim1, entries)
 
 
 def abelian_algebra(field: Field, dim0: int, dim1: int) -> GradedLieAlgebra:
     n = dim0 + dim1
-    return GradedLieAlgebra(field, dim0, dim1, Nonzeros((((),) * n,) * n), unchecked=True)
+    return GradedLieAlgebra(field, dim0, dim1, Nonzeros((((),) * n,) * n), _trusted=True)
 
 
 def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
@@ -110,8 +108,7 @@ def _assemble(field: Field, dim0: int, dim1: int, pairs) -> GradedLieAlgebra:
         v = tuple(v)
         if v:
             terms[i][j], terms[j][i] = v, _neg_terms(p, v)
-    return GradedLieAlgebra(field, dim0, dim1, Nonzeros(tuple(map(tuple, terms))),
-                            unchecked=True)
+    return GradedLieAlgebra(field, dim0, dim1, Nonzeros(tuple(map(tuple, terms))), _trusted=True)
 
 
 def check_graded_lie(L: GradedLieAlgebra) -> AxiomReport:
@@ -168,7 +165,7 @@ class GradedHom(Hom, Record):
 
 
 def identity_hom(L: GradedLieAlgebra) -> GradedHom:
-    return GradedHom(L, L, Matrix.identity(L.field, L.dim), unchecked=True)
+    return GradedHom(L, L, Matrix.identity(L.field, L.dim), _trusted=True)
 
 
 class GradedModule(Record):
@@ -179,8 +176,8 @@ class GradedModule(Record):
     dim1: int
     terms: Nonzeros  # terms[i][c] = the nonzeros (r, x) of e_i . m_c, column c of action i
 
-    def __init__(self, algebra: GradedLieAlgebra, dim0: int, dim1: int, action: tuple,
-                 unchecked: bool = False):
+    def __init__(self, algebra: GradedLieAlgebra, dim0: int, dim1: int, action: tuple, *,
+                 _trusted: bool = False):
         """action: the (dim0+dim1)-square Matrix of each e_i, or the Nonzeros of their columns."""
         m = dim0 + dim1
         if type(action) is not Nonzeros:
@@ -195,7 +192,7 @@ class GradedModule(Record):
         if terms is None:
             raise ValueError("action shape mismatch")
         Record.__init__(self, algebra, dim0, dim1, terms)
-        if unchecked:
+        if _trusted:
             return
         p = algebra.field.p
         act, br = self.terms, algebra.terms
@@ -242,7 +239,7 @@ class GradedModule(Record):
 
 def trivial_module(L: GradedLieAlgebra, dim0: int = 1) -> GradedModule:
     """Trivial module with trivial grading (no odd part)."""
-    return GradedModule(L, dim0, 0, Nonzeros((((),) * dim0,) * L.dim), unchecked=True)
+    return GradedModule(L, dim0, 0, Nonzeros((((),) * dim0,) * L.dim), _trusted=True)
 
 
 def adjoint_module(L: GradedLieAlgebra) -> GradedModule:
@@ -254,11 +251,9 @@ def is_generated_by_odd(L: GradedLieAlgebra) -> bool:
     """Whether L_1 generates L, decided as [L_1, L_1] = L_0 by one echelon of the brackets
     [e_i, e_j], i < j odd, stopped at rank dim L_0.  L_1 generates L_1 + [L_1, L_1], as that
     is closed: [L_1, [L_1, L_1]] lies in L_1 by the grading, and by Jacobi [[a, b], [c, d]] =
-    [[[a, b], c], d] + [c, [[a, b], d]] in [L_1, L_1].  Brackets outside L_0 raise."""
+    [[[a, b], c], d] + [c, [[a, b], d]] in [L_1, L_1]."""
     d, n = L.dim0, L.dim
     rows = [dict(L.terms[i][j]) for i in range(d, n) for j in range(i + 1, n)]
-    if any(l >= d for r in rows for l in r):
-        raise RuntimeError("[L_1, L_1] leaves L_0; bracket tensor is not graded")
     return _span(L.field, d, rows).dim == d  # the rows lie in L_0: the echelon stops at rank d
 
 
@@ -337,7 +332,7 @@ def central_quotient(L: GradedLieAlgebra, ideal: Subspace):
     Q = _assemble(F, new_dim0, L.dim1, (
         (s, t, _combination(F.p, ((x, cols[l]) for l, x in L.terms[free[s]][free[t]])))
         for s in range(len(free)) for t in range(s + 1, len(free))))
-    return Q, GradedHom(L, Q, projection, unchecked=True)
+    return Q, GradedHom(L, Q, projection, _trusted=True)
 
 
 def restrict_hom_to_odd(phi: GradedHom) -> LtsHom:
@@ -348,4 +343,4 @@ def restrict_hom_to_odd(phi: GradedHom) -> LtsHom:
     block = Nonzeros(tuple(tuple((c - src.dim0, x) for c, x in row if c >= src.dim0)
                            for row in phi.matrix.terms[tgt.dim0:]))
     return LtsHom(odd_part_lts(src), odd_part_lts(tgt), Matrix(F, tgt.dim1, src.dim1, block),
-                  unchecked=True)
+                  _trusted=True)

@@ -25,11 +25,11 @@ coordinates in Inder(T).  If either fails, every pair i < j is scanned.
 
 The checker returns an ``AxiomReport`` of ``AxiomViolation`` records, as
 ``grlie.check_graded_lie`` does, and ``AxiomError`` words the message of
-either failure; the three live in ``exactlin``, which both checkers import.  Constructors run the checker and refuse invalid tensors
-unless an explicit ``unchecked`` flag is passed (needed to store
-intentionally broken systems for negative tests).  Systems derived from
-validated input (``lts_of_lie``, ``odd_part_lts``) are built by
-``_assemble_lts``, which checks nothing.
+either failure; the three live in ``exactlin``, which both checkers import.
+The constructor refuses an invalid tensor.  Its private ``_trusted`` flag,
+which skips the check, is passed only by ``_assemble_lts`` (for ``lts_of_lie``
+and ``odd_part_lts``, derived from validated input), by ``abl``, valid by its
+shape, and by the loader of ``check-lts``, which reports the violations.
 
 Der(T) and Inder(T) are both ``DerivationAlgebra`` records built by one
 routine; Inder(T) is read from the tensor alone, and that it is an ideal
@@ -60,13 +60,13 @@ class LieTripleSystem(Record):
     dim: int
     terms: Nonzeros  # terms[i][j][k] = the nonzeros (l, x) of [e_i, e_j, e_k]
 
-    def __init__(self, field: Field, dim: int, triple: tuple, unchecked: bool = False):
+    def __init__(self, field: Field, dim: int, triple: tuple, *, _trusted: bool = False):
         """triple: the dense tensor (triple[i][j][k] = coordinates of [e_i, e_j, e_k]) or its Nonzeros."""
         terms = _as_nonzeros(triple, (dim,) * 4, field.of)
         if terms is None:
             raise ValueError("triple tensor shape does not match dim")
         Record.__init__(self, field, dim, terms)
-        if not unchecked:
+        if not _trusted:
             report = check_lts_axioms(self)
             if not report.ok:
                 raise LtsAxiomError(report)
@@ -77,9 +77,9 @@ class LieTripleSystem(Record):
         return dense_tensor(self.field, self.dim, self.terms, 3)
 
 
-def lie_triple_system(field: Field, entries: Sequence, *, unchecked: bool = False) -> LieTripleSystem:
+def lie_triple_system(field: Field, entries: Sequence) -> LieTripleSystem:
     """Build a system from nested [i][j][k][l] entries of ints/strings/Fractions."""
-    return LieTripleSystem(field, len(_array(entries)), entries, unchecked=unchecked)
+    return LieTripleSystem(field, len(_array(entries)), entries)
 
 
 def triple_bracket(T: LieTripleSystem, a: Vector, b: Vector, c: Vector) -> Vector:
@@ -194,7 +194,7 @@ def is_lts_hom(alpha: Matrix, T: LieTripleSystem, S: LieTripleSystem) -> bool:
 
 
 def identity_lts_hom(T: LieTripleSystem) -> LtsHom:
-    return LtsHom(T, T, Matrix.identity(T.field, T.dim), unchecked=True)
+    return LtsHom(T, T, Matrix.identity(T.field, T.dim), _trusted=True)
 
 
 def inner_derivation(T: LieTripleSystem, a: Vector, b: Vector) -> Matrix:
@@ -429,7 +429,7 @@ def _assemble_lts(field: Field, n: int, rows) -> LieTripleSystem:
     for i, j, row in rows:
         t[i][j] = row
         t[j][i] = tuple([_neg_terms(p, v) if v else v for v in row])
-    return LieTripleSystem(field, n, Nonzeros(tuple(map(tuple, t))), unchecked=True)
+    return LieTripleSystem(field, n, Nonzeros(tuple(map(tuple, t))), _trusted=True)
 
 
 _LIE_FAILURES = {"alternating": "[e_{0}, e_{0}] != 0",
@@ -446,6 +446,9 @@ def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     """
     from .grlie import GradedLieAlgebra, GradedLieError
     if field is None:
+        if type(algebra) is not GradedLieAlgebra:
+            raise ValueError(f"expected a GradedLieAlgebra or a tensor and its field, found "
+                             f"{type(algebra).__name__} {algebra!r:.40}")
         field, algebra = algebra.field, algebra.terms
     try:
         L = GradedLieAlgebra(field, len(_array(algebra)), 0, algebra)
@@ -466,8 +469,6 @@ def _product_rows(L, start: int):
     def row(i: int, j: int) -> tuple:
         out = [()] * len(basis)
         for k, v in _keyed_sums(p, ((k, x, v) for m, x in c[i][j] for k, v in brackets[m]), den * den):
-            if v[0][0] < start:
-                raise ValueError("grading violated: [[odd,odd],odd] left the odd part")
             out[k - start] = tuple((l - start, x) for l, x in v) if start else v
         return tuple(out)
 

@@ -81,9 +81,9 @@ def _matrices(memo: _Scalars, entries, count: int, rows: int, cols: int) -> tupl
     return tuple(Matrix(memo.field, rows, cols, a) for a in terms)
 
 
-def _load_nested(payload: dict, key: str, cls: str, unchecked: bool):
-    """The object embedded under key, which must load as the class named cls."""
-    obj = load(payload[key], unchecked=unchecked)
+def _load_nested(payload: dict, key: str, cls: str):
+    """The object embedded under key, validated, which must load as the class named cls."""
+    obj = load(payload[key])
     if type(obj).__name__ != cls:
         raise PayloadError(f"{key} must be a {cls}, found {type(obj).__name__}")
     return obj
@@ -126,8 +126,9 @@ def save(obj, name: Optional[str] = None) -> dict:
     return payload
 
 
-def load(payload: dict, *, unchecked: bool = False):
-    """Rebuild a value from a payload; validates invariants unless unchecked."""
+def load(payload: dict, *, _trusted: bool = False):
+    """Rebuild a value from a payload, validated.  The private _trusted, for check-lts and
+    check-graded alone, skips the axiom check of a top-level lts or graded_lie payload."""
     if not isinstance(payload, dict):
         raise PayloadError("payload must be a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
@@ -139,7 +140,7 @@ def load(payload: dict, *, unchecked: bool = False):
         entries = payload["entries"]
     except KeyError as exc:
         raise PayloadError(f"missing key {exc.args[0]!r}") from None
-    # shape is checked even when unchecked: no constructor may see a bad size
+    # shape is checked even when trusted: no constructor may see a bad size
     if not isinstance(dims, dict):
         raise PayloadError("dims must be a JSON object")
     for key, value in dims.items():
@@ -154,39 +155,39 @@ def load(payload: dict, *, unchecked: bool = False):
             if len(entries) != dims["dim"]:
                 raise PayloadError("tensor size disagrees with dim")
             from .lts import LieTripleSystem
-            return LieTripleSystem(field, dims["dim"], tensor, unchecked=unchecked)
+            return LieTripleSystem(field, dims["dim"], tensor, _trusted=_trusted)
         if kind == "graded_lie":
             tensor = memo.read(entries, (dims["dim0"] + dims["dim1"],) * 3)
             from .grlie import GradedLieAlgebra
-            return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, unchecked=unchecked)
+            return GradedLieAlgebra(field, dims["dim0"], dims["dim1"], tensor, _trusted=_trusted)
         if kind == "lts_hom":
-            source = _load_nested(payload, "source", "LieTripleSystem", unchecked)
-            target = _load_nested(payload, "target", "LieTripleSystem", unchecked)
+            source = _load_nested(payload, "source", "LieTripleSystem")
+            target = _load_nested(payload, "target", "LieTripleSystem")
             matrix = _matrices(memo, [entries], 1, dims["target_dim"], dims["source_dim"])[0]
             from .lts import LtsHom
-            return LtsHom(source, target, matrix, unchecked=unchecked)
+            return LtsHom(source, target, matrix)
         if kind == "graded_hom":
-            source = _load_nested(payload, "source", "GradedLieAlgebra", unchecked)
-            target = _load_nested(payload, "target", "GradedLieAlgebra", unchecked)
+            source = _load_nested(payload, "source", "GradedLieAlgebra")
+            target = _load_nested(payload, "target", "GradedLieAlgebra")
             matrix = _matrices(memo, [entries], 1, dims["target_dim0"] + dims["target_dim1"],
                                dims["source_dim0"] + dims["source_dim1"])[0]
             from .grlie import GradedHom
-            return GradedHom(source, target, matrix, unchecked=unchecked)
+            return GradedHom(source, target, matrix)
         if kind == "module":
-            algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
+            algebra = _load_nested(payload, "algebra", "GradedLieAlgebra")
             m = dims["dim0"] + dims["dim1"]
             action = _matrices(memo, entries, algebra.dim, m, m)
             from .grlie import GradedModule
-            return GradedModule(algebra, dims["dim0"], dims["dim1"], action, unchecked=unchecked)
+            return GradedModule(algebra, dims["dim0"], dims["dim1"], action)
         if kind == "cochain":
-            algebra = _load_nested(payload, "algebra", "GradedLieAlgebra", unchecked)
-            module = _load_nested(payload, "module", "GradedModule", unchecked)
+            algebra = _load_nested(payload, "algebra", "GradedLieAlgebra")
+            module = _load_nested(payload, "module", "GradedModule")
             if algebra.field != field:
                 raise PayloadError("cochain field mismatch")
             values = memo.read(entries, (comb(algebra.dim, dims["degree"]), module.dim))
             from .cohom import Cochain
             f = Cochain(algebra, module, dims["degree"], values)
-            if not unchecked and not f.is_graded():
+            if not f.is_graded():
                 raise PayloadError("cochain is not graded")
             return f
     except PayloadError:

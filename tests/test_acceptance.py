@@ -88,7 +88,7 @@ def test_criterion_01_axiom_suite():
         broken = LieTripleSystem(
             QQ, n,
             tuple(tuple(tuple(tuple(v) for v in tij) for tij in ti) for ti in tensor),
-            unchecked=True)
+            _trusted=True)
         report = check_lts_axioms(broken)
         assert not report.ok
         w = report.violations[0]

@@ -17,16 +17,16 @@ from lietrip.corpus import ab2, abl, heis, odd2, sl2graded, sl2lts
 from lietrip.embed import extend_hom
 from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Subspace, inverse, quotient, unit_vec
 from lietrip.grlie import (
-    GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, central_quotient, direct_sum,
+    GradedHom, GradedModule, adjoint_module, central_quotient, direct_sum,
     identity_hom, is_graded_hom, trivial_module,
 )
-from lietrip.lts import LtsHom, identity_lts_hom, is_lts_hom, odd_part_lts
+from lietrip.lts import LtsHom, identity_lts_hom, is_lts_hom, lts_of_lie
 from lietrip.serialize import PayloadError, load, save
 
 F5 = Field(5)
 
 
-def _refused_by_main(capsys, tmp_path, payloads, command, flags=()):
+def _refused_by_main(capsys, tmp_path, payloads, command):
     """Write each payload to name.json, run command on the files (or a corpus name
     where a value is a str), and return the one error line, which must come with exit 2."""
     args = []
@@ -37,7 +37,7 @@ def _refused_by_main(capsys, tmp_path, payloads, command, flags=()):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         args.append(str(path))
-    assert main([command, *args, *flags]) == 2
+    assert main([command, *args]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     lines = out.err.splitlines()
@@ -66,18 +66,19 @@ def test_a_payload_without_its_field_is_invalid_input(capsys, tmp_path):
     H = heis()
     cochain = save(graded_cochain_basis(H, trivial_module(H), 2)[0])
     cochain["field"] = "Fp:5"
-    for unchecked in (False, True):
-        with pytest.raises(PayloadError, match="^cochain field mismatch$"):
-            load(cochain, unchecked=unchecked)
+    with pytest.raises(PayloadError, match="^cochain field mismatch$"):
+        load(cochain)
 
 
 def test_a_triple_tensor_of_another_size_than_dim_is_invalid_input(capsys, tmp_path):
     payload = save(odd2())
     payload["dims"]["dim"] = 3
-    with pytest.raises(PayloadError, match="^tensor size disagrees with dim$"):
-        load(payload, unchecked=True)
-    for flags in ((), ("--unchecked",)):
-        line = _refused_by_main(capsys, tmp_path, {"size": payload}, "check-lts", flags)
+    # checked, and read for check-lts, which runs the axiom check itself
+    for trusted in (False, True):
+        with pytest.raises(PayloadError, match="^tensor size disagrees with dim$"):
+            load(payload, _trusted=trusted)
+    for command in ("check-lts", "derive"):
+        line = _refused_by_main(capsys, tmp_path, {"size": payload}, command)
         assert line.endswith("size.json: tensor size disagrees with dim")
 
 
@@ -103,9 +104,9 @@ def test_save_refuses_a_value_it_cannot_serialize():
 # every place a hom matrix enters, with the dimension of its square matrices
 HOM_ENTRIES = {
     "LtsHom": (2, lambda m: LtsHom(odd2(), odd2(), m)),
-    "LtsHom(unchecked=True)": (2, lambda m: LtsHom(odd2(), odd2(), m, unchecked=True)),
+    "LtsHom(_trusted=True)": (2, lambda m: LtsHom(odd2(), odd2(), m, _trusted=True)),
     "GradedHom": (3, lambda m: GradedHom(heis(), heis(), m)),
-    "GradedHom(unchecked=True)": (3, lambda m: GradedHom(heis(), heis(), m, unchecked=True)),
+    "GradedHom(_trusted=True)": (3, lambda m: GradedHom(heis(), heis(), m, _trusted=True)),
     "is_lts_hom": (2, lambda m: is_lts_hom(m, odd2(), odd2())),
     "is_graded_hom": (3, lambda m: is_graded_hom(m, heis(), heis())),
     "extend_hom": (2, lambda m: extend_hom(odd2(), sl2graded(), m)),
@@ -133,11 +134,11 @@ def test_a_hom_matrix_that_is_not_a_matrix_is_refused(entry):
 
 
 def test_lts_hom_checks_shape_field_and_composition(capsys, tmp_path):
-    for unchecked in (False, True):
+    for trusted in (False, True):
         with pytest.raises(ValueError, match="^hom matrix shape mismatch$"):
-            LtsHom(odd2(), sl2lts(), Matrix.identity(QQ, 2), unchecked=unchecked)
+            LtsHom(odd2(), sl2lts(), Matrix.identity(QQ, 2), _trusted=trusted)
         with pytest.raises(ValueError, match="^hom field mismatch$"):
-            LtsHom(odd2(), odd2(), Matrix.identity(F5, 2), unchecked=unchecked)
+            LtsHom(odd2(), odd2(), Matrix.identity(F5, 2), _trusted=trusted)
     with pytest.raises(ValueError, match="^composition mismatch$"):
         identity_lts_hom(odd2()).compose(identity_lts_hom(sl2lts()))
     # from a file: dims that agree with the matrix but not with the systems, or
@@ -148,10 +149,8 @@ def test_lts_hom_checks_shape_field_and_composition(capsys, tmp_path):
     field = save(identity_lts_hom(odd2()))
     field["field"] = "Fp:5"
     for payload, message in ((shape, "hom matrix shape mismatch"), (field, "hom field mismatch")):
-        for flags in ((), ("--unchecked",)):
-            line = _refused_by_main(capsys, tmp_path, {"hom": payload, "target": "sl2graded"},
-                                    "extend", flags)
-            assert line.endswith(f"hom.json: {message}")
+        line = _refused_by_main(capsys, tmp_path, {"hom": payload, "target": "sl2graded"}, "extend")
+        assert line.endswith(f"hom.json: {message}")
 
 
 def test_graded_hom_checks_field_and_composition(capsys, tmp_path):
@@ -161,22 +160,8 @@ def test_graded_hom_checks_field_and_composition(capsys, tmp_path):
         identity_hom(heis()).compose(identity_hom(ab2()))
     payload = save(identity_hom(heis()))
     payload["field"] = "Fp:5"
-    for flags in ((), ("--unchecked",)):
-        line = _refused_by_main(capsys, tmp_path, {"hom": payload}, "split", flags)
-        assert line.endswith("hom.json: hom field mismatch")
-
-
-def test_odd_part_refuses_an_odd_triple_product_that_leaves_the_odd_part(capsys, tmp_path):
-    # e0 even, e1 and e2 odd, [e1, e2] = e0 and, against the grading, [e0, e1] = e0:
-    # then [[e1, e2], e1] = e0 is even
-    z, e0, minus = (0, 0, 0), (1, 0, 0), (-1, 0, 0)
-    bracket = ((z, e0, z), (minus, z, e0), (z, minus, z))
-    L = GradedLieAlgebra(QQ, 1, 2, bracket, unchecked=True)
-    with pytest.raises(ValueError, match=r"^grading violated: \[\[odd,odd\],odd\] left the odd part$"):
-        odd_part_lts(L)
-    line = _refused_by_main(capsys, tmp_path, {"hom": save(identity_lts_hom(abl(2))), "L": save(L)},
-                            "extend", ("--unchecked",))
-    assert line == "error: grading violated: [[odd,odd],odd] left the odd part"
+    line = _refused_by_main(capsys, tmp_path, {"hom": payload}, "split")
+    assert line.endswith("hom.json: hom field mismatch")
 
 
 def test_a_module_needs_one_square_action_per_basis_vector(capsys, tmp_path):
@@ -185,9 +170,9 @@ def test_a_module_needs_one_square_action_per_basis_vector(capsys, tmp_path):
         GradedModule(H, 1, 0, (Matrix.identity(QQ, 2),) * 3)
     with pytest.raises(ValueError, match="^action shape mismatch$"):
         GradedModule(H, 1, 0, Nonzeros((((),),) * 2))
-    for unchecked in (False, True):
+    for trusted in (False, True):
         with pytest.raises(ValueError, match="^action field mismatch$"):
-            GradedModule(H, 1, 0, (Matrix(F5, 1, 1, ((0,) * 1,) * 1),) * 3, unchecked=unchecked)
+            GradedModule(H, 1, 0, (Matrix(F5, 1, 1, ((0,) * 1,) * 1),) * 3, _trusted=trusted)
     payload = save(trivial_module(H))
     payload["entries"] = payload["entries"][:-1]
     # a zero action, and sl2graded's adjoint action, over another field than the algebra's
@@ -197,18 +182,17 @@ def test_a_module_needs_one_square_action_per_basis_vector(capsys, tmp_path):
     for L, module, message in (("heis", payload, "action shape mismatch"),
                                ("heis", zero, "action field mismatch"),
                                ("sl2graded", adjoint, "action field mismatch")):
-        for flags in ((), ("--unchecked",)):
-            line = _refused_by_main(capsys, tmp_path, {"L": L, "module": module}, "h2", flags)
-            assert line.endswith(f"module.json: {message}")
+        line = _refused_by_main(capsys, tmp_path, {"L": L, "module": module}, "h2")
+        assert line.endswith(f"module.json: {message}")
 
 
 def test_a_module_action_that_is_not_a_matrix_is_refused():
-    # dense action matrices are refused before their shape is read, unchecked too
+    # dense action matrices are refused before their shape is read, trusted too
     H, one = heis(), Matrix.identity(QQ, 1)
-    for unchecked in (False, True):
+    for trusted in (False, True):
         for action in ([[[0]]] * 3, (one, one, [[0]])):
             with pytest.raises(ValueError, match="^expected a Matrix for each action$"):
-                GradedModule(H, 1, 0, action, unchecked=unchecked)
+                GradedModule(H, 1, 0, action, _trusted=trusted)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +201,15 @@ def test_a_module_action_that_is_not_a_matrix_is_refused():
 def test_direct_sum_needs_one_field():
     with pytest.raises(ValueError, match="^field mismatch$"):
         direct_sum(heis(), heis(F5))
+
+
+@pytest.mark.parametrize("args", [([[[0]]],), ([[[0]]], None)], ids=["tensor", "tensor-None"])
+def test_lts_of_lie_needs_the_field_of_a_tensor(args):
+    # refused in one line, as at every other dense entry point, before a field is read off it
+    with pytest.raises(ValueError) as info:
+        lts_of_lie(*args)
+    assert type(info.value) is ValueError and str(info.value) == (
+        "expected a GradedLieAlgebra or a tensor and its field, found list [[[0]]]")
 
 
 def test_central_quotient_needs_a_central_even_ideal():
@@ -249,7 +242,7 @@ def test_cocycle_extension_checks_its_cochain_and_its_coefficients():
 
 def test_split_refuses_a_problem_whose_hom_is_not_onto():
     H = heis()
-    phi = GradedHom(H, H, Matrix(QQ, 3, 3, ((0,) * 3,) * 3), unchecked=True)
+    phi = GradedHom(H, H, Matrix(QQ, 3, 3, ((0,) * 3,) * 3), _trusted=True)
     prob = CentralExtensionProblem(phi, Subspace.span(QQ, 3, Matrix.identity(QQ, 3).entries))
     with pytest.raises(NotCentral0Extension, match="^the hom is not surjective$"):
         split_central_0_extension(prob)

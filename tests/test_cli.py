@@ -9,6 +9,7 @@ import pytest
 
 import lietrip.cli
 import lietrip.cohom
+import lietrip.lts
 from lietrip.cli import build_parser, main
 from lietrip.cohom import (
     Cochain, coboundary, cocycle_extension, graded_cochain_basis, h2_graded,
@@ -22,7 +23,7 @@ from lietrip.corpus import (
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace
 from lietrip.grlie import (
-    GradedHom, adjoint_module, central_quotient, direct_sum, graded_lie, identity_hom,
+    GradedHom, GradedLieAlgebra, adjoint_module, central_quotient, direct_sum, identity_hom,
     trivial_module,
 )
 from lietrip.lts import LieTripleSystem, LtsHom, identity_lts_hom, lie_triple_system
@@ -69,12 +70,13 @@ def test_roundtrip_over_prime_field():
     assert load(payload) == obj
 
 
-def test_loader_rejects_invalid_unless_unchecked():
-    broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True)
+def test_loader_rejects_invalid_but_for_the_checkers():
+    # only check-lts and check-graded read a system or an algebra without its axiom check
+    broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), _trusted=True)
     payload = save(broken)
     with pytest.raises(ValueError):
         load(payload)
-    assert load(payload, unchecked=True) == broken
+    assert load(payload, _trusted=True) == broken
 
 
 def test_loader_rejects_malformed():
@@ -90,7 +92,7 @@ def test_loader_rejects_malformed():
     # even where every character or key would read as a scalar
     for payload in _not_arrays():
         with pytest.raises(PayloadError, match="expected an array"):
-            load(payload, unchecked=True)
+            load(payload, _trusted=True)
 
 
 def test_malformed_cochain_payloads_keep_their_messages():
@@ -103,15 +105,13 @@ def test_malformed_cochain_payloads_keep_their_messages():
               "value length does not match the module dimension"),
              ({**payload, "dims": {"degree": 4}}, "supported cochain degrees are 1, 2, 3")]
     for bad, message in cases:
-        for unchecked in (False, True):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                load(bad, unchecked=unchecked)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load(bad)
 
 
 def test_matrix_payloads_name_their_counts():
     """Every 3 x 3 matrix of an lts_hom, a graded_hom and a module payload (one per action):
-    a row of another length is named with both column counts, before a wrong row count,
-    checked and unchecked."""
+    a row of another length is named with both column counts, before a wrong row count."""
     def short_first(m):
         m.pop()
         m[0].pop()
@@ -182,11 +182,11 @@ def _vector(payload, path):
 
 
 def _refused(payload):
-    """load's message for payload, the same checked and unchecked."""
+    """load's message for payload, the same checked and as check-lts and check-graded read it."""
     messages = set()
-    for unchecked in (False, True):
+    for trusted in (False, True):
         with pytest.raises(PayloadError) as info:
-            load(payload, unchecked=unchecked)
+            load(payload, _trusted=trusted)
         messages.add(str(info.value))
     assert len(messages) == 1
     return messages.pop()
@@ -258,7 +258,7 @@ def test_cli_check_lts(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "check-lts", "abl(3)")
     assert code == 0 and report["verdict"] == "pass"
 
-    broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True)
+    broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), _trusted=True)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(save(broken)))
     code, report, _ = run_cli(capsys, "check-lts", str(path))
@@ -414,7 +414,7 @@ def test_cli_malformed_scalar_is_invalid_input(capsys, tmp_path, scalar):
     payload = save(heis())
     payload["entries"][0][0][0] = scalar
     with pytest.raises(PayloadError):
-        load(payload, unchecked=True)
+        load(payload, _trusted=True)
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(payload))
     _one_error_line(capsys, ["check-graded", str(path)], 2, "error: ")
@@ -435,30 +435,19 @@ def test_abl_dimension_ceiling_is_loadable():
     assert lts_by_name("abl(0)").dim == 0
 
 
-def _bracket_payload(tmp_path, dim0, dim1, brackets):
-    """A graded_lie file with the given [e_i, e_j] = e_k (and [e_j, e_i] = -e_k),
-    saved without any check."""
-    n = dim0 + dim1
-    entries = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k in brackets:
-        entries[i][j][k], entries[j][i][k] = 1, -1
-    path = tmp_path / "bracket.json"
-    path.write_text(json.dumps(save(graded_lie(QQ, dim0, dim1, entries, unchecked=True))))
-    return path
-
-
 @pytest.mark.parametrize("dims", [{"dim0": -1, "dim1": 4}, {"dim0": True, "dim1": 2},
                                   {"dim0": "1", "dim1": 2}, {"dim0": 1.0, "dim1": 2},
                                   [1, 2]], ids=str)
-def test_bad_dims_are_invalid_input_even_unchecked(capsys, tmp_path, dims):
+def test_bad_dims_are_invalid_input(capsys, tmp_path, dims):
     payload = save(heis())
     payload["dims"] = dims
-    with pytest.raises(PayloadError):
-        load(payload, unchecked=True)
+    for trusted in (False, True):
+        with pytest.raises(PayloadError):
+            load(payload, _trusted=trusted)
     path = tmp_path / "dims.json"
     path.write_text(json.dumps(payload))
-    for command in ("h2", "thm-a"):
-        _one_error_line(capsys, [command, str(path), "--unchecked"], 2, "error: ")
+    for command in ("h2", "thm-a", "check-graded"):
+        _one_error_line(capsys, [command, str(path)], 2, "error: ")
 
 
 def _nested_kind_cases():
@@ -486,30 +475,27 @@ def _nested_kind_cases():
 @pytest.mark.parametrize("case", _nested_kind_cases(), ids=lambda case: case[0])
 def test_nested_payload_of_the_wrong_kind_is_invalid_input(capsys, tmp_path, case):
     _, payload, argv, message = case
-    for unchecked in (False, True):
-        with pytest.raises(PayloadError, match=message):
-            load(payload, unchecked=unchecked)
+    with pytest.raises(PayloadError, match=message):
+        load(payload)
     if argv is None:
         return
     path = tmp_path / "nested.json"
     path.write_text(json.dumps(payload))
     argv = [str(path) if arg == "{}" else arg for arg in argv]
-    for flags in ([], ["--unchecked"]):
-        line = _one_error_line(capsys, argv + flags, 2, "error: ")
-        assert line == f"error: {path}: {message}"
+    line = _one_error_line(capsys, argv, 2, "error: ")
+    assert line == f"error: {path}: {message}"
 
 
 def test_graded_hom_dims_that_disagree_with_its_algebras_are_invalid_input(capsys, tmp_path):
-    # a 2 x 3 matrix between two copies of heis: refused by its shape, also
-    # under --unchecked, before split reads a rank off it
+    # a 2 x 3 matrix between two copies of heis: refused by its shape, before
+    # split reads a rank off it
     payload = save(identity_hom(heis()))
     payload["dims"]["target_dim0"] = 0
     payload["entries"] = payload["entries"][1:]
     path = tmp_path / "hom.json"
     path.write_text(json.dumps(payload))
-    for flags in ([], ["--unchecked"]):
-        line = _one_error_line(capsys, ["split", str(path)] + flags, 2, "error: ")
-        assert line == f"error: {path}: hom matrix shape mismatch"
+    line = _one_error_line(capsys, ["split", str(path)], 2, "error: ")
+    assert line == f"error: {path}: hom matrix shape mismatch"
 
 
 def test_deeply_nested_json_is_invalid_input(capsys, tmp_path):
@@ -528,46 +514,28 @@ def test_deeply_nested_json_is_invalid_input(capsys, tmp_path):
                             f"error: {path}: maximum recursion depth exceeded")
 
 
-def test_cli_internal_error_exit_code(capsys, tmp_path):
-    # [e1, e2] = e1 puts an odd vector in [L1, L1]: not graded, caught only
-    # by is_generated_by_odd's check that [L1, L1] lies in L0
-    path = _bracket_payload(tmp_path, 1, 2, [(0, 1, 1), (1, 2, 1)])
-    _one_error_line(capsys, ["thm-a", str(path), "--unchecked"], 3, "internal error: thm-a: ")
+def test_cli_internal_error_exit_code(capsys, monkeypatch):
+    # every input is valid, so exit 3 is a library fault: here derivations whose
+    # commutators seem to leave their span fail the self-check of derive
+    monkeypatch.setattr(lietrip.lts, "_commutator_coordinates", lambda *args: None)
+    line = _one_error_line(capsys, ["derive", "sl2lts"], 3, "internal error: ")
+    assert line == "internal error: derive: derivations not closed under commutator"
 
 
-def test_cli_h2_unchecked_stray_bracket(capsys, tmp_path):
-    # [e0, e2] = e0 sends even x odd to even.  The load refuses it; under
-    # --unchecked, h2 builds d1 and d2 at the graded slots only and answers
-    # for the graded subcomplex (it said "cochain is not graded", exit 2,
-    # while it built the rows at the ungraded slots too)
-    path = _bracket_payload(tmp_path, 2, 1, [(0, 2, 0)])
-    _one_error_line(capsys, ["h2", str(path)], 2, "error: ")
-    code, report, err = run_cli(capsys, "h2", str(path), "--unchecked")
-    assert (code, err) == (0, "")
-    assert report["dimensions"] == {"h2": 1, "cocycles": 1, "coboundaries": 0}
-
-
-# Objects derived from a file are built without re-checking them, so an
-# --unchecked input that breaks an axiom can reach an answer (exit 0) or a
-# hypothesis check of a public function (exit 2) where the re-check used to
-# refuse it (exit 2, or exit 3 for ste and univ); the exit-code contract
-# holds either way.
-@pytest.mark.parametrize("command, name, where, value, code", [
-    ("ste", "odd2", [0, 0, 1, 0], "-1", 0),         # was exit 3
-    ("univ", "odd2", [0, 0, 1, 0], "-1", 0),        # was exit 3
-    ("thm-a", "heis", [2, 0, 0], "2", 0),           # was exit 2
-    ("u0ext", "heis", [2, 0, 0], "2", 0),           # was exit 2
-    # exit 3 while lam was taken in Der(T) coordinates, then exit 2 from the
-    # hom law of the module quotient over Ste(L_1); u0ext now reads A(L_1) off
-    # L's brackets, as thm-a does, and its radical fails the check against them
-    ("u0ext", "sl2graded", [0, 1, 1], "1", 3),      # was exit 2
-    # Inder(T) of a non-system need not be closed under commutator; inder
-    # answered (exit 0) while it built no commutator table
-    ("inder", "sl2lts", [0, 1, 0, 0], "3", 3),
-    ("ste", "sl2lts", [0, 1, 0, 0], "3", 3),
+# One structure constant changed so that the input breaks an axiom: every command
+# refuses the file as invalid input, where --unchecked once let it reach an answer
+# or a self-check (exit 3), and the checker of its kind reports the violations.
+@pytest.mark.parametrize("command, name, where, value", [
+    ("ste", "odd2", [0, 0, 1, 0], "-1"),
+    ("univ", "odd2", [0, 0, 1, 0], "-1"),
+    ("thm-a", "heis", [2, 0, 0], "2"),
+    ("u0ext", "heis", [2, 0, 0], "2"),
+    ("u0ext", "sl2graded", [0, 1, 1], "1"),
+    ("inder", "sl2lts", [0, 1, 0, 0], "3"),
+    ("ste", "sl2lts", [0, 1, 0, 0], "3"),
 ])
-def test_unchecked_outcomes_keep_the_exit_contract(capsys, tmp_path, command, name, where,
-                                                   value, code):
+def test_inputs_that_break_an_axiom_are_refused_or_reported(capsys, tmp_path, command, name,
+                                                            where, value):
     payload = save(by_name(name))
     node = payload["entries"]
     for i in where[:-1]:
@@ -575,14 +543,11 @@ def test_unchecked_outcomes_keep_the_exit_contract(capsys, tmp_path, command, na
     node[where[-1]] = value
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(payload))
-    _one_error_line(capsys, [command, str(path)], 2, "error: ")
-    if code == 0:
-        assert run_cli(capsys, command, str(path), "--unchecked")[::2] == (0, "")
-    else:
-        line = _one_error_line(capsys, [command, str(path), "--unchecked"], 3, "internal error: ")
-        failed = ("A(M) escaped the kernel of the bracket" if command == "u0ext"
-                  else "derivations not closed under commutator")
-        assert line == f"internal error: {command}: {failed}"
+    line = _one_error_line(capsys, [command, str(path)], 2, "error: ")
+    assert line.startswith(f"error: {path}: not a ")
+    check = "check-lts" if payload["kind"] == "lts" else "check-graded"
+    code, report, err = run_cli(capsys, check, str(path))
+    assert (code, report["verdict"], err) == (1, "fail", f"{check}: fail\n")
 
 
 def _ladder_payloads(field):
@@ -649,14 +614,21 @@ def test_cli_reads_and_writes_scalars_of_any_size(capsys, tmp_path):
             load(derived)
 
 
-def test_cli_unchecked_flag(capsys, tmp_path):
-    broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True)
+def test_cli_validates_every_input_but_the_checkers(capsys, tmp_path):
+    # [e_0, e_0, e_0] = e_0 breaks alternation: check-lts reports it, derive
+    # refuses the file, and no option lets derive read it unchecked
+    broken = LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), _trusted=True)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(save(broken)))
-    code, _, _ = run_cli(capsys, "derive", str(path))
-    assert code == 2
-    code, report, _ = run_cli(capsys, "derive", str(path), "--unchecked")
-    assert code == 0
+    code, report, _ = run_cli(capsys, "check-lts", str(path))
+    assert (code, report["witnesses"]["violations"]["count"]) == (1, 3)
+    line = _one_error_line(capsys, ["derive", str(path)], 2, "error: ")
+    assert line == (f"error: {path}: not a Lie triple system: 3 violation(s), "
+                    "first is alternating at basis tuple (0, 0, 0)")
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", str(path), "--unchecked"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --unchecked" in capsys.readouterr().err
 
 
 def test_cli_byte_stability(capsys):
@@ -785,8 +757,8 @@ def _golden_payloads(F):
     M2 = trivial_module(H, 2)
     A = universal_imbedding(abl(3, F)).algebra
     return {
-        "broken_lts.json": LieTripleSystem(F, 1, ((((F.one(),),),),), unchecked=True),
-        "broken_graded.json": graded_lie(F, 1, 2, graded, unchecked=True),
+        "broken_lts.json": LieTripleSystem(F, 1, ((((F.one(),),),),), _trusted=True),
+        "broken_graded.json": GradedLieAlgebra(F, 1, 2, graded, _trusted=True),
         "hom.json": identity_lts_hom(odd2(F)),
         "bad_hom.json": identity_lts_hom(abl(2, F)),
         "adjoint.json": adjoint_module(sl2graded(F)),
@@ -901,47 +873,49 @@ def test_loads_match_golden_digests(tag):
     payloads = _golden_payloads(F)
     for name in names:
         obj = payloads[name] if name in payloads else by_name(name, F)
-        loaded = load(json.loads(json.dumps(save(obj))), unchecked=name.startswith("broken_"))
+        loaded = load(json.loads(json.dumps(save(obj))), _trusted=name.startswith("broken_"))
         assert loaded == obj, name
         assert hashlib.sha256(repr(loaded).encode()).hexdigest() == GOLDEN_LOADS[name, tag], name
 
 
 # The exit code and the SHA-256 of stdout and of stderr of argparse's own
 # output, help and usage errors, captured with Python 3.11 at 80 columns
-# before main built the parser of the named command alone.  A key holds the
-# arguments, split at spaces.
+# before main built the parser of the named command alone, and captured again
+# when the --unchecked option went from every usage line and help text and
+# the description took the validation policy.  A key holds the arguments,
+# split at spaces.
 ARGPARSE_GOLDENS = {
-    '--help': (0, 'f4d5faf606741c9ee2a49c356c1e0bd3c7ac34a0b1c5d2444005f5c3a0592eba',
+    '--help': (0, 'ed0745d06beb3678df1d5f52665b1b04e29b6fa396d6b7f5ffd89387aa7e6687',
                 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    '-h thm-a': (0, 'f4d5faf606741c9ee2a49c356c1e0bd3c7ac34a0b1c5d2444005f5c3a0592eba',
+    '-h thm-a': (0, 'ed0745d06beb3678df1d5f52665b1b04e29b6fa396d6b7f5ffd89387aa7e6687',
                   'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'thm-a -h': (0, 'bcbbc771eca21d397dc6c49e90862d8269d9a39e3b2dc70ff17a8a363c09746f',
+    'thm-a -h': (0, '335b8bc4bb930e2d5f2520b55ef4580a74fd02cb649525163a15c5e9e431cfd3',
                   'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'corpus --help': (0, '232b41ade403a4503487b0b23cd3eda5e7e4a7f4604b090359d6d8753c743579',
+    'corpus --help': (0, '59c8a3956621d914e3a88bcff45f2f8af11b9c0e3a9e2be273aedbee6413114c',
                        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'check-lts --help': (0, '288cb34ebaac04d4bcc9623db54ff58fd2047c09c6025ba74c4dbd16e8ac39d6',
+    'check-lts --help': (0, 'e2ab30ff998588de6f9db3f5ef548aca1564bccd05a1ad42ed4983b439d0f5c7',
                           'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'check-graded --help': (0, '3095e9d885051f08b34dccf5edc644e5998b3ba0471c8c580d0a8a7a75d866d5',
+    'check-graded --help': (0, '767ffb35156ab32f5fdf7c372a24db497c061ceadfa28d672a3d6d1ae75bc93b',
                              'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'derive --help': (0, 'eb2eeae40570bf855df2855d4ed81e2919e8d2c74208e7e584faacba2f430f89',
+    'derive --help': (0, '69f768d6c5540e221338c895106246252813de474a97394ae06182df71dddfc6',
                        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'inder --help': (0, '83cca39e421f005f410b21cbe9a03b7bb127051bf44d92b891f753ed4a39bbc8',
+    'inder --help': (0, '79b52e8f1dcfe364a72bb57f5c2ad57bdb829279c6dcdda3aea8bf86a0105b96',
                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'ste --help': (0, 'd26002f6cc88db81246d97bf87bde73555c2b9f786a81359fa9cd4065d9511fc',
+    'ste --help': (0, '65e86d79ca8ffc4d226a5caeb00335a78c60ccbe3cbc12c99d4c66072d29d1b1',
                     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'univ --help': (0, 'c4c5a0f088245d81b026e9dc8a0deb6447333115dcadce8ac6473dac5164f2c8',
+    'univ --help': (0, 'a73f652c5bb1e079cdd19a8ce65866c305ccbaa9bd0743bf639fe085c1e9205c',
                      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'extend --help': (0, 'afbfd2ee3d0e269efa079c37bb5b9a6cabe3d525c7d9ef48021e32d7feb2bff3',
+    'extend --help': (0, '830c5f8492b0d0be63fb05cf11187a97cc2d26e4dfcef56fc86caac0183d7a9e',
                        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'h2 --help': (0, '839db886dffba3d248384cadf92cfd60d7d67e43be381cba888c8a32c576e697',
+    'h2 --help': (0, '932bb66d7dd1d7789c07c78c55000a685eb1be0f00d26e6c625f42d5c77cc62b',
                    'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'split --help': (0, '095615a6ddc78866a70cf7f2cc59fed0c1f01f70c8dd6249863df70d36225659',
+    'split --help': (0, '956e95c3d312da618609a2b5a87d8a1657542c4dd174f3f227ced8cc07c17c86',
                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'closed --help': (0, '3f7d8537cd41e275ce8a676a203889e666a2aec7a5c175e494cbbc5fb260854a',
+    'closed --help': (0, '901288081610e3214651bafdcd915ae080924b5cdb414ce5d2bc845507409243',
                        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'thm-a --help': (0, 'bcbbc771eca21d397dc6c49e90862d8269d9a39e3b2dc70ff17a8a363c09746f',
+    'thm-a --help': (0, '335b8bc4bb930e2d5f2520b55ef4580a74fd02cb649525163a15c5e9e431cfd3',
                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'u0ext --help': (0, '4b63e1e0694f5917c1429bd5779d2b535b64b595a1acb2d2e96a106dc1428f46',
+    'u0ext --help': (0, '2a8e343cb2ae2a312ce43518b63b8b0f3591667301c30f07a0b284b11a85808a',
                       'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     '': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
           '0ea87c48b0314faf8d775a4529510a1f237c681dcd788f65cc254cf2b8c85224'),
@@ -954,11 +928,11 @@ ARGPARSE_GOLDENS = {
     'h2 heis a b c': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                        '76d536ccc26105e8ebffe8ce4d65da327b6fbd9d2cda2cb8a87d579ee136514d'),
     'thm-a heis --field Fp:4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                                 '114e1e6d2d0003fdf98425340ff7b577bae6c703ec0aef707e82e63c761c82ce'),
+                                 'c6c2eb315c11699f669f432af941f26fa1b8fe158f5851ba6a8f5fb179b64fa3'),
     'univ sl2lts --out': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                           '4c85e742c82d9af9acb82f7fa669898ed8ab4898ec06a274a64c8ff27ce7c2f3'),
+                           'c01ed4d931140f1000dc946f506ad9c90f3b6d6ac924b5d3ce473056ef666833'),
     'corpus': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                'cf5d5db2e27971ef53272cd6aa38724a4bc8142efd11b273c0df6b2a11f05122'),
+                '0c881f44ed6b03beac1f84f290b125631833f199957e29a246b2f9a218a74257'),
 }
 
 

@@ -28,12 +28,13 @@ from lietrip.exactlin import (
     Field, Matrix, QQ, Subspace, _distinct_rows, _echelon, _null_vectors, inverse, unit_vec,
 )
 from lietrip.grlie import (
-    GradedHom, abelian_algebra, adjoint_module, center, central_quotient, direct_sum, graded_lie,
-    identity_hom, is_generated_by_odd, is_graded_hom, restrict_hom_to_odd, trivial_module,
+    GradedHom, GradedLieAlgebra, abelian_algebra, adjoint_module, center, central_quotient,
+    direct_sum, graded_lie, identity_hom, is_generated_by_odd, is_graded_hom, restrict_hom_to_odd,
+    trivial_module,
 )
 from lietrip.lts import (
-    LtsHom, check_lts_axioms, identity_lts_hom, is_lts_hom, lie_triple_system, lts_of_lie,
-    odd_part_lts,
+    LieTripleSystem, LtsHom, check_lts_axioms, identity_lts_hom, is_lts_hom, lie_triple_system,
+    lts_of_lie, odd_part_lts,
 )
 from test_lts import LADDER
 
@@ -579,7 +580,7 @@ def _two_dim_systems_over_f3():
     for a, b, c, d in product(range(3), repeat=4):
         t = [[[[0, 0], [0, 0]] for _ in range(2)] for _ in range(2)]
         t[0][1], t[1][0] = [[a, b], [c, d]], [[-a, -b], [-c, -d]]
-        T = lie_triple_system(F, t, unchecked=True)
+        T = LieTripleSystem(F, len(t), t, _trusted=True)
         if check_lts_axioms(T).ok:
             out.append(T)
     return out
@@ -660,7 +661,7 @@ def test_the_imbedding_functor_is_full_and_faithful_on_the_systems_over_f3():
         """The triple-system homs f: S -> T, each with F(f)."""
         if (s, t) not in functor:
             functor[s, t] = [(f, imbedding_functor_hom(f, source_env=envs[s], target_env=envs[t]))
-                             for f in (LtsHom(systems[s], systems[t], m, unchecked=True)
+                             for f in (LtsHom(systems[s], systems[t], m, _trusted=True)
                                        for m in odd_blocks if is_lts_hom(m, systems[s], systems[t]))]
         return functor[s, t]
 
@@ -718,7 +719,7 @@ def test_central_check_matches_center(field):
     universal_central_0_extension and the module quotient, agrees with the
     kernel that center eliminates: on the central lines and planes of the
     odd-generated algebras, the kernels of their universal central
-    0-extensions, seeded random even and mixed spans, and unchecked tensors,
+    0-extensions, seeded random even and mixed spans, and tensors built trusted,
     neither alternating nor Jacobi, where e_0 and e_1 - e_2 bracket to 0 on the left."""
     rng = random.Random(34)
     algebras = _odd_generated(field)
@@ -727,7 +728,7 @@ def test_central_check_matches_center(field):
     for n in (3, 4):
         c = [[[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
         c[0], c[2] = [[0] * n] * n, c[1]  # [e_0, x] = 0 and [e_1 - e_2, x] = 0 for every x
-        algebras.append(graded_lie(field, 1, n - 1, c, unchecked=True))
+        algebras.append(GradedLieAlgebra(field, 1, n - 1, c, _trusted=True))
         cases += [(algebras[-1], Subspace.span(field, n, [v]))
                   for v in ([1] + [0] * (n - 1), [0, 1, -1] + [0] * (n - 3))]
     for L in algebras:
@@ -890,7 +891,7 @@ def test_h2_refuses_a_broken_jacobi_on_both_paths(field, monkeypatch):
         c = [[[0] * n for _ in range(n)] for _ in range(n)]
         c[0][1][2], c[1][0][2] = -1, 1
         c[0][2][0], c[2][0][0] = 1, -1
-        L = graded_lie(field, n, 0, c, unchecked=True)
+        L = GradedLieAlgebra(field, n, 0, c, _trusted=True)
         with pytest.raises(RuntimeError, match="coboundaries escaped the cocycles"):
             h2_graded(L, trivial_module(L))
         assert echelons == [] and nulls == []

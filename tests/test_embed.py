@@ -198,8 +198,8 @@ def test_module_quotient_rejects_non_hom():
     # [e_0, e_0] = e_0 is no Lie bracket, but a line acting on itself by
     # the identity makes lam = id a module hom, and lam(e_0).e_0 = e_0 is
     # a generator of A(M) outside ker(lam)
-    line = GradedLieAlgebra(QQ, 1, 0, (((Fraction(1),),),), unchecked=True)
-    module = GradedModule(line, 1, 0, (Matrix.identity(QQ, 1),), unchecked=True)
+    line = GradedLieAlgebra(QQ, 1, 0, (((Fraction(1),),),), _trusted=True)
+    module = GradedModule(line, 1, 0, (Matrix.identity(QQ, 1),), _trusted=True)
     with pytest.raises(RuntimeError, match=r"A\(M\) escaped the kernel of lam"):
         module_quotient_algebra(line, module, Matrix.identity(QQ, 1))
 
@@ -603,7 +603,7 @@ def test_pairing_hypothesis_violation():
         table.append(tuple(row))
     L = GradedLieAlgebra(F, ind.dim, 0, tuple(table))
     doubled = tuple(Matrix(F, x.rows, x.cols, [[2 * e for e in r] for r in x.entries]) for x in xs)
-    module = GradedModule(L, n, 0, doubled, unchecked=True)
+    module = GradedModule(L, n, 0, doubled, _trusted=True)
     from lietrip.lts import inner_derivation
     pair_cols = [ind.span.coordinates(
         inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).flatten())
@@ -916,8 +916,8 @@ def _with_envelope_algebra(monkeypatch, dim0, edit=None):
         if edit is not None:
             edit(bracket)
         B = GradedLieAlgebra(A.field, dim0, A.dim - dim0, tuple(tuple(row) for row in bracket),
-                             unchecked=True)
-        return pair, B, GradedHom(B, hom.target, hom.matrix, unchecked=True)
+                             _trusted=True)
+        return pair, B, GradedHom(B, hom.target, hom.matrix, _trusted=True)
 
     monkeypatch.setattr(lietrip.embed, "_envelope", corrupted)
 

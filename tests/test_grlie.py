@@ -12,12 +12,12 @@ from lietrip.corpus import ab2, abl, even_line, heis, sl2graded
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
 from lietrip.grlie import (
-    GradedHom, GradedLieError, GradedModule, abelian_algebra,
+    GradedHom, GradedLieAlgebra, GradedLieError, GradedModule, abelian_algebra,
     adjoint_module, center, central_quotient, check_graded_lie, direct_sum,
     graded_lie, identity_hom, is_generated_by_odd, is_graded_hom, restrict_hom_to_odd,
     trivial_module,
 )
-from lietrip.lts import check_lts_axioms, is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts
+from lietrip.lts import LieTripleSystem, check_lts_axioms, is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts
 from test_cohom import _odd_generated, _raw
 from test_lts import LADDER
 
@@ -45,7 +45,7 @@ def test_misgraded_sl2_fails_with_witness():
     entries = [[[0, 0, 0], [0, 2, 0], [0, 0, -2]],
                [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
                [[0, 0, 2], [-1, 0, 0], [0, 0, 0]]]
-    L = graded_lie(QQ, 2, 1, entries, unchecked=True)
+    L = GradedLieAlgebra(QQ, 2, 1, entries, _trusted=True)
     report = check_graded_lie(L)
     assert not report.ok
     assert any(v.identity == "grading" for v in report.violations)
@@ -93,7 +93,7 @@ def _graded_fields(c):
 
 
 def _graded_report(field, c, dim0):
-    report = check_graded_lie(graded_lie(field, dim0, len(c) - dim0, c, unchecked=True))
+    report = check_graded_lie(GradedLieAlgebra(field, dim0, len(c) - dim0, c, _trusted=True))
     assert report.ok == (not report.violations)
     return [(v.identity, v.indices, v.defect) for v in report.violations]
 
@@ -219,7 +219,7 @@ TRIPLE_OUTPUTS = {"lts_of_lie(gl(2))": lambda F: lts_of_lie(oracles.gl_bracket(2
 def test_axiom_check_matches_oracle_on_mutated_triple_products(name, field, data):
     """A zero [e_i, e_j, e_k] made nonzero is a single stored nonzero in its cyclic sums."""
     t = _mutated(data, TRIPLE_OUTPUTS[name](field).triple, field, 3)
-    report = check_lts_axioms(lie_triple_system(field, t, unchecked=True))
+    report = check_lts_axioms(LieTripleSystem(field, len(t), t, _trusted=True))
     assert report.ok == (not report.violations)
     got = [(v.identity, v.indices, v.defect) for v in report.violations]
     assert got == oracles.lts_violations(t, field.p)
@@ -252,11 +252,6 @@ def test_is_generated_by_odd():
     assert is_generated_by_odd(ab2())
     assert is_generated_by_odd(sl2graded())
     assert not is_generated_by_odd(direct_sum(sl2graded(), even_line()))
-    # an unchecked tensor with [e_1, e_2] = e_1 is not graded: its odd brackets leave L_0
-    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    c[1][2][1], c[2][1][1] = 1, -1
-    with pytest.raises(RuntimeError, match="leaves L_0"):
-        is_generated_by_odd(graded_lie(QQ, 1, 2, c, unchecked=True))
 
 
 def test_generation_stops_at_the_full_space(monkeypatch):
@@ -351,11 +346,11 @@ def test_restrict_hom_to_odd():
     assert comp.matrix == restrict_hom_to_odd(proj).compose(restrict_hom_to_odd(ident)).matrix
 
 
-def test_graded_hom_refuses_a_wrong_shape_even_unchecked():
-    # as LtsHom does: the O(1) shape check runs before the unchecked branch
-    for unchecked in (False, True):
+def test_graded_hom_refuses_a_wrong_shape_even_trusted():
+    # as LtsHom does: the O(1) shape check runs before the hom law that _trusted skips
+    for trusted in (False, True):
         with pytest.raises(ValueError, match="hom matrix shape mismatch"):
-            GradedHom(heis(), heis(), Matrix.identity(QQ, 2), unchecked=unchecked)
+            GradedHom(heis(), heis(), Matrix.identity(QQ, 2), _trusted=trusted)
 
 
 def test_is_graded_hom_rejects_block_violation():
@@ -421,7 +416,7 @@ def test_representation_check_matches_oracle_on_the_corpus(name, kind, field):
 def test_representation_check_matches_oracle_under_mutation(name, kind, field, data):
     """One to three entries of the action changed where the grading allows
     them, and a bracket constant changed or not: a checked module may sit on
-    an unchecked algebra, so no pair is inferred from its swap."""
+    an algebra built without its check, so no pair is inferred from its swap."""
     L = MODULE_ALGEBRAS[name](field)
     (d0, d1), action = _base_module(L, kind)
     allowed = [(i, r, k) for i in range(L.dim) for r in range(d0 + d1) for k in range(d0 + d1)
@@ -435,7 +430,7 @@ def test_representation_check_matches_oracle_under_mutation(name, kind, field, d
     if data.draw(st.booleans()):
         i, j, l = (data.draw(st.integers(0, L.dim - 1)) for _ in range(3))
         c[i][j][l] += data.draw(st.sampled_from(deltas))
-        L = graded_lie(field, L.dim0, L.dim1, c, unchecked=True)
+        L = GradedLieAlgebra(field, L.dim0, L.dim1, c, _trusted=True)
     pair = oracles.representation_failure(c, action, field.p)
     expected = None if pair is None else f"not a representation: fails at basis pair {pair}"
     assert _module_check(L, (d0, d1), action) == expected

@@ -67,7 +67,7 @@ def _cli_inputs(tmp_path):
     files = {"sl2lts.json": save(sl2lts()), "ab2.json": save(ab2()),
              "sl2ds.json": save(sl2_double_swap()), "n3q.json": save(Q),
              "n3proj.json": save(projection), "badshape.json": bad_shape, "zeroden.json": zero_den,
-             "notlts.json": save(LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True))}
+             "notlts.json": save(LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), _trusted=True))}
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
     (tmp_path / "malformed.json").write_text('{"format_version": 1, "kind": "graded_lie", "field": ')

@@ -77,7 +77,7 @@ def test_single_constant_mutations_fail_with_witness():
         broken = LieTripleSystem(QQ, n,
                                  tuple(tuple(tuple(tuple(v) for v in tij) for tij in ti)
                                        for ti in tensor),
-                                 unchecked=True)
+                                 _trusted=True)
         report = check_lts_axioms(broken)
         assert not report.ok
         witness = report.violations[0]
@@ -216,7 +216,7 @@ def test_is_lts_hom_examples():
     assert not is_lts_hom(doubling, S, S)
     with pytest.raises(ValueError):
         LtsHom(S, S, doubling)
-    LtsHom(S, S, doubling, unchecked=True)  # negative-test escape hatch
+    LtsHom(S, S, doubling, _trusted=True)  # negative-test escape hatch
 
 
 def test_lts_of_lie_examples():
@@ -248,7 +248,7 @@ def test_validated_construction_policy():
            [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]  # fails polarized alternation
     with pytest.raises(LtsAxiomError):
         lie_triple_system(QQ, bad)
-    T = lie_triple_system(QQ, bad, unchecked=True)
+    T = LieTripleSystem(QQ, len(bad), bad, _trusted=True)
     assert not check_lts_axioms(T).ok
 
 
@@ -267,7 +267,7 @@ ORACLE_CASES = [(name, field) for name in ORACLE_SYSTEMS for field in (QQ, Field
 
 
 def _violations(field, raw):
-    report = check_lts_axioms(lie_triple_system(field, raw, unchecked=True))
+    report = check_lts_axioms(LieTripleSystem(field, len(raw), raw, _trusted=True))
     assert report.ok == (not report.violations)
     return [(v.identity, v.indices, v.defect) for v in report.violations]
 
@@ -409,7 +409,7 @@ def _scanned_pairs(field, raw, monkeypatch):
     scan = lts._derivation_defects
     monkeypatch.setattr(lts, "_derivation_defects", lambda F, nz, den, pairs, canonical: (
         calls.append(list(pairs)) or scan(F, nz, den, pairs, canonical)))
-    check_lts_axioms(lie_triple_system(field, raw, unchecked=True))
+    check_lts_axioms(LieTripleSystem(field, len(raw), raw, _trusted=True))
     monkeypatch.undo()
     return calls
 
@@ -417,7 +417,7 @@ def _scanned_pairs(field, raw, monkeypatch):
 def _picked_pairs(field, raw):
     """The pairs i < j whose D_{i,j} enlarge an exact echelon of the flats of
     the D_{i,j}, in order: a basis of Inder(T)."""
-    T = lie_triple_system(field, raw, unchecked=True)
+    T = LieTripleSystem(field, len(raw), raw, _trusted=True)
     n = T.dim
     pairs = list(combinations(range(n), 2))
     flats = [{c: x for c, x in enumerate(inner_derivation(

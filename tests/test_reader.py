@@ -7,8 +7,9 @@ entries are read once, each distinct scalar string coerced once, and the
 first fault in document order, a node that is not an array or a bad
 scalar, is the one named.  A seeded fuzz of payload entries through the
 command line ends every run in exit 0, 1 or 2 with at most one line on
-stderr, and one of payload dims, of entries nested 10,000 levels deep and
-of scalars of 5,000 digits in exit 0 to 3, with at most one line.
+stderr, and so does one of payload dims, of entries nested 10,000 levels
+deep and of scalars of 5,000 digits: every input is validated, so exit 3,
+a library fault, never follows.
 """
 
 import contextlib
@@ -295,6 +296,6 @@ def test_mutated_dims_depth_and_digits_end_in_an_exit_code_and_one_line(case):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(path) if arg == "{}" else arg for arg in argv])
-    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert code in (0, 1, 2), (code, err.getvalue())
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and "Traceback" not in err.getvalue(), lines

@@ -14,8 +14,8 @@ from lietrip.embed import pair_algebra, universal_imbedding, wedge_module
 from lietrip.exactlin import Field, Record
 from lietrip.grlie import adjoint_module, check_graded_lie, trivial_module
 from lietrip.lts import (
-    check_lts_axioms, derivation_algebra, ideal_closure_certificate, identity_lts_hom,
-    lie_triple_system,
+    LieTripleSystem, check_lts_axioms, derivation_algebra, ideal_closure_certificate,
+    identity_lts_hom,
 )
 
 RECORD_CLASSES = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
@@ -30,9 +30,9 @@ def ladder_records():
     criterion = envelope_criterion(env.algebra)
     M = trivial_module(ab2())
     h2 = h2_graded(ab2(), M)
-    broken = lie_triple_system(lietrip.QQ, [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]],
-                                            [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]],
-                               unchecked=True)
+    broken = LieTripleSystem(lietrip.QQ, 2, [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]],
+                                             [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]],
+                             _trusted=True)
     axioms = check_lts_axioms(broken)
     instances = [
         Field(5), env.iota, env.pair.a_subspace,

@@ -81,7 +81,7 @@ def _records(F):
 def _built(F):
     """(what, record) for the corpus and for every output of the trusted
     assemblers: _assemble_lts, _assemble (directly and through _glue) and
-    the modules built unchecked; and the records that hold the matrices
+    the modules built trusted; and the records that hold the matrices
     built on the way: imbeddings, derivation algebras, homs, extensions."""
     yield from ((f"abl({n})", abl(n, F)) for n in range(4))
     yield from (("odd2", odd2(F)), ("sl2lts", sl2lts(F)), ("heis", heis(F)), ("ab2", ab2(F)),

@@ -3,13 +3,15 @@ may skip validation.
 
 Objects derived from validated input go through the trusted assemblers
 (``grlie._assemble``, ``lts._assemble_lts``, ``embed._glue``) and a few
-constructors called with ``unchecked=True``; none of them re-runs an axiom,
-Jacobi or hom-law scan.  Each construction is valid by theorem, and this
+constructors called with the private ``_trusted=True``; none of them re-runs
+an axiom, Jacobi or hom-law scan.  Each construction is valid by theorem, and this
 module asserts it with the library's own checkers on the ladder plus gl(3),
 grass(2,3) and abl(5), over Q, F_5 and F_2.  The pair algebra, built over
 the inner derivations, is also compared with a second route over the whole
 derivation algebra.  The call-site test pins every call site of those
-trusted paths, and of the validating constructors, in ``src/lietrip``.
+trusted paths, and of the validating constructors, in ``src/lietrip``: no
+public switch skips validation, and the one unvalidated read of a file is
+that of check-lts and check-graded.
 """
 
 import ast
@@ -86,7 +88,7 @@ def _quotient_and_extensions(A, what):
 @pytest.mark.parametrize("name, field", CASES, ids=[f"{n}-{f}" for n, f in CASES])
 def test_derived_objects_pass_the_full_checks(name, field):
     T = SYSTEMS[name](field)
-    assert check_lts_axioms(T).ok, name  # lts_of_lie builds gl(n) unchecked
+    assert check_lts_axioms(T).ok, name  # lts_of_lie builds gl(n) trusted
     env = universal_imbedding(T)
     A = env.algebra
     for what, L in (("Inder", wedge_module(T).inder_algebra), ("<T,T>", env.pair.algebra),
@@ -123,7 +125,7 @@ def _pair_algebra_over_der(T):
     L = GradedLieAlgebra(F, der.dim, 0, der.bracket)  # validated: Jacobi of Der(T)
     module = GradedModule(L, wedge_dim(n), 0, tuple(Matrix.make(F, oracles.wedge_action(
                               x.to_lists(), F.p), cols=wedge_dim(n)) for x in der.basis),
-                          unchecked=True)
+                          _trusted=True)
     lam = Matrix.from_cols(F, [
         der.span.coordinates(inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).flatten())
         for i, j in wedge_pairs(n)], rows=der.dim)
@@ -207,53 +209,52 @@ CONSTRUCTORS = ("GradedLieAlgebra", "LieTripleSystem", "GradedHom", "LtsHom", "G
 # (module.function, call) for every call that builds without a check
 TRUSTED_SITES = {
     # the assemblers themselves, and their callers
-    ("grlie._assemble", "GradedLieAlgebra(unchecked=True)"),
-    ("lts._assemble_lts", "LieTripleSystem(unchecked=True)"),
+    ("grlie._assemble", "GradedLieAlgebra(_trusted=True)"),
+    ("lts._assemble_lts", "LieTripleSystem(_trusted=True)"),
     ("lts.lts_of_lie", "_assemble_lts"),
     ("lts.odd_part_lts", "_assemble_lts"),
     ("grlie.direct_sum", "_assemble"),
     ("grlie.central_quotient", "_assemble"),
-    ("grlie.central_quotient", "GradedHom(unchecked=True)"),
-    ("grlie.restrict_hom_to_odd", "LtsHom(unchecked=True)"),
+    ("grlie.central_quotient", "GradedHom(_trusted=True)"),
+    ("grlie.restrict_hom_to_odd", "LtsHom(_trusted=True)"),
     ("embed.standard_imbedding", "_assemble"),
     ("embed.standard_imbedding", "_glue"),
     ("embed.wedge_module", "_assemble"),
-    ("embed.wedge_module", "GradedModule(unchecked=True)"),
+    ("embed.wedge_module", "GradedModule(_trusted=True)"),
     ("embed._module_quotient", "_assemble"),
     ("embed._envelope", "_glue"),
-    ("embed._envelope", "GradedHom(unchecked=True)"),
+    ("embed._envelope", "GradedHom(_trusted=True)"),
     ("embed._glue", "_assemble"),
-    ("embed._extend", "GradedHom(unchecked=True)"),
+    ("embed._extend", "GradedHom(_trusted=True)"),
     ("cohom.cocycle_extension", "_assemble"),
-    ("cohom.cocycle_extension", "GradedHom(unchecked=True)"),
-    ("cohom.split_central_0_extension", "GradedHom(unchecked=True)"),
+    ("cohom.cocycle_extension", "GradedHom(_trusted=True)"),
+    ("cohom.split_central_0_extension", "GradedHom(_trusted=True)"),
     # objects valid by their shape alone
-    ("corpus.abl", "LieTripleSystem(unchecked=True)"),
-    ("grlie.abelian_algebra", "GradedLieAlgebra(unchecked=True)"),
-    ("grlie.identity_hom", "GradedHom(unchecked=True)"),
-    ("lts.identity_lts_hom", "LtsHom(unchecked=True)"),
-    ("exactlin.Hom.compose", "__class__(unchecked=True)"),
-    ("grlie.trivial_module", "GradedModule(unchecked=True)"),
-    # the user's own flag, passed through
-    ("lts.lie_triple_system", "LieTripleSystem(unchecked=unchecked)"),
-    ("grlie.graded_lie", "GradedLieAlgebra(unchecked=unchecked)"),
-    ("serialize._load_nested", "load(unchecked=unchecked)"),
-    ("serialize.load", "LieTripleSystem(unchecked=unchecked)"),
-    ("serialize.load", "GradedLieAlgebra(unchecked=unchecked)"),
-    ("serialize.load", "LtsHom(unchecked=unchecked)"),
-    ("serialize.load", "GradedHom(unchecked=unchecked)"),
-    ("serialize.load", "GradedModule(unchecked=unchecked)"),
-    ("cli._load_input", "load(unchecked=unchecked)"),
-    # the one loading call site; check-lts and check-graded always load
-    # unchecked, to report the violations
-    ("cli.main", "_load_input(unchecked=args.unchecked or args.command in _CHECKS)"),
+    ("corpus.abl", "LieTripleSystem(_trusted=True)"),
+    ("grlie.abelian_algebra", "GradedLieAlgebra(_trusted=True)"),
+    ("grlie.identity_hom", "GradedHom(_trusted=True)"),
+    ("lts.identity_lts_hom", "LtsHom(_trusted=True)"),
+    ("exactlin.Hom.compose", "__class__(_trusted=True)"),
+    ("grlie.trivial_module", "GradedModule(_trusted=True)"),
+    # the checkers' loader: check-lts and check-graded read a top-level system
+    # or algebra without its axiom check, which they run to report the violations
+    ("serialize.load", "LieTripleSystem(_trusted=_trusted)"),
+    ("serialize.load", "GradedLieAlgebra(_trusted=_trusted)"),
+    ("cli._load_input", "load(_trusted=_trusted)"),
+    ("cli.main", "_load_input(_trusted=args.command in _CHECKS)"),
 }
 
 # (module.function, constructor) for every internal call that validates
 VALIDATING_SITES = {
+    ("lts.lie_triple_system", "LieTripleSystem"),
+    ("grlie.graded_lie", "GradedLieAlgebra"),
     ("lts.lts_of_lie", "GradedLieAlgebra"),  # the Lie check of its input
     ("grlie.adjoint_module", "GradedModule"),
     ("corpus.sl2graded", "GradedLieAlgebra"),
+    # nested payloads and the records that hold them are always validated
+    ("serialize.load", "LtsHom"),
+    ("serialize.load", "GradedHom"),
+    ("serialize.load", "GradedModule"),
 }
 
 
@@ -269,11 +270,11 @@ def _call_sites():
                     f = child.func
                     name = getattr(f, "id", None) or getattr(f, "attr", None)
                     where = ".".join((path.stem,) + scope)
-                    flags = [k.value for k in child.keywords if k.arg == "unchecked"]
+                    flags = [k.value for k in child.keywords if k.arg == "_trusted"]
                     if name in ASSEMBLERS:
                         trusted.add((where, name))
                     for value in flags:
-                        trusted.add((where, f"{name}(unchecked={ast.unparse(value)})"))
+                        trusted.add((where, f"{name}(_trusted={ast.unparse(value)})"))
                     if name in CONSTRUCTORS and not flags:
                         validating.add((where, name))
                 walk(child, scope)
@@ -292,7 +293,7 @@ def test_validation_is_skipped_and_kept_only_at_the_listed_sites():
 
 def _broken_lts():
     # [e_0, e_0, e_0] = e_0 breaks alternation
-    return LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), unchecked=True)
+    return LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), _trusted=True)
 
 
 def _broken_lie():
@@ -301,7 +302,7 @@ def _broken_lie():
     entries = [[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
                [[0, 0, -1], [0, 0, 0], [0, 1, 0]],
                [[0, 0, 0], [0, -1, 0], [0, 0, 0]]]
-    return graded_lie(QQ, 3, 0, entries, unchecked=True)
+    return GradedLieAlgebra(QQ, 3, 0, entries, _trusted=True)
 
 
 def _doubled(M):

@@ -32,30 +32,26 @@ _KINDS = {
 }
 
 
-def _load_input(arg: str, field: Field, _trusted: bool):
-    if os.path.exists(arg):
+def _load_input(arg: str, cls: Optional[str], field: Field, _trusted: bool):
+    """The input arg names, a file or a corpus name, checked to be of the class named cls (None
+    takes a corpus name only), or one ValueError that names arg."""
+    if cls is None or not os.path.exists(arg):
+        from . import corpus
+        try:
+            obj = corpus.by_name(arg, field)
+        except KeyError:
+            what = "a corpus name" if cls is None else "a readable file and not a corpus name"
+            raise ValueError(f"{arg}: not {what}") from None
+        except ValueError as exc:
+            raise ValueError(f"{arg}: {exc}") from None
+    else:
         try:
             with open(arg, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return load(payload, _trusted=_trusted)
+                obj = load(json.load(fh), _trusted=_trusted)
         # ValueError covers bad JSON and payloads, RecursionError too deep a nesting
         except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"{arg}: {exc}") from None
-    try:
-        return _by_name(arg, field)
-    except KeyError:
-        raise ValueError(f"{arg}: not a readable file and not a corpus name") from None
-    except ValueError as exc:
-        raise ValueError(f"{arg}: {exc}") from None
-
-
-def _by_name(arg: str, field: Field):
-    from . import corpus
-    return corpus.by_name(arg, field)
-
-
-def _expect(obj, cls: str):
-    if type(obj).__name__ != cls:
+    if cls is not None and type(obj).__name__ != cls:
         raise ValueError(f"expected {_KINDS[cls]}, found {type(obj).__name__}")
     return obj
 
@@ -266,8 +262,7 @@ def main(argv: Optional[list] = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        objs = [_by_name(arg, args.field) if cls is None else _expect(_load_input(
-                    arg, args.field, _trusted=args.command in _CHECKS), cls)
+        objs = [_load_input(arg, cls, args.field, _trusted=args.command in _CHECKS)
                 for arg, cls in given]
         verdict, dimensions, witnesses, derived = runner(names, *objs)
         # the field of the first system or algebra, else of the hom's matrix
@@ -289,15 +284,18 @@ def main(argv: Optional[list] = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             print(f"error: cannot write stdout: {exc}", file=sys.stderr)
             return EXIT_INVALID
-    # ValueError covers invalid input, KeyError an unknown corpus name
-    except (KeyError, ValueError) as exc:
+    # a refused input is a ValueError; any other exception is a library fault, one line each
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except RuntimeError as exc:
-        print(f"internal error: {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except MemoryError:
-        print(f"internal error: {args.command}: out of memory", file=sys.stderr)
+    except Exception as exc:
+        if isinstance(exc, MemoryError):
+            detail = "out of memory"
+        elif isinstance(exc, RuntimeError):
+            detail = str(exc)  # a self-check's message states the fault
+        else:
+            detail = f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {args.command}: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if limit:

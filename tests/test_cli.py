@@ -9,6 +9,7 @@ import pytest
 
 import lietrip.cli
 import lietrip.cohom
+import lietrip.embed
 import lietrip.lts
 from lietrip.cli import build_parser, main
 from lietrip.cohom import (
@@ -427,7 +428,7 @@ def test_cli_malformed_scalar_is_invalid_input(capsys, tmp_path, scalar):
 def test_abl_dimension_out_of_range_is_invalid_input(capsys, command, name, n):
     # refused from the name alone, before any tensor is built
     line = _one_error_line(capsys, [command, name], 2, "error: ")
-    assert line.endswith(f"abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {n}")
+    assert line == f"error: {name}: abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {n}"
 
 
 def test_abl_dimension_ceiling_is_loadable():
@@ -520,6 +521,36 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(lietrip.lts, "_commutator_coordinates", lambda *args: None)
     line = _one_error_line(capsys, ["derive", "sl2lts"], 3, "internal error: ")
     assert line == "internal error: derive: derivations not closed under commutator"
+
+
+# A fault of any type in the library is exit 3 with one line that names its type: never
+# exit 2 (invalid input), exit 1 (a false verdict) or a traceback.
+@pytest.mark.parametrize("command, module, name", [("thm-a", "embed", "envelope_criterion"),
+                                                   ("h2", "cohom", "h2_graded")])
+@pytest.mark.parametrize("fault", [
+    IndexError("list index out of range"), KeyError(7), ZeroDivisionError("division by zero"),
+    AttributeError("'NoneType' object has no attribute 'dim'"),
+    TypeError("'NoneType' object is not subscriptable")], ids=lambda fault: type(fault).__name__)
+def test_cli_library_fault_of_any_type_is_an_internal_error(capsys, monkeypatch, command, module,
+                                                            name, fault):
+    def faulty(*args, **kwargs):
+        raise fault
+
+    # the runners import what they call when they run
+    monkeypatch.setattr(getattr(lietrip, module), name, faulty)
+    line = _one_error_line(capsys, [command, "heis"], 3, f"internal error: {command}: ")
+    assert line == f"internal error: {command}: {type(fault).__name__}: {fault}"
+
+
+def test_cli_h2_fault_on_a_bracket_that_breaks_the_grading_is_an_internal_error(capsys, monkeypatch):
+    # an algebra built past validation with [e_0, e_2] = e_0 in dims (2, 1): h2_graded looks up
+    # an ungraded slot, a KeyError that once read as invalid input (exit 2)
+    bracket = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    bracket[0][2], bracket[2][0] = [1, 0, 0], [-1, 0, 0]
+    stray = GradedLieAlgebra(QQ, 2, 1, bracket, _trusted=True)
+    monkeypatch.setattr(lietrip.cohom, "h2_graded", lambda L, M: h2_graded(stray, trivial_module(stray)))
+    line = _one_error_line(capsys, ["h2", "heis"], 3, "internal error: h2: ")
+    assert line == "internal error: h2: KeyError: ((0, 2), 0)"
 
 
 # One structure constant changed so that the input breaks an axiom: every command
@@ -690,7 +721,7 @@ GOLDEN_REPORTS = {
     ('thm-a', 'a_of(abl(2))', 'Fp:2'): (0, '26192872155f81aef680b7ea968b48a1fd03ca8c3dbd242e64b6439289719c2f', ''),
     ('corpus', 'heis', 'Q'): (0, 'e8683d3b5fa8f9beb157b466ce1493cc5e8b90ec7e766de9e89bcebda7a05090', ''),
     ('corpus', 'a_of(odd2)', 'Q'): (0, '4e2e587e078569d5189b257273cb1359876ed809382883656fc3c39ce7721927', ''),
-    ('corpus', 'nosuch', 'Q'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: "unknown corpus name \'nosuch\'"\n'),
+    ('corpus', 'nosuch', 'Q'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: nosuch: not a corpus name\n'),
     ('check-lts', 'sl2lts', 'Q'): (0, 'f003cde2181ab17064acb619a16eb4c3414a60b8f8525bd4b6b7f5abab8dc7fe', ''),
     ('check-lts', 'broken_lts.json', 'Q'): (1, '5f46e4b5bd153a72c40a81735b3ce2aebe73b4c2c19808dfba8baa6a2d59bc10', 'check-lts: fail\n'),
     ('check-lts', 'heis', 'Q'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: expected a Lie triple system, found GradedLieAlgebra\n'),
@@ -718,7 +749,7 @@ GOLDEN_REPORTS = {
     ('u0ext', 'notgen.json', 'Q'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: algebra is not generated by its odd part\n'),
     ('corpus', 'heis', 'Fp:5'): (0, '7dff48a4b685034904ba0adf9e37714f75c4edccacee043a8dee769110f1ba09', ''),
     ('corpus', 'a_of(odd2)', 'Fp:5'): (0, 'd3813f6eb6da3ef1b23e1ac6f468d35efc1bbb2bd9805bb4741721c5612df6fa', ''),
-    ('corpus', 'nosuch', 'Fp:5'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: "unknown corpus name \'nosuch\'"\n'),
+    ('corpus', 'nosuch', 'Fp:5'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: nosuch: not a corpus name\n'),
     ('check-lts', 'sl2lts', 'Fp:5'): (0, 'b6248fe41473c3597ab77ef4047adfae0c946408c1cbae93042da374e0e843d8', ''),
     ('check-lts', 'broken_lts.json', 'Fp:5'): (1, '479c8c5f1e7655aea13058f3c43112325281665cc4c66407de43b8132caa3e89', 'check-lts: fail\n'),
     ('check-lts', 'heis', 'Fp:5'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: expected a Lie triple system, found GradedLieAlgebra\n'),

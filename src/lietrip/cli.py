@@ -37,13 +37,14 @@ def _load_input(arg: str, cls: Optional[str], field: Field, _trusted: bool):
     takes a corpus name only), or one ValueError that names arg."""
     if cls is None or not os.path.exists(arg):
         from . import corpus
-        try:
-            obj = corpus.by_name(arg, field)
+        try:  # the lookup's refusals only: a fault while the object is built is the library's
+            build = corpus.builder(arg)
         except KeyError:
             what = "a corpus name" if cls is None else "a readable file and not a corpus name"
             raise ValueError(f"{arg}: not {what}") from None
         except ValueError as exc:
             raise ValueError(f"{arg}: {exc}") from None
+        obj = build(field)
     else:
         try:
             with open(arg, "r", encoding="utf-8") as fh:

@@ -1,6 +1,6 @@
 """Curated example systems and algebras, parametrized by the base field.
 
-Names accepted by :func:`by_name` (and the CLI):
+Names accepted by :func:`builder` (and the CLI):
 
 * ``abl(n)``     n-dimensional abelian triple system, 0 <= n <= MAX_ABL_DIM
 * ``odd2``       the odd part of sl2 under its usual grading (basis e, f)
@@ -14,6 +14,7 @@ Names accepted by :func:`by_name` (and the CLI):
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .exactlin import Field, Nonzeros, QQ
@@ -75,28 +76,26 @@ _A_OF_RE = re.compile(r"a_of\((.+)\)")
 MAX_ABL_DIM = 24
 
 
-def lts_by_name(name: str, field: Field = QQ) -> LieTripleSystem:
-    m = _ABL_RE.fullmatch(name)
-    if m:
-        text = m.group(1)
+def builder(name: str):
+    """The builder, a function of the field, of a corpus name exactly as listed
+    (no surrounding whitespace).  The name is looked up before anything is
+    built: KeyError for an unknown name, ValueError for abl(n) out of range."""
+    m = _A_OF_RE.fullmatch(name)
+    system = m.group(1) if m else name  # a_of(x) takes the name x of a triple system
+    abl_match = _ABL_RE.fullmatch(system)
+    if abl_match:
+        text = abl_match.group(1)
         n = int(text)
         if text.startswith("-") or n > MAX_ABL_DIM:
             raise ValueError(f"abl(n) needs 0 <= n <= {MAX_ABL_DIM}, got n = {text}")
-        return abl(n, field)
-    if name in _LTS_NAMES:
-        return _LTS_NAMES[name](field)
-    raise KeyError(f"unknown triple system name {name!r}")
-
-
-def by_name(name: str, field: Field = QQ):
-    """Resolve a corpus name, exactly as listed (no surrounding whitespace),
-    to a system or algebra."""
-    m = _A_OF_RE.fullmatch(name)
-    if m:
-        from .embed import universal_imbedding
-        return universal_imbedding(lts_by_name(m.group(1), field)).algebra
-    if _ABL_RE.fullmatch(name) or name in _LTS_NAMES:
-        return lts_by_name(name, field)
-    if name in _ALGEBRA_NAMES:
-        return _ALGEBRA_NAMES[name](field)
-    raise KeyError(f"unknown corpus name {name!r}")
+        build = partial(abl, n)
+    elif system in _LTS_NAMES:
+        build = _LTS_NAMES[system]
+    elif not m and name in _ALGEBRA_NAMES:
+        return _ALGEBRA_NAMES[name]
+    else:
+        raise KeyError(f"unknown corpus name {name!r}")
+    if not m:
+        return build
+    from .embed import universal_imbedding
+    return lambda field: universal_imbedding(build(field)).algebra

@@ -83,18 +83,18 @@ class StandardImbedding(Record):
 
 
 def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
-    from .lts import _inner_flats, inner_derivation_algebra
+    from .lts import _derivations, _inner_span
     F = T.field
     n = T.dim
-    inder = inner_derivation_algebra(T)
+    _, flats, den, echelon = _inner_span(T)
+    inder = _derivations(T, _subspace(F, n * n, echelon))
     r = inder.dim
     even = _assemble(F, r, 0, (
         (a, b, inder.terms[a][b]) for a in range(r) for b in range(a + 1, r)))
-    # the D_{e_i,e_j} span Inder(T): their coordinates are their entries at the pivots
-    flat = _inner_flats(T)
+    # the D_{e_i,e_j} span Inder(T): their coordinates are their entries at the pivots (flats / den)
     pairing = Matrix.from_cols(F, Nonzeros(
-        tuple((q, flat[i][j][c]) for q, c in enumerate(inder.span.pivots) if c in flat[i][j])
-        for i, j in wedge_pairs(n)), rows=r)
+        _terms_of(F.p, {q: f[c] for q, c in enumerate(inder.span.pivots) if c in f}, den)
+        for f in flats), rows=r)
     algebra = _glue(even, n, [d.transpose().terms for d in inder.basis], pairing)
     inclusion = Matrix.from_cols(F, Nonzeros(((r + a, F.one()),) for a in range(n)), rows=r + n)
     return StandardImbedding(T, algebra, inclusion, inder)

@@ -160,7 +160,7 @@ def check_lts_axioms(T: LieTripleSystem) -> AxiomReport:
     bad += _spread(F, "cyclic", _defects(F, n, den, cyclic), _CYCLIC_ORBIT[orbits])
 
     if canonical:  # (3) in Inder(T) coordinates first, see the module docstring
-        pairs, flats, echelon = _inner_span(T)
+        pairs, flats, _, echelon = _inner_span(T)
         found = [] if _derivation_identity_holds(F.p, n, pairs, flats, echelon) else (
             _derivation_defects(F, nz, den, pairs, True))
     else:
@@ -323,23 +323,16 @@ def _commutator(p: Optional[int], x, y) -> dict:
     return {j: v % p for j, v in enumerate(acc) if v % p}
 
 
-def _inner_flats(T: LieTripleSystem) -> list:
-    """flat[u][v] = D_{e_u,e_v} = [e_u, e_v, -] flattened row-major, as a
-    sparse dict {l*n + m: entry} read from the nonzeros of its columns
-    [e_u, e_v, e_m]."""
-    n = T.dim
-    return [[{l * n + m: x for m, v in enumerate(tuv) for l, x in v} for tuv in tu] for tu in T.terms]
-
-
-def _inner_span(T: LieTripleSystem) -> tuple[list, list, dict]:
-    """The pairs i < j, the flats of their D_{i,j} as integer rows (over Q
-    times one common denominator), and the reduced echelon basis of those
-    flats (each row up to scale), a basis of Inder(T)."""
+def _inner_span(T: LieTripleSystem) -> tuple[list, list, int, dict]:
+    """The one reading of the inner derivations off the nonzeros: the pairs
+    i < j; the flats of their D_{i,j} = [e_i, e_j, -], flattened row-major,
+    as integer rows, each den times the true one; den (1 over F_p); and the
+    reduced echelon basis of those flats (each row up to scale), of Inder(T)."""
     n = T.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    flats, _ = _integer_rows(T.field.p, [
+    flats, den = _integer_rows(T.field.p, [
         {l * n + m: x for m, v in enumerate(T.terms[i][j]) for l, x in v} for i, j in pairs])
-    return pairs, flats, _echelon(map(dict, flats), T.field.p, n * n)[0]
+    return pairs, flats, den, _echelon(map(dict, flats), T.field.p, n * n)[0]
 
 
 def _derivation_identity_holds(p: Optional[int], n: int, pairs: list, flats: list, echelon: dict) -> bool:
@@ -380,7 +373,7 @@ def _derivation_identity_holds(p: Optional[int], n: int, pairs: list, flats: lis
 
 def inner_derivation_algebra(T: LieTripleSystem) -> DerivationAlgebra:
     """Inder(T), spanned by the D_{e_i,e_j} with i < j."""
-    return _derivations(T, _subspace(T.field, T.dim ** 2, _inner_span(T)[2]))
+    return _derivations(T, _subspace(T.field, T.dim ** 2, _inner_span(T)[3]))
 
 
 class IdealClosureCertificate(Record):
@@ -394,22 +387,27 @@ class IdealClosureCertificate(Record):
 
 def ideal_closure_certificate(T: LieTripleSystem) -> IdealClosureCertificate:
     """Check [D, D_{e_i,e_j}] for every basis derivation D and pair i < j against the sum of inner
-    derivations D_{De_i,e_j} + D_{e_i,De_j}: where they agree, it lies in Inder(T)."""
-    F = T.field
+    derivations D_{De_i,e_j} + D_{e_i,De_j}: where they agree, it lies in Inder(T).  Both sides
+    are linear in D and in the flats, so they are compared as integer dicts: D times the lcm
+    of its denominators, the flats of _inner_span times theirs."""
+    p = T.field.p
     n = T.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    flat = _inner_flats(T)
-    pair_rows = [_flat_rows(flat[i][j].items(), n) for i, j in pairs]
+    pairs, flats, _, _ = _inner_span(T)
+    flat = [[()] * n for _ in range(n)]  # flat[u][v] = the nonzeros of D_{u,v}'s flat
+    for (i, j), f in zip(pairs, flats):
+        flat[i][j], flat[j][i] = f.items(), [(k, -x) for k, x in f.items()]
+    pair_rows = [_flat_rows(f.items(), n) for f in flats]
     failures = []
     checked = 0
     for d in derivation_algebra(T).basis:
-        d_cols = d.transpose().terms
+        rows, _ = _integer_terms(p, d.terms, 1)
+        cols, _ = _integer_terms(p, d.transpose().terms, 1)  # the same scale, its entries by column
         for (i, j), dij in zip(pairs, pair_rows):
             checked += 1
-            comm = _commutator(F.p, d.terms, dij)
+            comm = _commutator(p, rows, dij)
             # [D, D_{i,j}] = D_{De_i, e_j} + D_{e_i, De_j}, expanded bilinearly
-            rhs = _sparse_sum(F.p, chain(((x, flat[u][j].items()) for u, x in d_cols[i]),
-                                         ((x, flat[i][u].items()) for u, x in d_cols[j])))
+            rhs = _sparse_sum(p, chain(((x, flat[u][j]) for u, x in cols[i]),
+                                       ((x, flat[i][u]) for u, x in cols[j])))
             if comm != rhs:
                 failures.append((i, j))
     return IdealClosureCertificate(not failures, checked, tuple(failures))

@@ -18,8 +18,7 @@ from lietrip.cohom import (
 import oracles
 from extra_algebras import sl2_double_swap
 from lietrip.corpus import (
-    MAX_ABL_DIM, ab2, abl, by_name, even_line, heis, lts_by_name, odd2,
-    sl2graded, sl2lts,
+    MAX_ABL_DIM, ab2, abl, builder, even_line, heis, odd2, sl2graded, sl2lts,
 )
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace
@@ -45,7 +44,7 @@ def test_roundtrip_corpus_entries():
     names = ["abl(1)", "abl(2)", "abl(3)", "abl(4)", "odd2", "sl2lts",
              "heis", "ab2", "sl2graded", "a_of(abl(2))", "a_of(odd2)"]
     for name in names:
-        obj = by_name(name)
+        obj = builder(name)(QQ)
         assert load(save(obj, name=name)) == obj
 
 
@@ -432,8 +431,8 @@ def test_abl_dimension_out_of_range_is_invalid_input(capsys, command, name, n):
 
 
 def test_abl_dimension_ceiling_is_loadable():
-    assert lts_by_name(f"abl({MAX_ABL_DIM})").dim == MAX_ABL_DIM
-    assert lts_by_name("abl(0)").dim == 0
+    assert builder(f"abl({MAX_ABL_DIM})")(QQ).dim == MAX_ABL_DIM
+    assert builder("abl(0)")(QQ).dim == 0
 
 
 @pytest.mark.parametrize("dims", [{"dim0": -1, "dim1": 4}, {"dim0": True, "dim1": 2},
@@ -524,21 +523,27 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
 
 
 # A fault of any type in the library is exit 3 with one line that names its type: never
-# exit 2 (invalid input), exit 1 (a false verdict) or a traceback.
-@pytest.mark.parametrize("command, module, name", [("thm-a", "embed", "envelope_criterion"),
-                                                   ("h2", "cohom", "h2_graded")])
+# exit 2 (invalid input), exit 1 (a false verdict) or a traceback.  That holds also while
+# a corpus name's object is built: the KeyError of a_of(odd2)'s envelope once read as an
+# unknown name (exit 2), where univ odd2 exited 3.
+@pytest.mark.parametrize("command, module, name, arg", [
+    ("thm-a", "embed", "envelope_criterion", "heis"), ("h2", "cohom", "h2_graded", "heis"),
+    ("thm-a", "embed", "universal_imbedding", "a_of(odd2)"),
+    ("univ", "embed", "universal_imbedding", "odd2")],
+    ids=["thm-a-embed-envelope_criterion", "h2-cohom-h2_graded",
+         "thm-a-embed-universal_imbedding-a_of(odd2)", "univ-embed-universal_imbedding-odd2"])
 @pytest.mark.parametrize("fault", [
     IndexError("list index out of range"), KeyError(7), ZeroDivisionError("division by zero"),
     AttributeError("'NoneType' object has no attribute 'dim'"),
     TypeError("'NoneType' object is not subscriptable")], ids=lambda fault: type(fault).__name__)
 def test_cli_library_fault_of_any_type_is_an_internal_error(capsys, monkeypatch, command, module,
-                                                            name, fault):
+                                                            name, arg, fault):
     def faulty(*args, **kwargs):
         raise fault
 
-    # the runners import what they call when they run
+    # the runners and the corpus import what they call when they run
     monkeypatch.setattr(getattr(lietrip, module), name, faulty)
-    line = _one_error_line(capsys, [command, "heis"], 3, f"internal error: {command}: ")
+    line = _one_error_line(capsys, [command, arg], 3, f"internal error: {command}: ")
     assert line == f"internal error: {command}: {type(fault).__name__}: {fault}"
 
 
@@ -567,7 +572,7 @@ def test_cli_h2_fault_on_a_bracket_that_breaks_the_grading_is_an_internal_error(
 ])
 def test_inputs_that_break_an_axiom_are_refused_or_reported(capsys, tmp_path, command, name,
                                                             where, value):
-    payload = save(by_name(name))
+    payload = save(builder(name)(QQ))
     node = payload["entries"]
     for i in where[:-1]:
         node = node[i]
@@ -903,7 +908,7 @@ def test_loads_match_golden_digests(tag):
         <= set(names)
     payloads = _golden_payloads(F)
     for name in names:
-        obj = payloads[name] if name in payloads else by_name(name, F)
+        obj = payloads[name] if name in payloads else builder(name)(F)
         loaded = load(json.loads(json.dumps(save(obj))), _trusted=name.startswith("broken_"))
         assert loaded == obj, name
         assert hashlib.sha256(repr(loaded).encode()).hexdigest() == GOLDEN_LOADS[name, tag], name
@@ -1013,7 +1018,7 @@ def test_cli_in_a_fresh_process_matches_main(capsys, monkeypatch, tmp_path, argv
     payloads = _golden_payloads(QQ)
     for arg in args:
         if arg.endswith(".json"):
-            obj = payloads[arg] if arg in payloads else by_name(arg.removesuffix(".json"))
+            obj = payloads[arg] if arg in payloads else builder(arg.removesuffix(".json"))(QQ)
             (tmp_path / arg).write_text(json.dumps(save(obj)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.cli.__file__)))
     done = subprocess.run([sys.executable, "-m", "lietrip.cli", *args],
@@ -1052,7 +1057,7 @@ def test_non_string_field_tag_is_invalid_input(capsys, tmp_path, tag):
                                   "abl()", "abl", "a_of(abl(+2))", "a_of(abl( 2))"])
 def test_abl_takes_ascii_digits_only(capsys, name):
     with pytest.raises(KeyError):
-        by_name(name)
+        builder(name)
     _one_error_line(capsys, ["univ" if name.startswith("abl") else "thm-a", name], 2, "error: ")
 
 
@@ -1060,7 +1065,7 @@ def test_abl_takes_ascii_digits_only(capsys, name):
                                            ("thm-a", "\tab2"), ("thm-a", "a_of( odd2)")])
 def test_corpus_name_with_whitespace_is_invalid_input(capsys, command, name):
     with pytest.raises(KeyError):
-        by_name(name)
+        builder(name)
     line = _one_error_line(capsys, [command, name], 2, "error: ")
     assert line == f"error: {name}: not a readable file and not a corpus name"
 

@@ -886,8 +886,8 @@ def test_envelope_criterion_builds_no_envelope(monkeypatch):
             return real(*args)
         return counting
 
-    names = ("universal_imbedding", "standard_imbedding", "inner_derivation_algebra",
-             "pair_algebra", "odd_part_lts")
+    names = ("universal_imbedding", "standard_imbedding", "_inner_span", "pair_algebra",
+             "odd_part_lts")
     for module in (lietrip, lietrip.lts, lietrip.embed, lietrip.cohom):
         for name in names:
             if hasattr(module, name):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lietrip import lts
 from lietrip.corpus import abl, heis, odd2, sl2graded, sl2lts
-from lietrip.exactlin import Field, Matrix, QQ, _echelon, _integer_rows, unit_vec
+from lietrip.exactlin import Field, Matrix, QQ, Subspace, _echelon, _integer_rows, unit_vec
 from lietrip.grlie import adjoint_module
 from lietrip.lts import (
     IdealClosureCertificate, LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
@@ -198,6 +198,23 @@ def test_inder_algebra_examples():
     # one check per (derivation basis element, pair i < j)
     assert cert.checked_pairs == derivation_algebra(sl2lts()).dim * 3
     assert cert.failures == ()
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_ideal_closure_certificate_names_the_pairs_a_planted_fault_breaks(monkeypatch, field):
+    # Der(sl2lts) with entry (1, 2) of its second basis derivation set to 1/3, in the
+    # matrices and in the flattened span alike: no longer a derivation, it breaks the
+    # identity at the pairs (0, 2) and (1, 2), pinned from the certificate's earlier
+    # computation in Fractions
+    T = sl2lts(field)
+    der = lts.derivation_algebra(T)
+    mats = [m.to_lists() for m in der.basis]
+    mats[1][1][2] = field.of(Fraction(1, 3))
+    flats = [[x for row in m for x in row] for m in mats]
+    span = Subspace(field, 9, Matrix.make(field, flats), der.span.pivots)
+    planted = lts.DerivationAlgebra(T, tuple(Matrix.make(field, m) for m in mats), span, der.terms)
+    monkeypatch.setattr(lts, "derivation_algebra", lambda S: planted)
+    assert ideal_closure_certificate(T) == IdealClosureCertificate(False, 9, ((0, 2), (1, 2)))
 
 
 def test_inder_inside_der():
@@ -518,7 +535,7 @@ DER_SYSTEMS = {
 }
 for _seed, _name in enumerate(("sl2lts", "gl(2)", "grass(2,2)"), 1):
     DER_SYSTEMS[f"{_name}@{_seed}"] = oracles.change_basis(DER_SYSTEMS[_name], _seed)
-DER_CASES = [(name, field) for name in DER_SYSTEMS for field in (QQ, Field(5), Field(2))]
+DER_CASES = [(name, field) for name in DER_SYSTEMS for field in (QQ, Field(5), Field(3), Field(2))]
 
 
 @pytest.mark.parametrize("name, field", DER_CASES, ids=[f"{n}-{f}" for n, f in DER_CASES])

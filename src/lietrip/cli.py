@@ -148,15 +148,15 @@ def _run_h2(names, L, M=None):
 
 
 def _run_split(names, phi):
-    from .cohom import CentralExtensionProblem, h2_graded, split_central_0_extension
-    from .grlie import trivial_module
+    from .cohom import CentralExtensionProblem, split_central_0_extension
     prob = CentralExtensionProblem.from_hom(phi)
     psi = split_central_0_extension(prob)
     dims = {"kernel_dim": prob.kernel.dim}
     if psi is not None:
         return "true", dims, {}, {"splitting": save(psi)}
-    # H^2 with coefficients in F^k is k copies of H^2 with coefficients in F; k > 0, as k = 0 splits
-    h2_dim = prob.kernel.dim * h2_graded(phi.target, trivial_module(phi.target)).dimension
+    # H^2 with coefficients in F^k is k copies of thm-a's H^2; only a failed split loads embed
+    from .embed import envelope_criterion
+    h2_dim = prob.kernel.dim * envelope_criterion(phi.target).h2_dimension
     return ("false", dims,
             {"obstruction": "the defining cocycle class is nonzero", "h2_dim": h2_dim}, {})
 

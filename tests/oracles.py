@@ -421,23 +421,30 @@ def derivation_basis(t, p=None):
     """The reduced basis of the derivations of t, flattened row-major.
 
     Each column of the system is the defect D[e_i, e_j, e_k] - [De_i, e_j, e_k]
-    - [e_i, De_j, e_k] - [e_i, e_j, De_k] over all (i, j, k) of one matrix
-    unit D = E_uv, since the defect is linear in D."""
+    - [e_i, De_j, e_k] - [e_i, e_j, De_k] over all (i, j, k, l) of one matrix
+    unit D = E_uv (De_v = e_u), since the defect is linear in D; a row that
+    repeats an earlier one is dropped, which leaves the null space as it is."""
     n = len(t)
-    e = [[int(i == j) for j in range(n)] for i in range(n)]
-    cols = []
-    for u, v in product(range(n), repeat=2):
-        d = [[int((r, c) == (u, v)) for c in range(n)] for r in range(n)]
-        col = []
-        for i, j, k in product(range(n), repeat=3):
-            lhs = _apply(d, t[i][j][k])
-            terms = (_triple(t, _apply(d, e[i]), e[j], e[k]),
-                     _triple(t, e[i], _apply(d, e[j]), e[k]),
-                     _triple(t, e[i], e[j], _apply(d, e[k])))
-            col += [x - sum(term[l] for term in terms) for l, x in enumerate(lhs)]
-        cols.append(col)
-    rows = [list(r) for r in zip(*cols) if any(r)]
+    cols = [[t[i][j][k][v] * int(l == u) - int(i == v) * t[u][j][k][l]
+             - int(j == v) * t[i][u][k][l] - int(k == v) * t[i][j][u][l]
+             for i, j, k, l in product(range(n), repeat=4)]
+            for u, v in product(range(n), repeat=2)]
+    rows = [list(r) for r in dict.fromkeys(zip(*cols)) if any(r)]
     return naive_kernel(rows, n * n, p)
+
+
+def even_derivation_dim(c, dim0, p=None):
+    """dim of the even derivations of the raw bracket c[i][j][l] with even part
+    e_0..e_{dim0-1}: the null space of D[e_x, e_y] - [De_x, e_y] - [e_x, De_y]
+    over all n^3 coordinates (x, y, l), one column per matrix unit D = E_uv of
+    the dim0^2 + dim1^2 that keep the grading (De_v = e_u); a row that repeats
+    an earlier one is dropped."""
+    n = len(c)
+    units = [(u, v) for u, v in product(range(n), repeat=2) if (u < dim0) == (v < dim0)]
+    cols = [[c[x][y][v] * int(l == u) - int(x == v) * c[u][y][l] - int(y == v) * c[x][u][l]
+             for x, y, l in product(range(n), repeat=3)] for u, v in units]
+    rows = [list(r) for r in dict.fromkeys(zip(*cols)) if any(r)]
+    return len(naive_kernel(rows, len(units), p))
 
 
 def coordinates(basis, v, p=None):

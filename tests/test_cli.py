@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -24,7 +25,7 @@ from lietrip.embed import universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, adjoint_module, central_quotient, direct_sum, identity_hom,
-    trivial_module,
+    is_generated_by_odd, trivial_module,
 )
 from lietrip.lts import LieTripleSystem, LtsHom, identity_lts_hom, lie_triple_system
 from lietrip.serialize import PayloadError, load, save
@@ -335,6 +336,57 @@ def test_cli_split(capsys, tmp_path):
     assert code == 0 and report["verdict"] == "true"
     psi = load(report["derived"]["splitting"])
     assert psi.matrix == Matrix.identity(QQ, 3)
+
+
+def _failing_splits(F):
+    """Projections that do not split: A(abl(3)) onto its quotients by two seeded central lines
+    and two seeded central planes, all of them generated by their odd part, and a cocycle
+    extension of ab2 + an even line, which its odd part does not generate, by a representative
+    of its nonzero H^2."""
+    rng = random.Random(F.p or 0)
+    A = universal_imbedding(abl(3, F)).algebra
+    homs = []
+    for k in (1, 1, 2, 2):
+        Z = Subspace.span(F, A.dim, [])
+        while Z.dim < k:
+            Z = Subspace.span(F, A.dim, [[rng.randint(-2, 2) for _ in range(A.dim0)]
+                                         + [0] * A.dim1 for _ in range(k)])
+        homs.append(central_quotient(A, Z)[1])
+    L = direct_sum(ab2(F), even_line(F))
+    M = trivial_module(L)
+    homs.append(cocycle_extension(L, M, h2_graded(L, M).representatives[0]).phi)
+    return homs
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
+def test_a_failing_split_reads_its_h2_from_the_envelope_criterion(capsys, monkeypatch, tmp_path,
+                                                                 field):
+    """The obstruction's h2_dim is k x dim H^2 of the target, with H^2 from the oracle's own d1
+    and d2; d2 is eliminated, once and through the criterion, only when the odd part does not
+    generate the target."""
+    calls = []
+
+    def spy(L, M):
+        calls.append(L)
+        return h2_graded(L, M)
+
+    monkeypatch.setattr(lietrip.cohom, "h2_graded", spy)
+    path = tmp_path / "proj.json"
+    generated = set()
+    for phi in _failing_splits(field):
+        L = phi.target
+        path.write_text(json.dumps(save(phi)))
+        calls.clear()
+        code, report, _ = run_cli(capsys, "split", str(path))
+        raw = (L.dim0, L.dim1, {(i, j, l): x for i, row in enumerate(L.bracket)
+                                for j, v in enumerate(row) for l, x in enumerate(v) if x})
+        k = report["dimensions"]["kernel_dim"]
+        assert code == 1 and k > 0
+        assert report["witnesses"]["h2_dim"] == k * oracles.h2_graded_dim(raw, field.p) > 0
+        gen = is_generated_by_odd(L)
+        assert calls == ([] if gen else [L])
+        generated.add(gen)
+    assert generated == {True, False}
 
 
 def test_cli_thm_a(capsys, tmp_path):

@@ -33,8 +33,8 @@ from lietrip.grlie import (
     trivial_module,
 )
 from lietrip.lts import (
-    LieTripleSystem, LtsHom, check_lts_axioms, identity_lts_hom, is_lts_hom, lie_triple_system,
-    lts_of_lie, odd_part_lts,
+    LieTripleSystem, LtsHom, check_lts_axioms, derivation_algebra, identity_lts_hom, is_lts_hom,
+    lie_triple_system, lts_of_lie, odd_part_lts,
 )
 from test_lts import LADDER
 
@@ -711,6 +711,31 @@ def test_the_verdict_holds_exactly_when_extend_hom_is_an_isomorphism_over_f3():
             assert verdict == (split_central_0_extension(universal_central_0_extension(L)) is not None)
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+INFINITESIMAL_SYSTEMS = {
+    "abl(2)": [[[[0] * 2] * 2] * 2] * 2,
+    "abl(3)": [[[[0] * 3] * 3] * 3] * 3,
+    "odd2": oracles.ODD2_TRIPLE,
+    "sl2lts": oracles.lts_of_bracket(oracles.SL2_BRACKET),
+    "gl(2)": oracles.lts_of_bracket(oracles.gl_bracket(2)),
+    "grass(2,2)": oracles.grass_triple(2, 2),
+    "grass(2,3)": oracles.grass_triple(2, 3),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
+def test_the_even_derivations_of_the_envelope_restrict_onto_the_derivations(field):
+    """ROADMAP item 7, the infinitesimal half: restricting to the odd part is a bijection from
+    the even derivations of A(T) onto Der(T), so the three dimensions agree: the library's,
+    the oracle's derivations of T's raw triple, and the oracle's even derivations of the raw
+    bracket of A(T), with no code shared between the last two."""
+    for name, t in INFINITESIMAL_SYSTEMS.items():
+        T = lie_triple_system(field, t)
+        L = universal_imbedding(T).algebra
+        c = [[list(v) for v in row] for row in L.bracket]
+        assert derivation_algebra(T).dim == len(oracles.derivation_basis(t, field.p)) \
+            == oracles.even_derivation_dim(c, L.dim0, field.p), name
 
 
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(5)], ids=str)

@@ -17,7 +17,7 @@ from extra_algebras import sl2_double_swap
 from lietrip.corpus import ab2, abl, heis, sl2lts
 from lietrip.embed import universal_imbedding
 from lietrip.exactlin import QQ, Subspace, unit_vec
-from lietrip.grlie import central_quotient, trivial_module
+from lietrip.grlie import central_quotient, identity_hom, trivial_module
 from lietrip.lts import LieTripleSystem
 from lietrip.serialize import save
 
@@ -58,7 +58,8 @@ def test_import_lietrip_loads_no_submodule():
 def _cli_inputs(tmp_path):
     """The payload files the commands below read, of the kinds perfbench/clijobs.py writes: a
     graded algebra, an algebra with H^2 != 0 and its projection hom, a triple system that
-    fails its axioms, a tensor of the wrong shape, truncated JSON and a scalar "1/0"."""
+    fails its axioms, a tensor of the wrong shape, truncated JSON and a scalar "1/0"; and the
+    identity hom of heis, a split that succeeds."""
     A = universal_imbedding(abl(3)).algebra
     Q, projection = central_quotient(A, Subspace.span(QQ, A.dim, [unit_vec(QQ, A.dim, 0)]))
     bad_shape, zero_den = save(heis()), save(heis())
@@ -66,7 +67,8 @@ def _cli_inputs(tmp_path):
     zero_den["entries"][1][2][0] = "1/0"
     files = {"sl2lts.json": save(sl2lts()), "ab2.json": save(ab2()),
              "sl2ds.json": save(sl2_double_swap()), "n3q.json": save(Q),
-             "n3proj.json": save(projection), "badshape.json": bad_shape, "zeroden.json": zero_den,
+             "n3proj.json": save(projection), "heisid.json": save(identity_hom(heis())),
+             "badshape.json": bad_shape, "zeroden.json": zero_den,
              "notlts.json": save(LieTripleSystem(QQ, 1, ((((QQ.of(1),),),),), _trusted=True))}
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
@@ -76,8 +78,9 @@ def _cli_inputs(tmp_path):
 # (command, exit code, the modules it loads): the commands of perfbench/clijobs.py, then more
 # commands on a file; a graded command loads no lts, and only h2, split and a criterion on an
 # algebra its odd part does not generate load cohom (u0ext builds grlie's CentralExtensionProblem
-# without it); a payload refused for a bad scalar loads no record module, since load parses the
-# entries first
+# without it); a split that fails reads its obstruction's H^2 from the envelope criterion, so it
+# loads embed, and one that succeeds does not; a payload refused for a bad scalar loads no record
+# module, since load parses the entries first
 COMMANDS = [
     ("thm-a heis", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
     ("thm-a ab2", 1, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
@@ -87,7 +90,8 @@ COMMANDS = [
      ["cli", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
     ("h2 sl2ds.json", 0, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
     ("closed n3q.json", 1, ["cli", "embed", "exactlin", "grlie", "serialize"]),
-    ("split n3proj.json", 1, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
+    ("split n3proj.json", 1, ["cli", "cohom", "embed", "exactlin", "grlie", "serialize"]),
+    ("split heisid.json", 0, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
     ("check-lts notlts.json", 1, ["cli", "exactlin", "lts", "serialize"]),
     ("check-graded badshape.json", 2, ["cli", "exactlin", "grlie", "serialize"]),
     ("thm-a malformed.json", 2, ["cli", "exactlin", "serialize"]),

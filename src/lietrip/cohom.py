@@ -279,8 +279,8 @@ def is_0_centrally_closed(L: GradedLieAlgebra) -> bool:
 
 
 def __getattr__(name: str):
-    # envelope_criterion and its report live in embed, beside their builder; embed loads on first use
-    if name in ("envelope_criterion", "EnvelopeCriterionReport"):
-        from . import embed
-        return getattr(embed, name)
+    # envelope_criterion lives in embed, beside its builder; embed loads on first use
+    if name == "envelope_criterion":
+        from .embed import envelope_criterion
+        return envelope_criterion
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,8 @@
 * the universal imbedding A(T), with even part <T,T> and odd part T.  The
   inclusion of T into it is initial among all imbeddings of T into Lie
   algebras, which makes T -> A(T) a functor and every hom out of it
-  determined by its odd restriction.
+  determined by its odd restriction.  extend_hom and imbedding_functor_hom,
+  the functor on morphisms, build each A(T) they need from T.
 
 One builder, ``_envelope``, reads A(L_1) and its hom onto L off the brackets
 of any L that its odd part generates: A(T) is it on Ste(T), the universal
@@ -54,8 +55,6 @@ def wedge_dim(n: int) -> int:
     return n * (n - 1) // 2
 
 def wedge_index(i: int, j: int, n: int) -> int:
-    if not 0 <= i < j < n:
-        raise ValueError("wedge index needs i < j")
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
@@ -313,8 +312,7 @@ def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence, pairing: Matrix) ->
 # ---------------------------------------------------------------------------
 # homomorphism extension and the functor on morphisms
 
-def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
-               envelope: Optional[UniversalImbedding] = None) -> GradedHom:
+def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix) -> GradedHom:
     """The unique graded hom out of the universal imbedding of T restricting
     to alpha: T -> L_1 on the odd part.
 
@@ -324,18 +322,14 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     must map to zero) is re-verified at runtime.
     """
     from .lts import is_lts_hom, odd_part_lts
-    if envelope is not None and envelope.lts != T:
-        raise ValueError("envelope is not the universal imbedding of T")
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
         raise ValueError("alpha is not a homomorphism into the odd part of L")
-    return _extend(T, L, alpha, envelope)
+    return _extend(T, L, alpha)
 
 
-def _extend(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
-            envelope: Optional[UniversalImbedding]) -> GradedHom:
-    """extend_hom past its checks: alpha is a triple-system hom T -> L_1, and envelope is None
-    or the universal imbedding of T."""
-    env = envelope if envelope is not None else universal_imbedding(T)
+def _extend(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix) -> GradedHom:
+    """extend_hom past its check: alpha is a triple-system hom T -> L_1."""
+    env = universal_imbedding(T)
     F = L.field
     # the columns of alpha, and their brackets, at their places in L
     alpha_cols = [tuple((L.dim0 + a, x) for a, x in col) for col in alpha.transpose().terms]
@@ -348,18 +342,11 @@ def _extend(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix,
     return GradedHom(env.algebra, L, Matrix.from_cols(F, Nonzeros(cols), rows=L.dim), _trusted=True)
 
 
-def imbedding_functor_hom(alpha: LtsHom,
-                          source_env: Optional[UniversalImbedding] = None,
-                          target_env: Optional[UniversalImbedding] = None) -> GradedHom:
-    """The universal imbedding applied to a morphism of triple systems.  The hom law of alpha
-    was checked when the LtsHom was built, and the odd part of A(T) is T by construction, so
+def imbedding_functor_hom(alpha: LtsHom) -> GradedHom:
+    """A(alpha): A(S) -> A(T), extend_hom of alpha: S -> T into A(T).  The hom law of alpha was
+    checked when the LtsHom was built, and the odd part of A(T) is T by construction, so
     extend_hom's own check of alpha is not run again."""
-    if target_env is not None and target_env.lts != alpha.target:
-        raise ValueError("target_env is not the universal imbedding of the target")
-    if source_env is not None and source_env.lts != alpha.source:
-        raise ValueError("envelope is not the universal imbedding of T")
-    env_s = target_env if target_env is not None else universal_imbedding(alpha.target)
-    return _extend(alpha.source, env_s.algebra, alpha.matrix, source_env)
+    return _extend(alpha.source, universal_imbedding(alpha.target).algebra, alpha.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,9 @@ def trivial_module(L: GradedLieAlgebra, dim0: int = 1) -> GradedModule:
 
 
 def adjoint_module(L: GradedLieAlgebra) -> GradedModule:
-    """L acting on itself: column c of the action of e_i is [e_i, e_c]."""
-    return GradedModule(L, L.dim0, L.dim1, L.terms)
+    """L acting on itself: column c of the action of e_i is [e_i, e_c].  The grading holds as L's
+    does, and the representation law is L's Jacobi identity, so the module is built unchecked."""
+    return GradedModule(L, L.dim0, L.dim1, L.terms, _trusted=True)
 
 
 def is_generated_by_odd(L: GradedLieAlgebra) -> bool:

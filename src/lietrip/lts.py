@@ -438,16 +438,17 @@ _LIE_FAILURES = {"alternating": "[e_{0}, e_{0}] != 0",
 def lts_of_lie(algebra, field: Optional[Field] = None) -> LieTripleSystem:
     """The full algebra as a triple system under [a,b,c] = [[a,b],c].
 
-    Accepts a graded Lie algebra (grading ignored) or a raw n x n x n
-    bracket tensor together with its field.  Either is checked as a purely
-    even algebra, and the first failure is the error's message.
+    Accepts a graded Lie algebra (grading ignored), valid by construction and
+    read as it is, or a raw n x n x n bracket tensor together with its field,
+    which is checked as a purely even algebra, the first failure being the
+    error's message.
     """
     from .grlie import GradedLieAlgebra, GradedLieError
     if field is None:
         if type(algebra) is not GradedLieAlgebra:
             raise ValueError(f"expected a GradedLieAlgebra or a tensor and its field, found "
                              f"{type(algebra).__name__} {algebra!r:.40}")
-        field, algebra = algebra.field, algebra.terms
+        return _assemble_lts(algebra.field, algebra.dim, _product_rows(algebra, 0))
     try:
         L = GradedLieAlgebra(field, len(_array(algebra)), 0, algebra)
     except GradedLieError as exc:

@@ -434,15 +434,16 @@ def derivation_basis(t, p=None):
 
 
 def even_derivation_dim(c, dim0, p=None):
-    """dim of the even derivations of the raw bracket c[i][j][l] with even part
-    e_0..e_{dim0-1}: the null space of D[e_x, e_y] - [De_x, e_y] - [e_x, De_y]
-    over all n^3 coordinates (x, y, l), one column per matrix unit D = E_uv of
-    the dim0^2 + dim1^2 that keep the grading (De_v = e_u); a row that repeats
-    an earlier one is dropped."""
+    """dim of the even derivations of the alternating raw bracket c[i][j][l] with
+    even part e_0..e_{dim0-1}: the null space of D[e_x, e_y] - [De_x, e_y] -
+    [e_x, De_y] at the coordinates (x, y, l) with x < y (the rows at (y, x, l)
+    are their negatives, those at x = y are zero), one column per matrix unit
+    D = E_uv of the dim0^2 + dim1^2 that keep the grading (De_v = e_u); a row
+    that repeats an earlier one is dropped."""
     n = len(c)
     units = [(u, v) for u, v in product(range(n), repeat=2) if (u < dim0) == (v < dim0)]
     cols = [[c[x][y][v] * int(l == u) - int(x == v) * c[u][y][l] - int(y == v) * c[x][u][l]
-             for x, y, l in product(range(n), repeat=3)] for u, v in units]
+             for x, y in combinations(range(n), 2) for l in range(n)] for u, v in units]
     rows = [list(r) for r in dict.fromkeys(zip(*cols)) if any(r)]
     return len(naive_kernel(rows, len(units), p))
 

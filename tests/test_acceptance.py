@@ -29,7 +29,7 @@ from lietrip.embed import (
 )
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, solve, unit_vec
 from lietrip.grlie import (
-    center, central_quotient, check_graded_lie, direct_sum, is_generated_by_odd,
+    center, central_quotient, check_graded_lie, direct_sum, identity_hom, is_generated_by_odd,
     is_graded_hom, trivial_module,
 )
 from lietrip.lts import (
@@ -138,7 +138,8 @@ def test_criterion_03_central_extension_contract():
 
 def _check_unique_extension(T, L, alpha):
     env = universal_imbedding(T)
-    ext = extend_hom(T, L, alpha, envelope=env)
+    ext = extend_hom(T, L, alpha)
+    assert ext.source == env.algebra
     F = L.field
     # restriction to T is the imbedding
     for j in range(T.dim):
@@ -246,8 +247,8 @@ def test_criterion_09_delta_squared_zero():
 def test_criterion_10_functoriality():
     for T in (odd2(), abl(2)):
         env = universal_imbedding(T)
-        ident = imbedding_functor_hom(identity_lts_hom(T), source_env=env, target_env=env)
-        assert ident.matrix == Matrix.identity(QQ, env.algebra.dim)
+        ident = imbedding_functor_hom(identity_lts_hom(T))
+        assert ident == identity_hom(env.algebra)
 
     incl = LtsHom(odd2(), sl2lts(), Matrix.make(QQ, [[0, 0], [1, 0], [0, 1]]))
     swap = LtsHom(odd2(), odd2(), Matrix.make(QQ, [[0, 1], [1, 0]]))

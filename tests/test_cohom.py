@@ -586,6 +586,30 @@ def _two_dim_systems_over_f3():
     return out
 
 
+def _three_dim_systems_over_f3():
+    """33 triple systems of dimension 3 over F_3, each moved by a seeded unimodular change of
+    basis: lts_of_lie of the abelian and Heisenberg algebras, sl(2), [x,y] = y plus a line,
+    and [x,y] = y, [x,z] = lam z for lam = 1, 2; and each 2-dimensional system + abl(1)."""
+    F = Field(3)
+
+    def bracket(consts):  # {(i, j): {l: x}} for i < j, [e_i, e_j] = sum x e_l
+        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        for (i, j), v in consts.items():
+            for l, x in v.items():
+                c[i][j][l], c[j][i][l] = x, -x
+        return c
+
+    lies = [bracket({}), bracket({(0, 1): {2: 1}}), oracles.SL2_BRACKET, bracket({(0, 1): {1: 1}})]
+    lies += [bracket({(0, 1): {1: 1}, (0, 2): {2: lam}}) for lam in (1, 2)]
+    systems = [lts_of_lie(oracles.change_bracket_basis(c, 45 + k), F) for k, c in enumerate(lies)]
+    for k, T in enumerate(_two_dim_systems_over_f3()):
+        t = [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+        for i, j, l in product(range(2), repeat=3):
+            t[i][j][l][:2] = T.triple[i][j][l]
+        systems.append(lie_triple_system(F, oracles.change_basis(t, 51 + k)))
+    return systems
+
+
 def _central_lines(A):
     """The spans of the first one and the first two basis vectors of the even
     part of A's center, as far as that has them."""
@@ -660,7 +684,7 @@ def test_the_imbedding_functor_is_full_and_faithful_on_the_systems_over_f3():
     def homs(s, t):
         """The triple-system homs f: S -> T, each with F(f)."""
         if (s, t) not in functor:
-            functor[s, t] = [(f, imbedding_functor_hom(f, source_env=envs[s], target_env=envs[t]))
+            functor[s, t] = [(f, imbedding_functor_hom(f))
                              for f in (LtsHom(systems[s], systems[t], m, _trusted=True)
                                        for m in odd_blocks if is_lts_hom(m, systems[s], systems[t]))]
         return functor[s, t]
@@ -669,17 +693,18 @@ def test_the_imbedding_functor_is_full_and_faithful_on_the_systems_over_f3():
     pairs = {(t, t) for t in range(n)} | set(rng.sample(list(product(range(n), repeat=2)), 40))
     for s, t in sorted(pairs):
         images = [image.matrix for _, image in homs(s, t)]
+        assert all((image.source, image.target) == (envs[s].algebra, envs[t].algebra)
+                   for _, image in homs(s, t))
         assert all(restrict_hom_to_odd(image).matrix == f.matrix for f, image in homs(s, t))
         graded = [m for m in blocks if is_graded_hom(m, envs[s].algebra, envs[t].algebra)]
         assert len(images) == len(graded) and set(images) == set(graded), (s, t)
     for t in range(n):
-        assert imbedding_functor_hom(identity_lts_hom(systems[t]), source_env=envs[t],
-                                     target_env=envs[t]) == identity_hom(envs[t].algebra)
+        assert imbedding_functor_hom(identity_lts_hom(systems[t])) == identity_hom(envs[t].algebra)
     composed = 0
     for r, s, t in rng.sample(list(product(range(n), repeat=3)), 40):
         for f, image_f in homs(r, s):
             for g, image_g in homs(s, t):
-                image = imbedding_functor_hom(g.compose(f), source_env=envs[r], target_env=envs[t])
+                image = imbedding_functor_hom(g.compose(f))
                 assert image == image_g.compose(image_f)
                 composed += any(image.matrix.terms)
     assert composed
@@ -691,7 +716,9 @@ def test_the_verdict_holds_exactly_when_extend_hom_is_an_isomorphism_over_f3():
     A(T) for every 2-dimensional system T, their quotients by central lines, a seeded
     sample of A(T) + an even line, which L_1 does not generate, and the central
     extensions of one quotient Q by each representative of H^2(Q) and by the zero
-    coboundary (Q has no even part, so d of the zero 1-cochain is its one coboundary)."""
+    coboundary (Q has no even part, so d of the zero 1-cochain is its one coboundary); and
+    A(T) and its quotients by central lines for each of the 33 systems T of dimension 3 in
+    _three_dim_systems_over_f3."""
     F = Field(3)
     envelopes = [universal_imbedding(T).algebra for T in _two_dim_systems_over_f3()]
     quotients = [Q for A in envelopes for Q in _by_central_lines(A)]
@@ -702,6 +729,9 @@ def test_the_verdict_holds_exactly_when_extend_hom_is_an_isomorphism_over_f3():
     zero = coboundary(Cochain(Q, M, 1, ((0,),) * Q.dim))
     algebras += [cocycle_extension(Q, M, sigma).phi.source
                  for sigma in h2_graded(Q, M).representatives + (zero,)]
+    three = [universal_imbedding(T).algebra for T in _three_dim_systems_over_f3()]
+    assert len(three) == 33 and {A.dim1 for A in three} == {3}
+    algebras += three + [Q for A in three for Q in _by_central_lines(A)]
     verdicts = []
     for L in algebras:
         m = extend_hom(odd_part_lts(L), L, Matrix.identity(F, L.dim1)).matrix
@@ -729,8 +759,12 @@ def test_the_even_derivations_of_the_envelope_restrict_onto_the_derivations(fiel
     """ROADMAP item 7, the infinitesimal half: restricting to the odd part is a bijection from
     the even derivations of A(T) onto Der(T), so the three dimensions agree: the library's,
     the oracle's derivations of T's raw triple, and the oracle's even derivations of the raw
-    bracket of A(T), with no code shared between the last two."""
-    for name, t in INFINITESIMAL_SYSTEMS.items():
+    bracket of A(T), with no code shared between the last two.  gl(3) runs over F_3 and F_5
+    only: over Q its even-derivation oracle alone takes seconds."""
+    systems = dict(INFINITESIMAL_SYSTEMS)
+    if field.p in (3, 5):
+        systems["gl(3)"] = oracles.lts_of_bracket(oracles.gl_bracket(3))
+    for name, t in systems.items():
         T = lie_triple_system(field, t)
         L = universal_imbedding(T).algebra
         c = [[list(v) for v in row] for row in L.bracket]

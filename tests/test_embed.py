@@ -620,7 +620,8 @@ def test_extend_identity_is_identity():
     T = odd2()
     env = universal_imbedding(T)
     alpha = Matrix.identity(QQ, 2)  # iota in odd coordinates
-    ext = extend_hom(T, env.algebra, alpha, envelope=env)
+    ext = extend_hom(T, env.algebra, alpha)
+    assert ext.source == env.algebra
     assert ext.matrix == Matrix.identity(QQ, env.algebra.dim)
 
 
@@ -642,21 +643,18 @@ def test_extend_rejects_non_hom():
         extend_hom(odd2(), sl2graded(), Matrix.make(QQ, [[2, 0], [0, 2]]))
 
 
-def test_extend_rejects_the_envelope_of_another_system():
-    env = universal_imbedding(odd2())
-    with pytest.raises(ValueError, match="envelope"):
-        extend_hom(abl(2), universal_imbedding(abl(2)).algebra, Matrix.identity(QQ, 2), envelope=env)
-    with pytest.raises(ValueError, match="envelope"):
-        imbedding_functor_hom(identity_lts_hom(abl(2)), source_env=env)
+ENVELOPE_OPTIONS = {
+    "envelope": lambda env: extend_hom(odd2(), env.algebra, Matrix.identity(QQ, 2), envelope=env),
+    "source_env": lambda env: imbedding_functor_hom(identity_lts_hom(odd2()), source_env=env),
+    "target_env": lambda env: imbedding_functor_hom(identity_lts_hom(odd2()), target_env=env),
+}
 
 
-def test_functor_rejects_the_envelope_of_another_target():
-    A = abl(2)
-    with pytest.raises(ValueError, match="target_env"):
-        imbedding_functor_hom(identity_lts_hom(A), target_env=universal_imbedding(odd2()))
-    # an equal system in another object is the same target
-    f = imbedding_functor_hom(identity_lts_hom(A), target_env=universal_imbedding(abl(2)))
-    assert f.matrix == Matrix.identity(QQ, universal_imbedding(A).algebra.dim)
+@pytest.mark.parametrize("option", ENVELOPE_OPTIONS)
+def test_extension_and_functor_take_no_envelope(option):
+    # each builds the universal imbedding it needs: no caller can hand in one of another system
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{option}'"):
+        ENVELOPE_OPTIONS[option](universal_imbedding(odd2()))
 
 
 def _reconstruct_even_block(T, L, alpha, env, ext):
@@ -687,7 +685,8 @@ def test_uniqueness_by_independent_reconstruction():
     ]
     for T, L, alpha in cases:
         env = universal_imbedding(T)
-        ext = extend_hom(T, L, alpha, envelope=env)
+        ext = extend_hom(T, L, alpha)
+        assert ext.source == env.algebra
         for j in range(T.dim):
             full = tuple([QQ.zero()] * L.dim0) + alpha.transpose().entries[j]
             assert ext.matrix.transpose().entries[env.algebra.dim0 + j] == full
@@ -699,7 +698,8 @@ def test_extend_via_standard_route_agrees():
     # compose upsilon with the explicit isomorphism Ste(odd2) ~ sl2
     T = odd2()
     env = universal_imbedding(T)
-    ext = extend_hom(T, sl2graded(), Matrix.identity(QQ, 2), envelope=env)
+    ext = extend_hom(T, sl2graded(), Matrix.identity(QQ, 2))
+    assert ext.source == env.algebra
     iso = GradedHom(env.ste.algebra, sl2graded(),
                     Matrix.make(QQ, [["1/2", 0, 0], [0, 1, 0], [0, 0, 1]]))
     other = iso.compose(env.upsilon)
@@ -709,13 +709,14 @@ def test_extend_via_standard_route_agrees():
 def test_functor_identity_and_zero():
     T = odd2()
     env = universal_imbedding(T)
-    f = imbedding_functor_hom(identity_lts_hom(T), source_env=env, target_env=env)
-    assert f.matrix == Matrix.identity(QQ, env.algebra.dim)
+    f = imbedding_functor_hom(identity_lts_hom(T))
+    assert f == identity_hom(env.algebra)
 
     A = abl(2)
     envA = universal_imbedding(A)
     zero = LtsHom(A, A, Matrix(QQ, 2, 2, ((0,) * 2,) * 2))
-    g = imbedding_functor_hom(zero, source_env=envA, target_env=envA)
+    g = imbedding_functor_hom(zero)
+    assert (g.source, g.target) == (envA.algebra, envA.algebra)
     assert not any(g.matrix.terms)
 
 
@@ -741,10 +742,10 @@ def test_functor_does_not_check_the_hom_law_again(monkeypatch):
         inner = getattr(lietrip.lts, name)
         monkeypatch.setattr(lietrip.lts, name,
                             lambda *args, name=name, inner=inner: calls.append(name) or inner(*args))
-    f = imbedding_functor_hom(incl, source_env=envT, target_env=envS)
-    assert imbedding_functor_hom(incl) == f
+    f = imbedding_functor_hom(incl)
+    assert (f.source, f.target) == (envT.algebra, envS.algebra)
     assert calls == []
-    assert extend_hom(T, envS.algebra, incl.matrix, envelope=envT) == f
+    assert extend_hom(T, envS.algebra, incl.matrix) == f
     assert calls == ["odd_part_lts", "is_lts_hom"]
 
 

@@ -251,6 +251,25 @@ def test_lts_of_lie_examples():
         lts_of_lie(not_lie, QQ)
 
 
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
+def test_lts_of_lie_reads_an_algebra_as_it_is(field, monkeypatch):
+    """A GradedLieAlgebra is valid by construction: lts_of_lie reads its brackets with no Lie
+    check, and gives the triple system of the same tensor read raw, which is checked."""
+    import lietrip.grlie
+    from lietrip.embed import universal_imbedding
+    algebras = [heis(field), sl2graded(field), universal_imbedding(sl2lts(field)).algebra,
+                lietrip.grlie.graded_lie(field, 9, 0, oracles.gl_bracket(3))]
+    checks = []
+    check = lietrip.grlie.check_graded_lie
+    monkeypatch.setattr(lietrip.grlie, "check_graded_lie", lambda L: checks.append(L) or check(L))
+    for L in algebras:
+        got = lts_of_lie(L)
+        assert checks == []
+        assert got == lts_of_lie([[list(v) for v in row] for row in L.bracket], field)
+        assert len(checks) == 1 and check_lts_axioms(got).ok
+        checks.clear()
+
+
 def test_odd_part_examples():
     from lietrip.corpus import ab2
     assert odd_part_lts(ab2()).triple == abl(2).triple

@@ -8,13 +8,13 @@ derivations.  The surjection upsilon between them is graded with even
 central kernel, and the odd part of the universal imbedding recovers T on
 the nose.  On morphisms, imbedding_functor_hom(alpha) takes a hom of triple
 systems S -> T to the graded hom A(S) -> A(T) that restricts to it, which
-makes A a functor.
+makes A a functor; restrict_hom_to_odd reads that restriction back.
 """
 
 from lietrip import QQ, Matrix, kernel_basis, odd_part_lts
 from lietrip.corpus import abl, odd2, sl2lts
 from lietrip.embed import imbedding_functor_hom, standard_imbedding, universal_imbedding
-from lietrip.grlie import center, identity_hom, is_generated_by_odd
+from lietrip.grlie import center, identity_hom, is_generated_by_odd, restrict_hom_to_odd
 from lietrip.lts import LtsHom, identity_lts_hom
 
 for name, T in [("abl(2)", abl(2)), ("abl(3)", abl(3)),
@@ -52,3 +52,8 @@ print("  F(incl o swap) = F(incl) o F(swap) for odd2 -> sl2lts:",
 print("  its matrix, A(odd2) -> A(sl2lts), row by row:")
 for row in F_composed.matrix.to_lists():
     print("    ", " ".join(f"{str(x):>2}" for x in row))
+
+# the functor read backwards: A(f) restricts to f on the odd parts
+for f in (incl, swap, incl.compose(swap)):
+    assert restrict_hom_to_odd(imbedding_functor_hom(f)).matrix == f.matrix
+print("  F(f) restricted to the odd parts is f, for incl, swap and incl o swap: True")

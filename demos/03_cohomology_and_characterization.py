@@ -11,12 +11,12 @@ adding an even abelian line to sl2 fails (i).
 
 from lietrip import Matrix, QQ
 from lietrip.cohom import (
-    CentralExtensionProblem, envelope_criterion, h2_graded,
-    split_central_0_extension,
+    CentralExtensionProblem, Cochain, cocycle_extension, envelope_criterion, h2_graded,
+    is_0_centrally_closed, split_central_0_extension,
 )
 from lietrip.corpus import ab2, even_line, heis, sl2graded
 from lietrip.embed import universal_central_0_extension
-from lietrip.grlie import GradedHom, direct_sum, trivial_module
+from lietrip.grlie import GradedHom, adjoint_module, direct_sum, trivial_module
 
 print("== graded H^2 with trivial one-dimensional coefficients ==")
 for name, L in [("ab2", ab2()), ("heis", heis()), ("sl2graded", sl2graded())]:
@@ -40,6 +40,38 @@ for name, L in [("ab2", ab2()), ("heis", heis())]:
           f"  H^2 = {h}  splits: {split_central_0_extension(ext) is not None}")
 print("(for ab2 it is the hand-built heis -> ab2 above: the same algebra and hom)")
 print("same extension:", universal_central_0_extension(ab2()) == prob)
+
+print()
+print("== central 0-extensions from graded 2-cocycles ==")
+L, M = ab2(), trivial_module(ab2())
+rep = h2_graded(L, M).representatives[0]
+ext = cocycle_extension(L, M, rep)
+# a nonzero class: the extension does not split, and it is A(L_1) -> L itself
+assert split_central_0_extension(ext) is None
+assert ext == universal_central_0_extension(L)
+zero = cocycle_extension(L, M, Cochain(L, M, 2, [(0,)] * len(rep.terms)))
+assert split_central_0_extension(zero) is not None  # the zero class splits
+print("ab2 by its H^2 representative: total dims "
+      f"({ext.phi.source.dim0}, {ext.phi.source.dim1}), splits: False, is A(L_1) -> L: True")
+print("ab2 by the zero cocycle:        total dims "
+      f"({zero.phi.source.dim0}, {zero.phi.source.dim1}), splits: True")
+
+print()
+print("== 0-centrally closed: every central 0-extension splits, i.e. H^2 = 0 ==")
+for name, L, closed in [("heis", heis(), True), ("ab2", ab2(), False)]:
+    assert is_0_centrally_closed(L) is closed  # H^2 is 0 for heis and 1 for ab2 (above)
+    print(f"{name:10s} 0-centrally closed: {closed}")
+
+print()
+print("== graded H^2 with adjoint coefficients ==")
+L = sl2graded()
+ad = adjoint_module(L)
+# L acting on itself: e_i acts as ad e_i, whose column c is [e_i, e_c]
+assert all(ad.action[i].to_lists() == [list(row) for row in zip(*L.bracket[i])]
+           for i in range(L.dim))
+h = h2_graded(L, ad)
+assert h.dimension == 0  # sl2 is rigid: H^2(sl2, sl2) = 0 in characteristic 0 (Whitehead)
+print(f"sl2graded  cocycles {h.cocycle_dim}  coboundaries {h.coboundary_dim}  H^2 = {h.dimension}")
 
 print()
 print("== the characterization, end to end ==")

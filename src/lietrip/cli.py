@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 # lts, grlie, embed, cohom and corpus load where a command needs them; inputs go by class name
-from .exactlin import Field, inverse
+from .exactlin import Field, Refusal, inverse
 from .serialize import fmt_matrix, fmt_terms, load, save
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
@@ -34,16 +34,16 @@ _KINDS = {
 
 def _load_input(arg: str, cls: Optional[str], field: Field, _trusted: bool):
     """The input arg names, a file or a corpus name, checked to be of the class named cls (None
-    takes a corpus name only), or one ValueError that names arg."""
+    takes a corpus name only), or one Refusal that names arg."""
     if cls is None or not os.path.exists(arg):
         from . import corpus
         try:  # the lookup's refusals only: a fault while the object is built is the library's
             build = corpus.builder(arg)
         except KeyError:
             what = "a corpus name" if cls is None else "a readable file and not a corpus name"
-            raise ValueError(f"{arg}: not {what}") from None
+            raise Refusal(f"{arg}: not {what}") from None
         except ValueError as exc:
-            raise ValueError(f"{arg}: {exc}") from None
+            raise Refusal(f"{arg}: {exc}") from None
         obj = build(field)
     else:
         try:
@@ -51,9 +51,9 @@ def _load_input(arg: str, cls: Optional[str], field: Field, _trusted: bool):
                 obj = load(json.load(fh), _trusted=_trusted)
         # ValueError covers bad JSON and payloads, RecursionError too deep a nesting
         except (OSError, ValueError, RecursionError) as exc:
-            raise ValueError(f"{arg}: {exc}") from None
+            raise Refusal(f"{arg}: {exc}") from None
     if cls is not None and type(obj).__name__ != cls:
-        raise ValueError(f"expected {_KINDS[cls]}, found {type(obj).__name__}")
+        raise Refusal(f"expected {_KINDS[cls]}, found {type(obj).__name__}")
     return obj
 
 
@@ -126,7 +126,7 @@ def _run_extend(names, hom, L):
     from .embed import extend_hom
     from .lts import odd_part_lts
     if odd_part_lts(L) != hom.target:
-        raise ValueError("the hom's target is not the odd part of the target algebra")
+        raise Refusal("the hom's target is not the odd part of the target algebra")
     ext = extend_hom(hom.source, L, hom.matrix)
     return ("pass", {"source_dim0": ext.source.dim0, "source_dim1": ext.source.dim1}, {},
             {"extension": save(ext)})
@@ -138,7 +138,7 @@ def _run_h2(names, L, M=None):
     if M is None:
         M = trivial_module(L)
     elif M.algebra != L:
-        raise ValueError("module file is over a different algebra")
+        raise Refusal("module file is over a different algebra")
     result = h2_graded(L, M)
     return ("pass",
             {"h2": result.dimension, "cocycles": result.cocycle_dim,
@@ -285,8 +285,8 @@ def main(argv: Optional[list] = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             print(f"error: cannot write stdout: {exc}", file=sys.stderr)
             return EXIT_INVALID
-    # a refused input is a ValueError; any other exception is a library fault, one line each
-    except ValueError as exc:
+    # a refused input is a Refusal; any other exception is a library fault, one line each
+    except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:

@@ -59,9 +59,6 @@ class Cochain(Record):
         slots = set(_graded_slots(self.algebra, self.module, self.degree))
         return all((combo, r) in slots for combo, v in zip(self.combos(), self.terms) for r, _ in v)
 
-    def is_zero(self) -> bool:
-        return not any(self.terms)
-
 
 def _combo_index(combo: tuple, n: int, degree: int) -> int:
     # lexicographic position among combinations(range(n), degree)

@@ -32,7 +32,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactlin import (
-    Field, Matrix, Nonzeros, Record, Subspace, _echelon, _integer_rows,
+    Field, Matrix, Nonzeros, Record, Refusal, Subspace, _echelon, _integer_rows,
     _integer_terms, _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, _transposed,
     kernel_basis, quotient,
 )
@@ -323,7 +323,7 @@ def extend_hom(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix) -> Graded
     """
     from .lts import is_lts_hom, odd_part_lts
     if not is_lts_hom(alpha, T, odd_part_lts(L)):
-        raise ValueError("alpha is not a homomorphism into the odd part of L")
+        raise Refusal("alpha is not a homomorphism into the odd part of L")
     return _extend(T, L, alpha)
 
 
@@ -356,7 +356,7 @@ def universal_central_0_extension(L: GradedLieAlgebra) -> CentralExtensionProble
     """For L generated by its odd part: A(L_1) -> L, the identity on L_1, read off L's brackets
     by _envelope.  from_hom checks it onto with an even central kernel; a refusal is a fault here."""
     if not is_generated_by_odd(L):
-        raise ValueError("algebra is not generated by its odd part")
+        raise Refusal("algebra is not generated by its odd part")
     try:
         return CentralExtensionProblem.from_hom(_envelope(L)[2])
     except NotCentral0Extension as exc:

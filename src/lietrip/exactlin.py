@@ -351,6 +351,11 @@ class AxiomReport(Record):
     violations: tuple  # of AxiomViolation, in the checker's order
 
 
+class Refusal(ValueError):
+    """Input that breaks a stated hypothesis of the call.  The command line reads it, and it
+    alone, as invalid input (exit 2); any other exception is a library fault."""
+
+
 class AxiomError(ValueError):
     """A failed axiom check, worded from its report."""
     structure, prefix = "", ""  # what was checked; the words before the first violation's indices
@@ -456,11 +461,6 @@ class Matrix(Record):
                 cols[j].append((i, x))
         return Matrix(self.field, self.cols, self.rows, Nonzeros(tuple(map(tuple, cols))))
 
-    def matvec(self, v: Vector) -> Vector:
-        v = dict(nonzeros(self.field, self.cols, v))
-        return dense_tensor(self.field, self.rows, _terms_of(self.field.p, {
-            i: sum(x * v[j] for j, x in row if j in v) for i, row in enumerate(self.terms)}), 0)
-
     def matmul(self, other: "Matrix") -> "Matrix":
         """Each row of the product is the combination of other's rows that
         the row's nonzeros select."""
@@ -481,9 +481,6 @@ class Matrix(Record):
 
     def to_lists(self) -> list:
         return [list(r) for r in dense_tensor(self.field, self.cols, self.terms, 1)]
-
-    def flatten(self) -> Vector:
-        return tuple(x for r in dense_tensor(self.field, self.cols, self.terms, 1) for x in r)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple]:
@@ -559,14 +556,6 @@ class Subspace(Record):
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def contains(self, v: Vector) -> bool:
-        return not self._residue(dict(nonzeros(self.field, self.ambient_dim, v)))
-
-    def coordinates(self, v: Vector) -> Optional[Vector]:
-        """Coefficients of v in the RREF basis, or None if v is outside."""
-        v = dict(nonzeros(self.field, self.ambient_dim, v))
-        return None if self._residue(dict(v)) else tuple(v.get(c, self.field.zero()) for c in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return not any(self._residue(dict(row)) for row in other.basis.terms)

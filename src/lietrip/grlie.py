@@ -22,10 +22,10 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Sequence
 
 from .exactlin import (
-    AxiomError, AxiomReport, AxiomViolation, Field, Hom, Matrix, Nonzeros, Record, Subspace,
-    Vector, _array, _as_nonzeros, _check_hom_matrix, _combination, _cyclic_keys, _defects,
+    AxiomError, AxiomReport, AxiomViolation, Field, Hom, Matrix, Nonzeros, Record, Refusal,
+    Subspace, _array, _as_nonzeros, _check_hom_matrix, _combination, _cyclic_keys, _defects,
     _integer_terms, _neg_terms, _span, _sparse_sum, _subspace, _transposed, dense_tensor,
-    kernel_basis, kernel_of_rows, nonzeros, quotient, rank,
+    kernel_basis, kernel_of_rows, quotient,
 )
 
 if TYPE_CHECKING:  # only restrict_hom_to_odd loads lts
@@ -64,10 +64,6 @@ class GradedLieAlgebra(Record):
 
     def degree(self, i: int) -> int:
         return 0 if i < self.dim0 else 1
-
-    def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        F, n = self.field, self.dim
-        return dense_tensor(F, n, _bracket(self, nonzeros(F, n, x), nonzeros(F, n, y)).items(), 0)
 
     def even_subspace(self) -> Subspace:
         return _subspace(self.field, self.dim, {i: {i: 1} for i in range(self.dim0)})
@@ -157,12 +153,6 @@ class GradedHom(Hom, Record):
     def kernel(self) -> Subspace:
         return kernel_basis(self.matrix)
 
-    def is_surjective(self) -> bool:
-        return rank(self.matrix) == self.target.dim
-
-    def is_bijective(self) -> bool:
-        return self.matrix.rows == self.matrix.cols and self.is_surjective()
-
 
 def identity_hom(L: GradedLieAlgebra) -> GradedHom:
     return GradedHom(L, L, Matrix.identity(L.field, L.dim), _trusted=True)
@@ -227,12 +217,6 @@ class GradedModule(Record):
     def degree(self, r: int) -> int:
         return 0 if r < self.dim0 else 1
 
-    def act(self, x: Vector) -> Matrix:
-        """Action matrix of an algebra element given in coordinates."""
-        F, nx = self.algebra.field, nonzeros(self.algebra.field, self.algebra.dim, x)
-        cols = Nonzeros(_combination(F.p, ((xi, self.terms[i][c]) for i, xi in nx)) for c in range(self.dim))
-        return Matrix.from_cols(F, cols, rows=self.dim)
-
     def is_trivial(self) -> bool:
         return not any(col for a in self.terms for col in a)
 
@@ -274,7 +258,7 @@ def _central(L: GradedLieAlgebra, Z: Subspace) -> bool:
                                        for j, v in compress(enumerate(s[i]), s[i]) for k, x in zi.items()))
 
 
-class NotCentral0Extension(ValueError):
+class NotCentral0Extension(Refusal):
     pass
 
 

@@ -47,6 +47,16 @@ def naive_matmul(a, b, ncols, p=None):
              for j in range(ncols)] for row in a]
 
 
+def matvec(rows, v, p=None):
+    """The raw matrix rows times the vector v, as a tuple."""
+    return tuple(col[0] for col in naive_matmul(rows, [[x] for x in v], 1, p))
+
+
+def flatten(rows):
+    """The entries of a raw matrix, row by row, as a tuple."""
+    return tuple(x for row in rows for x in row)
+
+
 def naive_rref(rows, ncols, p=None):
     """(reduced rows, pivot columns) by textbook Gauss-Jordan elimination,
     leftmost pivot first, on Fractions or on residues mod p."""
@@ -90,6 +100,26 @@ def naive_kernel(rows, ncols, p=None):
 def frac_rank(rows, p=None):
     """Rank by plain Gaussian elimination on Fractions, or on residues mod p."""
     return len(naive_rref(rows, len(rows[0]) if rows else 0, p)[1])
+
+
+def is_invertible(rows, ncols, p=None):
+    """Whether the raw matrix rows, with ncols columns, is square and of full rank."""
+    return len(rows) == ncols == frac_rank(rows, p)
+
+
+def in_span(vectors, v, p=None):
+    """Whether v lies in the span of vectors: adding it leaves the rank as it is."""
+    return frac_rank([*vectors, v], p) == frac_rank(list(vectors), p)
+
+
+def bracket(c, x, y, p=None):
+    """[x, y] for coordinate vectors x and y, from the raw bracket tensor c[i][j][l]."""
+    out = [Fraction(0)] * len(c)
+    for i, j in product(range(len(c)), repeat=2):
+        if x[i] and y[j]:
+            for l, z in enumerate(c[i][j]):
+                out[l] += Fraction(x[i]) * Fraction(y[j]) * Fraction(z)
+    return tuple(scalar(z, p) for z in out)
 
 
 def _bracket(raw, i, j, l):
@@ -421,13 +451,19 @@ def derivation_basis(t, p=None):
     """The reduced basis of the derivations of t, flattened row-major.
 
     Each column of the system is the defect D[e_i, e_j, e_k] - [De_i, e_j, e_k]
-    - [e_i, De_j, e_k] - [e_i, e_j, De_k] over all (i, j, k, l) of one matrix
+    - [e_i, De_j, e_k] - [e_i, e_j, De_k] over the (i, j, k, l) of one matrix
     unit D = E_uv (De_v = e_u), since the defect is linear in D; a row that
-    repeats an earlier one is dropped, which leaves the null space as it is."""
+    repeats an earlier one is dropped, which leaves the null space as it is.
+    Where t alternates in its first two slots modulo p (t[i][i] = 0 and
+    t[j][i] = -t[i][j]), so does the defect: the rows at j > i are those at
+    i < j negated and the rows at i = j are zero, so only i < j are read."""
     n = len(t)
+    alternating = all(scalar(t[i][i][k][l], p) == 0 and scalar(t[i][j][k][l] + t[j][i][k][l], p) == 0
+                      for i, j, k, l in product(range(n), repeat=4))
+    pairs = list(combinations(range(n), 2) if alternating else product(range(n), repeat=2))
     cols = [[t[i][j][k][v] * int(l == u) - int(i == v) * t[u][j][k][l]
              - int(j == v) * t[i][u][k][l] - int(k == v) * t[i][j][u][l]
-             for i, j, k, l in product(range(n), repeat=4)]
+             for (i, j), k, l in product(pairs, range(n), range(n))]
             for u, v in product(range(n), repeat=2)]
     rows = [list(r) for r in dict.fromkeys(zip(*cols)) if any(r)]
     return naive_kernel(rows, n * n, p)

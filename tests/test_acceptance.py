@@ -128,7 +128,7 @@ def test_criterion_03_central_extension_contract():
     for name, T in zip(CORPUS_LTS_NAMES, corpus_lts()):
         env = universal_imbedding(T)
         ups = env.upsilon
-        assert ups.is_surjective(), name
+        assert oracles.frac_rank(ups.matrix.entries) == env.ste.algebra.dim, name
         assert is_graded_hom(ups.matrix, env.algebra, env.ste.algebra), name
         ker = ups.kernel()
         assert env.algebra.even_subspace().contains_subspace(ker), name
@@ -149,14 +149,14 @@ def _check_unique_extension(T, L, alpha):
     # even basis vector of the envelope through a *different* preimage under
     # the wedge projection and push it through [alpha(.), alpha(.)]
     alpha_cols = [tuple([F.zero()] * L.dim0) + alpha.transpose().entries[j] for j in range(T.dim)]
-    pairs = wedge_pairs(T.dim)
+    pairs, bracket = wedge_pairs(T.dim), L.bracket
     for s in range(env.algebra.dim0):
         coeffs = solve(env.pair.projection, unit_vec(F, env.algebra.dim0, s))
         assert coeffs is not None
         image = tuple([F.zero()] * L.dim)
         for c, (i, j) in zip(coeffs, pairs):
             if c:
-                term = L.bracket_vec(alpha_cols[i], alpha_cols[j])
+                term = oracles.bracket(bracket, alpha_cols[i], alpha_cols[j], F.p)
                 image = tuple(F.of(a + c * b) for a, b in zip(image, term))
         assert image == ext.matrix.transpose().entries[s]
     return ext
@@ -204,7 +204,7 @@ def test_criterion_07_splitting_dichotomy():
         for L, expected_split in ((ab2(field), False), (heis(field), True)):
             M = trivial_module(L)
             cocycles = [b for b in graded_cochain_basis(L, M, 2)
-                        if coboundary(b).is_zero()]
+                        if not any(coboundary(b).terms)]
             assert cocycles
             for sigma in cocycles:
                 prob = cocycle_extension(L, M, sigma)
@@ -223,7 +223,8 @@ def test_criterion_08_characterization_end_to_end():
     for name, L in positives:
         result = envelope_criterion(L)
         assert result.verdict, name
-        assert result.witness is not None and result.witness.is_bijective(), name
+        assert result.witness is not None, name
+        assert oracles.is_invertible(result.witness.matrix.entries, result.witness.matrix.cols), name
 
     neg = envelope_criterion(ab2())
     assert not neg.verdict and neg.generated_by_odd and neg.h2_dimension == 1
@@ -240,7 +241,7 @@ def test_criterion_09_delta_squared_zero():
             M = trivial_module(L)
             basis = graded_cochain_basis(L, M, 1)
             for g in basis:
-                assert coboundary(coboundary(g)).is_zero()
+                assert not any(coboundary(coboundary(g)).terms)
     print("PASS criterion 9: delta^2 = 0 on all degree-1 graded cochains over Q, F2, F3")
 
 

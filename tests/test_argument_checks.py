@@ -15,7 +15,7 @@ from lietrip.cohom import (
 )
 from lietrip.corpus import ab2, abl, heis, odd2, sl2graded, sl2lts
 from lietrip.embed import extend_hom
-from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Subspace, inverse, quotient, unit_vec
+from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Subspace, inverse, quotient, solve, unit_vec
 from lietrip.grlie import (
     GradedHom, GradedModule, adjoint_module, central_quotient, direct_sum,
     identity_hom, is_graded_hom, trivial_module,
@@ -258,10 +258,10 @@ def test_inverse_of_a_singular_matrix_is_none():
         QQ, [[Fraction(-1, 5), Fraction(2, 5)], [Fraction(3, 5), Fraction(-1, 5)]])
 
 
-def test_coordinates_outside_the_span_are_none():
-    plane = Subspace.span(QQ, 3, [(1, 0, 1), (0, 1, 1)])
-    assert plane.coordinates((1, 1, 2)) == (1, 1)
-    assert plane.coordinates((0, 0, 1)) is None
+def test_a_right_hand_side_outside_the_column_space_has_no_solution():
+    plane = Matrix.from_cols(QQ, [(1, 0, 1), (0, 1, 1)])
+    assert solve(plane, (1, 1, 2)) == (1, 1)
+    assert solve(plane, (0, 0, 1)) is None
 
 
 def test_matmul_hstack_and_quotient_name_their_mismatch():

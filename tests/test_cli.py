@@ -298,7 +298,7 @@ def test_cli_extend(capsys, tmp_path):
     assert code == 0
     ext = load(report["derived"]["extension"])
     assert isinstance(ext, GradedHom)
-    assert ext.is_bijective()
+    assert oracles.is_invertible(ext.matrix.entries, ext.matrix.cols)
 
     # a hom whose target is not the odd part of the algebra is invalid input
     bad = LtsHom(abl(2), abl(2), Matrix.identity(QQ, 2))
@@ -574,8 +574,9 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
     assert line == "internal error: derive: derivations not closed under commutator"
 
 
-# A fault of any type in the library is exit 3 with one line that names its type: never
-# exit 2 (invalid input), exit 1 (a false verdict) or a traceback.  That holds also while
+# A fault of any type in the library, a bare ValueError included, is exit 3 with one line
+# that names its type: never exit 2 (invalid input, a Refusal alone), exit 1 (a false
+# verdict) or a traceback.  That holds also while
 # a corpus name's object is built: the KeyError of a_of(odd2)'s envelope once read as an
 # unknown name (exit 2), where univ odd2 exited 3.
 @pytest.mark.parametrize("command, module, name, arg", [
@@ -587,7 +588,8 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("fault", [
     IndexError("list index out of range"), KeyError(7), ZeroDivisionError("division by zero"),
     AttributeError("'NoneType' object has no attribute 'dim'"),
-    TypeError("'NoneType' object is not subscriptable")], ids=lambda fault: type(fault).__name__)
+    TypeError("'NoneType' object is not subscriptable"), ValueError("expected a 2 x 2 matrix")],
+    ids=lambda fault: type(fault).__name__)
 def test_cli_library_fault_of_any_type_is_an_internal_error(capsys, monkeypatch, command, module,
                                                             name, arg, fault):
     def faulty(*args, **kwargs):

@@ -69,7 +69,7 @@ def test_coboundary_abelian_trivial_vanishes():
     L = ab2()
     M = trivial_module(L)
     for f in graded_cochain_basis(L, M, 1) + graded_cochain_basis(L, M, 2):
-        assert coboundary(f).is_zero()
+        assert not any(coboundary(f).terms)
 
 
 def test_coboundary_heis_degree1():
@@ -100,7 +100,7 @@ def test_delta_squared_zero(p):
         for g in graded_cochain_basis(L, M, 1):
             dg = coboundary(g)
             assert dg.is_graded()
-            assert coboundary(dg).is_zero()
+            assert not any(coboundary(dg).terms)
 
 
 def test_h2_values_against_oracle():
@@ -193,7 +193,7 @@ def test_delta_squared_zero_on_random_cochains(p):
                 values = tuple(tuple(field.of(rng.randint(-3, 3)) for _ in range(M.dim))
                                for _ in range(L.dim))
                 g = Cochain(L, M, 1, values)
-                assert coboundary(coboundary(g)).is_zero()
+                assert not any(coboundary(coboundary(g)).terms)
 
 
 def _random_cochain(L, M, degree, graded, rng):
@@ -258,8 +258,8 @@ def test_h2_representatives_are_cocycles_not_coboundaries():
     result = h2_graded(L, M)
     assert len(result.representatives) == result.dimension == 1
     rep = result.representatives[0]
-    assert coboundary(rep).is_zero()
-    assert rep.is_graded() and not rep.is_zero()
+    assert not any(coboundary(rep).terms)
+    assert rep.is_graded() and any(rep.terms)
 
 
 def test_cocycle_extension_zero_gives_direct_sum():
@@ -269,7 +269,7 @@ def test_cocycle_extension_zero_gives_direct_sum():
     expected = direct_sum(even_line(), L)
     assert (prob.phi.source.dim0, prob.phi.source.dim1) == (expected.dim0, expected.dim1)
     # relabel: extension order is (L0 | M | L1); compare bracket of L-lifts
-    assert prob.phi.is_surjective()
+    assert oracles.frac_rank(prob.phi.matrix.entries) == prob.phi.target.dim
     assert prob.kernel.dim == 1
     psi = split_central_0_extension(prob)
     assert psi is not None
@@ -289,7 +289,7 @@ def test_cocycle_extension_rejects_bad_sigma():
     L = universal_imbedding(abl(3)).algebra
     M = trivial_module(L)
     basis = graded_cochain_basis(L, M, 2)
-    non_cocycle = next(b for b in basis if not coboundary(b).is_zero())
+    non_cocycle = next(b for b in basis if any(coboundary(b).terms))
     with pytest.raises(ValueError, match="cocycle"):
         cocycle_extension(L, M, non_cocycle)
 
@@ -333,7 +333,7 @@ def _random_sigmas(L, M, rng):
 def test_cocycle_extension_refuses_exactly_what_the_cochain_predicate_refuses(field):
     """cocycle_extension checks sigma through the grading and the Jacobi
     identity of the total; it accepts and refuses, with the same message, as
-    sigma.is_graded() and coboundary(sigma).is_zero() do."""
+    sigma.is_graded() and a zero coboundary of sigma do."""
     verdicts = set()
     algebras = (heis(field), sl2graded(field), sl2_double_swap(field),
                 universal_imbedding(abl(3, field)).algebra, universal_imbedding(abl(4, field)).algebra)
@@ -342,7 +342,7 @@ def test_cocycle_extension_refuses_exactly_what_the_cochain_predicate_refuses(fi
             M = trivial_module(L, m)
             for sigma in _random_sigmas(L, M, random.Random(L.dim * 10 + m)):
                 expected = ("sigma is not graded" if not sigma.is_graded() else
-                            None if coboundary(sigma).is_zero() else "sigma is not a cocycle")
+                            "sigma is not a cocycle" if any(coboundary(sigma).terms) else None)
                 try:
                     cocycle_extension(L, M, sigma)
                     got = None
@@ -400,7 +400,7 @@ def test_central_extension_problem_reads_surjectivity_from_its_kernel(monkeypatc
                 CentralExtensionProblem.from_hom(phi)
     assert calls == []
     # the spy is live
-    assert identity_hom(heis()).is_bijective() and len(calls) == 1
+    assert lietrip.exactlin.rank(identity_hom(heis()).matrix) == 3 and len(calls) == 1
 
 
 def abl_odd_line():
@@ -431,7 +431,7 @@ def test_splitting_dichotomy(p):
     for L, should_split in cases:
         M = trivial_module(L)
         cocycle_basis = [b for b in graded_cochain_basis(L, M, 2)
-                         if coboundary(b).is_zero()]
+                         if not any(coboundary(b).terms)]
         assert cocycle_basis, "expected at least one graded 2-cocycle"
         for sigma in cocycle_basis:
             prob = cocycle_extension(L, M, sigma)
@@ -808,7 +808,7 @@ def test_envelope_criterion_positive():
         result = envelope_criterion(L)
         assert result.verdict
         assert result.witness is not None
-        assert result.witness.is_bijective()
+        assert oracles.is_invertible(result.witness.matrix.entries, result.witness.matrix.cols)
         # the witness really maps the envelope of the odd part onto L
         assert result.witness.source == universal_imbedding(odd_part_lts(L)).algebra
 
@@ -830,7 +830,7 @@ def test_recognition_on_envelopes():
         U = universal_imbedding(T).algebra
         result = envelope_criterion(U)
         assert result.verdict
-        assert result.witness.is_bijective()
+        assert oracles.is_invertible(result.witness.matrix.entries, result.witness.matrix.cols)
 
 
 # ---------------------------------------------------------------------------

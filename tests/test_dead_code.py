@@ -1,34 +1,34 @@
 """No dead code in the library: every function, class and method defined in
-``src/lietrip`` is named by the program, its demos, its benchmark or its
-README, outside its own definition, and every field of a ``Record`` class
-is read as an attribute somewhere.
+``src/lietrip`` is named by code that runs, outside its own definition, and
+every field of a ``Record`` class is read as an attribute somewhere.
+
+The code that runs is every Python file of ``src``, ``demos`` and
+``perfbench``, and the python block that opens the Library section of
+``README.md``, which ``test_the_readme_library_block_runs_as_written``
+executes.  No other text of the README counts: not its prose, not its
+backtick spans and not its other fenced blocks.  The tests do not count: a
+definition that only a test calls is dead.  Neither do the strings of the
+``_HOMES`` registry in ``src/lietrip/__init__.py``, which lists every
+public name.
 
 A name counts when it appears as a variable, an attribute, an imported
 name, or a string constant (whole, or as one part of a dotted string such
-as ``"Matrix.matmul"``) in any Python file of ``src``, ``demos`` or
-``perfbench``, or as a word in a code span of ``README.md`` (text in
-backticks or in a fenced block).  An attribute ``x.name``, called or not,
-does not count when its receiver ``x`` is a name that an ``import``
-statement of the same file binds to a module outside ``lietrip``, such as
-``json.dumps`` or perfbench's ``gen.sl2_double_swap``: it names the other
-module's definition.  The tests do not count: a definition that only a
-test calls is dead.  Neither do the strings of the ``_HOMES`` registry in
-``src/lietrip/__init__.py``, which lists every public name.  Dunder
-methods are called by Python itself and are exempt.  A method that is not
-a property counts only when some file calls it, ``x.name(...)``, or names
-it in a dotted string, ``"Class.name"``, or a README code span writes it
-after a dot: a mere attribute or variable of the same name, such as
-``exc.value``, does not, and neither does a call on a module outside
-``lietrip``.  Calls on any other receiver, a local variable such as a
-set's ``add`` among them, are matched by the method's name alone, except
-for a classmethod: it counts only when it is called or named through its
-class, ``Subspace.span(...)`` or ``"Subspace.span"`` (or ``Subspace.span``
-in a README code span).  A property counts only when it is read as an
-attribute, ``x.action``, or a README code span writes it after a dot: a
-variable or a parameter of the same name does not.  A field counts when
-some file of ``src``, ``tests``, ``demos`` or ``perfbench`` reads
-``x.field``; the generic ``getattr`` over ``_fields`` in the record tests
-does not count.
+as ``"Matrix.matmul"``).  An attribute ``x.name``, called or not, does not
+count when its receiver ``x`` is a name that an ``import`` statement of the
+same file binds to a module outside ``lietrip``, such as ``json.dumps`` or
+perfbench's ``gen.sl2_double_swap``: it names the other module's
+definition.  Dunder methods are called by Python itself and are exempt.  A
+method that is not a property counts only when it is called,
+``x.name(...)``, or named in a dotted string, ``"Class.name"``: a mere
+attribute or variable of the same name, such as ``exc.value``, does not,
+and neither does a call on a module outside ``lietrip``.  Calls on any
+other receiver, a local variable such as a set's ``add`` among them, are
+matched by the method's name alone, except for a classmethod: it counts
+only when it is called or named through its class, ``Subspace.span(...)``
+or ``"Subspace.span"``.  A property counts only when it is read as an
+attribute, ``x.action``: a variable or a parameter of the same name does
+not.  A field counts when code that runs or a test reads ``x.field``; the
+generic ``getattr`` over ``_fields`` in the record tests does not count.
 """
 
 import ast
@@ -80,27 +80,27 @@ def _registry(node):
         isinstance(t, ast.Name) and t.id == "_HOMES" for t in node.targets)
 
 
+def _library_block(text=None):
+    """(source, line offset) of the python block that opens the Library section of the
+    README, or of text: the one README block that runs."""
+    text = README.read_text(encoding="utf-8") if text is None else text
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", text, re.M | re.S)
+    return block.group(1), text.count("\n", 0, block.start(1))
+
+
+def _readme_tree(text=None):
+    """The README's library block, or text's, parsed, with the line numbers of the file."""
+    source, offset = _library_block(text)
+    return ast.increment_lineno(ast.parse(source), offset)
+
+
 def _trees(tops=SEARCHED):
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             tree.body = [node for node in tree.body if not _registry(node)]
             yield path, tree
-
-
-def _readme_words(text=None):
-    """(line, word, receiver) for each identifier in a code span of the README,
-    or of text: receiver is None for a word not after a dot, else the word before
-    the dot ("" when there is none)."""
-    text = README.read_text(encoding="utf-8") if text is None else text
-    fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
-    spans = [(m.start(1), m.group(1)) for m in fenced.finditer(text)]
-    prose = fenced.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), text)
-    spans += [(m.start(1), m.group(1)) for m in re.finditer(r"`([^`]+)`", prose)]
-    for start, span in spans:
-        for m in re.finditer(r"(?:(\.)|(?<![\w.]))([A-Za-z_]\w*)", span):
-            receiver = re.search(r"(\w*)\.\Z", span[:m.start(2)]).group(1) if m.group(1) else None
-            yield text.count("\n", 0, start + m.start()) + 1, m.group(2), receiver
+    yield README, _readme_tree()
 
 
 def _references():
@@ -111,20 +111,40 @@ def _references():
         for node in ast.walk(tree):
             for name in _mentions(node, modules):
                 refs.setdefault(name, []).append((path, node.lineno))
-    for line, name, _ in _readme_words():
-        refs.setdefault(name, []).append((README, line))
     return refs
 
 
-def test_only_code_spans_of_the_readme_count():
-    text = ("prose_only `spanned.called` prose_too\n"
+def test_the_readme_library_block_runs_as_written():
+    """Each expression in the block has the value its comment states: 0, 0 and True."""
+    source, _ = _library_block()
+    lines, scope, stated = source.splitlines(), {}, []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+            continue
+        comment = lines[node.end_lineno - 1].partition("#")[2]
+        want = ast.literal_eval(re.match(r"\s*(\w+)", comment).group(1))
+        got = eval(compile(ast.Expression(node.value), "README", "eval"), scope)
+        assert type(got) is type(want) and got == want, (ast.unparse(node), got, want)
+        stated.append(want)
+    assert stated == [0, 0, True], stated
+
+
+def test_only_the_library_block_of_the_readme_counts():
+    text = ("# demo\n\n"
+            "The prose names `in_prose(x).spanned`.\n\n"
+            "```sh\n"
+            "python -c 'in_sh_block()'\n"
+            "```\n\n"
+            "## Library\n\n"
             "```python\n"
-            "fenced(x).y\n"
-            "```\n"
-            "after_the_fence\n")
-    assert sorted(_readme_words(text), key=lambda w: w[:2]) == [
-        (1, "called", "spanned"), (1, "spanned", None), (3, "fenced", None), (3, "x", None),
-        (3, "y", "")]
+            "from lietrip import in_library\n"
+            "in_library(T).called()  # in_comment\n"
+            "```\n")
+    tree = _readme_tree(text)
+    names = {name for node in ast.walk(tree) for name in _mentions(node, set())}
+    assert names == {"in_library", "T", "called"}
+    assert sorted(_method_mentions(tree)) == [("called", 13, None)]
 
 
 def test_tests_and_the_registry_are_not_searched():
@@ -236,14 +256,11 @@ def test_attributes_of_modules_outside_the_library_do_not_count():
 
 def _method_uses():
     """name -> list of (path, line, receiver) where a file mentions it as a method,
-    by _method_mentions, or a README code span writes it after a dot."""
+    by _method_mentions."""
     uses = {}
     for path, tree in _trees():
         for name, line, receiver in _method_mentions(tree):
             uses.setdefault(name, []).append((path, line, receiver))
-    for line, name, receiver in _readme_words():
-        if receiver is not None:
-            uses.setdefault(name, []).append((README, line, receiver))
     return uses
 
 
@@ -272,9 +289,6 @@ def test_every_library_property_is_read_as_an_attribute():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and not _of_outside_module(node, modules):
                 reads.setdefault(node.attr, []).append((path, node.lineno))
-    for line, name, receiver in _readme_words():
-        if receiver is not None:
-            reads.setdefault(name, []).append((README, line))
     unread = sorted(
         f"{path.stem}.{cls}.{name}" for path, cls, name, first, last in _methods("property")
         if not any(where != path or not first <= line <= last

@@ -35,8 +35,8 @@ def test_heis_jacobi_by_hand():
     # reduces to brackets with z and vanishes; the checker must agree.
     L = heis()
     x, y, z = unit_vec(QQ, 3, 1), unit_vec(QQ, 3, 2), unit_vec(QQ, 3, 0)
-    assert L.bracket_vec(x, y) == z
-    assert L.bracket_vec(z, x) == (QQ.of(0),) * 3
+    assert oracles.bracket(L.bracket, x, y) == z
+    assert oracles.bracket(L.bracket, z, x) == (QQ.of(0),) * 3
     assert check_graded_lie(L).ok
 
 
@@ -274,8 +274,8 @@ def test_generation_stops_at_the_full_space(monkeypatch):
             continue
         A = universal_imbedding(lie_triple_system(field, raw)).algebra
         odd = range(A.dim0, A.dim)
-        brackets = [A.bracket_vec(unit_vec(field, A.dim, i), unit_vec(field, A.dim, j))
-                    for i in odd for j in odd if i < j]
+        c = A.bracket
+        brackets = [c[i][j] for i in odd for j in odd if i < j]
         k = next(k for k in range(len(brackets) + 1)
                  if Subspace.span(field, A.dim, brackets[:k]) == A.even_subspace())
         read.clear()
@@ -311,13 +311,13 @@ def test_central_quotient():
     zero_ideal = Subspace.span(QQ, 3, [])
     Q0, proj0 = central_quotient(L, zero_ideal)
     assert Q0.bracket == L.bracket
-    assert proj0.is_bijective()
+    assert oracles.is_invertible(proj0.matrix.entries, proj0.matrix.cols)
 
     z_line = Subspace.span(QQ, 3, [unit_vec(QQ, 3, 0)])
     Q, proj = central_quotient(L, z_line)
     assert (Q.dim0, Q.dim1) == (0, 2)
     assert Q.bracket == ab2().bracket
-    assert proj.is_surjective()
+    assert oracles.frac_rank(proj.matrix.entries) == Q.dim
     assert proj.kernel() == z_line
 
     with pytest.raises(ValueError):

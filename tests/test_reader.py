@@ -27,7 +27,7 @@ from lietrip.cohom import Cochain
 from lietrip.corpus import ab2, abl, heis, odd2, sl2graded, sl2lts
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, nonzeros, solve
 from lietrip.grlie import (
-    GradedLieAlgebra, adjoint_module, graded_lie, identity_hom, trivial_module,
+    GradedLieAlgebra, GradedModule, adjoint_module, graded_lie, identity_hom, trivial_module,
 )
 from lietrip.lts import LieTripleSystem, identity_lts_hom, lie_triple_system, lts_of_lie, triple_bracket
 from lietrip.serialize import load, save
@@ -59,20 +59,20 @@ ENTRY_POINTS = {
     "solve": lambda bad: solve(Matrix.identity(QQ, 2), bad),
     "Subspace.span": lambda bad: Subspace.span(QQ, 2, bad),
     "Subspace.span(vector)": lambda bad: Subspace.span(QQ, 2, [bad]),
-    "Subspace.contains": lambda bad: Subspace.span(QQ, 2, []).contains(bad),
-    "Subspace.coordinates": lambda bad: Subspace.span(QQ, 2, []).coordinates(bad),
-    "Matrix.matvec": lambda bad: Matrix.identity(QQ, 2).matvec(bad),
-    "GradedLieAlgebra.bracket_vec": lambda bad: ab2().bracket_vec(E, bad),
-    "GradedModule.act": lambda bad: trivial_module(ab2()).act(bad),
     "triple_bracket": lambda bad: triple_bracket(abl(2), E, E, bad),
+    "triple_bracket(x)": lambda bad: triple_bracket(abl(2), bad, E, E),
+    "triple_bracket(y)": lambda bad: triple_bracket(abl(2), E, bad, E),
     "LieTripleSystem": lambda bad: LieTripleSystem(QQ, 2, bad),
     "LieTripleSystem(vector)": lambda bad: LieTripleSystem(QQ, 2, ((ZERO2, ZERO2), (ZERO2, ((0, 0), bad)))),
     "lie_triple_system": lambda bad: lie_triple_system(QQ, bad),
+    "lie_triple_system(vector)": lambda bad: lie_triple_system(QQ, ((ZERO2, ZERO2), (ZERO2, ((0, 0), bad)))),
     "GradedLieAlgebra": lambda bad: GradedLieAlgebra(QQ, 0, 2, bad),
+    "GradedLieAlgebra(vector)": lambda bad: GradedLieAlgebra(QQ, 0, 2, [[bad, bad], [bad, bad]]),
     "graded_lie": lambda bad: graded_lie(QQ, 0, 2, bad),
     "graded_lie(vector)": lambda bad: graded_lie(QQ, 0, 2, [[bad, bad], [bad, bad]]),
     "lts_of_lie": lambda bad: lts_of_lie(bad, QQ),
     "lts_of_lie(row)": lambda bad: lts_of_lie([bad, ZERO2], QQ),
+    "GradedModule": lambda bad: GradedModule(ab2(), 2, 0, bad),
     "Cochain": lambda bad: Cochain(ab2(), trivial_module(ab2(), 2), 1, bad),
     "Cochain(value)": lambda bad: Cochain(ab2(), trivial_module(ab2(), 2), 1, [(0, 0), bad]),
     "load": lambda bad: load(_payload(bad)),

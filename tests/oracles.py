@@ -59,8 +59,10 @@ def flatten(rows):
 
 def naive_rref(rows, ncols, p=None):
     """(reduced rows, pivot columns) by textbook Gauss-Jordan elimination,
-    leftmost pivot first, on Fractions or on residues mod p."""
+    leftmost pivot first, on Fractions or on int residues mod p."""
     m = [[scalar(x, p) for x in row] for row in rows]
+    # residues stay ints: their products and differences need only a % p, no Fraction
+    reduce = scalar if p is None else int.__mod__
     pivots = []
     r = 0
     for c in range(ncols):
@@ -69,11 +71,11 @@ def naive_rref(rows, ncols, p=None):
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = Fraction(1) / m[r][c] if p is None else pow(m[r][c], -1, p)
-        m[r] = [scalar(x * inv, p) for x in m[r]]
+        m[r] = [reduce(x * inv, p) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [scalar(x - f * y, p) for x, y in zip(m[i], m[r])]
+                m[i] = [reduce(x - f * y, p) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -1,12 +1,13 @@
 """Independent brute-force oracles for the test suite.
 
-Deliberately self-contained: plain Fractions, naive elimination, explicit
-loops, and locally re-declared structure constants, so expected values come
-from a second route sharing no code with the library.
+Deliberately self-contained: plain Fractions and integers, naive elimination,
+explicit loops, and locally re-declared structure constants, so expected
+values come from a second route sharing no code with the library.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 # raw integer bracket tensors, global basis even-first
 AB2_RAW = (0, 2, {})
@@ -301,27 +302,33 @@ def grass_triple(p, q):
 def lts_violations(t, p=None):
     """Every failed axiom instance of the raw tensor t, as (identity, indices,
     defect), in the library's reporting order.  Scalars are Fractions (p is
-    None) or residues mod p; each identity is evaluated from its definition
-    on basis vectors."""
+    None) or residues mod p, and t's denominators are prime to p; each
+    identity is evaluated from its definition on basis vectors, in integers:
+    over F_p on residues, over Q on den * t, den the lcm of t's denominators,
+    so that a defect linear in t (alternation, cyclic) is den times the true
+    one and the derivation defect, quadratic in t, den^2 times."""
     n = len(t)
 
     def bracket(a, b, c):
-        # [a, b, c] for coordinate vectors a, b, c
-        out = [Fraction(0)] * n
+        # [a, b, c] for integer coordinate vectors a, b, c
+        out = [0] * n
         for i, j, k in product(*([r for r in range(n) if v[r]] for v in (a, b, c))):
             coeff = a[i] * b[j] * c[k]
-            for l, x in enumerate(t[i][j][k]):
+            for l, x in enumerate(tv[i][j][k]):
                 if x:
                     out[l] += coeff * x
         return out
 
-    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    tv = [[[[Fraction(x) for x in v] for v in tij] for tij in ti] for ti in t]
+    den = 1 if p is not None else lcm(*(Fraction(x).denominator
+                                          for ti in t for tij in ti for v in tij for x in v))
+    tv = [[[[int(Fraction(x) * den) if p is None else scalar(x, p) for x in v]
+            for v in tij] for tij in ti] for ti in t]
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
     found = []
 
-    def report(identity, indices, vec):
+    def report(identity, indices, vec, degree=1):
         if any(vec):
-            defect = tuple(scalar(x, p) for x in vec)
+            defect = tuple(Fraction(x, den ** degree) if p is None else x % p for x in vec)
             if any(defect):
                 found.append((identity, indices, defect))
 
@@ -348,7 +355,7 @@ def lts_violations(t, p=None):
                         r2 = bracket(e[k], tv[i][j][l], e[m])
                         r3 = bracket(e[k], e[l], tv[i][j][m])
                         report("derivation", (i, j, k, l, m),
-                               [a - b - c - d for a, b, c, d in zip(lhs, r1, r2, r3)])
+                               [a - b - c - d for a, b, c, d in zip(lhs, r1, r2, r3)], 2)
     return found
 
 

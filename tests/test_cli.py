@@ -3,8 +3,11 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -418,6 +421,22 @@ def test_cli_u0ext(capsys, tmp_path):
     assert code == 2 and "generated" in err
 
 
+@pytest.mark.parametrize("name, code", [("heis", 0), ("sl2graded", 0), ("a_of(sl2lts)", 0),
+                                        ("ab2", 1)])
+def test_a_universal_central_0_extension_splits_exactly_when_h2_is_0(capsys, monkeypatch,
+                                                                     tmp_path, name, code):
+    """The paper's theorem on the command line: u0ext's hom A(L_1) -> L is the first central
+    0-extension of L, and split takes it as written, so split exits 0 exactly when H^2 = 0,
+    and 1 for ab2, with its one-dimensional H^2 as the witness."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["u0ext", name, "--out", "u0ext.json"]) == 0
+    report = json.loads((tmp_path / "u0ext.json").read_text())
+    (tmp_path / "hom.json").write_text(json.dumps(report["derived"]["upsilon_hat"]))
+    assert main(["split", "hom.json", "--out", "split.json"]) == code
+    report = json.loads((tmp_path / "split.json").read_text())
+    assert report["witnesses"].get("h2_dim") == (1 if code else None)
+
+
 def test_cli_malformed_file(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -684,7 +703,8 @@ def _scaled_sl2graded(digits):
 
 def test_cli_reads_and_writes_scalars_of_any_size(capsys, tmp_path):
     """Constants of 4,200 digits give thm-a and u0ext report scalars over Python's default
-    int/str digit limit (4,300 digits); main lifts the limit for its run and restores it."""
+    int/str digit limit (4,300 digits); main lifts the limit for its run and restores it, and
+    so does a run in a fresh process."""
     path = tmp_path / "sl2graded_4200.json"
     path.write_text(json.dumps(_scaled_sl2graded(4200)))
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -694,6 +714,9 @@ def test_cli_reads_and_writes_scalars_of_any_size(capsys, tmp_path):
         assert getattr(sys, "get_int_max_str_digits", int)() == limit
         if command == "thm-a":
             derived = report["derived"]["envelope_of_odd_part"]
+            # python -m lietrip.cli lifts the limit too
+            code, out, err = _fresh_cli(command, str(path))
+            assert (code, err, json.loads(out)) == (0, "", report)
     assert max(len(x) for row in derived["entries"] for v in row for x in v) > 4300
     envelope = tmp_path / "envelope.json"
     envelope.write_text(json.dumps(derived))
@@ -719,6 +742,22 @@ def test_cli_validates_every_input_but_the_checkers(capsys, tmp_path):
         main(["derive", str(path), "--unchecked"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --unchecked" in capsys.readouterr().err
+
+
+def test_the_readme_command_line_examples_run_as_written(capsys, monkeypatch, tmp_path):
+    """Each line of the README's Examples block, run through main, exits 1 where its comment
+    starts with "false", else 0."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^Examples:\n\n```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        want = 1 if comment.strip().startswith("false") else 0
+        assert (program, main(argv)) == ("lietrip", want), line
+        codes.append(want)
+    assert codes == [0, 1, 0, 1, 0, 0, 0], codes
 
 
 def test_cli_byte_stability(capsys):
@@ -1050,6 +1089,8 @@ def test_cli_argparse_output_matches_the_parser_of_every_command(capsys, monkeyp
     help and errors read as the parser of every command writes them."""
     full = _argparse_output(capsys, monkeypatch, build_parser().parse_args, argv.split())
     assert _argparse_output(capsys, monkeypatch, main, argv.split()) == full
+    if {"-h", "--help"} & set(argv.split()):
+        assert full[0] == 0
 
 
 # Each command in a fresh interpreter that compiles lietrip from source, on a
@@ -1062,7 +1103,18 @@ FRESH_RUNS = ["corpus heis", "check-lts sl2lts", "check-lts broken_lts.json",
               "extend hom.json sl2graded", "extend hom.json sl2graded.json",
               "h2 ab2", "h2 ab2.json", "h2 sl2graded.json adjoint.json", "split iso.json",
               "closed heis", "closed heis.json", "thm-a heis", "thm-a heis.json",
+              "thm-a a_of(abl(2)).json", "check-graded a_of(abl(2)).json",
               "u0ext ab2", "u0ext ab2.json"]
+
+
+def _fresh_cli(*args):
+    """(exit code, stdout, stderr) of python -m lietrip.cli args in a fresh interpreter that
+    compiles lietrip from source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "lietrip.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 @pytest.mark.parametrize("argv", FRESH_RUNS)
@@ -1074,13 +1126,10 @@ def test_cli_in_a_fresh_process_matches_main(capsys, monkeypatch, tmp_path, argv
         if arg.endswith(".json"):
             obj = payloads[arg] if arg in payloads else builder(arg.removesuffix(".json"))(QQ)
             (tmp_path / arg).write_text(json.dumps(save(obj)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lietrip.cli.__file__)))
-    done = subprocess.run([sys.executable, "-m", "lietrip.cli", *args],
-                          env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
-                          capture_output=True, text=True, timeout=60)
+    fresh = _fresh_cli(*args)
     code = main(args)
     out = capsys.readouterr()
-    assert (done.returncode, done.stdout, done.stderr) == (code, out.out, out.err)
+    assert fresh == (code, out.out, out.err)
 
 
 @pytest.mark.parametrize("tag", ["Fp:1_3", "Fp: 5", "Fp:+5", "Fp:\u0665", "Fp:5 ", "fp:5", "Q ", ""])

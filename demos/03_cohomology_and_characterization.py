@@ -6,17 +6,22 @@ A graded Lie algebra is isomorphic to the universal imbedding of a triple
 system exactly when (i) its odd part generates it and (ii) its graded H^2
 with trivial coefficients vanishes, i.e. every central 0-extension splits.
 The Heisenberg algebra passes; the purely odd abelian plane fails (ii);
-adding an even abelian line to sl2 fails (i).
+adding an even abelian line to sl2 fails (i), and so does (ii) for the
+envelope A(abl(3)) divided by a central line, though its odd part
+generates.  The coboundary squares to zero on graded cochains.
 """
 
-from lietrip import Matrix, QQ
+from lietrip import Matrix, QQ, Subspace
 from lietrip.cohom import (
-    CentralExtensionProblem, Cochain, cocycle_extension, envelope_criterion, h2_graded,
-    is_0_centrally_closed, split_central_0_extension,
+    CentralExtensionProblem, Cochain, coboundary, cocycle_extension, envelope_criterion,
+    graded_cochain_basis, h2_graded, is_0_centrally_closed, split_central_0_extension,
 )
-from lietrip.corpus import ab2, even_line, heis, sl2graded
-from lietrip.embed import universal_central_0_extension
-from lietrip.grlie import GradedHom, adjoint_module, direct_sum, trivial_module
+from lietrip.corpus import ab2, abl, even_line, heis, sl2graded
+from lietrip.embed import universal_central_0_extension, universal_imbedding
+from lietrip.exactlin import unit_vec
+from lietrip.grlie import (
+    GradedHom, adjoint_module, central_quotient, direct_sum, is_generated_by_odd, trivial_module,
+)
 
 print("== graded H^2 with trivial one-dimensional coefficients ==")
 for name, L in [("ab2", ab2()), ("heis", heis()), ("sl2graded", sl2graded())]:
@@ -72,6 +77,9 @@ assert all(ad.action[i].to_lists() == [list(row) for row in zip(*L.bracket[i])]
 h = h2_graded(L, ad)
 assert h.dimension == 0  # sl2 is rigid: H^2(sl2, sl2) = 0 in characteristic 0 (Whitehead)
 print(f"sl2graded  cocycles {h.cocycle_dim}  coboundaries {h.coboundary_dim}  H^2 = {h.dimension}")
+cochains = graded_cochain_basis(L, ad, 1)
+assert all(not any(coboundary(coboundary(f)).terms) for f in cochains)  # d(d f) = 0
+print(f"sl2graded  d(d f) = 0 on all {len(cochains)} graded 1-cochains")
 
 print()
 print("== the characterization, end to end ==")
@@ -85,3 +93,15 @@ for name, L in [("heis", heis()), ("sl2graded", sl2graded()),
     else:
         line += f"  obstruction: {r.obstruction}"
     print(line)
+
+print()
+print("== a central quotient of an envelope: generated by its odd part, yet H^2 = 1 ==")
+A = universal_imbedding(abl(3)).algebra
+Q, proj = central_quotient(A, Subspace.span(QQ, A.dim, [unit_vec(QQ, A.dim, 0)]))
+assert not any(row[0] for row in proj.matrix.entries)  # the projection kills e_0
+r = envelope_criterion(Q)
+h = h2_graded(Q, trivial_module(Q)).dimension
+splits = split_central_0_extension(CentralExtensionProblem.from_hom(proj)) is not None
+assert ((Q.dim0, Q.dim1), is_generated_by_odd(Q), h, r.verdict, splits) == ((2, 3), True, 1, False, False)
+print(f"A(abl(3))/<e_0> dims ({Q.dim0}, {Q.dim1})  odd part generates: True  H^2 = {h}"
+      f"  verdict {r.verdict}  projection splits: {splits}")

@@ -611,8 +611,10 @@ def _integer_rows(p: Optional[int], rows: Iterable) -> tuple[list, int]:
 def _echelon(rows: Iterable, p: Optional[int], bound: int) -> tuple[dict, list]:
     """The echelon engine, exact over Q (p is None) or over F_p:
     the reduced echelon basis {pivot column: row} of sparse rows, and the
-    indices of the rows that enlarged it.  It reads no row after the rank
-    reaches bound: the number of columns, or a known dimension of the span.
+    indices of the rows that enlarged it.  It stops reading when a row joins
+    and brings the rank to bound (the number of columns, or a known dimension
+    of the span); the bound is tested only then, so at bound 0 it reads
+    every row and returns the whole echelon.
 
     Each row is a dict {column: scalar} of nonzero entries (integers over Q,
     residues mod p), reduced in place against the basis rows at its pivot

@@ -385,7 +385,7 @@ def test_a_failing_split_reads_its_h2_from_the_envelope_criterion(capsys, monkey
                                 for j, v in enumerate(row) for l, x in enumerate(v) if x})
         k = report["dimensions"]["kernel_dim"]
         assert code == 1 and k > 0
-        assert report["witnesses"]["h2_dim"] == k * oracles.h2_graded_dim(raw, field.p) > 0
+        assert report["witnesses"]["h2_dim"] == k * oracles.h2_graded_dims(raw, field.p)[0] > 0
         gen = is_generated_by_odd(L)
         assert calls == ([] if gen else [L])
         generated.add(gen)

@@ -30,16 +30,21 @@ from lietrip.exactlin import Field, Matrix, Subspace, unit_vec
 from lietrip.grlie import central_quotient
 from lietrip.lts import lie_triple_system
 from lietrip.serialize import fmt_matrix, save
-from test_embed import DENSE_GL3
-from test_lts import DENSE_SYSTEMS, ORACLE_SYSTEMS
 
 DIGESTS = json.loads((Path(__file__).parent / "envelope_digests.json").read_text(encoding="utf-8"))
 
-SYSTEMS = ORACLE_SYSTEMS | DENSE_SYSTEMS | {
+SYSTEMS = {
+    "gl(2)": oracles.lts_of_bracket(oracles.gl_bracket(2)),
+    "sl2lts": oracles.lts_of_bracket(oracles.SL2_BRACKET),
+    "odd2": oracles.ODD2_TRIPLE,
+    "abl(3)": ((((0,) * 3,) * 3,) * 3,) * 3,
+    "grass(2,2)": oracles.grass_triple(2, 2),
+    "sl2lts@1": oracles.change_basis(oracles.lts_of_bracket(oracles.SL2_BRACKET), 1),
+    "grass(2,2)@2": oracles.change_basis(oracles.grass_triple(2, 2), 2),
     "grass(2,3)": oracles.grass_triple(2, 3),
     "gl(3)": oracles.lts_of_bracket(oracles.gl_bracket(3)),
     "gl(4)": oracles.lts_of_bracket(oracles.gl_bracket(4)),
-    "gl(3)@1": DENSE_GL3,
+    "gl(3)@1": oracles.lts_of_bracket(oracles.change_bracket_basis(oracles.gl_bracket(3), 1)),
 }
 
 

@@ -116,7 +116,7 @@ def test_graded_check_matches_oracle_under_mutation(name, data):
     n = len(c)
     i, j, l = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     delta = data.draw(st.sampled_from([d for d in MUTATIONS if field.p != 3 or type(d) is int]))
-    c = [[list(v) for v in row] for row in c]
+    c = oracles.thawed(c)
     c[i][j][l] += delta
     if data.draw(st.booleans()) and i != j:
         c[j][i][l] -= delta
@@ -130,11 +130,6 @@ def test_graded_check_matches_oracle_under_mutation(name, data):
 SPARSE_NAMES = ["gl(3)", "A(abl(4))", "A(abl(3))+heis"]
 
 
-def _lists(t):
-    """A tensor of nested tuples (or lists) as nested lists."""
-    return [_lists(s) for s in t] if isinstance(t, (list, tuple)) else t
-
-
 @cache
 def _sparse_inputs():
     """name -> (raw bracket over Q, dim0): gl(3) as a 9-dimensional even
@@ -142,7 +137,7 @@ def _sparse_inputs():
     sums = {"A(abl(4))": universal_imbedding(abl(4)).algebra,
             "A(abl(3))+heis": direct_sum(universal_imbedding(abl(3)).algebra, heis())}
     return {"gl(3)": (oracles.gl_bracket(3), 9),
-            **{name: (_lists(L.bracket), L.dim0) for name, L in sums.items()}}
+            **{name: (oracles.thawed(L.bracket), L.dim0) for name, L in sums.items()}}
 
 
 def _in_field(field, t):
@@ -161,7 +156,7 @@ def _mutated(data, t, field, depth):
     drawn at random or among the zero vectors off the diagonal, and
     subtracted at the swapped first two indices or not."""
     n = len(t)
-    t = _lists(t)
+    t = oracles.thawed(t)
     keys = list(product(range(n), repeat=depth))
     deltas = [d for d in MUTATIONS if field.p != 3 or type(d) is int]
 

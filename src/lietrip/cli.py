@@ -18,7 +18,7 @@ from typing import Optional
 
 # lts, grlie, embed, cohom and corpus load where a command needs them; inputs go by class name
 from .exactlin import Field, Refusal, inverse
-from .serialize import fmt_matrix, fmt_terms, load, save
+from .serialize import MAX_SCALAR_CHARS, fmt_matrix, fmt_terms, load, save
 
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -30,6 +30,14 @@ _KINDS = {
     "GradedHom": "a graded hom file",
     "GradedModule": "a module file",
 }
+
+
+def _parse_int(literal: str) -> int:
+    """json's reader of an integer literal: one of more than MAX_SCALAR_CHARS digits is refused."""
+    digits = len(literal.lstrip("-"))
+    if digits > MAX_SCALAR_CHARS:
+        raise ValueError(f"integer literal of {digits:,} digits, over the limit of {MAX_SCALAR_CHARS:,}")
+    return int(literal)
 
 
 def _load_input(arg: str, cls: Optional[str], field: Field, _trusted: bool):
@@ -48,7 +56,7 @@ def _load_input(arg: str, cls: Optional[str], field: Field, _trusted: bool):
     else:
         try:
             with open(arg, "r", encoding="utf-8") as fh:
-                obj = load(json.load(fh), _trusted=_trusted)
+                obj = load(json.load(fh, parse_int=_parse_int), _trusted=_trusted)
         # ValueError covers bad JSON and payloads, RecursionError too deep a nesting
         except (OSError, ValueError, RecursionError) as exc:
             raise Refusal(f"{arg}: {exc}") from None

@@ -21,7 +21,7 @@ from typing import Optional
 from .exactlin import (
     Matrix, Nonzeros, Record, _array, _as_nonzeros, _combination, _distinct_rows,
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed,
-    dense_tensor, rref,
+    combo_index, dense_tensor, rref,
 )
 from .grlie import (CentralExtensionProblem, GradedHom, GradedLieAlgebra, GradedModule,
                     NotCentral0Extension, _assemble, check_graded_lie)
@@ -60,17 +60,6 @@ class Cochain(Record):
         return all((combo, r) in slots for combo, v in zip(self.combos(), self.terms) for r, _ in v)
 
 
-def _combo_index(combo: tuple, n: int, degree: int) -> int:
-    # lexicographic position among combinations(range(n), degree)
-    idx = 0
-    prev = -1
-    for pos, c in enumerate(combo):
-        for skipped in range(prev + 1, c):
-            idx += comb(n - skipped - 1, degree - pos - 1)
-        prev = c
-    return idx
-
-
 def graded_cochain_basis(L: GradedLieAlgebra, M: GradedModule, degree: int) -> list:
     """Indicator cochains spanning the graded cochain space, in the
     deterministic order (combination, module coordinate)."""
@@ -93,7 +82,7 @@ def _cochain_at(L: GradedLieAlgebra, M: GradedModule, degree: int, entries: dict
     """The cochain with the given nonzero {(combo, r): value} entries, zero elsewhere."""
     terms = [()] * comb(L.dim, degree)
     for (combo, r), x in sorted(entries.items()):
-        terms[_combo_index(combo, L.dim, degree)] += ((r, x),)
+        terms[combo_index(combo, L.dim)] += ((r, x),)
     return Cochain(L, M, degree, Nonzeros(terms))
 
 
@@ -239,19 +228,18 @@ def split_central_0_extension(prob: CentralExtensionProblem) -> Optional[GradedH
     # sigma(e_i, e_j) = [eta e_i, eta e_j] - eta([e_i, e_j]), valued in the kernel; eta + tau sections
     # phi when tau([e_i, e_j]) = sigma(e_i, e_j) at each pair of equal parity: one row [[e_i, e_j] | sigma]
     rows = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            sig = _sparse_sum(F.p, chain(
-                ((x * y, K.terms[a][b]) for a, x in eta[i] for b, y in eta[j]),
-                ((-x, eta[l]) for l, x in L.terms[i][j])))
-            sig_coords = tuple((n0 + s, sig[c]) for s, c in enumerate(ker.pivots) if c in sig)
-            if ker._residue(sig):
-                raise RuntimeError("section defect escaped the kernel")
-            if L.degree(i) != L.degree(j):
-                if sig_coords:
-                    raise RuntimeError("mixed-parity defect should vanish for a 0-extension")
-                continue
-            rows.append(tuple(t for t in L.terms[i][j] if t[0] < n0) + sig_coords)
+    for i, j in combinations(range(L.dim), 2):
+        sig = _sparse_sum(F.p, chain(
+            ((x * y, K.terms[a][b]) for a, x in eta[i] for b, y in eta[j]),
+            ((-x, eta[l]) for l, x in L.terms[i][j])))
+        sig_coords = tuple((n0 + s, sig[c]) for s, c in enumerate(ker.pivots) if c in sig)
+        if ker._residue(sig):
+            raise RuntimeError("section defect escaped the kernel")
+        if L.degree(i) != L.degree(j):
+            if sig_coords:
+                raise RuntimeError("mixed-parity defect should vanish for a 0-extension")
+            continue
+        rows.append(tuple(t for t in L.terms[i][j] if t[0] < n0) + sig_coords)
     # a pivot in sigma's block: the class is not zero; else tau(e_c) is sigma's block of the row at
     # each pivot c, and 0 at the free columns
     red, pivots = rref(Matrix(F, len(rows), n0 + ker.dim, Nonzeros(rows)))

@@ -27,14 +27,14 @@ the criterion meets an algebra its odd part does not generate.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
-from math import lcm
+from itertools import chain, combinations
+from math import comb, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactlin import (
     Field, Matrix, Nonzeros, Record, Refusal, Subspace, _echelon, _integer_rows,
     _integer_terms, _null_vectors, _reduce, _sparse_sum, _subspace, _terms_of, _transposed,
-    kernel_basis, quotient,
+    combo_index, kernel_basis, quotient,
 )
 from .grlie import (
     CentralExtensionProblem, GradedHom, GradedLieAlgebra, GradedModule, NotCentral0Extension,
@@ -46,21 +46,11 @@ if TYPE_CHECKING:  # lts loads with the constructions on a triple system, not wi
 
 
 # ---------------------------------------------------------------------------
-# exterior square bookkeeping
-
-def wedge_pairs(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-def wedge_dim(n: int) -> int:
-    return n * (n - 1) // 2
-
-def wedge_index(i: int, j: int, n: int) -> int:
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
+# the exterior square, on the basis {e_i^e_j : i < j} in the order of combinations(range(n), 2)
 
 def _wedge(k: int, l: int, n: int) -> tuple:
-    """e_k^e_l on the basis {e_i^e_j : i < j}, as a sparse vector."""
-    return () if k == l else ((wedge_index(min(k, l), max(k, l), n), 1 if k < l else -1),)
+    """e_k^e_l as a sparse vector."""
+    return () if k == l else ((combo_index((k, l), n), 1),) if k < l else ((combo_index((l, k), n), -1),)
 
 
 def _wedge_columns(p: Optional[int], n: int, cols: Sequence, pairs: Sequence) -> list:
@@ -88,8 +78,7 @@ def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
     _, flats, den, echelon = _inner_span(T)
     inder = _derivations(T, _subspace(F, n * n, echelon))
     r = inder.dim
-    even = _assemble(F, r, 0, (
-        (a, b, inder.terms[a][b]) for a in range(r) for b in range(a + 1, r)))
+    even = _assemble(F, r, 0, ((a, b, inder.terms[a][b]) for a, b in combinations(range(r), 2)))
     # the D_{e_i,e_j} span Inder(T): their coordinates are their entries at the pivots (flats / den)
     pairing = Matrix.from_cols(F, Nonzeros(
         _terms_of(F.p, {q: f[c] for q, c in enumerate(inder.span.pivots) if c in f}, den)
@@ -107,23 +96,23 @@ class WedgeModule(Record):
     ste: StandardImbedding
     inder_algebra: GradedLieAlgebra  # the even part of Ste(T)
     module: GradedModule             # T^T with the induced action
-    lam: Matrix                      # inder.dim x wedge_dim, e_i^e_j -> D_{e_i,e_j}
+    lam: Matrix                      # inder.dim x C(dim, 2), e_i^e_j -> D_{e_i,e_j}
 
 
 def wedge_module(T: LieTripleSystem) -> WedgeModule:
     """T^T as a module over Inder(T), read off the nonzeros of Ste(T): the
     action from its even-odd block, lam from its odd-odd block."""
-    F, n, pairs = T.field, T.dim, wedge_pairs(T.dim)
+    F, n, pairs = T.field, T.dim, list(combinations(range(T.dim), 2))
     ste = standard_imbedding(T)
     r = ste.inder.dim
     s = ste.algebra.terms
-    inder_algebra = _assemble(F, r, 0, ((a, b, s[a][b]) for a in range(r) for b in range(a + 1, r)))
+    inder_algebra = _assemble(F, r, 0, ((a, b, s[a][b]) for a, b in combinations(range(r), 2)))
     # column u of the basis derivation D_a is [D_a, e_u], at the odd index r + u
     cols, den = _integer_terms(F.p, [[[(l - r, x) for l, x in v] for v in s[a][r:]]
                                      for a in range(r)], 2)
     actions = Nonzeros(tuple(tuple(_terms_of(F.p, v, den) for v in _wedge_columns(F.p, n, c, pairs))
                              for c in cols))
-    module = GradedModule(inder_algebra, wedge_dim(n), 0, actions, _trusted=True)
+    module = GradedModule(inder_algebra, comb(n, 2), 0, actions, _trusted=True)
     lam = Matrix.from_cols(F, Nonzeros(s[r + i][r + j] for i, j in pairs), rows=r)
     return WedgeModule(T, ste, inder_algebra, module, lam)
 
@@ -238,7 +227,7 @@ def _bracket_radical(L: GradedLieAlgebra) -> tuple:
     D_{e_i,e_j} = ad(beta(e_i^e_j)) on L_1: lam's rows are the rows of ad: L_0 -> End(L_1), in
     echelon, times beta.  The radical lies in ker(beta), by Jacobi beta(D_m.m') = [beta(m),
     beta(m')], which bounds its rank and checks its rows."""
-    p, d, n, pairs = L.field.p, L.dim0, L.dim1, wedge_pairs(L.dim1)
+    p, d, n, pairs = L.field.p, L.dim0, L.dim1, list(combinations(range(L.dim1), 2))
     c, den = _integer_terms(p, L.terms, 2)
     beta = [c[d + i][d + j] for i, j in pairs]
     ad = [[[(l - d, x) for l, x in c[z][d + m]] for m in range(n)] for z in range(d)]  # [e_z, e_m]
@@ -302,10 +291,10 @@ def _glue(L: GradedLieAlgebra, mdim: int, actions: Sequence, pairing: Matrix) ->
     <m,n>.k + <n,k>.m + <k,m>.n = 0.  Ste(T) and A(T) satisfy both by theorem, and
     tests/test_trusted.py asserts that with check_graded_lie."""
     d = L.dim
-    pairs = [(i, j, L.terms[i][j]) for i in range(d) for j in range(i + 1, d)]
+    pairs = [(i, j, L.terms[i][j]) for i, j in combinations(range(d), 2)]
     pairs += [(i, d + u, [(d + l, x) for l, x in col])
               for i, cols in enumerate(actions) for u, col in enumerate(cols) if col]
-    pairs += [(d + u, d + v, col) for col, (u, v) in zip(pairing.transpose().terms, wedge_pairs(mdim))]
+    pairs += [(d + u, d + v, col) for (u, v), col in zip(combinations(range(mdim), 2), pairing.transpose().terms)]
     return _assemble(L.field, d, mdim, pairs)
 
 
@@ -333,7 +322,7 @@ def _extend(T: LieTripleSystem, L: GradedLieAlgebra, alpha: Matrix) -> GradedHom
     F = L.field
     # the columns of alpha, and their brackets, at their places in L
     alpha_cols = [tuple((L.dim0 + a, x) for a, x in col) for col in alpha.transpose().terms]
-    zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in wedge_pairs(T.dim)]
+    zeta_cols = [_bracket(L, alpha_cols[i], alpha_cols[j]).items() for i, j in combinations(range(T.dim), 2)]
     if any(_sparse_sum(F.p, ((x, zeta_cols[w]) for w, x in v)) for v in env.pair.a_subspace.basis.terms):
         raise RuntimeError("extension ill-defined: the radical does not map to zero")
     # the pair quotient's basis vectors are the cosets of the unit vectors at the free columns

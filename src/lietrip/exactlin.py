@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -188,6 +188,9 @@ class Field(Record):
         m = _FIELD_TAG.fullmatch(tag) if isinstance(tag, str) else None
         if m is None:
             raise ValueError(f"unknown field tag {tag!r} (expected 'Q' or 'Fp:<p>')")
+        digits = len(m.group(1).lstrip("0"))  # read only as many as a modulus below the ceiling has
+        if digits > len(str(MAX_MODULUS)):
+            raise ValueError(f"modulus of {digits:,} digits exceeds the supported ceiling {MAX_MODULUS}")
         return cls(int(m.group(1)))
 
     def __str__(self) -> str:
@@ -203,6 +206,17 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
     v = [field.zero()] * n
     v[i] = field.one()
     return tuple(v)
+
+
+def combo_index(combo: Sequence, n: int) -> int:
+    """The position of the sorted combo in itertools.combinations(range(n), len(combo)), the one order
+    of exterior-power bases and cochain slots: C(n, k) - 1 - sum_t C(n - 1 - c_t, k - t), t from 0."""
+    k = len(combo)
+    index = comb(n, k) - 1
+    for c in combo:
+        index -= comb(n - 1 - c, k)
+        k -= 1
+    return index
 
 
 class Nonzeros(tuple):

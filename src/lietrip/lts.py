@@ -39,7 +39,7 @@ of Der(T) is checked apart, by ``ideal_closure_certificate``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import lcm
 from typing import Optional, Sequence
 
@@ -324,12 +324,12 @@ def _commutator(p: Optional[int], x, y) -> dict:
 
 
 def _inner_span(T: LieTripleSystem) -> tuple[list, list, int, dict]:
-    """The one reading of the inner derivations off the nonzeros: the pairs
-    i < j; the flats of their D_{i,j} = [e_i, e_j, -], flattened row-major,
-    as integer rows, each den times the true one; den (1 over F_p); and the
-    reduced echelon basis of those flats (each row up to scale), of Inder(T)."""
+    """The one reading of the inner derivations off the nonzeros: the pairs i < j in the
+    order of combinations, that of embed's wedge columns; the flats of their D_{i,j} =
+    [e_i, e_j, -], flattened row-major, as integer rows, each den times the true one; den
+    (1 over F_p); and the reduced echelon basis of those flats (each row up to scale), of Inder(T)."""
     n = T.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = list(combinations(range(n), 2))
     flats, den = _integer_rows(T.field.p, [
         {l * n + m: x for m, v in enumerate(T.terms[i][j]) for l, x in v} for i, j in pairs])
     return pairs, flats, den, _echelon(map(dict, flats), T.field.p, n * n)[0]

@@ -18,6 +18,9 @@ from typing import Optional
 from .exactlin import Field, Matrix, Nonzeros, _as_nonzeros
 
 FORMAT_VERSION = 1
+# the longest string scalar load reads, and the most digits of an integer literal the CLI reads:
+# a scalar takes time quadratic in its length to read, 0.06 s at this bound
+MAX_SCALAR_CHARS = 100_000
 
 
 class PayloadError(ValueError):
@@ -51,6 +54,8 @@ class _Scalars(dict):
         self.of = lambda x: self[x] if type(x) is str or type(x) is int else self.__missing__(x)
 
     def __missing__(self, x):
+        if type(x) is str and len(x) > MAX_SCALAR_CHARS:
+            raise PayloadError(f"bad scalar: {len(x):,} characters, over the limit of {MAX_SCALAR_CHARS:,}")
         try:
             self[x] = value = self.field.of(x)
         except (TypeError, ValueError, ZeroDivisionError) as exc:

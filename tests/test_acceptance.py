@@ -7,6 +7,7 @@ criterion.
 
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from lietrip.corpus import (
 )
 from lietrip.embed import (
     extend_hom, imbedding_functor_hom, standard_imbedding,
-    universal_central_0_extension, universal_imbedding, wedge_pairs,
+    universal_central_0_extension, universal_imbedding,
 )
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, solve, unit_vec
 from lietrip.grlie import (
@@ -149,7 +150,7 @@ def _check_unique_extension(T, L, alpha):
     # even basis vector of the envelope through a *different* preimage under
     # the wedge projection and push it through [alpha(.), alpha(.)]
     alpha_cols = [tuple([F.zero()] * L.dim0) + alpha.transpose().entries[j] for j in range(T.dim)]
-    pairs, bracket = wedge_pairs(T.dim), L.bracket
+    pairs, bracket = list(combinations(range(T.dim), 2)), L.bracket
     for s in range(env.algebra.dim0):
         coeffs = solve(env.pair.projection, unit_vec(F, env.algebra.dim0, s))
         assert coeffs is not None

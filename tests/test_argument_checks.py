@@ -258,6 +258,18 @@ def test_inverse_of_a_singular_matrix_is_none():
         QQ, [[Fraction(-1, 5), Fraction(2, 5)], [Fraction(3, 5), Fraction(-1, 5)]])
 
 
+def test_inverse_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="^inverse needs a square matrix$"):
+        inverse(Matrix.make(QQ, [[1, 2, 3], [4, 5, 6]]))
+
+
+def test_an_empty_matrix_needs_its_column_count():
+    with pytest.raises(ValueError, match="^empty matrix needs an explicit column count$"):
+        Matrix.make(QQ, [])
+    empty = Matrix.make(QQ, [], cols=3)
+    assert (empty.rows, empty.cols) == (0, 3)
+
+
 def test_a_right_hand_side_outside_the_column_space_has_no_solution():
     plane = Matrix.from_cols(QQ, [(1, 0, 1), (0, 1, 1)])
     assert solve(plane, (1, 1, 2)) == (1, 1)

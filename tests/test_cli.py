@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -725,6 +726,50 @@ def test_cli_reads_and_writes_scalars_of_any_size(capsys, tmp_path):
     if limit:  # a library caller keeps the limit it set
         with pytest.raises(PayloadError, match="^bad scalar"):
             load(derived)
+
+
+def _sl2graded_with_one_constant(tmp_path, digits, quoted):
+    """sl2graded's payload with its constant 1 at [e_1, e_2]_0 made 10^(digits - 1), digits
+    digits long, written as a JSON string or a JSON integer literal."""
+    payload = save(sl2graded())
+    assert payload["entries"][1][2][0] == "1"
+    payload["entries"][1][2][0] = "BIG"
+    literal = "1" + "0" * (digits - 1)
+    path = tmp_path / f"sl2graded_{digits}.json"
+    path.write_text(json.dumps(payload).replace('"BIG"', f'"{literal}"' if quoted else literal))
+    return str(path)
+
+
+@pytest.mark.parametrize("quoted", [True, False], ids=["string", "integer"])
+def test_cli_refuses_a_scalar_over_the_digit_bound_at_once(capsys, tmp_path, quoted):
+    """A scalar of 1,000,000 digits is refused before it is read, in one short line with exit 2,
+    where check-graded read it for 9.6 s; one of 100,000 digits, the bound, is read, and the
+    changed constant breaks antisymmetry."""
+    start = time.perf_counter()
+    line = _one_error_line(capsys, ["check-graded", _sl2graded_with_one_constant(
+        tmp_path, 1_000_000, quoted)], 2, "error: ")
+    assert time.perf_counter() - start < 1
+    assert line.endswith(("bad scalar: 1,000,000 characters, over the limit of 100,000" if quoted
+                          else "integer literal of 1,000,000 digits, over the limit of 100,000"))
+    _one_error_line(capsys, ["check-graded", _sl2graded_with_one_constant(tmp_path, 100_001, quoted)],
+                    2, "error: ")
+    code, report, _ = run_cli(capsys, "check-graded", _sl2graded_with_one_constant(tmp_path, 100_000, quoted))
+    assert (code, report["verdict"]) == (1, "fail")
+
+
+def test_cli_refuses_a_field_tag_of_more_digits_than_the_ceiling_at_once(capsys, tmp_path):
+    payload = save(sl2graded())
+    payload["field"] = "Fp:" + "1" * 1_000_000
+    path = tmp_path / "tag.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    line = _one_error_line(capsys, ["check-graded", str(path)], 2, "error: ")
+    assert time.perf_counter() - start < 1
+    assert line.endswith("modulus of 1,000,000 digits exceeds the supported ceiling 318665857834031151167460")
+    payload["field"] = "Fp:" + "0" * 1_000 + "5"  # leading zeros are not digits of the modulus
+    path.write_text(json.dumps(payload))
+    code, report, _ = run_cli(capsys, "check-graded", str(path))
+    assert (code, report["field"], report["verdict"]) == (0, "Fp:5", "pass")
 
 
 def test_cli_validates_every_input_but_the_checkers(capsys, tmp_path):

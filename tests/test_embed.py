@@ -1,6 +1,8 @@
 import functools
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -16,8 +18,7 @@ from extra_algebras import sl2_double_swap
 from lietrip.corpus import ab2, abl, even_line, heis, odd2, sl2graded, sl2lts
 from lietrip.embed import (
     extend_hom, imbedding_functor_hom, module_quotient_algebra, pair_algebra, standard_imbedding,
-    universal_central_0_extension, universal_imbedding, wedge_dim,
-    wedge_module, wedge_pairs,
+    universal_central_0_extension, universal_imbedding, wedge_module,
 )
 from lietrip.exactlin import (
     Field, Matrix, QQ, Subspace, _echelon, _sparse_sum, kernel_basis, solve, unit_vec,
@@ -281,7 +282,7 @@ def test_pair_algebra_rank_stop_both_branches(field, a_dim, ker_dim, monkeypatch
     monkeypatch.setattr(lietrip.embed, "_echelon", counting)
     pa = pair_algebra(T)
     assert (pa.a_subspace.dim, kernel_basis(lam).dim) == (a_dim, ker_dim)
-    r = wedge_dim(4) - ker_dim
+    r = comb(4, 2) - ker_dim
     generators = r * ker_dim + r * (r + 1) // 2
     assert len(calls) == 2  # lam's rows, then the generators of A(M)
     assert (len(calls[1]) < generators) == (a_dim == ker_dim)
@@ -372,7 +373,7 @@ def test_the_radical_builds_no_generator_the_echelon_does_not_read(monkeypatch):
         m.setattr(lietrip.embed, "_echelon", spy)
         lietrip.embed._bracket_radical(ste.algebra)
     (_, _, _), (_, _, lam_rank), (built, read, rank) = calls
-    mdim = len(wedge_pairs(ste.algebra.dim1))
+    mdim = comb(ste.algebra.dim1, 2)
     generators = lam_rank + lam_rank * (lam_rank - 1) // 2 + lam_rank * (mdim - lam_rank)
     assert rank == mdim - ste.algebra.dim0  # the stop fired at the rank bound
     assert read < generators // 4
@@ -414,7 +415,6 @@ def test_pair_algebra_nontrivial_radical():
     # pair algebra drops from dim 6 to dim 3 and mu stays injective.
     T = lts_direct_sum(sl2lts(), abl(1))
     pa = pair_algebra(T)
-    assert wedge_dim(4) == 6
     assert pa.a_subspace.dim == 3
     assert pa.algebra.dim == 3
     assert kernel_basis(pa.mu).dim == 0
@@ -570,7 +570,7 @@ def test_pairing_reproduces_standard():
         from lietrip.lts import inner_derivation
         pair_cols = [oracles.coordinates(ind.span.basis.entries, oracles.flatten(
             inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).entries))
-            for i, j in wedge_pairs(n)]
+            for i, j in combinations(range(n), 2)]
         pairing = Matrix.from_cols(F, pair_cols, rows=ind.dim)
         built = lietrip.embed._glue(L, n, module.terms, pairing)
         assert built.bracket == standard_imbedding(T).algebra.bracket
@@ -607,7 +607,7 @@ def test_pairing_hypothesis_violation():
     from lietrip.lts import inner_derivation
     pair_cols = [oracles.coordinates(ind.span.basis.entries, oracles.flatten(
         inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).entries))
-        for i, j in wedge_pairs(n)]
+        for i, j in combinations(range(n), 2)]
     pairing = Matrix.from_cols(F, pair_cols, rows=ind.dim)
     report = check_graded_lie(lietrip.embed._glue(L, n, module.terms, pairing))
     assert not report.ok and "jacobi" in {v.identity for v in report.violations}
@@ -664,7 +664,7 @@ def _reconstruct_even_block(T, L, alpha, env, ext):
     F = L.field
     n = T.dim
     alpha_cols = [tuple([F.zero()] * L.dim0) + alpha.transpose().entries[j] for j in range(n)]
-    pairs, bracket = wedge_pairs(n), L.bracket
+    pairs, bracket = list(combinations(range(n), 2)), L.bracket
     for s in range(env.algebra.dim0):
         target = unit_vec(F, env.algebra.dim0, s)
         coeffs = solve(env.pair.projection, target)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import vec_is_zero
 from lietrip.exactlin import (
-    MAX_MODULUS, Field, Matrix, QQ, Subspace, _is_prime, kernel_basis,
+    MAX_MODULUS, Field, Matrix, QQ, Subspace, _is_prime, combo_index, kernel_basis,
     kernel_of_rows, quotient, rank, rref, solve, solve_with_certificate, unit_vec,
 )
 
@@ -111,6 +111,15 @@ def test_field_of_values_types_and_errors():
         with pytest.raises(exc) as info:
             field.of(x)
         assert str(info.value) == message
+
+
+def test_a_combination_sits_at_its_place_in_combinations():
+    # the one order of exterior-power bases and cochain slots, which embed's
+    # wedge columns and cohom's slots are placed by
+    for n in range(10):
+        for k in range(4):
+            combos = list(combinations(range(n), k))
+            assert [combo_index(c, n) for c in combos] == list(range(len(combos))), (n, k)
 
 
 def test_rref_identity():

@@ -17,6 +17,7 @@ that of check-lts and check-graded.
 import ast
 import json
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,7 @@ from lietrip.cohom import (
 from extra_algebras import sl2_double_swap
 from lietrip.corpus import ab2, abl, heis, odd2, sl2graded, sl2lts
 from lietrip.embed import (
-    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_dim, wedge_module,
-    wedge_pairs,
+    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_module,
 )
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
 from lietrip.grlie import (
@@ -126,13 +126,13 @@ def _pair_algebra_over_der(T):
     F, n = T.field, T.dim
     der = derivation_algebra(T)
     L = GradedLieAlgebra(F, der.dim, 0, der.bracket)  # validated: Jacobi of Der(T)
-    module = GradedModule(L, wedge_dim(n), 0, tuple(Matrix.make(F, oracles.wedge_action(
-                              x.to_lists(), F.p), cols=wedge_dim(n)) for x in der.basis),
+    module = GradedModule(L, comb(n, 2), 0, tuple(Matrix.make(F, oracles.wedge_action(
+                              x.to_lists(), F.p), cols=comb(n, 2)) for x in der.basis),
                           _trusted=True)
     lam = Matrix.from_cols(F, [
         oracles.coordinates(der.span.basis.entries, oracles.flatten(
             inner_derivation(T, unit_vec(F, n, i), unit_vec(F, n, j)).entries), F.p)
-        for i, j in wedge_pairs(n)], rows=der.dim)
+        for i, j in combinations(range(n), 2)], rows=der.dim)
     mq = module_quotient_algebra(L, module, lam)
     basis = Matrix.from_cols(F, [oracles.flatten(x.entries) for x in der.basis], rows=n * n)
     return mq, basis.matmul(mq.mu)

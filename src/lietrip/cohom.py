@@ -6,10 +6,10 @@ lives in ``embed`` beside the builder it reads; it is importable from here.
 
 A degree-n cochain stores one sparse module vector, the nonzeros of its
 value, per sorted basis combination i_1 < ... < i_n, so alternation is
-structural; the dense ``values`` is a view derived on each read.  A cochain
-is graded when arguments of total degree g land in the degree-g block of the
-module.  The differential is built column by column, at only the slots that
-``coboundary`` and ``h2_graded`` read: a cochain's nonzero or graded ones.
+structural.  A cochain is graded when arguments of total degree g land in
+the degree-g block of the module.  The differential is built column by
+column, at only the slots that ``coboundary`` and ``h2_graded`` read: a
+cochain's nonzero or graded ones.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 from .exactlin import (
     Matrix, Nonzeros, Record, _array, _as_nonzeros, _combination, _distinct_rows,
     _echelon, _integer_rows, _integer_terms, _null_vectors, _span, _sparse_sum, _transposed,
-    combo_index, dense_tensor, rref,
+    combo_index, rref,
 )
 from .grlie import (CentralExtensionProblem, GradedHom, GradedLieAlgebra, GradedModule,
                     NotCentral0Extension, _assemble, check_graded_lie)
@@ -46,11 +46,6 @@ class Cochain(Record):
         if terms is None:
             raise ValueError("value length does not match the module dimension")
         Record.__init__(self, algebra, module, degree, terms)
-
-    @property
-    def values(self) -> tuple:
-        """The dense module vectors, derived from terms."""
-        return dense_tensor(self.algebra.field, self.module.dim, self.terms, 1)
 
     def combos(self) -> list:
         return list(combinations(range(self.algebra.dim), self.degree))

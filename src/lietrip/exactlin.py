@@ -90,7 +90,7 @@ _FIELD_TAG = re.compile(r"Fp:([0-9]+)")
 
 def _is_prime(n: int) -> bool:
     if n > MAX_MODULUS:
-        raise ValueError(f"modulus {n} exceeds the supported ceiling {MAX_MODULUS}")
+        raise ValueError(f"modulus of {n.bit_length():,} bits exceeds the supported ceiling {MAX_MODULUS}")
     if n < 2:
         return False
     for b in _MR_BASES:

@@ -220,11 +220,6 @@ class DerivationAlgebra(Record):
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def bracket(self) -> tuple:
-        """The dense commutator table, derived from terms: bracket[a][b] = coordinates of [D_a, D_b]."""
-        return dense_tensor(self.lts.field, self.dim, self.terms, 2)
-
 
 def _derivation_rows(T: LieTripleSystem):
     """The rows of D[a,b,c] = [Da,b,c] + [a,Db,c] + [a,b,Dc] on the basis

@@ -594,6 +594,15 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
     assert line == "internal error: derive: derivations not closed under commutator"
 
 
+def test_cli_split_self_check_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # a valid hom, and a splitting whose every column is planted as zero
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(save(identity_hom(heis()))))
+    monkeypatch.setattr(lietrip.cohom, "_combination", lambda *args: ())
+    line = _one_error_line(capsys, ["split", str(path)], 3, "internal error: ")
+    assert line == "internal error: split: splitting failed to section the extension"
+
+
 # A fault of any type in the library, a bare ValueError included, is exit 3 with one line
 # that names its type: never exit 2 (invalid input, a Refusal alone), exit 1 (a false
 # verdict) or a traceback.  That holds also while

@@ -25,7 +25,8 @@ from lietrip.embed import (
     extend_hom, imbedding_functor_hom, universal_central_0_extension, universal_imbedding,
 )
 from lietrip.exactlin import (
-    Field, Matrix, QQ, Subspace, _distinct_rows, _echelon, _null_vectors, inverse, unit_vec,
+    Field, Matrix, QQ, Subspace, _distinct_rows, _echelon, _null_vectors, dense_tensor, inverse,
+    unit_vec,
 )
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, abelian_algebra, adjoint_module, center, central_quotient,
@@ -78,9 +79,7 @@ def test_coboundary_heis_degree1():
     g = graded_cochain_basis(L, M, 1)[0]  # g(z) = 1, g vanishes on odds
     dg = coboundary(g)
     # combos in lex order: (z,x), (z,y), (x,y); only the last is nonzero
-    assert dg.values[0] == (QQ.of(0),)
-    assert dg.values[1] == (QQ.of(0),)
-    assert dg.values[2] == (QQ.of(-1),)
+    assert dg.terms == ((), (), ((0, QQ.of(-1)),))
     assert dg.is_graded()
 
 
@@ -199,6 +198,11 @@ def _random_cochain(L, M, degree, graded, rng):
     return Cochain(L, M, degree, tuple(values))
 
 
+def _values(f):
+    """The dense module vectors of cochain f, one per sorted combination."""
+    return dense_tensor(f.algebra.field, f.module.dim, f.terms, 1)
+
+
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(3), Field(5)], ids=str)
 def test_coboundary_matches_the_dense_oracle(field):
     # the oracle evaluates the textbook formula on the dense alternating
@@ -212,8 +216,8 @@ def test_coboundary_matches_the_dense_oracle(field):
             for degree, graded in product((1, 2), (True, False)):
                 for _ in range(2):
                     f = _random_cochain(L, M, degree, graded, rng)
-                    expected = oracles.coboundary(L.bracket, action, f.values, degree, field.p)
-                    assert coboundary(f).values == tuple(expected), (L.dim, M.dim, degree, graded)
+                    expected = oracles.coboundary(L.bracket, action, _values(f), degree, field.p)
+                    assert _values(coboundary(f)) == tuple(expected), (L.dim, M.dim, degree, graded)
 
 
 def test_coboundary_builds_columns_at_the_nonzero_slots_only(monkeypatch):
@@ -457,7 +461,7 @@ def _is_coboundary(sigma):
     L, p = sigma.algebra, sigma.algebra.field.p
     raw = _raw(L)
     d1, pairs = oracles.delta1_matrix(raw), oracles.graded_pairs(raw)
-    at = dict(zip(combinations(range(L.dim), 2), sigma.values))
+    at = dict(zip(combinations(range(L.dim), 2), _values(sigma)))
     return all(oracles.frac_rank([row + [at[pair][s]] for row, pair in zip(d1, pairs)], p)
                == oracles.frac_rank(d1, p)
                for s in range(sigma.module.dim))
@@ -497,7 +501,7 @@ def test_split_is_one_problem_for_a_kernel_of_any_dimension(field):
             assert result.dimension == k * h2
             cob = _seeded_coboundary(L, M, rng)
             sigmas = [cob] + [Cochain(L, M, 2, tuple(tuple(a + b for a, b in zip(u, v))
-                                                     for u, v in zip(rep.values, cob.values)))
+                                                     for u, v in zip(_values(rep), _values(cob))))
                               for rep in result.representatives]
             for sigma in sigmas:
                 prob = cocycle_extension(L, M, sigma)
@@ -545,6 +549,47 @@ def test_split_takes_tau_from_one_elimination(monkeypatch):
                 assert calls == [("rref", L.dim, prob.phi.source.dim + L.dim), ("rref", pairs, L.dim0 + k)]
 
 
+def _zero_kernel_record(monkeypatch):
+    """The universal central 0-extension of A(abl(3)) modulo a central line, recorded
+    with a zero kernel: the section's defect on the odd pairs is the lost line."""
+    A = universal_imbedding(abl(3)).algebra
+    L = central_quotient(A, Subspace.span(QQ, A.dim, [[1, 0, 0, 0, 0, 0]]))[0]
+    phi = universal_central_0_extension(L).phi
+    return CentralExtensionProblem(phi, Subspace.span(QQ, phi.source.dim, []))
+
+
+def _odd_kernel_record(monkeypatch):
+    """K, even e_0 and odd e_1, e_2 with [e_0, e_1] = e_2, onto the abelian algebra of
+    dims (1, 1) by killing e_2: its kernel is central but odd, which from_hom refuses,
+    so the defect at the mixed pair (0, 1) lies in the kernel and is not zero."""
+    bracket = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    bracket[0][1], bracket[1][0] = [0, 0, 1], [0, 0, -1]
+    K = GradedLieAlgebra(QQ, 1, 2, bracket)
+    phi = GradedHom(K, abelian_algebra(QQ, 1, 1), Matrix.make(QQ, [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(NotCentral0Extension, match="not contained in the even part"):
+        CentralExtensionProblem.from_hom(phi)
+    return CentralExtensionProblem(phi, phi.kernel())
+
+
+def _zero_splitting(monkeypatch):
+    """The identity of heis, with every column of psi planted as zero."""
+    prob = CentralExtensionProblem.from_hom(identity_hom(heis()))
+    monkeypatch.setattr(lietrip.cohom, "_combination", lambda *args: ())
+    return prob
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_zero_kernel_record, "section defect escaped the kernel"),
+    (_odd_kernel_record, "mixed-parity defect should vanish for a 0-extension"),
+    (_zero_splitting, "splitting failed to section the extension")],
+    ids=["zero-kernel", "odd-kernel", "zero-splitting"])
+def test_split_self_checks_catch_a_planted_fault(monkeypatch, plant, message):
+    prob = plant(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        split_central_0_extension(prob)
+    assert str(info.value) == message
+
+
 def test_is_0_centrally_closed():
     assert is_0_centrally_closed(heis())
     assert not is_0_centrally_closed(ab2())
@@ -560,12 +605,11 @@ def test_closedness_equals_trivial_kernel_on_odd_generated_corpus():
         assert closed == kernel_trivial
 
 
-def _two_dim_systems_over_f3():
-    """Every 2-dimensional triple system over F_3: of the 81 candidate
+def _two_dim_systems(F):
+    """Every 2-dimensional triple system over F_p: of the p^4 candidate
     tensors, t[0][1] free and t[1][0] = -t[0][1], those that pass the axioms."""
-    F = Field(3)
     out = []
-    for a, b, c, d in product(range(3), repeat=4):
+    for a, b, c, d in product(range(F.p), repeat=4):
         t = [[[[0, 0], [0, 0]] for _ in range(2)] for _ in range(2)]
         t[0][1], t[1][0] = [[a, b], [c, d]], [[-a, -b], [-c, -d]]
         T = LieTripleSystem(F, len(t), t, _trusted=True)
@@ -590,7 +634,7 @@ def _three_dim_systems_over_f3():
     lies = [bracket({}), bracket({(0, 1): {2: 1}}), oracles.SL2_BRACKET, bracket({(0, 1): {1: 1}})]
     lies += [bracket({(0, 1): {1: 1}, (0, 2): {2: lam}}) for lam in (1, 2)]
     systems = [lts_of_lie(oracles.change_bracket_basis(c, 45 + k), F) for k, c in enumerate(lies)]
-    for k, T in enumerate(_two_dim_systems_over_f3()):
+    for k, T in enumerate(_two_dim_systems(F)):
         t = [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
         for i, j, l in product(range(2), repeat=3):
             t[i][j][l][:2] = T.triple[i][j][l]
@@ -598,10 +642,16 @@ def _three_dim_systems_over_f3():
     return systems
 
 
+def _even_centre(A):
+    """The reduced echelon basis of the even part of the centre Z(A), as rows: Z(A) is
+    graded, so the rows of its reduced echelon basis are homogeneous; these are the even ones."""
+    return [v for v in center(A).basis.entries if not any(v[A.dim0:])]
+
+
 def _central_lines(A):
     """The spans of the first one and the first two basis vectors of the even
     part of A's center, as far as that has them."""
-    lines = center(A).intersect(A.even_subspace()).basis.entries
+    lines = _even_centre(A)
     return [Subspace.span(A.field, A.dim, lines[:k]) for k in (1, 2) if k <= len(lines)]
 
 
@@ -618,7 +668,7 @@ def _odd_generated(field):
     systems += [lie_triple_system(field, raw)
                 for raw in {name: raw for name, raw, _ in LADDER}.values()]
     if field.p == 3:
-        systems += _two_dim_systems_over_f3()
+        systems += _two_dim_systems(field)
     envelopes = [universal_imbedding(T).algebra for T in systems]
     # over F_2 a corpus algebra may lose generation: its brackets carry 2s
     corpus = [L for L in (heis(field), ab2(field), sl2graded(field), sl2_double_swap(field))
@@ -653,6 +703,54 @@ def test_h2_is_the_kernel_of_the_universal_central_0_extension(field):
     assert 0 in seen and max(seen) >= 2
 
 
+def _subspaces(p, d):
+    """Every subspace of F_p^d, once each, as the rows of its reduced echelon basis."""
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            free = [(r, c) for r, pivot in enumerate(pivots) for c in range(pivot + 1, d)
+                    if c not in pivots]
+            for values in product(range(p), repeat=len(free)):
+                rows = [[int(c == pivot) for c in range(d)] for pivot in pivots]
+                for (r, c), x in zip(free, values):
+                    rows[r][c] = x
+                yield rows
+
+
+def _small_systems():
+    """Every 2-dimensional system and abl(3) over F_2, F_3 and F_5; over F_3 the 33
+    three-dimensional systems, sl2lts, odd2, gl(2) and grass(2,2)."""
+    systems = [T for p in (2, 3, 5) for T in _two_dim_systems(Field(p)) + [abl(3, Field(p))]]
+    F = Field(3)
+    return systems + _three_dim_systems_over_f3() + [
+        sl2lts(F), odd2(F), lie_triple_system(F, oracles.lts_of_bracket(oracles.gl_bracket(2))),
+        lie_triple_system(F, oracles.grass_triple(2, 2))]
+
+
+def test_h2_of_every_even_central_quotient_of_an_envelope_is_its_kernel():
+    """The paper's characterization on L = A(T)/K for every subspace K of the even part of
+    the centre Z(A(T)): L's bracket passes the oracle's axiom check, and dim H^2(L) = dim K, read by
+    envelope_criterion and by the oracle's d1 and d2; the verdict, is_0_centrally_closed and
+    the splitting of the universal central 0-extension of L hold exactly when K = 0; and L
+    plus an even line is refused."""
+    assert [len(list(_subspaces(p, d))) for p, d in ((2, 3), (3, 2), (5, 3))] == [16, 6, 64]
+    systems, kernels = _small_systems(), []
+    for T in systems:
+        A, F = universal_imbedding(T).algebra, T.field
+        centre = _even_centre(A)
+        for rows in _subspaces(F.p, len(centre)):
+            K = Subspace.span(F, A.dim, [[sum(x * z[l] for x, z in zip(row, centre)) % F.p
+                                          for l in range(A.dim)] for row in rows])
+            L = central_quotient(A, K)[0]
+            assert oracles.graded_violations(L.bracket, L.dim0, F.p) == []
+            report = envelope_criterion(L)
+            assert report.h2_dimension == K.dim == oracles.h2_graded_dims(_raw(L), F.p)[0]
+            split = split_central_0_extension(universal_central_0_extension(L))
+            assert report.verdict == (K.dim == 0) == is_0_centrally_closed(L) == (split is not None)
+            assert not envelope_criterion(direct_sum(L, even_line(F))).verdict
+            kernels.append(K.dim)
+    assert (len(systems), len(kernels), set(kernels)) == (200, 400, {0, 1, 2, 3})
+
+
 def test_the_imbedding_functor_is_full_and_faithful_on_the_systems_over_f3():
     """For a seeded sample of 40 ordered pairs (S, T) of the 2-dimensional systems over F_3,
     and every (T, T): of the 243 block matrices, the graded homs A(S) -> A(T) are exactly
@@ -660,7 +758,7 @@ def test_the_imbedding_functor_is_full_and_faithful_on_the_systems_over_f3():
     odd blocks (full), and restrict_hom_to_odd gives each hom's matrix back (faithful).
     F(id) = id, and F(g f) = F(g) F(f) on a seeded sample of composable triples."""
     F = Field(3)
-    systems = _two_dim_systems_over_f3()
+    systems = _two_dim_systems(F)
     envs = [universal_imbedding(T) for T in systems]
     n = len(systems)
     assert n == 27 and all((env.algebra.dim0, env.algebra.dim1) == (1, 2) for env in envs)
@@ -708,7 +806,7 @@ def test_the_verdict_holds_exactly_when_extend_hom_is_an_isomorphism_over_f3():
     A(T) and its quotients by central lines for each of the 33 systems T of dimension 3 in
     _three_dim_systems_over_f3."""
     F = Field(3)
-    envelopes = [universal_imbedding(T).algebra for T in _two_dim_systems_over_f3()]
+    envelopes = [universal_imbedding(T).algebra for T in _two_dim_systems(F)]
     quotients = [Q for A in envelopes for Q in _by_central_lines(A)]
     algebras = envelopes + quotients
     algebras += [direct_sum(A, even_line(F)) for A in random.Random(36).sample(envelopes, 6)]

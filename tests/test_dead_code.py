@@ -26,9 +26,11 @@ other receiver, a local variable such as a set's ``add`` among them, are
 matched by the method's name alone, except for a classmethod: it counts
 only when it is called or named through its class, ``Subspace.span(...)``
 or ``"Subspace.span"``.  A property counts only when it is read as an
-attribute, ``x.action``: a variable or a parameter of the same name does
-not.  A field counts when code that runs or a test reads ``x.field``; the
-generic ``getattr`` over ``_fields`` in the record tests does not count.
+attribute that is not called, ``x.action``: neither a call of the same
+name, such as ``d.values()``, nor a variable or a parameter of the same
+name counts.  A field counts when code that runs or a test reads
+``x.field``; the generic ``getattr`` over ``_fields`` in the record tests
+does not count.
 """
 
 import ast
@@ -282,13 +284,29 @@ def test_every_library_classmethod_is_called_through_its_class():
     assert uncalled == []
 
 
+def _property_reads(tree):
+    """(name, line) for each attribute x.name in a tree that is not the function
+    of a call and whose receiver x is not a name that an import statement binds
+    to a module outside lietrip."""
+    modules = _outside_modules(tree)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and id(node) not in called
+                and not _of_outside_module(node, modules)):
+            yield node.attr, node.lineno
+
+
+def test_a_call_is_not_a_property_read():
+    tree = ast.parse("import json\n"
+                     "x.action; f(y.dim); d.values(); m.entries[0]; json.decoder; values\n")
+    assert sorted(_property_reads(tree)) == [("action", 2), ("dim", 2), ("entries", 2)]
+
+
 def test_every_library_property_is_read_as_an_attribute():
     reads = {}
     for path, tree in _trees():
-        modules = _outside_modules(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and not _of_outside_module(node, modules):
-                reads.setdefault(node.attr, []).append((path, node.lineno))
+        for name, line in _property_reads(tree):
+            reads.setdefault(name, []).append((path, line))
     unread = sorted(
         f"{path.stem}.{cls}.{name}" for path, cls, name, first, last in _methods("property")
         if not any(where != path or not first <= line <= last

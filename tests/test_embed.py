@@ -33,7 +33,7 @@ from lietrip.lts import (
     inner_derivation_algebra, lie_triple_system, lts_of_lie, odd_part_lts, triple_bracket,
 )
 from test_exactlin import _assert_field_entries
-from test_cohom import _h2_ladder
+from test_cohom import _h2_ladder, _values
 from test_lts import LADDER, ORACLE_SYSTEMS
 
 # seeded changes of basis with the diagonal (2, 1/3, 1, ...), so that the
@@ -643,6 +643,15 @@ def test_extend_rejects_non_hom():
         extend_hom(odd2(), sl2graded(), Matrix.make(QQ, [[2, 0], [0, 2]]))
 
 
+def test_extension_past_the_check_catches_a_radical_that_does_not_map_to_zero():
+    # sl2lts + abl(1) has a radical of dim 3 in T^T, and the brackets of the odd basis
+    # of A(abl(4)) are independent: the identity, no hom, sends the radical to nonzero
+    T = lts_direct_sum(sl2lts(), abl(1))
+    with pytest.raises(RuntimeError) as info:
+        lietrip.embed._extend(T, universal_imbedding(abl(4)).algebra, Matrix.identity(QQ, 4))
+    assert str(info.value) == "extension ill-defined: the radical does not map to zero"
+
+
 ENVELOPE_OPTIONS = {
     "envelope": lambda env: extend_hom(odd2(), env.algebra, Matrix.identity(QQ, 2), envelope=env),
     "source_env": lambda env: imbedding_functor_hom(identity_lts_hom(odd2()), source_env=env),
@@ -1033,5 +1042,5 @@ def test_rational_basis_results_hold_fractions(name, raw):
     L = direct_sum(A, ab2())
     h2 = h2_graded(L, trivial_module(L))
     assert h2.dimension > 0
-    rows += [v for c in h2.representatives for v in c.values]
+    rows += [v for c in h2.representatives for v in _values(c)]
     _assert_field_entries(QQ, rows)

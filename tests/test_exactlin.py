@@ -51,6 +51,28 @@ def test_field_primality_is_deterministic_and_fast():
         Field(MAX_MODULUS + 2)
 
 
+@pytest.mark.parametrize("digit_limit", [None, 0], ids=["default-limit", "lifted-limit"])
+def test_a_huge_modulus_is_refused_at_once_by_its_bit_length(digit_limit):
+    """Python's own limit on integer string conversion, or none, as inside cli.main:
+    the message names the modulus's bit length, never its digits."""
+    import sys
+    import time
+    p = 10 ** 200_000 + 1
+    before = sys.get_int_max_str_digits()
+    try:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            Field(p)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert str(info.value) == (f"modulus of {p.bit_length():,} bits exceeds the supported ceiling "
+                               f"{MAX_MODULUS}")
+    assert len(str(info.value)) < 200 and elapsed < 0.1
+
+
 def test_field_of_and_fmt():
     assert QQ.of("2/4") == Fraction(1, 2)
     assert F5.of(-1) == 4

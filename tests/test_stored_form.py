@@ -2,11 +2,11 @@
 structure constants once, matrices (so subspace bases too) their rows, and
 cochains their values, as ``Nonzeros``, and the library reads nothing else.
 
-The dense ``triple``, ``bracket``, ``action``, ``entries`` and ``values``
-are views derived on each read.  No module of ``src/lietrip`` reads them.
-Every record the corpus, a trusted assembler or the cochain complex builds
-is canonical: the public constructor, given its dense view, returns an
-equal record with an equal hash, and ``load(save(x)) == x``.  Every matrix
+The dense ``triple``, ``bracket``, ``action`` and ``entries`` are views
+derived on each read.  No module of ``src/lietrip`` reads them.  Every
+record the corpus, a trusted assembler or the cochain complex builds is
+canonical: the public constructor, given its dense form, returns an equal
+record with an equal hash, and ``load(save(x)) == x``.  Every matrix
 the library builds along the way (homs, projections, lam, mu,
 derivation and subspace bases) is canonical the same way.  This is checked
 over Q, F_2 and F_5.
@@ -30,20 +30,20 @@ from lietrip.corpus import (
     ab2, abl, even_line, heis, odd2, sl2graded, sl2lts,
 )
 from lietrip.embed import _glue, pair_algebra, universal_imbedding, wedge_module
-from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Record, Subspace, inverse
+from lietrip.exactlin import Field, Matrix, Nonzeros, QQ, Record, Subspace, dense_tensor, inverse
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedModule, adjoint_module, center, central_quotient,
     direct_sum, restrict_hom_to_odd, trivial_module,
 )
 from lietrip.lts import (
-    DerivationAlgebra, LieTripleSystem, LtsHom, derivation_algebra, inner_derivation_algebra,
+    LieTripleSystem, LtsHom, derivation_algebra, inner_derivation_algebra,
     lts_of_lie, odd_part_lts,
 )
 from lietrip.serialize import load, save
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lietrip"
 VIEWS = {LieTripleSystem: "triple", GradedLieAlgebra: "bracket", GradedModule: "action",
-         DerivationAlgebra: "bracket", Matrix: "entries", Cochain: "values"}
+         Matrix: "entries"}
 STRUCTURES = (LieTripleSystem, GradedLieAlgebra, GradedModule, Cochain)
 # the levels of each structure's terms above its sparse vectors
 DEPTHS = {LieTripleSystem: 3, GradedLieAlgebra: 2, GradedModule: 2, Cochain: 1}
@@ -138,13 +138,14 @@ def _built(F):
 
 
 def _public(x):
-    """The public constructor applied to x's dense view."""
+    """The public constructor applied to x's dense form."""
     if isinstance(x, LieTripleSystem):
         return LieTripleSystem(x.field, x.dim, x.triple)
     if isinstance(x, GradedLieAlgebra):
         return GradedLieAlgebra(x.field, x.dim0, x.dim1, x.bracket)
     if isinstance(x, Cochain):
-        return Cochain(x.algebra, x.module, x.degree, x.values)
+        return Cochain(x.algebra, x.module, x.degree,
+                       dense_tensor(x.algebra.field, x.module.dim, x.terms, 1))
     return GradedModule(x.algebra, x.dim0, x.dim1, x.action)
 
 

@@ -125,7 +125,7 @@ def _pair_algebra_over_der(T):
     pair algebra, which the library builds over the inner derivations."""
     F, n = T.field, T.dim
     der = derivation_algebra(T)
-    L = GradedLieAlgebra(F, der.dim, 0, der.bracket)  # validated: Jacobi of Der(T)
+    L = GradedLieAlgebra(F, der.dim, 0, der.terms)  # validated: Jacobi of Der(T)
     module = GradedModule(L, comb(n, 2), 0, tuple(Matrix.make(F, oracles.wedge_action(
                               x.to_lists(), F.p), cols=comb(n, 2)) for x in der.basis),
                           _trusted=True)

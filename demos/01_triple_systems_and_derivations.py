@@ -46,5 +46,5 @@ for name, S in [("abl(3)", abl(3)), ("odd2", odd2()), ("sl2lts", sl2lts())]:
 print()
 print("== the inner derivation D_(e,f) of odd2 is diag(2, -2) ==")
 d = inner_derivation(T, e, f)
-for row in d.to_lists():
-    print("  ", row)
+for row in d.entries:
+    print("  ", " ".join(f"{str(x):>2}" for x in row))

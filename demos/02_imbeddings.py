@@ -50,7 +50,7 @@ F_composed = imbedding_functor_hom(incl.compose(swap))
 print("  F(incl o swap) = F(incl) o F(swap) for odd2 -> sl2lts:",
       F_composed == imbedding_functor_hom(incl).compose(imbedding_functor_hom(swap)))
 print("  its matrix, A(odd2) -> A(sl2lts), row by row:")
-for row in F_composed.matrix.to_lists():
+for row in F_composed.matrix.entries:
     print("    ", " ".join(f"{str(x):>2}" for x in row))
 
 # the functor read backwards: A(f) restricts to f on the odd parts

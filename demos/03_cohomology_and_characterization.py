@@ -72,7 +72,7 @@ print("== graded H^2 with adjoint coefficients ==")
 L = sl2graded()
 ad = adjoint_module(L)
 # L acting on itself: e_i acts as ad e_i, whose column c is [e_i, e_c]
-assert all(ad.action[i].to_lists() == [list(row) for row in zip(*L.bracket[i])]
+assert all(ad.action[i].entries == tuple(zip(*L.bracket[i]))
            for i in range(L.dim))
 h = h2_graded(L, ad)
 assert h.dimension == 0  # sl2 is rigid: H^2(sl2, sl2) = 0 in characteristic 0 (Whitehead)

@@ -97,7 +97,7 @@ def _run_derive(names, T):
     der = derivation_algebra(T)
     return "pass", {"dim": der.dim}, {}, {
         "basis": [fmt_matrix(m) for m in der.basis],
-        "bracket_table": fmt_terms(T.field, der.dim, der.terms, 2)}
+        "bracket_table": fmt_terms(T.field, der.dim, der.algebra.terms, 2)}
 
 
 def _run_inder(names, T):

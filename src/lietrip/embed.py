@@ -65,7 +65,6 @@ def _wedge_columns(p: Optional[int], n: int, cols: Sequence, pairs: Sequence) ->
 # standard imbedding
 
 class StandardImbedding(Record):
-    lts: LieTripleSystem
     algebra: GradedLieAlgebra
     inclusion: Matrix  # (dim0+dim1) x dim(T), onto the odd part
     inder: DerivationAlgebra  # Inder(T), the even part
@@ -78,25 +77,21 @@ def standard_imbedding(T: LieTripleSystem) -> StandardImbedding:
     _, flats, den, echelon = _inner_span(T)
     inder = _derivations(T, _subspace(F, n * n, echelon))
     r = inder.dim
-    even = _assemble(F, r, 0, ((a, b, inder.terms[a][b]) for a, b in combinations(range(r), 2)))
     # the D_{e_i,e_j} span Inder(T): their coordinates are their entries at the pivots (flats / den)
     pairing = Matrix.from_cols(F, Nonzeros(
         _terms_of(F.p, {q: f[c] for q, c in enumerate(inder.span.pivots) if c in f}, den)
         for f in flats), rows=r)
-    algebra = _glue(even, n, [d.transpose().terms for d in inder.basis], pairing)
+    algebra = _glue(inder.algebra, n, [d.transpose().terms for d in inder.basis], pairing)
     inclusion = Matrix.from_cols(F, Nonzeros(((r + a, F.one()),) for a in range(n)), rows=r + n)
-    return StandardImbedding(T, algebra, inclusion, inder)
+    return StandardImbedding(algebra, inclusion, inder)
 
 
 # ---------------------------------------------------------------------------
 # the exterior square as a module over the inner derivations
 
 class WedgeModule(Record):
-    lts: LieTripleSystem
-    ste: StandardImbedding
-    inder_algebra: GradedLieAlgebra  # the even part of Ste(T)
-    module: GradedModule             # T^T with the induced action
-    lam: Matrix                      # inder.dim x C(dim, 2), e_i^e_j -> D_{e_i,e_j}
+    module: GradedModule  # T^T with the induced action of Inder(T), the even part of Ste(T)
+    lam: Matrix           # inder.dim x C(dim, 2), e_i^e_j -> D_{e_i,e_j}
 
 
 def wedge_module(T: LieTripleSystem) -> WedgeModule:
@@ -106,15 +101,14 @@ def wedge_module(T: LieTripleSystem) -> WedgeModule:
     ste = standard_imbedding(T)
     r = ste.inder.dim
     s = ste.algebra.terms
-    inder_algebra = _assemble(F, r, 0, ((a, b, s[a][b]) for a, b in combinations(range(r), 2)))
     # column u of the basis derivation D_a is [D_a, e_u], at the odd index r + u
     cols, den = _integer_terms(F.p, [[[(l - r, x) for l, x in v] for v in s[a][r:]]
                                      for a in range(r)], 2)
     actions = Nonzeros(tuple(tuple(_terms_of(F.p, v, den) for v in _wedge_columns(F.p, n, c, pairs))
                              for c in cols))
-    module = GradedModule(inder_algebra, comb(n, 2), 0, actions, _trusted=True)
+    module = GradedModule(ste.inder.algebra, comb(n, 2), 0, actions, _trusted=True)
     lam = Matrix.from_cols(F, Nonzeros(s[r + i][r + j] for i, j in pairs), rows=r)
-    return WedgeModule(T, ste, inder_algebra, module, lam)
+    return WedgeModule(module, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +209,7 @@ def _module_quotient(F: Field, mdim: int, echelon: dict, act, lam_t: Sequence, r
 def pair_algebra(T: LieTripleSystem) -> ModuleQuotient:
     """<T,T> by the generic module route: the record universal_imbedding(T).pair holds."""
     w = wedge_module(T)
-    return module_quotient_algebra(w.inder_algebra, w.module, w.lam)
+    return module_quotient_algebra(w.module.algebra, w.module, w.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +258,6 @@ def _envelope(L: GradedLieAlgebra, radical: Optional[tuple] = None) -> tuple:
 
 
 class UniversalImbedding(Record):
-    lts: LieTripleSystem
     algebra: GradedLieAlgebra
     iota: Matrix               # dim x dim(T), inclusion onto the odd part
     upsilon: GradedHom         # onto the standard imbedding
@@ -277,7 +270,7 @@ def universal_imbedding(T: LieTripleSystem) -> UniversalImbedding:
     pair, algebra, upsilon = _envelope(ste.algebra)
     F, q = T.field, algebra.dim0
     iota = Matrix.from_cols(F, Nonzeros(((q + a, F.one()),) for a in range(T.dim)), rows=q + T.dim)
-    return UniversalImbedding(T, algebra, iota, upsilon, pair, ste)
+    return UniversalImbedding(algebra, iota, upsilon, pair, ste)
 
 
 # ---------------------------------------------------------------------------

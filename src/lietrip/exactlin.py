@@ -493,9 +493,6 @@ class Matrix(Record):
         return Matrix(self.field, self.rows, self.cols + other.cols, Nonzeros(tuple(
             a + tuple((j + shift, x) for j, x in b) for a, b in zip(self.terms, other.terms))))
 
-    def to_lists(self) -> list:
-        return [list(r) for r in dense_tensor(self.field, self.cols, self.terms, 1)]
-
 
 def rref(m: Matrix) -> tuple[Matrix, tuple]:
     """Reduced row echelon form and its (strictly increasing) pivot columns:

@@ -31,9 +31,9 @@ which skips the check, is passed only by ``_assemble_lts`` (for ``lts_of_lie``
 and ``odd_part_lts``, derived from validated input), by ``abl``, valid by its
 shape, and by the loader of ``check-lts``, which reports the violations.
 
-Der(T) and Inder(T) are both ``DerivationAlgebra`` records built by one
-routine; Inder(T) is read from the tensor alone, and that it is an ideal
-of Der(T) is checked apart, by ``ideal_closure_certificate``.
+Der(T) and Inder(T) are ``DerivationAlgebra`` records, their bracket an all-even
+``GradedLieAlgebra``, built by one routine; Inder(T) is read from the tensor alone,
+and that it is an ideal of Der(T) is checked apart, by ``ideal_closure_certificate``.
 """
 
 from __future__ import annotations
@@ -208,13 +208,12 @@ class DerivationAlgebra(Record):
 
     ``span`` is the space inside End(T) flattened row-major to F^(n^2),
     with its deterministic RREF basis; ``basis`` is that basis as n x n
-    matrices and ``terms`` the commutator table in it.
+    matrices and ``algebra`` the all-even algebra of their commutators in it.
     """
 
-    lts: LieTripleSystem
-    basis: tuple           # tuple of n x n Matrix
-    span: Subspace         # in F^(n^2), row-major flattening
-    terms: Nonzeros        # terms[a][b] = the nonzeros (c, x) of [D_a, D_b]
+    basis: tuple      # tuple of n x n Matrix
+    span: Subspace    # in F^(n^2), row-major flattening
+    algebra: object   # an all-even grlie.GradedLieAlgebra, [D_a, D_b] at terms[a][b]
 
     @property
     def dim(self) -> int:
@@ -251,8 +250,9 @@ def _derivation_rows(T: LieTripleSystem):
 
 
 def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
-    """The algebra on a bracket-closed span of endomorphisms of T.  Over Q the
-    commutators are taken in integers, of the basis times its common denominator."""
+    """The algebra on a bracket-closed span of endomorphisms of T, Lie under the commutator.
+    Over Q the commutators are taken in integers, of the basis times its common denominator."""
+    from .grlie import _assemble
     F = T.field
     n = T.dim
     flats = span.basis.terms
@@ -261,8 +261,8 @@ def _derivations(T: LieTripleSystem, span: Subspace) -> DerivationAlgebra:
     if table is None:
         raise RuntimeError("derivations not closed under commutator")
     basis = tuple(Matrix(F, n, n, _flat_rows(v, n)) for v in flats)
-    return DerivationAlgebra(T, basis, span, Nonzeros(
-        tuple(tuple(_terms_of(F.p, c, den * den) for c in row) for row in table)))
+    return DerivationAlgebra(basis, span, _assemble(F, len(basis), 0, (
+        (a, b, _terms_of(F.p, table[a][b], den * den)) for a, b in combinations(range(len(basis)), 2))))
 
 
 def _commutator_coordinates(p: Optional[int], n: int, pivots: Sequence, ints: list) -> Optional[list]:

@@ -31,7 +31,7 @@ from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, adjoint_module, central_quotient, direct_sum, identity_hom,
     is_generated_by_odd, trivial_module,
 )
-from lietrip.lts import LieTripleSystem, LtsHom, identity_lts_hom, lie_triple_system
+from lietrip.lts import LieTripleSystem, LtsHom, derivation_algebra, identity_lts_hom, lie_triple_system
 from lietrip.serialize import PayloadError, load, save
 
 
@@ -284,6 +284,9 @@ def test_cli_check_graded_and_univ_pipe(capsys, tmp_path):
 def test_cli_derive_inder_ste(capsys):
     code, report, _ = run_cli(capsys, "derive", "odd2")
     assert code == 0 and report["dimensions"]["dim"] == 1
+    for name, T in (("odd2", odd2()), ("sl2lts", sl2lts(Field(5)))):
+        _, report, _ = run_cli(capsys, "derive", name, "--field", T.field.tag)
+        assert report["derived"]["bracket_table"] == save(derivation_algebra(T).algebra)["entries"]
 
     code, report, _ = run_cli(capsys, "inder", "sl2lts")
     assert code == 0 and report["dimensions"]["dim"] == 3

@@ -796,6 +796,52 @@ def test_the_imbedding_functor_is_full_and_faithful_on_the_systems_over_f3():
     assert composed
 
 
+def _hom_sides(terms, arity, cols, p):
+    """For the map phi with the columns cols, residue tuples, and the multilinear map t of the
+    given arity whose nonzeros are terms: (phi(t(e_u...)), t(phi e_u...)) over every basis tuple
+    u, as residues mod p.  phi is a hom S -> T iff the first side for S is the second for T."""
+    n = len(cols)
+    images, products = [], []
+    for u in product(range(n), repeat=arity):
+        v = terms
+        for i in u:
+            v = v[i]
+        images.append(tuple(sum(x * cols[l][m] for l, x in v) % p for m in range(n)))
+        acc = [0] * n
+        for args in product(*([(a, y) for a, y in enumerate(cols[i]) if y] for i in u)):
+            v, y = terms, 1
+            for a, x in args:
+                v, y = v[a], y * x
+            for l, x in v:
+                acc[l] += x * y
+        products.append(tuple(x % p for x in acc))
+    return tuple(images), tuple(products)
+
+
+def test_restriction_to_the_odd_block_is_a_bijection_onto_the_homs_on_all_pairs_over_f3():
+    """On all 729 ordered pairs (S, T) of the 2-dimensional systems over F_3, deciding every hom
+    law from the .terms of S, T, A(S) and A(T) as residues, with no predicate of the library:
+    the graded homs A(S) -> A(T) among the 243 blocks diag(x, alpha) restrict on the odd block
+    to the triple-system homs S -> T among the 81 alpha, each for exactly one x."""
+    p = 3
+    systems = _two_dim_systems(Field(p))
+    algebras = [universal_imbedding(T).algebra for T in systems]
+    assert all((A.dim0, A.dim1) == (1, 2) for A in algebras)
+    # alpha = [[a, b], [c, d]] by its columns; the blocks run over x, then alpha
+    alphas = [((a, c), (b, d)) for a, b, c, d in product(range(p), repeat=4)]
+    blocks = [((x, 0, 0), (0,) + ac, (0,) + bd) for x in range(p) for ac, bd in alphas]
+    lts_sides = [[_hom_sides(T.terms, 3, cols, p) for cols in alphas] for T in systems]
+    graded_sides = [[_hom_sides(A.terms, 2, cols, p) for cols in blocks] for A in algebras]
+    homs = 0
+    for s, t in product(range(len(systems)), repeat=2):
+        lts = [k for k, (left, right) in enumerate(zip(lts_sides[s], lts_sides[t])) if left[0] == right[1]]
+        graded = [k % len(alphas) for k, (left, right) in enumerate(zip(graded_sides[s], graded_sides[t]))
+                  if left[0] == right[1]]
+        assert sorted(graded) == lts, (s, t)
+        homs += len(lts)
+    assert homs == 4617
+
+
 def test_the_verdict_holds_exactly_when_extend_hom_is_an_isomorphism_over_f3():
     """ROADMAP item 7 on objects: envelope_criterion(L).verdict holds exactly when
     A(L_1) -> L, extend_hom of the identity of L_1, is an isomorphism.  Over F_3, on

@@ -29,8 +29,9 @@ or ``"Subspace.span"``.  A property counts only when it is read as an
 attribute that is not called, ``x.action``: neither a call of the same
 name, such as ``d.values()``, nor a variable or a parameter of the same
 name counts.  A field counts when code that runs or a test reads
-``x.field``; the generic ``getattr`` over ``_fields`` in the record tests
-does not count.
+``x.field``, unless ``x`` is a name that an ``import`` statement binds to a
+module, ``lietrip`` included: ``lietrip.lts`` reads no field ``lts``.  The
+generic ``getattr`` over ``_fields`` in the record tests does not count.
 """
 
 import ast
@@ -48,14 +49,15 @@ SEARCHED = ("src", "demos", "perfbench")
 README = ROOT / "README.md"
 
 
-def _outside_modules(tree):
-    """The names that an import statement of tree binds to a module outside lietrip."""
+def _modules(tree, outside=True):
+    """The names that an import statement of tree binds to a module outside lietrip, or,
+    with outside false, to any module."""
     return {alias.asname or alias.name.partition(".")[0]
             for node in ast.walk(tree) if isinstance(node, ast.Import)
-            for alias in node.names if alias.name.partition(".")[0] != "lietrip"}
+            for alias in node.names if not outside or alias.name.partition(".")[0] != "lietrip"}
 
 
-def _of_outside_module(node, modules):
+def _of_module(node, modules):
     """Whether node is an attribute x.name whose receiver x is one of modules."""
     return isinstance(node.value, ast.Name) and node.value.id in modules
 
@@ -66,7 +68,7 @@ def _mentions(node, modules):
     if isinstance(node, ast.Name):
         return (node.id,)
     if isinstance(node, ast.Attribute):
-        return () if _of_outside_module(node, modules) else (node.attr,)
+        return () if _of_module(node, modules) else (node.attr,)
     if isinstance(node, ast.alias):
         return (node.name,)
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -109,7 +111,7 @@ def _references():
     """name -> list of (path, line) where it is mentioned."""
     refs = {}
     for path, tree in _trees():
-        modules = _outside_modules(tree)
+        modules = _modules(tree)
         for node in ast.walk(tree):
             for name in _mentions(node, modules):
                 refs.setdefault(name, []).append((path, node.lineno))
@@ -189,9 +191,22 @@ def _record_fields():
                         yield path, node.name, item.target.id
 
 
+def _field_reads(tree):
+    """The names x.name that tree reads, but where x is a name an import statement binds to a module."""
+    modules = _modules(tree, outside=False)
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and not _of_module(node, modules)}
+
+
+def test_an_attribute_of_an_imported_module_is_not_a_field_read():
+    tree = ast.parse("import lietrip.lts, json as j\n"
+                     "from lietrip import embed\n"
+                     "lietrip.lts.abl; j.span; embed.ste; x.lam; y.pair = 1\n")
+    assert _field_reads(tree) == {"abl", "ste", "lam"}
+
+
 def test_every_record_field_is_read():
-    read = {node.attr for _, tree in _trees(SEARCHED + ("tests",)) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = set().union(*(_field_reads(tree) for _, tree in _trees(SEARCHED + ("tests",))))
     fields = list(_record_fields())
     assert {cls for _, cls, _ in fields} == {cls.__name__ for cls in Record.__subclasses__()}
     unread = sorted(f"{path.stem}.{cls}.{name}" for path, cls, name in fields if name not in read)
@@ -222,10 +237,10 @@ def _method_mentions(tree):
     is not a name that an import statement binds to a module outside lietrip,
     receiver being x when it is a name and None otherwise, and for each part
     after the first of a dotted string, receiver being the part before it."""
-    modules = _outside_modules(tree)
+    modules = _modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if not _of_outside_module(node.func, modules):
+            if not _of_module(node.func, modules):
                 receiver = node.func.value.id if isinstance(node.func.value, ast.Name) else None
                 yield node.func.attr, node.lineno, receiver
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -250,7 +265,7 @@ def test_attributes_of_modules_outside_the_library_do_not_count():
     tree = ast.parse("import gen, lietrip.corpus\n"
                      "from . import corpus\n"
                      "jobs = [gen.sl2_double_swap, corpus.heis, lietrip.corpus.abl, x.attr]\n")
-    modules = _outside_modules(tree)
+    modules = _modules(tree)
     assert modules == {"gen"}
     assert sorted(name for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                   for name in _mentions(node, modules)) == ["abl", "attr", "corpus", "heis"]
@@ -288,11 +303,11 @@ def _property_reads(tree):
     """(name, line) for each attribute x.name in a tree that is not the function
     of a call and whose receiver x is not a name that an import statement binds
     to a module outside lietrip."""
-    modules = _outside_modules(tree)
+    modules = _modules(tree)
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and id(node) not in called
-                and not _of_outside_module(node, modules)):
+                and not _of_module(node, modules)):
             yield node.attr, node.lineno
 
 

@@ -79,8 +79,8 @@ def _cli_inputs(tmp_path):
 # commands on a file; a graded command loads no lts, and only h2, split and a criterion on an
 # algebra its odd part does not generate load cohom (u0ext builds grlie's CentralExtensionProblem
 # without it); a split that fails reads its obstruction's H^2 from the envelope criterion, so it
-# loads embed, and one that succeeds does not; a payload refused for a bad scalar loads no record
-# module, since load parses the entries first
+# loads embed, and one that succeeds does not; derive loads grlie, for the bracket of Der(T); a
+# payload refused for a bad scalar loads no record module, since load parses the entries first
 COMMANDS = [
     ("thm-a heis", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
     ("thm-a ab2", 1, ["cli", "corpus", "embed", "exactlin", "grlie", "serialize"]),
@@ -97,7 +97,7 @@ COMMANDS = [
     ("thm-a malformed.json", 2, ["cli", "exactlin", "serialize"]),
     ("thm-a zeroden.json", 2, ["cli", "exactlin", "serialize"]),
     ("check-lts sl2lts.json", 0, ["cli", "exactlin", "lts", "serialize"]),
-    ("derive sl2lts.json", 0, ["cli", "exactlin", "lts", "serialize"]),
+    ("derive sl2lts.json", 0, ["cli", "exactlin", "grlie", "lts", "serialize"]),
     ("univ sl2lts", 0, ["cli", "corpus", "embed", "exactlin", "grlie", "lts", "serialize"]),
     ("h2 ab2.json", 0, ["cli", "cohom", "exactlin", "grlie", "serialize"]),
     ("thm-a ab2.json", 1, ["cli", "embed", "exactlin", "grlie", "serialize"]),

@@ -11,12 +11,13 @@ from lietrip.corpus import abl, heis, odd2, sl2graded, sl2lts
 from lietrip.exactlin import (
     Field, Matrix, QQ, Subspace, _echelon, _integer_rows, dense_tensor, unit_vec,
 )
-from lietrip.grlie import adjoint_module
+from lietrip.grlie import adjoint_module, check_graded_lie
 from lietrip.lts import (
     IdealClosureCertificate, LieTripleSystem, LtsAxiomError, LtsHom, check_lts_axioms,
     derivation_algebra, ideal_closure_certificate, inner_derivation, inner_derivation_algebra,
     is_lts_hom, lie_triple_system, lts_of_lie, odd_part_lts, triple_bracket,
 )
+from lietrip.serialize import load, save
 
 FIELDS = [QQ, Field(2), Field(3), Field(5)]
 
@@ -74,7 +75,7 @@ def test_derivation_algebra_abelian_is_full_endo():
         der = derivation_algebra(abl(n))
         assert der.dim == n * n
         # gl_n bracket table closes
-        assert len(der.terms) == n * n
+        assert der.algebra.dim == n * n
 
 
 def test_derivation_algebra_odd2_brute_force():
@@ -105,7 +106,7 @@ def test_derivation_algebra_odd2_brute_force():
     oracle_dim = len(cols) - oracles.frac_rank(cols)  # the columns' count less their rank
     der = derivation_algebra(T)
     assert der.dim == oracle_dim == 1
-    assert der.basis[0].to_lists() == [[1, 0], [0, -1]]
+    assert der.basis[0].entries == ((1, 0), (0, -1))
 
 
 def test_derivation_algebra_sl2lts_contains_ad():
@@ -121,7 +122,7 @@ def test_derivation_algebra_sl2lts_contains_ad():
 def test_inner_derivation_examples():
     T = odd2()
     e, f = unit_vec(QQ, 2, 0), unit_vec(QQ, 2, 1)
-    assert inner_derivation(T, e, f).to_lists() == [[2, 0], [0, -2]]
+    assert inner_derivation(T, e, f).entries == ((2, 0), (0, -2))
     assert not any(inner_derivation(T, e, e).terms)
     A = abl(3)
     assert not any(inner_derivation(A, unit_vec(QQ, 3, 0), unit_vec(QQ, 3, 1)).terms)
@@ -163,7 +164,7 @@ def test_inder_algebra_examples():
     assert inner_derivation_algebra(abl(3)).dim == 0
     ind = inner_derivation_algebra(odd2())
     assert ind.dim == 1
-    assert ind.span.basis.to_lists() == [[1, 0, 0, -1]]  # diag(1,-1), RREF-scaled
+    assert ind.span.basis.entries == ((1, 0, 0, -1),)  # diag(1,-1), RREF-scaled
     assert ideal_closure_certificate(odd2()).ok
 
     L = sl2graded()
@@ -189,11 +190,11 @@ def test_ideal_closure_certificate_names_the_pairs_a_planted_fault_breaks(monkey
     # computation in Fractions
     T = sl2lts(field)
     der = lts.derivation_algebra(T)
-    mats = [m.to_lists() for m in der.basis]
+    mats = [list(map(list, m.entries)) for m in der.basis]
     mats[1][1][2] = field.of(Fraction(1, 3))
     flats = [[x for row in m for x in row] for m in mats]
     span = Subspace(field, 9, Matrix.make(field, flats), der.span.pivots)
-    planted = lts.DerivationAlgebra(T, tuple(Matrix.make(field, m) for m in mats), span, der.terms)
+    planted = lts.DerivationAlgebra(tuple(Matrix.make(field, m) for m in mats), span, der.algebra)
     monkeypatch.setattr(lts, "derivation_algebra", lambda S: planted)
     assert ideal_closure_certificate(T) == IdealClosureCertificate(False, 9, ((0, 2), (1, 2)))
 
@@ -539,14 +540,16 @@ def test_derivations_match_dense_oracle(name, field):
     T = lie_triple_system(field, raw)
     der = derivation_algebra(T)
     want = oracles.derivation_basis(raw, p)
-    assert der.span.basis.to_lists() == want
+    assert der.span.basis.entries == tuple(map(tuple, want))
     assert [list(oracles.flatten(m.entries)) for m in der.basis] == want
     dense = lambda alg: [[list(c) for c in row] for row in dense_tensor(field, alg.dim, alg.terms, 2)]
-    assert dense(der) == oracles.derivation_bracket(want, n, p)
+    assert dense(der.algebra) == oracles.derivation_bracket(want, n, p)
     ind = inner_derivation_algebra(T)
     inner = oracles.inner_derivation_basis(raw, p)
-    assert ind.span.basis.to_lists() == inner
+    assert ind.span.basis.entries == tuple(map(tuple, inner))
     assert [list(oracles.flatten(m.entries)) for m in ind.basis] == inner
-    assert dense(ind) == oracles.derivation_bracket(inner, n, p)
+    assert dense(ind.algebra) == oracles.derivation_bracket(inner, n, p)
+    for alg in (der.algebra, ind.algebra):
+        assert check_graded_lie(alg).ok and load(save(alg)) == alg
     assert ideal_closure_certificate(T) == IdealClosureCertificate(
         True, der.dim * n * (n - 1) // 2, ())

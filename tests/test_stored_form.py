@@ -100,7 +100,7 @@ def _built(F):
         wedge = wedge_module(T)
         yield from ((f"pair algebra of {name}", pair_algebra(T)), (f"wedge module of {name}", wedge))
         yield from ((f"A({name})", env.algebra), (f"Ste({name})", env.ste.algebra),
-                    (f"Inder({name})", wedge.inder_algebra),
+                    (f"Inder({name})", wedge.module.algebra),
                     (f"<{name},{name}>", env.pair.algebra), (f"T^T({name})", wedge.module),
                     (f"odd part of A({name})", odd_part_lts(env.algebra)),
                     (f"adjoint of A({name})", adjoint_module(env.algebra)),

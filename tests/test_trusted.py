@@ -29,9 +29,7 @@ from lietrip.cohom import (
 )
 from extra_algebras import sl2_double_swap
 from lietrip.corpus import ab2, abl, heis, odd2, sl2graded, sl2lts
-from lietrip.embed import (
-    module_quotient_algebra, pair_algebra, universal_imbedding, wedge_module,
-)
+from lietrip.embed import module_quotient_algebra, pair_algebra, universal_imbedding
 from lietrip.exactlin import Field, Matrix, QQ, Subspace, unit_vec
 from lietrip.grlie import (
     GradedHom, GradedLieAlgebra, GradedLieError, GradedModule, adjoint_module, center,
@@ -91,8 +89,9 @@ def test_derived_objects_pass_the_full_checks(name, field):
     assert check_lts_axioms(T).ok, name  # lts_of_lie builds gl(n) trusted
     env = universal_imbedding(T)
     A = env.algebra
-    for what, L in (("Inder", wedge_module(T).inder_algebra), ("<T,T>", env.pair.algebra),
-                    ("Ste", env.ste.algebra), ("A", A)):
+    der = derivation_algebra(T)
+    for what, L in (("Der", der.algebra), ("Inder", env.ste.inder.algebra),
+                    ("<T,T>", env.pair.algebra), ("Ste", env.ste.algebra), ("A", A)):
         _graded_ok(L, f"{what}({name})")
         # adjoint_module builds unchecked; load validates the module law and grading
         assert load(save(adjoint_module(L))) == adjoint_module(L), f"ad({what}({name}))"
@@ -106,7 +105,6 @@ def test_derived_objects_pass_the_full_checks(name, field):
     assert report.witness.source == A, name
     _quotient_and_extensions(A, f"A({name})")
     n = T.dim
-    der = derivation_algebra(T)
     assert ideal_closure_certificate(T) == IdealClosureCertificate(
         True, der.dim * n * (n - 1) // 2, ()), name
     # what the certificate's identity implies: Inder(T) holds every [D, D_{i,j}]
@@ -125,9 +123,9 @@ def _pair_algebra_over_der(T):
     pair algebra, which the library builds over the inner derivations."""
     F, n = T.field, T.dim
     der = derivation_algebra(T)
-    L = GradedLieAlgebra(F, der.dim, 0, der.terms)  # validated: Jacobi of Der(T)
+    L = der.algebra  # checked by test_derived_objects_pass_the_full_checks
     module = GradedModule(L, comb(n, 2), 0, tuple(Matrix.make(F, oracles.wedge_action(
-                              x.to_lists(), F.p), cols=comb(n, 2)) for x in der.basis),
+                              x.entries, F.p), cols=comb(n, 2)) for x in der.basis),
                           _trusted=True)
     lam = Matrix.from_cols(F, [
         oracles.coordinates(der.span.basis.entries, oracles.flatten(
@@ -179,7 +177,7 @@ def test_image_times_kernel_of_lam_lies_in_a_on_the_derivation_route(name, field
     built = []
     gens = radical_generators(monkeypatch, lambda: built.append(_pair_algebra_over_der(T)))
     mq, _ = built[0]
-    a_rows = mq.a_subspace.basis.to_lists()
+    a_rows = list(mq.a_subspace.basis.entries)
     assert_in_kernel_of_lam(T.triple, gens, field.p)
     products = oracles.image_kernel_products(T.triple, field.p)
     assert oracles.frac_rank(a_rows + products, field.p) == len(a_rows)
@@ -220,9 +218,8 @@ TRUSTED_SITES = {
     ("grlie.central_quotient", "_assemble"),
     ("grlie.central_quotient", "GradedHom(_trusted=True)"),
     ("grlie.restrict_hom_to_odd", "LtsHom(_trusted=True)"),
-    ("embed.standard_imbedding", "_assemble"),
+    ("lts._derivations", "_assemble"),
     ("embed.standard_imbedding", "_glue"),
-    ("embed.wedge_module", "_assemble"),
     ("embed.wedge_module", "GradedModule(_trusted=True)"),
     ("embed._module_quotient", "_assemble"),
     ("embed._envelope", "_glue"),
